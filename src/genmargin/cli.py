@@ -130,9 +130,9 @@ def scenario_report(params: SystemParams, tol=None) -> dict:
     tol = tolerances.from_env() if tol is None else tol
     group = classify(params, tol_bound=tol.bound)
     analytic = analytic_solution(params, group)
-    lr = solve_lrmc(params)
-    srmc = compute_srmc(params, lr.decision)
-    check = cross_check(params, tol=tol)
+    lr = solve_lrmc(params, tol=tol.feas)
+    srmc = compute_srmc(params, lr.decision, lrmc_objective=lr.objective)
+    check = cross_check(params, tol=tol, lrmc=lr)
 
     profile = lrmc_profile_for_group(group.gid)
     orient = group_orientation(group.gid)
@@ -300,7 +300,7 @@ def sweep_rows(config: ScenarioConfig):
             group = classify(params, tol_bound=tol.bound)
             analytic = analytic_solution(params, group)
             lr = solve_lrmc(params)
-            srmc = compute_srmc(params, lr.decision)
+            srmc = compute_srmc(params, lr.decision, lrmc_objective=lr.objective)
             p_l = cost_recovery(analytic.lrmc, analytic.decision, params).profit
             p_s = cost_recovery(srmc.resolved, analytic.decision, params).profit
             row = (group.gid, analytic.profile_id, analytic.lrmc[0],
@@ -331,7 +331,9 @@ def run_sweep(config: ScenarioConfig) -> tuple:
 
 def run_selftest(seed: int, n: int, out=None) -> int:
     """n randomized scenarios through the cross-check and the short-run
-    rule/perturbation agreement.  Deterministic for a fixed seed."""
+    rule/perturbation agreement.  Deterministic for a fixed seed.  Each
+    scenario's long-run LP is solved once, for the cross-check and the
+    short-run pipeline both."""
     out = sys.stdout if out is None else out
     if n < 1:
         raise ConfigError("selftest needs n >= 1")
@@ -340,12 +342,12 @@ def run_selftest(seed: int, n: int, out=None) -> int:
     groups_seen = set()
     for _ in range(n):
         params = random_params(rng)
-        rep = cross_check(params)
+        lr = solve_lrmc(params)
+        rep = cross_check(params, lrmc=lr)
         groups_seen.add(rep.gid)
         ok = rep.passed
         if ok:
-            lr = solve_lrmc(params)
-            srmc = compute_srmc(params, lr.decision)
+            srmc = compute_srmc(params, lr.decision, lrmc_objective=lr.objective)
             for t in (0, 1):
                 cp = srmc.marginal_cp[t]
                 want = params.cl if cp is None else predict_srmc_from_lrmc(

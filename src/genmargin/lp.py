@@ -3,8 +3,10 @@
 A deliberately small, transparent implementation: two-phase primal simplex
 on a dense tableau with Bland's rule always on, so cycling is impossible
 rather than merely unlikely.  Problem sizes in this package are at most a
-dozen variables by ten rows; there is no sparsity machinery, no scaling,
-no warm starts.
+dozen variables by ten rows; there is no sparsity machinery and no scaling.
+Several objectives over one feasible region share a single phase 1
+(:func:`solve_objectives`): each then runs its own phase 2 from a copy of
+the phase-1 tableau and gets exactly what a separate solve would return.
 
 Conventions
 -----------
@@ -37,6 +39,9 @@ _RELATIONS = (LE, EQ, GE)
 #: hitting the cap signals a solver bug, never a hard instance.
 MAX_ITERATIONS = 10_000
 
+#: Smallest pivot-column entry the ratio test divides by.
+_PIVOT_TOL = 1e-10
+
 
 class LpError(Exception):
     """Base class for solver errors."""
@@ -48,6 +53,22 @@ class LpInputError(LpError, ValueError):
 
 class IterationLimitError(LpError):
     """The pivot cap was hit.  With Bland's rule on, this means a bug."""
+
+
+def _objective_vector(sense, c, n_vars) -> np.ndarray:
+    """``c`` as a read-only float vector, after checking that ``(sense, c)``
+    is an objective over ``n_vars`` columns."""
+    if sense not in ("min", "max"):
+        raise LpInputError(f"sense must be 'min' or 'max', got {sense!r}")
+    c = np.array(c, dtype=float)
+    if c.ndim != 1:
+        raise LpInputError("c must be one-dimensional")
+    if c.shape[0] != n_vars:
+        raise LpInputError(f"objective has {c.shape[0]} entries for {n_vars} columns")
+    if not np.all(np.isfinite(c)):
+        raise LpInputError("c must be finite")
+    c.setflags(write=False)
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,17 +90,13 @@ class LinearProgram:
     objective_offset: float = 0.0
 
     def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise LpInputError(f"sense must be 'min' or 'max', got {self.sense!r}")
-        c = np.array(self.c, dtype=float)
         A = np.atleast_2d(np.array(self.A, dtype=float))
         b = np.array(self.b, dtype=float)
         rel = tuple(self.relations)
-        if c.ndim != 1 or b.ndim != 1:
-            raise LpInputError("c and b must be one-dimensional")
         m, n = A.shape
-        if c.shape[0] != n:
-            raise LpInputError(f"objective has {c.shape[0]} entries for {n} columns")
+        c = _objective_vector(self.sense, self.c, n)
+        if b.ndim != 1:
+            raise LpInputError("b must be one-dimensional")
         if b.shape[0] != m or len(rel) != m:
             raise LpInputError(
                 f"matrix has {m} rows but |b| = {b.shape[0]}, |relations| = {len(rel)}"
@@ -95,15 +112,16 @@ class LinearProgram:
                 raise LpInputError("lower_bounds length must match column count")
             if np.any(np.isposinf(lb)) or np.any(np.isnan(lb)):
                 raise LpInputError("lower bounds must be finite or -inf")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise LpInputError("c, A, b must be finite")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise LpInputError("A, b must be finite")
         vl = None if self.var_labels is None else tuple(self.var_labels)
         rl = None if self.row_labels is None else tuple(self.row_labels)
         if vl is not None and (len(vl) != n or len(set(vl)) != n):
             raise LpInputError("variable labels must be unique and match column count")
         if rl is not None and (len(rl) != m or len(set(rl)) != m):
             raise LpInputError("row labels must be unique and match row count")
-        for name, val in (("c", c), ("A", A), ("b", b), ("lower_bounds", lb)):
+        object.__setattr__(self, "c", c)
+        for name, val in (("A", A), ("b", b), ("lower_bounds", lb)):
             val.setflags(write=False)
             object.__setattr__(self, name, val)
         object.__setattr__(self, "relations", rel)
@@ -173,13 +191,14 @@ class DegeneracyReport:
 
 
 class _StandardForm:
-    """min c.x  s.t.  A x = b, x >= 0, with bookkeeping back to the original."""
+    """min c.x  s.t.  A x = b, x >= 0, with bookkeeping back to the original.
+
+    Only the feasible region is converted here; :meth:`cost` maps any
+    objective over the original variables onto the same columns.
+    """
 
     def __init__(self, p: LinearProgram):
         self.problem = p
-        minimize = p.sense == "min"
-        c_orig = p.c if minimize else -p.c
-        self.minimize = minimize
 
         # Shift finite lower bounds to zero; split free variables in two.
         lb = p.lower_bounds
@@ -192,13 +211,11 @@ class _StandardForm:
             if math.isinf(lb[j]):
                 cols.append((j, -1.0))
         self.cols = cols
+        self.col_var = np.array([j for j, _ in cols], dtype=int)
+        self.col_sign = np.array([s for _, s in cols])
 
         n_struct = len(cols)
-        A_struct = np.empty((p.n_rows, n_struct))
-        c_struct = np.empty(n_struct)
-        for k, (j, s) in enumerate(cols):
-            A_struct[:, k] = s * p.A[:, j]
-            c_struct[k] = s * c_orig[j]
+        A_struct = p.A[:, self.col_var] * self.col_sign
 
         # Make the right-hand side nonnegative before adding slacks, so the
         # sign of each slack tells us whether it can start in the basis.
@@ -207,13 +224,11 @@ class _StandardForm:
         b_work = b_work * self.row_sign
 
         slack_cols = []
-        slack_sign = {}
         for i, rel in enumerate(p.relations):
             if rel == EQ:
                 continue
             s = 1.0 if rel == LE else -1.0
             s *= self.row_sign[i]
-            slack_sign[i] = s
             slack_cols.append((i, s))
 
         n_slack = len(slack_cols)
@@ -224,7 +239,6 @@ class _StandardForm:
 
         self.A = np.hstack([A_struct, A_slack])
         self.b = b_work
-        self.c = np.concatenate([c_struct, np.zeros(n_slack)])
         self.n_struct = n_struct
         self.n_total = n_struct + n_slack
 
@@ -234,6 +248,12 @@ class _StandardForm:
             if s > 0:
                 self.init_basis[i] = n_struct + k
         self.art_rows = [i for i in range(p.n_rows) if self.init_basis[i] < 0]
+
+    def cost(self, sense, c) -> np.ndarray:
+        """Standard-form (minimization) cost row of the objective ``(sense, c)``."""
+        c_min = c if sense == "min" else -c
+        return np.concatenate([self.col_sign * c_min[self.col_var],
+                               np.zeros(self.n_total - self.n_struct)])
 
     def column_label(self, k) -> str:
         p = self.problem
@@ -251,6 +271,73 @@ class _StandardForm:
         return x
 
 
+class _Tableau:
+    """Dense simplex tableau: ``m`` constraint rows, then reduced-cost rows.
+
+    Row ``m`` is the phase-1 objective (minus the sum of the artificial
+    rows); the rows below it are phase-2 objectives.  A pivot updates every
+    row, so each reduced-cost row stays current whichever row chose it.
+    """
+
+    def __init__(self, T, basis, m, n_enter, max_iterations):
+        self.T = T
+        self.basis = basis
+        self.m = m
+        self.n_enter = n_enter          # artificial columns never enter
+        self.max_iterations = max_iterations
+        self.iterations = 0
+
+    def copy(self) -> "_Tableau":
+        dup = _Tableau(self.T.copy(), self.basis.copy(), self.m, self.n_enter,
+                       self.max_iterations)
+        dup.iterations = self.iterations
+        return dup
+
+    def pivot(self, pi, pj):
+        T = self.T
+        T[pi] /= T[pi, pj]
+        col = T[:, pj].copy()
+        col[pi] = 0.0
+        T -= col[:, None] * T[pi]
+        self.basis[pi] = pj
+
+    def run(self, row, rc_tol, rc_tol_hi=None) -> str:
+        """Pivot on reduced-cost row ``row`` until no column prices out
+        below ``-rc_tol``; returns "optimal" or "unbounded".
+
+        With ``rc_tol_hi`` the run stands for every tolerance in
+        ``[rc_tol, rc_tol_hi]``: it returns "split" rather than pivot on a
+        column that only some of those tolerances would let enter.
+        """
+        # Scalar work runs on Python floats (the same IEEE doubles, without
+        # numpy's per-element overhead on rows this short).
+        T, m, basis = self.T, self.m, self.basis
+        while True:
+            enter = -1
+            for j, r_j in enumerate(T[row, : self.n_enter].tolist()):
+                if r_j < -rc_tol:                # Bland: lowest eligible index
+                    enter, r_enter = j, r_j
+                    break
+            if enter < 0:
+                return "optimal"
+            if rc_tol_hi is not None and not r_enter < -rc_tol_hi:
+                return "split"
+            ratios = [b_i / a_i if a_i > _PIVOT_TOL else math.inf
+                      for a_i, b_i in zip(T[:m, enter].tolist(), T[:m, -1].tolist())]
+            theta = min(ratios)
+            if theta == math.inf:
+                return "unbounded"
+            cutoff = theta + 1e-12 * (1.0 + abs(theta))
+            leave = min((i for i in range(m) if ratios[i] <= cutoff),
+                        key=basis.__getitem__)   # Bland again on ties
+            self.iterations += 1
+            if self.iterations > self.max_iterations:
+                raise IterationLimitError(
+                    f"simplex exceeded {self.max_iterations} pivots; this is a bug"
+                )
+            self.pivot(leave, enter)
+
+
 def solve_lp(problem: LinearProgram, *, tol: float = None,
              max_iterations: int = MAX_ITERATIONS) -> LpSolution:
     """Solve an LP to optimality, returning primal values, duals and reduced costs.
@@ -260,99 +347,94 @@ def solve_lp(problem: LinearProgram, *, tol: float = None,
     carry different (equally valid) duals.  Use :func:`dual_value_range`
     for the full set.
     """
+    return solve_objectives(problem, ((problem.sense, problem.c),), tol=tol,
+                            max_iterations=max_iterations)[0]
+
+
+def solve_objectives(problem: LinearProgram, objectives, *, tol: float = None,
+                     max_iterations: int = MAX_ITERATIONS) -> tuple:
+    """Optimize each ``(sense, c)`` pair in ``objectives`` over ``problem``'s
+    feasible region; one :class:`LpSolution` per pair, in order.
+
+    The problem's own ``sense`` and ``c`` are not used; its rows, bounds,
+    labels and ``objective_offset`` are.  The standard form is built once
+    and phase 1 runs once, carrying every objective's reduced-cost row
+    through its pivots; each phase 2 then starts from its own copy of the
+    phase-1 tableau.  Each result, ``iterations`` included (shared phase-1
+    plus own phase-2 pivots), is exactly what :func:`solve_lp` returns for
+    the problem with that sense and objective.
+    """
     tol = DEFAULT.feas if tol is None else tol
     sf = _StandardForm(problem)
     m = problem.n_rows
     if m == 0:
         raise LpInputError("problem must have at least one row")
+    objectives = tuple((sense, _objective_vector(sense, c, problem.n_vars))
+                       for sense, c in objectives)
+    if not objectives:
+        raise LpInputError("no objectives given")
+    costs = [sf.cost(sense, c) for sense, c in objectives]
+    rc_tols = [tol * (1.0 + float(np.abs(cost).max(initial=0.0))) for cost in costs]
 
     n_art = len(sf.art_rows)
-    n_cols = sf.n_total + n_art
-    T = np.zeros((m, n_cols + 1))
-    T[:, : sf.n_total] = sf.A
-    T[:, -1] = sf.b
+    T = np.zeros((m + 1 + len(costs), sf.n_total + n_art + 1))
+    T[:m, : sf.n_total] = sf.A
+    T[:m, -1] = sf.b
     basis = sf.init_basis.copy()
     for k, i in enumerate(sf.art_rows):
-        col = sf.n_total + k
-        T[i, col] = 1.0
-        basis[i] = col
-
-    # Reduced-cost rows for phase 1 (sum of artificials) and phase 2, kept
-    # up to date together through every pivot.
-    r2 = np.zeros(n_cols + 1)
-    r2[: sf.n_total] = sf.c
-    r1 = np.zeros(n_cols + 1)
+        T[i, sf.n_total + k] = 1.0
+        basis[i] = sf.n_total + k
+    for q, cost in enumerate(costs):
+        T[m + 1 + q, : sf.n_total] = cost
+    r1 = T[m]
     for i in sf.art_rows:
         r1 -= T[i]
     r1[sf.n_total:-1] = 0.0
+    tab = _Tableau(T, basis, m, sf.n_total, max_iterations)
 
-    rc_tol = tol * (1.0 + float(np.abs(sf.c).max(initial=0.0)))
-    piv_tol = 1e-10
-    iterations = 0
-
-    def pivot(pi, pj):
-        T[pi] /= T[pi, pj]
-        col = T[:, pj].copy()
-        col[pi] = 0.0
-        T[...] -= np.outer(col, T[pi])
-        f1, f2 = r1[pj], r2[pj]
-        if f1 != 0.0:
-            r1[:] = r1 - f1 * T[pi]
-        if f2 != 0.0:
-            r2[:] = r2 - f2 * T[pi]
-        basis[pi] = pj
-
-    def run_phase(r_active):
-        # Artificial columns never enter; they only leave (or stay parked
-        # at zero on redundant rows).
-        nonlocal iterations
-        while True:
-            r = r1 if r_active == 1 else r2
-            enter = -1
-            for j in range(sf.n_total):          # Bland: lowest eligible index
-                if r[j] < -rc_tol:
-                    enter = j
-                    break
-            if enter < 0:
-                return "optimal"
-            col = T[:, enter]
-            ratios = np.full(m, np.inf)
-            pos = col > piv_tol
-            ratios[pos] = T[pos, -1] / col[pos]
-            theta = ratios.min()
-            if not np.isfinite(theta):
-                return "unbounded"
-            cand = np.flatnonzero(ratios <= theta + 1e-12 * (1.0 + abs(theta)))
-            leave = cand[np.argmin(basis[cand])]  # Bland again on ties
-            iterations += 1
-            if iterations > max_iterations:
-                raise IterationLimitError(
-                    f"simplex exceeded {max_iterations} pivots; this is a bug"
-                )
-            pivot(leave, enter)
-
-    # ---- phase 1 ------------------------------------------------------
+    # ---- phase 1, shared ---------------------------------------------
     if n_art:
-        status = run_phase(1)
+        # Phase 1 prices columns with each objective's own tolerance; it is
+        # shared only while every one of them picks the same column.
+        lo, hi = min(rc_tols), max(rc_tols)
+        status = tab.run(m, lo, hi if hi > lo else None)
+        if status == "split":
+            return tuple(
+                solve_objectives(problem, (obj,), tol=tol,
+                                 max_iterations=max_iterations)[0]
+                for obj in objectives
+            )
         if status == "unbounded":     # cannot happen: phase-1 objective >= 0
             raise LpError("phase-1 unbounded; numerical corruption")
-        phase1_obj = -r1[-1]
+        phase1_obj = -T[m, -1]
         if phase1_obj > tol * (1.0 + float(np.abs(sf.b).max(initial=0.0))):
-            return LpSolution(status="infeasible", iterations=iterations)
+            return tuple(LpSolution(status="infeasible", iterations=tab.iterations)
+                         for _ in objectives)
         # Pivot leftover artificials out where possible; a row that cannot
         # be pivoted is redundant and keeps its artificial basic at zero.
         for i in range(m):
             if basis[i] >= sf.n_total:
                 for j in range(sf.n_total):
                     if abs(T[i, j]) > 1e-9:
-                        pivot(i, j)
+                        tab.pivot(i, j)
                         break
 
-    # ---- phase 2 ------------------------------------------------------
-    status = run_phase(2)
-    if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=iterations)
+    # ---- phase 2, one per objective ------------------------------------
+    solutions = []
+    last = len(costs) - 1
+    for q, ((sense, c), cost) in enumerate(zip(objectives, costs)):
+        own = tab if q == last else tab.copy()
+        if own.run(m + 1 + q, rc_tols[q]) == "unbounded":
+            solutions.append(LpSolution(status="unbounded", iterations=own.iterations))
+        else:
+            solutions.append(_optimum(problem, sf, own, sense, c, cost))
+    return tuple(solutions)
 
+
+def _optimum(problem, sf, tab, sense, c, cost) -> LpSolution:
+    """The optimal solution that ``tab``'s basis gives objective ``(sense, c)``."""
+    m = problem.n_rows
+    T, basis = tab.T, tab.basis
     x_std = np.zeros(sf.n_total)
     for i in range(m):
         if basis[i] < sf.n_total:
@@ -367,18 +449,18 @@ def solve_lp(problem: LinearProgram, *, tol: float = None,
         j = basis[i]
         if j < sf.n_total:
             B[:, i] = sf.A[:, j]
-            c_B[i] = sf.c[j]
+            c_B[i] = cost[j]
         else:
             B[:, i] = 0.0
             B[_art_row(sf, j), i] = 1.0
             c_B[i] = 0.0
     y_std = np.linalg.solve(B.T, c_B)
     y = y_std * sf.row_sign
-    if not sf.minimize:
+    if sense != "min":
         y = -y
 
-    rc = problem.c - y @ problem.A
-    objective = float(problem.c @ x) + problem.objective_offset
+    rc = c - y @ problem.A
+    objective = float(c @ x) + problem.objective_offset
     labels = tuple(
         sf.column_label(basis[i]) if basis[i] < sf.n_total
         else f"a[{problem.row_label(_art_row(sf, basis[i]))}]"
@@ -391,7 +473,7 @@ def solve_lp(problem: LinearProgram, *, tol: float = None,
         reduced_costs=rc,
         objective=objective,
         basis=labels,
-        iterations=iterations,
+        iterations=tab.iterations,
     )
 
 
@@ -467,10 +549,23 @@ def dual_value_range(problem: LinearProgram, row_id, *, tol: float = None,
     positive width; a unique dual gives a zero-width interval.
 
     ``solution`` may carry a previously computed optimum of ``problem`` to
-    skip the internal solve.
+    skip the internal solve.  :func:`dual_value_ranges` does several rows
+    for the price of one.
+    """
+    return dual_value_ranges(problem, (row_id,), tol=tol, solution=solution)[0]
+
+
+def dual_value_ranges(problem: LinearProgram, row_ids, *, tol: float = None,
+                      solution: LpSolution = None) -> tuple:
+    """:func:`dual_value_range` of each row in ``row_ids``, in order.
+
+    Every row's min and max sub-LP lives on the same pinned dual region, so
+    all of them share one standard form and one phase 1
+    (:func:`solve_objectives`); each interval equals the one-row result
+    exactly.
     """
     tol = DEFAULT.feas if tol is None else tol
-    idx = problem.row_index(row_id)
+    idxs = [problem.row_index(row_id) for row_id in row_ids]
     p_min = _min_form(problem)
     if solution is not None and solution.optimal:
         z_min = solution.objective - problem.objective_offset
@@ -485,35 +580,39 @@ def dual_value_range(problem: LinearProgram, row_id, *, tol: float = None,
 
     dual, signs = explicit_dual(p_min)
     m = p_min.n_rows
-    A_ext = np.vstack([dual.A, dual.c])
-    rel_ext = dual.relations + (EQ,)
-    b_ext = np.concatenate([dual.b, [z_struct]])
-    lo_hi = []
-    for sense in ("min", "max"):
+    region = LinearProgram(
+        sense="min",
+        c=np.zeros(m),
+        A=np.vstack([dual.A, dual.c]),
+        relations=dual.relations + (EQ,),
+        b=np.concatenate([dual.b, [z_struct]]),
+        lower_bounds=dual.lower_bounds,
+    )
+    objectives = []
+    for idx in idxs:
         obj = np.zeros(m)
         obj[idx] = signs[idx]
-        sub = LinearProgram(
-            sense=sense,
-            c=obj,
-            A=A_ext,
-            relations=rel_ext,
-            b=b_ext,
-            lower_bounds=dual.lower_bounds,
-        )
-        s = solve_lp(sub, tol=tol)
-        if s.status == "unbounded":
-            lo_hi.append(-math.inf if sense == "min" else math.inf)
-        elif s.optimal:
-            lo_hi.append(s.objective)
-        else:
-            raise LpError(
-                "dual polytope at the optimal value is infeasible; "
-                "numerical trouble in the primal solve"
-            )
-    lo, hi = lo_hi
-    if problem.sense == "max":
-        lo, hi = -hi, -lo
-    return (float(lo), float(hi))
+        objectives += [("min", obj), ("max", obj)]
+    sols = solve_objectives(region, objectives, tol=tol)
+
+    ranges = []
+    for k in range(len(idxs)):
+        lo_hi = []
+        for sense, s in zip(("min", "max"), sols[2 * k: 2 * k + 2]):
+            if s.status == "unbounded":
+                lo_hi.append(-math.inf if sense == "min" else math.inf)
+            elif s.optimal:
+                lo_hi.append(s.objective)
+            else:
+                raise LpError(
+                    "dual polytope at the optimal value is infeasible; "
+                    "numerical trouble in the primal solve"
+                )
+        lo, hi = lo_hi
+        if problem.sense == "max":
+            lo, hi = -hi, -lo
+        ranges.append((float(lo), float(hi)))
+    return tuple(ranges)
 
 
 def basic_variable_values(problem: LinearProgram, solution: LpSolution):
@@ -552,11 +651,10 @@ def detect_degeneracy(problem: LinearProgram, solution: LpSolution, *,
         if abs(v) <= tol_deg
     )
     if dual_ranges:
-        multi = []
-        for i in range(problem.n_rows):
-            lo, hi = dual_value_range(problem, i)
-            multi.append(hi - lo > 1e-7 * (1.0 + abs(lo) + abs(hi)))
-        dual_multiple = tuple(multi)
+        dual_multiple = tuple(
+            hi - lo > 1e-7 * (1.0 + abs(lo) + abs(hi))
+            for lo, hi in dual_value_ranges(problem, range(problem.n_rows))
+        )
     else:
         dual_multiple = tuple(False for _ in range(problem.n_rows))
     return DegeneracyReport(

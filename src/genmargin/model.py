@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import EQ, GE, LE, LinearProgram, LpSolution, solve_lp
+from .lp import EQ, GE, LE, LinearProgram, LpSolution, solve_objectives
 from .tolerances import DEFAULT
 
 VAR_ORDER = ("I_r1", "I_r2", "I_f1", "I_f2",
@@ -486,7 +486,8 @@ class LrmcSolve:
     lp_solution: LpSolution
 
 
-def solve_lrmc(params: SystemParams, *, canonical: bool = True) -> LrmcSolve:
+def solve_lrmc(params: SystemParams, *, canonical: bool = True,
+               tol: float = None) -> LrmcSolve:
     """Solve the long-run model and map back to model coordinates.
 
     Investment splits can be non-unique: capacity built in period 1 but
@@ -494,27 +495,23 @@ def solve_lrmc(params: SystemParams, *, canonical: bool = True) -> LrmcSolve:
     optimal face may contain a segment of investment plans.  With
     ``canonical=True`` ties are broken toward deferred investment (minimal
     period-1 build), which is the convention of the closed-form results.
-    The tie-break re-solve perturbs only vertex selection; duals are always
-    taken from the unperturbed solve.
+    The tie-break objective perturbs only vertex selection and is solved
+    over the same phase 1 as the true one; duals are always taken from the
+    unperturbed solve.  ``tol`` is the solver's feasibility tolerance.
     """
     prob = build_lrmc_primal(params)
-    sol = solve_lp(prob)
-    if not sol.optimal:
-        # With CL > 0 and finite caps the model is always feasible/bounded.
-        raise ModelError(f"long-run model unexpectedly {sol.status}")
-    decision_sol = sol
+    objectives = [(prob.sense, prob.c)]
     if canonical:
         mu = 1e-9 * (1.0 + float(np.abs(prob.c).max()))
         c2 = prob.c.copy()
         c2[0] += mu   # I_r1
         c2[2] += mu   # I_f1
-        tie = LinearProgram(
-            sense="min", c=c2, A=prob.A, relations=prob.relations, b=prob.b,
-            var_labels=prob.var_labels, row_labels=prob.row_labels,
-        )
-        tie_sol = solve_lp(tie)
-        if tie_sol.optimal:
-            decision_sol = tie_sol
+        objectives.append(("min", c2))
+    sol, *tie = solve_objectives(prob, objectives, tol=tol)
+    if not sol.optimal:
+        # With CL > 0 and finite caps the model is always feasible/bounded.
+        raise ModelError(f"long-run model unexpectedly {sol.status}")
+    decision_sol = tie[0] if tie and tie[0].optimal else sol
     return LrmcSolve(
         params=params,
         decision=extract_decision(decision_sol),

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import analytic_solution, classify, marginal_cp
-from .lp import dual_value_range, solve_lp
+from .lp import dual_value_ranges, solve_lp
 from .model import SystemParams, build_lrmc_primal, build_srmc_primal
 from .tolerances import DEFAULT
 
@@ -114,9 +114,7 @@ def compute_srmc(params: SystemParams, istar, *, epsilon: float = None,
             f"(short-run cost {sol0.objective:g} vs long-run optimum {z_star:g})"
         )
 
-    intervals = tuple(
-        dual_value_range(frozen, f"balance_{t}", solution=sol0) for t in (1, 2)
-    )
+    intervals = dual_value_ranges(frozen, ("balance_1", "balance_2"), solution=sol0)
     degenerate = tuple(
         hi - lo > 1e-7 * (1.0 + abs(lo) + abs(hi)) for lo, hi in intervals
     )

@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import analytic_solution, classify
-from .lp import dual_value_range, solve_lp
+from .lp import dual_value_ranges, solve_lp
 from .model import (
     DualValues,
+    LrmcSolve,
     PrimalDecision,
     SystemParams,
     build_lrmc_dual,
@@ -118,18 +119,29 @@ class CrossCheckReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def cross_check(params: SystemParams, *, tol: Tolerances = DEFAULT) -> CrossCheckReport:
+def cross_check(params: SystemParams, *, tol: Tolerances = DEFAULT,
+                lrmc: LrmcSolve = None) -> CrossCheckReport:
     """Run the analytic path and the LP path and diff them.
 
     Disagreements are the payload, not exceptions.  On boundary inputs the
     price comparison downgrades to interval containment, since the LP dual
     is then one point of a set.
+
+    ``lrmc`` may carry the caller's long-run solve of the same ``params``
+    (``solve_lrmc(params, tol=tol.feas)``); its unperturbed primal optimum
+    is then checked instead of solving the primal again.  The explicit dual
+    LP is always solved here: strong duality against it is the independent
+    check.
     """
+    if lrmc is not None and lrmc.params != params:
+        raise ValueError("cross_check was given a long-run solve of other parameters")
     group = classify(params, tol_bound=tol.bound)
     analytic = analytic_solution(params, group)
 
-    primal = build_lrmc_primal(params)
-    sol = solve_lp(primal, tol=tol.feas)
+    if lrmc is None:
+        sol = solve_lp(build_lrmc_primal(params), tol=tol.feas)
+    else:
+        sol = lrmc.lp_solution
     dual_sol = solve_lp(build_lrmc_dual(params), tol=tol.feas)
 
     checks = []
@@ -162,8 +174,9 @@ def cross_check(params: SystemParams, *, tol: Tolerances = DEFAULT) -> CrossChec
     else:
         ok = True
         detail = []
-        for t in (1, 2):
-            lo, hi = dual_value_range(primal, f"balance_{t}")
+        ranges = dual_value_ranges(build_lrmc_primal(params), ("balance_1", "balance_2"),
+                                   tol=tol.feas, solution=sol)
+        for t, (lo, hi) in zip((1, 2), ranges):
             inside = lo - tol.lam_match <= analytic.lrmc[t - 1] <= hi + tol.lam_match
             ok = ok and inside
             detail.append(f"t{t}: {analytic.lrmc[t-1]:.6g} in [{lo:.6g}, {hi:.6g}]")

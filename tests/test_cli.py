@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from genmargin import cli, lp
 from genmargin.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
@@ -12,7 +13,10 @@ from genmargin.cli import (
     run_scenario,
     run_selftest,
     run_sweep,
+    sweep_rows,
 )
+from genmargin.model import SystemParams
+from genmargin.sampling import random_params
 
 CANONICAL = {
     "ci_r": 60, "cp_r": 1, "m_r": 3000,
@@ -25,6 +29,20 @@ def write_config(tmp_path, payload, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+@pytest.fixture
+def tableaux(monkeypatch):
+    """A list that grows by one for every LP standard form (tableau) built."""
+    built = []
+
+    class Counted(lp._StandardForm):
+        def __init__(self, problem):
+            built.append(problem)
+            super().__init__(problem)
+
+    monkeypatch.setattr(lp, "_StandardForm", Counted)
+    return built
 
 
 class TestRun:
@@ -96,6 +114,24 @@ class TestRun:
         assert rep["srmc"]["resolved"] == [1.0, 20.0]
         assert rep["recovery"]["lrmc"]["recovered"] is True
         assert rep["recovery"]["srmc"]["recovered"] is False
+
+    @pytest.mark.parametrize("d2, built", [(7000.0, 5), (6000.0, 6)])
+    def test_report_solves_the_long_run_once(self, monkeypatch, tableaux, d2, built):
+        # the one long-run solve runs at the cross-check's (environment)
+        # feasibility tolerance, since the cross-check is handed it
+        monkeypatch.setenv("GENMARGIN_TOL_FEAS", "1e-8")
+        solves = []
+
+        def recorded(params, **kwargs):
+            solves.append(kwargs)
+            return real(params, **kwargs)
+
+        real = cli.solve_lrmc
+        monkeypatch.setattr(cli, "solve_lrmc", recorded)
+        rep = cli.scenario_report(SystemParams.from_values(**dict(CANONICAL, d2=d2)))
+        assert solves == [{"tol": 1e-8}]
+        assert rep["boundary"] is (d2 == 6000.0)
+        assert len(tableaux) == built
 
 
 class TestSweep:
@@ -178,6 +214,17 @@ class TestSweep:
             "7300.0,6,6,1.0,102.0,1.0,20.0,246000.0,-352600.0,false\n"
         )
 
+    def test_at_most_four_tableaux_per_row(self, tmp_path, tableaux):
+        payload = dict(CANONICAL, sweep=[
+            {"param": "d1", "from": 0, "to": 14000, "steps": 8},
+            {"param": "d2", "from": 0, "to": 14000, "steps": 8}])
+        counts, seen = [], 0
+        for _, row in sweep_rows(load_config(write_config(tmp_path, payload))):
+            assert row[0] != "error"
+            counts.append(len(tableaux) - seen)
+            seen = len(tableaux)
+        assert len(counts) == 64 and max(counts) <= 4, counts
+
     def test_two_dimensional_sweep_row_count(self, tmp_path):
         payload = dict(CANONICAL, sweep=[
             {"param": "d1", "from": 1000, "to": 2000, "steps": 3},
@@ -192,6 +239,19 @@ class TestSelftest:
         buf = io.StringIO()
         assert run_selftest(seed=42, n=25, out=buf) == EXIT_OK
         assert "pass 25/25" in buf.getvalue()
+
+    def test_at_most_five_tableaux_per_scenario(self, tableaux, monkeypatch):
+        per_draw = []
+
+        def draw(rng):
+            per_draw.append(len(tableaux))
+            return random_params(rng)
+
+        monkeypatch.setattr(cli, "random_params", draw)
+        assert run_selftest(seed=9, n=20, out=io.StringIO()) == EXIT_OK
+        per_draw.append(len(tableaux))
+        counts = [b - a for a, b in zip(per_draw, per_draw[1:])]
+        assert len(counts) == 20 and max(counts) <= 5, counts
 
     def test_deterministic_output(self):
         a, b = io.StringIO(), io.StringIO()

@@ -1,6 +1,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from genmargin.lp import solve_lp
@@ -9,6 +10,7 @@ from genmargin.model import (
     build_lrmc_primal,
     extract_decision,
     extract_duals,
+    solve_lrmc,
 )
 from genmargin.sampling import random_params
 from genmargin.verify import check_complementary_slackness, cross_check
@@ -75,3 +77,11 @@ class TestCrossCheck:
             params = random_params(rng)
             rep = cross_check(params)
             assert rep.passed, (params, rep.failures())
+
+    def test_shared_long_run_solve_gives_the_same_report(self):
+        for params in (canonical(), canonical(d2=6000.0), canonical(cl=20.0, d2=4000.0)):
+            assert cross_check(params, lrmc=solve_lrmc(params)) == cross_check(params)
+
+    def test_long_run_solve_of_other_params_rejected(self):
+        with pytest.raises(ValueError, match="other parameters"):
+            cross_check(canonical(), lrmc=solve_lrmc(canonical(d2=7000.0)))
