@@ -61,7 +61,7 @@ from .verify import (
     check_complementary_slackness,
     cross_check,
 )
-from .sampling import random_params, random_scenarios
+from .sampling import random_params
 from .tolerances import DEFAULT, Tolerances
 
 __version__ = "0.1.0"

@@ -8,6 +8,34 @@ Several objectives over one feasible region share a single phase 1
 (:func:`solve_objectives`): each then runs its own phase 2 from a copy of
 the phase-1 tableau and gets exactly what a separate solve would return.
 
+Stacked solves
+--------------
+Callers that evaluate many scenarios at once write their LP work as
+*steps*: generators that yield :class:`LpRequest` s.  :func:`run_step`
+answers one step's requests one at a time; :func:`run_lockstep` runs many
+steps side by side and answers each round of requests with one
+:func:`solve_stacked` call.  That groups the requests by standard-form
+layout (shape, relations, free-variable split, row signs, hence artificial
+rows) and objective count, and runs the same two-phase method on a
+``(K, rows, cols)`` tableau per group, after Gurung & Ray, "Simultaneous
+solving of batched linear programs on a GPU" (ICPE 2019), in numpy on the
+CPU.  Every choice stays per instance: Bland's entering column, the ratio
+test and its tie-break, the tolerances, the phase-1 split fallback, the
+infeasible and unbounded verdicts, the drive-out of artificials and the
+pivot cap.  Pivots use the scalar path's elementwise arithmetic, duals come
+from one batched LAPACK solve of the same matrices, and reduced costs and
+objectives are computed per instance, so every outcome equals
+:func:`solve_objectives` bit for bit, ``iterations`` included.
+
+Groups smaller than :data:`STACK_MIN` (8) are solved one by one, because
+the kernel's fixed cost per pivot round then outweighs what it saves.  The
+constant was measured on a 2-core x86-64 machine (Python 3.11, numpy 2.4,
+one BLAS thread) on 64 ``random_params`` scenarios per LP kind, median of
+7 repeats: the stacked time over the one-by-one time at K = 4 / 6 / 8 was
+1.17 / 0.87 / 0.72 for long-run primals with their tie-break, 0.92 / 0.70
+/ 0.61 for dual-range regions (four objectives) and 1.27 / 1.06 / 0.88 for
+short-run primals (one objective); at K = 32 it was 0.31, 0.29 and 0.40.
+
 Conventions
 -----------
 * ``sense`` is ``"min"`` or ``"max"``.
@@ -27,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +94,7 @@ def _objective_vector(sense, c, n_vars) -> np.ndarray:
         raise LpInputError("c must be one-dimensional")
     if c.shape[0] != n_vars:
         raise LpInputError(f"objective has {c.shape[0]} entries for {n_vars} columns")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise LpInputError("c must be finite")
     c.setflags(write=False)
     return c
@@ -190,7 +219,74 @@ class DegeneracyReport:
 # ---------------------------------------------------------------------------
 
 
-class _StandardForm:
+class _Layout:
+    """Column layout of a standard form: which columns split a free
+    variable, which rows get a slack, which start on an artificial.
+
+    It depends only on the relations, the free-variable split and the row
+    signs, so every problem that shares those shares one layout.
+    """
+
+    def __init__(self, relations, free, row_sign):
+        cols = []          # (original var index, sign)
+        for j, is_free in enumerate(free):
+            cols.append((j, +1.0))
+            if is_free:
+                cols.append((j, -1.0))
+        self.cols = cols
+        self.col_var = np.array([j for j, _ in cols], dtype=int)
+        self.col_sign = np.array([s for _, s in cols])
+        self.row_sign = row_sign
+
+        slack_cols = []
+        for i, rel in enumerate(relations):
+            if rel == EQ:
+                continue
+            s = 1.0 if rel == LE else -1.0
+            s *= row_sign[i]
+            slack_cols.append((i, s))
+        m = len(relations)
+        self.A_slack = np.zeros((m, len(slack_cols)))
+        for k, (i, s) in enumerate(slack_cols):
+            self.A_slack[i, k] = s
+        self.slack_cols = slack_cols
+        self.n_struct = len(cols)
+        self.n_total = self.n_struct + len(slack_cols)
+
+        # Initial basis: a +1 slack where available, else an artificial.
+        self.init_basis = np.full(m, -1, dtype=int)
+        for k, (i, s) in enumerate(slack_cols):
+            if s > 0:
+                self.init_basis[i] = self.n_struct + k
+        self.art_rows = [i for i in range(m) if self.init_basis[i] < 0]
+
+    def cost(self, sense, c) -> np.ndarray:
+        """Standard-form (minimization) cost row of the objective ``(sense, c)``."""
+        c_min = c if sense == "min" else -c
+        return np.concatenate([self.col_sign * c_min[self.col_var],
+                               np.zeros(self.n_total - self.n_struct)])
+
+    def column_label(self, p, k) -> str:
+        """Label of column ``k`` (structural, slack, then artificial) in
+        ``p``'s names."""
+        if k < self.n_struct:
+            j, s = self.cols[k]
+            base = p.var_label(j)
+            return base if s > 0 else base + "~"
+        if k < self.n_total:
+            i, _ = self.slack_cols[k - self.n_struct]
+            return f"s[{p.row_label(i)}]"
+        return f"a[{p.row_label(self.art_rows[k - self.n_total])}]"
+
+
+def _shifted_rhs(p: LinearProgram):
+    """``(shift, b_work)``: finite lower bounds moved to zero."""
+    lb = p.lower_bounds
+    shift = np.where(np.isfinite(lb), lb, 0.0)
+    return shift, p.b - p.A @ shift
+
+
+class _StandardForm(_Layout):
     """min c.x  s.t.  A x = b, x >= 0, with bookkeeping back to the original.
 
     Only the feasible region is converted here; :meth:`cost` maps any
@@ -201,74 +297,44 @@ class _StandardForm:
         self.problem = p
 
         # Shift finite lower bounds to zero; split free variables in two.
-        lb = p.lower_bounds
-        self.shift = np.where(np.isfinite(lb), lb, 0.0)
-        b_work = p.b - p.A @ self.shift
-
-        cols = []          # (original var index, sign)
-        for j in range(p.n_vars):
-            cols.append((j, +1.0))
-            if math.isinf(lb[j]):
-                cols.append((j, -1.0))
-        self.cols = cols
-        self.col_var = np.array([j for j, _ in cols], dtype=int)
-        self.col_sign = np.array([s for _, s in cols])
-
-        n_struct = len(cols)
-        A_struct = p.A[:, self.col_var] * self.col_sign
-
         # Make the right-hand side nonnegative before adding slacks, so the
         # sign of each slack tells us whether it can start in the basis.
-        self.row_sign = np.where(b_work < 0, -1.0, 1.0)
-        A_struct = A_struct * self.row_sign[:, None]
-        b_work = b_work * self.row_sign
-
-        slack_cols = []
-        for i, rel in enumerate(p.relations):
-            if rel == EQ:
-                continue
-            s = 1.0 if rel == LE else -1.0
-            s *= self.row_sign[i]
-            slack_cols.append((i, s))
-
-        n_slack = len(slack_cols)
-        A_slack = np.zeros((p.n_rows, n_slack))
-        for k, (i, s) in enumerate(slack_cols):
-            A_slack[i, k] = s
-        self.slack_cols = slack_cols
-
-        self.A = np.hstack([A_struct, A_slack])
-        self.b = b_work
-        self.n_struct = n_struct
-        self.n_total = n_struct + n_slack
-
-        # Initial basis: a +1 slack where available, else an artificial.
-        self.init_basis = np.full(p.n_rows, -1, dtype=int)
-        for k, (i, s) in enumerate(slack_cols):
-            if s > 0:
-                self.init_basis[i] = n_struct + k
-        self.art_rows = [i for i in range(p.n_rows) if self.init_basis[i] < 0]
-
-    def cost(self, sense, c) -> np.ndarray:
-        """Standard-form (minimization) cost row of the objective ``(sense, c)``."""
-        c_min = c if sense == "min" else -c
-        return np.concatenate([self.col_sign * c_min[self.col_var],
-                               np.zeros(self.n_total - self.n_struct)])
-
-    def column_label(self, k) -> str:
-        p = self.problem
-        if k < self.n_struct:
-            j, s = self.cols[k]
-            base = p.var_label(j)
-            return base if s > 0 else base + "~"
-        i, _ = self.slack_cols[k - self.n_struct]
-        return f"s[{p.row_label(i)}]"
+        self.shift, b_work = _shifted_rhs(p)
+        row_sign = np.where(b_work < 0, -1.0, 1.0)
+        super().__init__(p.relations, np.isinf(p.lower_bounds), row_sign)
+        A_struct = p.A[:, self.col_var] * self.col_sign * row_sign[:, None]
+        self.A = np.hstack([A_struct, self.A_slack])
+        self.b = b_work * row_sign
 
     def x_original(self, x_std) -> np.ndarray:
         x = self.shift.copy()
         for k, (j, s) in enumerate(self.cols):
             x[j] += s * x_std[k]
         return x
+
+
+def _iteration_limit(max_iterations) -> IterationLimitError:
+    return IterationLimitError(f"simplex exceeded {max_iterations} pivots; this is a bug")
+
+
+def _drive_out(T, basis, m, n_total):
+    """Pivot leftover artificials out of a phase-1 optimum where possible;
+    a row that cannot be pivoted is redundant and keeps its artificial
+    basic at zero."""
+    for i in range(m):
+        if basis[i] >= n_total:
+            for j in range(n_total):
+                if abs(T[i, j]) > 1e-9:
+                    _pivot(T, basis, i, j)
+                    break
+
+
+def _pivot(T, basis, pi, pj):
+    T[pi] /= T[pi, pj]
+    col = T[:, pj].copy()
+    col[pi] = 0.0
+    T -= col[:, None] * T[pi]
+    basis[pi] = pj
 
 
 class _Tableau:
@@ -294,12 +360,7 @@ class _Tableau:
         return dup
 
     def pivot(self, pi, pj):
-        T = self.T
-        T[pi] /= T[pi, pj]
-        col = T[:, pj].copy()
-        col[pi] = 0.0
-        T -= col[:, None] * T[pi]
-        self.basis[pi] = pj
+        _pivot(self.T, self.basis, pi, pj)
 
     def run(self, row, rc_tol, rc_tol_hi=None) -> str:
         """Pivot on reduced-cost row ``row`` until no column prices out
@@ -332,9 +393,7 @@ class _Tableau:
                         key=basis.__getitem__)   # Bland again on ties
             self.iterations += 1
             if self.iterations > self.max_iterations:
-                raise IterationLimitError(
-                    f"simplex exceeded {self.max_iterations} pivots; this is a bug"
-                )
+                raise _iteration_limit(self.max_iterations)
             self.pivot(leave, enter)
 
 
@@ -410,14 +469,7 @@ def solve_objectives(problem: LinearProgram, objectives, *, tol: float = None,
         if phase1_obj > tol * (1.0 + float(np.abs(sf.b).max(initial=0.0))):
             return tuple(LpSolution(status="infeasible", iterations=tab.iterations)
                          for _ in objectives)
-        # Pivot leftover artificials out where possible; a row that cannot
-        # be pivoted is redundant and keeps its artificial basic at zero.
-        for i in range(m):
-            if basis[i] >= sf.n_total:
-                for j in range(sf.n_total):
-                    if abs(T[i, j]) > 1e-9:
-                        tab.pivot(i, j)
-                        break
+        _drive_out(T, basis, m, sf.n_total)
 
     # ---- phase 2, one per objective ------------------------------------
     solutions = []
@@ -452,7 +504,7 @@ def _optimum(problem, sf, tab, sense, c, cost) -> LpSolution:
             c_B[i] = cost[j]
         else:
             B[:, i] = 0.0
-            B[_art_row(sf, j), i] = 1.0
+            B[sf.art_rows[j - sf.n_total], i] = 1.0
             c_B[i] = 0.0
     y_std = np.linalg.solve(B.T, c_B)
     y = y_std * sf.row_sign
@@ -461,24 +513,378 @@ def _optimum(problem, sf, tab, sense, c, cost) -> LpSolution:
 
     rc = c - y @ problem.A
     objective = float(c @ x) + problem.objective_offset
-    labels = tuple(
-        sf.column_label(basis[i]) if basis[i] < sf.n_total
-        else f"a[{problem.row_label(_art_row(sf, basis[i]))}]"
-        for i in range(m)
-    )
     return LpSolution(
         status="optimal",
         x=x,
         duals=y,
         reduced_costs=rc,
         objective=objective,
-        basis=labels,
+        basis=tuple(sf.column_label(problem, j) for j in basis),
         iterations=tab.iterations,
     )
 
 
-def _art_row(sf, col):
-    return sf.art_rows[col - sf.n_total]
+# ---------------------------------------------------------------------------
+# requests, steps and the stacked solver
+# ---------------------------------------------------------------------------
+
+
+class LpRequest(NamedTuple):
+    """One :func:`solve_objectives` call, as data.
+
+    A *step* is a generator that yields requests and is sent each one's
+    tuple of :class:`LpSolution` back, or has the solver's error raised at
+    its ``yield``; what it returns is its result.  One step runs alone
+    under :func:`run_step`, or beside others under :func:`run_lockstep`.
+    """
+
+    problem: LinearProgram
+    objectives: tuple
+    tol: float = None
+
+    @classmethod
+    def own(cls, problem: LinearProgram, tol: float = None) -> "LpRequest":
+        """The request for ``problem``'s own objective (:func:`solve_lp`)."""
+        return cls(problem, ((problem.sense, problem.c),), tol)
+
+
+def run_step(step):
+    """Run ``step`` alone, answering each request with
+    :func:`solve_objectives`, and return its result.  Solver errors
+    propagate from here."""
+    answer = None
+    while True:
+        try:
+            request = step.send(answer)
+        except StopIteration as done:
+            return done.value
+        answer = solve_objectives(request.problem, request.objectives, tol=request.tol)
+
+
+def run_lockstep(steps) -> list:
+    """Run ``steps`` side by side: each round answers the request of every
+    unfinished step with one :func:`solve_stacked` call, and a request's
+    solver error is raised inside its own step.
+
+    Returns each step's result in order, or the ``ValueError`` it raised
+    (the package's input errors: ``LpInputError``, ``ModelError``, ...), so
+    one step's bad input leaves the others running; any other exception
+    propagates at once.
+    """
+    steps = list(steps)
+    results = [None] * len(steps)
+    answers = [(k, None) for k in range(len(steps))]
+    while answers:
+        waiting = []
+        for k, answer in answers:
+            try:
+                if isinstance(answer, Exception):
+                    request = steps[k].throw(answer)
+                else:
+                    request = steps[k].send(answer)
+            except StopIteration as done:
+                results[k] = done.value
+            except ValueError as exc:
+                results[k] = exc
+            else:
+                waiting.append((k, request))
+        outcomes = solve_stacked([request for _, request in waiting])
+        answers = [(k, out) for (k, _), out in zip(waiting, outcomes)]
+    return results
+
+
+#: Fewest requests of one layout that :func:`solve_stacked` stacks; smaller
+#: groups go to :func:`solve_objectives` one by one.  The stacked kernel
+#: pays a fixed numpy cost per pivot round, which the K instances share,
+#: so it loses below some K; from 8 on it wins on every LP kind the sweep
+#: solves (see the module docstring for the measurement).
+STACK_MIN = 8
+
+#: Errors the solver raises for one problem; a stacked solve returns them
+#: as that request's outcome.
+_SOLVER_ERRORS = (LpError, np.linalg.LinAlgError)
+
+# verdicts of a stacked simplex run
+_OPTIMAL, _UNBOUNDED, _SPLIT, _LIMIT = range(4)
+
+
+def solve_stacked(requests, *, max_iterations: int = MAX_ITERATIONS) -> list:
+    """Solve every :class:`LpRequest`; one outcome per request, in order.
+
+    An outcome is exactly what ``solve_objectives(problem, objectives,
+    tol=tol)`` returns (every array bit for bit, ``iterations`` included),
+    or the :class:`LpError` it would raise.  Requests whose standard forms
+    share a layout (shape, relations, free-variable split and row signs,
+    hence artificial rows) and an objective count are solved together on
+    one ``(K, rows, cols)`` tableau, each instance making its own choices;
+    groups smaller than :data:`STACK_MIN` are solved one by one.
+    """
+    outcomes = [None] * len(requests)
+    groups = {}
+    for k, (problem, objectives, tol) in enumerate(requests):
+        if problem.n_rows == 0 or not objectives:
+            outcomes[k] = _solve_apart(problem, objectives, tol, max_iterations)
+            continue
+        try:
+            objectives = tuple((sense, _objective_vector(sense, c, problem.n_vars))
+                               for sense, c in objectives)
+        except ValueError as exc:
+            outcomes[k] = exc
+            continue
+        shift, b_work = _shifted_rhs(problem)
+        key = (problem.A.shape, problem.relations, len(objectives),
+               np.isinf(problem.lower_bounds).tobytes(), (b_work < 0).tobytes())
+        tol = DEFAULT.feas if tol is None else tol
+        groups.setdefault(key, []).append((k, problem, objectives, tol, shift, b_work))
+    for members in groups.values():
+        if len(members) >= STACK_MIN:
+            for (k, *_), out in zip(members, _solve_stack(members, max_iterations)):
+                outcomes[k] = out
+        else:
+            for k, problem, objectives, tol, _, _ in members:
+                outcomes[k] = _solve_apart(problem, objectives, tol, max_iterations)
+    return outcomes
+
+
+def _solve_apart(problem, objectives, tol, max_iterations):
+    try:
+        return solve_objectives(problem, objectives, tol=tol, max_iterations=max_iterations)
+    except _SOLVER_ERRORS as exc:
+        return exc
+
+
+class _StackedForm(_Layout):
+    """The standard forms of problems that share one layout, stacked:
+    ``A[k]``, ``b[k]`` and ``shift[k]`` are those of ``problems[k]``'s
+    :class:`_StandardForm`."""
+
+    def __init__(self, problems, shifts, b_works):
+        b_work = np.array(b_works)
+        p = problems[0]
+        super().__init__(p.relations, np.isinf(p.lower_bounds),
+                         np.where(b_work[0] < 0, -1.0, 1.0))
+        self.problems = problems
+        self.shift = np.array(shifts)
+        A = np.array([q.A for q in problems])[:, :, self.col_var]
+        A_struct = A * self.col_sign * self.row_sign[:, None]
+        self.A = np.concatenate(
+            [A_struct, np.broadcast_to(self.A_slack, (len(problems),) + self.A_slack.shape)],
+            axis=2)
+        self.b = b_work * self.row_sign
+
+    def tableau(self, costs):
+        """Phase-1 tableaux and bases, as :func:`solve_objectives` builds
+        one, with the cost rows ``costs[k]`` ``(Q, n_total)`` under
+        instance ``k``'s phase-1 row."""
+        (K, m), n_total = self.b.shape, self.n_total
+        T = np.zeros((K, m + 1 + costs.shape[1], n_total + len(self.art_rows) + 1))
+        T[:, :m, :n_total] = self.A
+        T[:, :m, -1] = self.b
+        basis = np.tile(self.init_basis, (K, 1))
+        for k, i in enumerate(self.art_rows):
+            T[:, i, n_total + k] = 1.0
+            basis[:, i] = n_total + k
+        T[:, m + 1:, :n_total] = costs
+        for i in self.art_rows:
+            T[:, m] -= T[:, i]
+        T[:, m, n_total:-1] = 0.0
+        return T, basis
+
+    def x_original(self, shift, x_std) -> np.ndarray:
+        """:meth:`_StandardForm.x_original` of each row of ``x_std``, with
+        the same arithmetic, given each row's ``shift``."""
+        split = self.col_sign < 0
+        x_struct = x_std[:, : self.n_struct]
+        x = shift + x_struct[:, ~split]
+        x[:, self.col_var[split]] += -x_struct[:, split]
+        return x
+
+    def basis_matrices(self, entry_k, basis):
+        """``B.T`` of each entry's basis (columns ``basis[e]`` of instance
+        ``entry_k[e]``, an artificial's being the unit column of its row)."""
+        n_art = len(self.art_rows)
+        A_art = np.zeros((len(self.b), self.b.shape[1], n_art))
+        A_art[:, self.art_rows, np.arange(n_art)] = 1.0
+        return np.concatenate([self.A, A_art], axis=2)[entry_k[:, None], :, basis]
+
+
+def _solve_stack(members, max_iterations) -> list:
+    """:func:`solve_objectives` on every member of one layout group, as one
+    stacked two-phase simplex; outcomes in member order."""
+    _, problems, objectives, tols, shifts, b_works = zip(*members)
+    sf = _StackedForm(problems, shifts, b_works)
+    K, Q, m = len(problems), len(objectives[0]), problems[0].n_rows
+    n_total, n_art = sf.n_total, len(sf.art_rows)
+    flip = np.array([[sense != "min" for sense, _ in obj] for obj in objectives])
+    C = np.array([[c for _, c in obj] for obj in objectives])
+    cost = np.zeros((K, Q, n_total + n_art))      # artificial columns cost 0
+    cost[:, :, : sf.n_struct] = sf.col_sign * np.where(flip[..., None], -C, C)[..., sf.col_var]
+    tol = np.array(tols)
+    rc_tol = tol[:, None] * (1.0 + np.abs(cost).max(axis=2))
+
+    T, basis = sf.tableau(cost[:, :, :n_total])
+    iters = np.zeros(K, dtype=int)
+
+    # ---- phase 1, shared by each instance's objectives ------------------
+    outcomes = [None] * K
+    feasible = np.arange(K)
+    if n_art:
+        status = _run_stack(T, basis, iters, m, n_total, rc_tol.min(axis=1),
+                            rc_tol.max(axis=1), max_iterations)
+        phase1_obj = -T[:, m, -1]
+        infeasible = phase1_obj > tol * (1.0 + np.abs(sf.b).max(axis=1))
+        for k in range(K):
+            if status[k] == _SPLIT:
+                outcomes[k] = _solve_apart(problems[k], objectives[k], tols[k],
+                                           max_iterations)
+            elif status[k] == _UNBOUNDED:     # cannot happen: phase-1 objective >= 0
+                outcomes[k] = LpError("phase-1 unbounded; numerical corruption")
+            elif status[k] == _LIMIT:
+                outcomes[k] = _iteration_limit(max_iterations)
+            elif infeasible[k]:
+                outcomes[k] = tuple(LpSolution(status="infeasible", iterations=int(iters[k]))
+                                    for _ in range(Q))
+            elif (basis[k] >= n_total).any():
+                _drive_out(T[k], basis[k], m, n_total)
+        feasible = np.array([k for k in range(K) if outcomes[k] is None], dtype=int)
+    if not feasible.size:
+        return outcomes
+
+    # ---- phase 2: one stack entry per (instance, objective) -------------
+    # An entry keeps the constraint rows and its own reduced-cost row; the
+    # rows and artificial columns it drops never feed the ones it keeps.
+    F = len(feasible)
+    rows = np.empty((Q, m + 1), dtype=int)
+    rows[:, :m] = np.arange(m)
+    rows[:, m] = m + 1 + np.arange(Q)
+    cols = np.r_[0:n_total, T.shape[2] - 1]
+    T2 = T[feasible[:, None, None, None], rows[:, :, None], cols].reshape(F * Q, m + 1, -1)
+    del T       # phase 2 runs on T2 alone; free the phase-1 stack meanwhile
+    basis2 = np.repeat(basis[feasible], Q, axis=0)
+    iters2 = np.repeat(iters[feasible], Q)
+    status2 = _run_stack(T2, basis2, iters2, m, n_total, rc_tol[feasible].ravel(), None,
+                         max_iterations)
+
+    entry_k, entry_q = np.repeat(feasible, Q), np.tile(np.arange(Q), F)
+    opt = np.flatnonzero(status2 == _OPTIMAL)
+    try:
+        optima = _stacked_optima(sf, objectives, cost, flip, T2[opt], basis2[opt],
+                                 iters2[opt], entry_k[opt], entry_q[opt])
+    except np.linalg.LinAlgError:       # a singular basis: find whose, one by one
+        for k in feasible:
+            outcomes[k] = _solve_apart(problems[k], objectives[k], tols[k], max_iterations)
+        return outcomes
+    optima = dict(zip(opt.tolist(), optima))
+    for n, k in enumerate(feasible):
+        entries = range(n * Q, (n + 1) * Q)
+        if any(status2[e] == _LIMIT for e in entries):
+            outcomes[k] = _iteration_limit(max_iterations)
+        else:
+            outcomes[k] = tuple(
+                optima[e] if e in optima
+                else LpSolution(status="unbounded", iterations=int(iters2[e]))
+                for e in entries)
+    return outcomes
+
+
+def _stacked_optima(sf, objectives, cost, flip, T, basis, iters, entry_k, entry_q):
+    """:func:`_optimum` of every entry of a finished phase-2 stack: entry
+    ``e`` is objective ``entry_q[e]`` of ``sf.problems[entry_k[e]]``."""
+    n_total = sf.n_total
+    rows, pos = np.nonzero(basis < n_total)
+    x_std = np.zeros((len(basis), n_total))
+    x_std[rows, basis[rows, pos]] = T[rows, pos, -1]
+    X = sf.x_original(sf.shift[entry_k], x_std)
+
+    # B' y = c_B per entry, in one batched LAPACK call.
+    c_B = cost[entry_k[:, None], entry_q[:, None], basis]
+    Y = np.linalg.solve(sf.basis_matrices(entry_k, basis), c_B[..., None])[..., 0]
+    Y *= sf.row_sign
+    Y = np.where(flip[entry_k, entry_q][:, None], -Y, Y)
+
+    labels = {}
+    solutions = []
+    for e, (k, q, b) in enumerate(zip(entry_k.tolist(), entry_q.tolist(), basis.tolist())):
+        problem = sf.problems[k]
+        c = objectives[k][q][1]
+        names = labels.get((problem.var_labels, problem.row_labels))
+        if names is None:
+            names = labels[problem.var_labels, problem.row_labels] = [
+                sf.column_label(problem, j) for j in range(n_total + len(sf.art_rows))]
+        x, y = X[e], Y[e]
+        solutions.append(LpSolution(
+            status="optimal",
+            x=x,
+            duals=y,
+            reduced_costs=c - y @ problem.A,
+            objective=float(c @ x) + problem.objective_offset,
+            basis=tuple(map(names.__getitem__, b)),
+            iterations=int(iters[e]),
+        ))
+    return solutions
+
+
+def _run_stack(T, basis, iters, m, n_enter, rc_tol, rc_tol_hi, max_iterations):
+    """:meth:`_Tableau.run` on row ``m`` of every tableau of the stack ``T``
+    ``(K, rows, cols)``, instance ``k`` with tolerance ``rc_tol[k]`` (and
+    ``rc_tol_hi[k]``); ``T``, ``basis`` and ``iters`` are updated in place.
+
+    Returns each instance's verdict: ``_OPTIMAL``, ``_UNBOUNDED``,
+    ``_SPLIT``, or ``_LIMIT`` where :meth:`_Tableau.run` raises
+    :class:`IterationLimitError`.  Finished instances leave the working
+    stack, so each round pivots only the live ones.
+    """
+    status = np.full(len(T), -1)
+    live = np.arange(len(T))
+    t, bas, it = T, basis, iters
+    lo = -rc_tol
+    hi = None if rc_tol_hi is None else -rc_tol_hi
+    while True:
+        rows = np.arange(len(t))
+        r = t[:, m, :n_enter]
+        eligible = r < lo[:, None]
+        enter = eligible.argmax(axis=1)           # Bland: lowest eligible index
+        verdict = np.where(eligible[rows, enter], -1, _OPTIMAL)
+        if hi is not None:
+            verdict[(verdict < 0) & ~(r[rows, enter] < hi)] = _SPLIT
+        a = t[rows, :m, enter]
+        ratios = np.full(a.shape, np.inf)
+        np.divide(t[:, :m, -1], a, out=ratios, where=a > _PIVOT_TOL)
+        theta = ratios.min(axis=1)
+        verdict[(verdict < 0) & (theta == np.inf)] = _UNBOUNDED
+        going = verdict < 0
+        it += going
+        verdict[going & (it > max_iterations)] = _LIMIT
+
+        done = verdict >= 0
+        if done.any():
+            finished = live[done]
+            status[finished] = verdict[done]
+            if t is not T:
+                T[finished], basis[finished], iters[finished] = t[done], bas[done], it[done]
+            going = ~done
+            if not going.any():
+                return status
+            live, t, bas, it = live[going], t[going], bas[going], it[going]
+            lo, enter, ratios, theta = lo[going], enter[going], ratios[going], theta[going]
+            if hi is not None:
+                hi = hi[going]
+            rows = np.arange(len(t))
+        cutoff = theta + 1e-12 * (1.0 + np.abs(theta))
+        key = np.where(ratios <= cutoff[:, None], bas, np.iinfo(bas.dtype).max)
+        leave = key.argmin(axis=1)                # Bland again on ties
+        _pivot_stack(t, rows, leave, enter)
+        bas[rows, leave] = enter
+
+
+def _pivot_stack(T, rows, pi, pj):
+    """:func:`_pivot` on every tableau of the stack ``T``, each at its own
+    ``(pi[k], pj[k])``, with the same arithmetic; ``rows`` is
+    ``arange(len(T))``."""
+    T[rows, pi] /= T[rows, pi, pj][:, None]
+    col = T[rows, :, pj]
+    col[rows, pi] = 0.0
+    T -= col[:, :, None] * T[rows, pi][:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +970,12 @@ def dual_value_ranges(problem: LinearProgram, row_ids, *, tol: float = None,
     (:func:`solve_objectives`); each interval equals the one-row result
     exactly.
     """
+    return run_step(dual_ranges_step(problem, row_ids, tol=tol, solution=solution))
+
+
+def dual_ranges_step(problem: LinearProgram, row_ids, *, tol: float = None,
+                     solution: LpSolution = None):
+    """:func:`dual_value_ranges` as a step (see :class:`LpRequest`)."""
     tol = DEFAULT.feas if tol is None else tol
     idxs = [problem.row_index(row_id) for row_id in row_ids]
     p_min = _min_form(problem)
@@ -573,7 +985,7 @@ def dual_value_ranges(problem: LinearProgram, row_ids, *, tol: float = None,
             z_min = -z_min
         z_struct = z_min - p_min.objective_offset
     else:
-        sol = solve_lp(p_min)
+        (sol,) = yield LpRequest.own(p_min)
         if not sol.optimal:
             raise LpError(f"dual_value_range needs an optimal primal, got {sol.status}")
         z_struct = sol.objective - p_min.objective_offset
@@ -593,7 +1005,7 @@ def dual_value_ranges(problem: LinearProgram, row_ids, *, tol: float = None,
         obj = np.zeros(m)
         obj[idx] = signs[idx]
         objectives += [("min", obj), ("max", obj)]
-    sols = solve_objectives(region, objectives, tol=tol)
+    sols = yield LpRequest(region, tuple(objectives), tol)
 
     ranges = []
     for k in range(len(idxs)):

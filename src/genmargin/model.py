@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import EQ, GE, LE, LinearProgram, LpSolution, solve_objectives
+from .lp import EQ, GE, LE, LinearProgram, LpRequest, LpSolution, run_step
 from .tolerances import DEFAULT
 
 VAR_ORDER = ("I_r1", "I_r2", "I_f1", "I_f2",
@@ -463,15 +463,6 @@ def extract_duals(solution: LpSolution) -> DualValues:
     return DualValues(*[float(v) for v in y])
 
 
-def duals_from_dual_solution(solution: LpSolution) -> DualValues:
-    """The dual LP's own variables are (lambda, beta, gamma) directly."""
-    if not solution.optimal:
-        raise ModelError("extraction requires an optimal solution")
-    if solution.x.shape != (10,):
-        raise ModelError("not a long-run dual solution")
-    return DualValues(*[float(v) for v in solution.x])
-
-
 # ---------------------------------------------------------------------------
 # a convenience one-shot long-run solve
 # ---------------------------------------------------------------------------
@@ -499,6 +490,12 @@ def solve_lrmc(params: SystemParams, *, canonical: bool = True,
     over the same phase 1 as the true one; duals are always taken from the
     unperturbed solve.  ``tol`` is the solver's feasibility tolerance.
     """
+    return run_step(lrmc_step(params, canonical=canonical, tol=tol))
+
+
+def lrmc_step(params: SystemParams, *, canonical: bool = True, tol: float = None):
+    """:func:`solve_lrmc` as a step that yields its one LP request (see
+    :class:`~genmargin.lp.LpRequest`)."""
     prob = build_lrmc_primal(params)
     objectives = [(prob.sense, prob.c)]
     if canonical:
@@ -507,7 +504,7 @@ def solve_lrmc(params: SystemParams, *, canonical: bool = True,
         c2[0] += mu   # I_r1
         c2[2] += mu   # I_f1
         objectives.append(("min", c2))
-    sol, *tie = solve_objectives(prob, objectives, tol=tol)
+    sol, *tie = yield LpRequest(prob, tuple(objectives), tol)
     if not sol.optimal:
         # With CL > 0 and finite caps the model is always feasible/bounded.
         raise ModelError(f"long-run model unexpectedly {sol.status}")

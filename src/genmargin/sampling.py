@@ -56,8 +56,3 @@ def random_params(rng, *, margin: float = INTERIOR_MARGIN,
         return params
     raise RuntimeError("could not sample an interior parameter set")
 
-
-def random_scenarios(seed: int, n: int, **kw):
-    """Deterministic list of n interior parameter sets."""
-    rng = np.random.default_rng(seed)
-    return [random_params(rng, **kw) for _ in range(n)]

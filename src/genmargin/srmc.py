@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import analytic_solution, classify, marginal_cp
-from .lp import dual_value_ranges, solve_lp
+from .groups import AnalyticResult, analytic_solution, classify, marginal_cp
+from .lp import LpRequest, dual_ranges_step, run_step
 from .model import SystemParams, build_lrmc_primal, build_srmc_primal
 from .tolerances import DEFAULT
 
@@ -88,24 +88,37 @@ def _rule_label(lrmc_t, cp_t, cl, tol=RULE_TOL):
 
 
 def compute_srmc(params: SystemParams, istar, *, epsilon: float = None,
-                 lrmc_objective: float = None) -> SrmcResult:
+                 lrmc_objective: float = None,
+                 analytic: AnalyticResult = None) -> SrmcResult:
     """Solve the short-run model, record dual intervals, resolve by epsilon.
 
     ``istar`` must be the investment part of an optimal long-run decision;
     this is verified by comparing against the long-run optimum (re-solved
     here unless the caller passes a known ``lrmc_objective``), and inputs
-    that fail it are rejected.
+    that fail it are rejected.  ``analytic`` may carry the caller's closed
+    form for these ``params`` (``analytic_solution(params, classify(params))``),
+    whose long-run prices the rules are read against; it is classified and
+    evaluated here otherwise.
     """
+    return run_step(srmc_step(params, istar, epsilon=epsilon,
+                              lrmc_objective=lrmc_objective, analytic=analytic))
+
+
+def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
+              lrmc_objective: float = None, analytic: AnalyticResult = None):
+    """:func:`compute_srmc` as a step that yields its LP requests (see
+    :class:`~genmargin.lp.LpRequest`)."""
     eps = default_epsilon(params) if epsilon is None else float(epsilon)
     if eps <= 0:
         raise SrmcError("epsilon must be positive to resolve degeneracy")
 
     if lrmc_objective is None:
-        z_star = solve_lp(build_lrmc_primal(params)).objective
+        (lr_sol,) = yield LpRequest.own(build_lrmc_primal(params))
+        z_star = lr_sol.objective
     else:
         z_star = float(lrmc_objective)
     frozen = build_srmc_primal(params, istar, epsilon=0.0)
-    sol0 = solve_lp(frozen)
+    (sol0,) = yield LpRequest.own(frozen)
     if not sol0.optimal:
         raise SrmcError(f"short-run model {sol0.status}")
     if abs(sol0.objective - z_star) > DEFAULT.gap * (1.0 + abs(z_star)):
@@ -114,16 +127,17 @@ def compute_srmc(params: SystemParams, istar, *, epsilon: float = None,
             f"(short-run cost {sol0.objective:g} vs long-run optimum {z_star:g})"
         )
 
-    intervals = dual_value_ranges(frozen, ("balance_1", "balance_2"), solution=sol0)
+    intervals = yield from dual_ranges_step(frozen, ("balance_1", "balance_2"),
+                                            solution=sol0)
     degenerate = tuple(
         hi - lo > 1e-7 * (1.0 + abs(lo) + abs(hi)) for lo, hi in intervals
     )
 
-    perturbed = solve_lp(build_srmc_primal(params, istar, epsilon=eps))
+    (perturbed,) = yield LpRequest.own(build_srmc_primal(params, istar, epsilon=eps))
     resolved = (float(perturbed.duals[0]), float(perturbed.duals[1]))
 
-    group = classify(params)
-    analytic = analytic_solution(params, group)
+    if analytic is None:
+        analytic = analytic_solution(params, classify(params))
     cps = tuple(marginal_cp(params, analytic.decision, t) for t in (1, 2))
     rules = tuple(
         _rule_label(analytic.lrmc[t - 1], cps[t - 1], params.cl) for t in (1, 2)

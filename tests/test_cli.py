@@ -1,9 +1,10 @@
 import io
 import json
+from collections import Counter
 
 import pytest
 
-from genmargin import cli, lp
+from genmargin import cli, lp, srmc
 from genmargin.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
@@ -15,8 +16,11 @@ from genmargin.cli import (
     run_sweep,
     sweep_rows,
 )
-from genmargin.model import SystemParams
+from genmargin.groups import analytic_solution, classify
+from genmargin.model import SystemParams, solve_lrmc
+from genmargin.pricing import cost_recovery
 from genmargin.sampling import random_params
+from genmargin.srmc import compute_srmc
 
 CANONICAL = {
     "ci_r": 60, "cp_r": 1, "m_r": 3000,
@@ -33,7 +37,8 @@ def write_config(tmp_path, payload, name="scenario.json"):
 
 @pytest.fixture
 def tableaux(monkeypatch):
-    """A list that grows by one for every LP standard form (tableau) built."""
+    """A list that grows by its problem for every LP standard form (tableau)
+    built, alone or as one slice of a stacked solve."""
     built = []
 
     class Counted(lp._StandardForm):
@@ -41,7 +46,13 @@ def tableaux(monkeypatch):
             built.append(problem)
             super().__init__(problem)
 
+    class CountedStack(lp._StackedForm):
+        def __init__(self, problems, *args):
+            built.extend(problems)
+            super().__init__(problems, *args)
+
     monkeypatch.setattr(lp, "_StandardForm", Counted)
+    monkeypatch.setattr(lp, "_StackedForm", CountedStack)
     return built
 
 
@@ -214,16 +225,98 @@ class TestSweep:
             "7300.0,6,6,1.0,102.0,1.0,20.0,246000.0,-352600.0,false\n"
         )
 
-    def test_at_most_four_tableaux_per_row(self, tmp_path, tableaux):
+    def test_at_most_four_tableaux_per_row(self, tmp_path, tableaux, monkeypatch):
+        # Rows are solved side by side, so each standard form, stacked or
+        # not, is charged to the grid row whose step asked for its problem.
+        owner, started = {}, []
+        real = cli._sweep_row
+
+        def tagged(*args):
+            row = len(started)
+            started.append(row)
+            step, answer = real(*args), None
+            while True:
+                try:
+                    request = step.send(answer)
+                except StopIteration as done:
+                    return done.value
+                owner[id(request.problem)] = row
+                answer = yield request
+
+        monkeypatch.setattr(cli, "_sweep_row", tagged)
         payload = dict(CANONICAL, sweep=[
             {"param": "d1", "from": 0, "to": 14000, "steps": 8},
             {"param": "d2", "from": 0, "to": 14000, "steps": 8}])
-        counts, seen = [], 0
-        for _, row in sweep_rows(load_config(write_config(tmp_path, payload))):
-            assert row[0] != "error"
-            counts.append(len(tableaux) - seen)
-            seen = len(tableaux)
-        assert len(counts) == 64 and max(counts) <= 4, counts
+        rows = list(sweep_rows(load_config(write_config(tmp_path, payload))))
+        assert all(row[0] != "error" for _, row in rows)
+        counts = Counter(owner[id(problem)] for problem in tableaux)
+        assert len(rows) == len(started) == len(counts) == 64
+        assert max(counts.values()) <= 4, counts
+
+    def test_chunked_rows_match_row_by_row_evaluation(self, tmp_path):
+        # zero demands, region edges and zero-capacity frozen models, over
+        # more than one chunk
+        payload = dict(CANONICAL, sweep=[
+            {"param": "d1", "from": 0, "to": 14000, "steps": 15},
+            {"param": "d2", "from": 0, "to": 14000, "steps": 15}])
+        rows = list(sweep_rows(load_config(write_config(tmp_path, payload))))
+        assert len(rows) == 225 > cli.SWEEP_CHUNK
+        for (d1, d2), row in rows:
+            params = SystemParams.from_values(**dict(CANONICAL, d1=d1, d2=d2))
+            group = classify(params)
+            analytic = analytic_solution(params, group)
+            lr = solve_lrmc(params)
+            short = compute_srmc(params, lr.decision, lrmc_objective=lr.objective)
+            want = (group.gid, analytic.profile_id, *analytic.lrmc, *short.resolved,
+                    cost_recovery(analytic.lrmc, analytic.decision, params).profit,
+                    cost_recovery(short.resolved, analytic.decision, params).profit,
+                    group.boundary)
+            assert [cli._csv_cell(v) for v in row] == [cli._csv_cell(v) for v in want]
+
+    @staticmethod
+    def _raise_at(monkeypatch, d2, exc):
+        """``srmc.default_epsilon``, which each row's short-run step calls
+        after its long-run solve, raises ``exc`` on the row at ``d2``."""
+        real = srmc.default_epsilon
+
+        def eps(params):
+            if params.d2 == d2:
+                raise exc
+            return real(params)
+
+        monkeypatch.setattr(srmc, "default_epsilon", eps)
+
+    def test_row_raising_srmc_error_is_an_error_row(self, tmp_path, monkeypatch):
+        payload = dict(CANONICAL, sweep=[
+            {"param": "d2", "from": 2000, "to": 14800, "steps": 129}])
+        config = load_config(write_config(tmp_path, payload))
+        clean = list(sweep_rows(config))
+        self._raise_at(monkeypatch, 6000.0, srmc.SrmcError("no price, here"))
+        rows = list(sweep_rows(config))
+        assert len(rows) == len(clean) == 129 > cli.SWEEP_CHUNK
+        for (values, row), (_, want) in zip(rows, clean):
+            if values == (6000.0,):
+                assert row == ("error", "no price; here") + ("",) * 7
+            else:
+                assert row == want
+
+    @pytest.mark.parametrize("where", ["row", "solver"])
+    def test_iteration_limit_escapes_the_sweep(self, tmp_path, monkeypatch, where):
+        if where == "row":
+            self._raise_at(monkeypatch, 6000.0, lp.IterationLimitError("pivot cap hit"))
+        else:
+            real = lp.solve_stacked
+
+            def stacked(requests, **kwargs):
+                outcomes = real(requests, **kwargs)
+                outcomes[-1] = lp.IterationLimitError("pivot cap hit")
+                return outcomes
+
+            monkeypatch.setattr(lp, "solve_stacked", stacked)
+        payload = dict(CANONICAL, sweep=[
+            {"param": "d2", "from": 2000, "to": 14800, "steps": 129}])
+        with pytest.raises(lp.IterationLimitError, match="pivot cap hit"):
+            run_sweep(load_config(write_config(tmp_path, payload)))
 
     def test_two_dimensional_sweep_row_count(self, tmp_path):
         payload = dict(CANONICAL, sweep=[

@@ -1,8 +1,10 @@
-"""Shared phase 1: several objectives over one region, bit for bit.
+"""Shared phase 1 and stacked solves: the same LP results, bit for bit.
 
 Every result of ``solve_objectives`` and ``dual_value_ranges`` must equal
-what separate one-objective solves give, down to the last bit of every
-array and the pivot count.
+what separate one-objective solves give, and every outcome of
+``solve_stacked`` what ``solve_objectives`` gives for that request alone,
+down to the last bit of every array (signed zeros included) and the pivot
+count.
 """
 
 import dataclasses
@@ -11,19 +13,30 @@ import math
 import numpy as np
 import pytest
 
+from genmargin import lp
 from genmargin.lp import (
     EQ,
+    IterationLimitError,
     LinearProgram,
     LpInputError,
+    LpRequest,
     _min_form,
     dual_value_range,
     dual_value_ranges,
     explicit_dual,
     solve_lp,
     solve_objectives,
+    solve_stacked,
 )
-from genmargin.model import SystemParams, build_lrmc_primal, build_srmc_primal, solve_lrmc
+from genmargin.model import (
+    SystemParams,
+    build_lrmc_primal,
+    build_srmc_primal,
+    lrmc_step,
+    solve_lrmc,
+)
 from genmargin.sampling import random_params
+from genmargin.srmc import srmc_step
 
 CANONICAL = dict(ci_r=60, cp_r=1, m_r=3000, ci_f=82, cp_f=20, m_f=4000, cl=200, d1=2000)
 #: the demands at which the canonical d2 sweep sits exactly on a region edge
@@ -43,7 +56,8 @@ def assert_identical(got, want):
     assert got.objective == want.objective
     for field in ("x", "duals", "reduced_costs"):
         a, b = getattr(got, field), getattr(want, field)
-        assert (a is None and b is None) or np.array_equal(a, b), field
+        assert (a is None and b is None) or (
+            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()), field
 
 
 def separately(problem, objectives):
@@ -118,11 +132,28 @@ def test_dual_range_region_matches_separate_solves():
     assert any(s.iterations > shared[0].iterations for s in shared)
 
 
+# x + y = 1 and x + y >= 2 cannot both hold
+INFEASIBLE = (LinearProgram(sense="min", c=[1.0, 0.0], A=[[1, 1], [1, 1]],
+                            relations=("=", ">="), b=[1.0, 2.0]),
+              [("min", [1.0, 0.0]), ("max", [0.0, 1.0]), ("min", [-1.0, 2.0])])
+# x + y >= 1, x - y = 0: maximizing x is unbounded, minimizing is not
+HALF_UNBOUNDED = (LinearProgram(sense="min", c=[0.0, 0.0], A=[[1, 1], [1, -1]],
+                                relations=(">=", "="), b=[1.0, 0.0]),
+                  [("max", [1.0, 0.0]), ("min", [1.0, 0.0])])
+# Phase 1 prices x at -1e-5: eligible to enter under the first objective's
+# tolerance (2e-9), not under the second's (about 1e-3).
+TOLERANCE_SPLIT = (LinearProgram(sense="min", c=[0.0, 0.0], A=[[1e-5, 1.0]],
+                                 relations=("=",), b=[1.0]),
+                   [("min", [1.0, 1.0]), ("min", [1e6, 1.0])])
+# No phase 1; phase 2 prices x at -1e-5 under both objectives, which enters
+# under the first one's tolerance and not under the second's.
+PHASE_TWO_TOLERANCES = (LinearProgram(sense="min", c=[0.0, 0.0], A=[[1.0, 1.0]],
+                                      relations=("<=",), b=[1.0]),
+                        [("min", [-1e-5, 0.0]), ("min", [-1e-5, 1e6])])
+
+
 def test_infeasible_region_fails_every_objective():
-    # x + y = 1 and x + y >= 2 cannot both hold
-    p = LinearProgram(sense="min", c=[1.0, 0.0], A=[[1, 1], [1, 1]],
-                      relations=("=", ">="), b=[1.0, 2.0])
-    objectives = [("min", [1.0, 0.0]), ("max", [0.0, 1.0]), ("min", [-1.0, 2.0])]
+    p, objectives = INFEASIBLE
     shared = solve_objectives(p, objectives)
     assert [s.status for s in shared] == ["infeasible"] * 3
     for got, want in zip(shared, separately(p, objectives)):
@@ -130,10 +161,7 @@ def test_infeasible_region_fails_every_objective():
 
 
 def test_unbounded_and_optimal_objectives_share_phase_one():
-    # x + y >= 1, x - y = 0: maximizing x is unbounded, minimizing is not
-    p = LinearProgram(sense="min", c=[0.0, 0.0], A=[[1, 1], [1, -1]],
-                      relations=(">=", "="), b=[1.0, 0.0])
-    objectives = [("max", [1.0, 0.0]), ("min", [1.0, 0.0])]
+    p, objectives = HALF_UNBOUNDED
     shared = solve_objectives(p, objectives)
     assert [s.status for s in shared] == ["unbounded", "optimal"]
     for got, want in zip(shared, separately(p, objectives)):
@@ -141,11 +169,7 @@ def test_unbounded_and_optimal_objectives_share_phase_one():
 
 
 def test_objectives_that_price_phase_one_differently_are_solved_apart():
-    # Phase 1 prices x at -1e-5: eligible to enter under the first
-    # objective's tolerance (2e-9), not under the second's (about 1e-3).
-    p = LinearProgram(sense="min", c=[0.0, 0.0], A=[[1e-5, 1.0]],
-                      relations=("=",), b=[1.0])
-    objectives = [("min", [1.0, 1.0]), ("min", [1e6, 1.0])]
+    p, objectives = TOLERANCE_SPLIT
     shared = solve_objectives(p, objectives)
     want = separately(p, objectives)
     assert want[0].iterations != want[1].iterations     # different phase-1 pivots
@@ -153,19 +177,31 @@ def test_objectives_that_price_phase_one_differently_are_solved_apart():
         assert_identical(got, w)
 
 
-def test_random_lps_match_separate_solves():
-    rng = np.random.default_rng(11)
-    for _ in range(150):
+def random_lps(seed=11, count=150, shifted=False):
+    """Small random LPs with free variables and offsets, three objectives
+    each; some are infeasible and some objectives unbounded.  ``shifted``
+    gives some variables a finite nonzero lower bound."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         A = np.vstack([np.round(rng.uniform(-2, 2, size=(m, n)), 1), np.eye(n)])
         rel = tuple(rng.choice(["<=", "=", ">="], size=m)) + ("<=",) * n
         b = np.concatenate([np.round(rng.uniform(-2, 3, size=m), 1),
                             rng.uniform(1, 4, size=n)])
         lb = np.where(rng.uniform(size=n) < 0.3, -np.inf, 0.0)
+        if shifted:
+            lb = np.where(rng.uniform(size=n) < 0.4, -1.5, lb)
         p = LinearProgram(sense="min", c=np.zeros(n), A=A, relations=rel, b=b,
                           lower_bounds=lb, objective_offset=2.5)
         objectives = [(str(rng.choice(["min", "max"])), np.round(rng.uniform(-2, 2, size=n), 1))
                       for _ in range(3)]
+        cases.append((p, objectives))
+    return cases
+
+
+def test_random_lps_match_separate_solves():
+    for p, objectives in random_lps():
         for got, want in zip(solve_objectives(p, objectives), separately(p, objectives)):
             assert_identical(got, want)
 
@@ -181,3 +217,116 @@ def test_malformed_objectives_rejected(objectives):
                       relations=("<=",), b=[1.0])
     with pytest.raises(LpInputError):
         solve_objectives(p, objectives)
+
+
+# ---------------------------------------------------------------------------
+# the stacked solver: every request of a mixed batch as if solved alone
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=["every group stacked", "small groups apart"])
+def stack_min(request, monkeypatch):
+    """Runs a test with every layout group stacked, down to singletons, and
+    again with the module's break-even size, below which groups are solved
+    one by one."""
+    if request.param == "every group stacked":
+        monkeypatch.setattr(lp, "STACK_MIN", 1)
+
+
+def requests_of(step):
+    """Every request ``step`` yields, answered by ``solve_objectives``."""
+    seen, answer = [], None
+    while True:
+        try:
+            request = step.send(answer)
+        except StopIteration:
+            return seen
+        seen.append(request)
+        answer = solve_objectives(request.problem, request.objectives, tol=request.tol)
+
+
+def sweep_requests(params):
+    """The LP requests of one sweep row: the long-run primal with its
+    tie-break, the frozen short-run primal, its dual-range region and the
+    perturbed short-run primal."""
+    lr = solve_lrmc(params)
+    return (requests_of(lrmc_step(params))
+            + requests_of(srmc_step(params, lr.decision, lrmc_objective=lr.objective)))
+
+
+def assert_batch_matches(requests, seed=0):
+    """``solve_stacked`` on ``requests`` in a shuffled order: each outcome
+    equals what ``solve_objectives`` gives for that request alone."""
+    order = np.random.default_rng(seed).permutation(len(requests))
+    batch = [requests[k] for k in order]
+    for request, got in zip(batch, solve_stacked(batch)):
+        want = solve_objectives(request.problem, request.objectives, tol=request.tol)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_identical(g, w)
+
+
+def test_sweep_lps_match_solve_objectives_in_a_batch(stack_min):
+    requests = [r for params in scenarios() for r in sweep_requests(params)]
+    kinds = [len(r.objectives) for r in requests[:4]]
+    assert kinds == [2, 1, 4, 1]        # long run + tie-break, frozen, region, perturbed
+    assert_batch_matches(requests)
+
+
+def test_zero_capacity_short_run_lps_match_in_a_batch(stack_min):
+    # zero demand freezes zero capacities: b = -0.0 on the cap rows, whose
+    # row signs differ from a positive cap's, so the batch splits by layout
+    grid = [SystemParams.from_values(**dict(CANONICAL, d1=d1), d2=d2)
+            for d1 in (0.0, 3000.0, 7000.0) for d2 in (0.0, 1000.0, 6000.0, 14000.0)]
+    assert_batch_matches([r for params in grid for r in sweep_requests(params)], seed=1)
+
+
+def test_random_lps_match_solve_objectives_in_a_batch(stack_min):
+    cases = random_lps() + random_lps(seed=12, shifted=True) + [
+        INFEASIBLE, HALF_UNBOUNDED, TOLERANCE_SPLIT, PHASE_TWO_TOLERANCES] * 3
+    p, objectives = PHASE_TWO_TOLERANCES
+    assert [s.iterations for s in solve_objectives(p, objectives)] == [1, 0]
+    requests = [LpRequest(p, tuple(objectives)) for p, objectives in cases]
+    statuses = {s.status for request in requests
+                for s in solve_objectives(request.problem, request.objectives)}
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert_batch_matches(requests, seed=2)
+
+
+def test_mixed_batch_keeps_each_request_apart(stack_min):
+    # models, random LPs and one-row LPs side by side, with custom
+    # tolerances and singleton layouts
+    params = scenarios()[:6]
+    requests = [r for p in params for r in sweep_requests(p)]
+    requests += [LpRequest(p, tuple(obj), 1e-7) for p, obj in random_lps(seed=3, count=20)]
+    requests += [LpRequest(*TOLERANCE_SPLIT), LpRequest(*INFEASIBLE, 1e-6)]
+    assert_batch_matches(requests, seed=3)
+
+
+def test_request_over_the_pivot_cap_fails_alone(stack_min):
+    requests = [r for params in scenarios()[:8] for r in sweep_requests(params)[:1]]
+    need = [max(s.iterations for s in solve_objectives(r.problem, r.objectives))
+            for r in requests]
+    worst = int(np.argmax(need))
+    cap = sorted(need)[-2]
+    assert need[worst] > cap         # exactly one request needs more pivots
+    outcomes = solve_stacked(requests, max_iterations=cap)
+    for k, (request, got) in enumerate(zip(requests, outcomes)):
+        if k == worst:
+            assert isinstance(got, IterationLimitError)
+            with pytest.raises(IterationLimitError, match=str(got)):
+                solve_objectives(request.problem, request.objectives, max_iterations=cap)
+        else:
+            for g, w in zip(got, solve_objectives(request.problem, request.objectives,
+                                                   max_iterations=cap)):
+                assert_identical(g, w)
+
+
+def test_malformed_request_fails_alone(stack_min):
+    good = [LpRequest.own(build_lrmc_primal(p)) for p in scenarios()[:4]]
+    p, _ = TOLERANCE_SPLIT
+    bad = LpRequest(p, (("maximize", [1.0, 1.0]),))
+    outcomes = solve_stacked(good[:2] + [bad] + good[2:])
+    assert isinstance(outcomes[2], LpInputError)
+    for request, got in zip(good, outcomes[:2] + outcomes[3:]):
+        assert_identical(got[0], solve_lp(request.problem))
