@@ -43,6 +43,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 
+#: Sweep grid points or selftest scenarios evaluated in lockstep: each LP
+#: stage of a chunk is one stacked solve (``lp.run_lockstep``).  A chunk's
+#: items keep their LPs and results alive until it ends, so memory grows
+#: with the chunk.  Sweep chunks of 64 or 128 rows measured no faster than
+#: 32 and held 1.2 or 3.4 MB more; selftest ran within 10% at 16, 32 and 64.
+CHUNK = 32
+
 
 class ConfigError(ValueError):
     pass
@@ -283,16 +290,9 @@ def _grid(block: SweepBlock):
     return np.linspace(block.start, block.stop, block.steps)
 
 
-#: Grid points evaluated in lockstep: each LP stage of a chunk's rows is one
-#: stacked solve (``lp.run_lockstep``).  A chunk's rows keep their LPs and
-#: results alive until it ends, so memory grows with the chunk; chunks of
-#: 64 or 128 rows measured no faster than 32 and held 1.2 or 3.4 MB more.
-SWEEP_CHUNK = 32
-
-
 def sweep_rows(config: ScenarioConfig):
     """(grid values, CSV row) per grid point, in grid order.  The points run
-    in chunks of :data:`SWEEP_CHUNK`, each row's LPs solved beside the other
+    in chunks of :data:`CHUNK`, each row's LPs solved beside the other
     rows' of its chunk; a ``ValueError`` in one row makes it an ``error``
     row and leaves the others as they are."""
     tol = tolerances.from_env()
@@ -303,8 +303,8 @@ def sweep_rows(config: ScenarioConfig):
         points = [(v,) for v in grids[0]]
     else:
         points = [(v1, v2) for v1 in grids[0] for v2 in grids[1]]
-    for start in range(0, len(points), SWEEP_CHUNK):
-        chunk = points[start:start + SWEEP_CHUNK]
+    for start in range(0, len(points), CHUNK):
+        chunk = points[start:start + CHUNK]
         steps = []
         for values in chunk:
             over = dict(base)
@@ -352,31 +352,46 @@ def run_sweep(config: ScenarioConfig) -> tuple:
 
 def run_selftest(seed: int, n: int, out=None) -> int:
     """n randomized scenarios through the cross-check and the short-run
-    rule/perturbation agreement.  Deterministic for a fixed seed.  Each
-    scenario's long-run LP is solved once, for the cross-check and the
-    short-run pipeline both."""
+    rule/perturbation agreement.  Deterministic for a fixed seed.
+
+    Scenarios are drawn in chunks of :data:`CHUNK`.  Each one's long-run LP
+    is solved once, for the cross-check and the short-run pipeline both;
+    those two run one scenario at a time.  The short-run pipelines of a
+    chunk's passing scenarios then run in lockstep, and the rules are
+    checked in scenario order.  Output, and the error that escapes when a
+    scenario raises, are those of one scenario after another: a raising
+    scenario ends the drawing, and an earlier scenario's error wins.
+    """
     out = sys.stdout if out is None else out
     if n < 1:
         raise ConfigError("selftest needs n >= 1")
     rng = np.random.default_rng(seed)
     failures = 0
     groups_seen = set()
-    for _ in range(n):
-        params = random_params(rng)
-        lr = solve_lrmc(params)
-        rep = cross_check(params, lrmc=lr)
-        groups_seen.add(rep.gid)
-        ok = rep.passed
-        if ok:
-            srmc = compute_srmc(params, lr.decision, lrmc_objective=lr.objective)
-            for t in (0, 1):
-                cp = srmc.marginal_cp[t]
-                want = params.cl if cp is None else predict_srmc_from_lrmc(
-                    srmc.lrmc[t], cp, params.cl)
-                if abs(want - srmc.resolved[t]) > 1e-6:
-                    ok = False
-        if not ok:
-            failures += 1
+    for start in range(0, n, CHUNK):
+        passed, steps, error = [], [], None
+        for _ in range(min(CHUNK, n - start)):
+            try:
+                params = random_params(rng)
+                lr = solve_lrmc(params)
+                rep = cross_check(params, lrmc=lr)
+            except Exception as exc:    # raised once the earlier ones finish
+                error = exc
+                break
+            groups_seen.add(rep.gid)
+            if rep.passed:
+                passed.append(params)
+                steps.append(_outcome(srmc_step(params, lr.decision,
+                                                lrmc_objective=lr.objective)))
+            else:
+                failures += 1
+        for params, srmc in zip(passed, run_lockstep(steps)):
+            if isinstance(srmc, Exception):
+                raise srmc
+            if not _rules_hold(params, srmc):
+                failures += 1
+        if error is not None:
+            raise error
     out.write(f"selftest: seed={seed} n={n}\n")
     out.write(f"pass {n - failures}/{n}, distinct groups {len(groups_seen)}\n")
     if n >= 10_000 and len(groups_seen) < 35:
@@ -387,6 +402,29 @@ def run_selftest(seed: int, n: int, out=None) -> int:
         return EXIT_VERIFICATION
     out.write("all checks passed\n")
     return EXIT_OK
+
+
+def _outcome(step):
+    """``step``, returning the exception it raises instead of raising it, so
+    that under ``run_lockstep`` no scenario's error pre-empts an earlier
+    one's."""
+    try:
+        return (yield from step)
+    except Exception as exc:
+        return exc
+
+
+def _rules_hold(params, srmc) -> bool:
+    """Whether both periods' resolved short-run prices follow the rules
+    from the long-run prices."""
+    ok = True
+    for t in (0, 1):
+        cp = srmc.marginal_cp[t]
+        want = params.cl if cp is None else predict_srmc_from_lrmc(
+            srmc.lrmc[t], cp, params.cl)
+        if abs(want - srmc.resolved[t]) > 1e-6:
+            ok = False
+    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,11 @@ infeasible and unbounded verdicts, the drive-out of artificials and the
 pivot cap.  Pivots use the scalar path's elementwise arithmetic, duals come
 from one batched LAPACK solve of the same matrices, and reduced costs and
 objectives are computed per instance, so every outcome equals
-:func:`solve_objectives` bit for bit, ``iterations`` included.
+:func:`solve_objectives` bit for bit, ``iterations`` included.  ``sweep``
+stacks every LP of its grid rows this way, ``selftest`` the short-run
+stage (``srmc.srmc_step``) of its scenarios; the long-run solve and the
+cross-check of a ``selftest`` scenario, and every LP of a ``run`` report,
+are solved one at a time.
 
 Groups smaller than :data:`STACK_MIN` (8) are solved one by one, because
 the kernel's fixed cost per pivot round then outweighs what it saves.  The
@@ -119,6 +123,48 @@ class LinearProgram:
     objective_offset: float = 0.0
 
     def __post_init__(self):
+        # The happy path runs one combined test; only input that fails it
+        # (or fails to convert) goes through the detailed checks, which
+        # raise the precise error or pass it after all.
+        try:
+            fields = self._well_formed()
+        except Exception:
+            fields = None
+        c, A, b, rel, lb, vl, rl = fields or self._checked()
+        for name, val in (("c", c), ("A", A), ("b", b), ("lower_bounds", lb)):
+            val.setflags(write=False)
+            object.__setattr__(self, name, val)
+        object.__setattr__(self, "relations", rel)
+        object.__setattr__(self, "var_labels", vl)
+        object.__setattr__(self, "row_labels", rl)
+
+    def _well_formed(self):
+        """The converted fields, as :meth:`_checked` returns them, if they
+        pass every check at once; None otherwise."""
+        A = np.atleast_2d(np.array(self.A, dtype=float))
+        b = np.array(self.b, dtype=float)
+        c = np.array(self.c, dtype=float)
+        rel = tuple(self.relations)
+        m, n = A.shape
+        lb = (np.zeros(n) if self.lower_bounds is None
+              else np.array(self.lower_bounds, dtype=float))
+        vl = None if self.var_labels is None else tuple(self.var_labels)
+        rl = None if self.row_labels is None else tuple(self.row_labels)
+        ok = (self.sense in ("min", "max")
+              and c.shape == lb.shape == (n,) and b.shape == (m,) and len(rel) == m
+              and all(r in _RELATIONS for r in rel)
+              and (vl is None or len(vl) == len(set(vl)) == n)
+              and (rl is None or len(rl) == len(set(rl)) == m)
+              # a NaN or an infinity makes the sum NaN or infinite (Python
+              # floats: no numpy warning); lower bounds may be -inf only
+              and math.isfinite(sum(A.ravel().tolist()) + sum(b.tolist())
+                                + sum(c.tolist()))
+              and lb.max(initial=-math.inf) < math.inf)
+        return (c, A, b, rel, lb, vl, rl) if ok else None
+
+    def _checked(self):
+        """The converted fields; raises :class:`LpInputError` naming the
+        first malformed one."""
         A = np.atleast_2d(np.array(self.A, dtype=float))
         b = np.array(self.b, dtype=float)
         rel = tuple(self.relations)
@@ -149,13 +195,7 @@ class LinearProgram:
             raise LpInputError("variable labels must be unique and match column count")
         if rl is not None and (len(rl) != m or len(set(rl)) != m):
             raise LpInputError("row labels must be unique and match row count")
-        object.__setattr__(self, "c", c)
-        for name, val in (("A", A), ("b", b), ("lower_bounds", lb)):
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
-        object.__setattr__(self, "relations", rel)
-        object.__setattr__(self, "var_labels", vl)
-        object.__setattr__(self, "row_labels", rl)
+        return c, A, b, rel, lb, vl, rl
 
     @property
     def n_rows(self):

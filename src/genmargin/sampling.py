@@ -20,18 +20,31 @@ from .model import SystemParams
 INTERIOR_MARGIN = 2e-5
 
 
-def _loguniform(rng, lo, hi):
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+def _log_range(lo, hi) -> tuple:
+    return float(np.log(lo)), float(np.log(hi))
+
+
+def _loguniform(rng, log_range):
+    return float(np.exp(rng.uniform(*log_range)))
+
+
+# Log bounds of the fixed ranges, taken once: most draws fail the cost
+# ladder, so a returned set takes ~80 log-uniform draws.
+_CI_R = _log_range(5.0, 120.0)
+_CI_F = _log_range(5.0, 240.0)
+_CP_R = _log_range(0.2, 25.0)
+_CP_F = _log_range(0.2, 50.0)
+_CAP = _log_range(300.0, 8000.0)
 
 
 def random_params(rng, *, margin: float = INTERIOR_MARGIN,
                   max_tries: int = 100_000) -> SystemParams:
     """One valid, interior parameter set."""
     for _ in range(max_tries):
-        ci_r = _loguniform(rng, 5.0, 120.0)
-        ci_f = _loguniform(rng, 5.0, 240.0)
-        cp_r = _loguniform(rng, 0.2, 25.0)
-        cp_f = _loguniform(rng, 0.2, 50.0)
+        ci_r = _loguniform(rng, _CI_R)
+        ci_f = _loguniform(rng, _CI_F)
+        cp_r = _loguniform(rng, _CP_R)
+        cp_f = _loguniform(rng, _CP_F)
         if not (ci_r < ci_f and cp_r < cp_f):
             continue
         t_sr = ci_r / 2 + cp_r
@@ -43,9 +56,9 @@ def random_params(rng, *, margin: float = INTERIOR_MARGIN,
             continue
         if min(t_sf - t_sr, t_f - t_r) <= margin * max(1.0, t_f):
             continue
-        m_r = _loguniform(rng, 300.0, 8000.0)
-        m_f = _loguniform(rng, 300.0, 8000.0)
-        cl = _loguniform(rng, 0.4 * t_sr, 2.5 * t_f)
+        m_r = _loguniform(rng, _CAP)
+        m_f = _loguniform(rng, _CAP)
+        cl = _loguniform(rng, _log_range(0.4 * t_sr, 2.5 * t_f))
         d1 = float(rng.uniform(0.0, 2.0 * (m_r + m_f)))
         d2 = float(rng.uniform(0.0, 2.0 * (m_r + m_f)))
         params = SystemParams.from_values(ci_r, cp_r, m_r, ci_f, cp_f, m_f,

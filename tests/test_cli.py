@@ -1,7 +1,9 @@
+import bisect
 import io
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from genmargin import cli, lp, srmc
@@ -21,6 +23,7 @@ from genmargin.model import SystemParams, solve_lrmc
 from genmargin.pricing import cost_recovery
 from genmargin.sampling import random_params
 from genmargin.srmc import compute_srmc
+from genmargin.verify import cross_check
 
 CANONICAL = {
     "ci_r": 60, "cp_r": 1, "m_r": 3000,
@@ -260,7 +263,7 @@ class TestSweep:
             {"param": "d1", "from": 0, "to": 14000, "steps": 15},
             {"param": "d2", "from": 0, "to": 14000, "steps": 15}])
         rows = list(sweep_rows(load_config(write_config(tmp_path, payload))))
-        assert len(rows) == 225 > cli.SWEEP_CHUNK
+        assert len(rows) == 225 > cli.CHUNK
         for (d1, d2), row in rows:
             params = SystemParams.from_values(**dict(CANONICAL, d1=d1, d2=d2))
             group = classify(params)
@@ -293,7 +296,7 @@ class TestSweep:
         clean = list(sweep_rows(config))
         self._raise_at(monkeypatch, 6000.0, srmc.SrmcError("no price, here"))
         rows = list(sweep_rows(config))
-        assert len(rows) == len(clean) == 129 > cli.SWEEP_CHUNK
+        assert len(rows) == len(clean) == 129 > cli.CHUNK
         for (values, row), (_, want) in zip(rows, clean):
             if values == (6000.0,):
                 assert row == ("error", "no price; here") + ("",) * 7
@@ -334,17 +337,108 @@ class TestSelftest:
         assert "pass 25/25" in buf.getvalue()
 
     def test_at_most_five_tableaux_per_scenario(self, tableaux, monkeypatch):
-        per_draw = []
+        # A chunk's short-run LPs are solved side by side after the scalar
+        # stage of all its scenarios, so each standard form is charged to
+        # the scenario whose short-run step asked for its problem, or else
+        # to the scenario drawn last before it was built.
+        owner, drawn = {}, []
+        real_draw, real_step = cli.random_params, cli.srmc_step
 
         def draw(rng):
-            per_draw.append(len(tableaux))
-            return random_params(rng)
+            drawn.append(len(tableaux))
+            return real_draw(rng)
+
+        def tagged(*args, **kwargs):
+            return tag(real_step(*args, **kwargs), len(drawn) - 1)
+
+        def tag(step, scenario):
+            answer = None
+            while True:
+                try:
+                    request = step.send(answer)
+                except StopIteration as done:
+                    return done.value
+                owner[id(request.problem)] = scenario
+                answer = yield request
 
         monkeypatch.setattr(cli, "random_params", draw)
-        assert run_selftest(seed=9, n=20, out=io.StringIO()) == EXIT_OK
-        per_draw.append(len(tableaux))
-        counts = [b - a for a, b in zip(per_draw, per_draw[1:])]
-        assert len(counts) == 20 and max(counts) <= 5, counts
+        monkeypatch.setattr(cli, "srmc_step", tagged)
+        n = cli.CHUNK + 8
+        assert run_selftest(seed=9, n=n, out=io.StringIO()) == EXIT_OK
+        counts = Counter(owner.get(id(problem), bisect.bisect_right(drawn, i) - 1)
+                         for i, problem in enumerate(tableaux))
+        assert len(drawn) == len(counts) == n
+        assert max(counts.values()) <= 5, counts
+
+    def test_chunked_run_matches_scenario_by_scenario(self, monkeypatch):
+        n = 2 * cli.CHUNK + 6           # two full chunks and a partial one
+        chunks = []
+        real = cli.run_lockstep
+
+        def lockstep(steps):
+            results = real(steps)
+            chunks.append(results)
+            return results
+
+        monkeypatch.setattr(cli, "run_lockstep", lockstep)
+        got = io.StringIO()
+        assert run_selftest(seed=11, n=n, out=got) == EXIT_OK
+
+        rng = np.random.default_rng(11)
+        failures, gids, want = 0, set(), []
+        for _ in range(n):
+            params = random_params(rng)
+            lr = solve_lrmc(params)
+            rep = cross_check(params, lrmc=lr)
+            gids.add(rep.gid)
+            ok = rep.passed
+            if ok:
+                short = compute_srmc(params, lr.decision, lrmc_objective=lr.objective)
+                want.append(short)
+                for t in (0, 1):
+                    cp = short.marginal_cp[t]
+                    rule = params.cl if cp is None else srmc.predict_srmc_from_lrmc(
+                        short.lrmc[t], cp, params.cl)
+                    if abs(rule - short.resolved[t]) > 1e-6:
+                        ok = False
+            failures += not ok
+        assert got.getvalue() == (
+            f"selftest: seed=11 n={n}\n"
+            f"pass {n - failures}/{n}, distinct groups {len(gids)}\n"
+            "all checks passed\n")
+        assert len(chunks) == 3
+        assert [r for results in chunks for r in results] == want
+
+    @staticmethod
+    def _raising(fn, errors):
+        """``fn``, except that its ``k``-th call raises ``errors[k]``."""
+        calls = [0]
+
+        def wrapped(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] in errors:
+                raise errors[calls[0]]("injected")
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    @pytest.mark.parametrize("lrmc_errors, step_errors, escapes", [
+        # scenario 2's short-run step, then scenario 4's long-run solve
+        ({5: lp.IterationLimitError}, {3: srmc.SrmcError}, srmc.SrmcError),
+        # scenario 1's long-run solve; scenario 2's step never runs
+        ({2: lp.IterationLimitError}, {3: srmc.SrmcError}, lp.IterationLimitError),
+        # two short-run steps of one chunk, scenarios 2 and 4
+        ({}, {3: srmc.SrmcError, 5: lp.IterationLimitError}, srmc.SrmcError),
+    ])
+    def test_earliest_scenario_error_escapes(self, monkeypatch, lrmc_errors,
+                                             step_errors, escapes):
+        # as it would scenario by scenario; each short-run step calls
+        # default_epsilon once, in scenario order
+        monkeypatch.setattr(cli, "solve_lrmc", self._raising(cli.solve_lrmc, lrmc_errors))
+        monkeypatch.setattr(srmc, "default_epsilon",
+                            self._raising(srmc.default_epsilon, step_errors))
+        with pytest.raises(escapes, match="injected"):
+            run_selftest(seed=9, n=20, out=io.StringIO())
 
     def test_deterministic_output(self):
         a, b = io.StringIO(), io.StringIO()

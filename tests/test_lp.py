@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -80,6 +83,44 @@ class TestBasics:
         with pytest.raises(LpInputError):
             lp("min", [1.0, 1.0], [[1.0, 1.0]], (">=",), [1.0],
                var_labels=("a", "a"))
+
+    # (overrides of a valid 2x2 problem, message of the first defect in
+    # check order): sense, c, b, relations, lower bounds, A and b, labels
+    MALFORMED = [
+        (dict(sense="max!", c="abc"), "sense must be"),
+        (dict(c=[[1.0, 2.0]]), "c must be one-dimensional"),
+        (dict(c=[math.inf, 1.0], b=[1.0]), "c must be finite"),
+        (dict(c=[math.nan, 1.0], lower_bounds="zz"), "c must be finite"),
+        (dict(b=[[1.0, 0.0]]), "b must be one-dimensional"),
+        (dict(relations=(">=",)), r"\|relations\| = 1"),
+        (dict(relations=(">=", "<")), "unknown relation"),
+        (dict(lower_bounds=[0.0]), "lower_bounds length"),
+        (dict(lower_bounds=[0.0, math.inf]), "finite or -inf"),
+        (dict(A=[[math.inf, 1.0], [1.0, -1.0]], lower_bounds=[math.nan, 0.0]),
+         "finite or -inf"),
+        (dict(A=[[math.inf, -math.inf], [1.0, -1.0]]), "A, b must be finite"),
+        (dict(b=[1.0, math.nan], var_labels=("a", "a")), "A, b must be finite"),
+        (dict(var_labels=("a",)), "variable labels"),
+        (dict(row_labels=("r", "r")), "row labels"),
+    ]
+
+    @pytest.mark.parametrize("over, message", MALFORMED)
+    def test_first_defect_named(self, over, message):
+        base = dict(sense="min", c=[1.0, 2.0], A=[[1.0, 1.0], [1.0, -1.0]],
+                    relations=(">=", "<="), b=[1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LpInputError, match=message):
+                LinearProgram(**dict(base, **over))
+
+    def test_extreme_finite_data_accepted(self):
+        # sums that overflow and free variables are not defects
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = lp("min", [1e308, 1e308], [[1e308, 1e308], [1e308, -1.0]],
+                   (">=", "<="), [1e308, 1e308], lb=[-math.inf, -math.inf])
+        assert p.c[0] == 1e308 and np.isneginf(p.lower_bounds).all()
+        assert not (p.A.flags.writeable or p.c.flags.writeable)
 
     def test_shifted_lower_bound(self):
         # min x s.t. x >= 1 with lb x >= 2 -> x = 2
