@@ -33,11 +33,9 @@ from .model import (
     solve_lrmc,
 )
 from .groups import (
-    AffordabilityLadder,
     AnalyticResult,
     ClassificationError,
     InstanceGroup,
-    affordability,
     analytic_solution,
     classify,
     representative_params,
@@ -51,7 +49,6 @@ from .pricing import (
     cost_recovery,
     group_orientation,
     lrmc_profile_for_group,
-    profile_prices,
     srmc_profile,
 )
 from .srmc import SrmcError, SrmcResult, compute_srmc, default_epsilon, predict_srmc_from_lrmc

@@ -294,7 +294,8 @@ def sweep_rows(config: ScenarioConfig):
     """(grid values, CSV row) per grid point, in grid order.  The points run
     in chunks of :data:`CHUNK`, each row's LPs solved beside the other
     rows' of its chunk; a ``ValueError`` in one row makes it an ``error``
-    row and leaves the others as they are."""
+    row and leaves the others as they are.  Any other exception of a chunk
+    escapes, the first in row order, before any of the chunk's rows."""
     tol = tolerances.from_env()
     blocks = config.sweeps
     grids = [_grid(b) for b in blocks]
@@ -311,7 +312,11 @@ def sweep_rows(config: ScenarioConfig):
             for b, v in zip(blocks, values):
                 over[b.param] = float(v)
             steps.append(_sweep_row(over, tol))
-        for values, row in zip(chunk, run_lockstep(steps)):
+        rows = run_lockstep(steps)
+        for row in rows:
+            if isinstance(row, Exception) and not isinstance(row, ValueError):
+                raise row
+        for values, row in zip(chunk, rows):
             if isinstance(row, ValueError):
                 row = ("error", str(row).replace(",", ";"), "", "", "", "", "", "", "")
             yield values, row
@@ -381,8 +386,8 @@ def run_selftest(seed: int, n: int, out=None) -> int:
             groups_seen.add(rep.gid)
             if rep.passed:
                 passed.append(params)
-                steps.append(_outcome(srmc_step(params, lr.decision,
-                                                lrmc_objective=lr.objective)))
+                steps.append(srmc_step(params, lr.decision,
+                                       lrmc_objective=lr.objective))
             else:
                 failures += 1
         for params, srmc in zip(passed, run_lockstep(steps)):
@@ -402,16 +407,6 @@ def run_selftest(seed: int, n: int, out=None) -> int:
         return EXIT_VERIFICATION
     out.write("all checks passed\n")
     return EXIT_OK
-
-
-def _outcome(step):
-    """``step``, returning the exception it raises instead of raising it, so
-    that under ``run_lockstep`` no scenario's error pre-empts an earlier
-    one's."""
-    try:
-        return (yield from step)
-    except Exception as exc:
-        return exc
 
 
 def _rules_hold(params, srmc) -> bool:

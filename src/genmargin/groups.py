@@ -89,21 +89,6 @@ class InstanceGroup:
 
 
 @dataclass(frozen=True)
-class AffordabilityLadder:
-    """Which generation options beat shedding, at the current loadshed cost."""
-
-    shared_renewable: bool
-    nonshared_renewable: bool
-    shared_fossil: bool
-    nonshared_fossil: bool
-
-    def affordable_options(self):
-        flags = (self.shared_renewable, self.shared_fossil,
-                 self.nonshared_renewable, self.nonshared_fossil)
-        return frozenset(o for o, ok in zip(("SR", "SF", "R", "F"), flags) if ok)
-
-
-@dataclass(frozen=True)
 class AnalyticResult:
     group: InstanceGroup
     decision: PrimalDecision
@@ -282,17 +267,6 @@ def _rel_margin(lhs, rhs):
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def affordability(params: SystemParams) -> AffordabilityLadder:
-    """Compare each option's average unit cost with the loadshed cost."""
-    e = _env(params)
-    return AffordabilityLadder(
-        shared_renewable=e["t_sr"] < params.cl,
-        nonshared_renewable=e["t_r"] < params.cl,
-        shared_fossil=e["t_sf"] < params.cl,
-        nonshared_fossil=e["t_f"] < params.cl,
-    )
-
-
 def classify(params: SystemParams, *, tol_bound: float = None) -> InstanceGroup:
     """Locate the instance group whose region contains the parameters.
 
@@ -402,6 +376,15 @@ def analytic_solution(params: SystemParams, group: InstanceGroup) -> AnalyticRes
 # ---------------------------------------------------------------------------
 
 
+#: Share of the largest demand or cap (plus one) up to which an amount of
+#: capacity or energy counts as none.
+_ZERO = 1e-9
+
+
+def _zero_amount(params: SystemParams) -> float:
+    return _ZERO * (1.0 + max(params.d1, params.d2, params.m_r, params.m_f))
+
+
 def option_cost(option: str, params: SystemParams) -> float:
     e = _env(params)
     return {"SR": e["t_sr"], "SF": e["t_sf"], "R": e["t_r"], "F": e["t_f"]}[option]
@@ -412,7 +395,7 @@ def _shared_amount(decision: PrimalDecision, g: str) -> float:
                decision.generation(g, 2))
 
 
-def used_options(params: SystemParams, decision: PrimalDecision, tol=1e-9):
+def used_options(params: SystemParams, decision: PrimalDecision):
     """Per-period option sets, by period of investment.
 
     An option appears in the period whose investment funds it: the shared
@@ -421,33 +404,32 @@ def used_options(params: SystemParams, decision: PrimalDecision, tol=1e-9):
     energy serves the other period; period-2 investments are period-2
     non-shared options.
     """
-    scale = 1.0 + max(params.d1, params.d2, params.m_r, params.m_f)
+    tol = _zero_amount(params)
     first, second = set(), set()
     for g, label_s, label_n in (("r", "SR", "R"), ("f", "SF", "F")):
         shared = _shared_amount(decision, g)
-        if shared > tol * scale:
+        if shared > tol:
             first.add(label_s)
             second.add(label_s)
-        if decision.invested(g, 1) - shared > tol * scale:
+        if decision.invested(g, 1) - shared > tol:
             first.add(label_n)
-        if decision.invested(g, 2) > tol * scale:
+        if decision.invested(g, 2) > tol:
             second.add(label_n)
     return (frozenset(first), frozenset(second))
 
 
-def generating_options(params: SystemParams, decision: PrimalDecision, t: int,
-                       tol=1e-9):
+def generating_options(params: SystemParams, decision: PrimalDecision, t: int):
     """Options whose energy actually serves period t's demand."""
-    scale = 1.0 + max(params.d1, params.d2, params.m_r, params.m_f)
+    tol = _zero_amount(params)
     out = set()
     for g, label_s, label_n in (("r", "SR", "R"), ("f", "SF", "F")):
         gen = decision.generation(g, t)
-        if gen <= tol * scale:
+        if gen <= tol:
             continue
         shared = _shared_amount(decision, g)
-        if shared > tol * scale:
+        if shared > tol:
             out.add(label_s)
-        if gen - shared > tol * scale:
+        if gen - shared > tol:
             out.add(label_n)
     return frozenset(out)
 
@@ -467,7 +449,7 @@ def marginal_option(params: SystemParams, decision: PrimalDecision, t: int):
     return max(opts, key=lambda o: (option_cost(o, params), order[o]))
 
 
-def marginal_cp(params: SystemParams, decision: PrimalDecision, t: int, tol=1e-9):
+def marginal_cp(params: SystemParams, decision: PrimalDecision, t: int):
     """Operating cost of period t's dispatch-marginal technology.
 
     The dispatch marginal is the technology that serves one more unit of
@@ -480,12 +462,12 @@ def marginal_cp(params: SystemParams, decision: PrimalDecision, t: int, tol=1e-9
     that is what serves the first unit.  None when positive demand sheds
     completely, where an increment can only shed too.
     """
-    scale = 1.0 + max(params.d1, params.d2, params.m_r, params.m_f)
-    if decision.generation("f", t) > tol * scale:
+    tol = _zero_amount(params)
+    if decision.generation("f", t) > tol:
         return params.cp_f
-    if decision.generation("r", t) > tol * scale:
+    if decision.generation("r", t) > tol:
         return params.cp_r
-    if params.demand[t - 1] <= tol * scale:
+    if params.demand[t - 1] <= tol:
         return params.cp_r
     return None
 

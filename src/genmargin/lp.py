@@ -606,10 +606,8 @@ def run_lockstep(steps) -> list:
     unfinished step with one :func:`solve_stacked` call, and a request's
     solver error is raised inside its own step.
 
-    Returns each step's result in order, or the ``ValueError`` it raised
-    (the package's input errors: ``LpInputError``, ``ModelError``, ...), so
-    one step's bad input leaves the others running; any other exception
-    propagates at once.
+    Returns each step's result in order, or the exception it raised, so
+    one step's error leaves the others running.
     """
     steps = list(steps)
     results = [None] * len(steps)
@@ -624,10 +622,12 @@ def run_lockstep(steps) -> list:
                     request = steps[k].send(answer)
             except StopIteration as done:
                 results[k] = done.value
-            except ValueError as exc:
+            except Exception as exc:
                 results[k] = exc
             else:
                 waiting.append((k, request))
+        if not waiting:
+            break
         outcomes = solve_stacked([request for _, request in waiting])
         answers = [(k, out) for (k, _), out in zip(waiting, outcomes)]
     return results
@@ -934,20 +934,18 @@ def _pivot_stack(T, rows, pi, pj):
 
 def _min_form(problem: LinearProgram) -> LinearProgram:
     """Equivalent minimization with lower bounds in {0, -inf}."""
-    lb = problem.lower_bounds
-    shift = np.where(np.isfinite(lb), lb, 0.0)
+    shift, b = _shifted_rhs(problem)
     c = problem.c if problem.sense == "min" else -problem.c
-    offset = float(c @ shift)
     return LinearProgram(
         sense="min",
         c=c,
         A=problem.A,
         relations=problem.relations,
-        b=problem.b - problem.A @ shift,
-        lower_bounds=np.where(np.isfinite(lb), 0.0, -np.inf),
+        b=b,
+        lower_bounds=np.where(np.isfinite(problem.lower_bounds), 0.0, -np.inf),
         var_labels=problem.var_labels,
         row_labels=problem.row_labels,
-        objective_offset=offset,
+        objective_offset=float(c @ shift),
     )
 
 
@@ -1067,50 +1065,36 @@ def dual_ranges_step(problem: LinearProgram, row_ids, *, tol: float = None,
     return tuple(ranges)
 
 
-def basic_variable_values(problem: LinearProgram, solution: LpSolution):
-    """(label, value) for every basis member of an optimal solution."""
+def dual_interval_has_width(lo: float, hi: float) -> bool:
+    """Whether a dual value interval holds more than one value."""
+    return hi - lo > 1e-7 * (1.0 + abs(lo) + abs(hi))
+
+
+def detect_degeneracy(problem: LinearProgram, solution: LpSolution) -> DegeneracyReport:
+    """Flag basic variables at zero and rows whose dual is not unique."""
+    if not solution.optimal:
+        raise LpError("detect_degeneracy requires an optimal solution")
+    if solution.x is None or solution.x.shape != (problem.n_vars,):
+        raise LpInputError("solution does not match the problem's shape")
+    x, lb = solution.x, problem.lower_bounds
     values = {}
     for j in range(problem.n_vars):
         lbl = problem.var_label(j)
-        values[lbl] = solution.x[j] - problem.lower_bounds[j] if np.isfinite(
-            problem.lower_bounds[j]) else solution.x[j]
-        values[lbl + "~"] = -solution.x[j]
-    resid = problem.A @ solution.x
+        values[lbl] = x[j] - lb[j] if np.isfinite(lb[j]) else x[j]
+        values[lbl + "~"] = -x[j]
+    resid = problem.A @ x
     for i, rel in enumerate(problem.relations):
         if rel == LE:
             values[f"s[{problem.row_label(i)}]"] = problem.b[i] - resid[i]
         elif rel == GE:
             values[f"s[{problem.row_label(i)}]"] = resid[i] - problem.b[i]
         values[f"a[{problem.row_label(i)}]"] = 0.0
-    return [(lbl, float(values[lbl])) for lbl in solution.basis]
-
-
-def detect_degeneracy(problem: LinearProgram, solution: LpSolution, *,
-                      tol_deg: float = None,
-                      dual_ranges: bool = True) -> DegeneracyReport:
-    """Flag basic variables at zero and rows whose dual is not unique.
-
-    ``dual_ranges=False`` skips the per-row interval computation (two LP
-    solves per row) and reports all rows as single-valued.
-    """
-    tol_deg = DEFAULT.deg if tol_deg is None else tol_deg
-    if not solution.optimal:
-        raise LpError("detect_degeneracy requires an optimal solution")
-    if solution.x is None or solution.x.shape != (problem.n_vars,):
-        raise LpInputError("solution does not match the problem's shape")
-    zero_basic = tuple(
-        (lbl, v) for lbl, v in basic_variable_values(problem, solution)
-        if abs(v) <= tol_deg
-    )
-    if dual_ranges:
-        dual_multiple = tuple(
-            hi - lo > 1e-7 * (1.0 + abs(lo) + abs(hi))
-            for lo, hi in dual_value_ranges(problem, range(problem.n_rows))
-        )
-    else:
-        dual_multiple = tuple(False for _ in range(problem.n_rows))
+    zero_basic = tuple((lbl, float(values[lbl])) for lbl in solution.basis
+                       if abs(values[lbl]) <= DEFAULT.deg)
     return DegeneracyReport(
         primal_degenerate=bool(zero_basic),
         zero_basic=zero_basic,
-        dual_multiple=dual_multiple,
+        dual_multiple=tuple(
+            dual_interval_has_width(lo, hi)
+            for lo, hi in dual_value_ranges(problem, range(problem.n_rows))),
     )

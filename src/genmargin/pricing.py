@@ -1,9 +1,11 @@
 """Price profiles, cost recovery, and investment-cost allocation.
 
-Seven distinct long-run price pairs cover all 41 groups.  Each profile is
-a pair of formulas (first, second); an orientation says which period
-carries the first one.  Two profiles are period-fixed (marked ``fixed``):
-their first price can only occur in period 1.
+Seven distinct long-run price pairs cover all 41 groups.  The group table
+(``GroupSpec.lrmc``, evaluated by ``analytic_solution``) holds each group's
+pair; a profile names which of the seven it is, and an orientation says
+which period carries the profile's first price.  Two profiles are
+period-fixed (marked ``fixed``): their first price can only occur in
+period 1.
 
 Cost recovery compares revenue ``D1*p1 + D2*p2`` with the model objective
 at a given decision.  At the long-run prices the profit always equals the
@@ -16,26 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import GROUPS, marginal_option
+from .groups import GROUPS, _shared_amount, _zero_amount, marginal_option
 from .model import PrimalDecision, SystemParams
 from .tolerances import DEFAULT
 
 
 class PricingError(ValueError):
     pass
-
-
-#: profile id -> symbolic (first, second) price formulas, in terms of the
-#: profile's marginal technology g where one applies
-PROFILE_FORMULAS = {
-    1: ("CL", "CL"),
-    2: ("CL", "CI_g + 2 CP_g - CL"),
-    3: ("CP_g", "CI_g + CP_g"),
-    4: ("CL", "CP_g"),
-    5: ("CL", "CI_g + CP_g"),
-    6: ("CP_r", "CI_f + CP_f"),
-    7: ("CI_f + 2 CP_f - (CI_r + CP_r)", "CI_r + CP_r"),
-}
 
 
 @dataclass(frozen=True)
@@ -47,10 +36,6 @@ class LrmcProfile:
     def __post_init__(self):
         if self.profile_id not in range(1, 8):
             raise PricingError(f"profile id must be 1..7, got {self.profile_id}")
-
-    @property
-    def formulas(self):
-        return PROFILE_FORMULAS[self.profile_id]
 
 
 #: profile id -> (needs marginal tech, fixed order)
@@ -76,29 +61,6 @@ def group_orientation(gid: int) -> int:
     return GROUPS[gid].orientation
 
 
-def _lrmc_pair(profile: LrmcProfile, params: SystemParams):
-    """(first, second) formula values in the profile's own order."""
-    pid = profile.profile_id
-    g = profile.marginal_tech
-    cl = params.cl
-    if pid == 1:
-        return (cl, cl)
-    if pid == 2:
-        return (cl, params.ci(g) + 2 * params.cp(g) - cl)
-    if pid == 3:
-        return (params.cp(g), params.ci(g) + params.cp(g))
-    if pid == 4:
-        return (cl, params.cp(g))
-    if pid == 5:
-        return (cl, params.ci(g) + params.cp(g))
-    if pid == 6:
-        return (params.cp_r, params.ci_f + params.cp_f)
-    # profile 7: investing fossil for the first period frees non-shared
-    # renewable in the second
-    return (params.ci_f + 2 * params.cp_f - (params.ci_r + params.cp_r),
-            params.ci_r + params.cp_r)
-
-
 def _srmc_pair(profile: LrmcProfile, params: SystemParams):
     pid = profile.profile_id
     g = profile.marginal_tech
@@ -121,16 +83,6 @@ def _orient(pair, profile: LrmcProfile, orientation: int):
         raise PricingError(
             f"profile {profile.profile_id} is period-fixed; orientation 2 invalid")
     return pair if orientation == 1 else (pair[1], pair[0])
-
-
-def profile_prices(profile: LrmcProfile, params: SystemParams,
-                   orientation: int):
-    """The long-run price pair (period 1, period 2) of a profile.
-
-    Pure formula evaluation: a formula can go negative (cheap loadshed
-    against a shared build) and is reported as-is.
-    """
-    return _orient(_lrmc_pair(profile, params), profile, orientation)
 
 
 @dataclass(frozen=True)
@@ -185,10 +137,9 @@ def _allocate_shared(params: SystemParams, decision: PrimalDecision):
     """
     peak = 2 if params.d2 >= params.d1 else 1
     out = []
-    tol = 1e-9 * (1.0 + max(params.d1, params.d2, params.m_r, params.m_f))
+    tol = _zero_amount(params)
     for g in ("r", "f"):
-        shared = min(decision.invested(g, 1), decision.generation(g, 1),
-                     decision.generation(g, 2))
+        shared = _shared_amount(decision, g)
         if shared <= tol:
             continue
         ci_g = params.ci(g)

@@ -36,11 +36,13 @@ _CP_R = _log_range(0.2, 25.0)
 _CP_F = _log_range(0.2, 50.0)
 _CAP = _log_range(300.0, 8000.0)
 
+#: Attempts before :func:`random_params` gives up.
+_MAX_DRAWS = 100_000
 
-def random_params(rng, *, margin: float = INTERIOR_MARGIN,
-                  max_tries: int = 100_000) -> SystemParams:
+
+def random_params(rng) -> SystemParams:
     """One valid, interior parameter set."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_DRAWS):
         ci_r = _loguniform(rng, _CI_R)
         ci_f = _loguniform(rng, _CI_F)
         cp_r = _loguniform(rng, _CP_R)
@@ -52,9 +54,9 @@ def random_params(rng, *, margin: float = INTERIOR_MARGIN,
         t_r = ci_r + cp_r
         t_f = ci_f + cp_f
         # strict ladder: shared fossil below non-shared renewable, with room
-        if t_r - t_sf <= margin * max(1.0, t_r):
+        if t_r - t_sf <= INTERIOR_MARGIN * max(1.0, t_r):
             continue
-        if min(t_sf - t_sr, t_f - t_r) <= margin * max(1.0, t_f):
+        if min(t_sf - t_sr, t_f - t_r) <= INTERIOR_MARGIN * max(1.0, t_f):
             continue
         m_r = _loguniform(rng, _CAP)
         m_f = _loguniform(rng, _CAP)
@@ -63,9 +65,7 @@ def random_params(rng, *, margin: float = INTERIOR_MARGIN,
         d2 = float(rng.uniform(0.0, 2.0 * (m_r + m_f)))
         params = SystemParams.from_values(ci_r, cp_r, m_r, ci_f, cp_f, m_f,
                                           cl, d1, d2)
-        group = classify(params, tol_bound=margin)
-        if group.boundary:
-            continue
-        return params
+        if not classify(params, tol_bound=INTERIOR_MARGIN).boundary:
+            return params
     raise RuntimeError("could not sample an interior parameter set")
 

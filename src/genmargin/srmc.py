@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import AnalyticResult, analytic_solution, classify, marginal_cp
-from .lp import LpRequest, dual_ranges_step, run_step
+from .lp import LpRequest, dual_interval_has_width, dual_ranges_step, run_step
 from .model import SystemParams, build_lrmc_primal, build_srmc_primal
 from .tolerances import DEFAULT
 
@@ -129,9 +129,7 @@ def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
 
     intervals = yield from dual_ranges_step(frozen, ("balance_1", "balance_2"),
                                             solution=sol0)
-    degenerate = tuple(
-        hi - lo > 1e-7 * (1.0 + abs(lo) + abs(hi)) for lo, hi in intervals
-    )
+    degenerate = tuple(dual_interval_has_width(lo, hi) for lo, hi in intervals)
 
     (perturbed,) = yield LpRequest.own(build_srmc_primal(params, istar, epsilon=eps))
     resolved = (float(perturbed.duals[0]), float(perturbed.duals[1]))

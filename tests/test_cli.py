@@ -193,13 +193,10 @@ class TestSweep:
         assert by_cl[30.0] == 1 and by_cl[32.0] == 2
         assert by_cl[60.0] == 2 and by_cl[62.0] == 3
         assert by_cl[103.0] == 3
-        from genmargin.groups import affordability
+        from genmargin.groups import option_cost
         from genmargin.model import SystemParams
-        base = {k: v for k, v in CANONICAL.items()}
-        base["d2"] = 4000
-        lo = affordability(SystemParams.from_values(**dict(base, cl=101.0)))
-        hi = affordability(SystemParams.from_values(**dict(base, cl=103.0)))
-        assert not lo.nonshared_fossil and hi.nonshared_fossil
+        t_f = option_cost("F", SystemParams.from_values(**dict(CANONICAL, d2=4000)))
+        assert 101.0 <= t_f < 103.0
 
     def test_sweep_validation(self, tmp_path):
         for bad in (

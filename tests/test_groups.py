@@ -5,11 +5,11 @@ from numpy.testing import assert_allclose
 from genmargin.groups import (
     CLUSTER_RANGES,
     ClassificationError,
-    affordability,
     analytic_solution,
     classify,
     generating_options,
     marginal_cp,
+    option_cost,
     representative_params,
     table_csv,
 )
@@ -18,40 +18,6 @@ from genmargin.model import SystemParams, solve_lrmc
 
 def canonical(cl=200.0, d1=2000.0, d2=8000.0):
     return SystemParams.from_values(60, 1, 3000, 82, 20, 4000, cl, d1, d2)
-
-
-class TestAffordability:
-    def test_all_affordable_at_high_cl(self):
-        lad = affordability(canonical(cl=200.0))
-        assert lad.shared_renewable and lad.nonshared_renewable
-        assert lad.shared_fossil and lad.nonshared_fossil
-
-    def test_none_affordable_at_low_cl(self):
-        lad = affordability(canonical(cl=20.0))
-        assert not any([lad.shared_renewable, lad.nonshared_renewable,
-                        lad.shared_fossil, lad.nonshared_fossil])
-
-    def test_intermediate_cl(self):
-        # canonical costs: 31 / 61 / 61 / 102 ladder; cl=80 clears all but F
-        lad = affordability(canonical(cl=80.0))
-        assert lad.shared_renewable and lad.nonshared_renewable
-        assert lad.shared_fossil
-        assert not lad.nonshared_fossil
-
-    def test_ladder_monotone_randomized(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            ci_r = rng.uniform(5, 100)
-            params = SystemParams.from_values(
-                ci_r, rng.uniform(0.5, 10), 1000,
-                ci_r * rng.uniform(1.05, 2), rng.uniform(10.5, 30), 1000,
-                rng.uniform(1, 300), 500, 700,
-            )
-            lad = affordability(params)
-            if lad.nonshared_renewable:
-                assert lad.shared_renewable
-            if lad.nonshared_fossil:
-                assert lad.shared_fossil
 
 
 class TestClassify:
@@ -162,9 +128,9 @@ class TestAnalyticSolution:
         for gid in range(1, 42):
             params = representative_params(gid)
             res = analytic_solution(params, classify(params))
-            ok = affordability(params).affordable_options()
-            used = res.used_options[0] | res.used_options[1]
-            assert used <= ok, f"group {gid}: {used} not within affordable {ok}"
+            # every option in use costs less per unit than shedding
+            for o in res.used_options[0] | res.used_options[1]:
+                assert option_cost(o, params) < params.cl, f"group {gid}: {o}"
 
     def test_marginal_cp_group14(self):
         params = representative_params(14)

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from genmargin.groups import analytic_solution, classify, representative_params
+from genmargin.groups import GROUPS, analytic_solution, classify
 from genmargin.model import SystemParams, solve_lrmc
 from genmargin.pricing import (
     LrmcProfile,
@@ -11,7 +13,6 @@ from genmargin.pricing import (
     cost_recovery,
     group_orientation,
     lrmc_profile_for_group,
-    profile_prices,
     srmc_profile,
 )
 from genmargin.sampling import random_params
@@ -26,42 +27,25 @@ def analytic_for(params):
 
 
 class TestProfilePrices:
-    def test_profile3_renewable(self):
-        params = canonical(cl=80.0, d2=4000.0)
-        prices = profile_prices(LrmcProfile(3, "r", False), params, orientation=1)
-        assert_allclose(prices, (1.0, 61.0))
-
-    def test_profile2_can_go_negative(self):
-        # formula evaluation only; reported as-is, never clamped
-        params = canonical(cl=80.0)
-        prices = profile_prices(LrmcProfile(2, "r", False), params, orientation=2)
-        assert_allclose(prices, (-18.0, 80.0))
-
-    def test_profile1_any_params(self):
-        for params in (canonical(), canonical(cl=31.5)):
-            assert profile_prices(LrmcProfile(1, "", False), params, 1) == \
-                (params.cl, params.cl)
-
     def test_fixed_order_profiles_reject_flip(self):
-        params = canonical()
         with pytest.raises(PricingError):
-            profile_prices(LrmcProfile(5, "r", True), params, orientation=2)
-        with pytest.raises(PricingError):
-            srmc_profile(LrmcProfile(7, "rf", True), params, orientation=2)
+            srmc_profile(LrmcProfile(7, "rf", True), canonical(), orientation=2)
 
-    def test_symbolic_descriptors(self):
-        assert LrmcProfile(1, "", False).formulas == ("CL", "CL")
-        assert LrmcProfile(7, "rf", True).formulas == \
-            ("CI_f + 2 CP_f - (CI_r + CP_r)", "CI_r + CP_r")
-
-    def test_profile_formulas_reproduce_group_table(self):
-        # the independent formula route must agree with the embedded table
-        for gid in range(1, 42):
-            params = representative_params(gid)
-            res = analytic_for(params)
-            prices = profile_prices(lrmc_profile_for_group(gid), params,
-                                    group_orientation(gid))
-            assert_allclose(prices, res.lrmc, atol=1e-9, err_msg=f"group {gid}")
+    def test_seven_profiles_cover_the_group_table(self):
+        # Each group's long-run pair, put in its profile's order and written
+        # in its marginal technology g, is one of seven: one per profile.
+        # The fixed-order profiles 5 and 7 occur only in that order.
+        pairs = {}
+        for spec in GROUPS.values():
+            pair = spec.lrmc if spec.orientation == 1 else spec.lrmc[::-1]
+            if spec.profile_tech:
+                pair = tuple(re.sub(rf"_{spec.profile_tech}\b", "_g", f) for f in pair)
+            pairs.setdefault(spec.profile_id, set()).add(pair)
+            if spec.profile_id in (5, 7):
+                assert spec.orientation == 1, f"group {spec.gid}"
+        assert sorted(pairs) == list(range(1, 8))
+        assert all(len(p) == 1 for p in pairs.values()), pairs
+        assert len(set.union(*pairs.values())) == 7
 
 
 class TestSrmcProfile:
