@@ -32,7 +32,13 @@ from . import tolerances
 from .groups import analytic_solution, classify, table_csv
 from .lp import run_lockstep
 from .model import ModelError, SystemParams, lrmc_step, solve_lrmc
-from .pricing import cost_recovery, group_orientation, lrmc_profile_for_group, srmc_profile
+from .pricing import (
+    cost_recovery,
+    group_orientation,
+    lrmc_profile_for_group,
+    profits,
+    srmc_profile,
+)
 from .sampling import random_params
 from .srmc import compute_srmc, predict_srmc_from_lrmc, srmc_step
 from .verify import cross_check
@@ -330,8 +336,7 @@ def _sweep_row(over: dict, tol):
     lr = yield from lrmc_step(params)
     srmc = yield from srmc_step(params, lr.decision, lrmc_objective=lr.objective,
                                 analytic=analytic)
-    p_l = cost_recovery(analytic.lrmc, analytic.decision, params).profit
-    p_s = cost_recovery(srmc.resolved, analytic.decision, params).profit
+    p_l, p_s = profits((analytic.lrmc, srmc.resolved), analytic.decision, params)
     return (group.gid, analytic.profile_id, analytic.lrmc[0],
             analytic.lrmc[1], srmc.resolved[0], srmc.resolved[1],
             p_l, p_s, group.boundary)
@@ -361,11 +366,13 @@ def run_selftest(seed: int, n: int, out=None) -> int:
 
     Scenarios are drawn in chunks of :data:`CHUNK`.  Each one's long-run LP
     is solved once, for the cross-check and the short-run pipeline both;
-    those two run one scenario at a time.  The short-run pipelines of a
-    chunk's passing scenarios then run in lockstep, and the rules are
-    checked in scenario order.  Output, and the error that escapes when a
-    scenario raises, are those of one scenario after another: a raising
-    scenario ends the drawing, and an earlier scenario's error wins.
+    those two run one scenario at a time, and the closed form the
+    cross-check builds is the one the short-run rules are read against.
+    The short-run pipelines of a chunk's passing scenarios then run in
+    lockstep, and the rules are checked in scenario order.  Output, and
+    the error that escapes when a scenario raises, are those of one
+    scenario after another: a raising scenario ends the drawing, and an
+    earlier scenario's error wins.
     """
     out = sys.stdout if out is None else out
     if n < 1:
@@ -387,7 +394,8 @@ def run_selftest(seed: int, n: int, out=None) -> int:
             if rep.passed:
                 passed.append(params)
                 steps.append(srmc_step(params, lr.decision,
-                                       lrmc_objective=lr.objective))
+                                       lrmc_objective=lr.objective,
+                                       analytic=rep.analytic))
             else:
                 failures += 1
         for params, srmc in zip(passed, run_lockstep(steps)):

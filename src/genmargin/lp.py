@@ -40,6 +40,20 @@ one BLAS thread) on 64 ``random_params`` scenarios per LP kind, median of
 / 0.61 for dual-range regions (four objectives) and 1.27 / 1.06 / 0.88 for
 short-run primals (one objective); at K = 32 it was 0.31, 0.29 and 0.40.
 
+Fixed costs per solve
+---------------------
+A standard form's column layout depends only on the relations, the
+free-variable split and the row signs, so it is built once per such key
+and kept in a bounded cache (:func:`_layout`, :data:`_LAYOUTS` entries),
+its arrays read-only, together with its artificial unit columns and its
+column labels per pair of label tuples.  Each solve then builds only its
+own ``[A | I_art]``, right-hand side and shift, and takes the optimal
+basis matrix and its costs as one fancy index of those.  The dual-range
+region of a problem whose optimum is given (:func:`dual_ranges_step` with
+``solution``) is written straight from the problem (:func:`_pinned_region`)
+instead of through :func:`_min_form` and :func:`explicit_dual`: the same
+arithmetic, so the same bytes, without two intermediate LPs to validate.
+
 Conventions
 -----------
 * ``sense`` is ``"min"`` or ``"max"``.
@@ -57,6 +71,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -264,7 +279,9 @@ class _Layout:
     variable, which rows get a slack, which start on an artificial.
 
     It depends only on the relations, the free-variable split and the row
-    signs, so every problem that shares those shares one layout.
+    signs, so every problem that shares those shares one layout.  Layouts
+    are built once (:func:`_layout`) and shared, so their arrays are
+    read-only.
     """
 
     def __init__(self, relations, free, row_sign):
@@ -273,7 +290,7 @@ class _Layout:
             cols.append((j, +1.0))
             if is_free:
                 cols.append((j, -1.0))
-        self.cols = cols
+        self.cols = tuple(cols)
         self.col_var = np.array([j for j, _ in cols], dtype=int)
         self.col_sign = np.array([s for _, s in cols])
         self.row_sign = row_sign
@@ -289,7 +306,7 @@ class _Layout:
         self.A_slack = np.zeros((m, len(slack_cols)))
         for k, (i, s) in enumerate(slack_cols):
             self.A_slack[i, k] = s
-        self.slack_cols = slack_cols
+        self.slack_cols = tuple(slack_cols)
         self.n_struct = len(cols)
         self.n_total = self.n_struct + len(slack_cols)
 
@@ -298,13 +315,21 @@ class _Layout:
         for k, (i, s) in enumerate(slack_cols):
             if s > 0:
                 self.init_basis[i] = self.n_struct + k
-        self.art_rows = [i for i in range(m) if self.init_basis[i] < 0]
+        self.art_rows = tuple(i for i in range(m) if self.init_basis[i] < 0)
+        # the artificial columns: the unit column of each artificial row
+        self.A_art = np.zeros((m, len(self.art_rows)))
+        self.A_art[self.art_rows, range(len(self.art_rows))] = 1.0
+        for a in (self.col_var, self.col_sign, self.row_sign, self.A_slack,
+                  self.init_basis, self.A_art):
+            a.setflags(write=False)
+        self._labels = {}
 
     def cost(self, sense, c) -> np.ndarray:
-        """Standard-form (minimization) cost row of the objective ``(sense, c)``."""
+        """Standard-form (minimization) cost row of the objective ``(sense,
+        c)``, artificial columns (cost 0) included."""
         c_min = c if sense == "min" else -c
         return np.concatenate([self.col_sign * c_min[self.col_var],
-                               np.zeros(self.n_total - self.n_struct)])
+                               np.zeros(self.n_total - self.n_struct + len(self.art_rows))])
 
     def column_label(self, p, k) -> str:
         """Label of column ``k`` (structural, slack, then artificial) in
@@ -317,6 +342,37 @@ class _Layout:
             i, _ = self.slack_cols[k - self.n_struct]
             return f"s[{p.row_label(i)}]"
         return f"a[{p.row_label(self.art_rows[k - self.n_total])}]"
+
+    def labels(self, p) -> tuple:
+        """Every column's :meth:`column_label` in ``p``'s names, built once
+        per pair of label tuples (at most :data:`_LAYOUTS` of them)."""
+        key = (p.var_labels, p.row_labels)
+        names = self._labels.get(key)
+        if names is None:
+            if len(self._labels) >= _LAYOUTS:
+                self._labels.clear()
+            names = self._labels[key] = tuple(
+                self.column_label(p, k) for k in range(self.n_total + len(self.art_rows)))
+        return names
+
+    def adopt(self, problem, b_work):
+        """Take on the shared layout of ``problem``, whose shifted
+        right-hand side is ``b_work``: its attributes, not a copy of them."""
+        vars(self).update(vars(_layout(problem.relations,
+                                       np.isinf(problem.lower_bounds).tobytes(),
+                                       (b_work < 0).tobytes())))
+
+
+#: Layouts (and label tuples per layout) kept for reuse.
+_LAYOUTS = 256
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _layout(relations, free: bytes, negative: bytes) -> _Layout:
+    """The layout of ``relations`` with the free-variable mask ``free`` and
+    the negative right-hand-side mask ``negative`` (bool arrays as bytes)."""
+    return _Layout(relations, np.frombuffer(free, dtype=bool),
+                   np.where(np.frombuffer(negative, dtype=bool), -1.0, 1.0))
 
 
 def _shifted_rhs(p: LinearProgram):
@@ -340,11 +396,11 @@ class _StandardForm(_Layout):
         # Make the right-hand side nonnegative before adding slacks, so the
         # sign of each slack tells us whether it can start in the basis.
         self.shift, b_work = _shifted_rhs(p)
-        row_sign = np.where(b_work < 0, -1.0, 1.0)
-        super().__init__(p.relations, np.isinf(p.lower_bounds), row_sign)
-        A_struct = p.A[:, self.col_var] * self.col_sign * row_sign[:, None]
-        self.A = np.hstack([A_struct, self.A_slack])
-        self.b = b_work * row_sign
+        self.adopt(p, b_work)
+        A_struct = p.A[:, self.col_var] * self.col_sign * self.row_sign[:, None]
+        # the standard-form columns, then the artificial ones
+        self.A = np.hstack([A_struct, self.A_slack, self.A_art])
+        self.b = b_work * self.row_sign
 
     def x_original(self, x_std) -> np.ndarray:
         x = self.shift.copy()
@@ -477,14 +533,13 @@ def solve_objectives(problem: LinearProgram, objectives, *, tol: float = None,
 
     n_art = len(sf.art_rows)
     T = np.zeros((m + 1 + len(costs), sf.n_total + n_art + 1))
-    T[:m, : sf.n_total] = sf.A
+    T[:m, :-1] = sf.A
     T[:m, -1] = sf.b
     basis = sf.init_basis.copy()
     for k, i in enumerate(sf.art_rows):
-        T[i, sf.n_total + k] = 1.0
         basis[i] = sf.n_total + k
     for q, cost in enumerate(costs):
-        T[m + 1 + q, : sf.n_total] = cost
+        T[m + 1 + q, :-1] = cost
     r1 = T[m]
     for i in sf.art_rows:
         r1 -= T[i]
@@ -534,18 +589,10 @@ def _optimum(problem, sf, tab, sense, c, cost) -> LpSolution:
     x = sf.x_original(x_std)
 
     # Duals of the returned basis: solve B' y = c_B against the pristine
-    # standard-form columns, then undo row negation and sense flips.
-    B = np.empty((m, m))
-    c_B = np.empty(m)
-    for i in range(m):
-        j = basis[i]
-        if j < sf.n_total:
-            B[:, i] = sf.A[:, j]
-            c_B[i] = cost[j]
-        else:
-            B[:, i] = 0.0
-            B[sf.art_rows[j - sf.n_total], i] = 1.0
-            c_B[i] = 0.0
+    # standard-form columns (an artificial's being the unit column of its
+    # row), then undo row negation and sense flips.
+    B = sf.A[:, basis]
+    c_B = cost[basis]
     y_std = np.linalg.solve(B.T, c_B)
     y = y_std * sf.row_sign
     if sense != "min":
@@ -553,13 +600,14 @@ def _optimum(problem, sf, tab, sense, c, cost) -> LpSolution:
 
     rc = c - y @ problem.A
     objective = float(c @ x) + problem.objective_offset
+    names = sf.labels(problem)
     return LpSolution(
         status="optimal",
         x=x,
         duals=y,
         reduced_costs=rc,
         objective=objective,
-        basis=tuple(sf.column_label(problem, j) for j in basis),
+        basis=tuple(map(names.__getitem__, basis.tolist())),
         iterations=tab.iterations,
     )
 
@@ -700,16 +748,14 @@ class _StackedForm(_Layout):
 
     def __init__(self, problems, shifts, b_works):
         b_work = np.array(b_works)
-        p = problems[0]
-        super().__init__(p.relations, np.isinf(p.lower_bounds),
-                         np.where(b_work[0] < 0, -1.0, 1.0))
+        self.adopt(problems[0], b_work[0])
         self.problems = problems
         self.shift = np.array(shifts)
         A = np.array([q.A for q in problems])[:, :, self.col_var]
         A_struct = A * self.col_sign * self.row_sign[:, None]
+        aux = np.hstack([self.A_slack, self.A_art])
         self.A = np.concatenate(
-            [A_struct, np.broadcast_to(self.A_slack, (len(problems),) + self.A_slack.shape)],
-            axis=2)
+            [A_struct, np.broadcast_to(aux, (len(problems),) + aux.shape)], axis=2)
         self.b = b_work * self.row_sign
 
     def tableau(self, costs):
@@ -718,11 +764,10 @@ class _StackedForm(_Layout):
         instance ``k``'s phase-1 row."""
         (K, m), n_total = self.b.shape, self.n_total
         T = np.zeros((K, m + 1 + costs.shape[1], n_total + len(self.art_rows) + 1))
-        T[:, :m, :n_total] = self.A
+        T[:, :m, :-1] = self.A
         T[:, :m, -1] = self.b
         basis = np.tile(self.init_basis, (K, 1))
         for k, i in enumerate(self.art_rows):
-            T[:, i, n_total + k] = 1.0
             basis[:, i] = n_total + k
         T[:, m + 1:, :n_total] = costs
         for i in self.art_rows:
@@ -742,10 +787,7 @@ class _StackedForm(_Layout):
     def basis_matrices(self, entry_k, basis):
         """``B.T`` of each entry's basis (columns ``basis[e]`` of instance
         ``entry_k[e]``, an artificial's being the unit column of its row)."""
-        n_art = len(self.art_rows)
-        A_art = np.zeros((len(self.b), self.b.shape[1], n_art))
-        A_art[:, self.art_rows, np.arange(n_art)] = 1.0
-        return np.concatenate([self.A, A_art], axis=2)[entry_k[:, None], :, basis]
+        return self.A[entry_k[:, None], :, basis]
 
 
 def _solve_stack(members, max_iterations) -> list:
@@ -842,15 +884,11 @@ def _stacked_optima(sf, objectives, cost, flip, T, basis, iters, entry_k, entry_
     Y *= sf.row_sign
     Y = np.where(flip[entry_k, entry_q][:, None], -Y, Y)
 
-    labels = {}
     solutions = []
     for e, (k, q, b) in enumerate(zip(entry_k.tolist(), entry_q.tolist(), basis.tolist())):
         problem = sf.problems[k]
         c = objectives[k][q][1]
-        names = labels.get((problem.var_labels, problem.row_labels))
-        if names is None:
-            names = labels[problem.var_labels, problem.row_labels] = [
-                sf.column_label(problem, j) for j in range(n_total + len(sf.art_rows))]
+        names = sf.labels(problem)
         x, y = X[e], Y[e]
         solutions.append(LpSolution(
             status="optimal",
@@ -983,6 +1021,29 @@ def explicit_dual(problem: LinearProgram):
     return dual, signs
 
 
+def _pinned_region(problem: LinearProgram, solution: LpSolution):
+    """``(region, signs)``: the dual region of ``explicit_dual(_min_form(
+    problem))`` pinned to ``solution``'s optimal value, and that dual's
+    ``signs``, built straight from ``problem`` with the same arithmetic
+    (and so the same bytes), without the two intermediate LPs."""
+    shift, b_work = _shifted_rhs(problem)
+    c_min = problem.c if problem.sense == "min" else -problem.c
+    z_min = solution.objective - problem.objective_offset
+    if problem.sense == "max":
+        z_min = -z_min
+    signs = np.array([-1.0 if rel == LE else 1.0 for rel in problem.relations])
+    region = LinearProgram(
+        sense="min",
+        c=np.zeros(problem.n_rows),
+        A=np.vstack([problem.A.T * signs[None, :], signs * b_work]),
+        relations=tuple(EQ if math.isinf(lb) else LE
+                        for lb in problem.lower_bounds.tolist()) + (EQ,),
+        b=np.concatenate([c_min, [z_min - float(c_min @ shift)]]),
+        lower_bounds=np.array([-np.inf if rel == EQ else 0.0 for rel in problem.relations]),
+    )
+    return region, signs
+
+
 def dual_value_range(problem: LinearProgram, row_id, *, tol: float = None,
                      solution: LpSolution = None):
     """Exact interval of values the row's dual takes over all optimal duals.
@@ -1016,28 +1077,24 @@ def dual_ranges_step(problem: LinearProgram, row_ids, *, tol: float = None,
     """:func:`dual_value_ranges` as a step (see :class:`LpRequest`)."""
     tol = DEFAULT.feas if tol is None else tol
     idxs = [problem.row_index(row_id) for row_id in row_ids]
-    p_min = _min_form(problem)
+    m = problem.n_rows
     if solution is not None and solution.optimal:
-        z_min = solution.objective - problem.objective_offset
-        if problem.sense == "max":
-            z_min = -z_min
-        z_struct = z_min - p_min.objective_offset
+        region, signs = _pinned_region(problem, solution)
     else:
+        p_min = _min_form(problem)
         (sol,) = yield LpRequest.own(p_min)
         if not sol.optimal:
             raise LpError(f"dual_value_range needs an optimal primal, got {sol.status}")
         z_struct = sol.objective - p_min.objective_offset
-
-    dual, signs = explicit_dual(p_min)
-    m = p_min.n_rows
-    region = LinearProgram(
-        sense="min",
-        c=np.zeros(m),
-        A=np.vstack([dual.A, dual.c]),
-        relations=dual.relations + (EQ,),
-        b=np.concatenate([dual.b, [z_struct]]),
-        lower_bounds=dual.lower_bounds,
-    )
+        dual, signs = explicit_dual(p_min)
+        region = LinearProgram(
+            sense="min",
+            c=np.zeros(m),
+            A=np.vstack([dual.A, dual.c]),
+            relations=dual.relations + (EQ,),
+            b=np.concatenate([dual.b, [z_struct]]),
+            lower_bounds=dual.lower_bounds,
+        )
     objectives = []
     for idx in idxs:
         obj = np.zeros(m)

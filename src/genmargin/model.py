@@ -255,6 +255,67 @@ class DualValues:
 # ---------------------------------------------------------------------------
 
 
+def _frozen(rows) -> np.ndarray:
+    a = np.array(rows, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+# The builders' constant parts, made once: every call fills in only the
+# costs, the right-hand side and the objective offset.
+
+#: Long-run primal, rows LRMC_ROW_ORDER over columns VAR_ORDER:
+#: balance_t (P_rt + P_ft + L_t = D_t), cap_gt (live investments - P_gt
+#: >= 0; I_g1 serves both periods) and invest_gt (-I_gt >= -M_g).
+_LRMC_A = _frozen([
+    # I_r1 I_r2 I_f1 I_f2 P_r1 P_r2 P_f1 P_f2 L_1 L_2
+    [0, 0, 0, 0, 1, 0, 1, 0, 1, 0],
+    [0, 0, 0, 0, 0, 1, 0, 1, 0, 1],
+    [1, 0, 0, 0, -1, 0, 0, 0, 0, 0],
+    [1, 1, 0, 0, 0, -1, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, -1, 0, 0, 0],
+    [0, 0, 1, 1, 0, 0, 0, -1, 0, 0],
+    [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, -1, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, -1, 0, 0, 0, 0, 0, 0, 0],
+    [0, 0, 0, -1, 0, 0, 0, 0, 0, 0],
+])
+_LRMC_REL = (EQ, EQ) + (GE,) * 8
+
+#: Long-run dual, variables DUAL_VAR_ORDER, one row per primal variable
+#: (_LRMC_DUAL_ROWS): P_gt prices lam_t - beta_gt <= CP_g, I_g1 prices
+#: capacity in both periods, I_g2 only the second, L_t caps lam_t at CL.
+_LRMC_DUAL_A = _frozen([
+    # lam_1 lam_2 beta_r1 beta_r2 beta_f1 beta_f2 gamma_r1 gamma_r2 gamma_f1 gamma_f2
+    [1, 0, -1, 0, 0, 0, 0, 0, 0, 0],
+    [0, 1, 0, -1, 0, 0, 0, 0, 0, 0],
+    [1, 0, 0, 0, -1, 0, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, -1, 0, 0, 0, 0],
+    [0, 0, 1, 1, 0, 0, -1, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0, 0, -1, 0, 0],
+    [0, 0, 0, 0, 1, 1, 0, 0, -1, 0],
+    [0, 0, 0, 0, 0, 1, 0, 0, 0, -1],
+    [1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+])
+_LRMC_DUAL_ROWS = ("P_r1", "P_r2", "P_f1", "P_f2",
+                   "I_r1", "I_r2", "I_f1", "I_f2", "L_1", "L_2")
+_LRMC_DUAL_LB = _frozen([-np.inf, -np.inf] + [0.0] * 8)
+
+#: Short-run primal, rows SRMC_ROW_ORDER over columns SRMC_VAR_ORDER:
+#: balance_t, then cap_gt as -P_gt >= -(capacity + epsilon).
+_SRMC_A = _frozen([
+    # P_r1 P_r2 P_f1 P_f2 L_1 L_2
+    [1, 0, 1, 0, 1, 0],
+    [0, 1, 0, 1, 0, 1],
+    [-1, 0, 0, 0, 0, 0],
+    [0, -1, 0, 0, 0, 0],
+    [0, 0, -1, 0, 0, 0],
+    [0, 0, 0, -1, 0, 0],
+])
+_SRMC_REL = (EQ, EQ) + (GE,) * 4
+
+
 def build_lrmc_primal(params: SystemParams) -> LinearProgram:
     """Long-run model: investment and operation both free, cost minimized."""
     c = np.array([
@@ -262,36 +323,10 @@ def build_lrmc_primal(params: SystemParams) -> LinearProgram:
         params.cp_r, params.cp_r, params.cp_f, params.cp_f,
         params.cl, params.cl,
     ])
-    A = np.zeros((10, 10))
-    b = np.zeros(10)
-    rel = []
-    # balance_t: P_rt + P_ft + L_t = D_t
-    for t in (1, 2):
-        i = t - 1
-        A[i, 4 + (t - 1)] = 1.0      # P_rt
-        A[i, 6 + (t - 1)] = 1.0      # P_ft
-        A[i, 8 + (t - 1)] = 1.0      # L_t
-        b[i] = params.demand[t - 1]
-        rel.append(EQ)
-    # cap_gt: -P_gt + sum of live investments >= 0
-    cap_rows = ((2, "r", 1), (3, "r", 2), (4, "f", 1), (5, "f", 2))
-    p_col = {("r", 1): 4, ("r", 2): 5, ("f", 1): 6, ("f", 2): 7}
-    i_col = {("r", 1): 0, ("r", 2): 1, ("f", 1): 2, ("f", 2): 3}
-    for row, g, t in cap_rows:
-        A[row, p_col[(g, t)]] = -1.0
-        A[row, i_col[(g, 1)]] = 1.0
-        if t == 2:
-            A[row, i_col[(g, 2)]] = 1.0
-        b[row] = 0.0
-        rel.append(GE)
-    # invest_gt: -I_gt >= -M_g
-    for k, (g, t) in enumerate((("r", 1), ("r", 2), ("f", 1), ("f", 2))):
-        row = 6 + k
-        A[row, i_col[(g, t)]] = -1.0
-        b[row] = -params.tech(g).max_capacity
-        rel.append(GE)
+    m_r, m_f = params.m_r, params.m_f
+    b = np.array([params.d1, params.d2, 0.0, 0.0, 0.0, 0.0, -m_r, -m_r, -m_f, -m_f])
     return LinearProgram(
-        sense="min", c=c, A=A, relations=tuple(rel), b=b,
+        sense="min", c=c, A=_LRMC_A, relations=_LRMC_REL, b=b,
         var_labels=VAR_ORDER, row_labels=LRMC_ROW_ORDER,
     )
 
@@ -306,43 +341,12 @@ def build_lrmc_dual(params: SystemParams) -> LinearProgram:
         params.d1, params.d2, 0, 0, 0, 0,
         -params.m_r, -params.m_r, -params.m_f, -params.m_f,
     ])
-    lam1, lam2 = 0, 1
-    beta = {("r", 1): 2, ("r", 2): 3, ("f", 1): 4, ("f", 2): 5}
-    gamma = {("r", 1): 6, ("r", 2): 7, ("f", 1): 8, ("f", 2): 9}
-    A = np.zeros((10, 10))
-    b = np.zeros(10)
-    labels = []
-    row = 0
-    for g in ("r", "f"):
-        for t in (1, 2):
-            A[row, lam1 if t == 1 else lam2] = 1.0
-            A[row, beta[(g, t)]] = -1.0
-            b[row] = params.cp(g)
-            labels.append(f"P_{g}{t}")
-            row += 1
-    for g in ("r", "f"):
-        # I_g1 prices capacity in both periods; I_g2 only the second.
-        A[row, beta[(g, 1)]] = 1.0
-        A[row, beta[(g, 2)]] = 1.0
-        A[row, gamma[(g, 1)]] = -1.0
-        b[row] = params.ci(g)
-        labels.append(f"I_{g}1")
-        row += 1
-        A[row, beta[(g, 2)]] = 1.0
-        A[row, gamma[(g, 2)]] = -1.0
-        b[row] = params.ci(g)
-        labels.append(f"I_{g}2")
-        row += 1
-    for t in (1, 2):
-        A[row, lam1 if t == 1 else lam2] = 1.0
-        b[row] = params.cl
-        labels.append(f"L_{t}")
-        row += 1
-    lb = np.zeros(10)
-    lb[0] = lb[1] = -np.inf
+    cp_r, cp_f, ci_r, ci_f = params.cp_r, params.cp_f, params.ci_r, params.ci_f
+    b = np.array([cp_r, cp_r, cp_f, cp_f, ci_r, ci_r, ci_f, ci_f, params.cl, params.cl])
     return LinearProgram(
-        sense="max", c=c, A=A, relations=(LE,) * 10, b=b, lower_bounds=lb,
-        var_labels=DUAL_VAR_ORDER, row_labels=tuple(labels),
+        sense="max", c=c, A=_LRMC_DUAL_A, relations=(LE,) * 10, b=b,
+        lower_bounds=_LRMC_DUAL_LB, var_labels=DUAL_VAR_ORDER,
+        row_labels=_LRMC_DUAL_ROWS,
     )
 
 
@@ -372,24 +376,11 @@ def build_srmc_primal(params: SystemParams, istar, epsilon: float = 0.0) -> Line
     c = np.array([params.cp_r, params.cp_r, params.cp_f, params.cp_f,
                   params.cl, params.cl])
     offset = params.ci_r * (i_r1 + i_r2) + params.ci_f * (i_f1 + i_f2)
-    A = np.zeros((6, 6))
-    b = np.zeros(6)
-    rel = []
-    for t in (1, 2):
-        i = t - 1
-        A[i, 0 + (t - 1)] = 1.0
-        A[i, 2 + (t - 1)] = 1.0
-        A[i, 4 + (t - 1)] = 1.0
-        b[i] = params.demand[t - 1]
-        rel.append(EQ)
-    caps = (i_r1, i_r1 + i_r2, i_f1, i_f1 + i_f2)
-    for k, (col, cap) in enumerate(zip((0, 1, 2, 3), caps)):
-        row = 2 + k
-        A[row, col] = -1.0
-        b[row] = -(cap + epsilon)
-        rel.append(GE)
+    b = np.array([params.d1, params.d2,
+                  -(i_r1 + epsilon), -(i_r1 + i_r2 + epsilon),
+                  -(i_f1 + epsilon), -(i_f1 + i_f2 + epsilon)])
     return LinearProgram(
-        sense="min", c=c, A=A, relations=tuple(rel), b=b,
+        sense="min", c=c, A=_SRMC_A, relations=_SRMC_REL, b=b,
         var_labels=SRMC_VAR_ORDER, row_labels=SRMC_ROW_ORDER,
         objective_offset=float(offset),
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import analytic_solution, classify
+from .groups import AnalyticResult, analytic_solution, classify
 from .lp import dual_value_ranges, solve_lp
 from .model import (
     DualValues,
@@ -112,8 +112,8 @@ class CrossCheckReport:
     objective_dual: float
     objective_analytic: float
     lambda_lp: tuple
-    lambda_analytic: tuple
     slackness: SlacknessReport
+    analytic: AnalyticResult    # the closed form checked, classified at ``tol.bound``
 
     def failures(self):
         return tuple(c for c in self.checks if not c.passed)
@@ -197,6 +197,6 @@ def cross_check(params: SystemParams, *, tol: Tolerances = DEFAULT,
         objective_dual=zd,
         objective_analytic=za,
         lambda_lp=lam_lp,
-        lambda_analytic=analytic.lrmc,
         slackness=slackness,
+        analytic=analytic,
     )

@@ -1,12 +1,13 @@
 import bisect
 import io
 import json
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from genmargin import cli, lp, srmc
+from genmargin import cli, groups, lp, srmc
 from genmargin.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
@@ -19,7 +20,7 @@ from genmargin.cli import (
     sweep_rows,
 )
 from genmargin.groups import analytic_solution, classify
-from genmargin.model import SystemParams, solve_lrmc
+from genmargin.model import PrimalDecision, SystemParams, solve_lrmc
 from genmargin.pricing import cost_recovery
 from genmargin.sampling import random_params
 from genmargin.srmc import compute_srmc
@@ -300,6 +301,24 @@ class TestSweep:
             else:
                 assert row == want
 
+    def test_infeasible_closed_form_is_an_error_row(self, tmp_path, monkeypatch):
+        payload = dict(CANONICAL, sweep=[
+            {"param": "d2", "from": 2000, "to": 14800, "steps": 129}])
+        config = load_config(write_config(tmp_path, payload))
+        clean = list(sweep_rows(config))
+        real = PrimalDecision.is_feasible
+
+        def feasible(decision, params, tol=None):
+            return params.d2 != 6000.0 and real(decision, params, tol)
+
+        monkeypatch.setattr(PrimalDecision, "is_feasible", feasible)
+        for (values, row), (_, want) in zip(sweep_rows(config), clean):
+            if values == (6000.0,):
+                assert row == ("error", "decision is infeasible for these parameters",
+                               *("",) * 7)
+            else:
+                assert row == want
+
     @pytest.mark.parametrize("where", ["row", "solver"])
     def test_iteration_limit_escapes_the_sweep(self, tmp_path, monkeypatch, where):
         if where == "row":
@@ -366,6 +385,42 @@ class TestSelftest:
                          for i, problem in enumerate(tableaux))
         assert len(drawn) == len(counts) == n
         assert max(counts.values()) <= 5, counts
+
+    def test_one_closed_form_per_scenario(self, monkeypatch):
+        # Outside random_params, the cross-check classifies and evaluates
+        # the closed form (which classifies again to check its group), and
+        # the short-run step reads that closed form.  Calls are counted at
+        # every module that binds the functions.
+        calls, drawing = Counter(), [False]
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name, drawing[0]] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("classify", "analytic_solution"):
+            orig = getattr(groups, name)
+            wrapper = counted(name, orig)
+            for module in [m for n, m in sys.modules.items() if n.startswith("genmargin")]:
+                for attr, value in list(vars(module).items()):
+                    if value is orig:
+                        monkeypatch.setattr(module, attr, wrapper)
+        real_draw = cli.random_params
+
+        def draw(rng):
+            drawing[0] = True
+            try:
+                return real_draw(rng)
+            finally:
+                drawing[0] = False
+
+        monkeypatch.setattr(cli, "random_params", draw)
+        n = cli.CHUNK + 8
+        assert run_selftest(seed=9, n=n, out=io.StringIO()) == EXIT_OK
+        assert calls["classify", False] == 2 * n
+        assert calls["analytic_solution", False] == n
+        assert calls["classify", True] >= n and calls["analytic_solution", True] == 0
 
     def test_chunked_run_matches_scenario_by_scenario(self, monkeypatch):
         n = 2 * cli.CHUNK + 6           # two full chunks and a partial one

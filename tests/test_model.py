@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,7 @@ from genmargin.model import (
     extract_duals,
     solve_lrmc,
 )
+from genmargin.sampling import random_params
 
 
 def canonical(cl=200.0, d1=2000.0, d2=8000.0):
@@ -222,3 +225,33 @@ class TestExtraction:
                 params.d1 + 50.0, params.d2,
             )
             assert solve_lrmc(bumped).objective >= z - 1e-7
+
+
+def lp_bytes(p):
+    """Every field of an LP, arrays byte for byte (dtype and shape too)."""
+    parts = [p.sense.encode(), repr(p.relations).encode(), repr(p.var_labels).encode(),
+             repr(p.row_labels).encode(), repr(p.objective_offset).encode()]
+    for a in (p.c, p.A, p.b, p.lower_bounds):
+        parts.append(a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes())
+    return b"|".join(parts)
+
+
+#: SHA-256 of the builders' LPs below, made when each builder still filled
+#: in its whole matrix entry by entry
+BUILDERS_DIGEST = "f02b0942585895dcde9be1e7c7b04b5638e59ac9e48ea3a129d0d9106e9e540d"
+
+
+def test_builders_are_pinned():
+    rng = np.random.default_rng(7)
+    draws = [random_params(rng) for _ in range(200)]
+    draws += [canonical(d1=0.0, d2=0.0), canonical(d2=0.0)]     # zero demand
+    h = hashlib.sha256()
+    for params in draws:
+        lr = solve_lrmc(params)
+        h.update(lp_bytes(build_lrmc_primal(params)))
+        h.update(lp_bytes(build_lrmc_dual(params)))
+        # the optimal build, zero istar and a slightly negative one
+        for istar in (lr.decision, (0.0, 0.0, 0.0, 0.0), [1.0, 2.0, 3.0, -1e-12]):
+            for eps in (0.0, 1e-6 * max(params.d1, params.d2, 1.0), 0.37):
+                h.update(lp_bytes(build_srmc_primal(params, istar, epsilon=eps)))
+    assert h.hexdigest() == BUILDERS_DIGEST

@@ -13,6 +13,7 @@ from genmargin.pricing import (
     cost_recovery,
     group_orientation,
     lrmc_profile_for_group,
+    profits,
     srmc_profile,
 )
 from genmargin.sampling import random_params
@@ -95,6 +96,19 @@ class TestCostRecovery:
         res = analytic_for(canonical(d2=7000.0))
         with pytest.raises(PricingError):
             cost_recovery((1.0, 1.0), res.decision, params)
+        with pytest.raises(PricingError):
+            profits([(1.0, 1.0)], res.decision, params)
+
+    def test_profits_are_cost_recovery_profits(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            params = random_params(rng)
+            res = analytic_for(params)
+            pairs = (res.lrmc, (params.cp_r, params.cl), (0.0, -1.5))
+            got = profits(pairs, res.decision, params)
+            assert got == tuple(cost_recovery(p, res.decision, params).profit for p in pairs)
+            assert got == tuple(params.d1 * p1 + params.d2 * p2 - res.decision.total_cost(params)
+                                for p1, p2 in pairs)
 
     def test_srmc_profile3_missing_money(self):
         # at short-run prices profile 3 loses exactly D_p * CI_g on the

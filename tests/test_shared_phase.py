@@ -36,7 +36,7 @@ from genmargin.model import (
     solve_lrmc,
 )
 from genmargin.sampling import random_params
-from genmargin.srmc import srmc_step
+from genmargin.srmc import default_epsilon, srmc_step
 
 CANONICAL = dict(ci_r=60, cp_r=1, m_r=3000, ci_f=82, cp_f=20, m_f=4000, cl=200, d1=2000)
 #: the demands at which the canonical d2 sweep sits exactly on a region edge
@@ -130,6 +130,63 @@ def test_dual_range_region_matches_separate_solves():
     for got, want in zip(shared, separately(region, objectives)):
         assert_identical(got, want)
     assert any(s.iterations > shared[0].iterations for s in shared)
+
+
+def lp_fields(p):
+    """Every field of an LP, arrays byte for byte (dtype and shape too)."""
+    return (p.sense, p.relations, p.var_labels, p.row_labels, p.objective_offset,
+            *[(a.dtype, a.shape, a.tobytes()) for a in (p.c, p.A, p.b, p.lower_bounds)])
+
+
+def reference_region(problem, solution):
+    """``(region, signs)`` built through ``_min_form`` and ``explicit_dual``:
+    the dual region pinned at ``solution``'s optimal value."""
+    p_min = _min_form(problem)
+    z_min = solution.objective - problem.objective_offset
+    if problem.sense == "max":
+        z_min = -z_min
+    dual, signs = explicit_dual(p_min)
+    region = LinearProgram(sense="min", c=np.zeros(p_min.n_rows),
+                           A=np.vstack([dual.A, dual.c]), relations=dual.relations + (EQ,),
+                           b=np.concatenate([dual.b, [z_min - p_min.objective_offset]]),
+                           lower_bounds=dual.lower_bounds)
+    return region, signs
+
+
+def test_dual_range_region_is_built_straight_from_the_problem():
+    # the long-run, frozen and perturbed LPs of the scenarios, and every
+    # optimal objective of the random LPs, minimized or maximized
+    cases = []
+    for params in scenarios():
+        lr = solve_lrmc(params)
+        cases.append((build_lrmc_primal(params), lr.lp_solution))
+        for eps in (0.0, default_epsilon(params)):
+            short = build_srmc_primal(params, lr.decision, epsilon=eps)
+            cases.append((short, solve_lp(short)))
+    for p, objectives in random_lps() + random_lps(seed=12, shifted=True):
+        for sense, c in objectives:
+            problem = dataclasses.replace(p, sense=sense, c=c)
+            solution = solve_lp(problem)
+            if solution.optimal:
+                cases.append((problem, solution))
+    assert {p.sense for p, _ in cases} == {"min", "max"}
+    for problem, solution in cases:
+        rows = range(problem.n_rows)
+        request = next(lp.dual_ranges_step(problem, rows, solution=solution))
+        region, signs = reference_region(problem, solution)
+        assert lp_fields(request.problem) == lp_fields(region)
+        for i in rows:
+            assert [c.tolist() for _, c in request.objectives[2 * i: 2 * i + 2]] == [
+                [signs[i] if k == i else 0.0 for k in rows]] * 2
+
+
+def test_layouts_are_shared_and_read_only():
+    a, b = (lp._StandardForm(build_lrmc_primal(p)) for p in scenarios()[:2])
+    for name in ("col_var", "col_sign", "row_sign", "A_slack", "init_basis", "A_art"):
+        assert getattr(a, name) is getattr(b, name), name
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(a, name)[...] = 0
+    assert a.labels(a.problem) is b.labels(b.problem)
 
 
 # x + y = 1 and x + y >= 2 cannot both hold

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from genmargin.groups import analytic_solution, classify
 from genmargin.lp import solve_lp
 from genmargin.model import (
     SystemParams,
@@ -81,6 +82,12 @@ class TestCrossCheck:
     def test_shared_long_run_solve_gives_the_same_report(self):
         for params in (canonical(), canonical(d2=6000.0), canonical(cl=20.0, d2=4000.0)):
             assert cross_check(params, lrmc=solve_lrmc(params)) == cross_check(params)
+
+    def test_report_carries_the_closed_form_it_checked(self):
+        rng = np.random.default_rng(5)
+        draws = [random_params(rng) for _ in range(20)]
+        for params in draws + [canonical(), canonical(d2=6000.0), canonical(d1=0.0)]:
+            assert cross_check(params).analytic == analytic_solution(params, classify(params))
 
     def test_long_run_solve_of_other_params_rejected(self):
         with pytest.raises(ValueError, match="other parameters"):
