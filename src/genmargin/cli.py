@@ -36,7 +36,7 @@ from .pricing import (
     cost_recovery,
     group_orientation,
     lrmc_profile_for_group,
-    profits,
+    sales,
     srmc_profile,
 )
 from .sampling import random_params
@@ -142,12 +142,12 @@ def load_config(path: str) -> ScenarioConfig:
 
 def scenario_report(params: SystemParams, tol=None) -> dict:
     tol = tolerances.from_env() if tol is None else tol
-    group = classify(params, tol_bound=tol.bound)
-    analytic = analytic_solution(params, group)
     lr = solve_lrmc(params, tol=tol.feas)
+    check = cross_check(params, tol=tol, lrmc=lr)
+    analytic = check.analytic
+    group = analytic.group
     srmc = compute_srmc(params, lr.decision, lrmc_objective=lr.objective,
                         analytic=analytic)
-    check = cross_check(params, tol=tol, lrmc=lr)
 
     profile = lrmc_profile_for_group(group.gid)
     orient = group_orientation(group.gid)
@@ -336,7 +336,8 @@ def _sweep_row(over: dict, tol):
     lr = yield from lrmc_step(params)
     srmc = yield from srmc_step(params, lr.decision, lrmc_objective=lr.objective,
                                 analytic=analytic)
-    p_l, p_s = profits((analytic.lrmc, srmc.resolved), analytic.decision, params)
+    _, sold = sales((analytic.lrmc, srmc.resolved), analytic.decision, params)
+    (*_, p_l), (*_, p_s) = sold
     return (group.gid, analytic.profile_id, analytic.lrmc[0],
             analytic.lrmc[1], srmc.resolved[0], srmc.resolved[1],
             p_l, p_s, group.boundary)

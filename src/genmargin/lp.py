@@ -45,14 +45,15 @@ Fixed costs per solve
 A standard form's column layout depends only on the relations, the
 free-variable split and the row signs, so it is built once per such key
 and kept in a bounded cache (:func:`_layout`, :data:`_LAYOUTS` entries),
-its arrays read-only, together with its artificial unit columns and its
-column labels per pair of label tuples.  Each solve then builds only its
+its arrays read-only, together with its artificial unit columns; its
+column labels per pair of label tuples are cached the same way
+(:func:`_column_labels`).  Each solve then builds only its
 own ``[A | I_art]``, right-hand side and shift, and takes the optimal
 basis matrix and its costs as one fancy index of those.  The dual-range
-region of a problem whose optimum is given (:func:`dual_ranges_step` with
-``solution``) is written straight from the problem (:func:`_pinned_region`)
-instead of through :func:`_min_form` and :func:`explicit_dual`: the same
-arithmetic, so the same bytes, without two intermediate LPs to validate.
+region (:func:`dual_ranges_step`) is written straight from the problem
+and its optimal value (:func:`_pinned_region`) instead of through
+:func:`_min_form` and :func:`explicit_dual`: the same arithmetic, so the
+same bytes, without two intermediate LPs to validate.
 
 Conventions
 -----------
@@ -234,10 +235,15 @@ class LinearProgram:
         return i
 
     def var_label(self, j) -> str:
-        return self.var_labels[j] if self.var_labels else f"x{j}"
+        return _label(self.var_labels, j, "x")
 
     def row_label(self, i) -> str:
-        return self.row_labels[i] if self.row_labels else f"row{i}"
+        return _label(self.row_labels, i, "row")
+
+
+def _label(labels, k, stem: str) -> str:
+    """``labels[k]``, or ``stem`` and ``k`` when there are no labels."""
+    return labels[k] if labels else f"{stem}{k}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,7 +328,6 @@ class _Layout:
         for a in (self.col_var, self.col_sign, self.row_sign, self.A_slack,
                   self.init_basis, self.A_art):
             a.setflags(write=False)
-        self._labels = {}
 
     def cost(self, sense, c) -> np.ndarray:
         """Standard-form (minimization) cost row of the objective ``(sense,
@@ -331,40 +336,22 @@ class _Layout:
         return np.concatenate([self.col_sign * c_min[self.col_var],
                                np.zeros(self.n_total - self.n_struct + len(self.art_rows))])
 
-    def column_label(self, p, k) -> str:
-        """Label of column ``k`` (structural, slack, then artificial) in
-        ``p``'s names."""
-        if k < self.n_struct:
-            j, s = self.cols[k]
-            base = p.var_label(j)
-            return base if s > 0 else base + "~"
-        if k < self.n_total:
-            i, _ = self.slack_cols[k - self.n_struct]
-            return f"s[{p.row_label(i)}]"
-        return f"a[{p.row_label(self.art_rows[k - self.n_total])}]"
-
     def labels(self, p) -> tuple:
-        """Every column's :meth:`column_label` in ``p``'s names, built once
-        per pair of label tuples (at most :data:`_LAYOUTS` of them)."""
-        key = (p.var_labels, p.row_labels)
-        names = self._labels.get(key)
-        if names is None:
-            if len(self._labels) >= _LAYOUTS:
-                self._labels.clear()
-            names = self._labels[key] = tuple(
-                self.column_label(p, k) for k in range(self.n_total + len(self.art_rows)))
-        return names
+        """The label of every column (structural, slack, then artificial)
+        in ``p``'s names."""
+        return _column_labels(self.layout, p.var_labels, p.row_labels)
 
     def adopt(self, problem, b_work):
         """Take on the shared layout of ``problem``, whose shifted
         right-hand side is ``b_work``: its attributes, not a copy of them."""
-        vars(self).update(vars(_layout(problem.relations,
-                                       np.isinf(problem.lower_bounds).tobytes(),
-                                       (b_work < 0).tobytes())))
+        self.layout = _layout(problem.relations, np.isinf(problem.lower_bounds).tobytes(),
+                              (b_work < 0).tobytes())
+        vars(self).update(vars(self.layout))
 
 
-#: Layouts (and label tuples per layout) kept for reuse.
-_LAYOUTS = 256
+#: Layouts, and column labels per layout and pair of label tuples, kept for
+#: reuse.  ``selftest``, ``sweep`` and ``run`` use 9 of each between them.
+_LAYOUTS = 32
 
 
 @functools.lru_cache(maxsize=_LAYOUTS)
@@ -373,6 +360,15 @@ def _layout(relations, free: bytes, negative: bytes) -> _Layout:
     the negative right-hand-side mask ``negative`` (bool arrays as bytes)."""
     return _Layout(relations, np.frombuffer(free, dtype=bool),
                    np.where(np.frombuffer(negative, dtype=bool), -1.0, 1.0))
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _column_labels(layout: _Layout, var_labels, row_labels) -> tuple:
+    """:meth:`_Layout.labels` of a problem with these label tuples."""
+    names = [_label(var_labels, j, "x") + ("" if s > 0 else "~") for j, s in layout.cols]
+    names += [f"s[{_label(row_labels, i, 'row')}]" for i, _ in layout.slack_cols]
+    names += [f"a[{_label(row_labels, i, 'row')}]" for i in layout.art_rows]
+    return tuple(names)
 
 
 def _shifted_rhs(p: LinearProgram):
@@ -1021,16 +1017,14 @@ def explicit_dual(problem: LinearProgram):
     return dual, signs
 
 
-def _pinned_region(problem: LinearProgram, solution: LpSolution):
+def _pinned_region(problem: LinearProgram, z_min: float):
     """``(region, signs)``: the dual region of ``explicit_dual(_min_form(
-    problem))`` pinned to ``solution``'s optimal value, and that dual's
-    ``signs``, built straight from ``problem`` with the same arithmetic
-    (and so the same bytes), without the two intermediate LPs."""
+    problem))`` pinned to the optimal value ``z_min`` of ``_min_form(
+    problem)``, and that dual's ``signs``, built straight from ``problem``
+    with the same arithmetic (and so the same bytes), without the two
+    intermediate LPs."""
     shift, b_work = _shifted_rhs(problem)
     c_min = problem.c if problem.sense == "min" else -problem.c
-    z_min = solution.objective - problem.objective_offset
-    if problem.sense == "max":
-        z_min = -z_min
     signs = np.array([-1.0 if rel == LE else 1.0 for rel in problem.relations])
     region = LinearProgram(
         sense="min",
@@ -1079,22 +1073,15 @@ def dual_ranges_step(problem: LinearProgram, row_ids, *, tol: float = None,
     idxs = [problem.row_index(row_id) for row_id in row_ids]
     m = problem.n_rows
     if solution is not None and solution.optimal:
-        region, signs = _pinned_region(problem, solution)
+        z_min = solution.objective - problem.objective_offset
+        if problem.sense == "max":
+            z_min = -z_min
     else:
-        p_min = _min_form(problem)
-        (sol,) = yield LpRequest.own(p_min)
+        (sol,) = yield LpRequest.own(_min_form(problem))
         if not sol.optimal:
             raise LpError(f"dual_value_range needs an optimal primal, got {sol.status}")
-        z_struct = sol.objective - p_min.objective_offset
-        dual, signs = explicit_dual(p_min)
-        region = LinearProgram(
-            sense="min",
-            c=np.zeros(m),
-            A=np.vstack([dual.A, dual.c]),
-            relations=dual.relations + (EQ,),
-            b=np.concatenate([dual.b, [z_struct]]),
-            lower_bounds=dual.lower_bounds,
-        )
+        z_min = sol.objective
+    region, signs = _pinned_region(problem, z_min)
     objectives = []
     for idx in idxs:
         obj = np.zeros(m)

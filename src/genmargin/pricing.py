@@ -155,35 +155,27 @@ def _allocate_shared(params: SystemParams, decision: PrimalDecision):
     return tuple(out)
 
 
-def _feasible_cost(decision: PrimalDecision, params: SystemParams) -> float:
-    """The decision's total cost, once it is checked to be feasible."""
+def sales(price_pairs, decision: PrimalDecision, params: SystemParams) -> tuple:
+    """``(total_cost, sold)``: the total cost of ``decision``, checked once
+    to be feasible, and, under each price pair, ``((r1, r2), revenue,
+    profit)`` of selling each period's demand at its price."""
     if not decision.is_feasible(params):
         raise PricingError("decision is infeasible for these parameters")
-    return decision.total_cost(params)
-
-
-def _sales(prices, params: SystemParams, total_cost: float):
-    """``((r1, r2), revenue, profit)`` of selling each period's demand at
-    its price, against ``total_cost``."""
-    p1, p2 = float(prices[0]), float(prices[1])
-    r1, r2 = params.d1 * p1, params.d2 * p2
-    revenue = r1 + r2
-    return (r1, r2), revenue, revenue - total_cost
-
-
-def profits(price_pairs, decision: PrimalDecision, params: SystemParams) -> tuple:
-    """:func:`cost_recovery`'s ``profit`` under each price pair, with the
-    decision's feasibility checked once."""
-    total_cost = _feasible_cost(decision, params)
-    return tuple(_sales(prices, params, total_cost)[2] for prices in price_pairs)
+    total_cost = decision.total_cost(params)
+    sold = []
+    for prices in price_pairs:
+        p1, p2 = float(prices[0]), float(prices[1])
+        r1, r2 = params.d1 * p1, params.d2 * p2
+        revenue = r1 + r2
+        sold.append(((r1, r2), revenue, revenue - total_cost))
+    return total_cost, tuple(sold)
 
 
 def cost_recovery(prices, decision: PrimalDecision, params: SystemParams,
                   *, tol_money: float = None) -> RecoveryReport:
     """Revenue, total cost and profit of a decision under a price pair."""
     tol_money = DEFAULT.money if tol_money is None else tol_money
-    total_cost = _feasible_cost(decision, params)
-    by_period, revenue, profit = _sales(prices, params, total_cost)
+    total_cost, ((by_period, revenue, profit),) = sales((prices,), decision, params)
     return RecoveryReport(
         revenue=revenue,
         total_cost=total_cost,

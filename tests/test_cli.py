@@ -386,11 +386,11 @@ class TestSelftest:
         assert len(drawn) == len(counts) == n
         assert max(counts.values()) <= 5, counts
 
-    def test_one_closed_form_per_scenario(self, monkeypatch):
-        # Outside random_params, the cross-check classifies and evaluates
-        # the closed form (which classifies again to check its group), and
-        # the short-run step reads that closed form.  Calls are counted at
-        # every module that binds the functions.
+    @staticmethod
+    def count_closed_forms(monkeypatch):
+        """``(calls, drawing)``: ``calls[name, drawing[0]]`` counts the
+        ``classify`` and ``analytic_solution`` calls, at every module that
+        binds them, split by whether ``drawing[0]`` was set at the call."""
         calls, drawing = Counter(), [False]
 
         def counted(name, fn):
@@ -406,6 +406,13 @@ class TestSelftest:
                 for attr, value in list(vars(module).items()):
                     if value is orig:
                         monkeypatch.setattr(module, attr, wrapper)
+        return calls, drawing
+
+    def test_one_closed_form_per_scenario(self, monkeypatch):
+        # Outside random_params, the cross-check classifies and evaluates
+        # the closed form (which classifies again to check its group), and
+        # the short-run step reads that closed form.
+        calls, drawing = self.count_closed_forms(monkeypatch)
         real_draw = cli.random_params
 
         def draw(rng):
@@ -421,6 +428,12 @@ class TestSelftest:
         assert calls["classify", False] == 2 * n
         assert calls["analytic_solution", False] == n
         assert calls["classify", True] >= n and calls["analytic_solution", True] == 0
+
+    def test_one_closed_form_per_report(self, monkeypatch):
+        calls, _ = self.count_closed_forms(monkeypatch)
+        for d2 in (8000.0, 6000.0):         # the README scenario, its boundary
+            cli.scenario_report(SystemParams.from_values(**dict(CANONICAL, d2=d2)))
+        assert calls == {("classify", False): 4, ("analytic_solution", False): 2}
 
     def test_chunked_run_matches_scenario_by_scenario(self, monkeypatch):
         n = 2 * cli.CHUNK + 6           # two full chunks and a partial one

@@ -48,6 +48,7 @@ class TestBasics:
         sol = solve_lp(p)
         assert_allclose(sol.x, [-5.0])
         assert_allclose(sol.objective, -5.0)
+        assert sol.basis == ("x0~",)          # the negative half of the split
 
     def test_maximization_and_dual_signs(self):
         # max 3x + 2y s.t. 2x + y <= 10, x + y <= 8, x <= 4

@@ -13,7 +13,7 @@ from genmargin.pricing import (
     cost_recovery,
     group_orientation,
     lrmc_profile_for_group,
-    profits,
+    sales,
     srmc_profile,
 )
 from genmargin.sampling import random_params
@@ -97,18 +97,21 @@ class TestCostRecovery:
         with pytest.raises(PricingError):
             cost_recovery((1.0, 1.0), res.decision, params)
         with pytest.raises(PricingError):
-            profits([(1.0, 1.0)], res.decision, params)
+            sales([(1.0, 1.0)], res.decision, params)
 
-    def test_profits_are_cost_recovery_profits(self):
+    def test_sales_are_cost_recovery_figures(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             params = random_params(rng)
             res = analytic_for(params)
             pairs = (res.lrmc, (params.cp_r, params.cl), (0.0, -1.5))
-            got = profits(pairs, res.decision, params)
-            assert got == tuple(cost_recovery(p, res.decision, params).profit for p in pairs)
-            assert got == tuple(params.d1 * p1 + params.d2 * p2 - res.decision.total_cost(params)
-                                for p1, p2 in pairs)
+            total_cost, sold = sales(pairs, res.decision, params)
+            assert total_cost == res.decision.total_cost(params)
+            assert sold == tuple(
+                (rep.revenue_by_period, rep.revenue, rep.profit)
+                for rep in (cost_recovery(p, res.decision, params) for p in pairs))
+            assert [profit for *_, profit in sold] == [
+                params.d1 * p1 + params.d2 * p2 - total_cost for p1, p2 in pairs]
 
     def test_srmc_profile3_missing_money(self):
         # at short-run prices profile 3 loses exactly D_p * CI_g on the

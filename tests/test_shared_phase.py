@@ -138,13 +138,11 @@ def lp_fields(p):
             *[(a.dtype, a.shape, a.tobytes()) for a in (p.c, p.A, p.b, p.lower_bounds)])
 
 
-def reference_region(problem, solution):
+def reference_region(problem, z_min):
     """``(region, signs)`` built through ``_min_form`` and ``explicit_dual``:
-    the dual region pinned at ``solution``'s optimal value."""
+    the dual region pinned at ``z_min``, the optimal value of ``_min_form(
+    problem)``."""
     p_min = _min_form(problem)
-    z_min = solution.objective - problem.objective_offset
-    if problem.sense == "max":
-        z_min = -z_min
     dual, signs = explicit_dual(p_min)
     region = LinearProgram(sense="min", c=np.zeros(p_min.n_rows),
                            A=np.vstack([dual.A, dual.c]), relations=dual.relations + (EQ,),
@@ -172,12 +170,21 @@ def test_dual_range_region_is_built_straight_from_the_problem():
     assert {p.sense for p, _ in cases} == {"min", "max"}
     for problem, solution in cases:
         rows = range(problem.n_rows)
-        request = next(lp.dual_ranges_step(problem, rows, solution=solution))
-        region, signs = reference_region(problem, solution)
-        assert lp_fields(request.problem) == lp_fields(region)
-        for i in rows:
-            assert [c.tolist() for _, c in request.objectives[2 * i: 2 * i + 2]] == [
-                [signs[i] if k == i else 0.0 for k in rows]] * 2
+        z_min = solution.objective - problem.objective_offset
+        if problem.sense == "max":
+            z_min = -z_min
+        given = next(lp.dual_ranges_step(problem, rows, solution=solution))
+        # without a solution the step solves _min_form(problem) first
+        step = lp.dual_ranges_step(problem, rows)
+        own = next(step)
+        assert lp_fields(own.problem) == lp_fields(_min_form(problem))
+        (solved,) = solve_objectives(own.problem, own.objectives)
+        for request, z in ((given, z_min), (step.send((solved,)), solved.objective)):
+            region, signs = reference_region(problem, z)
+            assert lp_fields(request.problem) == lp_fields(region)
+            for i in rows:
+                assert [c.tolist() for _, c in request.objectives[2 * i: 2 * i + 2]] == [
+                    [signs[i] if k == i else 0.0 for k in rows]] * 2
 
 
 def test_layouts_are_shared_and_read_only():
