@@ -7,9 +7,11 @@ relative to the investable capacities; within a cluster, the loadshed-cost
 band and the peak-demand band pick the group.
 
 The group table lives here as data: per-group condition strings, decision
-formulas, price formulas and profile assignment, all evaluated against a
-shared symbol environment.  Cluster membership and the within-cluster
-ladder are data too, so the whole map can be dumped to CSV and audited.
+formulas, price formulas and profile assignment.  Cluster membership and
+the within-cluster ladder are data too, so the whole map can be dumped to
+CSV and audited.  The strings are the table's only source, compiled once
+at import: each group's eight formulas become one function of the 13
+symbols, and each cluster's ladder thresholds another.
 
 Three transcription notes (all verified against the LP):
 
@@ -43,26 +45,34 @@ class ClassificationError(ValueError):
     pass
 
 
-def _env(p: SystemParams) -> dict:
-    return {
-        "d1": p.d1, "d2": p.d2, "m_r": p.m_r, "m_f": p.m_f,
-        "ci_r": p.ci_r, "cp_r": p.cp_r, "ci_f": p.ci_f, "cp_f": p.cp_f,
-        "cl": p.cl,
-        "t_sr": p.ci_r / 2 + p.cp_r,   # shared renewable unit cost
-        "t_sf": p.ci_f / 2 + p.cp_f,   # shared fossil unit cost
-        "t_r": p.ci_r + p.cp_r,        # non-shared renewable unit cost
-        "t_f": p.ci_f + p.cp_f,        # non-shared fossil unit cost
-    }
+#: The 13 symbols the table is written in, in the order ``_values`` gives them.
+_SYMBOLS = ("d1", "d2", "m_r", "m_f", "ci_r", "cp_r", "ci_f", "cp_f", "cl",
+            "t_sr", "t_sf", "t_r", "t_f")
 
 
-_CODE_CACHE = {}
+def _values(p: SystemParams) -> tuple:
+    """The values of _SYMBOLS at ``p``."""
+    r, f = p.renewable, p.fossil
+    d1, d2 = p.demand
+    ci_r, cp_r, ci_f, cp_f = r.invest_cost, r.operating_cost, f.invest_cost, f.operating_cost
+    return (d1, d2, r.max_capacity, f.max_capacity, ci_r, cp_r, ci_f, cp_f,
+            p.loadshed_cost,
+            ci_r / 2 + cp_r,   # t_sr: shared renewable unit cost
+            ci_f / 2 + cp_f,   # t_sf: shared fossil unit cost
+            ci_r + cp_r,       # t_r: non-shared renewable unit cost
+            ci_f + cp_f)       # t_f: non-shared fossil unit cost
 
 
-def _ev(expr: str, env: dict) -> float:
-    code = _CODE_CACHE.get(expr)
-    if code is None:
-        code = _CODE_CACHE[expr] = compile(expr, "<group-table>", "eval")
-    return float(eval(code, {"__builtins__": {}}, env))  # noqa: S307 - fixed table strings
+def _compile(exprs):
+    """One function of _SYMBOLS that returns ``float(e)`` for each of the
+    table strings ``exprs``.  The strings are compiled once, and the
+    function reaches no builtins: its globals are ``{"__builtins__": {}}``
+    and ``float`` comes in through a closure."""
+    body = "".join(f"_float({e}), " for e in exprs)
+    src = f"def _make(_float):\n    return lambda {', '.join(_SYMBOLS)}: ({body})\n"
+    scope = {"__builtins__": {}}
+    exec(compile(src, "<group-table>", "exec"), scope)  # noqa: S102 - fixed table strings
+    return scope.pop("_make")(float)
 
 
 @dataclass(frozen=True)
@@ -262,6 +272,15 @@ _LADDERS = {
 }
 _LADDER_FALLBACK = {1: 8, 2: 16, 3: 23, 4: 29, 5: 34, 6: 41}
 
+# The table compiled once: per group, invest + shed + lrmc as one function;
+# per cluster, the rungs' right-hand sides as one function and each rung's
+# (index of its left-hand symbol, group).
+_GROUP_FNS = {gid: _compile(spec.invest + spec.shed + spec.lrmc)
+              for gid, spec in GROUPS.items()}
+_RUNGS = {cluster: (_compile(tuple(rhs for (_, rhs), _ in ladder)),
+                    tuple((_SYMBOLS.index(lhs), g) for (lhs, _), g in ladder))
+          for cluster, ladder in _LADDERS.items()}
+
 
 def _rel_margin(lhs, rhs):
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
@@ -276,34 +295,36 @@ def classify(params: SystemParams, *, tol_bound: float = None) -> InstanceGroup:
     only one valid selection.
     """
     tol_bound = DEFAULT.bound if tol_bound is None else tol_bound
-    e = _env(params)
-    if e["t_sf"] > e["t_r"] and _rel_margin(e["t_sf"], e["t_r"]) > 1e-12:
+    v = _values(params)
+    d1, d2, m_r, m_f = v[:4]
+    t_sf, t_r = v[10], v[11]
+    if t_sf > t_r and _rel_margin(t_sf, t_r) > 1e-12:
         raise ClassificationError(
             "group table requires shared fossil cost <= non-shared renewable "
-            f"cost (CI_f/2 + CP_f = {e['t_sf']:g} > CI_r + CP_r = {e['t_r']:g})"
+            f"cost (CI_f/2 + CP_f = {t_sf:g} > CI_r + CP_r = {t_r:g})"
         )
 
     # An empty period makes its balance dual set-valued in both models
     # (its objective coefficient is the demand itself), so zero demand is
     # a boundary like any other tie.
-    margins = [_rel_margin(params.d1, params.d2),
-               _rel_margin(params.d1, 0.0), _rel_margin(params.d2, 0.0)]
-    peak = 2 if params.d1 <= params.d2 else 1
-    off = params.d1 if peak == 2 else params.d2
+    margins = [_rel_margin(d1, d2), _rel_margin(d1, 0.0), _rel_margin(d2, 0.0)]
+    peak = 2 if d1 <= d2 else 1
+    off = d1 if peak == 2 else d2
 
-    margins.append(_rel_margin(off, e["m_r"]))
-    margins.append(_rel_margin(off, e["m_r"] + e["m_f"]))
+    margins.append(_rel_margin(off, m_r))
+    margins.append(_rel_margin(off, m_r + m_f))
     base = 1 if peak == 2 else 4
-    if off <= e["m_r"]:
+    if off <= m_r:
         cluster = base
-    elif off <= e["m_r"] + e["m_f"]:
+    elif off <= m_r + m_f:
         cluster = base + 1
     else:
         cluster = base + 2
 
     gid = _LADDER_FALLBACK[cluster]
-    for (lhs, rhs), g in _LADDERS[cluster]:
-        lv, rv = e[lhs], _ev(rhs, e)
+    rhs, rungs = _RUNGS[cluster]
+    for (lhs, g), rv in zip(rungs, rhs(*v)):
+        lv = v[lhs]
         margins.append(_rel_margin(lv, rv))
         if lv <= rv:
             gid = g
@@ -320,18 +341,15 @@ def classify(params: SystemParams, *, tol_bound: float = None) -> InstanceGroup:
 
 
 def _dispatch(params: SystemParams, invest):
-    """Generation by operating-cost merit order given installed capacity."""
+    """Generation ``(P_r1, P_r2, P_f1, P_f2)`` and shedding ``(L_1, L_2)``
+    by operating-cost merit order given installed capacity."""
     i_r1, i_r2, i_f1, i_f2 = invest
-    cap = {("r", 1): i_r1, ("r", 2): i_r1 + i_r2,
-           ("f", 1): i_f1, ("f", 2): i_f1 + i_f2}
-    p = {}
-    led = []
-    for t in (1, 2):
-        d = params.demand[t - 1]
-        p[("r", t)] = min(cap[("r", t)], d)
-        p[("f", t)] = min(cap[("f", t)], d - p[("r", t)])
-        led.append(d - p[("r", t)] - p[("f", t)])
-    return p, tuple(led)
+    d1, d2 = params.demand
+    p_r1 = min(i_r1, d1)
+    p_f1 = min(i_f1, d1 - p_r1)
+    p_r2 = min(i_r1 + i_r2, d2)
+    p_f2 = min(i_f1 + i_f2, d2 - p_r2)
+    return (p_r1, p_r2, p_f1, p_f2), (d1 - p_r1 - p_f1, d2 - p_r2 - p_f2)
 
 
 def analytic_solution(params: SystemParams, group: InstanceGroup) -> AnalyticResult:
@@ -346,27 +364,20 @@ def analytic_solution(params: SystemParams, group: InstanceGroup) -> AnalyticRes
         raise ClassificationError(
             f"group {group.gid} does not match these parameters (classify: {check.gid})"
         )
-    spec = GROUPS[group.gid]
-    e = _env(params)
-    invest = tuple(_ev(s, e) for s in spec.invest)
-    shed = tuple(_ev(s, e) for s in spec.shed)
-    lrmc = tuple(_ev(s, e) for s in spec.lrmc)
-    p, led = _dispatch(params, invest)
+    values = _GROUP_FNS[group.gid](*_values(params))
+    invest, shed, lrmc = values[:4], values[4:6], values[6:]
+    gen, led = _dispatch(params, invest)
     scale = 1.0 + max(params.d1, params.d2)
     if max(abs(led[0] - shed[0]), abs(led[1] - shed[1])) > 1e-9 * scale:
         raise ClassificationError(
             f"group {group.gid}: tabulated shed {shed} does not match dispatch {led}"
         )
-    decision = PrimalDecision(
-        *[float(v) for v in invest],
-        p[("r", 1)], p[("r", 2)], p[("f", 1)], p[("f", 2)],
-        led[0], led[1],
-    )
+    decision = PrimalDecision(*invest, *gen, *led)
     return AnalyticResult(
         group=group,
         decision=decision,
         lrmc=lrmc,
-        profile_id=spec.profile_id,
+        profile_id=GROUPS[group.gid].profile_id,
         used_options=used_options(params, decision),
     )
 
@@ -385,9 +396,12 @@ def _zero_amount(params: SystemParams) -> float:
     return _ZERO * (1.0 + max(params.d1, params.d2, params.m_r, params.m_f))
 
 
+#: Index in ``_values`` of each option's unit cost.
+_OPTION_COST = {o: _SYMBOLS.index(t) for o, t in zip(OPTIONS, ("t_sr", "t_sf", "t_r", "t_f"))}
+
+
 def option_cost(option: str, params: SystemParams) -> float:
-    e = _env(params)
-    return {"SR": e["t_sr"], "SF": e["t_sf"], "R": e["t_r"], "F": e["t_f"]}[option]
+    return _values(params)[_OPTION_COST[option]]
 
 
 def _shared_amount(decision: PrimalDecision, g: str) -> float:
@@ -445,8 +459,8 @@ def marginal_option(params: SystemParams, decision: PrimalDecision, t: int):
     opts = generating_options(params, decision, t)
     if not opts:
         return None
-    order = {o: k for k, o in enumerate(OPTIONS)}
-    return max(opts, key=lambda o: (option_cost(o, params), order[o]))
+    v = _values(params)
+    return max(opts, key=lambda o: (v[_OPTION_COST[o]], OPTIONS.index(o)))
 
 
 def marginal_cp(params: SystemParams, decision: PrimalDecision, t: int):

@@ -36,6 +36,17 @@ DUAL_VAR_ORDER = ("lam_1", "lam_2", "beta_r1", "beta_r2", "beta_f1", "beta_f2",
                   "gamma_r1", "gamma_r2", "gamma_f1", "gamma_f2")
 
 
+# Attribute names of PrimalDecision and DualValues by (technology, period)
+# or by period, made once for the accessors.
+_BY_GT = tuple((g, t) for g in ("r", "f") for t in (1, 2))
+_INVESTED = {(g, t): f"i_{g}{t}" for g, t in _BY_GT}
+_GENERATION = {(g, t): f"p_{g}{t}" for g, t in _BY_GT}
+_BETA = {(g, t): f"beta_{g}{t}" for g, t in _BY_GT}
+_GAMMA = {(g, t): f"gamma_{g}{t}" for g, t in _BY_GT}
+_SHED = {t: f"l_{t}" for t in (1, 2)}
+_LAM = {t: f"lam_{t}" for t in (1, 2)}
+
+
 class ModelError(ValueError):
     pass
 
@@ -162,13 +173,13 @@ class PrimalDecision:
     l_2: float
 
     def invested(self, g, t):
-        return getattr(self, f"i_{g}{t}")
+        return getattr(self, _INVESTED[g, t])
 
     def generation(self, g, t):
-        return getattr(self, f"p_{g}{t}")
+        return getattr(self, _GENERATION[g, t])
 
     def shed(self, t):
-        return getattr(self, f"l_{t}")
+        return getattr(self, _SHED[t])
 
     def capacity(self, g, t):
         """Installed capacity available to g in period t (lifetime 2)."""
@@ -192,21 +203,39 @@ class PrimalDecision:
         )
 
     def max_violation(self, params: SystemParams) -> float:
-        """Largest constraint violation (0 when feasible)."""
-        v = [-min(x, 0.0) for x in self.as_vector()]
-        for t in (1, 2):
-            d = params.demand[t - 1]
-            bal = self.generation("r", t) + self.generation("f", t) + self.shed(t) - d
-            v.append(abs(bal))
-            for g in ("r", "f"):
-                v.append(self.generation(g, t) - self.capacity(g, t))
-                v.append(self.invested(g, t) - params.tech(g).max_capacity)
-        return max(max(v), 0.0)
+        """Largest constraint violation (0 when feasible).
+
+        The terms, in order: each entry's negativity; then per period the
+        balance gap, and per technology generation above capacity and the
+        period's build above its cap.  ``max`` keeps the first of equal
+        terms, so the order decides whether a feasible build reads 0.0 or
+        -0.0.
+        """
+        i_r1, i_r2, i_f1, i_f2 = self.i_r1, self.i_r2, self.i_f1, self.i_f2
+        p_r1, p_r2, p_f1, p_f2 = self.p_r1, self.p_r2, self.p_f1, self.p_f2
+        l_1, l_2 = self.l_1, self.l_2
+        d1, d2 = params.demand
+        m_r, m_f = params.renewable.max_capacity, params.fossil.max_capacity
+        return max(
+            -min(i_r1, 0.0), -min(i_r2, 0.0), -min(i_f1, 0.0), -min(i_f2, 0.0),
+            -min(p_r1, 0.0), -min(p_r2, 0.0), -min(p_f1, 0.0), -min(p_f2, 0.0),
+            -min(l_1, 0.0), -min(l_2, 0.0),
+            abs(p_r1 + p_f1 + l_1 - d1),
+            p_r1 - (i_r1 + 0.0), i_r1 - m_r, p_f1 - (i_f1 + 0.0), i_f1 - m_f,
+            abs(p_r2 + p_f2 + l_2 - d2),
+            p_r2 - (i_r1 + i_r2), i_r2 - m_r, p_f2 - (i_f1 + i_f2), i_f2 - m_f,
+            0.0,
+        )
 
     def is_feasible(self, params, tol=None):
-        tol = DEFAULT.feas if tol is None else tol
-        scale = 1.0 + max(params.d1, params.d2, params.m_r, params.m_f)
-        return self.max_violation(params) <= tol * scale
+        return self.max_violation(params) <= feasibility_limit(params, tol)
+
+
+def feasibility_limit(params: SystemParams, tol: float = None) -> float:
+    """Largest ``max_violation`` a feasible decision may have: ``tol``
+    (default ``DEFAULT.feas``) times one plus the largest demand or cap."""
+    tol = DEFAULT.feas if tol is None else tol
+    return tol * (1.0 + max(params.d1, params.d2, params.m_r, params.m_f))
 
 
 @dataclass(frozen=True)
@@ -225,13 +254,13 @@ class DualValues:
     gamma_f2: float
 
     def lam(self, t):
-        return getattr(self, f"lam_{t}")
+        return getattr(self, _LAM[t])
 
     def beta(self, g, t):
-        return getattr(self, f"beta_{g}{t}")
+        return getattr(self, _BETA[g, t])
 
     def gamma(self, g, t):
-        return getattr(self, f"gamma_{g}{t}")
+        return getattr(self, _GAMMA[g, t])
 
     def as_vector(self):
         return np.array([getattr(self, n) for n in DUAL_VAR_ORDER])

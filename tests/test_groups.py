@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,7 @@ from genmargin.groups import (
     table_csv,
 )
 from genmargin.model import SystemParams, solve_lrmc
+from genmargin.tolerances import DEFAULT
 
 
 def canonical(cl=200.0, d1=2000.0, d2=8000.0):
@@ -239,3 +242,171 @@ def test_table_csv_has_41_rows():
     lines = table_csv().strip().splitlines()
     assert len(lines) == 42
     assert lines[0].startswith("group,cluster")
+
+
+# ---------------------------------------------------------------------------
+# the table as written: a reference that evaluates the raw strings
+# ---------------------------------------------------------------------------
+
+def _ref_env(p):
+    """The 13 symbols of the table, computed here, not by the module."""
+    return {
+        "d1": p.d1, "d2": p.d2, "m_r": p.m_r, "m_f": p.m_f,
+        "ci_r": p.ci_r, "cp_r": p.cp_r, "ci_f": p.ci_f, "cp_f": p.cp_f,
+        "cl": p.cl,
+        "t_sr": p.ci_r / 2 + p.cp_r, "t_sf": p.ci_f / 2 + p.cp_f,
+        "t_r": p.ci_r + p.cp_r, "t_f": p.ci_f + p.cp_f,
+    }
+
+
+def _ref_eval(expr, env):
+    return float(eval(compile(expr, "<reference>", "eval"),  # noqa: S307
+                      {"__builtins__": {}}, env))
+
+
+def _ref_rel(a, b):
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _ref_classify(p, tol_bound):
+    """(gid, boundary, margin) by the first-match ladder over the raw
+    strings, trying rungs in order and measuring only the rungs tried."""
+    from genmargin.groups import _LADDER_FALLBACK, _LADDERS
+    e = _ref_env(p)
+    margins = [_ref_rel(p.d1, p.d2), _ref_rel(p.d1, 0.0), _ref_rel(p.d2, 0.0)]
+    peak = 2 if p.d1 <= p.d2 else 1
+    off = p.d1 if peak == 2 else p.d2
+    margins.append(_ref_rel(off, e["m_r"]))
+    margins.append(_ref_rel(off, e["m_r"] + e["m_f"]))
+    base = 1 if peak == 2 else 4
+    cluster = base if off <= e["m_r"] else base + 1 if off <= e["m_r"] + e["m_f"] else base + 2
+    gid = _LADDER_FALLBACK[cluster]
+    for (lhs, rhs), g in _LADDERS[cluster]:
+        lv, rv = e[lhs], _ref_eval(rhs, e)
+        margins.append(_ref_rel(lv, rv))
+        if lv <= rv:
+            gid = g
+            break
+    margin = min(margins)
+    return gid, margin <= tol_bound, margin
+
+
+#: Equalities at the region edges: (symbol, expression it is set to).
+#: Every ladder rung, every cluster edge, equal demands and empty periods.
+TIES = (("cl", "t_sr"), ("cl", "t_sf"), ("cl", "t_r"), ("cl", "t_f"),
+        ("d2", "d1 + m_r"), ("d2", "2*m_r"), ("d2", "2*m_r + m_f"),
+        ("d2", "2*m_r + 2*m_f"), ("d2", "d1 + m_r + m_f"),
+        ("d1", "m_r"), ("d1", "m_r + m_f"), ("d2", "m_r"), ("d2", "m_r + m_f"),
+        ("d1", "d2"), ("d1", "0"), ("d2", "0"))
+
+_FIELDS = ("ci_r", "cp_r", "m_r", "ci_f", "cp_f", "m_f", "cl", "d1", "d2")
+
+
+def regime_style_params(seed, n):
+    """n parameter sets on a strict cost ladder, every loadshed band and
+    every off-peak band drawn equally often (as the regime map draws)."""
+    rng = np.random.default_rng(seed)
+    lo = np.log([5.0, 0.2, 5.0, 0.2])
+    hi = np.log([120.0, 25.0, 240.0, 50.0])
+    out = []
+    while len(out) < n:
+        ci_r, cp_r, ci_f, cp_f = np.exp(rng.uniform(lo, hi)).tolist()
+        t = (ci_r / 2 + cp_r, ci_f / 2 + cp_f, ci_r + cp_r, ci_f + cp_f)
+        if not (ci_r < ci_f and cp_r < cp_f and t[0] < t[1] < t[2] < t[3]):
+            continue
+        m_r, m_f = np.exp(rng.uniform(np.log(300.0), np.log(8000.0), 2)).tolist()
+        edges = (0.5 * t[0], *t, 2.0 * t[3])
+        band = int(rng.integers(5))
+        cl = float(rng.uniform(edges[band], edges[band + 1]))
+        cap = m_r + m_f
+        off_lo, off_hi = ((0.0, m_r), (m_r, cap), (cap, 2.0 * cap))[int(rng.integers(3))]
+        off = float(rng.uniform(off_lo, off_hi))
+        peak = float(rng.uniform(off, 2.5 * cap))
+        d1, d2 = (off, peak) if rng.random() < 0.5 else (peak, off)
+        out.append(SystemParams.from_values(ci_r, cp_r, m_r, ci_f, cp_f, m_f, cl, d1, d2))
+    return out
+
+
+def _edge_points():
+    """The 41 representatives and 20 regime-style draws, each with one
+    symbol set exactly to one of TIES' expressions."""
+    out = []
+    for p in [representative_params(gid) for gid in range(1, 42)] + regime_style_params(11, 20):
+        env = _ref_env(p)
+        for sym, expr in TIES:
+            values = {f: getattr(p, f) for f in _FIELDS}
+            values[sym] = _ref_eval(expr, env)
+            out.append(SystemParams.from_values(**values))
+    return out
+
+
+def test_compiled_table_matches_the_strings():
+    from genmargin import groups
+    from genmargin.sampling import random_params
+    rng = np.random.default_rng(2718)
+    inputs = ([representative_params(gid) for gid in range(1, 42)]
+              + [random_params(rng) for _ in range(2000)] + _edge_points())
+    ties = 0
+    for params in inputs:
+        env = _ref_env(params)
+        for tol_bound in (None, 2e-5):
+            got = classify(params, tol_bound=tol_bound)
+            want = _ref_classify(params, DEFAULT.bound if tol_bound is None else tol_bound)
+            assert (got.gid, got.boundary, repr(got.margin)) == \
+                (want[0], want[1], repr(want[2])), params
+        g = classify(params)
+        ties += g.margin == 0.0
+        spec = groups.GROUPS[g.gid]
+        want = [_ref_eval(s, env) for s in spec.invest + spec.shed + spec.lrmc]
+        got = groups._GROUP_FNS[g.gid](*groups._values(params))
+        assert [repr(v) for v in got] == [repr(v) for v in want], (g.gid, params)
+        res = analytic_solution(params, g)
+        got = (res.decision.i_r1, res.decision.i_r2, res.decision.i_f1,
+               res.decision.i_f2, *res.lrmc)
+        assert [repr(v) for v in got] == [repr(v) for v in want[:4] + want[6:]]
+    assert ties > 500       # the edge points do sit exactly on an edge
+
+
+def test_compiled_table_reaches_no_builtins():
+    from genmargin import groups
+    fns = list(groups._GROUP_FNS.values())
+    fns += [rhs for rhs, _ in groups._RUNGS.values()]
+    assert len(fns) == 41 + 6
+    for fn in fns:
+        assert fn.__globals__ == {"__builtins__": {}}
+
+
+def closed_form_line(params):
+    """Every figure of the closed-form route at ``params``, floats by repr."""
+    from genmargin.pricing import (cost_recovery, group_orientation,
+                                   lrmc_profile_for_group, srmc_profile)
+    parts = []
+    try:
+        g = classify(params)
+        parts.append(f"{g.gid} {g.cluster} {g.peak_period} {g.boundary} {g.margin!r}")
+        res = analytic_solution(params, g)
+        d = res.decision
+        parts.append(repr((d.i_r1, d.i_r2, d.i_f1, d.i_f2, d.p_r1, d.p_r2,
+                           d.p_f1, d.p_f2, d.l_1, d.l_2)))
+        parts.append(f"{res.lrmc!r} {res.profile_id} "
+                     f"{[sorted(s) for s in res.used_options]}")
+        rec = cost_recovery(res.lrmc, res.decision, params)
+        parts.append(f"{rec.revenue!r} {rec.total_cost!r} {rec.profit!r} {rec.recovered} "
+                     f"{rec.revenue_by_period!r} {rec.allocation!r}")
+        short = srmc_profile(lrmc_profile_for_group(g.gid), params, group_orientation(g.gid))
+        parts.append(f"{short.prices!r} {short.recovered}")
+    except ValueError as exc:
+        parts.append(f"{type(exc).__name__}: {exc}")
+    return " | ".join(parts)
+
+
+#: SHA-256 of ``closed_form_line`` over regime-style draws and the edge
+#: points, made when the table was evaluated string by string per call
+CLOSED_FORM_DIGEST = "76a60585e8b01f19ad441291cf0fbb693fb6307891e83e5a8676733177faf9f9"
+
+
+def test_closed_form_route_is_pinned():
+    h = hashlib.sha256()
+    for params in regime_style_params(20241018, 1000) + _edge_points():
+        h.update(closed_form_line(params).encode() + b"\n")
+    assert h.hexdigest() == CLOSED_FORM_DIGEST

@@ -255,3 +255,42 @@ def test_builders_are_pinned():
             for eps in (0.0, 1e-6 * max(params.d1, params.d2, 1.0), 0.37):
                 h.update(lp_bytes(build_srmc_primal(params, istar, epsilon=eps)))
     assert h.hexdigest() == BUILDERS_DIGEST
+
+
+class TestFeasibility:
+    """``max_violation`` and ``is_feasible`` on the group-6 optimum below
+    (I = (3000, 3000, 0, 2000), P = (2000, 6000, 0, 2000), no shedding)
+    and on builds the workloads never check, each breaking one constraint
+    family of it."""
+
+    PARAMS = canonical()
+    BUILD = dict(i_r1=3000.0, i_r2=3000.0, i_f1=0.0, i_f2=2000.0, p_r1=2000.0,
+                 p_r2=6000.0, p_f1=0.0, p_f2=2000.0, l_1=0.0, l_2=0.0)
+
+    def decision(self, **changes):
+        from genmargin.model import PrimalDecision
+        return PrimalDecision(**dict(self.BUILD, **changes))
+
+    # (changes, max_violation, is_feasible at the default 1e-9 * (1 + 8000)),
+    # pinned on the numpy-vector implementation
+    CASES = [
+        ({}, -0.0, True),
+        (dict(p_f1=-0.5, p_r1=2000.5), 0.5, False),             # negative entry
+        (dict(l_2=3.25), 3.25, False),                          # balance gap
+        (dict(p_r2=6100.0, p_f2=1900.0), 100.0, False),         # generation above capacity
+        (dict(i_f2=4500.0), 500.0, False),                      # build above m_f
+        (dict(i_r2=3000.125, p_r2=6000.125, p_f2=1999.875), 0.125, False),  # above m_r
+        (dict(l_1=-1e-6, p_r1=2000.000001), 1e-06, True),       # negative within tolerance
+    ]
+
+    @pytest.mark.parametrize("changes,violation,feasible", CASES)
+    def test_pinned(self, changes, violation, feasible):
+        d = self.decision(**changes)
+        v = d.max_violation(self.PARAMS)
+        # a plain float, equal to the pinned figure to the sign of zero
+        assert type(v) is float and repr(v) == repr(violation)
+        assert d.is_feasible(self.PARAMS) is feasible
+        assert d.is_feasible(self.PARAMS, tol=1e-9) is feasible
+        # the limit scales with 1 + the largest demand or cap
+        assert d.is_feasible(self.PARAMS, tol=abs(violation) / 8001 * 1.001)
+        assert d.is_feasible(self.PARAMS, tol=abs(violation) / 8001 * 0.999) is (violation <= 0)
