@@ -107,7 +107,10 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"invalid parameters: {exc}") from exc
 
     sweeps = []
-    for blk in raw.get("sweep", []):
+    blocks = raw.get("sweep", [])
+    if not isinstance(blocks, list):
+        raise ConfigError("sweep must be a list of blocks")
+    for blk in blocks:
         if not isinstance(blk, dict):
             raise ConfigError("sweep entries must be objects")
         try:
@@ -128,11 +131,16 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError("at most two sweep dimensions supported")
 
     out = raw.get("output", {})
+    if not isinstance(out, dict):
+        raise ConfigError("output must be an object")
     fmt = out.get("format", "text")
     if fmt not in ("text", "csv", "json"):
         raise ConfigError(f"output format must be text/csv/json, got {fmt!r}")
+    path = out.get("path", "")
+    if not isinstance(path, str):
+        raise ConfigError(f"output path must be a string, got {path!r}")
     return ScenarioConfig(params=params, sweeps=tuple(sweeps),
-                          output_format=fmt, output_path=out.get("path", ""))
+                          output_format=fmt, output_path=path)
 
 
 # ---------------------------------------------------------------------------

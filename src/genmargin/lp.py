@@ -8,6 +8,10 @@ Several objectives over one feasible region share a single phase 1
 (:func:`solve_objectives`): each then runs its own phase 2 from a copy of
 the phase-1 tableau and gets exactly what a separate solve would return.
 
+A :class:`LinearProgram` is checked once, field by field in a fixed
+order, on Python floats (no numpy warnings); the first malformed field
+raises :class:`LpInputError`.  Every solve has one pivot cap.
+
 Stacked solves
 --------------
 Callers that evaluate many scenarios at once write their LP work as
@@ -15,21 +19,20 @@ Callers that evaluate many scenarios at once write their LP work as
 answers one step's requests one at a time; :func:`run_lockstep` runs many
 steps side by side and answers each round of requests with one
 :func:`solve_stacked` call.  That groups the requests by standard-form
-layout (shape, relations, free-variable split, row signs, hence artificial
-rows) and objective count, and runs the same two-phase method on a
-``(K, rows, cols)`` tableau per group, after Gurung & Ray, "Simultaneous
-solving of batched linear programs on a GPU" (ICPE 2019), in numpy on the
-CPU.  Every choice stays per instance: Bland's entering column, the ratio
-test and its tie-break, the tolerances, the phase-1 split fallback, the
-infeasible and unbounded verdicts, the drive-out of artificials and the
-pivot cap.  Pivots use the scalar path's elementwise arithmetic, duals come
-from one batched LAPACK solve of the same matrices, and reduced costs and
-objectives are computed per instance, so every outcome equals
-:func:`solve_objectives` bit for bit, ``iterations`` included.  ``sweep``
-stacks every LP of its grid rows this way, ``selftest`` the short-run
-stage (``srmc.srmc_step``) of its scenarios; the long-run solve and the
-cross-check of a ``selftest`` scenario, and every LP of a ``run`` report,
-are solved one at a time.
+layout (:func:`_layout_of`) and objective count, and runs the same
+two-phase method on a ``(K, rows, cols)`` tableau per group, after Gurung
+& Ray, "Simultaneous solving of batched linear programs on a GPU" (ICPE
+2019), in numpy on the CPU.  Every choice stays per instance: Bland's
+entering column, the ratio test and its tie-break, the tolerances, the
+phase-1 split fallback, the infeasible and unbounded verdicts, the
+drive-out of artificials and the pivot cap.  Pivots use the scalar path's
+elementwise arithmetic, duals come from one batched LAPACK solve of the
+same matrices, and reduced costs and objectives are computed per
+instance, so every outcome equals :func:`solve_objectives` bit for bit,
+``iterations`` included.  ``sweep`` stacks every LP of its grid rows this
+way, ``selftest`` the short-run stage (``srmc.srmc_step``) of its
+scenarios; the long-run solve and the cross-check of a ``selftest``
+scenario, and every LP of a ``run`` report, are solved one at a time.
 
 Groups smaller than :data:`STACK_MIN` (8) are solved one by one, because
 the kernel's fixed cost per pivot round then outweighs what it saves.  The
@@ -45,15 +48,16 @@ Fixed costs per solve
 A standard form's column layout depends only on the relations, the
 free-variable split and the row signs, so it is built once per such key
 and kept in a bounded cache (:func:`_layout`, :data:`_LAYOUTS` entries),
-its arrays read-only, together with its artificial unit columns; its
-column labels per pair of label tuples are cached the same way
-(:func:`_column_labels`).  Each solve then builds only its
-own ``[A | I_art]``, right-hand side and shift, and takes the optimal
-basis matrix and its costs as one fancy index of those.  The dual-range
-region (:func:`dual_ranges_step`) is written straight from the problem
-and its optimal value (:func:`_pinned_region`) instead of through
-:func:`_min_form` and :func:`explicit_dual`: the same arithmetic, so the
-same bytes, without two intermediate LPs to validate.
+its arrays read-only, together with its artificial unit columns; it is
+also :func:`solve_stacked`'s group key.  Its column labels per pair of
+label tuples are cached the same way (:func:`_column_labels`).  Each
+solve then builds only its own ``[A | I_art]``, right-hand side and
+shift, and takes the optimal basis matrix and its costs as one fancy
+index of those.  The dual-range region (:func:`dual_ranges_step`) is
+written straight from the problem and its optimal value
+(:func:`_pinned_region`) instead of through :func:`_min_form` and
+:func:`explicit_dual`: the same arithmetic, so the same bytes, without
+two intermediate LPs to validate.
 
 Conventions
 -----------
@@ -84,8 +88,8 @@ from .tolerances import DEFAULT
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
 
-#: Hard iteration cap.  Problems in this package converge in < 50 pivots;
-#: hitting the cap signals a solver bug, never a hard instance.
+#: Hard iteration cap, read whenever a pivot is counted.  Problems in this
+#: package converge in < 50 pivots; hitting the cap signals a solver bug.
 MAX_ITERATIONS = 10_000
 
 #: Smallest pivot-column entry the ratio test divides by.
@@ -104,6 +108,11 @@ class IterationLimitError(LpError):
     """The pivot cap was hit.  With Bland's rule on, this means a bug."""
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite (on Python floats: no warning)."""
+    return all(map(math.isfinite, a.ravel().tolist()))
+
+
 def _objective_vector(sense, c, n_vars) -> np.ndarray:
     """``c`` as a read-only float vector, after checking that ``(sense, c)``
     is an objective over ``n_vars`` columns."""
@@ -114,7 +123,7 @@ def _objective_vector(sense, c, n_vars) -> np.ndarray:
         raise LpInputError("c must be one-dimensional")
     if c.shape[0] != n_vars:
         raise LpInputError(f"objective has {c.shape[0]} entries for {n_vars} columns")
-    if not np.isfinite(c).all():
+    if not _all_finite(c):
         raise LpInputError("c must be finite")
     c.setflags(write=False)
     return c
@@ -139,48 +148,7 @@ class LinearProgram:
     objective_offset: float = 0.0
 
     def __post_init__(self):
-        # The happy path runs one combined test; only input that fails it
-        # (or fails to convert) goes through the detailed checks, which
-        # raise the precise error or pass it after all.
-        try:
-            fields = self._well_formed()
-        except Exception:
-            fields = None
-        c, A, b, rel, lb, vl, rl = fields or self._checked()
-        for name, val in (("c", c), ("A", A), ("b", b), ("lower_bounds", lb)):
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
-        object.__setattr__(self, "relations", rel)
-        object.__setattr__(self, "var_labels", vl)
-        object.__setattr__(self, "row_labels", rl)
-
-    def _well_formed(self):
-        """The converted fields, as :meth:`_checked` returns them, if they
-        pass every check at once; None otherwise."""
-        A = np.atleast_2d(np.array(self.A, dtype=float))
-        b = np.array(self.b, dtype=float)
-        c = np.array(self.c, dtype=float)
-        rel = tuple(self.relations)
-        m, n = A.shape
-        lb = (np.zeros(n) if self.lower_bounds is None
-              else np.array(self.lower_bounds, dtype=float))
-        vl = None if self.var_labels is None else tuple(self.var_labels)
-        rl = None if self.row_labels is None else tuple(self.row_labels)
-        ok = (self.sense in ("min", "max")
-              and c.shape == lb.shape == (n,) and b.shape == (m,) and len(rel) == m
-              and all(r in _RELATIONS for r in rel)
-              and (vl is None or len(vl) == len(set(vl)) == n)
-              and (rl is None or len(rl) == len(set(rl)) == m)
-              # a NaN or an infinity makes the sum NaN or infinite (Python
-              # floats: no numpy warning); lower bounds may be -inf only
-              and math.isfinite(sum(A.ravel().tolist()) + sum(b.tolist())
-                                + sum(c.tolist()))
-              and lb.max(initial=-math.inf) < math.inf)
-        return (c, A, b, rel, lb, vl, rl) if ok else None
-
-    def _checked(self):
-        """The converted fields; raises :class:`LpInputError` naming the
-        first malformed one."""
+        # One ordered check: the first malformed field raises.
         A = np.atleast_2d(np.array(self.A, dtype=float))
         b = np.array(self.b, dtype=float)
         rel = tuple(self.relations)
@@ -201,9 +169,9 @@ class LinearProgram:
             lb = np.array(self.lower_bounds, dtype=float)
             if lb.shape != (n,):
                 raise LpInputError("lower_bounds length must match column count")
-            if np.any(np.isposinf(lb)) or np.any(np.isnan(lb)):
+            if not all(v < math.inf for v in lb.tolist()):     # NaN fails too
                 raise LpInputError("lower bounds must be finite or -inf")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (_all_finite(A) and _all_finite(b)):
             raise LpInputError("A, b must be finite")
         vl = None if self.var_labels is None else tuple(self.var_labels)
         rl = None if self.row_labels is None else tuple(self.row_labels)
@@ -211,7 +179,12 @@ class LinearProgram:
             raise LpInputError("variable labels must be unique and match column count")
         if rl is not None and (len(rl) != m or len(set(rl)) != m):
             raise LpInputError("row labels must be unique and match row count")
-        return c, A, b, rel, lb, vl, rl
+        for name, val in (("c", c), ("A", A), ("b", b), ("lower_bounds", lb)):
+            val.setflags(write=False)
+            object.__setattr__(self, name, val)
+        object.__setattr__(self, "relations", rel)
+        object.__setattr__(self, "var_labels", vl)
+        object.__setattr__(self, "row_labels", rl)
 
     @property
     def n_rows(self):
@@ -270,9 +243,6 @@ class DegeneracyReport:
     primal_degenerate: bool
     zero_basic: tuple          # (label, value) pairs for basic variables at ~0
     dual_multiple: tuple       # per-row bool: dual value not unique over the optimal set
-
-    def row_has_multiple_duals(self, i) -> bool:
-        return self.dual_multiple[i]
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +311,10 @@ class _Layout:
         in ``p``'s names."""
         return _column_labels(self.layout, p.var_labels, p.row_labels)
 
-    def adopt(self, problem, b_work):
-        """Take on the shared layout of ``problem``, whose shifted
-        right-hand side is ``b_work``: its attributes, not a copy of them."""
-        self.layout = _layout(problem.relations, np.isinf(problem.lower_bounds).tobytes(),
-                              (b_work < 0).tobytes())
-        vars(self).update(vars(self.layout))
+    def adopt(self, layout):
+        """Take on the shared ``layout``: its attributes, not a copy of them."""
+        self.layout = layout
+        vars(self).update(vars(layout))
 
 
 #: Layouts, and column labels per layout and pair of label tuples, kept for
@@ -360,6 +328,11 @@ def _layout(relations, free: bytes, negative: bytes) -> _Layout:
     the negative right-hand-side mask ``negative`` (bool arrays as bytes)."""
     return _Layout(relations, np.frombuffer(free, dtype=bool),
                    np.where(np.frombuffer(negative, dtype=bool), -1.0, 1.0))
+
+
+def _layout_of(p: LinearProgram, b_work) -> _Layout:
+    """The layout of ``p``'s standard form, given ``_shifted_rhs(p)[1]``."""
+    return _layout(p.relations, np.isinf(p.lower_bounds).tobytes(), (b_work < 0).tobytes())
 
 
 @functools.lru_cache(maxsize=_LAYOUTS)
@@ -392,7 +365,7 @@ class _StandardForm(_Layout):
         # Make the right-hand side nonnegative before adding slacks, so the
         # sign of each slack tells us whether it can start in the basis.
         self.shift, b_work = _shifted_rhs(p)
-        self.adopt(p, b_work)
+        self.adopt(_layout_of(p, b_work))
         A_struct = p.A[:, self.col_var] * self.col_sign * self.row_sign[:, None]
         # the standard-form columns, then the artificial ones
         self.A = np.hstack([A_struct, self.A_slack, self.A_art])
@@ -405,8 +378,8 @@ class _StandardForm(_Layout):
         return x
 
 
-def _iteration_limit(max_iterations) -> IterationLimitError:
-    return IterationLimitError(f"simplex exceeded {max_iterations} pivots; this is a bug")
+def _iteration_limit() -> IterationLimitError:
+    return IterationLimitError(f"simplex exceeded {MAX_ITERATIONS} pivots; this is a bug")
 
 
 def _drive_out(T, basis, m, n_total):
@@ -437,22 +410,17 @@ class _Tableau:
     row, so each reduced-cost row stays current whichever row chose it.
     """
 
-    def __init__(self, T, basis, m, n_enter, max_iterations):
+    def __init__(self, T, basis, m, n_enter):
         self.T = T
         self.basis = basis
         self.m = m
         self.n_enter = n_enter          # artificial columns never enter
-        self.max_iterations = max_iterations
         self.iterations = 0
 
     def copy(self) -> "_Tableau":
-        dup = _Tableau(self.T.copy(), self.basis.copy(), self.m, self.n_enter,
-                       self.max_iterations)
+        dup = _Tableau(self.T.copy(), self.basis.copy(), self.m, self.n_enter)
         dup.iterations = self.iterations
         return dup
-
-    def pivot(self, pi, pj):
-        _pivot(self.T, self.basis, pi, pj)
 
     def run(self, row, rc_tol, rc_tol_hi=None) -> str:
         """Pivot on reduced-cost row ``row`` until no column prices out
@@ -484,13 +452,12 @@ class _Tableau:
             leave = min((i for i in range(m) if ratios[i] <= cutoff),
                         key=basis.__getitem__)   # Bland again on ties
             self.iterations += 1
-            if self.iterations > self.max_iterations:
-                raise _iteration_limit(self.max_iterations)
-            self.pivot(leave, enter)
+            if self.iterations > MAX_ITERATIONS:
+                raise _iteration_limit()
+            _pivot(T, basis, leave, enter)
 
 
-def solve_lp(problem: LinearProgram, *, tol: float = None,
-             max_iterations: int = MAX_ITERATIONS) -> LpSolution:
+def solve_lp(problem: LinearProgram, *, tol: float = None) -> LpSolution:
     """Solve an LP to optimality, returning primal values, duals and reduced costs.
 
     The duals are the multipliers of the optimal basis actually returned,
@@ -498,12 +465,10 @@ def solve_lp(problem: LinearProgram, *, tol: float = None,
     carry different (equally valid) duals.  Use :func:`dual_value_range`
     for the full set.
     """
-    return solve_objectives(problem, ((problem.sense, problem.c),), tol=tol,
-                            max_iterations=max_iterations)[0]
+    return solve_objectives(problem, ((problem.sense, problem.c),), tol=tol)[0]
 
 
-def solve_objectives(problem: LinearProgram, objectives, *, tol: float = None,
-                     max_iterations: int = MAX_ITERATIONS) -> tuple:
+def solve_objectives(problem: LinearProgram, objectives, *, tol: float = None) -> tuple:
     """Optimize each ``(sense, c)`` pair in ``objectives`` over ``problem``'s
     feasible region; one :class:`LpSolution` per pair, in order.
 
@@ -540,7 +505,7 @@ def solve_objectives(problem: LinearProgram, objectives, *, tol: float = None,
     for i in sf.art_rows:
         r1 -= T[i]
     r1[sf.n_total:-1] = 0.0
-    tab = _Tableau(T, basis, m, sf.n_total, max_iterations)
+    tab = _Tableau(T, basis, m, sf.n_total)
 
     # ---- phase 1, shared ---------------------------------------------
     if n_art:
@@ -549,11 +514,8 @@ def solve_objectives(problem: LinearProgram, objectives, *, tol: float = None,
         lo, hi = min(rc_tols), max(rc_tols)
         status = tab.run(m, lo, hi if hi > lo else None)
         if status == "split":
-            return tuple(
-                solve_objectives(problem, (obj,), tol=tol,
-                                 max_iterations=max_iterations)[0]
-                for obj in objectives
-            )
+            return tuple(solve_objectives(problem, (obj,), tol=tol)[0]
+                         for obj in objectives)
         if status == "unbounded":     # cannot happen: phase-1 objective >= 0
             raise LpError("phase-1 unbounded; numerical corruption")
         phase1_obj = -T[m, -1]
@@ -692,22 +654,22 @@ _SOLVER_ERRORS = (LpError, np.linalg.LinAlgError)
 _OPTIMAL, _UNBOUNDED, _SPLIT, _LIMIT = range(4)
 
 
-def solve_stacked(requests, *, max_iterations: int = MAX_ITERATIONS) -> list:
+def solve_stacked(requests) -> list:
     """Solve every :class:`LpRequest`; one outcome per request, in order.
 
     An outcome is exactly what ``solve_objectives(problem, objectives,
     tol=tol)`` returns (every array bit for bit, ``iterations`` included),
     or the :class:`LpError` it would raise.  Requests whose standard forms
-    share a layout (shape, relations, free-variable split and row signs,
-    hence artificial rows) and an objective count are solved together on
-    one ``(K, rows, cols)`` tableau, each instance making its own choices;
-    groups smaller than :data:`STACK_MIN` are solved one by one.
+    share a layout (:func:`_layout_of`) and an objective count are solved
+    together on one ``(K, rows, cols)`` tableau, each instance making its
+    own choices; groups smaller than :data:`STACK_MIN` are solved one by
+    one.
     """
     outcomes = [None] * len(requests)
     groups = {}
     for k, (problem, objectives, tol) in enumerate(requests):
         if problem.n_rows == 0 or not objectives:
-            outcomes[k] = _solve_apart(problem, objectives, tol, max_iterations)
+            outcomes[k] = _solve_apart(problem, objectives, tol)
             continue
         try:
             objectives = tuple((sense, _objective_vector(sense, c, problem.n_vars))
@@ -716,23 +678,22 @@ def solve_stacked(requests, *, max_iterations: int = MAX_ITERATIONS) -> list:
             outcomes[k] = exc
             continue
         shift, b_work = _shifted_rhs(problem)
-        key = (problem.A.shape, problem.relations, len(objectives),
-               np.isinf(problem.lower_bounds).tobytes(), (b_work < 0).tobytes())
         tol = DEFAULT.feas if tol is None else tol
+        key = (_layout_of(problem, b_work), len(objectives))
         groups.setdefault(key, []).append((k, problem, objectives, tol, shift, b_work))
-    for members in groups.values():
+    for (layout, _), members in groups.items():
         if len(members) >= STACK_MIN:
-            for (k, *_), out in zip(members, _solve_stack(members, max_iterations)):
+            for (k, *_), out in zip(members, _solve_stack(members, layout)):
                 outcomes[k] = out
         else:
             for k, problem, objectives, tol, _, _ in members:
-                outcomes[k] = _solve_apart(problem, objectives, tol, max_iterations)
+                outcomes[k] = _solve_apart(problem, objectives, tol)
     return outcomes
 
 
-def _solve_apart(problem, objectives, tol, max_iterations):
+def _solve_apart(problem, objectives, tol):
     try:
-        return solve_objectives(problem, objectives, tol=tol, max_iterations=max_iterations)
+        return solve_objectives(problem, objectives, tol=tol)
     except _SOLVER_ERRORS as exc:
         return exc
 
@@ -740,11 +701,10 @@ def _solve_apart(problem, objectives, tol, max_iterations):
 class _StackedForm(_Layout):
     """The standard forms of problems that share one layout, stacked:
     ``A[k]``, ``b[k]`` and ``shift[k]`` are those of ``problems[k]``'s
-    :class:`_StandardForm`."""
+    :class:`_StandardForm`, whose layout is ``layout``."""
 
-    def __init__(self, problems, shifts, b_works):
-        b_work = np.array(b_works)
-        self.adopt(problems[0], b_work[0])
+    def __init__(self, problems, shifts, b_works, layout):
+        self.adopt(layout)
         self.problems = problems
         self.shift = np.array(shifts)
         A = np.array([q.A for q in problems])[:, :, self.col_var]
@@ -752,7 +712,7 @@ class _StackedForm(_Layout):
         aux = np.hstack([self.A_slack, self.A_art])
         self.A = np.concatenate(
             [A_struct, np.broadcast_to(aux, (len(problems),) + aux.shape)], axis=2)
-        self.b = b_work * self.row_sign
+        self.b = np.array(b_works) * self.row_sign
 
     def tableau(self, costs):
         """Phase-1 tableaux and bases, as :func:`solve_objectives` builds
@@ -786,11 +746,11 @@ class _StackedForm(_Layout):
         return self.A[entry_k[:, None], :, basis]
 
 
-def _solve_stack(members, max_iterations) -> list:
-    """:func:`solve_objectives` on every member of one layout group, as one
-    stacked two-phase simplex; outcomes in member order."""
+def _solve_stack(members, layout) -> list:
+    """:func:`solve_objectives` on every member of the group of ``layout``,
+    as one stacked two-phase simplex; outcomes in member order."""
     _, problems, objectives, tols, shifts, b_works = zip(*members)
-    sf = _StackedForm(problems, shifts, b_works)
+    sf = _StackedForm(problems, shifts, b_works, layout)
     K, Q, m = len(problems), len(objectives[0]), problems[0].n_rows
     n_total, n_art = sf.n_total, len(sf.art_rows)
     flip = np.array([[sense != "min" for sense, _ in obj] for obj in objectives])
@@ -808,17 +768,16 @@ def _solve_stack(members, max_iterations) -> list:
     feasible = np.arange(K)
     if n_art:
         status = _run_stack(T, basis, iters, m, n_total, rc_tol.min(axis=1),
-                            rc_tol.max(axis=1), max_iterations)
+                            rc_tol.max(axis=1))
         phase1_obj = -T[:, m, -1]
         infeasible = phase1_obj > tol * (1.0 + np.abs(sf.b).max(axis=1))
         for k in range(K):
             if status[k] == _SPLIT:
-                outcomes[k] = _solve_apart(problems[k], objectives[k], tols[k],
-                                           max_iterations)
+                outcomes[k] = _solve_apart(problems[k], objectives[k], tols[k])
             elif status[k] == _UNBOUNDED:     # cannot happen: phase-1 objective >= 0
                 outcomes[k] = LpError("phase-1 unbounded; numerical corruption")
             elif status[k] == _LIMIT:
-                outcomes[k] = _iteration_limit(max_iterations)
+                outcomes[k] = _iteration_limit()
             elif infeasible[k]:
                 outcomes[k] = tuple(LpSolution(status="infeasible", iterations=int(iters[k]))
                                     for _ in range(Q))
@@ -840,8 +799,7 @@ def _solve_stack(members, max_iterations) -> list:
     del T       # phase 2 runs on T2 alone; free the phase-1 stack meanwhile
     basis2 = np.repeat(basis[feasible], Q, axis=0)
     iters2 = np.repeat(iters[feasible], Q)
-    status2 = _run_stack(T2, basis2, iters2, m, n_total, rc_tol[feasible].ravel(), None,
-                         max_iterations)
+    status2 = _run_stack(T2, basis2, iters2, m, n_total, rc_tol[feasible].ravel(), None)
 
     entry_k, entry_q = np.repeat(feasible, Q), np.tile(np.arange(Q), F)
     opt = np.flatnonzero(status2 == _OPTIMAL)
@@ -850,13 +808,13 @@ def _solve_stack(members, max_iterations) -> list:
                                  iters2[opt], entry_k[opt], entry_q[opt])
     except np.linalg.LinAlgError:       # a singular basis: find whose, one by one
         for k in feasible:
-            outcomes[k] = _solve_apart(problems[k], objectives[k], tols[k], max_iterations)
+            outcomes[k] = _solve_apart(problems[k], objectives[k], tols[k])
         return outcomes
     optima = dict(zip(opt.tolist(), optima))
     for n, k in enumerate(feasible):
         entries = range(n * Q, (n + 1) * Q)
         if any(status2[e] == _LIMIT for e in entries):
-            outcomes[k] = _iteration_limit(max_iterations)
+            outcomes[k] = _iteration_limit()
         else:
             outcomes[k] = tuple(
                 optima[e] if e in optima
@@ -898,7 +856,7 @@ def _stacked_optima(sf, objectives, cost, flip, T, basis, iters, entry_k, entry_
     return solutions
 
 
-def _run_stack(T, basis, iters, m, n_enter, rc_tol, rc_tol_hi, max_iterations):
+def _run_stack(T, basis, iters, m, n_enter, rc_tol, rc_tol_hi):
     """:meth:`_Tableau.run` on row ``m`` of every tableau of the stack ``T``
     ``(K, rows, cols)``, instance ``k`` with tolerance ``rc_tol[k]`` (and
     ``rc_tol_hi[k]``); ``T``, ``basis`` and ``iters`` are updated in place.
@@ -928,7 +886,7 @@ def _run_stack(T, basis, iters, m, n_enter, rc_tol, rc_tol_hi, max_iterations):
         verdict[(verdict < 0) & (theta == np.inf)] = _UNBOUNDED
         going = verdict < 0
         it += going
-        verdict[going & (it > max_iterations)] = _LIMIT
+        verdict[going & (it > MAX_ITERATIONS)] = _LIMIT
 
         done = verdict >= 0
         if done.any():
@@ -1140,5 +1098,6 @@ def detect_degeneracy(problem: LinearProgram, solution: LpSolution) -> Degenerac
         zero_basic=zero_basic,
         dual_multiple=tuple(
             dual_interval_has_width(lo, hi)
-            for lo, hi in dual_value_ranges(problem, range(problem.n_rows))),
+            for lo, hi in dual_value_ranges(problem, range(problem.n_rows),
+                                            solution=solution)),
     )

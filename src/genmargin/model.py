@@ -53,25 +53,18 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorTech:
-    """One technology: investment cost, operating cost, per-period build cap."""
+    """One technology: investment cost, operating cost, per-period build cap.
+    Its capacity lives two periods, the model's one lifetime."""
 
-    tech_id: str
     invest_cost: float
     operating_cost: float
     max_capacity: float
-    lifetime: int = 2
 
     def __post_init__(self):
-        if self.tech_id not in ("r", "f"):
-            raise ModelError(f"tech_id must be 'r' or 'f', got {self.tech_id!r}")
         if self.invest_cost < 0 or self.operating_cost < 0:
             raise ModelError("costs must be nonnegative")
         if not self.max_capacity > 0:
             raise ModelError("max investable capacity must be positive")
-        # The closed-form results exist only for a two-period lifetime, where
-        # period-1 capacity serves both periods.  Hard requirement.
-        if self.lifetime != 2:
-            raise ModelError("lifetime must be 2")
 
 
 @dataclass(frozen=True)
@@ -88,8 +81,6 @@ class SystemParams:
     demand: tuple
 
     def __post_init__(self):
-        if self.renewable.tech_id != "r" or self.fossil.tech_id != "f":
-            raise ModelError("renewable/fossil tech_id mismatch")
         if not self.renewable.invest_cost < self.fossil.invest_cost:
             raise ModelError("requires CI_r < CI_f")
         if not self.renewable.operating_cost < self.fossil.operating_cost:
@@ -104,8 +95,8 @@ class SystemParams:
     @classmethod
     def from_values(cls, ci_r, cp_r, m_r, ci_f, cp_f, m_f, cl, d1, d2):
         return cls(
-            renewable=GeneratorTech("r", float(ci_r), float(cp_r), float(m_r)),
-            fossil=GeneratorTech("f", float(ci_f), float(cp_f), float(m_f)),
+            renewable=GeneratorTech(float(ci_r), float(cp_r), float(m_r)),
+            fossil=GeneratorTech(float(ci_f), float(cp_f), float(m_f)),
             loadshed_cost=float(cl),
             demand=(float(d1), float(d2)),
         )

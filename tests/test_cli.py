@@ -99,6 +99,24 @@ class TestRun:
         with pytest.raises(ConfigError, match="missing"):
             load_config(write_config(tmp_path, payload))
 
+    def test_output_not_an_object_rejected(self, tmp_path, capsys):
+        payload = dict(CANONICAL, output="csv")
+        assert main(["run", write_config(tmp_path, payload)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: output must be an object\n"
+
+    def test_sweep_not_a_list_rejected(self, tmp_path, capsys):
+        payload = dict(CANONICAL, sweep=5)
+        assert main(["sweep", write_config(tmp_path, payload)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: sweep must be a list of blocks\n"
+
+    def test_output_path_not_a_string_rejected(self, tmp_path, capsys):
+        # an integer path would be opened as an inherited file descriptor
+        payload = dict(CANONICAL, output={"path": 987})
+        assert main(["run", write_config(tmp_path, payload)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "error: output path must be a string, got 987\n"
+        assert captured.out == ""
+
     def test_invalid_params_name_the_assumption(self, tmp_path, capsys):
         payload = dict(CANONICAL, ci_r=90)      # CI_r >= CI_f
         assert main(["run", write_config(tmp_path, payload)]) == EXIT_VALIDATION

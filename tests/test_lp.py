@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from genmargin import lp as lp_module
 from genmargin.lp import (
     LinearProgram,
     LpInputError,
@@ -103,6 +104,11 @@ class TestBasics:
         (dict(b=[1.0, math.nan], var_labels=("a", "a")), "A, b must be finite"),
         (dict(var_labels=("a",)), "variable labels"),
         (dict(row_labels=("r", "r")), "row labels"),
+        # then one non-finite entry alone per field (appended: the ids above stay)
+        (dict(lower_bounds=[math.nan, 0.0]), "finite or -inf"),
+        (dict(c=[-math.inf, 1.0]), "c must be finite"),
+        (dict(A=[[math.nan, 1.0], [1.0, -1.0]]), "A, b must be finite"),
+        (dict(b=[math.inf, 0.0]), "A, b must be finite"),
     ]
 
     @pytest.mark.parametrize("over, message", MALFORMED)
@@ -149,6 +155,21 @@ class TestDegeneracyAndRanges:
         p = lp("min", [0.0], [[1.0], [1.0]], (">=", "<="), [1.0, 0.0])
         with pytest.raises(Exception):
             detect_degeneracy(p, solve_lp(p))
+
+    def test_optimum_given_is_not_solved_again(self, monkeypatch):
+        p = lp("min", [1.0], [[1.0], [1.0]], (">=", ">="), [1.0, 1.0])
+        sol = solve_lp(p)
+        built = []
+
+        class Counted(lp_module._StandardForm):
+            def __init__(self, problem):
+                built.append(problem)
+                super().__init__(problem)
+
+        monkeypatch.setattr(lp_module, "_StandardForm", Counted)
+        rep = detect_degeneracy(p, sol)
+        assert rep.dual_multiple == (True, True)
+        assert len(built) == 1          # the dual-range region only
 
     def test_trivial_range_is_point(self):
         p = lp("min", [1.0], [[1.0]], (">=",), [3.0])
@@ -283,10 +304,11 @@ class TestAntiCycling:
         assert sol.optimal
         assert_allclose(sol.objective, -0.05, atol=1e-9)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         p = lp("min", [1.0, 1.0], [[1, 1]], (">=",), [1.0])
+        monkeypatch.setattr(lp_module, "MAX_ITERATIONS", 0)
         with pytest.raises(IterationLimitError):
-            solve_lp(p, max_iterations=0)
+            solve_lp(p)
 
 
 class TestExplicitDual:

@@ -51,11 +51,6 @@ class TestParams:
         with pytest.raises(ModelError):
             SystemParams.from_values(60, 20, 3000, 82, 1, 4000, 200, 1, 2)
 
-    def test_lifetime_pinned_at_two(self):
-        from genmargin.model import GeneratorTech
-        with pytest.raises(ModelError):
-            GeneratorTech("r", 60, 1, 3000, lifetime=3)
-
 
 class TestLrmcPrimal:
     def test_canonical_objective_vector(self):

@@ -367,22 +367,22 @@ def test_mixed_batch_keeps_each_request_apart(stack_min):
     assert_batch_matches(requests, seed=3)
 
 
-def test_request_over_the_pivot_cap_fails_alone(stack_min):
+def test_request_over_the_pivot_cap_fails_alone(stack_min, monkeypatch):
     requests = [r for params in scenarios()[:8] for r in sweep_requests(params)[:1]]
     need = [max(s.iterations for s in solve_objectives(r.problem, r.objectives))
             for r in requests]
     worst = int(np.argmax(need))
     cap = sorted(need)[-2]
     assert need[worst] > cap         # exactly one request needs more pivots
-    outcomes = solve_stacked(requests, max_iterations=cap)
+    monkeypatch.setattr(lp, "MAX_ITERATIONS", cap)
+    outcomes = solve_stacked(requests)
     for k, (request, got) in enumerate(zip(requests, outcomes)):
         if k == worst:
             assert isinstance(got, IterationLimitError)
             with pytest.raises(IterationLimitError, match=str(got)):
-                solve_objectives(request.problem, request.objectives, max_iterations=cap)
+                solve_objectives(request.problem, request.objectives)
         else:
-            for g, w in zip(got, solve_objectives(request.problem, request.objectives,
-                                                   max_iterations=cap)):
+            for g, w in zip(got, solve_objectives(request.problem, request.objectives)):
                 assert_identical(g, w)
 
 
