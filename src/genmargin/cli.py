@@ -15,7 +15,8 @@ Config files are flat JSON objects naming the nine parameters::
      "output": {"format": "csv", "path": "out.csv"}}
 
 Exit codes: 0 ok, 1 validation error, 2 verification failure.
-Tolerances accept environment overrides (GENMARGIN_TOL_FEAS and friends).
+Tolerances accept environment overrides (GENMARGIN_TOL_FEAS and friends),
+read once per process by every layer; a malformed one exits 1.
 """
 
 from __future__ import annotations
@@ -148,10 +149,9 @@ def load_config(path: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def scenario_report(params: SystemParams, tol=None) -> dict:
-    tol = tolerances.from_env() if tol is None else tol
-    lr = solve_lrmc(params, tol=tol.feas)
-    check = cross_check(params, tol=tol, lrmc=lr)
+def scenario_report(params: SystemParams) -> dict:
+    lr = solve_lrmc(params)
+    check = cross_check(params, lrmc=lr)
     analytic = check.analytic
     group = analytic.group
     srmc = compute_srmc(params, lr.decision, lrmc_objective=lr.objective,
@@ -159,10 +159,8 @@ def scenario_report(params: SystemParams, tol=None) -> dict:
 
     profile = lrmc_profile_for_group(group.gid)
     orient = group_orientation(group.gid)
-    lrmc_recovery = cost_recovery(analytic.lrmc, analytic.decision, params,
-                                  tol_money=tol.money)
-    srmc_recovery = cost_recovery(srmc.resolved, analytic.decision, params,
-                                  tol_money=tol.money)
+    lrmc_recovery = cost_recovery(analytic.lrmc, analytic.decision, params)
+    srmc_recovery = cost_recovery(srmc.resolved, analytic.decision, params)
     table_srmc = srmc_profile(profile, params, orient)
 
     d = analytic.decision
@@ -310,7 +308,6 @@ def sweep_rows(config: ScenarioConfig):
     rows' of its chunk; a ``ValueError`` in one row makes it an ``error``
     row and leaves the others as they are.  Any other exception of a chunk
     escapes, the first in row order, before any of the chunk's rows."""
-    tol = tolerances.from_env()
     blocks = config.sweeps
     grids = [_grid(b) for b in blocks]
     base = {f: getattr(config.params, f) for f in PARAM_FIELDS}
@@ -325,7 +322,7 @@ def sweep_rows(config: ScenarioConfig):
             over = dict(base)
             for b, v in zip(blocks, values):
                 over[b.param] = float(v)
-            steps.append(_sweep_row(over, tol))
+            steps.append(_sweep_row(over))
         rows = run_lockstep(steps)
         for row in rows:
             if isinstance(row, Exception) and not isinstance(row, ValueError):
@@ -336,10 +333,10 @@ def sweep_rows(config: ScenarioConfig):
             yield values, row
 
 
-def _sweep_row(over: dict, tol):
+def _sweep_row(over: dict):
     """One grid point's CSV row, as a step (see ``lp.LpRequest``)."""
     params = SystemParams.from_values(**over)
-    group = classify(params, tol_bound=tol.bound)
+    group = classify(params)
     analytic = analytic_solution(params, group)
     lr = yield from lrmc_step(params)
     srmc = yield from srmc_step(params, lr.decision, lrmc_objective=lr.objective,
@@ -471,6 +468,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        tolerances.current()    # a malformed override fails every verb here
         if args.verb == "run":
             config = load_config(args.config)
             code, text = run_scenario(config)

@@ -35,8 +35,8 @@ import io
 import csv
 from dataclasses import dataclass
 
-from .model import PrimalDecision, SystemParams
-from .tolerances import DEFAULT
+from .model import PrimalDecision, SystemParams, feasibility_limit
+from .tolerances import current
 
 OPTIONS = ("SR", "SF", "R", "F")   # shared/non-shared renewable/fossil
 
@@ -294,7 +294,7 @@ def classify(params: SystemParams, *, tol_bound: float = None) -> InstanceGroup:
     boundaries the LP has multiple optima and the closed-form prices are
     only one valid selection.
     """
-    tol_bound = DEFAULT.bound if tol_bound is None else tol_bound
+    tol_bound = current().bound if tol_bound is None else tol_bound
     v = _values(params)
     d1, d2, m_r, m_f = v[:4]
     t_sf, t_r = v[10], v[11]
@@ -387,15 +387,6 @@ def analytic_solution(params: SystemParams, group: InstanceGroup) -> AnalyticRes
 # ---------------------------------------------------------------------------
 
 
-#: Share of the largest demand or cap (plus one) up to which an amount of
-#: capacity or energy counts as none.
-_ZERO = 1e-9
-
-
-def _zero_amount(params: SystemParams) -> float:
-    return _ZERO * (1.0 + max(params.d1, params.d2, params.m_r, params.m_f))
-
-
 #: Index in ``_values`` of each option's unit cost.
 _OPTION_COST = {o: _SYMBOLS.index(t) for o, t in zip(OPTIONS, ("t_sr", "t_sf", "t_r", "t_f"))}
 
@@ -418,7 +409,7 @@ def used_options(params: SystemParams, decision: PrimalDecision):
     energy serves the other period; period-2 investments are period-2
     non-shared options.
     """
-    tol = _zero_amount(params)
+    tol = feasibility_limit(params)
     first, second = set(), set()
     for g, label_s, label_n in (("r", "SR", "R"), ("f", "SF", "F")):
         shared = _shared_amount(decision, g)
@@ -434,7 +425,7 @@ def used_options(params: SystemParams, decision: PrimalDecision):
 
 def generating_options(params: SystemParams, decision: PrimalDecision, t: int):
     """Options whose energy actually serves period t's demand."""
-    tol = _zero_amount(params)
+    tol = feasibility_limit(params)
     out = set()
     for g, label_s, label_n in (("r", "SR", "R"), ("f", "SF", "F")):
         gen = decision.generation(g, t)
@@ -476,7 +467,7 @@ def marginal_cp(params: SystemParams, decision: PrimalDecision, t: int):
     that is what serves the first unit.  None when positive demand sheds
     completely, where an increment can only shed too.
     """
-    tol = _zero_amount(params)
+    tol = feasibility_limit(params)
     if decision.generation("f", t) > tol:
         return params.cp_f
     if decision.generation("r", t) > tol:

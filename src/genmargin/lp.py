@@ -10,7 +10,8 @@ the phase-1 tableau and gets exactly what a separate solve would return.
 
 A :class:`LinearProgram` is checked once, field by field in a fixed
 order, on Python floats (no numpy warnings); the first malformed field
-raises :class:`LpInputError`.  Every solve has one pivot cap.
+raises :class:`LpInputError`.  Every solve has one pivot cap and reads
+its tolerances from ``tolerances.current()``.
 
 Stacked solves
 --------------
@@ -83,7 +84,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tolerances import DEFAULT
+from .tolerances import current
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -457,7 +458,7 @@ class _Tableau:
             _pivot(T, basis, leave, enter)
 
 
-def solve_lp(problem: LinearProgram, *, tol: float = None) -> LpSolution:
+def solve_lp(problem: LinearProgram) -> LpSolution:
     """Solve an LP to optimality, returning primal values, duals and reduced costs.
 
     The duals are the multipliers of the optimal basis actually returned,
@@ -465,10 +466,10 @@ def solve_lp(problem: LinearProgram, *, tol: float = None) -> LpSolution:
     carry different (equally valid) duals.  Use :func:`dual_value_range`
     for the full set.
     """
-    return solve_objectives(problem, ((problem.sense, problem.c),), tol=tol)[0]
+    return solve_objectives(problem, ((problem.sense, problem.c),))[0]
 
 
-def solve_objectives(problem: LinearProgram, objectives, *, tol: float = None) -> tuple:
+def solve_objectives(problem: LinearProgram, objectives) -> tuple:
     """Optimize each ``(sense, c)`` pair in ``objectives`` over ``problem``'s
     feasible region; one :class:`LpSolution` per pair, in order.
 
@@ -480,7 +481,7 @@ def solve_objectives(problem: LinearProgram, objectives, *, tol: float = None) -
     plus own phase-2 pivots), is exactly what :func:`solve_lp` returns for
     the problem with that sense and objective.
     """
-    tol = DEFAULT.feas if tol is None else tol
+    tol = current().feas
     sf = _StandardForm(problem)
     m = problem.n_rows
     if m == 0:
@@ -514,7 +515,7 @@ def solve_objectives(problem: LinearProgram, objectives, *, tol: float = None) -
         lo, hi = min(rc_tols), max(rc_tols)
         status = tab.run(m, lo, hi if hi > lo else None)
         if status == "split":
-            return tuple(solve_objectives(problem, (obj,), tol=tol)[0]
+            return tuple(solve_objectives(problem, (obj,))[0]
                          for obj in objectives)
         if status == "unbounded":     # cannot happen: phase-1 objective >= 0
             raise LpError("phase-1 unbounded; numerical corruption")
@@ -586,12 +587,11 @@ class LpRequest(NamedTuple):
 
     problem: LinearProgram
     objectives: tuple
-    tol: float = None
 
     @classmethod
-    def own(cls, problem: LinearProgram, tol: float = None) -> "LpRequest":
+    def own(cls, problem: LinearProgram) -> "LpRequest":
         """The request for ``problem``'s own objective (:func:`solve_lp`)."""
-        return cls(problem, ((problem.sense, problem.c),), tol)
+        return cls(problem, ((problem.sense, problem.c),))
 
 
 def run_step(step):
@@ -604,7 +604,7 @@ def run_step(step):
             request = step.send(answer)
         except StopIteration as done:
             return done.value
-        answer = solve_objectives(request.problem, request.objectives, tol=request.tol)
+        answer = solve_objectives(request.problem, request.objectives)
 
 
 def run_lockstep(steps) -> list:
@@ -657,8 +657,8 @@ _OPTIMAL, _UNBOUNDED, _SPLIT, _LIMIT = range(4)
 def solve_stacked(requests) -> list:
     """Solve every :class:`LpRequest`; one outcome per request, in order.
 
-    An outcome is exactly what ``solve_objectives(problem, objectives,
-    tol=tol)`` returns (every array bit for bit, ``iterations`` included),
+    An outcome is exactly what ``solve_objectives(problem, objectives)``
+    returns (every array bit for bit, ``iterations`` included),
     or the :class:`LpError` it would raise.  Requests whose standard forms
     share a layout (:func:`_layout_of`) and an objective count are solved
     together on one ``(K, rows, cols)`` tableau, each instance making its
@@ -667,9 +667,9 @@ def solve_stacked(requests) -> list:
     """
     outcomes = [None] * len(requests)
     groups = {}
-    for k, (problem, objectives, tol) in enumerate(requests):
+    for k, (problem, objectives) in enumerate(requests):
         if problem.n_rows == 0 or not objectives:
-            outcomes[k] = _solve_apart(problem, objectives, tol)
+            outcomes[k] = _solve_apart(problem, objectives)
             continue
         try:
             objectives = tuple((sense, _objective_vector(sense, c, problem.n_vars))
@@ -678,22 +678,21 @@ def solve_stacked(requests) -> list:
             outcomes[k] = exc
             continue
         shift, b_work = _shifted_rhs(problem)
-        tol = DEFAULT.feas if tol is None else tol
         key = (_layout_of(problem, b_work), len(objectives))
-        groups.setdefault(key, []).append((k, problem, objectives, tol, shift, b_work))
+        groups.setdefault(key, []).append((k, problem, objectives, shift, b_work))
     for (layout, _), members in groups.items():
         if len(members) >= STACK_MIN:
             for (k, *_), out in zip(members, _solve_stack(members, layout)):
                 outcomes[k] = out
         else:
-            for k, problem, objectives, tol, _, _ in members:
-                outcomes[k] = _solve_apart(problem, objectives, tol)
+            for k, problem, objectives, _, _ in members:
+                outcomes[k] = _solve_apart(problem, objectives)
     return outcomes
 
 
-def _solve_apart(problem, objectives, tol):
+def _solve_apart(problem, objectives):
     try:
-        return solve_objectives(problem, objectives, tol=tol)
+        return solve_objectives(problem, objectives)
     except _SOLVER_ERRORS as exc:
         return exc
 
@@ -749,7 +748,7 @@ class _StackedForm(_Layout):
 def _solve_stack(members, layout) -> list:
     """:func:`solve_objectives` on every member of the group of ``layout``,
     as one stacked two-phase simplex; outcomes in member order."""
-    _, problems, objectives, tols, shifts, b_works = zip(*members)
+    _, problems, objectives, shifts, b_works = zip(*members)
     sf = _StackedForm(problems, shifts, b_works, layout)
     K, Q, m = len(problems), len(objectives[0]), problems[0].n_rows
     n_total, n_art = sf.n_total, len(sf.art_rows)
@@ -757,8 +756,8 @@ def _solve_stack(members, layout) -> list:
     C = np.array([[c for _, c in obj] for obj in objectives])
     cost = np.zeros((K, Q, n_total + n_art))      # artificial columns cost 0
     cost[:, :, : sf.n_struct] = sf.col_sign * np.where(flip[..., None], -C, C)[..., sf.col_var]
-    tol = np.array(tols)
-    rc_tol = tol[:, None] * (1.0 + np.abs(cost).max(axis=2))
+    tol = current().feas
+    rc_tol = tol * (1.0 + np.abs(cost).max(axis=2))
 
     T, basis = sf.tableau(cost[:, :, :n_total])
     iters = np.zeros(K, dtype=int)
@@ -773,7 +772,7 @@ def _solve_stack(members, layout) -> list:
         infeasible = phase1_obj > tol * (1.0 + np.abs(sf.b).max(axis=1))
         for k in range(K):
             if status[k] == _SPLIT:
-                outcomes[k] = _solve_apart(problems[k], objectives[k], tols[k])
+                outcomes[k] = _solve_apart(problems[k], objectives[k])
             elif status[k] == _UNBOUNDED:     # cannot happen: phase-1 objective >= 0
                 outcomes[k] = LpError("phase-1 unbounded; numerical corruption")
             elif status[k] == _LIMIT:
@@ -808,7 +807,7 @@ def _solve_stack(members, layout) -> list:
                                  iters2[opt], entry_k[opt], entry_q[opt])
     except np.linalg.LinAlgError:       # a singular basis: find whose, one by one
         for k in feasible:
-            outcomes[k] = _solve_apart(problems[k], objectives[k], tols[k])
+            outcomes[k] = _solve_apart(problems[k], objectives[k])
         return outcomes
     optima = dict(zip(opt.tolist(), optima))
     for n, k in enumerate(feasible):
@@ -996,8 +995,7 @@ def _pinned_region(problem: LinearProgram, z_min: float):
     return region, signs
 
 
-def dual_value_range(problem: LinearProgram, row_id, *, tol: float = None,
-                     solution: LpSolution = None):
+def dual_value_range(problem: LinearProgram, row_id, *, solution: LpSolution = None):
     """Exact interval of values the row's dual takes over all optimal duals.
 
     Computed by re-optimizing over the dual feasible region pinned to the
@@ -1009,10 +1007,10 @@ def dual_value_range(problem: LinearProgram, row_id, *, tol: float = None,
     skip the internal solve.  :func:`dual_value_ranges` does several rows
     for the price of one.
     """
-    return dual_value_ranges(problem, (row_id,), tol=tol, solution=solution)[0]
+    return dual_value_ranges(problem, (row_id,), solution=solution)[0]
 
 
-def dual_value_ranges(problem: LinearProgram, row_ids, *, tol: float = None,
+def dual_value_ranges(problem: LinearProgram, row_ids, *,
                       solution: LpSolution = None) -> tuple:
     """:func:`dual_value_range` of each row in ``row_ids``, in order.
 
@@ -1021,13 +1019,11 @@ def dual_value_ranges(problem: LinearProgram, row_ids, *, tol: float = None,
     (:func:`solve_objectives`); each interval equals the one-row result
     exactly.
     """
-    return run_step(dual_ranges_step(problem, row_ids, tol=tol, solution=solution))
+    return run_step(dual_ranges_step(problem, row_ids, solution=solution))
 
 
-def dual_ranges_step(problem: LinearProgram, row_ids, *, tol: float = None,
-                     solution: LpSolution = None):
+def dual_ranges_step(problem: LinearProgram, row_ids, *, solution: LpSolution = None):
     """:func:`dual_value_ranges` as a step (see :class:`LpRequest`)."""
-    tol = DEFAULT.feas if tol is None else tol
     idxs = [problem.row_index(row_id) for row_id in row_ids]
     m = problem.n_rows
     if solution is not None and solution.optimal:
@@ -1045,7 +1041,7 @@ def dual_ranges_step(problem: LinearProgram, row_ids, *, tol: float = None,
         obj = np.zeros(m)
         obj[idx] = signs[idx]
         objectives += [("min", obj), ("max", obj)]
-    sols = yield LpRequest(region, tuple(objectives), tol)
+    sols = yield LpRequest(region, tuple(objectives))
 
     ranges = []
     for k in range(len(idxs)):
@@ -1079,6 +1075,7 @@ def detect_degeneracy(problem: LinearProgram, solution: LpSolution) -> Degenerac
     if solution.x is None or solution.x.shape != (problem.n_vars,):
         raise LpInputError("solution does not match the problem's shape")
     x, lb = solution.x, problem.lower_bounds
+    deg = current().deg
     values = {}
     for j in range(problem.n_vars):
         lbl = problem.var_label(j)
@@ -1092,7 +1089,7 @@ def detect_degeneracy(problem: LinearProgram, solution: LpSolution) -> Degenerac
             values[f"s[{problem.row_label(i)}]"] = resid[i] - problem.b[i]
         values[f"a[{problem.row_label(i)}]"] = 0.0
     zero_basic = tuple((lbl, float(values[lbl])) for lbl in solution.basis
-                       if abs(values[lbl]) <= DEFAULT.deg)
+                       if abs(values[lbl]) <= deg)
     return DegeneracyReport(
         primal_degenerate=bool(zero_basic),
         zero_basic=zero_basic,

@@ -19,12 +19,13 @@ model; duals are unaffected by constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lp import EQ, GE, LE, LinearProgram, LpRequest, LpSolution, run_step
-from .tolerances import DEFAULT
+from .tolerances import current
 
 VAR_ORDER = ("I_r1", "I_r2", "I_f1", "I_f2",
              "P_r1", "P_r2", "P_f1", "P_f2", "L_1", "L_2")
@@ -61,6 +62,9 @@ class GeneratorTech:
     max_capacity: float
 
     def __post_init__(self):
+        for name in ("invest_cost", "operating_cost", "max_capacity"):
+            if not math.isfinite(getattr(self, name)):
+                raise ModelError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.invest_cost < 0 or self.operating_cost < 0:
             raise ModelError("costs must be nonnegative")
         if not self.max_capacity > 0:
@@ -81,13 +85,16 @@ class SystemParams:
     demand: tuple
 
     def __post_init__(self):
+        d = tuple(float(v) for v in self.demand)
+        for name, value in (("loadshed_cost", self.loadshed_cost), *zip(("d1", "d2"), d)):
+            if not math.isfinite(value):
+                raise ModelError(f"{name} must be finite, got {value!r}")
         if not self.renewable.invest_cost < self.fossil.invest_cost:
             raise ModelError("requires CI_r < CI_f")
         if not self.renewable.operating_cost < self.fossil.operating_cost:
             raise ModelError("requires CP_r < CP_f")
         if not self.loadshed_cost > 0:
             raise ModelError("loadshed cost must be positive")
-        d = tuple(float(v) for v in self.demand)
         if len(d) != 2 or d[0] < 0 or d[1] < 0:
             raise ModelError("demand must be two nonnegative values")
         object.__setattr__(self, "demand", d)
@@ -223,9 +230,10 @@ class PrimalDecision:
 
 
 def feasibility_limit(params: SystemParams, tol: float = None) -> float:
-    """Largest ``max_violation`` a feasible decision may have: ``tol``
-    (default ``DEFAULT.feas``) times one plus the largest demand or cap."""
-    tol = DEFAULT.feas if tol is None else tol
+    """Largest ``max_violation`` of a feasible decision, and largest amount
+    that counts as none: ``tol`` (default ``current().feas``) times one plus
+    the largest demand or cap."""
+    tol = current().feas if tol is None else tol
     return tol * (1.0 + max(params.d1, params.d2, params.m_r, params.m_f))
 
 
@@ -377,7 +385,7 @@ def _check_istar(istar):
     )
     if arr.shape != (4,):
         raise ModelError("istar must hold the four investments (I_r1, I_r2, I_f1, I_f2)")
-    if np.any(arr < -DEFAULT.feas):
+    if np.any(arr < -current().feas):
         raise ModelError("negative invested capacities rejected")
     return np.maximum(arr, 0.0)
 
@@ -445,23 +453,14 @@ def build_srmc_dual(params: SystemParams, istar, epsilon: float = 0.0) -> Linear
 # ---------------------------------------------------------------------------
 
 
-def extract_decision(solution: LpSolution, istar=None) -> PrimalDecision:
-    """Map a solved builder LP back to model coordinates.
-
-    A 10-variable solution is a long-run solve.  A 6-variable solution is a
-    short-run solve and needs the frozen investments passed as ``istar``.
-    """
+def extract_decision(solution: LpSolution) -> PrimalDecision:
+    """Decision of a long-run primal solve (10 variables) in model coordinates."""
     if not solution.optimal:
         raise ModelError("extraction requires an optimal solution")
     x = solution.x
-    if x.shape == (10,):
-        return PrimalDecision(*[float(v) for v in x])
-    if x.shape == (6,):
-        if istar is None:
-            raise ModelError("short-run decisions need istar for the investments")
-        ist = _check_istar(istar)
-        return PrimalDecision(*[float(v) for v in ist], *[float(v) for v in x])
-    raise ModelError(f"unexpected solution shape {x.shape}")
+    if x.shape != (10,):
+        raise ModelError(f"unexpected solution shape {x.shape}")
+    return PrimalDecision(*[float(v) for v in x])
 
 
 def extract_duals(solution: LpSolution) -> DualValues:
@@ -488,8 +487,7 @@ class LrmcSolve:
     lp_solution: LpSolution
 
 
-def solve_lrmc(params: SystemParams, *, canonical: bool = True,
-               tol: float = None) -> LrmcSolve:
+def solve_lrmc(params: SystemParams, *, canonical: bool = True) -> LrmcSolve:
     """Solve the long-run model and map back to model coordinates.
 
     Investment splits can be non-unique: capacity built in period 1 but
@@ -499,12 +497,12 @@ def solve_lrmc(params: SystemParams, *, canonical: bool = True,
     period-1 build), which is the convention of the closed-form results.
     The tie-break objective perturbs only vertex selection and is solved
     over the same phase 1 as the true one; duals are always taken from the
-    unperturbed solve.  ``tol`` is the solver's feasibility tolerance.
+    unperturbed solve.
     """
-    return run_step(lrmc_step(params, canonical=canonical, tol=tol))
+    return run_step(lrmc_step(params, canonical=canonical))
 
 
-def lrmc_step(params: SystemParams, *, canonical: bool = True, tol: float = None):
+def lrmc_step(params: SystemParams, *, canonical: bool = True):
     """:func:`solve_lrmc` as a step that yields its one LP request (see
     :class:`~genmargin.lp.LpRequest`)."""
     prob = build_lrmc_primal(params)
@@ -515,7 +513,7 @@ def lrmc_step(params: SystemParams, *, canonical: bool = True, tol: float = None
         c2[0] += mu   # I_r1
         c2[2] += mu   # I_f1
         objectives.append(("min", c2))
-    sol, *tie = yield LpRequest(prob, tuple(objectives), tol)
+    sol, *tie = yield LpRequest(prob, tuple(objectives))
     if not sol.optimal:
         # With CL > 0 and finite caps the model is always feasible/bounded.
         raise ModelError(f"long-run model unexpectedly {sol.status}")

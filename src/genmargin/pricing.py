@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import GROUPS, _shared_amount, _zero_amount, marginal_option
-from .model import PrimalDecision, SystemParams
-from .tolerances import DEFAULT
+from .groups import GROUPS, _shared_amount, marginal_option
+from .model import PrimalDecision, SystemParams, feasibility_limit
+from .tolerances import current
 
 
 class PricingError(ValueError):
@@ -137,7 +137,7 @@ def _allocate_shared(params: SystemParams, decision: PrimalDecision):
     """
     peak = 2 if params.d2 >= params.d1 else 1
     out = []
-    tol = _zero_amount(params)
+    tol = feasibility_limit(params)
     for g in ("r", "f"):
         shared = _shared_amount(decision, g)
         if shared <= tol:
@@ -171,16 +171,14 @@ def sales(price_pairs, decision: PrimalDecision, params: SystemParams) -> tuple:
     return total_cost, tuple(sold)
 
 
-def cost_recovery(prices, decision: PrimalDecision, params: SystemParams,
-                  *, tol_money: float = None) -> RecoveryReport:
+def cost_recovery(prices, decision: PrimalDecision, params: SystemParams) -> RecoveryReport:
     """Revenue, total cost and profit of a decision under a price pair."""
-    tol_money = DEFAULT.money if tol_money is None else tol_money
     total_cost, ((by_period, revenue, profit),) = sales((prices,), decision, params)
     return RecoveryReport(
         revenue=revenue,
         total_cost=total_cost,
         profit=profit,
-        recovered=profit >= -tol_money,
+        recovered=profit >= -current().money,
         revenue_by_period=by_period,
         allocation=_allocate_shared(params, decision),
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .groups import AnalyticResult, analytic_solution, classify, marginal_cp
 from .lp import LpRequest, dual_interval_has_width, dual_ranges_step, run_step
 from .model import SystemParams, build_lrmc_primal, build_srmc_primal
-from .tolerances import DEFAULT
+from .tolerances import current
 
 RULE_CP = "rule-CP"
 RULE_CL = "rule-CL"
@@ -121,7 +121,7 @@ def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
     (sol0,) = yield LpRequest.own(frozen)
     if not sol0.optimal:
         raise SrmcError(f"short-run model {sol0.status}")
-    if abs(sol0.objective - z_star) > DEFAULT.gap * (1.0 + abs(z_star)):
+    if abs(sol0.objective - z_star) > current().gap * (1.0 + abs(z_star)):
         raise SrmcError(
             f"istar is not an optimal investment plan "
             f"(short-run cost {sol0.objective:g} vs long-run optimum {z_star:g})"
@@ -132,6 +132,8 @@ def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
     degenerate = tuple(dual_interval_has_width(lo, hi) for lo, hi in intervals)
 
     (perturbed,) = yield LpRequest.own(build_srmc_primal(params, istar, epsilon=eps))
+    if not perturbed.optimal:
+        raise SrmcError(f"perturbed short-run model {perturbed.status}")
     resolved = (float(perturbed.duals[0]), float(perturbed.duals[1]))
 
     if analytic is None:

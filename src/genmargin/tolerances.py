@@ -7,6 +7,8 @@ a relative one is not explicitly called for.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -35,14 +37,27 @@ _ENV_NAMES = {
 
 
 def from_env(environ=None) -> Tolerances:
-    """Build a Tolerances set, letting GENMARGIN_TOL_* variables override fields."""
+    """Build a Tolerances set; GENMARGIN_TOL_* overrides must be finite and >= 0."""
     environ = os.environ if environ is None else environ
     overrides = {}
     for f in fields(Tolerances):
-        raw = environ.get(_ENV_PREFIX + _ENV_NAMES[f.name])
+        name = _ENV_PREFIX + _ENV_NAMES[f.name]
+        raw = environ.get(name)
         if raw is not None:
-            overrides[f.name] = float(raw)
+            try:
+                overrides[f.name] = value = float(raw)
+            except ValueError:
+                value = math.nan
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite nonnegative number, got {raw!r}")
     return Tolerances(**overrides)
+
+
+@functools.cache
+def current() -> Tolerances:
+    """The tolerances every layer reads: :func:`from_env` at the first call,
+    not at import, so that a malformed override raises where it is reported."""
+    return from_env()
 
 
 DEFAULT = Tolerances()

@@ -22,7 +22,7 @@ from .model import (
     extract_duals,
     feasibility_limit,
 )
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import current
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class SlacknessReport:
 
 
 def check_complementary_slackness(decision: PrimalDecision, duals: DualValues,
-                                  params: SystemParams, *,
-                                  tol_cs: float = None) -> SlacknessReport:
+                                  params: SystemParams) -> SlacknessReport:
     """Evaluate all twenty pairing products of the primal/dual system.
 
     Ten price a primal variable against its dual constraint's slack, ten
@@ -50,7 +49,6 @@ def check_complementary_slackness(decision: PrimalDecision, duals: DualValues,
     are normalized termwise (money and quantity scales differ) as
     ``|s*y| / ((1+|s|)(1+|y|))``.
     """
-    tol_cs = DEFAULT.slackness if tol_cs is None else tol_cs
     d, y, p = decision, duals, params
     pairs = []
 
@@ -92,7 +90,7 @@ def check_complementary_slackness(decision: PrimalDecision, duals: DualValues,
     )
     worst = max(c.residual for c in conditions)
     return SlacknessReport(conditions=conditions, max_residual=worst,
-                           passed=worst <= tol_cs)
+                           passed=worst <= current().slackness)
 
 
 @dataclass(frozen=True)
@@ -114,14 +112,13 @@ class CrossCheckReport:
     objective_analytic: float
     lambda_lp: tuple
     slackness: SlacknessReport
-    analytic: AnalyticResult    # the closed form checked, classified at ``tol.bound``
+    analytic: AnalyticResult    # the closed form checked
 
     def failures(self):
         return tuple(c for c in self.checks if not c.passed)
 
 
-def cross_check(params: SystemParams, *, tol: Tolerances = DEFAULT,
-                lrmc: LrmcSolve = None) -> CrossCheckReport:
+def cross_check(params: SystemParams, *, lrmc: LrmcSolve = None) -> CrossCheckReport:
     """Run the analytic path and the LP path and diff them.
 
     Disagreements are the payload, not exceptions.  On boundary inputs the
@@ -129,21 +126,22 @@ def cross_check(params: SystemParams, *, tol: Tolerances = DEFAULT,
     is then one point of a set.
 
     ``lrmc`` may carry the caller's long-run solve of the same ``params``
-    (``solve_lrmc(params, tol=tol.feas)``); its unperturbed primal optimum
+    (``solve_lrmc(params)``); its unperturbed primal optimum
     is then checked instead of solving the primal again.  The explicit dual
     LP is always solved here: strong duality against it is the independent
     check.
     """
     if lrmc is not None and lrmc.params != params:
         raise ValueError("cross_check was given a long-run solve of other parameters")
-    group = classify(params, tol_bound=tol.bound)
+    tol = current()
+    group = classify(params)
     analytic = analytic_solution(params, group)
 
     if lrmc is None:
-        sol = solve_lp(build_lrmc_primal(params), tol=tol.feas)
+        sol = solve_lp(build_lrmc_primal(params))
     else:
         sol = lrmc.lp_solution
-    dual_sol = solve_lp(build_lrmc_dual(params), tol=tol.feas)
+    dual_sol = solve_lp(build_lrmc_dual(params))
 
     checks = []
     checks.append(CheckResult("lp-optimal", sol.optimal, sol.status))
@@ -163,7 +161,7 @@ def cross_check(params: SystemParams, *, tol: Tolerances = DEFAULT,
 
     violation = analytic.decision.max_violation(params)
     checks.append(CheckResult(
-        "analytic-feasible", violation <= feasibility_limit(params, tol.feas),
+        "analytic-feasible", violation <= feasibility_limit(params),
         f"max violation {violation:.3g}"))
 
     lam_lp = (float(sol.duals[0]), float(sol.duals[1])) if sol.optimal else (float("nan"),) * 2
@@ -177,7 +175,7 @@ def cross_check(params: SystemParams, *, tol: Tolerances = DEFAULT,
         ok = True
         detail = []
         ranges = dual_value_ranges(build_lrmc_primal(params), ("balance_1", "balance_2"),
-                                   tol=tol.feas, solution=sol)
+                                   solution=sol)
         for t, (lo, hi) in zip((1, 2), ranges):
             inside = lo - tol.lam_match <= analytic.lrmc[t - 1] <= hi + tol.lam_match
             ok = ok and inside
@@ -185,7 +183,7 @@ def cross_check(params: SystemParams, *, tol: Tolerances = DEFAULT,
         checks.append(CheckResult("lambda-containment", ok, "; ".join(detail)))
 
     slackness = check_complementary_slackness(
-        extract_decision(sol), extract_duals(sol), params, tol_cs=tol.slackness)
+        extract_decision(sol), extract_duals(sol), params)
     checks.append(CheckResult(
         "slackness", slackness.passed, f"max residual {slackness.max_residual:.3g}"))
 

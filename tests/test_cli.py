@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from genmargin import cli, groups, lp, srmc
+from genmargin import cli, groups, lp, srmc, tolerances
 from genmargin.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
@@ -122,6 +122,12 @@ class TestRun:
         assert main(["run", write_config(tmp_path, payload)]) == EXIT_VALIDATION
         assert "CI_r < CI_f" in capsys.readouterr().err
 
+    def test_non_finite_parameter_is_named(self, tmp_path, capsys):
+        # Python's json reads NaN and Infinity
+        payload = dict(CANONICAL, d2=float("nan"))
+        assert main(["run", write_config(tmp_path, payload)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: invalid parameters: d2 must be finite, got nan\n"
+
     def test_ladder_violation_names_the_assumption(self, tmp_path, capsys):
         payload = dict(ci_r=10, cp_r=1, m_r=1000, ci_f=30, cp_f=2, m_f=1000,
                        cl=50, d1=500, d2=700)
@@ -150,19 +156,20 @@ class TestRun:
 
     @pytest.mark.parametrize("d2, built", [(7000.0, 5), (6000.0, 6)])
     def test_report_solves_the_long_run_once(self, monkeypatch, tableaux, d2, built):
-        # the one long-run solve runs at the cross-check's (environment)
-        # feasibility tolerance, since the cross-check is handed it
+        # the one long-run solve runs at the environment's feasibility
+        # tolerance, which reaches it with no keyword passed
         monkeypatch.setenv("GENMARGIN_TOL_FEAS", "1e-8")
+        tolerances.current.cache_clear()
         solves = []
 
         def recorded(params, **kwargs):
-            solves.append(kwargs)
+            solves.append((kwargs, tolerances.current().feas))
             return real(params, **kwargs)
 
         real = cli.solve_lrmc
         monkeypatch.setattr(cli, "solve_lrmc", recorded)
         rep = cli.scenario_report(SystemParams.from_values(**dict(CANONICAL, d2=d2)))
-        assert solves == [{"tol": 1e-8}]
+        assert solves == [({}, 1e-8)]
         assert rep["boundary"] is (d2 == 6000.0)
         assert len(tableaux) == built
 
@@ -532,6 +539,63 @@ class TestSelftest:
     def test_n_zero_rejected(self):
         with pytest.raises(ConfigError):
             run_selftest(seed=1, n=0)
+
+
+class TestToleranceOverrides:
+    """A GENMARGIN_TOL_* override reaches every layer of every verb."""
+
+    # the sweep point whose short-run cost differs from the long-run
+    # optimum in the last bits, so a zero gap tolerance rejects istar
+    TIGHT_GAP_D2 = 14046.153846153846
+
+    @pytest.fixture
+    def override(self, monkeypatch):
+        def set_(name, value):
+            monkeypatch.setenv(f"GENMARGIN_TOL_{name}", value)
+            tolerances.current.cache_clear()
+        return set_
+
+    def test_lambda_tolerance_reaches_selftest(self, override):
+        out = io.StringIO()
+        assert run_selftest(1, 40, out=out) == EXIT_OK
+        override("LAMBDA", "1e-300")
+        out = io.StringIO()
+        assert run_selftest(1, 40, out=out) == 2
+        assert "pass 32/40" in out.getvalue()
+
+    def test_gap_tolerance_reaches_the_sweeps_short_run_stage(self, tmp_path, override):
+        payload = dict(CANONICAL, sweep=[
+            {"param": "d2", "from": 100, "to": 14800, "steps": 40}])
+        config = load_config(write_config(tmp_path, payload))
+        assert all(row[0] != "error" for _, row in sweep_rows(config))
+        override("GAP", "1e-300")
+        errors = [(values, row) for values, row in sweep_rows(config) if row[0] == "error"]
+        assert [values for values, _ in errors] == [(self.TIGHT_GAP_D2,)]
+        assert errors[0][1][1].startswith("istar is not an optimal investment plan")
+
+    def test_gap_tolerance_reaches_the_reports_short_run_stage(self, tmp_path, capsys,
+                                                               override):
+        path = write_config(tmp_path, dict(CANONICAL, d2=self.TIGHT_GAP_D2))
+        assert main(["run", path]) == EXIT_OK
+        capsys.readouterr()
+        override("GAP", "1e-300")
+        assert main(["run", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(
+            "error: istar is not an optimal investment plan")
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    @pytest.mark.parametrize("verb", ["run", "sweep", "selftest"])
+    def test_malformed_override_fails_every_verb(self, tmp_path, capsys, override,
+                                                 verb, value):
+        payload = dict(CANONICAL, sweep=[{"param": "d2", "from": 100, "to": 200, "steps": 2}])
+        args = ["selftest", "--n", "3"] if verb == "selftest" else [
+            verb, write_config(tmp_path, payload)]
+        override("FEAS", value)
+        assert main(args) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: GENMARGIN_TOL_FEAS must be a finite nonnegative "
+                                f"number, got {value!r}\n")
+        assert captured.out == ""
 
 
 class TestDumpTables:

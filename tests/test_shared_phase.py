@@ -306,7 +306,7 @@ def requests_of(step):
         except StopIteration:
             return seen
         seen.append(request)
-        answer = solve_objectives(request.problem, request.objectives, tol=request.tol)
+        answer = solve_objectives(request.problem, request.objectives)
 
 
 def sweep_requests(params):
@@ -324,7 +324,7 @@ def assert_batch_matches(requests, seed=0):
     order = np.random.default_rng(seed).permutation(len(requests))
     batch = [requests[k] for k in order]
     for request, got in zip(batch, solve_stacked(batch)):
-        want = solve_objectives(request.problem, request.objectives, tol=request.tol)
+        want = solve_objectives(request.problem, request.objectives)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert_identical(g, w)
@@ -358,12 +358,12 @@ def test_random_lps_match_solve_objectives_in_a_batch(stack_min):
 
 
 def test_mixed_batch_keeps_each_request_apart(stack_min):
-    # models, random LPs and one-row LPs side by side, with custom
-    # tolerances and singleton layouts
+    # models, random LPs and one-row LPs side by side, with singleton
+    # layouts
     params = scenarios()[:6]
     requests = [r for p in params for r in sweep_requests(p)]
-    requests += [LpRequest(p, tuple(obj), 1e-7) for p, obj in random_lps(seed=3, count=20)]
-    requests += [LpRequest(*TOLERANCE_SPLIT), LpRequest(*INFEASIBLE, 1e-6)]
+    requests += [LpRequest(p, tuple(obj)) for p, obj in random_lps(seed=3, count=20)]
+    requests += [LpRequest(*TOLERANCE_SPLIT), LpRequest(*INFEASIBLE)]
     assert_batch_matches(requests, seed=3)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from genmargin import tolerances
 from genmargin.groups import classify
 from genmargin.model import SystemParams, solve_lrmc
 from genmargin.sampling import random_params
@@ -81,6 +82,18 @@ class TestComputeSrmc:
         lr = solve_lrmc(params)
         with pytest.raises(SrmcError):
             compute_srmc(params, lr.decision, epsilon=0.0)
+
+    def test_non_optimal_perturbed_solve_rejected(self, monkeypatch):
+        # At a zero feasibility tolerance, rounding in phase 1 leaves this
+        # scenario's perturbed short-run model "infeasible".
+        monkeypatch.setenv("GENMARGIN_TOL_FEAS", "0")
+        tolerances.current.cache_clear()
+        params = SystemParams.from_values(
+            60.9875803789974, 0.2596926978866327, 396.44098394416386,
+            106.41720281193204, 1.5365843432268265, 566.3508214013052,
+            23.81210299785806, 1653.3868320306658, 244.07731151903116)
+        with pytest.raises(SrmcError, match="^perturbed short-run model infeasible$"):
+            srmc_for(params)
 
 
 class TestRandomizedAgreement:
