@@ -15,6 +15,7 @@ from genmargin import (
     solve_lp,
     solve_lrmc,
 )
+from genmargin.groups import used_options
 
 params = SystemParams.from_values(
     ci_r=60, cp_r=1, m_r=3000,     # renewable: invest, operate, build cap
@@ -51,5 +52,5 @@ print(f"instance group {group.gid} (cluster {group.cluster}, "
       f"peak period {group.peak_period}), price profile {res.profile_id}")
 print(f"closed-form prices ({res.lrmc[0]:g}, {res.lrmc[1]:g}) "
       f"vs LP duals ({lr.duals.lam_1:g}, {lr.duals.lam_2:g})")
-print("options in use:", tuple(sorted(res.used_options[0])),
-      tuple(sorted(res.used_options[1])))
+options = used_options(params, res.decision)
+print("options in use:", tuple(sorted(options[0])), tuple(sorted(options[1])))

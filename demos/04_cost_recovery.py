@@ -14,6 +14,7 @@ from genmargin import (
     classify,
     cost_recovery,
     group_orientation,
+    investment_allocation,
     lrmc_profile_for_group,
     solve_lrmc,
     srmc_profile,
@@ -48,7 +49,7 @@ for title, params in SCENARIOS.items():
     print(f"short-run pricing: revenue {short_run.revenue:>12,.0f}  "
           f"cost {short_run.total_cost:>12,.0f}  profit {short_run.profit:>12,.0f}"
           f"  ({'recovers' if table.recovered else 'missing money'})")
-    for a in long_run.allocation:
+    for a in investment_allocation(params, res.decision):
         print(f"shared {a.tech} build: {a.peak_share:g} of its {a.invest_cost:g} "
               f"investment cost recovered in the peak period, "
               f"{a.offpeak_share:g} off-peak [{a.rule}]")

@@ -19,7 +19,6 @@ from .lp import (
 )
 from .model import (
     DualValues,
-    GeneratorTech,
     LrmcSolve,
     ModelError,
     PrimalDecision,
@@ -48,6 +47,7 @@ from .pricing import (
     ZERO_RENT_GROUPS,
     cost_recovery,
     group_orientation,
+    investment_allocation,
     lrmc_profile_for_group,
     srmc_profile,
 )

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -32,10 +33,11 @@ import numpy as np
 from . import tolerances
 from .groups import analytic_solution, classify, table_csv
 from .lp import run_lockstep
-from .model import ModelError, SystemParams, lrmc_step, solve_lrmc
+from .model import PARAM_FIELDS, ModelError, SystemParams, lrmc_step, solve_lrmc
 from .pricing import (
     cost_recovery,
     group_orientation,
+    investment_allocation,
     lrmc_profile_for_group,
     sales,
     srmc_profile,
@@ -43,8 +45,6 @@ from .pricing import (
 from .sampling import random_params
 from .srmc import compute_srmc, predict_srmc_from_lrmc, srmc_step
 from .verify import cross_check
-
-PARAM_FIELDS = ("ci_r", "cp_r", "m_r", "ci_f", "cp_f", "m_f", "cl", "d1", "d2")
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -123,6 +123,9 @@ def load_config(path: str) -> ScenarioConfig:
             raise ConfigError(f"sweep block needs param/from/to/steps: {exc}") from None
         if name not in PARAM_FIELDS:
             raise ConfigError(f"sweep parameter {name!r} is not a model field")
+        for key, value in (("from", start), ("to", stop)):
+            if not math.isfinite(value):
+                raise ConfigError(f"sweep {key!r} of {name!r} must be finite, got {value!r}")
         if steps < 2:
             raise ConfigError("sweep needs steps >= 2")
         if start == stop:
@@ -130,6 +133,8 @@ def load_config(path: str) -> ScenarioConfig:
         sweeps.append(SweepBlock(name, start, stop, steps))
     if len(sweeps) > 2:
         raise ConfigError("at most two sweep dimensions supported")
+    if len(sweeps) == 2 and sweeps[0].param == sweeps[1].param:
+        raise ConfigError(f"sweep names parameter {sweeps[0].param!r} twice")
 
     out = raw.get("output", {})
     if not isinstance(out, dict):
@@ -194,7 +199,7 @@ def scenario_report(params: SystemParams) -> dict:
             {"tech": a.tech, "invest_cost": a.invest_cost,
              "peak_share": a.peak_share, "offpeak_share": a.offpeak_share,
              "rule": a.rule}
-            for a in lrmc_recovery.allocation
+            for a in investment_allocation(params, analytic.decision)
         ],
         "cross_check": {
             "passed": check.passed,

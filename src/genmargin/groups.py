@@ -35,7 +35,7 @@ import io
 import csv
 from dataclasses import dataclass
 
-from .model import PrimalDecision, SystemParams, feasibility_limit
+from .model import PARAM_FIELDS, PrimalDecision, SystemParams, feasibility_limit
 from .tolerances import current
 
 OPTIONS = ("SR", "SF", "R", "F")   # shared/non-shared renewable/fossil
@@ -46,17 +46,13 @@ class ClassificationError(ValueError):
 
 
 #: The 13 symbols the table is written in, in the order ``_values`` gives them.
-_SYMBOLS = ("d1", "d2", "m_r", "m_f", "ci_r", "cp_r", "ci_f", "cp_f", "cl",
-            "t_sr", "t_sf", "t_r", "t_f")
+_SYMBOLS = PARAM_FIELDS + ("t_sr", "t_sf", "t_r", "t_f")
 
 
 def _values(p: SystemParams) -> tuple:
     """The values of _SYMBOLS at ``p``."""
-    r, f = p.renewable, p.fossil
-    d1, d2 = p.demand
-    ci_r, cp_r, ci_f, cp_f = r.invest_cost, r.operating_cost, f.invest_cost, f.operating_cost
-    return (d1, d2, r.max_capacity, f.max_capacity, ci_r, cp_r, ci_f, cp_f,
-            p.loadshed_cost,
+    ci_r, cp_r, ci_f, cp_f = p.ci_r, p.cp_r, p.ci_f, p.cp_f
+    return (ci_r, cp_r, p.m_r, ci_f, cp_f, p.m_f, p.cl, p.d1, p.d2,
             ci_r / 2 + cp_r,   # t_sr: shared renewable unit cost
             ci_f / 2 + cp_f,   # t_sf: shared fossil unit cost
             ci_r + cp_r,       # t_r: non-shared renewable unit cost
@@ -104,7 +100,6 @@ class AnalyticResult:
     decision: PrimalDecision
     lrmc: tuple              # (lam_1, lam_2)
     profile_id: int
-    used_options: tuple      # per-period frozensets of option labels
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +291,7 @@ def classify(params: SystemParams, *, tol_bound: float = None) -> InstanceGroup:
     """
     tol_bound = current().bound if tol_bound is None else tol_bound
     v = _values(params)
-    d1, d2, m_r, m_f = v[:4]
+    d1, d2, m_r, m_f = params.d1, params.d2, params.m_r, params.m_f
     t_sf, t_r = v[10], v[11]
     if t_sf > t_r and _rel_margin(t_sf, t_r) > 1e-12:
         raise ClassificationError(
@@ -344,7 +339,7 @@ def _dispatch(params: SystemParams, invest):
     """Generation ``(P_r1, P_r2, P_f1, P_f2)`` and shedding ``(L_1, L_2)``
     by operating-cost merit order given installed capacity."""
     i_r1, i_r2, i_f1, i_f2 = invest
-    d1, d2 = params.demand
+    d1, d2 = params.d1, params.d2
     p_r1 = min(i_r1, d1)
     p_f1 = min(i_f1, d1 - p_r1)
     p_r2 = min(i_r1 + i_r2, d2)
@@ -372,13 +367,11 @@ def analytic_solution(params: SystemParams, group: InstanceGroup) -> AnalyticRes
         raise ClassificationError(
             f"group {group.gid}: tabulated shed {shed} does not match dispatch {led}"
         )
-    decision = PrimalDecision(*invest, *gen, *led)
     return AnalyticResult(
         group=group,
-        decision=decision,
+        decision=PrimalDecision(*invest, *gen, *led),
         lrmc=lrmc,
         profile_id=GROUPS[group.gid].profile_id,
-        used_options=used_options(params, decision),
     )
 
 

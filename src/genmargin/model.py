@@ -20,7 +20,7 @@ model; duals are unaffected by constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,107 +52,74 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GeneratorTech:
-    """One technology: investment cost, operating cost, per-period build cap.
-    Its capacity lives two periods, the model's one lifetime."""
-
-    invest_cost: float
-    operating_cost: float
-    max_capacity: float
-
-    def __post_init__(self):
-        for name in ("invest_cost", "operating_cost", "max_capacity"):
-            if not math.isfinite(getattr(self, name)):
-                raise ModelError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.invest_cost < 0 or self.operating_cost < 0:
-            raise ModelError("costs must be nonnegative")
-        if not self.max_capacity > 0:
-            raise ModelError("max investable capacity must be positive")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemParams:
-    """All nine model parameters.
+    """All nine model parameters, under their config-file names: each
+    technology's investment cost, operating cost and per-period build cap
+    (``ci_g``, ``cp_g``, ``m_g``; capacity lives two periods, the model's
+    one lifetime), the loadshed cost ``cl`` and the demands ``d1``, ``d2``.
+    Each is stored as a float.
 
     Standing assumption: the fossil technology is dearer on both cost
     components (CI_r < CI_f and CP_r < CP_f).
     """
 
-    renewable: GeneratorTech
-    fossil: GeneratorTech
-    loadshed_cost: float
-    demand: tuple
+    ci_r: float
+    cp_r: float
+    m_r: float
+    ci_f: float
+    cp_f: float
+    m_f: float
+    cl: float
+    d1: float
+    d2: float
 
     def __post_init__(self):
-        d = tuple(float(v) for v in self.demand)
-        for name, value in (("loadshed_cost", self.loadshed_cost), *zip(("d1", "d2"), d)):
-            if not math.isfinite(value):
-                raise ModelError(f"{name} must be finite, got {value!r}")
-        if not self.renewable.invest_cost < self.fossil.invest_cost:
+        for g in ("r", "f"):
+            _store_finite(self, (f"ci_{g}", f"cp_{g}", f"m_{g}"))
+            if self.ci(g) < 0 or self.cp(g) < 0:
+                raise ModelError("costs must be nonnegative")
+            if not self.m(g) > 0:
+                raise ModelError("max investable capacity must be positive")
+        _store_finite(self, ("cl", "d1", "d2"))
+        if not self.ci_r < self.ci_f:
             raise ModelError("requires CI_r < CI_f")
-        if not self.renewable.operating_cost < self.fossil.operating_cost:
+        if not self.cp_r < self.cp_f:
             raise ModelError("requires CP_r < CP_f")
-        if not self.loadshed_cost > 0:
+        if not self.cl > 0:
             raise ModelError("loadshed cost must be positive")
-        if len(d) != 2 or d[0] < 0 or d[1] < 0:
+        if self.d1 < 0 or self.d2 < 0:
             raise ModelError("demand must be two nonnegative values")
-        object.__setattr__(self, "demand", d)
 
-    @classmethod
-    def from_values(cls, ci_r, cp_r, m_r, ci_f, cp_f, m_f, cl, d1, d2):
-        return cls(
-            renewable=GeneratorTech(float(ci_r), float(cp_r), float(m_r)),
-            fossil=GeneratorTech(float(ci_f), float(cp_f), float(m_f)),
-            loadshed_cost=float(cl),
-            demand=(float(d1), float(d2)),
-        )
-
-    # short names mirroring the model's symbols
-    @property
-    def ci_r(self):
-        return self.renewable.invest_cost
+    #: The constructor under the name the demos and callers use.
+    from_values = classmethod(lambda cls, *values, **named: cls(*values, **named))
 
     @property
-    def cp_r(self):
-        return self.renewable.operating_cost
-
-    @property
-    def m_r(self):
-        return self.renewable.max_capacity
-
-    @property
-    def ci_f(self):
-        return self.fossil.invest_cost
-
-    @property
-    def cp_f(self):
-        return self.fossil.operating_cost
-
-    @property
-    def m_f(self):
-        return self.fossil.max_capacity
-
-    @property
-    def cl(self):
-        return self.loadshed_cost
-
-    @property
-    def d1(self):
-        return self.demand[0]
-
-    @property
-    def d2(self):
-        return self.demand[1]
-
-    def tech(self, g):
-        return self.renewable if g == "r" else self.fossil
-
-    def cp(self, g):
-        return self.tech(g).operating_cost
+    def demand(self):
+        return (self.d1, self.d2)
 
     def ci(self, g):
-        return self.tech(g).invest_cost
+        return self.ci_r if g == "r" else self.ci_f
+
+    def cp(self, g):
+        return self.cp_r if g == "r" else self.cp_f
+
+    def m(self, g):
+        return self.m_r if g == "r" else self.m_f
+
+
+#: The nine parameter names, in field order: the config file's keys.
+PARAM_FIELDS = tuple(f.name for f in fields(SystemParams))
+
+
+def _store_finite(params: SystemParams, names):
+    """Store each of ``names`` on ``params`` as a float, all converted
+    before any is checked; reject the first one that is not finite."""
+    values = [float(getattr(params, name)) for name in names]
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise ModelError(f"{name} must be finite, got {value!r}")
+        object.__setattr__(params, name, value)
 
 
 @dataclass(frozen=True)
@@ -212,8 +179,7 @@ class PrimalDecision:
         i_r1, i_r2, i_f1, i_f2 = self.i_r1, self.i_r2, self.i_f1, self.i_f2
         p_r1, p_r2, p_f1, p_f2 = self.p_r1, self.p_r2, self.p_f1, self.p_f2
         l_1, l_2 = self.l_1, self.l_2
-        d1, d2 = params.demand
-        m_r, m_f = params.renewable.max_capacity, params.fossil.max_capacity
+        d1, d2, m_r, m_f = params.d1, params.d2, params.m_r, params.m_f
         return max(
             -min(i_r1, 0.0), -min(i_r2, 0.0), -min(i_f1, 0.0), -min(i_f2, 0.0),
             -min(p_r1, 0.0), -min(p_r2, 0.0), -min(p_f1, 0.0), -min(p_f2, 0.0),

@@ -123,11 +123,11 @@ class RecoveryReport:
     profit: float
     recovered: bool
     revenue_by_period: tuple
-    allocation: tuple
 
 
-def _allocate_shared(params: SystemParams, decision: PrimalDecision):
-    """Split each shared build's investment cost across the two periods.
+def investment_allocation(params: SystemParams, decision: PrimalDecision) -> tuple:
+    """Split each shared build's investment cost across the two periods:
+    one :class:`InvestmentAllocation` per technology with a shared build.
 
     All of it lands on the peak unless the peak's marginal unit is cheaper
     to invest in than the shared technology itself; then the peak only
@@ -180,5 +180,4 @@ def cost_recovery(prices, decision: PrimalDecision, params: SystemParams) -> Rec
         profit=profit,
         recovered=profit >= -current().money,
         revenue_by_period=by_period,
-        allocation=_allocate_shared(params, decision),
     )

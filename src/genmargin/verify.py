@@ -78,7 +78,7 @@ def check_complementary_slackness(decision: PrimalDecision, duals: DualValues,
                  y.beta(g, t))
     for g in ("r", "f"):
         for t in (1, 2):
-            cond(f"invest_{g}{t}", p.tech(g).max_capacity - d.invested(g, t),
+            cond(f"invest_{g}{t}", p.m(g) - d.invested(g, t),
                  y.gamma(g, t))
 
     conditions = tuple(

@@ -64,7 +64,7 @@ def sweep():
         analytic = analytic_solution(params, classify(params))
         srmc = compute_srmc(params, lr.decision, lrmc_objective=lr.objective)
         rent = sum(
-            params.tech(g).max_capacity * lr.duals.gamma(g, t)
+            params.m(g) * lr.duals.gamma(g, t)
             for g in ("r", "f") for t in (1, 2)
         )
         records.append(Record(params, check.gid, analytic.profile_id, check,

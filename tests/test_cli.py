@@ -20,7 +20,7 @@ from genmargin.cli import (
     sweep_rows,
 )
 from genmargin.groups import analytic_solution, classify
-from genmargin.model import PrimalDecision, SystemParams, solve_lrmc
+from genmargin.model import PARAM_FIELDS, PrimalDecision, SystemParams, solve_lrmc
 from genmargin.pricing import cost_recovery
 from genmargin.sampling import random_params
 from genmargin.srmc import compute_srmc
@@ -122,11 +122,13 @@ class TestRun:
         assert main(["run", write_config(tmp_path, payload)]) == EXIT_VALIDATION
         assert "CI_r < CI_f" in capsys.readouterr().err
 
-    def test_non_finite_parameter_is_named(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field", PARAM_FIELDS)
+    def test_non_finite_parameter_is_named(self, tmp_path, capsys, field):
         # Python's json reads NaN and Infinity
-        payload = dict(CANONICAL, d2=float("nan"))
+        payload = dict(CANONICAL, **{field: float("nan")})
         assert main(["run", write_config(tmp_path, payload)]) == EXIT_VALIDATION
-        assert capsys.readouterr().err == "error: invalid parameters: d2 must be finite, got nan\n"
+        assert capsys.readouterr().err == \
+            f"error: invalid parameters: {field} must be finite, got nan\n"
 
     def test_ladder_violation_names_the_assumption(self, tmp_path, capsys):
         payload = dict(ci_r=10, cp_r=1, m_r=1000, ci_f=30, cp_f=2, m_f=1000,
@@ -230,6 +232,10 @@ class TestSweep:
             [{"param": "d2", "from": 1, "to": 2, "steps": 1}],
             [{"param": "nope", "from": 1, "to": 2, "steps": 3}],
             [{"param": "d1", "from": 1, "to": 2, "steps": 3}] * 3,
+            [{"param": "d2", "from": 2000, "to": 4000, "steps": 3},
+             {"param": "d2", "from": 9000, "to": 12000, "steps": 3}],
+            [{"param": "d2", "from": float("nan"), "to": 4000, "steps": 3}],
+            [{"param": "d2", "from": 2000, "to": float("inf"), "steps": 3}],
         ):
             with pytest.raises(ConfigError):
                 load_config(write_config(tmp_path, dict(CANONICAL, sweep=bad)))

@@ -14,6 +14,7 @@ from genmargin.groups import (
     option_cost,
     representative_params,
     table_csv,
+    used_options,
 )
 from genmargin.model import SystemParams, solve_lrmc
 from genmargin.tolerances import DEFAULT
@@ -125,14 +126,16 @@ class TestAnalyticSolution:
         for gid, (p1, p2) in expect.items():
             params = representative_params(gid)
             res = analytic_solution(params, classify(params))
-            assert res.used_options == (frozenset(p1), frozenset(p2)), f"group {gid}"
+            assert used_options(params, res.decision) == (frozenset(p1), frozenset(p2)), \
+                f"group {gid}"
 
     def test_affordability_consistency(self):
         for gid in range(1, 42):
             params = representative_params(gid)
             res = analytic_solution(params, classify(params))
             # every option in use costs less per unit than shedding
-            for o in res.used_options[0] | res.used_options[1]:
+            first, second = used_options(params, res.decision)
+            for o in first | second:
                 assert option_cost(o, params) < params.cl, f"group {gid}: {o}"
 
     def test_marginal_cp_group14(self):
@@ -378,7 +381,7 @@ def test_compiled_table_reaches_no_builtins():
 
 def closed_form_line(params):
     """Every figure of the closed-form route at ``params``, floats by repr."""
-    from genmargin.pricing import (cost_recovery, group_orientation,
+    from genmargin.pricing import (cost_recovery, group_orientation, investment_allocation,
                                    lrmc_profile_for_group, srmc_profile)
     parts = []
     try:
@@ -389,10 +392,10 @@ def closed_form_line(params):
         parts.append(repr((d.i_r1, d.i_r2, d.i_f1, d.i_f2, d.p_r1, d.p_r2,
                            d.p_f1, d.p_f2, d.l_1, d.l_2)))
         parts.append(f"{res.lrmc!r} {res.profile_id} "
-                     f"{[sorted(s) for s in res.used_options]}")
+                     f"{[sorted(s) for s in used_options(params, d)]}")
         rec = cost_recovery(res.lrmc, res.decision, params)
         parts.append(f"{rec.revenue!r} {rec.total_cost!r} {rec.profit!r} {rec.recovered} "
-                     f"{rec.revenue_by_period!r} {rec.allocation!r}")
+                     f"{rec.revenue_by_period!r} {investment_allocation(params, d)!r}")
         short = srmc_profile(lrmc_profile_for_group(g.gid), params, group_orientation(g.gid))
         parts.append(f"{short.prices!r} {short.recovered}")
     except ValueError as exc:

@@ -52,15 +52,17 @@ class TestParams:
             SystemParams.from_values(60, 20, 3000, 82, 1, 4000, 200, 1, 2)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("field, name", [
+    # The message names the config field; what the field measures only
+    # labels the case.
+    @pytest.mark.parametrize("field, quantity", [
         ("ci_r", "invest_cost"), ("cp_r", "operating_cost"), ("m_r", "max_capacity"),
         ("ci_f", "invest_cost"), ("cp_f", "operating_cost"), ("m_f", "max_capacity"),
         ("cl", "loadshed_cost"), ("d1", "d1"), ("d2", "d2")])
-    def test_non_finite_parameter_is_named(self, field, name, value):
+    def test_non_finite_parameter_is_named(self, field, quantity, value):
         values = dict(ci_r=60, cp_r=1, m_r=3000, ci_f=82, cp_f=20, m_f=4000,
                       cl=200, d1=2000, d2=8000)
         values[field] = value
-        with pytest.raises(ModelError, match=rf"^{name} must be finite, got {value!r}$"):
+        with pytest.raises(ModelError, match=rf"^{field} must be finite, got {value!r}$"):
             SystemParams.from_values(**values)
 
 

@@ -12,6 +12,7 @@ from genmargin.pricing import (
     ZERO_RENT_GROUPS,
     cost_recovery,
     group_orientation,
+    investment_allocation,
     lrmc_profile_for_group,
     sales,
     srmc_profile,
@@ -128,9 +129,9 @@ class TestAllocation:
     def test_profile3_all_to_peak(self):
         params = canonical(cl=80.0, d2=4000.0)
         res = analytic_for(params)
-        rep = cost_recovery(res.lrmc, res.decision, params)
-        assert len(rep.allocation) == 1
-        a = rep.allocation[0]
+        allocation = investment_allocation(params, res.decision)
+        assert len(allocation) == 1
+        a = allocation[0]
         assert a.tech == "r" and a.rule == "all-to-peak"
         assert_allclose((a.peak_share, a.offpeak_share), (60.0, 0.0))
 
@@ -139,8 +140,7 @@ class TestAllocation:
         params = canonical(cl=40.0, d2=4000.0)
         res = analytic_for(params)
         assert res.profile_id == 2
-        rep = cost_recovery(res.lrmc, res.decision, params)
-        a = rep.allocation[0]
+        a = investment_allocation(params, res.decision)[0]
         assert a.rule == "split"
         assert_allclose((a.peak_share, a.offpeak_share), (40.0, 20.0))
 
@@ -149,8 +149,7 @@ class TestAllocation:
         for _ in range(120):
             params = random_params(rng)
             res = analytic_for(params)
-            rep = cost_recovery(res.lrmc, res.decision, params)
-            for a in rep.allocation:
+            for a in investment_allocation(params, res.decision):
                 assert_allclose(a.peak_share + a.offpeak_share, a.invest_cost,
                                 rtol=1e-12)
                 assert a.peak_share >= 0 and a.offpeak_share >= 0
@@ -170,7 +169,7 @@ class TestRecoveryTheorems:
             assert rep.profit >= -1e-6
             lr = solve_lrmc(params, canonical=False)
             rent = sum(
-                params.tech(gg).max_capacity * lr.duals.gamma(gg, t)
+                params.m(gg) * lr.duals.gamma(gg, t)
                 for gg in ("r", "f") for t in (1, 2)
             )
             assert abs(rep.profit - rent) <= 1e-6 * (1 + abs(rep.profit))
