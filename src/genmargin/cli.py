@@ -43,7 +43,7 @@ from .pricing import (
     srmc_profile,
 )
 from .sampling import random_params
-from .srmc import compute_srmc, predict_srmc_from_lrmc, srmc_step
+from .srmc import compute_srmc, predict_srmc_from_lrmc, resolved_step, srmc_step
 from .verify import cross_check
 
 EXIT_OK = 0
@@ -114,6 +114,8 @@ def load_config(path: str) -> ScenarioConfig:
     for blk in blocks:
         if not isinstance(blk, dict):
             raise ConfigError("sweep entries must be objects")
+        if isinstance(blk.get("steps"), float) and not blk["steps"].is_integer():
+            raise ConfigError(f"sweep steps must be a whole number, got {blk['steps']!r}")
         try:
             name = blk["param"]
             start = float(blk["from"])
@@ -339,17 +341,18 @@ def sweep_rows(config: ScenarioConfig):
 
 
 def _sweep_row(over: dict):
-    """One grid point's CSV row, as a step (see ``lp.LpRequest``)."""
+    """One grid point's CSV row, as a step (see ``lp.LpRequest``): the
+    long-run solve and ``srmc.resolved_step``'s two short-run solves, so
+    no dual interval, which the row would not print."""
     params = SystemParams.from_values(**over)
     group = classify(params)
     analytic = analytic_solution(params, group)
     lr = yield from lrmc_step(params)
-    srmc = yield from srmc_step(params, lr.decision, lrmc_objective=lr.objective,
-                                analytic=analytic)
-    _, sold = sales((analytic.lrmc, srmc.resolved), analytic.decision, params)
+    resolved = yield from resolved_step(params, lr.decision, lr.objective)
+    _, sold = sales((analytic.lrmc, resolved), analytic.decision, params)
     (*_, p_l), (*_, p_s) = sold
     return (group.gid, analytic.profile_id, analytic.lrmc[0],
-            analytic.lrmc[1], srmc.resolved[0], srmc.resolved[1],
+            analytic.lrmc[1], resolved[0], resolved[1],
             p_l, p_s, group.boundary)
 
 

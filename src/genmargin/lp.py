@@ -30,10 +30,12 @@ drive-out of artificials and the pivot cap.  Pivots use the scalar path's
 elementwise arithmetic, duals come from one batched LAPACK solve of the
 same matrices, and reduced costs and objectives are computed per
 instance, so every outcome equals :func:`solve_objectives` bit for bit,
-``iterations`` included.  ``sweep`` stacks every LP of its grid rows this
-way, ``selftest`` the short-run stage (``srmc.srmc_step``) of its
-scenarios; the long-run solve and the cross-check of a ``selftest``
-scenario, and every LP of a ``run`` report, are solved one at a time.
+``iterations`` included.  ``sweep`` stacks the three LPs of each grid
+row this way (the long-run solve and ``srmc.resolved_step``'s two
+short-run solves; a row computes no dual interval), ``selftest`` the
+short-run stage (``srmc.srmc_step``) of its scenarios; the long-run
+solve and the cross-check of a ``selftest`` scenario, and every LP of a
+``run`` report, are solved one at a time.
 
 Groups smaller than :data:`STACK_MIN` (8) are solved one by one, because
 the kernel's fixed cost per pivot round then outweighs what it saves.  The
@@ -56,9 +58,9 @@ solve then builds only its own ``[A | I_art]``, right-hand side and
 shift, and takes the optimal basis matrix and its costs as one fancy
 index of those.  The dual-range region (:func:`dual_ranges_step`) is
 written straight from the problem and its optimal value
-(:func:`_pinned_region`) instead of through :func:`_min_form` and
-:func:`explicit_dual`: the same arithmetic, so the same bytes, without
-two intermediate LPs to validate.
+(:func:`_pinned_region`): the dual of :func:`_min_form`'s LP, pinned to
+its optimum, with the arithmetic of an explicit dual LP (so the same
+bytes) but without two intermediate LPs to validate.
 
 Conventions
 -----------
@@ -919,7 +921,7 @@ def _pivot_stack(T, rows, pi, pj):
 
 
 # ---------------------------------------------------------------------------
-# explicit dual construction and dual value ranges
+# dual value ranges
 # ---------------------------------------------------------------------------
 
 
@@ -940,46 +942,13 @@ def _min_form(problem: LinearProgram) -> LinearProgram:
     )
 
 
-def explicit_dual(problem: LinearProgram):
-    """Build the dual of a minimization LP as an explicit LinearProgram.
-
-    Returns ``(dual_lp, signs)`` where ``signs[i]`` maps the dual LP's
-    variable ``i`` back to the primal row's dual: ``y_i = signs[i] *
-    dual_x_i`` (``<=`` rows are represented by their negated, nonnegative
-    counterpart so the solver only ever sees lb in {0, -inf}).
-    """
-    if problem.sense != "min":
-        raise LpInputError("explicit_dual expects a minimization problem")
-    m, n = problem.n_rows, problem.n_vars
-    signs = np.array([
-        -1.0 if rel == LE else 1.0 for rel in problem.relations
-    ])
-    lb = np.array([
-        -np.inf if rel == EQ else 0.0 for rel in problem.relations
-    ])
-    A_d = problem.A.T * signs[None, :]
-    rel_d = tuple(
-        EQ if math.isinf(problem.lower_bounds[j]) else LE for j in range(n)
-    )
-    dual = LinearProgram(
-        sense="max",
-        c=signs * problem.b,
-        A=A_d,
-        relations=rel_d,
-        b=problem.c.copy(),
-        lower_bounds=lb,
-        var_labels=tuple(f"y[{problem.row_label(i)}]" for i in range(m)),
-        row_labels=tuple(problem.var_label(j) for j in range(n)),
-    )
-    return dual, signs
-
-
 def _pinned_region(problem: LinearProgram, z_min: float):
-    """``(region, signs)``: the dual region of ``explicit_dual(_min_form(
-    problem))`` pinned to the optimal value ``z_min`` of ``_min_form(
-    problem)``, and that dual's ``signs``, built straight from ``problem``
-    with the same arithmetic (and so the same bytes), without the two
-    intermediate LPs."""
+    """``(region, signs)``: the feasible region of the dual of ``_min_form(
+    problem)``, pinned to that LP's optimal value ``z_min``, built straight
+    from ``problem``.  Variable ``i`` is ``signs[i]`` times row ``i``'s dual
+    (negated for a ``<=`` row, so each is nonnegative or free); there is
+    one row per primal column (``=`` for a free one, ``<=`` otherwise) and
+    a last row that pins the dual objective."""
     shift, b_work = _shifted_rhs(problem)
     c_min = problem.c if problem.sense == "min" else -problem.c
     signs = np.array([-1.0 if rel == LE else 1.0 for rel in problem.relations])

@@ -17,6 +17,10 @@ short-run price:
 ``predict_srmc_from_lrmc`` applies them directly; ``compute_srmc`` gets
 the same numbers out of perturbed solves, so the two can be played against
 each other as independent routes.
+
+``resolved_step`` makes only the two solves a ``sweep`` row prints
+(frozen, with its check against the long-run optimum, and perturbed);
+``srmc_step``, behind ``compute_srmc``, adds the intervals and rules.
 """
 
 from __future__ import annotations
@@ -107,7 +111,8 @@ def compute_srmc(params: SystemParams, istar, *, epsilon: float = None,
 def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
               lrmc_objective: float = None, analytic: AnalyticResult = None):
     """:func:`compute_srmc` as a step that yields its LP requests (see
-    :class:`~genmargin.lp.LpRequest`)."""
+    :class:`~genmargin.lp.LpRequest`): :func:`resolved_step`'s two solves
+    with the dual intervals of the frozen model between them."""
     eps = default_epsilon(params) if epsilon is None else float(epsilon)
     if eps <= 0:
         raise SrmcError("epsilon must be positive to resolve degeneracy")
@@ -117,24 +122,11 @@ def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
         z_star = lr_sol.objective
     else:
         z_star = float(lrmc_objective)
-    frozen = build_srmc_primal(params, istar, epsilon=0.0)
-    (sol0,) = yield LpRequest.own(frozen)
-    if not sol0.optimal:
-        raise SrmcError(f"short-run model {sol0.status}")
-    if abs(sol0.objective - z_star) > current().gap * (1.0 + abs(z_star)):
-        raise SrmcError(
-            f"istar is not an optimal investment plan "
-            f"(short-run cost {sol0.objective:g} vs long-run optimum {z_star:g})"
-        )
-
+    frozen, sol0 = yield from _frozen_step(params, istar, z_star)
     intervals = yield from dual_ranges_step(frozen, ("balance_1", "balance_2"),
                                             solution=sol0)
     degenerate = tuple(dual_interval_has_width(lo, hi) for lo, hi in intervals)
-
-    (perturbed,) = yield LpRequest.own(build_srmc_primal(params, istar, epsilon=eps))
-    if not perturbed.optimal:
-        raise SrmcError(f"perturbed short-run model {perturbed.status}")
-    resolved = (float(perturbed.duals[0]), float(perturbed.duals[1]))
+    resolved = yield from _perturbed_step(params, istar, eps)
 
     if analytic is None:
         analytic = analytic_solution(params, classify(params))
@@ -151,3 +143,35 @@ def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
         lrmc=analytic.lrmc,
         marginal_cp=cps,
     )
+
+
+def resolved_step(params: SystemParams, istar, z_star: float):
+    """The resolved pair of :func:`srmc_step` at the default epsilon, as a
+    step, without the dual intervals: the frozen solve, its check against
+    the long-run optimum ``z_star``, and the perturbed solve."""
+    eps = default_epsilon(params)
+    yield from _frozen_step(params, istar, z_star)
+    return (yield from _perturbed_step(params, istar, eps))
+
+
+def _frozen_step(params, istar, z_star):
+    """``(frozen LP, its optimum)`` at epsilon 0; rejects an ``istar`` whose
+    short-run cost is not the long-run optimum ``z_star``."""
+    frozen = build_srmc_primal(params, istar, epsilon=0.0)
+    (sol0,) = yield LpRequest.own(frozen)
+    if not sol0.optimal:
+        raise SrmcError(f"short-run model {sol0.status}")
+    if abs(sol0.objective - z_star) > current().gap * (1.0 + abs(z_star)):
+        raise SrmcError(
+            f"istar is not an optimal investment plan "
+            f"(short-run cost {sol0.objective:g} vs long-run optimum {z_star:g})"
+        )
+    return frozen, sol0
+
+
+def _perturbed_step(params, istar, eps):
+    """The balance duals of the short-run model, every capacity + ``eps``."""
+    (perturbed,) = yield LpRequest.own(build_srmc_primal(params, istar, epsilon=eps))
+    if not perturbed.optimal:
+        raise SrmcError(f"perturbed short-run model {perturbed.status}")
+    return (float(perturbed.duals[0]), float(perturbed.duals[1]))

@@ -3,12 +3,18 @@
 Completely independent of the production simplex: no pivoting, no phase
 logic, just linear solves over all column subsets.  Exponential, so only
 usable on the tiny instances the tests construct, which is the point.
+
+:func:`explicit_dual` writes a minimization's dual out as a
+``LinearProgram``: the reference the dual-range region of
+``genmargin.lp`` is checked against.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from genmargin.lp import LinearProgram, LpInputError
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -155,3 +161,37 @@ def brute_force_dual_range(c, A, relations, b, row, lower_bounds=None,
             lo = min(lo, y[row])
             hi = max(hi, y[row])
     return lo, hi
+
+
+def explicit_dual(problem: LinearProgram):
+    """Build the dual of a minimization LP as an explicit LinearProgram.
+
+    Returns ``(dual_lp, signs)`` where ``signs[i]`` maps the dual LP's
+    variable ``i`` back to the primal row's dual: ``y_i = signs[i] *
+    dual_x_i`` (``<=`` rows are represented by their negated, nonnegative
+    counterpart so the solver only ever sees lb in {0, -inf}).
+    """
+    if problem.sense != "min":
+        raise LpInputError("explicit_dual expects a minimization problem")
+    m, n = problem.n_rows, problem.n_vars
+    signs = np.array([
+        -1.0 if rel == LE else 1.0 for rel in problem.relations
+    ])
+    lb = np.array([
+        -np.inf if rel == EQ else 0.0 for rel in problem.relations
+    ])
+    A_d = problem.A.T * signs[None, :]
+    rel_d = tuple(
+        EQ if math.isinf(problem.lower_bounds[j]) else LE for j in range(n)
+    )
+    dual = LinearProgram(
+        sense="max",
+        c=signs * problem.b,
+        A=A_d,
+        relations=rel_d,
+        b=problem.c.copy(),
+        lower_bounds=lb,
+        var_labels=tuple(f"y[{problem.row_label(i)}]" for i in range(m)),
+        row_labels=tuple(problem.var_label(j) for j in range(n)),
+    )
+    return dual, signs

@@ -236,9 +236,20 @@ class TestSweep:
              {"param": "d2", "from": 9000, "to": 12000, "steps": 3}],
             [{"param": "d2", "from": float("nan"), "to": 4000, "steps": 3}],
             [{"param": "d2", "from": 2000, "to": float("inf"), "steps": 3}],
+            [{"param": "d2", "from": 2000, "to": 4000, "steps": float("inf")}],
+            [{"param": "d2", "from": 2000, "to": 4000, "steps": 2.7}],
         ):
             with pytest.raises(ConfigError):
                 load_config(write_config(tmp_path, dict(CANONICAL, sweep=bad)))
+
+    @pytest.mark.parametrize("steps", [float("inf"), 2.7])
+    def test_steps_not_a_whole_number_rejected(self, tmp_path, capsys, steps):
+        payload = dict(CANONICAL, sweep=[{"param": "d2", "from": 2000, "to": 4000,
+                                          "steps": steps}])
+        assert main(["sweep", write_config(tmp_path, payload)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: sweep steps must be a whole number, got {steps!r}\n"
+        assert captured.out == ""
 
     def test_golden_sweep_bytes(self, tmp_path):
         # full-precision CSV is part of the contract; exact bytes frozen.
@@ -257,7 +268,7 @@ class TestSweep:
             "7300.0,6,6,1.0,102.0,1.0,20.0,246000.0,-352600.0,false\n"
         )
 
-    def test_at_most_four_tableaux_per_row(self, tmp_path, tableaux, monkeypatch):
+    def test_at_most_three_tableaux_per_row(self, tmp_path, tableaux, monkeypatch):
         # Rows are solved side by side, so each standard form, stacked or
         # not, is charged to the grid row whose step asked for its problem.
         owner, started = {}, []
@@ -283,7 +294,7 @@ class TestSweep:
         assert all(row[0] != "error" for _, row in rows)
         counts = Counter(owner[id(problem)] for problem in tableaux)
         assert len(rows) == len(started) == len(counts) == 64
-        assert max(counts.values()) <= 4, counts
+        assert max(counts.values()) <= 3, counts
 
     def test_chunked_rows_match_row_by_row_evaluation(self, tmp_path):
         # zero demands, region edges and zero-capacity frozen models, over

@@ -12,11 +12,10 @@ from genmargin.lp import (
     IterationLimitError,
     detect_degeneracy,
     dual_value_range,
-    explicit_dual,
     solve_lp,
 )
 
-from lp_oracle import brute_force_solve
+from lp_oracle import brute_force_solve, explicit_dual
 
 
 def lp(sense, c, A, rel, b, lb=None, **kw):

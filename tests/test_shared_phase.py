@@ -23,7 +23,6 @@ from genmargin.lp import (
     _min_form,
     dual_value_range,
     dual_value_ranges,
-    explicit_dual,
     solve_lp,
     solve_objectives,
     solve_stacked,
@@ -37,6 +36,8 @@ from genmargin.model import (
 )
 from genmargin.sampling import random_params
 from genmargin.srmc import default_epsilon, srmc_step
+
+from lp_oracle import explicit_dual
 
 CANONICAL = dict(ci_r=60, cp_r=1, m_r=3000, ci_f=82, cp_f=20, m_f=4000, cl=200, d1=2000)
 #: the demands at which the canonical d2 sweep sits exactly on a region edge

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from genmargin import tolerances
 from genmargin.groups import classify
+from genmargin.lp import run_step
 from genmargin.model import SystemParams, solve_lrmc
 from genmargin.sampling import random_params
 from genmargin.srmc import (
@@ -11,6 +12,7 @@ from genmargin.srmc import (
     compute_srmc,
     default_epsilon,
     predict_srmc_from_lrmc,
+    resolved_step,
 )
 
 
@@ -94,6 +96,37 @@ class TestComputeSrmc:
             23.81210299785806, 1653.3868320306658, 244.07731151903116)
         with pytest.raises(SrmcError, match="^perturbed short-run model infeasible$"):
             srmc_for(params)
+
+
+class TestResolvedStep:
+    """``resolved_step``, the short-run stage of a ``sweep`` row, gives
+    ``compute_srmc``'s resolved pair and rejects what it rejects."""
+
+    def test_pair_equals_compute_srmc(self):
+        # zero demands, every region edge of the README costs and
+        # zero-investment frozen models
+        grid = np.linspace(0.0, 14000.0, 15)
+        unbuilt = 0
+        for d1 in grid:
+            for d2 in grid:
+                params = canonical(d1=float(d1), d2=float(d2))
+                lr = solve_lrmc(params)
+                pair = run_step(resolved_step(params, lr.decision, lr.objective))
+                assert repr(pair) == repr(compute_srmc(params, lr.decision).resolved), params
+                unbuilt += not any((lr.decision.i_r1, lr.decision.i_r2,
+                                    lr.decision.i_f1, lr.decision.i_f2))
+        assert unbuilt > 0
+
+    def test_suboptimal_istar_rejected_alike(self):
+        params = canonical()
+        istar = solve_lrmc(canonical(d2=4000.0)).decision
+        z_star = solve_lrmc(params).objective
+        with pytest.raises(SrmcError) as want:
+            compute_srmc(params, istar)
+        with pytest.raises(SrmcError) as got:
+            run_step(resolved_step(params, istar, z_star))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("istar is not an optimal investment plan")
 
 
 class TestRandomizedAgreement:
