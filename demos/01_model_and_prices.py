@@ -14,8 +14,8 @@ from genmargin import (
     classify,
     solve_lp,
     solve_lrmc,
+    used_options,
 )
-from genmargin.groups import used_options
 
 params = SystemParams.from_values(
     ci_r=60, cp_r=1, m_r=3000,     # renewable: invest, operate, build cap

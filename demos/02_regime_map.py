@@ -16,8 +16,7 @@ import pathlib
 
 import numpy as np
 
-from genmargin import SystemParams, classify, analytic_solution, solve_lrmc
-from genmargin.srmc import compute_srmc
+from genmargin import SystemParams, classify, analytic_solution, compute_srmc, solve_lrmc
 
 BASE = dict(ci_r=60, cp_r=1, m_r=3000, ci_f=82, cp_f=20, m_f=4000,
             cl=200, d1=2000)

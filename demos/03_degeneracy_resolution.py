@@ -12,12 +12,13 @@ by a small epsilon collapses the interval to its lower endpoint.
 from genmargin import (
     SystemParams,
     build_srmc_primal,
+    compute_srmc,
+    default_epsilon,
     detect_degeneracy,
     dual_value_range,
     solve_lp,
     solve_lrmc,
 )
-from genmargin.srmc import compute_srmc, default_epsilon
 
 params = SystemParams.from_values(60, 1, 3000, 82, 20, 4000,
                                   cl=80, d1=2000, d2=4000)

@@ -12,6 +12,7 @@ from genmargin import (
     SystemParams,
     analytic_solution,
     classify,
+    compute_srmc,
     cost_recovery,
     group_orientation,
     investment_allocation,
@@ -19,7 +20,6 @@ from genmargin import (
     solve_lrmc,
     srmc_profile,
 )
-from genmargin.srmc import compute_srmc
 
 SCENARIOS = {
     "exact recovery (single-technology build)":

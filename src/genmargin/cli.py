@@ -336,7 +336,7 @@ def sweep_rows(config: ScenarioConfig):
                 raise row
         for values, row in zip(chunk, rows):
             if isinstance(row, ValueError):
-                row = ("error", str(row).replace(",", ";"), "", "", "", "", "", "", "")
+                row = ("error", str(row).replace(",", ";")) + ("",) * (len(SWEEP_COLUMNS) - 2)
             yield values, row
 
 
@@ -376,7 +376,8 @@ def run_sweep(config: ScenarioConfig) -> tuple:
 
 def run_selftest(seed: int, n: int, out=None) -> int:
     """n randomized scenarios through the cross-check and the short-run
-    rule/perturbation agreement.  Deterministic for a fixed seed.
+    rule/perturbation agreement, each resolved price inside its dual
+    interval.  Deterministic for a fixed seed.
 
     Scenarios are drawn in chunks of :data:`CHUNK`.  Each one's long-run LP
     is solved once, for the cross-check and the short-run pipeline both;
@@ -433,13 +434,15 @@ def run_selftest(seed: int, n: int, out=None) -> int:
 
 def _rules_hold(params, srmc) -> bool:
     """Whether both periods' resolved short-run prices follow the rules
-    from the long-run prices."""
+    from the long-run prices and lie in their frozen-model dual intervals,
+    each within 1e-6."""
     ok = True
     for t in (0, 1):
         cp = srmc.marginal_cp[t]
         want = params.cl if cp is None else predict_srmc_from_lrmc(
             srmc.lrmc[t], cp, params.cl)
-        if abs(want - srmc.resolved[t]) > 1e-6:
+        price, (lo, hi) = srmc.resolved[t], srmc.intervals[t]
+        if abs(want - price) > 1e-6 or not lo - 1e-6 <= price <= hi + 1e-6:
             ok = False
     return ok
 

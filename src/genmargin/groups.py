@@ -241,9 +241,6 @@ _g(41, 6, 1, 1, "", 1, ("d2 < d1", "d2 > m_r + m_f", "cl > t_f",
 GROUPS = {spec.gid: spec for spec in _T}
 assert len(GROUPS) == 41
 
-CLUSTER_RANGES = {1: range(1, 9), 2: range(9, 17), 3: range(17, 24),
-                  4: range(24, 30), 5: range(30, 35), 6: range(35, 42)}
-
 # Within-cluster ladders: (lhs, rhs, group-if-lhs<=rhs) tried in order, with
 # a fallback group when nothing matched.  Inclusive comparisons make exact
 # boundary points land in the lower-numbered group.
@@ -382,10 +379,6 @@ def analytic_solution(params: SystemParams, group: InstanceGroup) -> AnalyticRes
 
 #: Index in ``_values`` of each option's unit cost.
 _OPTION_COST = {o: _SYMBOLS.index(t) for o, t in zip(OPTIONS, ("t_sr", "t_sf", "t_r", "t_f"))}
-
-
-def option_cost(option: str, params: SystemParams) -> float:
-    return _values(params)[_OPTION_COST[option]]
 
 
 def _shared_amount(decision: PrimalDecision, g: str) -> float:

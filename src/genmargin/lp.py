@@ -58,7 +58,7 @@ solve then builds only its own ``[A | I_art]``, right-hand side and
 shift, and takes the optimal basis matrix and its costs as one fancy
 index of those.  The dual-range region (:func:`dual_ranges_step`) is
 written straight from the problem and its optimal value
-(:func:`_pinned_region`): the dual of :func:`_min_form`'s LP, pinned to
+(:func:`_pinned_region`): the dual of its minimization form, pinned to
 its optimum, with the arithmetic of an explicit dual LP (so the same
 bytes) but without two intermediate LPs to validate.
 
@@ -925,30 +925,14 @@ def _pivot_stack(T, rows, pi, pj):
 # ---------------------------------------------------------------------------
 
 
-def _min_form(problem: LinearProgram) -> LinearProgram:
-    """Equivalent minimization with lower bounds in {0, -inf}."""
-    shift, b = _shifted_rhs(problem)
-    c = problem.c if problem.sense == "min" else -problem.c
-    return LinearProgram(
-        sense="min",
-        c=c,
-        A=problem.A,
-        relations=problem.relations,
-        b=b,
-        lower_bounds=np.where(np.isfinite(problem.lower_bounds), 0.0, -np.inf),
-        var_labels=problem.var_labels,
-        row_labels=problem.row_labels,
-        objective_offset=float(c @ shift),
-    )
-
-
 def _pinned_region(problem: LinearProgram, z_min: float):
-    """``(region, signs)``: the feasible region of the dual of ``_min_form(
-    problem)``, pinned to that LP's optimal value ``z_min``, built straight
-    from ``problem``.  Variable ``i`` is ``signs[i]`` times row ``i``'s dual
-    (negated for a ``<=`` row, so each is nonnegative or free); there is
-    one row per primal column (``=`` for a free one, ``<=`` otherwise) and
-    a last row that pins the dual objective."""
+    """``(region, signs)``: the feasible region of the dual of ``problem``'s
+    minimization form (finite lower bounds shifted to 0), pinned to that
+    LP's optimal value ``z_min``, built straight from ``problem``.  Variable
+    ``i`` is ``signs[i]`` times row ``i``'s dual (negated for a ``<=`` row,
+    so each is nonnegative or free); there is one row per primal column
+    (``=`` for a free one, ``<=`` otherwise) and a last row that pins the
+    dual objective."""
     shift, b_work = _shifted_rhs(problem)
     c_min = problem.c if problem.sense == "min" else -problem.c
     signs = np.array([-1.0 if rel == LE else 1.0 for rel in problem.relations])
@@ -964,7 +948,7 @@ def _pinned_region(problem: LinearProgram, z_min: float):
     return region, signs
 
 
-def dual_value_range(problem: LinearProgram, row_id, *, solution: LpSolution = None):
+def dual_value_range(problem: LinearProgram, row_id, *, solution: LpSolution):
     """Exact interval of values the row's dual takes over all optimal duals.
 
     Computed by re-optimizing over the dual feasible region pinned to the
@@ -972,15 +956,14 @@ def dual_value_range(problem: LinearProgram, row_id, *, solution: LpSolution = N
     variable.  Degenerate primal optima show up here as intervals of
     positive width; a unique dual gives a zero-width interval.
 
-    ``solution`` may carry a previously computed optimum of ``problem`` to
-    skip the internal solve.  :func:`dual_value_ranges` does several rows
-    for the price of one.
+    ``solution`` is ``problem``'s optimum (:func:`solve_lp`), whose value
+    pins the region.  :func:`dual_value_ranges` does several rows for the
+    price of one.
     """
     return dual_value_ranges(problem, (row_id,), solution=solution)[0]
 
 
-def dual_value_ranges(problem: LinearProgram, row_ids, *,
-                      solution: LpSolution = None) -> tuple:
+def dual_value_ranges(problem: LinearProgram, row_ids, *, solution: LpSolution) -> tuple:
     """:func:`dual_value_range` of each row in ``row_ids``, in order.
 
     Every row's min and max sub-LP lives on the same pinned dual region, so
@@ -991,19 +974,15 @@ def dual_value_ranges(problem: LinearProgram, row_ids, *,
     return run_step(dual_ranges_step(problem, row_ids, solution=solution))
 
 
-def dual_ranges_step(problem: LinearProgram, row_ids, *, solution: LpSolution = None):
+def dual_ranges_step(problem: LinearProgram, row_ids, *, solution: LpSolution):
     """:func:`dual_value_ranges` as a step (see :class:`LpRequest`)."""
     idxs = [problem.row_index(row_id) for row_id in row_ids]
     m = problem.n_rows
-    if solution is not None and solution.optimal:
-        z_min = solution.objective - problem.objective_offset
-        if problem.sense == "max":
-            z_min = -z_min
-    else:
-        (sol,) = yield LpRequest.own(_min_form(problem))
-        if not sol.optimal:
-            raise LpError(f"dual_value_range needs an optimal primal, got {sol.status}")
-        z_min = sol.objective
+    if not solution.optimal:
+        raise LpError(f"dual_value_range needs an optimal primal, got {solution.status}")
+    z_min = solution.objective - problem.objective_offset
+    if problem.sense == "max":
+        z_min = -z_min
     region, signs = _pinned_region(problem, z_min)
     objectives = []
     for idx in idxs:

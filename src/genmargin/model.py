@@ -191,16 +191,15 @@ class PrimalDecision:
             0.0,
         )
 
-    def is_feasible(self, params, tol=None):
-        return self.max_violation(params) <= feasibility_limit(params, tol)
+    def is_feasible(self, params):
+        return self.max_violation(params) <= feasibility_limit(params)
 
 
-def feasibility_limit(params: SystemParams, tol: float = None) -> float:
+def feasibility_limit(params: SystemParams) -> float:
     """Largest ``max_violation`` of a feasible decision, and largest amount
-    that counts as none: ``tol`` (default ``current().feas``) times one plus
-    the largest demand or cap."""
-    tol = current().feas if tol is None else tol
-    return tol * (1.0 + max(params.d1, params.d2, params.m_r, params.m_f))
+    that counts as none: ``current().feas`` times one plus the largest
+    demand or cap."""
+    return current().feas * (1.0 + max(params.d1, params.d2, params.m_r, params.m_f))
 
 
 @dataclass(frozen=True)

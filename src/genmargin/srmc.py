@@ -66,14 +66,13 @@ class SrmcResult:
     marginal_cp: tuple      # per-period marginal operating cost (None if all shed)
 
 
-def predict_srmc_from_lrmc(lrmc_t: float, marginal_cp_t: float, cl: float,
-                           *, tol: float = RULE_TOL) -> float:
+def predict_srmc_from_lrmc(lrmc_t: float, marginal_cp_t: float, cl: float) -> float:
     """Map one period's long-run price to its short-run price by rule."""
-    if marginal_cp_t > cl + tol:
+    if marginal_cp_t > cl + RULE_TOL:
         raise SrmcError("marginal operating cost exceeds the loadshed cost")
-    if abs(lrmc_t - marginal_cp_t) <= tol:
+    if abs(lrmc_t - marginal_cp_t) <= RULE_TOL:
         return float(marginal_cp_t)
-    if abs(lrmc_t - cl) <= tol:
+    if abs(lrmc_t - cl) <= RULE_TOL:
         return float(cl)
     if marginal_cp_t < lrmc_t < cl:
         return float(marginal_cp_t)
@@ -83,10 +82,10 @@ def predict_srmc_from_lrmc(lrmc_t: float, marginal_cp_t: float, cl: float,
     )
 
 
-def _rule_label(lrmc_t, cp_t, cl, tol=RULE_TOL):
-    if cp_t is not None and abs(lrmc_t - cp_t) <= tol:
+def _rule_label(lrmc_t, cp_t, cl):
+    if cp_t is not None and abs(lrmc_t - cp_t) <= RULE_TOL:
         return RULE_CP
-    if abs(lrmc_t - cl) <= tol:
+    if abs(lrmc_t - cl) <= RULE_TOL:
         return RULE_CL
     return RULE_INTERIOR
 

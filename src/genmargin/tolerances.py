@@ -1,8 +1,12 @@
 """Numerical tolerances used across the package.
 
-All model magnitudes are bounded by ~1e5 (capacities, demands) times ~1e2
-(unit costs), so absolute tolerances at the 1e-9 level are safe everywhere
-a relative one is not explicitly called for.
+Most of them are absolute, so they hold only on the magnitudes they were
+checked on: capacities and demands up to a few 1e4 and unit costs from
+1e-2 to a few hundred (``tests/test_scaling.py``), money totals up to
+~1e8.  Past that they are not unit-free: with every quantity scaled by
+1e5 (or 1e6), ``cross_check`` reports a false ``slackness`` failure on 31
+(63) of 300 ``random_params`` draws although the prices are right.
+ROADMAP item 5 (unit-free numerics) is the fix.
 """
 
 from __future__ import annotations
@@ -58,6 +62,3 @@ def current() -> Tolerances:
     """The tolerances every layer reads: :func:`from_env` at the first call,
     not at import, so that a malformed override raises where it is reported."""
     return from_env()
-
-
-DEFAULT = Tolerances()

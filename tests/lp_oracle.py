@@ -4,9 +4,9 @@ Completely independent of the production simplex: no pivoting, no phase
 logic, just linear solves over all column subsets.  Exponential, so only
 usable on the tiny instances the tests construct, which is the point.
 
-:func:`explicit_dual` writes a minimization's dual out as a
-``LinearProgram``: the reference the dual-range region of
-``genmargin.lp`` is checked against.
+:func:`min_form` and :func:`explicit_dual` write an LP's minimization
+form and a minimization's dual out as ``LinearProgram``s: the reference
+the dual-range region of ``genmargin.lp`` is checked against.
 """
 
 import itertools
@@ -161,6 +161,25 @@ def brute_force_dual_range(c, A, relations, b, row, lower_bounds=None,
             lo = min(lo, y[row])
             hi = max(hi, y[row])
     return lo, hi
+
+
+def min_form(problem: LinearProgram) -> LinearProgram:
+    """Equivalent minimization with lower bounds in {0, -inf}: finite
+    lower bounds shifted to zero, their cost moved into the offset."""
+    lb = problem.lower_bounds
+    shift = np.where(np.isfinite(lb), lb, 0.0)
+    c = problem.c if problem.sense == "min" else -problem.c
+    return LinearProgram(
+        sense="min",
+        c=c,
+        A=problem.A,
+        relations=problem.relations,
+        b=problem.b - problem.A @ shift,
+        lower_bounds=np.where(np.isfinite(lb), 0.0, -np.inf),
+        var_labels=problem.var_labels,
+        row_labels=problem.row_labels,
+        objective_offset=float(c @ shift),
+    )
 
 
 def explicit_dual(problem: LinearProgram):

@@ -1,6 +1,8 @@
 import bisect
+import dataclasses
 import io
 import json
+import math
 import sys
 from collections import Counter
 
@@ -221,9 +223,7 @@ class TestSweep:
         assert by_cl[30.0] == 1 and by_cl[32.0] == 2
         assert by_cl[60.0] == 2 and by_cl[62.0] == 3
         assert by_cl[103.0] == 3
-        from genmargin.groups import option_cost
-        from genmargin.model import SystemParams
-        t_f = option_cost("F", SystemParams.from_values(**dict(CANONICAL, d2=4000)))
+        t_f = CANONICAL["ci_f"] + CANONICAL["cp_f"]
         assert 101.0 <= t_f < 103.0
 
     def test_sweep_validation(self, tmp_path):
@@ -350,8 +350,8 @@ class TestSweep:
         clean = list(sweep_rows(config))
         real = PrimalDecision.is_feasible
 
-        def feasible(decision, params, tol=None):
-            return params.d2 != 6000.0 and real(decision, params, tol)
+        def feasible(decision, params):
+            return params.d2 != 6000.0 and real(decision, params)
 
         monkeypatch.setattr(PrimalDecision, "is_feasible", feasible)
         for (values, row), (_, want) in zip(sweep_rows(config), clean):
@@ -506,7 +506,9 @@ class TestSelftest:
                     cp = short.marginal_cp[t]
                     rule = params.cl if cp is None else srmc.predict_srmc_from_lrmc(
                         short.lrmc[t], cp, params.cl)
-                    if abs(rule - short.resolved[t]) > 1e-6:
+                    lo, hi = short.intervals[t]
+                    if (abs(rule - short.resolved[t]) > 1e-6
+                            or not lo - 1e-6 <= short.resolved[t] <= hi + 1e-6):
                         ok = False
             failures += not ok
         assert got.getvalue() == (
@@ -546,6 +548,28 @@ class TestSelftest:
                             self._raising(srmc.default_epsilon, step_errors))
         with pytest.raises(escapes, match="injected"):
             run_selftest(seed=9, n=20, out=io.StringIO())
+
+    @pytest.mark.parametrize("above, code, passed", [(2e-6, 2, 4), (5e-7, EXIT_OK, 5)])
+    def test_price_outside_its_interval_fails(self, monkeypatch, capsys, above, code,
+                                              passed):
+        # the third short-run result to finish has its period-2 interval
+        # start ``above`` its resolved price; more than 1e-6 out is a failure
+        real = cli.srmc_step
+        done = [0]
+
+        def step(*args, **kwargs):
+            res = yield from real(*args, **kwargs)
+            done[0] += 1
+            if done[0] == 3:
+                res = dataclasses.replace(res, intervals=(
+                    res.intervals[0], (res.resolved[1] + above, math.inf)))
+            return res
+
+        monkeypatch.setattr(cli, "srmc_step", step)
+        assert main(["selftest", "--seed", "9", "--n", "5"]) == code
+        out = capsys.readouterr().out
+        assert f"pass {passed}/5," in out
+        assert ("FAIL: 1 scenario(s) disagreed" in out) is (code == 2)
 
     def test_deterministic_output(self):
         a, b = io.StringIO(), io.StringIO()

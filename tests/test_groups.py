@@ -5,19 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from genmargin.groups import (
-    CLUSTER_RANGES,
+    GROUPS,
     ClassificationError,
     analytic_solution,
     classify,
     generating_options,
     marginal_cp,
-    option_cost,
     representative_params,
     table_csv,
     used_options,
 )
 from genmargin.model import SystemParams, solve_lrmc
-from genmargin.tolerances import DEFAULT
+from genmargin.tolerances import Tolerances
 
 
 def canonical(cl=200.0, d1=2000.0, d2=8000.0):
@@ -47,7 +46,7 @@ class TestClassify:
         for gid in range(1, 42):
             g = classify(representative_params(gid))
             assert g.gid == gid, f"representative for {gid} classified as {g.gid}"
-            assert gid in CLUSTER_RANGES[g.cluster]
+            assert g.cluster == GROUPS[gid].cluster
             assert not g.boundary
 
     def test_boundary_tie_lower_group_wins(self):
@@ -134,9 +133,12 @@ class TestAnalyticSolution:
             params = representative_params(gid)
             res = analytic_solution(params, classify(params))
             # every option in use costs less per unit than shedding
+            p = params
+            unit_cost = {"SR": p.ci_r / 2 + p.cp_r, "SF": p.ci_f / 2 + p.cp_f,
+                         "R": p.ci_r + p.cp_r, "F": p.ci_f + p.cp_f}
             first, second = used_options(params, res.decision)
             for o in first | second:
-                assert option_cost(o, params) < params.cl, f"group {gid}: {o}"
+                assert unit_cost[o] < params.cl, f"group {gid}: {o}"
 
     def test_marginal_cp_group14(self):
         params = representative_params(14)
@@ -354,7 +356,7 @@ def test_compiled_table_matches_the_strings():
         env = _ref_env(params)
         for tol_bound in (None, 2e-5):
             got = classify(params, tol_bound=tol_bound)
-            want = _ref_classify(params, DEFAULT.bound if tol_bound is None else tol_bound)
+            want = _ref_classify(params, Tolerances().bound if tol_bound is None else tol_bound)
             assert (got.gid, got.boundary, repr(got.margin)) == \
                 (want[0], want[1], repr(want[2])), params
         g = classify(params)

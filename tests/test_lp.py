@@ -170,17 +170,26 @@ class TestDegeneracyAndRanges:
         assert rep.dual_multiple == (True, True)
         assert len(built) == 1          # the dual-range region only
 
+    def test_solution_is_required(self):
+        # the optimum pins the dual region; no variant solves it again
+        p = lp("min", [1.0], [[1.0]], (">=",), [3.0])
+        for call in (lambda: dual_value_range(p, 0),
+                     lambda: lp_module.dual_value_ranges(p, (0,)),
+                     lambda: lp_module.dual_ranges_step(p, (0,))):
+            with pytest.raises(TypeError, match="solution"):
+                call()
+
     def test_trivial_range_is_point(self):
         p = lp("min", [1.0], [[1.0]], (">=",), [3.0])
-        lo, hi = dual_value_range(p, 0)
+        lo, hi = dual_value_range(p, 0, solution=solve_lp(p))
         assert_allclose([lo, hi], [1.0, 1.0], atol=1e-9)
 
     def test_degenerate_range_has_width(self):
         # min x subject to x >= 1 twice: duals split the unit mass any way.
         p = lp("min", [1.0], [[1.0], [1.0]], (">=", ">="), [1.0, 1.0])
-        lo, hi = dual_value_range(p, 0)
-        assert_allclose([lo, hi], [0.0, 1.0], atol=1e-9)
         sol = solve_lp(p)
+        lo, hi = dual_value_range(p, 0, solution=sol)
+        assert_allclose([lo, hi], [0.0, 1.0], atol=1e-9)
         assert lo - 1e-9 <= sol.duals[0] <= hi + 1e-9
 
     def test_range_contains_reported_dual(self):
@@ -195,7 +204,7 @@ class TestDegeneracyAndRanges:
             if not sol.optimal:
                 continue
             for i in range(m):
-                lo, hi = dual_value_range(p, i)
+                lo, hi = dual_value_range(p, i, solution=sol)
                 assert lo - 1e-7 <= sol.duals[i] <= hi + 1e-7
 
 

@@ -17,6 +17,7 @@ from genmargin.model import (
     solve_lrmc,
 )
 from genmargin.sampling import random_params
+from genmargin.tolerances import current
 
 
 def canonical(cl=200.0, d1=2000.0, d2=8000.0):
@@ -136,7 +137,7 @@ class TestSrmc:
         rep = detect_degeneracy(prob, sol)
         assert rep.primal_degenerate
         assert rep.dual_multiple[0]       # balance_1 dual is an interval
-        lo, hi = dual_value_range(prob, "balance_1")
+        lo, hi = dual_value_range(prob, "balance_1", solution=sol)
         assert_allclose([lo, hi], [1.0, 80.0], atol=1e-7)
 
     def test_group3_interval_against_vertex_enumeration(self):
@@ -149,7 +150,8 @@ class TestSrmc:
             lo, hi = brute_force_dual_range(prob.c, prob.A, prob.relations,
                                             prob.b, row=row)
             assert_allclose([lo, hi], [1.0, 80.0], atol=1e-7)
-            assert_allclose(dual_value_range(prob, row), [lo, hi], atol=1e-7)
+            assert_allclose(dual_value_range(prob, row, solution=solve_lp(prob)), [lo, hi],
+                            atol=1e-7)
 
     def test_group3_epsilon_resolves(self):
         params = canonical(cl=80.0, d2=4000.0)
@@ -157,7 +159,7 @@ class TestSrmc:
         prob = build_srmc_primal(params, lr.decision, epsilon=1e-3)
         sol = solve_lp(prob)
         assert_allclose(sol.duals[0], 1.0, atol=1e-9)   # off-peak price = CP_r
-        lo, hi = dual_value_range(prob, "balance_1")
+        lo, hi = dual_value_range(prob, "balance_1", solution=sol)
         assert_allclose([lo, hi], [1.0, 1.0], atol=1e-9)
 
     def test_no_capacity_full_shed(self):
@@ -292,14 +294,20 @@ class TestFeasibility:
         (dict(l_1=-1e-6, p_r1=2000.000001), 1e-06, True),       # negative within tolerance
     ]
 
+    def feasible_at(self, d, feas, monkeypatch):
+        """``d.is_feasible`` with ``GENMARGIN_TOL_FEAS`` set to ``feas``."""
+        monkeypatch.setenv("GENMARGIN_TOL_FEAS", repr(feas))
+        current.cache_clear()
+        return d.is_feasible(self.PARAMS)
+
     @pytest.mark.parametrize("changes,violation,feasible", CASES)
-    def test_pinned(self, changes, violation, feasible):
+    def test_pinned(self, changes, violation, feasible, monkeypatch):
         d = self.decision(**changes)
         v = d.max_violation(self.PARAMS)
         # a plain float, equal to the pinned figure to the sign of zero
         assert type(v) is float and repr(v) == repr(violation)
         assert d.is_feasible(self.PARAMS) is feasible
-        assert d.is_feasible(self.PARAMS, tol=1e-9) is feasible
+        assert self.feasible_at(d, 1e-9, monkeypatch) is feasible
         # the limit scales with 1 + the largest demand or cap
-        assert d.is_feasible(self.PARAMS, tol=abs(violation) / 8001 * 1.001)
-        assert d.is_feasible(self.PARAMS, tol=abs(violation) / 8001 * 0.999) is (violation <= 0)
+        assert self.feasible_at(d, abs(violation) / 8001 * 1.001, monkeypatch)
+        assert self.feasible_at(d, abs(violation) / 8001 * 0.999, monkeypatch) is (violation <= 0)

@@ -58,6 +58,6 @@ def test_srmc_agreement_at_extreme_scales():
         for t in (0, 1):
             cp = res.marginal_cp[t]
             want = params.cl if cp is None else predict_srmc_from_lrmc(
-                res.lrmc[t], cp, params.cl, tol=1e-7 * scale)
+                res.lrmc[t], cp, params.cl)
             assert abs(want - res.resolved[t]) <= 1e-6 * scale, \
                 (params, t, want, res.resolved[t])

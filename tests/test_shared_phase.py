@@ -20,7 +20,6 @@ from genmargin.lp import (
     LinearProgram,
     LpInputError,
     LpRequest,
-    _min_form,
     dual_value_range,
     dual_value_ranges,
     solve_lp,
@@ -37,7 +36,7 @@ from genmargin.model import (
 from genmargin.sampling import random_params
 from genmargin.srmc import default_epsilon, srmc_step
 
-from lp_oracle import explicit_dual
+from lp_oracle import explicit_dual, min_form
 
 CANONICAL = dict(ci_r=60, cp_r=1, m_r=3000, ci_f=82, cp_f=20, m_f=4000, cl=200, d1=2000)
 #: the demands at which the canonical d2 sweep sits exactly on a region edge
@@ -77,7 +76,7 @@ def tie_break(problem):
 def one_row_range(problem, row, solution):
     """One row's dual interval from two separate ``solve_lp`` calls: the
     algorithm of ``dual_value_range`` before its sub-LPs shared a phase 1."""
-    p_min = _min_form(problem)
+    p_min = min_form(problem)
     z_struct = solution.objective - problem.objective_offset - p_min.objective_offset
     dual, signs = explicit_dual(p_min)
     idx = problem.row_index(row)
@@ -116,7 +115,7 @@ def test_model_lps_match_separate_solves():
 def test_dual_range_region_matches_separate_solves():
     params = SystemParams.from_values(**CANONICAL, d2=6000.0)      # boundary
     primal = build_lrmc_primal(params)
-    p_min = _min_form(primal)
+    p_min = min_form(primal)
     dual, signs = explicit_dual(p_min)
     z = solve_lp(primal).objective
     region = LinearProgram(sense="min", c=np.zeros(10), A=np.vstack([dual.A, dual.c]),
@@ -140,10 +139,10 @@ def lp_fields(p):
 
 
 def reference_region(problem, z_min):
-    """``(region, signs)`` built through ``_min_form`` and ``explicit_dual``:
-    the dual region pinned at ``z_min``, the optimal value of ``_min_form(
+    """``(region, signs)`` built through ``min_form`` and ``explicit_dual``:
+    the dual region pinned at ``z_min``, the optimal value of ``min_form(
     problem)``."""
-    p_min = _min_form(problem)
+    p_min = min_form(problem)
     dual, signs = explicit_dual(p_min)
     region = LinearProgram(sense="min", c=np.zeros(p_min.n_rows),
                            A=np.vstack([dual.A, dual.c]), relations=dual.relations + (EQ,),
@@ -174,18 +173,12 @@ def test_dual_range_region_is_built_straight_from_the_problem():
         z_min = solution.objective - problem.objective_offset
         if problem.sense == "max":
             z_min = -z_min
-        given = next(lp.dual_ranges_step(problem, rows, solution=solution))
-        # without a solution the step solves _min_form(problem) first
-        step = lp.dual_ranges_step(problem, rows)
-        own = next(step)
-        assert lp_fields(own.problem) == lp_fields(_min_form(problem))
-        (solved,) = solve_objectives(own.problem, own.objectives)
-        for request, z in ((given, z_min), (step.send((solved,)), solved.objective)):
-            region, signs = reference_region(problem, z)
-            assert lp_fields(request.problem) == lp_fields(region)
-            for i in rows:
-                assert [c.tolist() for _, c in request.objectives[2 * i: 2 * i + 2]] == [
-                    [signs[i] if k == i else 0.0 for k in rows]] * 2
+        request = next(lp.dual_ranges_step(problem, rows, solution=solution))
+        region, signs = reference_region(problem, z_min)
+        assert lp_fields(request.problem) == lp_fields(region)
+        for i in rows:
+            assert [c.tolist() for _, c in request.objectives[2 * i: 2 * i + 2]] == [
+                [signs[i] if k == i else 0.0 for k in rows]] * 2
 
 
 def test_layouts_are_shared_and_read_only():

@@ -4,21 +4,22 @@ import sys
 
 import pytest
 
-from genmargin.tolerances import DEFAULT, Tolerances, current, from_env
+from genmargin.tolerances import Tolerances, current, from_env
 
 
 def test_defaults():
-    assert DEFAULT.feas == 1e-9
-    assert DEFAULT.gap == 1e-8
-    assert DEFAULT.money == 1e-6
-    assert DEFAULT.slackness == 1e-7
+    default = Tolerances()
+    assert default.feas == 1e-9
+    assert default.gap == 1e-8
+    assert default.money == 1e-6
+    assert default.slackness == 1e-7
 
 
 def test_env_overrides():
     tol = from_env({"GENMARGIN_TOL_FEAS": "1e-7", "GENMARGIN_TOL_CS": "1e-5"})
     assert tol.feas == 1e-7
     assert tol.slackness == 1e-5
-    assert tol.gap == DEFAULT.gap
+    assert tol.gap == Tolerances().gap
 
 
 def test_empty_env_is_default():
