@@ -278,33 +278,20 @@ def _rel_margin(lhs, rhs):
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def classify(params: SystemParams, *, tol_bound: float = None) -> InstanceGroup:
-    """Locate the instance group whose region contains the parameters.
-
-    Points sitting exactly on a region boundary (within ``tol_bound``
-    relative) land in the lower-numbered group and come back flagged; on
-    boundaries the LP has multiple optima and the closed-form prices are
-    only one valid selection.
-    """
-    tol_bound = current().bound if tol_bound is None else tol_bound
-    v = _values(params)
-    d1, d2, m_r, m_f = params.d1, params.d2, params.m_r, params.m_f
+def _locate(params: SystemParams, v: tuple):
+    """``(cluster, peak, gid, tried)``: the decision ``classify`` makes
+    from ``params`` and their symbol values ``v`` (``_values(params)``),
+    with ``tried`` a new list of the ``(lhs, rhs)`` values of the ladder
+    rungs tried, the matching one last."""
     t_sf, t_r = v[10], v[11]
     if t_sf > t_r and _rel_margin(t_sf, t_r) > 1e-12:
         raise ClassificationError(
             "group table requires shared fossil cost <= non-shared renewable "
             f"cost (CI_f/2 + CP_f = {t_sf:g} > CI_r + CP_r = {t_r:g})"
         )
-
-    # An empty period makes its balance dual set-valued in both models
-    # (its objective coefficient is the demand itself), so zero demand is
-    # a boundary like any other tie.
-    margins = [_rel_margin(d1, d2), _rel_margin(d1, 0.0), _rel_margin(d2, 0.0)]
+    d1, d2, m_r, m_f = params.d1, params.d2, params.m_r, params.m_f
     peak = 2 if d1 <= d2 else 1
     off = d1 if peak == 2 else d2
-
-    margins.append(_rel_margin(off, m_r))
-    margins.append(_rel_margin(off, m_r + m_f))
     base = 1 if peak == 2 else 4
     if off <= m_r:
         cluster = base
@@ -315,14 +302,33 @@ def classify(params: SystemParams, *, tol_bound: float = None) -> InstanceGroup:
 
     gid = _LADDER_FALLBACK[cluster]
     rhs, rungs = _RUNGS[cluster]
+    tried = []
     for (lhs, g), rv in zip(rungs, rhs(*v)):
         lv = v[lhs]
-        margins.append(_rel_margin(lv, rv))
+        tried.append((lv, rv))
         if lv <= rv:
             gid = g
             break
+    return cluster, peak, gid, tried
 
-    margin = min(margins)
+
+def classify(params: SystemParams, *, tol_bound: float = None) -> InstanceGroup:
+    """Locate the instance group whose region contains the parameters.
+
+    Points sitting exactly on a region boundary (within ``tol_bound``
+    relative) land in the lower-numbered group and come back flagged; on
+    boundaries the LP has multiple optima and the closed-form prices are
+    only one valid selection.
+    """
+    tol_bound = current().bound if tol_bound is None else tol_bound
+    cluster, peak, gid, pairs = _locate(params, _values(params))
+    d1, d2, m_r, m_f = params.d1, params.d2, params.m_r, params.m_f
+    off = d1 if peak == 2 else d2
+    # An empty period makes its balance dual set-valued in both models
+    # (its objective coefficient is the demand itself), so zero demand is
+    # a boundary like any other tie.
+    pairs += ((d1, d2), (d1, 0.0), (d2, 0.0), (off, m_r), (off, m_r + m_f))
+    margin = min([_rel_margin(lhs, rhs) for lhs, rhs in pairs])
     return InstanceGroup(
         gid=gid,
         cluster=cluster,
@@ -347,16 +353,21 @@ def _dispatch(params: SystemParams, invest):
 def analytic_solution(params: SystemParams, group: InstanceGroup) -> AnalyticResult:
     """Evaluate the group's closed-form decision and price pair.
 
-    Generation is reconstructed by dispatching the fixed capacities in
-    operating-cost merit order (renewable first), which is how the cost
-    minimum operates any given build.
+    ``group`` is checked against ``params`` first: the group ladder is
+    walked again from ``params`` (the walk ``classify`` makes, without its
+    margins), and a ladder violation or a different group raises
+    :class:`ClassificationError`.  Generation is reconstructed by
+    dispatching the fixed capacities in operating-cost merit order
+    (renewable first), which is how the cost minimum operates any given
+    build.
     """
-    check = classify(params)
-    if check.gid != group.gid:
+    v = _values(params)
+    gid = _locate(params, v)[2]
+    if gid != group.gid:
         raise ClassificationError(
-            f"group {group.gid} does not match these parameters (classify: {check.gid})"
+            f"group {group.gid} does not match these parameters (classify: {gid})"
         )
-    values = _GROUP_FNS[group.gid](*_values(params))
+    values = _GROUP_FNS[gid](*v)
     invest, shed, lrmc = values[:4], values[4:6], values[6:]
     gen, led = _dispatch(params, invest)
     scale = 1.0 + max(params.d1, params.d2)

@@ -948,6 +948,32 @@ def _pinned_region(problem: LinearProgram, z_min: float):
     return region, signs
 
 
+def _check_point(problem: LinearProgram, solution: LpSolution):
+    """Raise :class:`LpInputError` unless ``solution`` is a point of
+    ``problem``: ``x`` finite and of its shape, its rows and lower bounds
+    held within ``current().feas`` times one plus the largest ``|b|`` or
+    ``|x|``, and ``objective`` equal to ``c @ x + objective_offset`` within
+    ``current().feas`` relative.  One ``A @ x``, no solve; whether the
+    point is optimal shows in the pinned dual region."""
+    x = solution.x
+    if x is None or x.shape != (problem.n_vars,) or not _all_finite(x):
+        raise LpInputError("solution x must be finite and match the problem's shape")
+    feas = current().feas
+    xs, b = x.tolist(), problem.b.tolist()
+    excess = (problem.A @ x).tolist()
+    worst = max([a - r if rel == LE else r - a if rel == GE else abs(a - r)
+                 for a, r, rel in zip(excess, b, problem.relations)]
+                + [lb - v for lb, v in zip(problem.lower_bounds.tolist(), xs)])
+    scale = 1.0 + max(map(abs, b + xs), default=0.0)
+    if worst > feas * scale:
+        raise LpInputError(
+            f"solution is not a point of problem: a row or bound is violated by {worst:g}")
+    value = float(problem.c @ x) + problem.objective_offset
+    if abs(value - solution.objective) > feas * (1.0 + abs(value)):
+        raise LpInputError(
+            f"solution objective {solution.objective!r} is not c @ x + offset = {value!r}")
+
+
 def dual_value_range(problem: LinearProgram, row_id, *, solution: LpSolution):
     """Exact interval of values the row's dual takes over all optimal duals.
 
@@ -957,8 +983,10 @@ def dual_value_range(problem: LinearProgram, row_id, *, solution: LpSolution):
     positive width; a unique dual gives a zero-width interval.
 
     ``solution`` is ``problem``'s optimum (:func:`solve_lp`), whose value
-    pins the region.  :func:`dual_value_ranges` does several rows for the
-    price of one.
+    pins the region.  A ``solution`` that is not a point of ``problem``
+    raises :class:`LpInputError`; one that is a point but not an optimum
+    leaves the region empty and raises :class:`LpError`.
+    :func:`dual_value_ranges` does several rows for the price of one.
     """
     return dual_value_ranges(problem, (row_id,), solution=solution)[0]
 
@@ -980,6 +1008,7 @@ def dual_ranges_step(problem: LinearProgram, row_ids, *, solution: LpSolution):
     m = problem.n_rows
     if not solution.optimal:
         raise LpError(f"dual_value_range needs an optimal primal, got {solution.status}")
+    _check_point(problem, solution)
     z_min = solution.objective - problem.objective_offset
     if problem.sense == "max":
         z_min = -z_min
@@ -1001,8 +1030,8 @@ def dual_ranges_step(problem: LinearProgram, row_ids, *, solution: LpSolution):
                 lo_hi.append(s.objective)
             else:
                 raise LpError(
-                    "dual polytope at the optimal value is infeasible; "
-                    "numerical trouble in the primal solve"
+                    "solution is not optimal for problem: no dual solution "
+                    f"attains its objective {solution.objective!r}"
                 )
         lo, hi = lo_hi
         if problem.sense == "max":
@@ -1020,8 +1049,10 @@ def detect_degeneracy(problem: LinearProgram, solution: LpSolution) -> Degenerac
     """Flag basic variables at zero and rows whose dual is not unique."""
     if not solution.optimal:
         raise LpError("detect_degeneracy requires an optimal solution")
-    if solution.x is None or solution.x.shape != (problem.n_vars,):
-        raise LpInputError("solution does not match the problem's shape")
+    # checks that solution is an optimum of problem, its shape included
+    dual_multiple = tuple(dual_interval_has_width(lo, hi) for lo, hi in
+                          dual_value_ranges(problem, range(problem.n_rows),
+                                            solution=solution))
     x, lb = solution.x, problem.lower_bounds
     deg = current().deg
     values = {}
@@ -1041,8 +1072,5 @@ def detect_degeneracy(problem: LinearProgram, solution: LpSolution) -> Degenerac
     return DegeneracyReport(
         primal_degenerate=bool(zero_basic),
         zero_basic=zero_basic,
-        dual_multiple=tuple(
-            dual_interval_has_width(lo, hi)
-            for lo, hi in dual_value_ranges(problem, range(problem.n_rows),
-                                            solution=solution)),
+        dual_multiple=dual_multiple,
     )

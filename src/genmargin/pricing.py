@@ -49,11 +49,20 @@ _PROFILE_META = {1: (False, False), 2: (True, False), 3: (True, False),
 ZERO_RENT_GROUPS = frozenset({1, 2, 3, 4, 9, 17, 24, 25, 26, 30, 35})
 
 
-def lrmc_profile_for_group(gid: int) -> LrmcProfile:
-    spec = GROUPS[gid]
+def _profile(spec) -> LrmcProfile:
     pid = spec.profile_id
     tech = spec.profile_tech if _PROFILE_META[pid][0] else ("rf" if pid in (6, 7) else "")
     return LrmcProfile(pid, tech, _PROFILE_META[pid][1])
+
+
+_PROFILES = {gid: _profile(spec) for gid, spec in GROUPS.items()}
+
+
+def lrmc_profile_for_group(gid: int) -> LrmcProfile:
+    """The group's long-run price profile.  There is one per group, built
+    once at import from the group table; the records are frozen, so every
+    caller shares it."""
+    return _PROFILES[gid]
 
 
 def group_orientation(gid: int) -> int:

@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -379,6 +380,24 @@ class TestSweep:
         with pytest.raises(lp.IterationLimitError, match="pivot cap hit"):
             run_sweep(load_config(write_config(tmp_path, payload)))
 
+    #: SHA-256 of the CSV of the README costs on the d1 x d2 grid 0, 1000,
+    #: ..., 14000, made before the group check shared ``classify``'s ladder
+    #: walk.  Every capacity threshold (3000, 6000, 7000, 10000, 14000, ...)
+    #: is a grid point, so 115 of the 225 rows sit exactly on a region edge,
+    #: where a changed comparison picks another group.
+    THRESHOLD_GRID_SHA256 = "9d9cd307d9495aebe20109c94fd985bdd0f12c1b364c75567788d78205420bbd"
+
+    def test_threshold_grid_bytes(self, tmp_path):
+        payload = dict(CANONICAL, sweep=[
+            {"param": "d1", "from": 0, "to": 14000, "steps": 15},
+            {"param": "d2", "from": 0, "to": 14000, "steps": 15}])
+        code, text = run_sweep(load_config(write_config(tmp_path, payload)))
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(rows) == 225 and all(row[2] != "error" for row in rows)
+        assert sum(row[-1] == "true" for row in rows) == 115
+        assert hashlib.sha256(text.encode()).hexdigest() == self.THRESHOLD_GRID_SHA256
+
     def test_two_dimensional_sweep_row_count(self, tmp_path):
         payload = dict(CANONICAL, sweep=[
             {"param": "d1", "from": 1000, "to": 2000, "steps": 3},
@@ -452,7 +471,7 @@ class TestSelftest:
 
     def test_one_closed_form_per_scenario(self, monkeypatch):
         # Outside random_params, the cross-check classifies and evaluates
-        # the closed form (which classifies again to check its group), and
+        # the closed form (which checks its group without classifying), and
         # the short-run step reads that closed form.
         calls, drawing = self.count_closed_forms(monkeypatch)
         real_draw = cli.random_params
@@ -467,7 +486,7 @@ class TestSelftest:
         monkeypatch.setattr(cli, "random_params", draw)
         n = cli.CHUNK + 8
         assert run_selftest(seed=9, n=n, out=io.StringIO()) == EXIT_OK
-        assert calls["classify", False] == 2 * n
+        assert calls["classify", False] == n
         assert calls["analytic_solution", False] == n
         assert calls["classify", True] >= n and calls["analytic_solution", True] == 0
 
@@ -475,7 +494,24 @@ class TestSelftest:
         calls, _ = self.count_closed_forms(monkeypatch)
         for d2 in (8000.0, 6000.0):         # the README scenario, its boundary
             cli.scenario_report(SystemParams.from_values(**dict(CANONICAL, d2=d2)))
-        assert calls == {("classify", False): 4, ("analytic_solution", False): 2}
+        assert calls == {("classify", False): 2, ("analytic_solution", False): 2}
+
+    def test_one_classify_per_closed_form_chain(self, monkeypatch):
+        # The regime-map chain: analytic_solution, cost_recovery and
+        # srmc_profile take the group classify gave and classify nothing.
+        from genmargin import pricing
+        rng = np.random.default_rng(5)
+        inputs = ([groups.representative_params(gid) for gid in range(1, 42)]
+                  + [random_params(rng) for _ in range(200)])
+        calls, _ = self.count_closed_forms(monkeypatch)
+        for params in inputs:
+            group = groups.classify(params)
+            analytic = groups.analytic_solution(params, group)
+            pricing.cost_recovery(analytic.lrmc, analytic.decision, params)
+            pricing.srmc_profile(pricing.lrmc_profile_for_group(group.gid), params,
+                                 pricing.group_orientation(group.gid))
+        n = len(inputs)
+        assert calls == {("classify", False): n, ("analytic_solution", False): n}
 
     def test_chunked_run_matches_scenario_by_scenario(self, monkeypatch):
         n = 2 * cli.CHUNK + 6           # two full chunks and a partial one

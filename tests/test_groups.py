@@ -99,6 +99,47 @@ class TestAnalyticSolution:
         with pytest.raises(ClassificationError):
             analytic_solution(params, wrong)
 
+        def rejected(params, wrong, gid):
+            match = rf"^group {wrong.gid} does not match these parameters \(classify: {gid}\)$"
+            with pytest.raises(ClassificationError, match=match):
+                analytic_solution(params, wrong)
+
+        # every other group of the representative's cluster, and one of the
+        # next cluster
+        for gid in range(1, 42):
+            cluster = GROUPS[gid].cluster
+            others = [g for g, spec in GROUPS.items() if spec.cluster == cluster and g != gid]
+            others.append(min(g for g, spec in GROUPS.items()
+                              if spec.cluster == cluster % 6 + 1))
+            for g in others:
+                rejected(representative_params(gid), classify(representative_params(g)), gid)
+
+        # at a tie the lower-numbered group wins; the group across the edge
+        # (d1, d2 or cl moved off the tie) is rejected
+        checked = 0
+        for params in _edge_points():
+            gid = classify(params).gid
+            for sym in ("d1", "d2", "cl"):
+                for step in (1 + 1e-6, 1 - 1e-6):
+                    values = {f: getattr(params, f) for f in _FIELDS}
+                    values[sym] = values[sym] * step + (step - 1)
+                    if values[sym] < 0:
+                        continue
+                    across = classify(SystemParams.from_values(**values))
+                    if across.gid != gid:
+                        rejected(params, across, gid)
+                        checked += 1
+        assert checked > 500
+
+        # a ladder violation is classify's error, whatever the group
+        bad = SystemParams.from_values(10, 1, 1000, 30, 2, 1000, 50, 500, 700)
+        with pytest.raises(ClassificationError, match="^group table requires") as want:
+            classify(bad)
+        for gid in range(1, 42):
+            with pytest.raises(ClassificationError) as got:
+                analytic_solution(bad, classify(representative_params(gid)))
+            assert str(got.value) == str(want.value)
+
     def test_all_41_match_lp(self):
         for gid in range(1, 42):
             params = representative_params(gid)

@@ -192,6 +192,24 @@ class TestDegeneracyAndRanges:
         assert_allclose([lo, hi], [0.0, 1.0], atol=1e-9)
         assert lo - 1e-9 <= sol.duals[0] <= hi + 1e-9
 
+    def test_solution_of_another_lp_rejected(self):
+        # p's row 0 interval is [0, 1]; an optimum of the same rows at
+        # another right-hand side must not pin p's dual region
+        p = lp("min", [1.0], [[1.0], [1.0]], (">=", ">="), [1.0, 1.0])
+        below = solve_lp(lp("min", [1.0], [[1.0], [1.0]], (">=", ">="), [0.5, 0.5]))
+        with pytest.raises(LpInputError, match="not a point of problem"):
+            dual_value_range(p, 0, solution=below)
+        above = solve_lp(lp("min", [1.0], [[1.0], [1.0]], (">=", ">="), [1.0, 3.0]))
+        with pytest.raises(lp_module.LpError, match="not optimal for problem"):
+            dual_value_range(p, 0, solution=above)
+        short = lp("min", [1.0, 0.0], [[1.0, 0.0], [1.0, 0.0]], (">=", ">="), [1.0, 1.0])
+        with pytest.raises(LpInputError, match="shape"):
+            dual_value_range(p, 0, solution=solve_lp(short))
+        sol = solve_lp(p)
+        off = lp_module.LpSolution(status="optimal", x=sol.x, objective=sol.objective + 0.5)
+        with pytest.raises(LpInputError, match="is not c @ x"):
+            dual_value_range(p, 0, solution=off)
+
     def test_range_contains_reported_dual(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
