@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tolerances
 from .groups import analytic_solution, classify, table_csv
-from .lp import run_lockstep
+from .lp import BasisPool, run_lockstep
 from .model import PARAM_FIELDS, ModelError, SystemParams, lrmc_step, solve_lrmc
 from .pricing import (
     cost_recovery,
@@ -53,8 +53,12 @@ EXIT_VERIFICATION = 2
 #: Sweep grid points or selftest scenarios evaluated in lockstep: each LP
 #: stage of a chunk is one stacked solve (``lp.run_lockstep``).  A chunk's
 #: items keep their LPs and results alive until it ends, so memory grows
-#: with the chunk.  Sweep chunks of 64 or 128 rows measured no faster than
-#: 32 and held 1.2 or 3.4 MB more; selftest ran within 10% at 16, 32 and 64.
+#: with the chunk.  A sweep's first chunk finds no pooled basis; later
+#: chunks pivot only what the pool does not certify.  With certificates,
+#: sweep chunks of 16 and 64 rows ran at 0.91 and 0.95 times the rows/s
+#: of 32 (medians of 21 alternated repeats over the benchmark's grids for
+#: seeds 0-3, 2-core x86-64); 64 and 128 held 1.2 and 3.4 MB more before
+#: certificates.  selftest ran within 10% at 16, 32 and 64.
 CHUNK = 32
 
 
@@ -96,12 +100,7 @@ def load_config(path: str) -> ScenarioConfig:
     missing = [f for f in PARAM_FIELDS if f not in raw]
     if missing:
         raise ConfigError(f"missing parameter fields: {', '.join(missing)}")
-    values = {}
-    for f in PARAM_FIELDS:
-        try:
-            values[f] = float(raw[f])
-        except (TypeError, ValueError):
-            raise ConfigError(f"field {f!r} must be a number, got {raw[f]!r}") from None
+    values = {f: _number(raw[f], f"field {f!r}") for f in PARAM_FIELDS}
     try:
         params = SystemParams.from_values(**values)
     except ModelError as exc:
@@ -114,15 +113,16 @@ def load_config(path: str) -> ScenarioConfig:
     for blk in blocks:
         if not isinstance(blk, dict):
             raise ConfigError("sweep entries must be objects")
-        if isinstance(blk.get("steps"), float) and not blk["steps"].is_integer():
-            raise ConfigError(f"sweep steps must be a whole number, got {blk['steps']!r}")
         try:
-            name = blk["param"]
-            start = float(blk["from"])
-            stop = float(blk["to"])
-            steps = int(blk["steps"])
-        except (KeyError, TypeError, ValueError) as exc:
+            name, start, stop, steps = blk["param"], blk["from"], blk["to"], blk["steps"]
+        except KeyError as exc:
             raise ConfigError(f"sweep block needs param/from/to/steps: {exc}") from None
+        start = _number(start, "sweep 'from'")
+        stop = _number(stop, "sweep 'to'")
+        steps = _number(steps, "sweep 'steps'")
+        if not steps.is_integer():
+            raise ConfigError(f"sweep steps must be a whole number, got {steps!r}")
+        steps = int(steps)
         if name not in PARAM_FIELDS:
             raise ConfigError(f"sweep parameter {name!r} is not a model field")
         for key, value in (("from", start), ("to", stop)):
@@ -149,6 +149,17 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"output path must be a string, got {path!r}")
     return ScenarioConfig(params=params, sweeps=tuple(sweeps),
                           output_format=fmt, output_path=path)
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float, if JSON gave a number for it: a string or a
+    boolean is no number, though ``float`` would take it."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:       # an integer literal past the float range
+            pass
+    raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +325,12 @@ def sweep_rows(config: ScenarioConfig):
     in chunks of :data:`CHUNK`, each row's LPs solved beside the other
     rows' of its chunk; a ``ValueError`` in one row makes it an ``error``
     row and leaves the others as they are.  Any other exception of a chunk
-    escapes, the first in row order, before any of the chunk's rows."""
+    escapes, the first in row order, before any of the chunk's rows.
+
+    One ``lp.BasisPool`` serves the whole grid: an LP that the optimal
+    bases of earlier chunks prove optimal is not pivoted.  A row prints
+    the closed form and the perturbed short-run duals; the CSV is the
+    same with or without the pool (see ``lp``'s module docstring)."""
     blocks = config.sweeps
     grids = [_grid(b) for b in blocks]
     base = {f: getattr(config.params, f) for f in PARAM_FIELDS}
@@ -322,6 +338,7 @@ def sweep_rows(config: ScenarioConfig):
         points = [(v,) for v in grids[0]]
     else:
         points = [(v1, v2) for v1 in grids[0] for v2 in grids[1]]
+    pool = BasisPool()
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
         steps = []
@@ -330,7 +347,7 @@ def sweep_rows(config: ScenarioConfig):
             for b, v in zip(blocks, values):
                 over[b.param] = float(v)
             steps.append(_sweep_row(over))
-        rows = run_lockstep(steps)
+        rows = run_lockstep(steps, pool)
         for row in rows:
             if isinstance(row, Exception) and not isinstance(row, ValueError):
                 raise row

@@ -112,6 +112,32 @@ class TestRun:
         assert main(["sweep", write_config(tmp_path, payload)]) == EXIT_VALIDATION
         assert capsys.readouterr().err == "error: sweep must be a list of blocks\n"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("ci_r", "60", "field 'ci_r' must be a number, got '60'"),
+        ("cp_r", True, "field 'cp_r' must be a number, got True"),
+        ("d2", None, "field 'd2' must be a number, got None"),
+        ("m_f", 10 ** 400, "field 'm_f' must be a number, got " + repr(10 ** 400)),
+        ("from", "2000", "sweep 'from' must be a number, got '2000'"),
+        ("to", False, "sweep 'to' must be a number, got False"),
+        ("steps", "3", "sweep 'steps' must be a number, got '3'"),
+        ("steps", True, "sweep 'steps' must be a number, got True"),
+    ])
+    def test_number_fields_take_only_json_numbers(self, tmp_path, capsys, field,
+                                                  value, message):
+        # float() would take a numeric string or a boolean
+        block = {"param": "d2", "from": 2000, "to": 4000, "steps": 3}
+        payload = dict(CANONICAL, sweep=[block])
+        if field in block:
+            block[field] = value
+        else:
+            payload[field] = value
+        path = write_config(tmp_path, payload)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == message
+        assert main(["sweep", path]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_output_path_not_a_string_rejected(self, tmp_path, capsys):
         # an integer path would be opened as an inherited file descriptor
         payload = dict(CANONICAL, output={"path": 987})
@@ -270,9 +296,11 @@ class TestSweep:
         )
 
     def test_at_most_three_tableaux_per_row(self, tmp_path, tableaux, monkeypatch):
-        # Rows are solved side by side, so each standard form, stacked or
-        # not, is charged to the grid row whose step asked for its problem.
-        owner, started = {}, []
+        # Rows are solved side by side, so each LP answered, from a standard
+        # form (stacked or not) or from a pooled basis, is charged to the
+        # grid row whose step asked for its problem.  A certified answer
+        # builds no standard form and reports no pivots.
+        owner, asked, started = {}, [], []
         real = cli._sweep_row
 
         def tagged(*args):
@@ -286,6 +314,7 @@ class TestSweep:
                     return done.value
                 owner[id(request.problem)] = row
                 answer = yield request
+                asked.append((request.problem, answer))
 
         monkeypatch.setattr(cli, "_sweep_row", tagged)
         payload = dict(CANONICAL, sweep=[
@@ -293,9 +322,15 @@ class TestSweep:
             {"param": "d2", "from": 0, "to": 14000, "steps": 8}])
         rows = list(sweep_rows(load_config(write_config(tmp_path, payload))))
         assert all(row[0] != "error" for _, row in rows)
-        counts = Counter(owner[id(problem)] for problem in tableaux)
+        built = {id(problem) for problem in tableaux}
+        certified = [(problem, answer) for problem, answer in asked
+                     if id(problem) not in built]
+        assert all(s.iterations == 0 for _, answer in certified for s in answer)
+        counts = (Counter(owner[id(problem)] for problem in tableaux)
+                  + Counter(owner[id(problem)] for problem, _ in certified))
         assert len(rows) == len(started) == len(counts) == 64
         assert max(counts.values()) <= 3, counts
+        assert len(certified) > 0
 
     def test_chunked_rows_match_row_by_row_evaluation(self, tmp_path):
         # zero demands, region edges and zero-capacity frozen models, over
@@ -397,6 +432,33 @@ class TestSweep:
         assert len(rows) == 225 and all(row[2] != "error" for row in rows)
         assert sum(row[-1] == "true" for row in rows) == 115
         assert hashlib.sha256(text.encode()).hexdigest() == self.THRESHOLD_GRID_SHA256
+
+    #: SHA-256 of two CSVs made before ``sweep`` certified LPs with pooled
+    #: bases: the README costs at d2 = 8000 with ``cl`` swept over 200
+    #: steps (every row its own objective, so nothing to certify), and
+    #: non-integer costs on a 15 x 15 ``d1 x d2`` grid from zero demand
+    #: (10 groups, 43 boundary rows).
+    POOL_PINS = {
+        "cl": ("0910bbe96b1199defb06b8d49c692dd22b7b37c050dbdadd002b43b2a4f06e1b",
+               dict(CANONICAL, sweep=[{"param": "cl", "from": 10, "to": 400,
+                                       "steps": 200}])),
+        "d1xd2": ("11938dd5775bd094ca4e026c1640726b3edc0490cc0ce94f5f272a5eacdafb41",
+                  dict(ci_r=71.318265, cp_r=3.90871, m_r=2718.5, ci_f=93.64339,
+                       cp_f=17.25518, m_f=4409.25, cl=96.13077, d1=0, d2=0,
+                       sweep=[{"param": "d1", "from": 0, "to": 9000, "steps": 15},
+                              {"param": "d2", "from": 0, "to": 9000, "steps": 15}])),
+    }
+
+    @pytest.mark.parametrize("grid", sorted(POOL_PINS))
+    @pytest.mark.parametrize("pooled", [True, False], ids=["pool", "no-pool"])
+    def test_sweep_bytes_with_and_without_the_pool(self, tmp_path, monkeypatch,
+                                                   grid, pooled):
+        sha, payload = self.POOL_PINS[grid]
+        if not pooled:
+            monkeypatch.setattr(cli, "BasisPool", lambda: None)
+        code, text = run_sweep(load_config(write_config(tmp_path, payload)))
+        assert code == EXIT_OK
+        assert hashlib.sha256(text.encode()).hexdigest() == sha
 
     def test_two_dimensional_sweep_row_count(self, tmp_path):
         payload = dict(CANONICAL, sweep=[
