@@ -9,9 +9,10 @@ Several objectives over one feasible region share a single phase 1
 the phase-1 tableau and gets exactly what a separate solve would return.
 
 A :class:`LinearProgram` is checked once, field by field in a fixed
-order, on Python floats (no numpy warnings); the first malformed field
-raises :class:`LpInputError`.  Every solve has one pivot cap and reads
-its tolerances from ``tolerances.current()``.
+order, on Python floats (no numpy warnings), the fields it shares with
+LPs of its kind once per frame; the first malformed field raises
+:class:`LpInputError`.  Every solve has one pivot cap and reads its
+tolerances from ``tolerances.current()``.
 
 Stacked solves
 --------------
@@ -20,8 +21,9 @@ Callers that evaluate many scenarios at once write their LP work as
 answers one step's requests one at a time; :func:`run_lockstep` runs many
 steps side by side and answers each round of requests with one
 :func:`solve_stacked` call.  That groups the requests by standard-form
-layout (:func:`_layout_of`) and objective count, and runs the same
-two-phase method on a ``(K, rows, cols)`` tableau per group, after Gurung
+layout (:meth:`_Frame.layout`) and objective count, and runs the same
+two-phase method on a ``(K, rows, cols)`` tableau per group (each with its
+own frame's columns, so ``selftest``'s dual-range regions stack), after Gurung
 & Ray, "Simultaneous solving of batched linear programs on a GPU" (ICPE
 2019), in numpy on the CPU.  Every choice stays per instance: Bland's
 entering column, the ratio test and its tie-break, the tolerances, the
@@ -42,7 +44,7 @@ At fixed costs only the right-hand side moves from row to row, and an
 optimal basis stays optimal over a whole critical region (Gal & Nedoma,
 "Multiparametric linear programming", Mgmt. Sci. 1972).  So before the
 simplex runs, each request is tried against the optimal bases that the
-simplex returned for earlier rows with the same layout, ``A`` and
+simplex returned for earlier rows with the same frame, layout and
 objectives.  The dual half of that certificate (every reduced cost at
 least ``-rc_tol``) does not depend on ``b`` and runs once per basis; the
 primal half is one batched ``x_B = B⁻¹b`` per request, every entry at
@@ -78,19 +80,19 @@ short-run primals (one objective); at K = 32 it was 0.31, 0.29 and 0.40.
 
 Fixed costs per solve
 ---------------------
-A standard form's column layout depends only on the relations, the
-free-variable split and the row signs, so it is built once per such key
-and kept in a bounded cache (:func:`_layout`, :data:`_LAYOUTS` entries),
-its arrays read-only, together with its artificial unit columns; it is
-also :func:`solve_stacked`'s group key.  Its column labels per pair of
-label tuples are cached the same way (:func:`_column_labels`).  Each
-solve then builds only its own ``[A | I_art]``, right-hand side and
-shift, and takes the optimal basis matrix and its costs as one fancy
-index of those.  The dual-range region (:func:`dual_ranges_step`) is
-written straight from the problem and its optimal value
-(:func:`_pinned_region`): the dual of its minimization form, pinned to
-its optimum, with the arithmetic of an explicit dual LP (so the same
-bytes) but without two intermediate LPs to validate.
+The model's LP kinds each have one frame (:class:`_Frame`), built and
+checked at import: ``A``, relations, lower bounds and labels, the
+lower-bound shift, and per row-sign pattern the standard form's layout
+and columns.  A model LP checks only its ``c`` and ``b``; a solve builds
+only its right-hand side and tableau.  A layout depends only on the
+relations, the free-variable split and the row signs, so frames share it
+through a bounded cache (:func:`_layout`, :data:`_LAYOUTS` entries); it is
+:func:`solve_stacked`'s group key.  Column labels are cached the same way
+(:func:`_column_labels`).  The dual-range region (:func:`dual_ranges_step`)
+is written straight from the problem and its optimal value
+(:func:`_pinned_region`), with the arithmetic of an explicit dual LP (so
+the same bytes); its last row is the problem's ``b``, so each region is a
+full :class:`LinearProgram` with a frame of its own.
 
 Conventions
 -----------
@@ -111,7 +113,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -146,28 +148,44 @@ def _all_finite(a: np.ndarray) -> bool:
     return all(map(math.isfinite, a.ravel().tolist()))
 
 
+def _vector(v, name, size, wrong_size, not_finite) -> np.ndarray:
+    """``v`` as a read-only float vector, after checking that it is
+    one-dimensional, of ``size`` entries (else ``wrong_size``, formatted
+    with its length) and finite (else ``not_finite``)."""
+    v = np.array(v, dtype=float)
+    if v.ndim != 1:
+        raise LpInputError(f"{name} must be one-dimensional")
+    if v.shape[0] != size:
+        raise LpInputError(wrong_size.format(v.shape[0]))
+    if not _all_finite(v):
+        raise LpInputError(not_finite)
+    v.setflags(write=False)
+    return v
+
+
 def _objective_vector(sense, c, n_vars) -> np.ndarray:
     """``c`` as a read-only float vector, after checking that ``(sense, c)``
     is an objective over ``n_vars`` columns."""
     if sense not in ("min", "max"):
         raise LpInputError(f"sense must be 'min' or 'max', got {sense!r}")
-    c = np.array(c, dtype=float)
-    if c.ndim != 1:
-        raise LpInputError("c must be one-dimensional")
-    if c.shape[0] != n_vars:
-        raise LpInputError(f"objective has {c.shape[0]} entries for {n_vars} columns")
-    if not _all_finite(c):
-        raise LpInputError("c must be finite")
-    c.setflags(write=False)
-    return c
+    return _vector(c, "c", n_vars, f"objective has {{}} entries for {n_vars} columns",
+                   "c must be finite")
+
+
+def _rhs_vector(b, n_rows, n_relations) -> np.ndarray:
+    """``b`` as :func:`_vector` checks it, for ``n_rows`` rows."""
+    return _vector(b, "b", n_rows, f"matrix has {n_rows} rows but |b| = {{}}, "
+                   f"|relations| = {n_relations}", "A, b must be finite")
 
 
 @dataclass(frozen=True, eq=False)
 class LinearProgram:
-    """A dense LP instance.
+    """A dense LP instance: ``sense``, ``c``, ``b`` and the offset over a
+    :class:`_Frame` that holds the rest, ``n_rows`` and ``n_vars`` too.
 
     Immutable after construction; arrays are copied and marked read-only,
-    so instances can be shared freely across threads.
+    so instances can be shared freely across threads.  Built here, it
+    checks its own fields, then those of the frame it gets to itself.
     """
 
     sense: str
@@ -179,53 +197,17 @@ class LinearProgram:
     var_labels: tuple = None
     row_labels: tuple = None
     objective_offset: float = 0.0
+    _frame: "_Frame" = field(init=False, repr=False)
 
     def __post_init__(self):
         # One ordered check: the first malformed field raises.
         A = np.atleast_2d(np.array(self.A, dtype=float))
-        b = np.array(self.b, dtype=float)
         rel = tuple(self.relations)
         m, n = A.shape
         c = _objective_vector(self.sense, self.c, n)
-        if b.ndim != 1:
-            raise LpInputError("b must be one-dimensional")
-        if b.shape[0] != m or len(rel) != m:
-            raise LpInputError(
-                f"matrix has {m} rows but |b| = {b.shape[0]}, |relations| = {len(rel)}"
-            )
-        for r in rel:
-            if r not in _RELATIONS:
-                raise LpInputError(f"unknown relation {r!r}")
-        if self.lower_bounds is None:
-            lb = np.zeros(n)
-        else:
-            lb = np.array(self.lower_bounds, dtype=float)
-            if lb.shape != (n,):
-                raise LpInputError("lower_bounds length must match column count")
-            if not all(v < math.inf for v in lb.tolist()):     # NaN fails too
-                raise LpInputError("lower bounds must be finite or -inf")
-        if not (_all_finite(A) and _all_finite(b)):
-            raise LpInputError("A, b must be finite")
-        vl = None if self.var_labels is None else tuple(self.var_labels)
-        rl = None if self.row_labels is None else tuple(self.row_labels)
-        if vl is not None and (len(vl) != n or len(set(vl)) != n):
-            raise LpInputError("variable labels must be unique and match column count")
-        if rl is not None and (len(rl) != m or len(set(rl)) != m):
-            raise LpInputError("row labels must be unique and match row count")
-        for name, val in (("c", c), ("A", A), ("b", b), ("lower_bounds", lb)):
-            val.setflags(write=False)
-            object.__setattr__(self, name, val)
-        object.__setattr__(self, "relations", rel)
-        object.__setattr__(self, "var_labels", vl)
-        object.__setattr__(self, "row_labels", rl)
-
-    @property
-    def n_rows(self):
-        return self.A.shape[0]
-
-    @property
-    def n_vars(self):
-        return self.A.shape[1]
+        b = _rhs_vector(self.b, m, len(rel))
+        frame = _Frame(A, rel, self.lower_bounds, self.var_labels, self.row_labels)
+        vars(self).update(frame.fields, _frame=frame, c=c, b=b)
 
     def row_index(self, row_id) -> int:
         if isinstance(row_id, str):
@@ -245,6 +227,80 @@ class LinearProgram:
 
     def row_label(self, i) -> str:
         return _label(self.row_labels, i, "row")
+
+
+class _Frame:
+    """What LPs that differ only in ``c``, ``b`` and the offset share:
+    ``A`` (a float array is taken as it is), the relations, the lower
+    bounds and the labels, all read-only and checked once, here.  Also what
+    every solve derives from them alone: the lower-bound shift, the rows
+    ``A @ shift`` it takes off ``b`` (``None`` where that leaves ``b`` as
+    it is, bit for bit), the free-variable mask, and per row-sign pattern
+    seen (at most 16 for the model's LPs) a layout and its columns.
+    """
+
+    def __init__(self, A, relations, lower_bounds=None, var_labels=None, row_labels=None):
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        rel = tuple(relations)
+        m, n = A.shape
+        if len(rel) != m:
+            raise LpInputError(f"matrix has {m} rows but |relations| = {len(rel)}")
+        for r in rel:
+            if r not in _RELATIONS:
+                raise LpInputError(f"unknown relation {r!r}")
+        if lower_bounds is None:
+            lb = np.zeros(n)
+        else:
+            lb = np.array(lower_bounds, dtype=float)
+            if lb.shape != (n,):
+                raise LpInputError("lower_bounds length must match column count")
+            if not all(v < math.inf for v in lb.tolist()):     # NaN fails too
+                raise LpInputError("lower bounds must be finite or -inf")
+        if not _all_finite(A):
+            raise LpInputError("A, b must be finite")
+        vl = None if var_labels is None else tuple(var_labels)
+        rl = None if row_labels is None else tuple(row_labels)
+        if vl is not None and (len(vl) != n or len(set(vl)) != n):
+            raise LpInputError("variable labels must be unique and match column count")
+        if rl is not None and (len(rl) != m or len(set(rl)) != m):
+            raise LpInputError("row labels must be unique and match row count")
+        self.A, self.relations, self.lower_bounds = A, rel, lb
+        self.var_labels, self.row_labels = vl, rl
+        self.fields = dict(A=A, relations=rel, lower_bounds=lb, var_labels=vl,
+                           row_labels=rl, n_rows=m, n_vars=n)
+        self.shift = np.where(np.isfinite(lb), lb, 0.0)
+        shifted = A @ self.shift
+        for a in (A, lb, self.shift, shifted):
+            a.setflags(write=False)
+        # b - (+0.0) is b
+        self.shifted = shifted if shifted.any() or np.signbit(shifted).any() else None
+        self.free = np.isinf(lb).tobytes()
+        self._layouts = {}          # negative-b mask (bytes) -> layout
+        self.columns = {}           # layout -> its standard-form columns, artificial last
+
+    def program(self, sense, c, b, objective_offset=0.0) -> LinearProgram:
+        """The LP with objective ``(sense, c)``, right-hand side ``b`` and
+        ``objective_offset`` over this frame; only ``c`` and ``b`` are
+        checked, as :class:`LinearProgram` checks them."""
+        m, n = self.A.shape
+        c, b = _objective_vector(sense, c, n), _rhs_vector(b, m, m)
+        p = object.__new__(LinearProgram)
+        vars(p).update(self.fields, _frame=self, sense=sense, c=c, b=b,
+                       objective_offset=objective_offset)
+        return p
+
+    def layout(self, b_work) -> "_Layout":
+        """The layout of the standard form whose shifted right-hand side is
+        ``b_work``, its columns put in :attr:`columns` when first seen."""
+        negative = (b_work < 0).tobytes()
+        layout = self._layouts.get(negative)
+        if layout is None:
+            layout = self._layouts[negative] = _layout(self.relations, self.free, negative)
+            A_struct = self.A[:, layout.col_var] * layout.col_sign * layout.row_sign[:, None]
+            columns = np.hstack([A_struct, layout.A_slack, layout.A_art])
+            columns.setflags(write=False)
+            self.columns[layout] = columns
+        return layout
 
 
 def _label(labels, k, stem: str) -> str:
@@ -325,6 +381,7 @@ class _Layout:
             if s > 0:
                 self.init_basis[i] = self.n_struct + k
         self.art_rows = tuple(i for i in range(m) if self.init_basis[i] < 0)
+        self.init_basis[list(self.art_rows)] = self.n_total + np.arange(len(self.art_rows))
         # the artificial columns: the unit column of each artificial row
         self.A_art = np.zeros((m, len(self.art_rows)))
         self.A_art[self.art_rows, range(len(self.art_rows))] = 1.0
@@ -345,13 +402,29 @@ class _Layout:
         return _column_labels(self.layout, p.var_labels, p.row_labels)
 
     def x_rows(self, shift, x_std) -> np.ndarray:
-        """:meth:`_StandardForm.x_original` of each row of ``x_std``, with
-        the same arithmetic, given each row's ``shift``."""
+        """The original variables of each row of the standard-form ``x_std``,
+        given each row's ``shift``."""
         split = self.col_sign < 0
         x_struct = x_std[:, : self.n_struct]
         x = shift + x_struct[:, ~split]
         x[:, self.col_var[split]] += -x_struct[:, split]
         return x
+
+    def tableau(self, costs):
+        """Phase-1 tableau and start basis of this form: rows ``[A | b]``,
+        the phase-1 row, then the cost rows ``costs`` ``(Q, n_total)``.  In
+        a stacked form every array has a leading instance axis, ``costs``
+        too."""
+        *K, m = self.b.shape
+        n_total = self.n_total
+        T = np.zeros((*K, m + 1 + costs.shape[-2], n_total + len(self.art_rows) + 1))
+        T[..., :m, :-1] = self.A
+        T[..., :m, -1] = self.b
+        T[..., m + 1:, :n_total] = costs
+        for i in self.art_rows:
+            T[..., m, :] -= T[..., i, :]
+        T[..., m, n_total:-1] = 0.0
+        return T, np.tile(self.init_basis, (*K, 1))
 
     def adopt(self, layout):
         """Take on the shared ``layout``: its attributes, not a copy of them."""
@@ -372,11 +445,6 @@ def _layout(relations, free: bytes, negative: bytes) -> _Layout:
                    np.where(np.frombuffer(negative, dtype=bool), -1.0, 1.0))
 
 
-def _layout_of(p: LinearProgram, b_work) -> _Layout:
-    """The layout of ``p``'s standard form, given ``_shifted_rhs(p)[1]``."""
-    return _layout(p.relations, np.isinf(p.lower_bounds).tobytes(), (b_work < 0).tobytes())
-
-
 @functools.lru_cache(maxsize=_LAYOUTS)
 def _column_labels(layout: _Layout, var_labels, row_labels) -> tuple:
     """:meth:`_Layout.labels` of a problem with these label tuples."""
@@ -387,10 +455,10 @@ def _column_labels(layout: _Layout, var_labels, row_labels) -> tuple:
 
 
 def _shifted_rhs(p: LinearProgram):
-    """``(shift, b_work)``: finite lower bounds moved to zero."""
-    lb = p.lower_bounds
-    shift = np.where(np.isfinite(lb), lb, 0.0)
-    return shift, p.b - p.A @ shift
+    """``(shift, b_work)``: finite lower bounds moved to zero, both arrays
+    read-only (the frame's shift, and ``p.b`` itself where no row moves)."""
+    frame = p._frame
+    return frame.shift, p.b if frame.shifted is None else p.b - frame.shifted
 
 
 class _StandardForm(_Layout):
@@ -407,17 +475,10 @@ class _StandardForm(_Layout):
         # Make the right-hand side nonnegative before adding slacks, so the
         # sign of each slack tells us whether it can start in the basis.
         self.shift, b_work = _shifted_rhs(p)
-        self.adopt(_layout_of(p, b_work))
-        A_struct = p.A[:, self.col_var] * self.col_sign * self.row_sign[:, None]
+        self.adopt(p._frame.layout(b_work))
         # the standard-form columns, then the artificial ones
-        self.A = np.hstack([A_struct, self.A_slack, self.A_art])
+        self.A = p._frame.columns[self.layout]
         self.b = b_work * self.row_sign
-
-    def x_original(self, x_std) -> np.ndarray:
-        x = self.shift.copy()
-        for k, (j, s) in enumerate(self.cols):
-            x[j] += s * x_std[k]
-        return x
 
 
 def _iteration_limit() -> IterationLimitError:
@@ -527,30 +588,17 @@ def solve_objectives(problem: LinearProgram, objectives) -> tuple:
     m = problem.n_rows
     if m == 0:
         raise LpInputError("problem must have at least one row")
-    objectives = tuple((sense, _objective_vector(sense, c, problem.n_vars))
-                       for sense, c in objectives)
+    objectives = tuple(_checked_objective(problem, sense, c) for sense, c in objectives)
     if not objectives:
         raise LpInputError("no objectives given")
     costs = [sf.cost(sense, c) for sense, c in objectives]
     rc_tols = [tol * (1.0 + float(np.abs(cost).max(initial=0.0))) for cost in costs]
 
-    n_art = len(sf.art_rows)
-    T = np.zeros((m + 1 + len(costs), sf.n_total + n_art + 1))
-    T[:m, :-1] = sf.A
-    T[:m, -1] = sf.b
-    basis = sf.init_basis.copy()
-    for k, i in enumerate(sf.art_rows):
-        basis[i] = sf.n_total + k
-    for q, cost in enumerate(costs):
-        T[m + 1 + q, :-1] = cost
-    r1 = T[m]
-    for i in sf.art_rows:
-        r1 -= T[i]
-    r1[sf.n_total:-1] = 0.0
+    T, basis = sf.tableau(np.array(costs)[:, : sf.n_total])
     tab = _Tableau(T, basis, m, sf.n_total)
 
     # ---- phase 1, shared ---------------------------------------------
-    if n_art:
+    if sf.art_rows:
         # Phase 1 prices columns with each objective's own tolerance; it is
         # shared only while every one of them picks the same column.
         lo, hi = min(rc_tols), max(rc_tols)
@@ -586,7 +634,7 @@ def _optimum(problem, sf, tab, sense, c, cost) -> LpSolution:
     for i in range(m):
         if basis[i] < sf.n_total:
             x_std[basis[i]] = T[i, -1]
-    x = sf.x_original(x_std)
+    x = sf.x_rows(sf.shift, x_std[None])[0]
 
     # Duals of the returned basis: solve B' y = c_B against the pristine
     # standard-form columns (an artificial's being the unit column of its
@@ -703,7 +751,7 @@ def solve_stacked(requests, pool: "BasisPool" = None) -> list:
     Without a ``pool``, an outcome is exactly what
     ``solve_objectives(problem, objectives)`` returns (every array bit for
     bit, ``iterations`` included), or the :class:`LpError` it would raise.
-    Requests whose standard forms share a layout (:func:`_layout_of`) and
+    Requests whose standard forms share a layout (:meth:`_Frame.layout`) and
     an objective count are solved together on one ``(K, rows, cols)``
     tableau, each instance making its own choices; groups smaller than
     :data:`STACK_MIN` are solved one by one.
@@ -730,7 +778,7 @@ def solve_stacked(requests, pool: "BasisPool" = None) -> list:
             outcomes[k] = exc
             continue
         shift, b_work = _shifted_rhs(problem)
-        key = (_layout_of(problem, b_work), len(objectives))
+        key = (problem._frame.layout(b_work), len(objectives))
         groups.setdefault(key, []).append((k, problem, objectives, shift, b_work))
     for (layout, _), members in groups.items():
         if pool is not None:
@@ -771,29 +819,9 @@ class _StackedForm(_Layout):
         self.adopt(layout)
         self.problems = problems
         self.shift = np.array(shifts)
-        A = np.array([q.A for q in problems])[:, :, self.col_var]
-        A_struct = A * self.col_sign * self.row_sign[:, None]
-        aux = np.hstack([self.A_slack, self.A_art])
-        self.A = np.concatenate(
-            [A_struct, np.broadcast_to(aux, (len(problems),) + aux.shape)], axis=2)
+        # each problem's own columns: problems of one layout may have other frames
+        self.A = np.array([q._frame.columns[layout] for q in problems])
         self.b = np.array(b_works) * self.row_sign
-
-    def tableau(self, costs):
-        """Phase-1 tableaux and bases, as :func:`solve_objectives` builds
-        one, with the cost rows ``costs[k]`` ``(Q, n_total)`` under
-        instance ``k``'s phase-1 row."""
-        (K, m), n_total = self.b.shape, self.n_total
-        T = np.zeros((K, m + 1 + costs.shape[1], n_total + len(self.art_rows) + 1))
-        T[:, :m, :-1] = self.A
-        T[:, :m, -1] = self.b
-        basis = np.tile(self.init_basis, (K, 1))
-        for k, i in enumerate(self.art_rows):
-            basis[:, i] = n_total + k
-        T[:, m + 1:, :n_total] = costs
-        for i in self.art_rows:
-            T[:, m] -= T[:, i]
-        T[:, m, n_total:-1] = 0.0
-        return T, basis
 
     def basis_matrices(self, entry_k, basis):
         """``B.T`` of each entry's basis (columns ``basis[e]`` of instance
@@ -990,10 +1018,10 @@ class BasisPool:
 
     One pool serves a run of :func:`solve_stacked` calls (``sweep`` makes
     one per grid).  Its bases come only from solves: the optimal bases of
-    requests that no kept basis certified.  A key is a layout
-    (:func:`_layout_of`), the labels, ``A`` and the objectives, so the
-    requests of one key differ only in ``b`` and the lower bounds; at most
-    :data:`POOL_KEYS` keys are kept.
+    requests that no kept basis certified.  A key is a frame (the object,
+    so LPs built directly share a key only with themselves), a layout
+    (:meth:`_Frame.layout`) and the objectives, so the requests of one key
+    differ only in ``b``; at most :data:`POOL_KEYS` keys are kept.
 
     A basis that holds an artificial column is never kept.  The others
     are checked once, when a later request of their key asks: the duals
@@ -1013,8 +1041,8 @@ class BasisPool:
 
     @staticmethod
     def key(layout, problem, objectives) -> tuple:
-        """The pool key of a request of ``layout`` (:func:`_layout_of`)."""
-        key = [layout, problem.var_labels, problem.row_labels, problem.A.tobytes()]
+        """The pool key of a request of ``layout`` (:meth:`_Frame.layout`)."""
+        key = [layout, problem._frame]
         for sense, c in objectives:
             key += (sense, c.tobytes())
         return tuple(key)
@@ -1075,8 +1103,7 @@ class _KeyBases:
         """The dual half of the certificate for every waiting basis."""
         layout, problem = self.layout, self.problem
         if self.kept is None:
-            self.A = np.hstack([problem.A[:, layout.col_var] * layout.col_sign
-                                * layout.row_sign[:, None], layout.A_slack])
+            self.A = problem._frame.columns[layout][:, : layout.n_total]
             self.costs = [layout.cost(sense, c) for sense, c in self.objectives]
             self.rc_tols = [current().feas * (1.0 + float(np.abs(cost).max(initial=0.0)))
                             for cost in self.costs]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .lp import EQ, GE, LE, LinearProgram, LpRequest, LpSolution, run_step
+from .lp import EQ, GE, LE, LinearProgram, LpRequest, LpSolution, _Frame, run_step
 from .tolerances import current
 
 VAR_ORDER = ("I_r1", "I_r2", "I_f1", "I_f2",
@@ -248,19 +248,13 @@ class DualValues:
 # ---------------------------------------------------------------------------
 
 
-def _frozen(rows) -> np.ndarray:
-    a = np.array(rows, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-# The builders' constant parts, made once: every call fills in only the
+# One frame per LP kind, checked once at import: a build fills in only the
 # costs, the right-hand side and the objective offset.
 
 #: Long-run primal, rows LRMC_ROW_ORDER over columns VAR_ORDER:
 #: balance_t (P_rt + P_ft + L_t = D_t), cap_gt (live investments - P_gt
 #: >= 0; I_g1 serves both periods) and invest_gt (-I_gt >= -M_g).
-_LRMC_A = _frozen([
+_LRMC = _Frame([
     # I_r1 I_r2 I_f1 I_f2 P_r1 P_r2 P_f1 P_f2 L_1 L_2
     [0, 0, 0, 0, 1, 0, 1, 0, 1, 0],
     [0, 0, 0, 0, 0, 1, 0, 1, 0, 1],
@@ -272,13 +266,12 @@ _LRMC_A = _frozen([
     [0, -1, 0, 0, 0, 0, 0, 0, 0, 0],
     [0, 0, -1, 0, 0, 0, 0, 0, 0, 0],
     [0, 0, 0, -1, 0, 0, 0, 0, 0, 0],
-])
-_LRMC_REL = (EQ, EQ) + (GE,) * 8
+], (EQ, EQ) + (GE,) * 8, var_labels=VAR_ORDER, row_labels=LRMC_ROW_ORDER)
 
-#: Long-run dual, variables DUAL_VAR_ORDER, one row per primal variable
-#: (_LRMC_DUAL_ROWS): P_gt prices lam_t - beta_gt <= CP_g, I_g1 prices
-#: capacity in both periods, I_g2 only the second, L_t caps lam_t at CL.
-_LRMC_DUAL_A = _frozen([
+#: Long-run dual, variables DUAL_VAR_ORDER (lam_t free), one row per primal
+#: variable: P_gt prices lam_t - beta_gt <= CP_g, I_g1 prices capacity in
+#: both periods, I_g2 only the second, L_t caps lam_t at CL.
+_LRMC_DUAL = _Frame([
     # lam_1 lam_2 beta_r1 beta_r2 beta_f1 beta_f2 gamma_r1 gamma_r2 gamma_f1 gamma_f2
     [1, 0, -1, 0, 0, 0, 0, 0, 0, 0],
     [0, 1, 0, -1, 0, 0, 0, 0, 0, 0],
@@ -290,14 +283,12 @@ _LRMC_DUAL_A = _frozen([
     [0, 0, 0, 0, 0, 1, 0, 0, 0, -1],
     [1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
     [0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
-])
-_LRMC_DUAL_ROWS = ("P_r1", "P_r2", "P_f1", "P_f2",
-                   "I_r1", "I_r2", "I_f1", "I_f2", "L_1", "L_2")
-_LRMC_DUAL_LB = _frozen([-np.inf, -np.inf] + [0.0] * 8)
+], (LE,) * 10, [-np.inf, -np.inf] + [0.0] * 8, var_labels=DUAL_VAR_ORDER,
+    row_labels=("P_r1", "P_r2", "P_f1", "P_f2", "I_r1", "I_r2", "I_f1", "I_f2", "L_1", "L_2"))
 
 #: Short-run primal, rows SRMC_ROW_ORDER over columns SRMC_VAR_ORDER:
 #: balance_t, then cap_gt as -P_gt >= -(capacity + epsilon).
-_SRMC_A = _frozen([
+_SRMC = _Frame([
     # P_r1 P_r2 P_f1 P_f2 L_1 L_2
     [1, 0, 1, 0, 1, 0],
     [0, 1, 0, 1, 0, 1],
@@ -305,23 +296,28 @@ _SRMC_A = _frozen([
     [0, -1, 0, 0, 0, 0],
     [0, 0, -1, 0, 0, 0],
     [0, 0, 0, -1, 0, 0],
-])
-_SRMC_REL = (EQ, EQ) + (GE,) * 4
+], (EQ, EQ) + (GE,) * 4, var_labels=SRMC_VAR_ORDER, row_labels=SRMC_ROW_ORDER)
+
+#: Short-run dual, variables (lam_1, lam_2) free and beta >= 0, one row per
+#: short-run variable: lam_t - beta_gt <= CP_g, lam_t <= CL.
+_SRMC_DUAL = _Frame([
+    # lam_1 lam_2 beta_r1 beta_r2 beta_f1 beta_f2
+    [1, 0, -1, 0, 0, 0],
+    [0, 1, 0, -1, 0, 0],
+    [1, 0, 0, 0, -1, 0],
+    [0, 1, 0, 0, 0, -1],
+    [1, 0, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0],
+], (LE,) * 6, [-np.inf, -np.inf] + [0.0] * 4, var_labels=DUAL_VAR_ORDER[:6],
+    row_labels=SRMC_VAR_ORDER)
 
 
 def build_lrmc_primal(params: SystemParams) -> LinearProgram:
     """Long-run model: investment and operation both free, cost minimized."""
-    c = np.array([
-        params.ci_r, params.ci_r, params.ci_f, params.ci_f,
-        params.cp_r, params.cp_r, params.cp_f, params.cp_f,
-        params.cl, params.cl,
-    ])
-    m_r, m_f = params.m_r, params.m_f
-    b = np.array([params.d1, params.d2, 0.0, 0.0, 0.0, 0.0, -m_r, -m_r, -m_f, -m_f])
-    return LinearProgram(
-        sense="min", c=c, A=_LRMC_A, relations=_LRMC_REL, b=b,
-        var_labels=VAR_ORDER, row_labels=LRMC_ROW_ORDER,
-    )
+    p = params
+    return _LRMC.program(
+        "min", [p.ci_r, p.ci_r, p.ci_f, p.ci_f, p.cp_r, p.cp_r, p.cp_f, p.cp_f, p.cl, p.cl],
+        [p.d1, p.d2, 0.0, 0.0, 0.0, 0.0, -p.m_r, -p.m_r, -p.m_f, -p.m_f])
 
 
 def build_lrmc_dual(params: SystemParams) -> LinearProgram:
@@ -330,29 +326,37 @@ def build_lrmc_dual(params: SystemParams) -> LinearProgram:
     Variables (lam_1, lam_2) free, then beta >= 0, then gamma >= 0; rows
     labeled by the primal variable whose nonnegativity they price.
     """
-    c = np.array([
-        params.d1, params.d2, 0, 0, 0, 0,
-        -params.m_r, -params.m_r, -params.m_f, -params.m_f,
-    ])
-    cp_r, cp_f, ci_r, ci_f = params.cp_r, params.cp_f, params.ci_r, params.ci_f
-    b = np.array([cp_r, cp_r, cp_f, cp_f, ci_r, ci_r, ci_f, ci_f, params.cl, params.cl])
-    return LinearProgram(
-        sense="max", c=c, A=_LRMC_DUAL_A, relations=(LE,) * 10, b=b,
-        lower_bounds=_LRMC_DUAL_LB, var_labels=DUAL_VAR_ORDER,
-        row_labels=_LRMC_DUAL_ROWS,
-    )
+    p = params
+    return _LRMC_DUAL.program(
+        "max", [p.d1, p.d2, 0.0, 0.0, 0.0, 0.0, -p.m_r, -p.m_r, -p.m_f, -p.m_f],
+        [p.cp_r, p.cp_r, p.cp_f, p.cp_f, p.ci_r, p.ci_r, p.ci_f, p.ci_f, p.cl, p.cl])
 
 
-def _check_istar(istar):
-    arr = np.asarray(
-        istar.investments() if isinstance(istar, PrimalDecision) else istar,
-        dtype=float,
-    )
-    if arr.shape != (4,):
-        raise ModelError("istar must hold the four investments (I_r1, I_r2, I_f1, I_f2)")
-    if np.any(arr < -current().feas):
+def _check_istar(istar) -> list:
+    """The four investments of ``istar`` as floats, after checking that
+    none is below zero by more than ``current().feas``; the rest are raised
+    to 0.0 as ``np.maximum(v, 0.0)`` raises them (-0.0 too; NaN stays)."""
+    if isinstance(istar, PrimalDecision):
+        values = [float(v) for v in istar.investments()]
+    else:
+        arr = np.asarray(istar, dtype=float)
+        if arr.shape != (4,):
+            raise ModelError("istar must hold the four investments (I_r1, I_r2, I_f1, I_f2)")
+        values = arr.tolist()
+    floor = -current().feas
+    if any(v < floor for v in values):
         raise ModelError("negative invested capacities rejected")
-    return np.maximum(arr, 0.0)
+    return [v if v > 0.0 or v != v else 0.0 for v in values]
+
+
+def _short_run(params: SystemParams, istar, epsilon):
+    """``(caps, offset)`` at ``istar``: the live capacity of each
+    technology and period plus ``epsilon``, and the invested cost."""
+    if epsilon < 0:
+        raise ModelError("epsilon must be nonnegative")
+    i_r1, i_r2, i_f1, i_f2 = _check_istar(istar)
+    caps = (i_r1 + epsilon, i_r1 + i_r2 + epsilon, i_f1 + epsilon, i_f1 + i_f2 + epsilon)
+    return caps, float(params.ci_r * (i_r1 + i_r2) + params.ci_f * (i_f1 + i_f2))
 
 
 def build_srmc_primal(params: SystemParams, istar, epsilon: float = 0.0) -> LinearProgram:
@@ -362,55 +366,18 @@ def build_srmc_primal(params: SystemParams, istar, epsilon: float = 0.0) -> Line
     technologies, both periods).  Strictly positive epsilon removes the
     degenerate ties that make the flow-balance duals non-unique.
     """
-    if epsilon < 0:
-        raise ModelError("epsilon must be nonnegative")
-    ist = _check_istar(istar)
-    i_r1, i_r2, i_f1, i_f2 = ist
-    c = np.array([params.cp_r, params.cp_r, params.cp_f, params.cp_f,
-                  params.cl, params.cl])
-    offset = params.ci_r * (i_r1 + i_r2) + params.ci_f * (i_f1 + i_f2)
-    b = np.array([params.d1, params.d2,
-                  -(i_r1 + epsilon), -(i_r1 + i_r2 + epsilon),
-                  -(i_f1 + epsilon), -(i_f1 + i_f2 + epsilon)])
-    return LinearProgram(
-        sense="min", c=c, A=_SRMC_A, relations=_SRMC_REL, b=b,
-        var_labels=SRMC_VAR_ORDER, row_labels=SRMC_ROW_ORDER,
-        objective_offset=float(offset),
-    )
+    (c1, c2, c3, c4), offset = _short_run(params, istar, epsilon)
+    p = params
+    return _SRMC.program("min", [p.cp_r, p.cp_r, p.cp_f, p.cp_f, p.cl, p.cl],
+                         [p.d1, p.d2, -c1, -c2, -c3, -c4], offset)
 
 
 def build_srmc_dual(params: SystemParams, istar, epsilon: float = 0.0) -> LinearProgram:
     """Dual of the short-run model (two free prices, four capacity values)."""
-    if epsilon < 0:
-        raise ModelError("epsilon must be nonnegative")
-    i_r1, i_r2, i_f1, i_f2 = _check_istar(istar)
-    caps = (i_r1 + epsilon, i_r1 + i_r2 + epsilon,
-            i_f1 + epsilon, i_f1 + i_f2 + epsilon)
-    offset = params.ci_r * (i_r1 + i_r2) + params.ci_f * (i_f1 + i_f2)
-    c = np.array([params.d1, params.d2, -caps[0], -caps[1], -caps[2], -caps[3]])
-    A = np.zeros((6, 6))
-    b = np.zeros(6)
-    labels = []
-    row = 0
-    for g, off in (("r", 2), ("f", 4)):
-        for t in (1, 2):
-            A[row, t - 1] = 1.0
-            A[row, off + (t - 1)] = -1.0
-            b[row] = params.cp(g)
-            labels.append(f"P_{g}{t}")
-            row += 1
-    for t in (1, 2):
-        A[row, t - 1] = 1.0
-        b[row] = params.cl
-        labels.append(f"L_{t}")
-        row += 1
-    lb = np.zeros(6)
-    lb[0] = lb[1] = -np.inf
-    return LinearProgram(
-        sense="max", c=c, A=A, relations=(LE,) * 6, b=b, lower_bounds=lb,
-        var_labels=("lam_1", "lam_2", "beta_r1", "beta_r2", "beta_f1", "beta_f2"),
-        row_labels=tuple(labels), objective_offset=float(offset),
-    )
+    (c1, c2, c3, c4), offset = _short_run(params, istar, epsilon)
+    p = params
+    return _SRMC_DUAL.program("max", [p.d1, p.d2, -c1, -c2, -c3, -c4],
+                              [p.cp_r, p.cp_r, p.cp_f, p.cp_f, p.cl, p.cl], offset)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def seed(pool, request, solutions):
     had returned them for ``request``."""
     problem, objectives = request
     shift, b_work = lp._shifted_rhs(problem)
-    key = pool.key(lp._layout_of(problem, b_work), problem, objectives)
+    key = pool.key(problem._frame.layout(b_work), problem, objectives)
     pool.learn([key], [(0, problem, objectives, shift, b_work)], [solutions])
 
 

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from numpy.testing import assert_allclose
 from genmargin.lp import detect_degeneracy, dual_value_range, solve_lp
 from genmargin.model import (
     ModelError,
+    PrimalDecision,
     SystemParams,
+    _check_istar,
     build_lrmc_dual,
     build_lrmc_primal,
     build_srmc_dual,
@@ -175,6 +179,36 @@ class TestSrmc:
             build_srmc_primal(params, (-1, 0, 0, 0))
         with pytest.raises(ModelError):
             build_srmc_primal(params, (0, 0, 0, 0), epsilon=-1e-9)
+
+    @pytest.mark.parametrize("istar", [
+        (0.0, -0.0, 3.5, -1e-12), [1.0, 2.0, 3.0, 4.0], np.array([-0.0, 0.0, 1e308, 7.0]),
+        (math.nan, 1.0, 2.0, 3.0), (math.inf, 0.0, 0.0, 0.0), (5, 0, 0, 2),
+        (1.0, 2.0, 3.0), [[1.0, 2.0], [3.0, 4.0]], 2.0, (0.0, -1e-6, 0.0, 0.0),
+        "decision",
+    ])
+    def test_istar_check_matches_numpy(self, istar):
+        # the numpy implementation that the float one replaced, as reference
+        def reference(istar):
+            arr = np.asarray(istar.investments() if isinstance(istar, PrimalDecision)
+                             else istar, dtype=float)
+            if arr.shape != (4,):
+                raise ModelError("istar must hold the four investments "
+                                 "(I_r1, I_r2, I_f1, I_f2)")
+            if np.any(arr < -current().feas):
+                raise ModelError("negative invested capacities rejected")
+            return np.maximum(arr, 0.0)
+
+        if isinstance(istar, str):
+            istar = PrimalDecision(-0.0, 1.0, -1e-10, 2.0, 0, 0, 0, 0, 0, 0)
+        try:
+            want = reference(istar).tobytes()
+        except ModelError as exc:
+            with pytest.raises(ModelError, match=f"^{re.escape(str(exc))}$"):
+                _check_istar(istar)
+        else:
+            got = _check_istar(istar)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == want
 
     def test_srmc_dual_matches(self):
         rng = np.random.default_rng(2)
