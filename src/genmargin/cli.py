@@ -22,6 +22,7 @@ read once per process by every layer; a malformed one exits 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .groups import analytic_solution, classify, table_csv
-from .lp import BasisPool, run_lockstep
+from .groups import GROUPS, analytic_solution, classify, representative_params, table_csv
+from .lp import BasisPool, LpInputError, run_lockstep
 from .model import PARAM_FIELDS, ModelError, SystemParams, lrmc_step, solve_lrmc
 from .pricing import (
     cost_recovery,
@@ -43,7 +44,7 @@ from .pricing import (
     srmc_profile,
 )
 from .sampling import random_params
-from .srmc import compute_srmc, predict_srmc_from_lrmc, resolved_step, srmc_step
+from .srmc import SrmcError, compute_srmc, predict_srmc_from_lrmc, resolved_step, srmc_step
 from .verify import cross_check
 
 EXIT_OK = 0
@@ -53,12 +54,12 @@ EXIT_VERIFICATION = 2
 #: Sweep grid points or selftest scenarios evaluated in lockstep: each LP
 #: stage of a chunk is one stacked solve (``lp.run_lockstep``).  A chunk's
 #: items keep their LPs and results alive until it ends, so memory grows
-#: with the chunk.  A sweep's first chunk finds no pooled basis; later
-#: chunks pivot only what the pool does not certify.  With certificates,
-#: sweep chunks of 16 and 64 rows ran at 0.91 and 0.95 times the rows/s
-#: of 32 (medians of 21 alternated repeats over the benchmark's grids for
-#: seeds 0-3, 2-core x86-64); 64 and 128 held 1.2 and 3.4 MB more before
-#: certificates.  selftest ran within 10% at 16, 32 and 64.
+#: with the chunk.  Every sweep chunk pivots only what the fixed pool
+#: (:func:`basis_atlas`) does not certify.  Sweep chunks of 8, 16 and 64
+#: rows ran at 0.58, 0.79 and 0.99 times the rows/s of 32 (medians of 15
+#: alternated repeats over the benchmark's grids for seeds 0-3, 2-core
+#: x86-64); 64 and 128 held 1.2 and 3.4 MB more before certificates.
+#: selftest ran within 10% at 16, 32 and 64.
 CHUNK = 32
 
 
@@ -327,10 +328,11 @@ def sweep_rows(config: ScenarioConfig):
     row and leaves the others as they are.  Any other exception of a chunk
     escapes, the first in row order, before any of the chunk's rows.
 
-    One ``lp.BasisPool`` serves the whole grid: an LP that the optimal
-    bases of earlier chunks prove optimal is not pivoted.  A row prints
-    the closed form and the perturbed short-run duals; the CSV is the
-    same with or without the pool (see ``lp``'s module docstring)."""
+    Every chunk tries the same fixed ``lp.BasisPool`` (:func:`basis_atlas`)
+    first: an LP that one of its bases proves optimal is not pivoted.  A
+    row prints the closed form and the perturbed short-run duals; the CSV
+    is the same with or without the pool, and at any chunk size (see
+    ``lp``'s module docstring)."""
     blocks = config.sweeps
     grids = [_grid(b) for b in blocks]
     base = {f: getattr(config.params, f) for f in PARAM_FIELDS}
@@ -338,7 +340,7 @@ def sweep_rows(config: ScenarioConfig):
         points = [(v,) for v in grids[0]]
     else:
         points = [(v1, v2) for v1 in grids[0] for v2 in grids[1]]
-    pool = BasisPool()
+    pool = basis_atlas(tolerances.current())
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
         steps = []
@@ -357,6 +359,37 @@ def sweep_rows(config: ScenarioConfig):
             yield values, row
 
 
+@functools.cache
+def basis_atlas(tol: tolerances.Tolerances) -> BasisPool:
+    """The ``lp.BasisPool`` of every ``sweep`` under ``tol``
+    (``tolerances.current()``), made at its first call: the optimal bases
+    of a row's LPs at each group's ``groups.representative_params``, in
+    group order, solved side by side without a pool (``lp.run_lockstep``).
+    A point that the model rejects under ``tol`` keeps the bases it
+    reached before.  It takes about 12 ms on 2-core x86-64, which a
+    one-shot sweep of one fixed-cost grid does not earn back (CHANGES.md)."""
+    logs = [[] for _ in GROUPS]
+    steps = [_logged(_row_lps(representative_params(gid)), log)
+             for gid, log in zip(sorted(GROUPS), logs)]
+    for result in run_lockstep(steps):
+        if isinstance(result, Exception) and not isinstance(
+                result, (LpInputError, ModelError, SrmcError)):
+            raise result
+    return BasisPool([pair for log in logs for pair in log])
+
+
+def _logged(step, log):
+    """``step``, appending each request it makes, with its answer, to ``log``."""
+    answer = None
+    while True:
+        try:
+            request = step.send(answer)
+        except StopIteration as done:
+            return done.value
+        answer = yield request
+        log.append((request, answer))
+
+
 def _sweep_row(over: dict):
     """One grid point's CSV row, as a step (see ``lp.LpRequest``): the
     long-run solve and ``srmc.resolved_step``'s two short-run solves, so
@@ -364,13 +397,18 @@ def _sweep_row(over: dict):
     params = SystemParams.from_values(**over)
     group = classify(params)
     analytic = analytic_solution(params, group)
-    lr = yield from lrmc_step(params)
-    resolved = yield from resolved_step(params, lr.decision, lr.objective)
+    resolved = yield from _row_lps(params)
     _, sold = sales((analytic.lrmc, resolved), analytic.decision, params)
     (*_, p_l), (*_, p_s) = sold
     return (group.gid, analytic.profile_id, analytic.lrmc[0],
             analytic.lrmc[1], resolved[0], resolved[1],
             p_l, p_s, group.boundary)
+
+
+def _row_lps(params: SystemParams):
+    """A sweep row's three LP solves, as a step; returns the resolved prices."""
+    lr = yield from lrmc_step(params)
+    return (yield from resolved_step(params, lr.decision, lr.objective))
 
 
 def run_sweep(config: ScenarioConfig) -> tuple:

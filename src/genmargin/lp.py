@@ -39,35 +39,42 @@ short-run stage (``srmc.srmc_step``) of its scenarios; the long-run
 solve and the cross-check of a ``selftest`` scenario, and every LP of a
 ``run`` report, are solved one at a time.
 
-``sweep`` also passes one :class:`BasisPool` to every chunk of its grid.
-At fixed costs only the right-hand side moves from row to row, and an
-optimal basis stays optimal over a whole critical region (Gal & Nedoma,
-"Multiparametric linear programming", Mgmt. Sci. 1972).  So before the
-simplex runs, each request is tried against the optimal bases that the
-simplex returned for earlier rows with the same frame, layout and
-objectives.  The dual half of that certificate (every reduced cost at
-least ``-rc_tol``) does not depend on ``b`` and runs once per basis; the
-primal half is one batched ``x_B = B⁻¹b`` per request, every entry at
-least ``-feas (1 + max|b|)``.  A certified request builds no tableau and
-reports ``iterations=0``; the rest are pivoted as above and their bases
-join the pool.  A certified optimum is the simplex's own where that is
-unique.  Where it is degenerate, the certified basis may be another
-optimal one than Bland's rule reaches, with other duals; its ``x`` is
-``B⁻¹b``, not pivoted, and can differ in the last bits.  Measured on 122
-grids (the benchmark's for seeds 0-11, 200-step sweeps of six
-parameters, 50 random-cost grids from zero demand), against
+``sweep`` also passes one :class:`BasisPool` to every chunk of every
+grid: a fixed atlas, the optimal bases of a grid row's three LPs solved
+without a pool at each group's representative parameters, made once per
+process and set of tolerances (``cli.basis_atlas``).  At fixed costs only
+the right-hand side moves from row to row, and an optimal basis stays
+optimal over a whole critical region (Gal & Nedoma, "Multiparametric
+linear programming", Mgmt. Sci. 1972); explicit MPC stores such bases
+offline in the same way (Borrelli, Bemporad & Morari, JOTA 2003).  So
+before the simplex runs, each request is tried against the atlas bases
+of its frame and layout.  The dual half of that certificate (every
+reduced cost at least ``-rc_tol``) runs once per distinct objective of a
+group, the primal half (``x_B = B⁻¹b``, every entry at least ``-feas (1 +
+max|b|)``) once per request, and the first atlas basis that passes both
+answers.  So a certified answer depends on its request alone, not on the
+rows before it or beside it.  It builds no tableau and reports
+``iterations=0``; the rest are pivoted as above.  A certified optimum is
+the simplex's own where that is unique.  Where it is degenerate, the
+certified basis may be another optimal one than Bland's rule reaches,
+with other duals; its ``x`` is ``B⁻¹b``, not pivoted, and can differ in
+the last bits.  Measured on the benchmark's 240 grids for seeds 0-11
+(rounds 0-3: 29,040 rows, so 29,040 LPs of each kind), against
 :func:`solve_objectives`:
 
-* perturbed short-run solves, whose duals the CSV prints: 11,276
+* perturbed short-run solves, whose duals the CSV prints: 26,159
   certified, every array and basis byte-equal;
-* frozen short-run solves: 11,678 certified, 1,992 on another optimal
-  basis, ``x`` differing (by rounding) on 69;
-* long-run solves: 10,649 certified, 3,230 on another optimal basis,
-  whose flow-balance duals differed on 1,000, all on region boundaries;
-  ``x`` differing by at most 3.1e-16 relative on 621.
+* frozen short-run solves: 25,886 certified, 442 on another optimal
+  basis, with other flow-balance duals;
+* long-run solves: 25,178 certified, 8,243 on another optimal basis,
+  whose flow-balance duals differed on 5,033, 5,017 of them on rows the
+  CSV marks as region boundaries.
 
-Every CSV was byte-equal.  Calls without a pool keep the bit-for-bit
-contract above.
+No ``x`` or objective differed on these integer-cost grids, and every
+CSV was byte-equal.  Tied long-run optima (zero period-1 demand) differ
+by less than ``rc_tol`` under the tie-break, so no certificate tells
+them apart; there the certified ``x`` is the simplex's to the rounding
+of ``B⁻¹b``.  Calls without a pool keep the bit-for-bit contract above.
 
 Groups smaller than :data:`STACK_MIN` (8) are solved one by one, because
 the kernel's fixed cost per pivot round then outweighs what it saves.  The
@@ -758,9 +765,9 @@ def solve_stacked(requests, pool: "BasisPool" = None) -> list:
 
     With a :class:`BasisPool`, a request that the pool's bases prove
     optimal (:meth:`BasisPool.certify`) is answered from them, builds no
-    tableau and reports ``iterations=0``; the others are solved as above,
-    and their optimal bases join the pool.  A certified answer is an
-    optimum within the simplex's own tolerances, but where the optimum is
+    tableau and reports ``iterations=0``; the others are solved as above.
+    A certified answer depends on its request alone.  It is an optimum
+    within the simplex's own tolerances, but where the optimum is
     degenerate it need not be the one Bland's rule reaches: its duals
     (and ``basis``) may be another optimal basis's, and ``x``, computed as
     ``B⁻¹b`` rather than by pivots, may differ in its last bits.
@@ -782,15 +789,13 @@ def solve_stacked(requests, pool: "BasisPool" = None) -> list:
         groups.setdefault(key, []).append((k, problem, objectives, shift, b_work))
     for (layout, _), members in groups.items():
         if pool is not None:
-            members, keys = pool.certify(layout, members, outcomes)
+            members = pool.certify(layout, members, outcomes)
         if len(members) >= STACK_MIN:
             for (k, *_), out in zip(members, _solve_stack(members, layout)):
                 outcomes[k] = out
         else:
             for k, problem, objectives, _, _ in members:
                 outcomes[k] = _solve_apart(problem, objectives)
-        if pool is not None:
-            pool.learn(keys, members, outcomes)
     return outcomes
 
 
@@ -1007,173 +1012,130 @@ def _pivot_stack(T, rows, pi, pj):
 # ---------------------------------------------------------------------------
 
 
-#: Keys a :class:`BasisPool` keeps, the oldest dropped first, so that a
-#: grid whose rows share no key (a sweep of a cost) keeps a bounded pool.
-POOL_KEYS = 64
-
-
 class BasisPool:
-    """Optimal bases that the simplex returned for earlier requests, tried
-    as optimality certificates before the simplex runs again.
+    """Optimal bases of given solves, tried as optimality certificates
+    before the simplex runs.
 
-    One pool serves a run of :func:`solve_stacked` calls (``sweep`` makes
-    one per grid).  Its bases come only from solves: the optimal bases of
-    requests that no kept basis certified.  A key is a frame (the object,
-    so LPs built directly share a key only with themselves), a layout
-    (:meth:`_Frame.layout`) and the objectives, so the requests of one key
-    differ only in ``b``; at most :data:`POOL_KEYS` keys are kept.
+    A pool is made once, from ``(request, solutions)`` pairs: an
+    :class:`LpRequest` and what :func:`solve_objectives` returned for it.
+    It never changes after, so a certified answer depends on its own
+    request alone.  Bases are kept per frame (the object, so LPs built
+    directly share bases only with themselves), layout
+    (:meth:`_Frame.layout`) and objective count, each column set once, in
+    the order the solves first reach it, with ``B⁻¹``; a basis answers
+    only the objective positions whose solves reached it.  A basis that
+    holds an artificial column is never kept.
 
-    A basis that holds an artificial column is never kept.  The others
-    are checked once, when a later request of their key asks: the duals
-    come from ``np.linalg.solve(B.T, c_B)``, the call :func:`_optimum`
-    makes, and every reduced cost of the standard form must be at least
-    ``-rc_tol``, the simplex's own optimality test (the dual half of the
-    certificate).  A basis that fails is dropped; one that holds is kept
-    with its columns in the order the simplex left them, ``B⁻¹``, its
-    duals, reduced costs and labels.  The primal half runs per request,
-    for all of a key's bases at once: ``x_B = B⁻¹b``, every entry at
-    least ``-feas (1 + max|b|)`` in standard form.  Where several bases
-    hold, the one kept last answers.
-    """
+    Each objective of a request is answered by the first of its position's
+    bases that passes both halves of the simplex's own optimality test, at
+    its own tolerances; a request is answered when all of its objectives
+    are.  The primal half: ``x_B = B⁻¹b`` is at least ``-feas (1 +
+    max|b|)`` in standard form, one batched product over the bases per
+    request.  The dual half: the duals ``np.linalg.solve(B.T, c_B)``, the
+    call :func:`_optimum` makes, leave every reduced cost of the standard
+    form at least ``-rc_tol``.  It runs once per distinct objective of a
+    :func:`solve_stacked` group in one batched LAPACK call, only for bases
+    that pass the primal half for one of the objective's requests: a cost
+    sweep has an objective per row, and solving all bases for each is
+    slower than pivoting."""
 
-    def __init__(self):
-        self._keys = {}
-
-    @staticmethod
-    def key(layout, problem, objectives) -> tuple:
-        """The pool key of a request of ``layout`` (:meth:`_Frame.layout`)."""
-        key = [layout, problem._frame]
-        for sense, c in objectives:
-            key += (sense, c.tobytes())
-        return tuple(key)
-
-    def certify(self, layout, members, outcomes) -> tuple:
-        """Answer every member of a :func:`solve_stacked` group of
-        ``layout`` whose every objective a kept basis proves optimal, in
-        ``outcomes``.  Returns the other members, in order, and their
-        keys."""
-        keys = [self.key(layout, problem, objectives)
-                for _, problem, objectives, _, _ in members]
-        by_key = {}
-        for member, key in zip(members, keys):
-            by_key.setdefault(key, []).append(member)
-        for key, group in by_key.items():
-            if key in self._keys:
-                self._keys[key].answer(group, outcomes)
-        misses = [(member, key) for member, key in zip(members, keys)
-                  if outcomes[member[0]] is None]
-        return [member for member, _ in misses], [key for _, key in misses]
-
-    def learn(self, keys, members, outcomes):
-        """Offer the basis of each optimal outcome of ``members`` to its
-        key in ``keys``."""
-        for key, (k, problem, objectives, _, _) in zip(keys, members):
-            if isinstance(outcomes[k], Exception):
-                continue
-            bases = self._keys.get(key)
-            if bases is None:
-                if len(self._keys) >= POOL_KEYS:
-                    del self._keys[next(iter(self._keys))]
-                bases = self._keys[key] = _KeyBases(key[0], problem, objectives)
-            for q, solution in enumerate(outcomes[k]):
-                if solution.optimal:
-                    bases.offer(q, solution.basis)
-
-
-class _KeyBases:
-    """The bases of one :class:`BasisPool` key, per objective.  A basis
-    waits as its labels until a request of the key asks; the arrays that
-    check it are built then, so a key that never repeats costs little."""
-
-    def __init__(self, layout, problem, objectives):
-        self.layout = layout
-        self.problem = problem          # any request of the key: A, c, labels
-        self.objectives = objectives
-        self.seen = set()               # (q, frozenset of labels) offered
-        self.waiting = []               # (q, labels) not yet checked
-        self.kept = None                # per objective: (duals, reduced costs, labels)
-
-    def offer(self, q, labels):
-        tag = (q, frozenset(labels))
-        if tag not in self.seen:
-            self.seen.add(tag)
-            self.waiting.append((q, labels))
-
-    def _admit(self):
-        """The dual half of the certificate for every waiting basis."""
-        layout, problem = self.layout, self.problem
-        if self.kept is None:
-            self.A = problem._frame.columns[layout][:, : layout.n_total]
-            self.costs = [layout.cost(sense, c) for sense, c in self.objectives]
-            self.rc_tols = [current().feas * (1.0 + float(np.abs(cost).max(initial=0.0)))
-                            for cost in self.costs]
+    def __init__(self, solved):
+        found = {}      # (frame, layout, count) -> {column set: (columns, labels, positions)}
+        for (problem, _), solutions in solved:
+            layout = problem._frame.layout(_shifted_rhs(problem)[1])
             names = _column_labels(layout, problem.var_labels, problem.row_labels)
-            self.column = {name: j for j, name in enumerate(names)}
-            m, Q = problem.n_rows, len(self.objectives)
-            self.kept = [[] for _ in range(Q)]
-            self.cols = [np.empty((0, m), dtype=int) for _ in range(Q)]
-            self.inverses = [np.empty((0, m, m)) for _ in range(Q)]
-        for q, labels in self.waiting:
-            cols = np.array([self.column[label] for label in labels])
-            if cols.max() >= layout.n_total:
-                continue                # an artificial column: never certifies
-            cost = self.costs[q]
-            B = self.A[:, cols]
-            try:
-                y_std = np.linalg.solve(B.T, cost[cols])        # as in _optimum
-                inverse = np.linalg.inv(B)
-            except np.linalg.LinAlgError:
-                continue
-            if (cost[: layout.n_total] - y_std @ self.A < -self.rc_tols[q]).any():
-                continue
-            sense, c = self.objectives[q]
-            y = y_std * layout.row_sign
-            if sense != "min":
-                y = -y
-            rc = c - y @ problem.A
-            for a in (y, rc):
-                a.setflags(write=False)
-            self.kept[q].append((y, rc, labels))
-            self.cols[q] = np.concatenate([self.cols[q], cols[None]])
-            self.inverses[q] = np.concatenate([self.inverses[q], inverse[None]])
-        self.waiting = []
+            column = {name: j for j, name in enumerate(names)}
+            bases = found.setdefault((problem._frame, layout, len(solutions)), {})
+            for q, solution in enumerate(solutions):
+                if not solution.optimal:
+                    continue
+                cols = [column[label] for label in solution.basis]
+                if max(cols) < layout.n_total:          # no artificial column
+                    bases.setdefault(frozenset(cols), (cols, solution.basis, set()))[2].add(q)
+        self._bases = {key: _Bases(*key, bases.values())
+                       for key, bases in found.items() if bases}
+
+    def certify(self, layout, members, outcomes) -> list:
+        """Answer in ``outcomes`` every member of a :func:`solve_stacked`
+        group of ``layout`` that the pool proves optimal; returns the
+        others, in order."""
+        by_bases = {}
+        for member in members:
+            bases = self._bases.get((member[1]._frame, layout, len(member[2])))
+            if bases is not None:
+                by_bases.setdefault(bases, []).append(member)
+        for bases, group in by_bases.items():
+            bases.answer(group, outcomes)
+        return [member for member in members if outcomes[member[0]] is None]
+
+
+class _Bases:
+    """A :class:`BasisPool`'s bases of one frame, layout and objective count."""
+
+    def __init__(self, frame, layout, count, bases):
+        cols, self.labels, positions = zip(*bases)
+        self.layout = layout
+        self.A = frame.columns[layout][:, : layout.n_total]
+        self.cols = np.array(cols)
+        self.allowed = np.array([[q in p for p in positions] for q in range(count)])
+        B = self.A[:, self.cols].transpose(1, 0, 2)         # B[n] = A[:, cols[n]]
+        self.BT = B.transpose(0, 2, 1)
+        self.inverses = np.linalg.inv(B)
 
     def answer(self, group, outcomes):
-        """The primal half of the certificate for every member of ``group``
-        and every kept basis; answers in ``outcomes`` each member whose
-        every objective a kept basis proves optimal, with the basis that
-        was kept last among those that hold."""
-        if self.waiting:
-            self._admit()
-        if not (self.kept and all(self.kept)):
-            return
-        layout = self.layout
+        """Answer in ``outcomes`` each member of ``group`` (of one
+        :func:`solve_stacked` group) whose every objective a basis proves optimal."""
+        layout, M, Q = self.layout, len(group), len(self.allowed)
+        feas = current().feas
         b = np.array([b_work for *_, b_work in group]) * layout.row_sign
-        floor = -current().feas * (1.0 + np.abs(b).max(axis=1))
-        X = [inverse @ b.T for inverse in self.inverses]    # (bases, rows, members)
-        held = [(x_B >= floor).all(axis=1) for x_B in X]    # (bases, members)
-        rows = np.flatnonzero(np.logical_and.reduce([h.any(axis=0) for h in held]))
+        # the primal half: x_B of every basis, one batched product per member
+        X = (self.inverses.reshape(-1, b.shape[1]) @ b[:, :, None]).reshape(M, *self.cols.shape)
+        held = (X >= -feas * (1.0 + np.abs(b).max(axis=1))[:, None, None]).all(axis=2)
+        # entry h * Q + q is objective q of member h
+        distinct = {}       # (position, objective bytes) -> (its index, the objective)
+        objective = np.array([
+            distinct.setdefault((q, sense, c.tobytes()), (len(distinct), (sense, c)))[0]
+            for member in group for q, (sense, c) in enumerate(member[2])])
+        cost = np.array([layout.cost(*obj)[: layout.n_total] for _, obj in distinct.values()])
+        primal = np.repeat(held, Q, axis=0) & np.tile(self.allowed, (M, 1))
+        # the dual half, per objective for the bases that hold for one of its entries
+        live = (objective == np.arange(len(cost))[:, None]) @ primal
+        d, n = np.nonzero(live)
+        Y = np.linalg.solve(self.BT[n], cost[d[:, None], self.cols[n]][..., None])[..., 0]
+        rc_tol = feas * (1.0 + np.abs(cost).max(axis=1))
+        dual = np.zeros_like(live)
+        dual[d, n] = (cost[d] - (Y[:, None] @ self.A)[:, 0] >= -rc_tol[d, None]).all(axis=1)
+        both = primal & dual[objective]
+        rows = np.flatnonzero(both.any(axis=1).reshape(M, Q).all(axis=1))
         if not rows.size:
             return
-        shift = np.array([group[h][3] for h in rows.tolist()])
-        picks, xs = [], []
-        for q, (x_B, h) in enumerate(zip(X, held)):
-            pick = len(h) - 1 - h[::-1, rows].argmax(axis=0)
-            x_std = np.zeros((len(rows), layout.n_total))
-            np.put_along_axis(x_std, self.cols[q][pick], x_B[pick, :, rows], axis=1)
-            picks.append(pick.tolist())
-            xs.append(layout.x_rows(shift, x_std))
-        for n, h in enumerate(rows.tolist()):
+        entries = (rows[:, None] * Q + np.arange(Q)).ravel()
+        pick = both[entries].argmax(axis=1)         # the first basis that passes both
+        x_std = np.zeros((len(entries), layout.n_total))
+        x_std[np.arange(len(entries))[:, None], self.cols[pick]] = X[entries // Q, pick]
+        x = layout.x_rows(np.repeat([group[h][3] for h in rows.tolist()], Q, axis=0), x_std)
+        pair = dict(zip(zip(d.tolist(), n.tolist()), range(len(d))))   # -> its row of Y
+        tags = list(zip(objective[entries].tolist(), pick.tolist()))
+        duals, e = {}, 0
+        for h in rows.tolist():
             k, problem, objectives, _, _ = group[h]
-            solutions = []
-            for q, (_, c) in enumerate(objectives):
-                y, rc, labels = self.kept[q][picks[q][n]]
-                x = xs[q][n]
-                solutions.append(LpSolution(
-                    status="optimal", x=x, duals=y, reduced_costs=rc,
-                    objective=float(c @ x) + problem.objective_offset,
+            answers = []
+            for sense, c in objectives:
+                if tags[e] not in duals:        # the same for every entry of the tag
+                    y = Y[pair[tags[e]]] * layout.row_sign
+                    if sense != "min":
+                        y = -y
+                    rc = c - y @ problem.A
+                    for a in (y, rc):
+                        a.setflags(write=False)
+                    duals[tags[e]] = y, rc, self.labels[tags[e][1]]
+                y, rc, labels = duals[tags[e]]
+                answers.append(LpSolution(
+                    status="optimal", x=x[e], duals=y, reduced_costs=rc,
+                    objective=float(c @ x[e]) + problem.objective_offset,
                     basis=labels, iterations=0))
-            outcomes[k] = tuple(solutions)
+                e += 1
+            outcomes[k] = tuple(answers)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,24 @@
 """Basis certificates: a pooled basis answers an LP only when it proves it
 optimal.
 
-``solve_stacked`` with a ``BasisPool`` first tries the optimal bases that
-the simplex returned for earlier requests of the same layout, ``A`` and
-objectives.  A basis that is not primal feasible at the new right-hand
-side, or not dual feasible for the objectives, must leave the answer to
-the simplex, whose outcome is then ``solve_objectives``' bit for bit.
+``solve_stacked`` with a ``BasisPool`` first tries the optimal bases of
+the solves the pool was made from, for requests of the same frame and
+layout.  A basis that is not primal feasible at the new right-hand side,
+or not dual feasible for the objectives, must leave the answer to the
+simplex, whose outcome is then ``solve_objectives``' bit for bit.  The
+pool never changes, so an answer does not depend on what it was asked
+before or beside.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from genmargin import lp
+from genmargin import cli, tolerances
 from genmargin.lp import BasisPool, LinearProgram, LpRequest, solve_objectives, solve_stacked
 from genmargin.model import SystemParams, build_srmc_primal, lrmc_step, solve_lrmc
+from genmargin.sampling import random_params
 from genmargin.srmc import default_epsilon
 
 from test_shared_phase import assert_identical
@@ -36,13 +41,9 @@ def perturbed(istar_from=None, **over):
     return LpRequest.own(build_srmc_primal(params, istar, epsilon=default_epsilon(params)))
 
 
-def seed(pool, request, solutions):
-    """Offer the bases of ``solutions`` to ``pool`` as though the simplex
-    had returned them for ``request``."""
-    problem, objectives = request
-    shift, b_work = lp._shifted_rhs(problem)
-    key = pool.key(problem._frame.layout(b_work), problem, objectives)
-    pool.learn([key], [(0, problem, objectives, shift, b_work)], [solutions])
+def pool_of(*requests):
+    """The pool of the bases the simplex returns for ``requests``."""
+    return BasisPool([(request, solve_objectives(*request)) for request in requests])
 
 
 def pivoted(pool, request):
@@ -67,9 +68,8 @@ def pivoted(pool, request):
     (perturbed, 8000.0, 4000.0),
 ])
 def test_basis_of_another_demand_region_is_not_taken(kind, source, target):
-    pool = BasisPool()
     src = kind(d2=source)
-    solve_stacked([src], pool=pool)
+    pool = pool_of(src)
     # the basis is kept, and certifies its own right-hand side ...
     (again,) = solve_stacked([src], pool=pool)
     want = solve_objectives(*src)
@@ -96,10 +96,18 @@ def test_basis_of_other_costs_is_not_taken(kind, cl, d2):
     assert foreign.problem.b.tobytes() == target.problem.b.tobytes()
     theirs = solve_objectives(*foreign)
     assert [s.basis for s in theirs] != [s.basis for s in solve_objectives(*target)]
-    pool = BasisPool()
     # primal feasible here (the same b), but not optimal for these costs
-    seed(pool, target, theirs)
-    pivoted(pool, target)
+    pivoted(BasisPool([(target, theirs)]), target)
+
+
+def test_basis_answers_only_its_own_objective_position():
+    # x1 + x2 = 1: the first objective's optimum is x1, the second's x2.
+    # Swapped, each position's only basis is not optimal for it.
+    problem = LinearProgram(sense="min", c=[1.0, 2.0], A=[[1.0, 1.0]],
+                            relations=("=",), b=[1.0])
+    first, second = ("min", np.array([1.0, 2.0])), ("min", np.array([2.0, 1.0]))
+    pool = pool_of(LpRequest(problem, (first, second)))
+    pivoted(pool, LpRequest(problem, (second, first)))
 
 
 def test_basis_with_an_artificial_column_is_not_kept():
@@ -109,20 +117,22 @@ def test_basis_with_an_artificial_column_is_not_kept():
     request = LpRequest.own(problem)
     (first,) = solve_objectives(*request)
     assert any(label.startswith("a[") for label in first.basis)
-    pool = BasisPool()
-    solve_stacked([request], pool=pool)
-    pivoted(pool, request)
+    pivoted(pool_of(request), request)
 
 
 def test_certified_answers_are_optima():
-    # a demand grid at the README costs, answered chunk by chunk with one
-    # pool, against the simplex alone: the same verdict and optimal value,
-    # and the same basis wherever the simplex's optimum is not degenerate
+    # random demands at the README costs, answered chunk by chunk from the
+    # bases of a coarse demand grid, against the simplex alone: the same
+    # verdict and optimal value, and the same basis wherever the simplex's
+    # optimum is not degenerate
+    grid = np.linspace(0.0, 15000.0, 6)
+    pool = pool_of(*(kind(d1=d1, d2=d2) for kind in (long_run, perturbed)
+                     for d1 in grid for d2 in grid))
     rng = np.random.default_rng(5)
     demands = rng.uniform(0.0, 15000.0, size=(96, 2))
     requests = [long_run(d1=d1, d2=d2) for d1, d2 in demands]
     requests += [perturbed(d1=d1, d2=d2) for d1, d2 in demands]
-    pool, answers = BasisPool(), []
+    answers = []
     for start in range(0, len(requests), 32):
         answers += solve_stacked(requests[start:start + 32], pool=pool)
     certified = 0
@@ -137,3 +147,49 @@ def test_certified_answers_are_optima():
                 assert g.basis == w.basis
                 assert g.duals.tobytes() == w.duals.tobytes()
     assert certified >= len(requests) // 2
+
+
+@pytest.mark.parametrize("kind", [long_run, perturbed])
+def test_certified_answer_does_not_depend_on_its_history(kind):
+    # one request answered by the sweep's pool alone, first, last and in
+    # the middle of 32, and after a whole grid: every field byte-equal.
+    # Demands off the integers make B⁻¹b depend on the order of its sums.
+    pool = cli.basis_atlas(tolerances.current())
+    request = kind(d1=3183.0988618379067, d2=9424.77796076938)
+    rng = np.random.default_rng(8)
+    others = [kind(d1=d1, d2=d2) for d1, d2 in rng.uniform(0.0, 15000.0, size=(31, 2))]
+    (alone,) = solve_stacked([request], pool=pool)
+    assert all(s.iterations == 0 for s in alone)
+    answers = []
+    for at in (0, 16, 31):
+        batch = others[:at] + [request] + others[at:]
+        answers.append(solve_stacked(batch, pool=pool)[at])
+    grid = np.linspace(0.0, 15000.0, 11)
+    requests = [kind(d1=d1, d2=d2) for d1 in grid for d2 in grid]
+    for start in range(0, len(requests), 32):
+        solve_stacked(requests[start:start + 32], pool=pool)
+    answers += solve_stacked([request], pool=pool)
+    for answer in answers:
+        for got, want in zip(answer, alone):
+            assert_identical(got, want)
+
+
+def test_tie_points_are_answered_as_the_simplex_answers():
+    # With no demand in period 1, building for period 2 in period 1 or 2
+    # costs the same under the objective; only the tie-break tells them
+    # apart, by less than the simplex's reduced-cost tolerance.  At
+    # non-integer costs the sweep's pool must still give each objective
+    # the simplex's optimum, to the rounding of B⁻¹b.
+    pool = cli.basis_atlas(tolerances.current())
+    rng = np.random.default_rng(11)
+    certified = 0
+    for _ in range(60):
+        params = random_params(rng)
+        for d2 in (0.0, params.d2, params.m_r + params.d2):
+            request = next(lrmc_step(dataclasses.replace(params, d1=0.0, d2=d2)))
+            (got,) = solve_stacked([request], pool=pool)
+            want = solve_objectives(*request)
+            for g, w in zip(got, want):
+                certified += g.iterations == 0
+                assert np.abs(g.x - w.x).max() <= 1e-15 * (1.0 + np.abs(w.x).max())
+    assert certified >= 300

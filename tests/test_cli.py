@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -301,6 +303,8 @@ class TestSweep:
         # grid row whose step asked for its problem.  A certified answer
         # builds no standard form and reports no pivots.
         owner, asked, started = {}, [], []
+        cli.basis_atlas(tolerances.current())   # made once; its solves are no row's
+        del tableaux[:]
         real = cli._sweep_row
 
         def tagged(*args):
@@ -433,11 +437,11 @@ class TestSweep:
         assert sum(row[-1] == "true" for row in rows) == 115
         assert hashlib.sha256(text.encode()).hexdigest() == self.THRESHOLD_GRID_SHA256
 
-    #: SHA-256 of two CSVs made before ``sweep`` certified LPs with pooled
+    #: SHA-256 of three CSVs made before ``sweep`` certified LPs with pooled
     #: bases: the README costs at d2 = 8000 with ``cl`` swept over 200
-    #: steps (every row its own objective, so nothing to certify), and
-    #: non-integer costs on a 15 x 15 ``d1 x d2`` grid from zero demand
-    #: (10 groups, 43 boundary rows).
+    #: steps, non-integer costs on a 15 x 15 ``d1 x d2`` grid from zero
+    #: demand (10 groups, 43 boundary rows), and the README costs on a
+    #: 30 x 30 ``cl x cp_f`` grid (every row its own objective).
     POOL_PINS = {
         "cl": ("0910bbe96b1199defb06b8d49c692dd22b7b37c050dbdadd002b43b2a4f06e1b",
                dict(CANONICAL, sweep=[{"param": "cl", "from": 10, "to": 400,
@@ -447,6 +451,10 @@ class TestSweep:
                        cp_f=17.25518, m_f=4409.25, cl=96.13077, d1=0, d2=0,
                        sweep=[{"param": "d1", "from": 0, "to": 9000, "steps": 15},
                               {"param": "d2", "from": 0, "to": 9000, "steps": 15}])),
+        "clxcp_f": ("192dcdeea6ab049324ed5b01588c8c0245e74cf608e7d3840bfd439b0835cef1",
+                    dict(CANONICAL, sweep=[{"param": "cl", "from": 1, "to": 300, "steps": 30},
+                                           {"param": "cp_f", "from": 1.5, "to": 20,
+                                            "steps": 30}])),
     }
 
     @pytest.mark.parametrize("grid", sorted(POOL_PINS))
@@ -455,10 +463,72 @@ class TestSweep:
                                                    grid, pooled):
         sha, payload = self.POOL_PINS[grid]
         if not pooled:
-            monkeypatch.setattr(cli, "BasisPool", lambda: None)
+            monkeypatch.setattr(cli, "basis_atlas", lambda tol: None)
         code, text = run_sweep(load_config(write_config(tmp_path, payload)))
         assert code == EXIT_OK
         assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+    def test_cost_sweep_is_mostly_certified(self, tmp_path, monkeypatch):
+        # every row of the cl x cp_f grid has its own objectives, so only
+        # bases made without its rows can certify them
+        answers = []
+        real = lp.solve_stacked
+
+        def stacked(requests, **kwargs):
+            outcomes = real(requests, **kwargs)
+            answers.extend(outcomes)
+            return outcomes
+
+        monkeypatch.setattr(lp, "solve_stacked", stacked)
+        _, payload = self.POOL_PINS["clxcp_f"]
+        run_sweep(load_config(write_config(tmp_path, payload)))
+        assert len(answers) == 3 * 900
+        certified = sum(all(s.iterations == 0 for s in answer) for answer in answers)
+        assert certified >= 0.9 * len(answers)
+
+    #: The benchmark's five sweep grids of seed 1, round 0: integer costs,
+    #: caps and the loadshed price, on an 11 x 11 ``d1 x d2`` grid to ``top``.
+    BENCH_GRIDS = [
+        # ci_r cp_r ci_f cp_f  m_r   m_f    cl       top
+        (83, 17, 85, 19, 240, 960, 42.41, 2400),
+        (93, 3, 94, 45, 3360, 5040, 64.877, 16800),
+        (59, 13, 82, 14, 1200, 4800, 65.812, 12000),
+        (65, 12, 97, 18, 2400, 3600, 101.142, 12000),
+        (98, 14, 108, 25, 6480, 1620, 184.457, 16200),
+    ]
+
+    @pytest.mark.parametrize("grid", range(len(BENCH_GRIDS)))
+    def test_sweep_bytes_do_not_depend_on_the_chunk(self, tmp_path, monkeypatch, grid):
+        *values, top = self.BENCH_GRIDS[grid]
+        payload = dict(zip(("ci_r", "cp_r", "ci_f", "cp_f", "m_r", "m_f", "cl"), values),
+                       d1=0, d2=0, sweep=[{"param": p, "from": 0, "to": top, "steps": 11}
+                                          for p in ("d1", "d2")])
+        config = load_config(write_config(tmp_path, payload))
+        texts = []
+        for chunk in (8, 32):
+            monkeypatch.setattr(cli, "CHUNK", chunk)
+            texts.append(run_sweep(config)[1])
+        assert texts[0] == texts[1]
+
+    def test_only_sweep_makes_the_basis_atlas(self, tmp_path):
+        # in a fresh process: the import, a report, the table and selftest
+        # leave the sweep's pool unmade; the first sweep makes it, once
+        run = write_config(tmp_path, CANONICAL, "run.json")
+        sweep = write_config(tmp_path, dict(CANONICAL, sweep=[
+            {"param": "d2", "from": 100, "to": 200, "steps": 2}]), "sweep.json")
+        code = ("import contextlib, io, genmargin\n"
+                "from genmargin import cli\n"
+                "made = [cli.basis_atlas.cache_info().misses]\n"
+                f"for argv in (['run', {run!r}], ['dump-tables'], ['selftest', '--n', '3'],\n"
+                f"             ['sweep', {sweep!r}], ['sweep', {sweep!r}]):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert cli.main(argv) == 0\n"
+                "    made.append(cli.basis_atlas.cache_info().misses)\n"
+                "print(made)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "[0, 0, 0, 0, 1, 1]\n"
 
     def test_two_dimensional_sweep_row_count(self, tmp_path):
         payload = dict(CANONICAL, sweep=[
@@ -711,6 +781,29 @@ class TestToleranceOverrides:
         errors = [(values, row) for values, row in sweep_rows(config) if row[0] == "error"]
         assert [values for values, _ in errors] == [(self.TIGHT_GAP_D2,)]
         assert errors[0][1][1].startswith("istar is not an optimal investment plan")
+
+    def test_each_tolerance_set_gets_its_own_atlas(self, tmp_path, monkeypatch, override):
+        # a sweep under an override that rejects every atlas point leaves
+        # a later sweep at the built-in tolerances its full atlas
+        payload = dict(CANONICAL, sweep=[{"param": "d2", "from": 100, "to": 14800,
+                                          "steps": 40}])
+        config = load_config(write_config(tmp_path, payload))
+        cli.basis_atlas.cache_clear()
+        override("FEAS", "0.5")
+        assert all(row[0] == "error" for _, row in sweep_rows(config))
+        monkeypatch.delenv("GENMARGIN_TOL_FEAS")
+        tolerances.current.cache_clear()
+        answers = []
+        real = lp.solve_stacked
+
+        def stacked(requests, **kwargs):
+            outcomes = real(requests, **kwargs)
+            answers.extend(outcomes)
+            return outcomes
+
+        monkeypatch.setattr(lp, "solve_stacked", stacked)
+        assert all(row[0] != "error" for _, row in sweep_rows(config))
+        assert sum(all(s.iterations == 0 for s in answer) for answer in answers) >= 100
 
     def test_gap_tolerance_reaches_the_reports_short_run_stage(self, tmp_path, capsys,
                                                                override):
