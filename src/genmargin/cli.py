@@ -54,13 +54,16 @@ EXIT_VERIFICATION = 2
 #: Sweep grid points or selftest scenarios evaluated in lockstep: each LP
 #: stage of a chunk is one stacked solve (``lp.run_lockstep``).  A chunk's
 #: items keep their LPs and results alive until it ends, so memory grows
-#: with the chunk.  Every sweep chunk pivots only what the fixed pool
-#: (:func:`basis_atlas`) does not certify.  Sweep chunks of 8, 16 and 64
-#: rows ran at 0.58, 0.79 and 0.99 times the rows/s of 32 (medians of 15
-#: alternated repeats over the benchmark's grids for seeds 0-3, 2-core
-#: x86-64); 64 and 128 held 1.2 and 3.4 MB more before certificates.
-#: selftest ran within 10% at 16, 32 and 64.
-CHUNK = 32
+#: with the chunk.  Every chunk pivots only what the fixed pool
+#: (:func:`basis_atlas`) does not certify: about 5% of selftest's
+#: long-run and short-run LPs, 11% of the benchmark grids'.  With so few
+#: misses left per round, a bigger chunk wins: in ``perfbench/run.py``
+#: (2-core x86-64, 15 s runs, seeds 3-5), sweep read 4,995-5,142 /
+#: 5,430-5,594 / 5,982-6,071 items/s at 32 / 64 / 128 rows, with peak RSS
+#: 39.6 / 40.3 / 41.8 MB; selftest (50 scenarios a round) read 835-851
+#: at 32 and 877-917 at 128.  256 adds nothing on the benchmark's
+#: 121-row grids.
+CHUNK = 128
 
 
 class ConfigError(ValueError):
@@ -361,13 +364,14 @@ def sweep_rows(config: ScenarioConfig):
 
 @functools.cache
 def basis_atlas(tol: tolerances.Tolerances) -> BasisPool:
-    """The ``lp.BasisPool`` of every ``sweep`` under ``tol``
+    """The ``lp.BasisPool`` of ``sweep`` and ``selftest`` under ``tol``
     (``tolerances.current()``), made at its first call: the optimal bases
     of a row's LPs at each group's ``groups.representative_params``, in
     group order, solved side by side without a pool (``lp.run_lockstep``).
     A point that the model rejects under ``tol`` keeps the bases it
-    reached before.  It takes about 12 ms on 2-core x86-64, which a
-    one-shot sweep of one fixed-cost grid does not earn back (CHANGES.md)."""
+    reached before.  It takes about 12-17 ms per process on 2-core x86-64,
+    which a one-shot sweep of one fixed-cost grid, or a one-shot selftest
+    of a few dozen scenarios or fewer, does not earn back (CHANGES.md)."""
     logs = [[] for _ in GROUPS]
     steps = [_logged(_row_lps(representative_params(gid)), log)
              for gid, log in zip(sorted(GROUPS), logs)]
@@ -443,11 +447,19 @@ def run_selftest(seed: int, n: int, out=None) -> int:
     the error that escapes when a scenario raises, are those of one
     scenario after another: a raising scenario ends the drawing, and an
     earlier scenario's error wins.
+
+    The long-run LP and the frozen and perturbed short-run LPs are tried
+    against :func:`basis_atlas` first, and about 95% of them are certified
+    without a pivot.  The cross-check's explicit dual and the short-run
+    dual-range regions stay pivoted (see ``lp``'s module docstring), so
+    strong duality still sets a certified primal against a pivoted dual.
+    The output is the same with or without the pool.
     """
     out = sys.stdout if out is None else out
     if n < 1:
         raise ConfigError("selftest needs n >= 1")
     rng = np.random.default_rng(seed)
+    pool = basis_atlas(tolerances.current())
     failures = 0
     groups_seen = set()
     for start in range(0, n, CHUNK):
@@ -455,7 +467,7 @@ def run_selftest(seed: int, n: int, out=None) -> int:
         for _ in range(min(CHUNK, n - start)):
             try:
                 params = random_params(rng)
-                lr = solve_lrmc(params)
+                lr = solve_lrmc(params, pool=pool)
                 rep = cross_check(params, lrmc=lr)
             except Exception as exc:    # raised once the earlier ones finish
                 error = exc
@@ -468,7 +480,7 @@ def run_selftest(seed: int, n: int, out=None) -> int:
                                        analytic=rep.analytic))
             else:
                 failures += 1
-        for params, srmc in zip(passed, run_lockstep(steps)):
+        for params, srmc in zip(passed, run_lockstep(steps, pool)):
             if isinstance(srmc, Exception):
                 raise srmc
             if not _rules_hold(params, srmc):

@@ -39,20 +39,22 @@ short-run stage (``srmc.srmc_step``) of its scenarios; the long-run
 solve and the cross-check of a ``selftest`` scenario, and every LP of a
 ``run`` report, are solved one at a time.
 
-``sweep`` also passes one :class:`BasisPool` to every chunk of every
-grid: a fixed atlas, the optimal bases of a grid row's three LPs solved
-without a pool at each group's representative parameters, made once per
-process and set of tolerances (``cli.basis_atlas``).  At fixed costs only
-the right-hand side moves from row to row, and an optimal basis stays
-optimal over a whole critical region (Gal & Nedoma, "Multiparametric
-linear programming", Mgmt. Sci. 1972); explicit MPC stores such bases
-offline in the same way (Borrelli, Bemporad & Morari, JOTA 2003).  So
-before the simplex runs, each request is tried against the atlas bases
-of its frame and layout.  The dual half of that certificate (every
-reduced cost at least ``-rc_tol``) runs once per distinct objective of a
-group, the primal half (``x_B = B⁻¹b``, every entry at least ``-feas (1 +
-max|b|)``) once per request, and the first atlas basis that passes both
-answers.  So a certified answer depends on its request alone, not on the
+``sweep`` and ``selftest`` also pass one :class:`BasisPool` to their LP
+stages: a fixed atlas, the optimal bases of a grid row's three LPs
+solved without a pool at each group's representative parameters, made
+once per process and set of tolerances (``cli.basis_atlas``).  At fixed
+costs only the right-hand side moves from row to row, and an optimal
+basis stays optimal over a whole critical region (Gal & Nedoma,
+"Multiparametric linear programming", Mgmt. Sci. 1972); explicit MPC
+stores such bases offline in the same way (Borrelli, Bemporad & Morari,
+JOTA 2003).  So before the simplex runs, each request is tried against
+the atlas bases of its frame and layout: :func:`run_lockstep` passes the
+pool to every round, and :func:`run_step` given a pool answers each
+request as ``solve_stacked([request], pool)``.  The dual half of that
+certificate (every reduced cost at least ``-rc_tol``) runs once per
+distinct objective of a group, the primal half (``x_B = B⁻¹b``, every
+entry at least ``-feas (1 + max|b|)``) once per request, and the first
+atlas basis that passes both answers.  So a certified answer depends on its request alone, not on the
 rows before it or beside it.  It builds no tableau and reports
 ``iterations=0``; the rest are pivoted as above.  A certified optimum is
 the simplex's own where that is unique.  Where it is degenerate, the
@@ -75,6 +77,16 @@ CSV was byte-equal.  Tied long-run optima (zero period-1 demand) differ
 by less than ``rc_tol`` under the tie-break, so no certificate tells
 them apart; there the certified ``x`` is the simplex's to the rounding
 of ``B⁻¹b``.  Calls without a pool keep the bit-for-bit contract above.
+
+In ``selftest`` the atlas answers the long-run solve (through
+:func:`run_step`) and the frozen and perturbed short-run solves: across
+its draws, each with its own costs, the same few bases recur, and 95.0%
+and 95.9% of them were certified over 3,000 draws of seed 11.  Two kinds
+stay pivoted on purpose.  ``cross_check``'s explicit dual is solved by
+:func:`solve_lp`, so strong duality compares a certified primal with an
+independently pivoted dual, and an unsound certificate shows as a gap.
+The dual-range regions each have a frame of their own
+(:func:`_pinned_region`), so no atlas basis is tried on them.
 
 Groups smaller than :data:`STACK_MIN` (8) are solved one by one, because
 the kernel's fixed cost per pivot round then outweighs what it saves.  The
@@ -690,17 +702,23 @@ class LpRequest(NamedTuple):
         return cls(problem, ((problem.sense, problem.c),))
 
 
-def run_step(step):
+def run_step(step, pool: "BasisPool" = None):
     """Run ``step`` alone, answering each request with
-    :func:`solve_objectives`, and return its result.  Solver errors
-    propagate from here."""
+    :func:`solve_objectives`, or with ``solve_stacked([request], pool)``
+    given a ``pool``, and return its result.  Solver errors propagate from
+    here."""
     answer = None
     while True:
         try:
             request = step.send(answer)
         except StopIteration as done:
             return done.value
-        answer = solve_objectives(request.problem, request.objectives)
+        if pool is None:
+            answer = solve_objectives(request.problem, request.objectives)
+        else:
+            (answer,) = solve_stacked([request], pool)
+            if isinstance(answer, Exception):
+                raise answer
 
 
 def run_lockstep(steps, pool: "BasisPool" = None) -> list:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .lp import EQ, GE, LE, LinearProgram, LpRequest, LpSolution, _Frame, run_step
+from .lp import EQ, GE, LE, BasisPool, LinearProgram, LpRequest, LpSolution, _Frame, run_step
 from .tolerances import current
 
 VAR_ORDER = ("I_r1", "I_r2", "I_f1", "I_f2",
@@ -419,7 +419,8 @@ class LrmcSolve:
     lp_solution: LpSolution
 
 
-def solve_lrmc(params: SystemParams, *, canonical: bool = True) -> LrmcSolve:
+def solve_lrmc(params: SystemParams, *, canonical: bool = True,
+               pool: BasisPool = None) -> LrmcSolve:
     """Solve the long-run model and map back to model coordinates.
 
     Investment splits can be non-unique: capacity built in period 1 but
@@ -430,8 +431,12 @@ def solve_lrmc(params: SystemParams, *, canonical: bool = True) -> LrmcSolve:
     The tie-break objective perturbs only vertex selection and is solved
     over the same phase 1 as the true one; duals are always taken from the
     unperturbed solve.
+
+    With a ``pool`` (``lp.BasisPool``) the LP is answered as
+    ``lp.run_step`` answers it then: from a pooled basis that proves it
+    optimal, else pivoted (see ``lp``'s module docstring).
     """
-    return run_step(lrmc_step(params, canonical=canonical))
+    return run_step(lrmc_step(params, canonical=canonical), pool)
 
 
 def lrmc_step(params: SystemParams, *, canonical: bool = True):

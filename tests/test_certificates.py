@@ -16,7 +16,15 @@ import numpy as np
 import pytest
 
 from genmargin import cli, tolerances
-from genmargin.lp import BasisPool, LinearProgram, LpRequest, solve_objectives, solve_stacked
+from genmargin.lp import (
+    BasisPool,
+    LinearProgram,
+    LpInputError,
+    LpRequest,
+    run_step,
+    solve_objectives,
+    solve_stacked,
+)
 from genmargin.model import SystemParams, build_srmc_primal, lrmc_step, solve_lrmc
 from genmargin.sampling import random_params
 from genmargin.srmc import default_epsilon
@@ -193,3 +201,34 @@ def test_tie_points_are_answered_as_the_simplex_answers():
                 certified += g.iterations == 0
                 assert np.abs(g.x - w.x).max() <= 1e-15 * (1.0 + np.abs(w.x).max())
     assert certified >= 300
+
+
+def test_pooled_long_run_solve_matches_the_pivoted_one():
+    # selftest's long-run solve answered from the pool, on draws with their
+    # own costs: the optimum, the build and the prices of the simplex's solve
+    tol = tolerances.current()
+    pool = cli.basis_atlas(tol)
+    rng = np.random.default_rng(3)
+    certified = 0
+    for _ in range(300):
+        params = random_params(rng)
+        got, want = solve_lrmc(params, pool=pool), solve_lrmc(params)
+        certified += got.lp_solution.iterations == 0
+        assert abs(got.objective - want.objective) <= tol.gap * (1.0 + abs(want.objective))
+        for g, w in zip(got.decision.investments(), want.decision.investments()):
+            assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
+        for t in (1, 2):
+            assert abs(got.duals.lam(t) - want.duals.lam(t)) <= tol.lam_match
+    assert certified >= 0.9 * 300
+
+
+def test_pooled_step_raises_what_the_solver_raises():
+    problem = LinearProgram(sense="min", c=[1.0, 2.0], A=[[1.0, 1.0]],
+                            relations=("=",), b=[1.0])
+
+    def step():
+        yield LpRequest(problem, (("least", problem.c),))
+
+    for pool in (None, BasisPool([])):
+        with pytest.raises(LpInputError, match="sense must be 'min' or 'max'"):
+            run_step(step(), pool)

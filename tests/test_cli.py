@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from genmargin import cli, groups, lp, srmc, tolerances
+from genmargin import cli, groups, lp, model, srmc, tolerances
 from genmargin.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
@@ -505,14 +505,15 @@ class TestSweep:
                                           for p in ("d1", "d2")])
         config = load_config(write_config(tmp_path, payload))
         texts = []
-        for chunk in (8, 32):
+        for chunk in (8, 32, cli.CHUNK):
             monkeypatch.setattr(cli, "CHUNK", chunk)
             texts.append(run_sweep(config)[1])
-        assert texts[0] == texts[1]
+        assert texts[0] == texts[1] == texts[2]
 
-    def test_only_sweep_makes_the_basis_atlas(self, tmp_path):
-        # in a fresh process: the import, a report, the table and selftest
-        # leave the sweep's pool unmade; the first sweep makes it, once
+    def test_only_sweep_and_selftest_make_the_basis_atlas(self, tmp_path):
+        # in a fresh process: the import, a report and the table leave the
+        # pool unmade; selftest makes it, and a sweep under the same
+        # tolerances makes it no more
         run = write_config(tmp_path, CANONICAL, "run.json")
         sweep = write_config(tmp_path, dict(CANONICAL, sweep=[
             {"param": "d2", "from": 100, "to": 200, "steps": 2}]), "sweep.json")
@@ -528,7 +529,7 @@ class TestSweep:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out == "[0, 0, 0, 0, 1, 1]\n"
+        assert out == "[0, 0, 0, 1, 1, 1]\n"
 
     def test_two_dimensional_sweep_row_count(self, tmp_path):
         payload = dict(CANONICAL, sweep=[
@@ -570,6 +571,8 @@ class TestSelftest:
                 owner[id(request.problem)] = scenario
                 answer = yield request
 
+        cli.basis_atlas(tolerances.current())   # made once; its solves are no scenario's
+        del tableaux[:]
         monkeypatch.setattr(cli, "random_params", draw)
         monkeypatch.setattr(cli, "srmc_step", tagged)
         n = cli.CHUNK + 8
@@ -645,21 +648,29 @@ class TestSelftest:
         n = len(inputs)
         assert calls == {("classify", False): n, ("analytic_solution", False): n}
 
-    def test_chunked_run_matches_scenario_by_scenario(self, monkeypatch):
-        n = 2 * cli.CHUNK + 6           # two full chunks and a partial one
+    @staticmethod
+    def chunked_selftest(monkeypatch, seed, n):
+        """``(output, chunks)`` of ``run_selftest(seed, n)``: ``chunks`` holds
+        the results of each of its ``run_lockstep`` rounds."""
         chunks = []
         real = cli.run_lockstep
 
-        def lockstep(steps):
-            results = real(steps)
+        def lockstep(steps, pool):
+            results = real(steps, pool)
             chunks.append(results)
             return results
 
         monkeypatch.setattr(cli, "run_lockstep", lockstep)
         got = io.StringIO()
-        assert run_selftest(seed=11, n=n, out=got) == EXIT_OK
+        assert run_selftest(seed=seed, n=n, out=got) == EXIT_OK
+        return got.getvalue(), chunks
 
-        rng = np.random.default_rng(11)
+    @staticmethod
+    def scenario_by_scenario(seed, n):
+        """``(output, results)`` of ``run_selftest(seed, n)`` remade one
+        scenario after another with the scalar, pool-free calls: its text and
+        the short-run result of each scenario that passes the cross-check."""
+        rng = np.random.default_rng(seed)
         failures, gids, want = 0, set(), []
         for _ in range(n):
             params = random_params(rng)
@@ -679,12 +690,74 @@ class TestSelftest:
                             or not lo - 1e-6 <= short.resolved[t] <= hi + 1e-6):
                         ok = False
             failures += not ok
-        assert got.getvalue() == (
-            f"selftest: seed=11 n={n}\n"
-            f"pass {n - failures}/{n}, distinct groups {len(gids)}\n"
-            "all checks passed\n")
+        return (f"selftest: seed={seed} n={n}\n"
+                f"pass {n - failures}/{n}, distinct groups {len(gids)}\n"
+                "all checks passed\n"), want
+
+    def test_chunked_run_matches_scenario_by_scenario(self, monkeypatch):
+        # with an empty pool every LP is pivoted, so every result is the
+        # scalar one bit for bit
+        monkeypatch.setattr(cli, "basis_atlas", lambda tol: lp.BasisPool([]))
+        n = 2 * cli.CHUNK + 6           # two full chunks and a partial one
+        got, chunks = self.chunked_selftest(monkeypatch, 11, n)
+        text, want = self.scenario_by_scenario(11, n)
+        assert got == text
         assert len(chunks) == 3
         assert [r for results in chunks for r in results] == want
+
+    def test_pooled_chunked_run_matches_scenario_by_scenario(self, monkeypatch):
+        # A certified LP may be answered by another optimal basis than the
+        # simplex's, its x from B⁻¹b: the same text, every result within
+        # 1e-9 relative.  The pool is made before run_lockstep is wrapped.
+        cli.basis_atlas(tolerances.current())
+        n = 2 * cli.CHUNK + 6
+        got, chunks = self.chunked_selftest(monkeypatch, 11, n)
+        text, want = self.scenario_by_scenario(11, n)
+        assert got == text
+        assert len(chunks) == 3
+        results = [r for results in chunks for r in results]
+        assert len(results) == len(want)
+
+        def close(a, b):
+            if isinstance(a, float) and isinstance(b, float):
+                return a == b or abs(a - b) <= 1e-9 * (1.0 + abs(b))
+            if isinstance(a, tuple) and isinstance(b, tuple):
+                return len(a) == len(b) and all(map(close, a, b))
+            return a == b
+
+        for r, w in zip(results, want):
+            assert close(dataclasses.astuple(r), dataclasses.astuple(w)), (r, w)
+
+    @pytest.mark.parametrize("seed", [7, 9, 42])
+    def test_output_does_not_depend_on_the_pool(self, monkeypatch, seed):
+        runs = []
+        for atlas in (cli.basis_atlas, lambda tol: lp.BasisPool([])):
+            monkeypatch.setattr(cli, "basis_atlas", atlas)
+            out = io.StringIO()
+            runs.append((run_selftest(seed=seed, n=300, out=out), out.getvalue()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == EXIT_OK
+
+    def test_most_lps_are_certified(self, monkeypatch):
+        # the long-run LPs and the frozen and perturbed short-run LPs, by
+        # their frames; the dual-range regions each have a frame of their own
+        cli.basis_atlas(tolerances.current())
+        answered = Counter()
+        real = lp.solve_stacked
+
+        def stacked(requests, pool=None):
+            outcomes = real(requests, pool)
+            for request, answer in zip(requests, outcomes):
+                answered[request.problem._frame,
+                         all(s.iterations == 0 for s in answer)] += 1
+            return outcomes
+
+        monkeypatch.setattr(lp, "solve_stacked", stacked)
+        assert run_selftest(seed=42, n=400, out=io.StringIO()) == EXIT_OK
+        for frame, per_scenario in ((model._LRMC, 1), (model._SRMC, 2)):
+            total = answered[frame, True] + answered[frame, False]
+            assert total == per_scenario * 400
+            assert answered[frame, True] >= 0.9 * total, (frame, answered)
 
     @staticmethod
     def _raising(fn, errors):
@@ -710,7 +783,9 @@ class TestSelftest:
     def test_earliest_scenario_error_escapes(self, monkeypatch, lrmc_errors,
                                              step_errors, escapes):
         # as it would scenario by scenario; each short-run step calls
-        # default_epsilon once, in scenario order
+        # default_epsilon once, in scenario order (the pool's solves call
+        # it too, so the pool is made first)
+        cli.basis_atlas(tolerances.current())
         monkeypatch.setattr(cli, "solve_lrmc", self._raising(cli.solve_lrmc, lrmc_errors))
         monkeypatch.setattr(srmc, "default_epsilon",
                             self._raising(srmc.default_epsilon, step_errors))
