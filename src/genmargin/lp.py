@@ -14,24 +14,34 @@ LPs of its kind once per frame; the first malformed field raises
 :class:`LpInputError`.  Every solve has one pivot cap and reads its
 tolerances from ``tolerances.current()``.
 
+Each optimality test is written once and shared by the scalar simplex,
+the stacked kernel and the basis certificates.  A phase prices columns by
+its own cost row: a column enters while its reduced cost is below
+``-feas (1 + max|cost|)`` (:func:`_rc_tol`).  Phase 1 costs each
+artificial 1 and reads no objective, so it prices at ``2 feas`` and a
+feasibility verdict does not depend on the units of the costs.  A region
+is feasible, and a basis primal feasible, within ``feas (1 + max|b|)``
+(:func:`_primal_tol`).  Duals, reduced costs and the objective are read
+off a basis in one place (:func:`_duals`, :func:`_optimum`).
+
 Stacked solves
 --------------
 Callers that evaluate many scenarios at once write their LP work as
-*steps*: generators that yield :class:`LpRequest` s.  :func:`run_step`
-answers one step's requests one at a time; :func:`run_lockstep` runs many
-steps side by side and answers each round of requests with one
-:func:`solve_stacked` call.  That groups the requests by standard-form
-layout (:meth:`_Frame.layout`) and objective count, and runs the same
-two-phase method on a ``(K, rows, cols)`` tableau per group (each with its
-own frame's columns, so ``selftest``'s dual-range regions stack), after Gurung
-& Ray, "Simultaneous solving of batched linear programs on a GPU" (ICPE
-2019), in numpy on the CPU.  Every choice stays per instance: Bland's
-entering column, the ratio test and its tie-break, the tolerances, the
-phase-1 split fallback, the infeasible and unbounded verdicts, the
-drive-out of artificials and the pivot cap.  Pivots use the scalar path's
-elementwise arithmetic, duals come from one batched LAPACK solve of the
-same matrices, and reduced costs and objectives are computed per
-instance, so every outcome equals :func:`solve_objectives` bit for bit,
+*steps*: generators that yield :class:`LpRequest` s.  :func:`run_lockstep`
+runs many steps side by side and answers each round of requests with one
+:func:`solve_stacked` call; :func:`run_step` is one step run that way.
+:func:`solve_stacked` groups the requests by standard-form layout
+(:meth:`_Frame.layout`) and objective count, and runs the same two-phase
+method on a ``(K, rows, cols)`` tableau per group (each with its own
+frame's columns, so ``selftest``'s dual-range regions stack), after
+Gurung & Ray, "Simultaneous solving of batched linear programs on a GPU"
+(ICPE 2019), in numpy on the CPU.  Every choice stays per instance:
+Bland's entering column, the ratio test and its tie-break, the
+tolerances, the infeasible and unbounded verdicts, the drive-out of
+artificials and the pivot cap.  Pivots use the scalar path's elementwise
+arithmetic, duals come from one batched LAPACK solve of the same
+matrices, and reduced costs and objectives are computed per instance, so
+every outcome equals :func:`solve_objectives` bit for bit,
 ``iterations`` included.  ``sweep`` stacks the three LPs of each grid
 row this way (the long-run solve and ``srmc.resolved_step``'s two
 short-run solves; a row computes no dual interval), ``selftest`` the
@@ -48,21 +58,20 @@ basis stays optimal over a whole critical region (Gal & Nedoma,
 "Multiparametric linear programming", Mgmt. Sci. 1972); explicit MPC
 stores such bases offline in the same way (Borrelli, Bemporad & Morari,
 JOTA 2003).  So before the simplex runs, each request is tried against
-the atlas bases of its frame and layout: :func:`run_lockstep` passes the
-pool to every round, and :func:`run_step` given a pool answers each
-request as ``solve_stacked([request], pool)``.  The dual half of that
-certificate (every reduced cost at least ``-rc_tol``) runs once per
+the atlas bases of its frame and layout: :func:`run_lockstep` (and so
+:func:`run_step`) passes the pool to every round.  The dual half of that
+certificate (every reduced cost at least ``-_rc_tol(cost)``) runs once per
 distinct objective of a group, the primal half (``x_B = B⁻¹b``, every
-entry at least ``-feas (1 + max|b|)``) once per request, and the first
-atlas basis that passes both answers.  So a certified answer depends on its request alone, not on the
-rows before it or beside it.  It builds no tableau and reports
-``iterations=0``; the rest are pivoted as above.  A certified optimum is
-the simplex's own where that is unique.  Where it is degenerate, the
-certified basis may be another optimal one than Bland's rule reaches,
-with other duals; its ``x`` is ``B⁻¹b``, not pivoted, and can differ in
-the last bits.  Measured on the benchmark's 240 grids for seeds 0-11
-(rounds 0-3: 29,040 rows, so 29,040 LPs of each kind), against
-:func:`solve_objectives`:
+entry at least ``-_primal_tol(b)``) once per request, and the first atlas
+basis that passes both answers.  So a certified answer depends on its
+request alone, not on the rows before it or beside it.  It builds no
+tableau and reports ``iterations=0``; the rest are pivoted as above.  A
+certified optimum is the simplex's own where that is unique.  Where it
+is degenerate, the certified basis may be another optimal one than
+Bland's rule reaches, with other duals; its ``x`` is ``B⁻¹b``, not
+pivoted, and can differ in the last bits.  Measured on the benchmark's
+240 grids for seeds 0-11 (rounds 0-3: 29,040 rows, so 29,040 LPs of each
+kind), against :func:`solve_objectives`:
 
 * perturbed short-run solves, whose duals the CSV prints: 26,159
   certified, every array and basis byte-equal;
@@ -524,6 +533,45 @@ def _pivot(T, basis, pi, pj):
     basis[pi] = pj
 
 
+def _rc_tol(cost):
+    """Reduced-cost tolerance of each cost row of ``cost`` (last axis): a
+    column prices out, and may enter, below ``-feas (1 + max|cost|)``."""
+    return current().feas * (1.0 + np.abs(cost).max(axis=-1, initial=0.0))
+
+
+def _phase1_tol():
+    """Phase 1's tolerance: :func:`_rc_tol` of its own cost row (1 on each
+    artificial column, 0 elsewhere), so ``2 feas`` whatever the objectives."""
+    return _rc_tol(np.ones(1))
+
+
+def _primal_tol(b):
+    """Primal-feasibility tolerance of each right-hand side of ``b`` (last
+    axis): a phase-1 optimum or basic value is held down to
+    ``-feas (1 + max|b|)``."""
+    return current().feas * (1.0 + np.abs(b).max(axis=-1, initial=0.0))
+
+
+def _duals(problem, sense, c, y_std, row_sign):
+    """``(duals, reduced costs)`` of objective ``(sense, c)`` over
+    ``problem``, in its own orientation, from the duals ``y_std`` of the
+    standard form: undo the row negation ``row_sign`` and the sense flip,
+    then ``c - y @ A``."""
+    y = y_std * row_sign
+    if sense != "min":
+        y = -y
+    return y, c - y @ problem.A
+
+
+def _optimum(problem, c, x, duals, basis, iterations) -> LpSolution:
+    """The optimal :class:`LpSolution` of objective ``c`` over ``problem``
+    at ``x``, with ``duals`` from :func:`_duals`."""
+    y, rc = duals
+    return LpSolution(status="optimal", x=x, duals=y, reduced_costs=rc,
+                      objective=float(c @ x) + problem.objective_offset,
+                      basis=basis, iterations=iterations)
+
+
 class _Tableau:
     """Dense simplex tableau: ``m`` constraint rows, then reduced-cost rows.
 
@@ -544,14 +592,9 @@ class _Tableau:
         dup.iterations = self.iterations
         return dup
 
-    def run(self, row, rc_tol, rc_tol_hi=None) -> str:
+    def run(self, row, rc_tol) -> str:
         """Pivot on reduced-cost row ``row`` until no column prices out
-        below ``-rc_tol``; returns "optimal" or "unbounded".
-
-        With ``rc_tol_hi`` the run stands for every tolerance in
-        ``[rc_tol, rc_tol_hi]``: it returns "split" rather than pivot on a
-        column that only some of those tolerances would let enter.
-        """
+        below ``-rc_tol``; returns "optimal" or "unbounded"."""
         # Scalar work runs on Python floats (the same IEEE doubles, without
         # numpy's per-element overhead on rows this short).
         T, m, basis = self.T, self.m, self.basis
@@ -559,12 +602,10 @@ class _Tableau:
             enter = -1
             for j, r_j in enumerate(T[row, : self.n_enter].tolist()):
                 if r_j < -rc_tol:                # Bland: lowest eligible index
-                    enter, r_enter = j, r_j
+                    enter = j
                     break
             if enter < 0:
                 return "optimal"
-            if rc_tol_hi is not None and not r_enter < -rc_tol_hi:
-                return "split"
             ratios = [b_i / a_i if a_i > _PIVOT_TOL else math.inf
                       for a_i, b_i in zip(T[:m, enter].tolist(), T[:m, -1].tolist())]
             theta = min(ratios)
@@ -596,13 +637,13 @@ def solve_objectives(problem: LinearProgram, objectives) -> tuple:
 
     The problem's own ``sense`` and ``c`` are not used; its rows, bounds,
     labels and ``objective_offset`` are.  The standard form is built once
-    and phase 1 runs once, carrying every objective's reduced-cost row
-    through its pivots; each phase 2 then starts from its own copy of the
-    phase-1 tableau.  Each result, ``iterations`` included (shared phase-1
-    plus own phase-2 pivots), is exactly what :func:`solve_lp` returns for
-    the problem with that sense and objective.
+    and phase 1 runs once, at its own tolerance (:func:`_phase1_tol`),
+    carrying every objective's reduced-cost row through its pivots; each
+    phase 2 then starts from its own copy of the phase-1 tableau.  Each
+    result, ``iterations`` included (shared phase-1 plus own phase-2
+    pivots), is exactly what :func:`solve_lp` returns for the problem with
+    that sense and objective.
     """
-    tol = current().feas
     sf = _StandardForm(problem)
     m = problem.n_rows
     if m == 0:
@@ -610,25 +651,17 @@ def solve_objectives(problem: LinearProgram, objectives) -> tuple:
     objectives = tuple(_checked_objective(problem, sense, c) for sense, c in objectives)
     if not objectives:
         raise LpInputError("no objectives given")
-    costs = [sf.cost(sense, c) for sense, c in objectives]
-    rc_tols = [tol * (1.0 + float(np.abs(cost).max(initial=0.0))) for cost in costs]
+    costs = np.array([sf.cost(sense, c) for sense, c in objectives])
+    rc_tols = _rc_tol(costs).tolist()
 
-    T, basis = sf.tableau(np.array(costs)[:, : sf.n_total])
+    T, basis = sf.tableau(costs[:, : sf.n_total])
     tab = _Tableau(T, basis, m, sf.n_total)
 
     # ---- phase 1, shared ---------------------------------------------
     if sf.art_rows:
-        # Phase 1 prices columns with each objective's own tolerance; it is
-        # shared only while every one of them picks the same column.
-        lo, hi = min(rc_tols), max(rc_tols)
-        status = tab.run(m, lo, hi if hi > lo else None)
-        if status == "split":
-            return tuple(solve_objectives(problem, (obj,))[0]
-                         for obj in objectives)
-        if status == "unbounded":     # cannot happen: phase-1 objective >= 0
+        if tab.run(m, float(_phase1_tol())) == "unbounded":  # cannot happen: objective >= 0
             raise LpError("phase-1 unbounded; numerical corruption")
-        phase1_obj = -T[m, -1]
-        if phase1_obj > tol * (1.0 + float(np.abs(sf.b).max(initial=0.0))):
+        if -T[m, -1] > _primal_tol(sf.b):
             return tuple(LpSolution(status="infeasible", iterations=tab.iterations)
                          for _ in objectives)
         _drive_out(T, basis, m, sf.n_total)
@@ -641,11 +674,11 @@ def solve_objectives(problem: LinearProgram, objectives) -> tuple:
         if own.run(m + 1 + q, rc_tols[q]) == "unbounded":
             solutions.append(LpSolution(status="unbounded", iterations=own.iterations))
         else:
-            solutions.append(_optimum(problem, sf, own, sense, c, cost))
+            solutions.append(_tableau_optimum(problem, sf, own, sense, c, cost))
     return tuple(solutions)
 
 
-def _optimum(problem, sf, tab, sense, c, cost) -> LpSolution:
+def _tableau_optimum(problem, sf, tab, sense, c, cost) -> LpSolution:
     """The optimal solution that ``tab``'s basis gives objective ``(sense, c)``."""
     m = problem.n_rows
     T, basis = tab.T, tab.basis
@@ -657,26 +690,11 @@ def _optimum(problem, sf, tab, sense, c, cost) -> LpSolution:
 
     # Duals of the returned basis: solve B' y = c_B against the pristine
     # standard-form columns (an artificial's being the unit column of its
-    # row), then undo row negation and sense flips.
-    B = sf.A[:, basis]
-    c_B = cost[basis]
-    y_std = np.linalg.solve(B.T, c_B)
-    y = y_std * sf.row_sign
-    if sense != "min":
-        y = -y
-
-    rc = c - y @ problem.A
-    objective = float(c @ x) + problem.objective_offset
+    # row).
+    y_std = np.linalg.solve(sf.A[:, basis].T, cost[basis])
     names = sf.labels(problem)
-    return LpSolution(
-        status="optimal",
-        x=x,
-        duals=y,
-        reduced_costs=rc,
-        objective=objective,
-        basis=tuple(map(names.__getitem__, basis.tolist())),
-        iterations=tab.iterations,
-    )
+    return _optimum(problem, c, x, _duals(problem, sense, c, y_std, sf.row_sign),
+                    tuple(map(names.__getitem__, basis.tolist())), tab.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -703,22 +721,13 @@ class LpRequest(NamedTuple):
 
 
 def run_step(step, pool: "BasisPool" = None):
-    """Run ``step`` alone, answering each request with
-    :func:`solve_objectives`, or with ``solve_stacked([request], pool)``
-    given a ``pool``, and return its result.  Solver errors propagate from
-    here."""
-    answer = None
-    while True:
-        try:
-            request = step.send(answer)
-        except StopIteration as done:
-            return done.value
-        if pool is None:
-            answer = solve_objectives(request.problem, request.objectives)
-        else:
-            (answer,) = solve_stacked([request], pool)
-            if isinstance(answer, Exception):
-                raise answer
+    """Run ``step`` alone, as ``run_lockstep([step], pool)``, and return its
+    result; an error it raises, a solver error it does not catch included,
+    propagates from here."""
+    (result,) = run_lockstep([step], pool)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_lockstep(steps, pool: "BasisPool" = None) -> list:
@@ -728,8 +737,8 @@ def run_lockstep(steps, pool: "BasisPool" = None) -> list:
 
     Returns each step's result in order, or the exception it raised, so
     one step's error leaves the others running.  Without a pool every
-    answer is what :func:`run_step` would send; with one, see
-    :func:`solve_stacked`.
+    answer is what :func:`solve_objectives` returns for the request, or the
+    error it raises; with one, see :func:`solve_stacked`.
     """
     steps = list(steps)
     results = [None] * len(steps)
@@ -767,7 +776,7 @@ STACK_MIN = 8
 _SOLVER_ERRORS = (LpError, np.linalg.LinAlgError)
 
 # verdicts of a stacked simplex run
-_OPTIMAL, _UNBOUNDED, _SPLIT, _LIMIT = range(4)
+_OPTIMAL, _UNBOUNDED, _LIMIT = range(3)
 
 
 def solve_stacked(requests, pool: "BasisPool" = None) -> list:
@@ -863,8 +872,7 @@ def _solve_stack(members, layout) -> list:
     C = np.array([[c for _, c in obj] for obj in objectives])
     cost = np.zeros((K, Q, n_total + n_art))      # artificial columns cost 0
     cost[:, :, : sf.n_struct] = sf.col_sign * np.where(flip[..., None], -C, C)[..., sf.col_var]
-    tol = current().feas
-    rc_tol = tol * (1.0 + np.abs(cost).max(axis=2))
+    rc_tol = _rc_tol(cost)
 
     T, basis = sf.tableau(cost[:, :, :n_total])
     iters = np.zeros(K, dtype=int)
@@ -873,14 +881,10 @@ def _solve_stack(members, layout) -> list:
     outcomes = [None] * K
     feasible = np.arange(K)
     if n_art:
-        status = _run_stack(T, basis, iters, m, n_total, rc_tol.min(axis=1),
-                            rc_tol.max(axis=1))
-        phase1_obj = -T[:, m, -1]
-        infeasible = phase1_obj > tol * (1.0 + np.abs(sf.b).max(axis=1))
+        status = _run_stack(T, basis, iters, m, n_total, np.full(K, _phase1_tol()))
+        infeasible = -T[:, m, -1] > _primal_tol(sf.b)
         for k in range(K):
-            if status[k] == _SPLIT:
-                outcomes[k] = _solve_apart(problems[k], objectives[k])
-            elif status[k] == _UNBOUNDED:     # cannot happen: phase-1 objective >= 0
+            if status[k] == _UNBOUNDED:     # cannot happen: phase-1 objective >= 0
                 outcomes[k] = LpError("phase-1 unbounded; numerical corruption")
             elif status[k] == _LIMIT:
                 outcomes[k] = _iteration_limit()
@@ -905,12 +909,12 @@ def _solve_stack(members, layout) -> list:
     del T       # phase 2 runs on T2 alone; free the phase-1 stack meanwhile
     basis2 = np.repeat(basis[feasible], Q, axis=0)
     iters2 = np.repeat(iters[feasible], Q)
-    status2 = _run_stack(T2, basis2, iters2, m, n_total, rc_tol[feasible].ravel(), None)
+    status2 = _run_stack(T2, basis2, iters2, m, n_total, rc_tol[feasible].ravel())
 
     entry_k, entry_q = np.repeat(feasible, Q), np.tile(np.arange(Q), F)
     opt = np.flatnonzero(status2 == _OPTIMAL)
     try:
-        optima = _stacked_optima(sf, objectives, cost, flip, T2[opt], basis2[opt],
+        optima = _stacked_optima(sf, objectives, cost, T2[opt], basis2[opt],
                                  iters2[opt], entry_k[opt], entry_q[opt])
     except np.linalg.LinAlgError:       # a singular basis: find whose, one by one
         for k in feasible:
@@ -929,9 +933,9 @@ def _solve_stack(members, layout) -> list:
     return outcomes
 
 
-def _stacked_optima(sf, objectives, cost, flip, T, basis, iters, entry_k, entry_q):
-    """:func:`_optimum` of every entry of a finished phase-2 stack: entry
-    ``e`` is objective ``entry_q[e]`` of ``sf.problems[entry_k[e]]``."""
+def _stacked_optima(sf, objectives, cost, T, basis, iters, entry_k, entry_q):
+    """:func:`_tableau_optimum` of every entry of a finished phase-2 stack:
+    entry ``e`` is objective ``entry_q[e]`` of ``sf.problems[entry_k[e]]``."""
     n_total = sf.n_total
     rows, pos = np.nonzero(basis < n_total)
     x_std = np.zeros((len(basis), n_total))
@@ -941,34 +945,25 @@ def _stacked_optima(sf, objectives, cost, flip, T, basis, iters, entry_k, entry_
     # B' y = c_B per entry, in one batched LAPACK call.
     c_B = cost[entry_k[:, None], entry_q[:, None], basis]
     Y = np.linalg.solve(sf.basis_matrices(entry_k, basis), c_B[..., None])[..., 0]
-    Y *= sf.row_sign
-    Y = np.where(flip[entry_k, entry_q][:, None], -Y, Y)
 
     solutions = []
     for e, (k, q, b) in enumerate(zip(entry_k.tolist(), entry_q.tolist(), basis.tolist())):
         problem = sf.problems[k]
-        c = objectives[k][q][1]
+        sense, c = objectives[k][q]
         names = sf.labels(problem)
-        x, y = X[e], Y[e]
-        solutions.append(LpSolution(
-            status="optimal",
-            x=x,
-            duals=y,
-            reduced_costs=c - y @ problem.A,
-            objective=float(c @ x) + problem.objective_offset,
-            basis=tuple(map(names.__getitem__, b)),
-            iterations=int(iters[e]),
-        ))
+        solutions.append(_optimum(problem, c, X[e],
+                                  _duals(problem, sense, c, Y[e], sf.row_sign),
+                                  tuple(map(names.__getitem__, b)), int(iters[e])))
     return solutions
 
 
-def _run_stack(T, basis, iters, m, n_enter, rc_tol, rc_tol_hi):
+def _run_stack(T, basis, iters, m, n_enter, rc_tol):
     """:meth:`_Tableau.run` on row ``m`` of every tableau of the stack ``T``
-    ``(K, rows, cols)``, instance ``k`` with tolerance ``rc_tol[k]`` (and
-    ``rc_tol_hi[k]``); ``T``, ``basis`` and ``iters`` are updated in place.
+    ``(K, rows, cols)``, instance ``k`` with tolerance ``rc_tol[k]``;
+    ``T``, ``basis`` and ``iters`` are updated in place.
 
-    Returns each instance's verdict: ``_OPTIMAL``, ``_UNBOUNDED``,
-    ``_SPLIT``, or ``_LIMIT`` where :meth:`_Tableau.run` raises
+    Returns each instance's verdict: ``_OPTIMAL``, ``_UNBOUNDED``, or
+    ``_LIMIT`` where :meth:`_Tableau.run` raises
     :class:`IterationLimitError`.  Finished instances leave the working
     stack, so each round pivots only the live ones.
     """
@@ -976,15 +971,11 @@ def _run_stack(T, basis, iters, m, n_enter, rc_tol, rc_tol_hi):
     live = np.arange(len(T))
     t, bas, it = T, basis, iters
     lo = -rc_tol
-    hi = None if rc_tol_hi is None else -rc_tol_hi
     while True:
         rows = np.arange(len(t))
-        r = t[:, m, :n_enter]
-        eligible = r < lo[:, None]
+        eligible = t[:, m, :n_enter] < lo[:, None]
         enter = eligible.argmax(axis=1)           # Bland: lowest eligible index
         verdict = np.where(eligible[rows, enter], -1, _OPTIMAL)
-        if hi is not None:
-            verdict[(verdict < 0) & ~(r[rows, enter] < hi)] = _SPLIT
         a = t[rows, :m, enter]
         ratios = np.full(a.shape, np.inf)
         np.divide(t[:, :m, -1], a, out=ratios, where=a > _PIVOT_TOL)
@@ -1005,8 +996,6 @@ def _run_stack(T, basis, iters, m, n_enter, rc_tol, rc_tol_hi):
                 return status
             live, t, bas, it = live[going], t[going], bas[going], it[going]
             lo, enter, ratios, theta = lo[going], enter[going], ratios[going], theta[going]
-            if hi is not None:
-                hi = hi[going]
             rows = np.arange(len(t))
         cutoff = theta + 1e-12 * (1.0 + np.abs(theta))
         key = np.where(ratios <= cutoff[:, None], bas, np.iinfo(bas.dtype).max)
@@ -1047,15 +1036,15 @@ class BasisPool:
     Each objective of a request is answered by the first of its position's
     bases that passes both halves of the simplex's own optimality test, at
     its own tolerances; a request is answered when all of its objectives
-    are.  The primal half: ``x_B = B⁻¹b`` is at least ``-feas (1 +
-    max|b|)`` in standard form, one batched product over the bases per
-    request.  The dual half: the duals ``np.linalg.solve(B.T, c_B)``, the
-    call :func:`_optimum` makes, leave every reduced cost of the standard
-    form at least ``-rc_tol``.  It runs once per distinct objective of a
-    :func:`solve_stacked` group in one batched LAPACK call, only for bases
-    that pass the primal half for one of the objective's requests: a cost
-    sweep has an objective per row, and solving all bases for each is
-    slower than pivoting."""
+    are.  The primal half: ``x_B = B⁻¹b`` is at least ``-_primal_tol(b)``
+    in standard form, one batched product over the bases per request.
+    The dual half: the duals ``np.linalg.solve(B.T, c_B)``, the call
+    :func:`_tableau_optimum` makes, leave every reduced cost of the
+    standard form at least ``-_rc_tol(cost)``.  It runs once per distinct
+    objective of a :func:`solve_stacked` group in one batched LAPACK call,
+    only for bases that pass the primal half for one of the objective's
+    requests: a cost sweep has an objective per row, and solving all bases
+    for each is slower than pivoting."""
 
     def __init__(self, solved):
         found = {}      # (frame, layout, count) -> {column set: (columns, labels, positions)}
@@ -1104,11 +1093,10 @@ class _Bases:
         """Answer in ``outcomes`` each member of ``group`` (of one
         :func:`solve_stacked` group) whose every objective a basis proves optimal."""
         layout, M, Q = self.layout, len(group), len(self.allowed)
-        feas = current().feas
         b = np.array([b_work for *_, b_work in group]) * layout.row_sign
         # the primal half: x_B of every basis, one batched product per member
         X = (self.inverses.reshape(-1, b.shape[1]) @ b[:, :, None]).reshape(M, *self.cols.shape)
-        held = (X >= -feas * (1.0 + np.abs(b).max(axis=1))[:, None, None]).all(axis=2)
+        held = (X >= -_primal_tol(b)[:, None, None]).all(axis=2)
         # entry h * Q + q is objective q of member h
         distinct = {}       # (position, objective bytes) -> (its index, the objective)
         objective = np.array([
@@ -1120,9 +1108,8 @@ class _Bases:
         live = (objective == np.arange(len(cost))[:, None]) @ primal
         d, n = np.nonzero(live)
         Y = np.linalg.solve(self.BT[n], cost[d[:, None], self.cols[n]][..., None])[..., 0]
-        rc_tol = feas * (1.0 + np.abs(cost).max(axis=1))
         dual = np.zeros_like(live)
-        dual[d, n] = (cost[d] - (Y[:, None] @ self.A)[:, 0] >= -rc_tol[d, None]).all(axis=1)
+        dual[d, n] = (cost[d] - (Y[:, None] @ self.A)[:, 0] >= -_rc_tol(cost)[d, None]).all(axis=1)
         both = primal & dual[objective]
         rows = np.flatnonzero(both.any(axis=1).reshape(M, Q).all(axis=1))
         if not rows.size:
@@ -1140,18 +1127,11 @@ class _Bases:
             answers = []
             for sense, c in objectives:
                 if tags[e] not in duals:        # the same for every entry of the tag
-                    y = Y[pair[tags[e]]] * layout.row_sign
-                    if sense != "min":
-                        y = -y
-                    rc = c - y @ problem.A
-                    for a in (y, rc):
+                    duals[tags[e]] = _duals(problem, sense, c, Y[pair[tags[e]]], layout.row_sign)
+                    for a in duals[tags[e]]:
                         a.setflags(write=False)
-                    duals[tags[e]] = y, rc, self.labels[tags[e][1]]
-                y, rc, labels = duals[tags[e]]
-                answers.append(LpSolution(
-                    status="optimal", x=x[e], duals=y, reduced_costs=rc,
-                    objective=float(c @ x[e]) + problem.objective_offset,
-                    basis=labels, iterations=0))
+                answers.append(_optimum(problem, c, x[e], duals[tags[e]],
+                                        self.labels[tags[e][1]], 0))
                 e += 1
             outcomes[k] = tuple(answers)
 

@@ -419,15 +419,14 @@ class LrmcSolve:
     lp_solution: LpSolution
 
 
-def solve_lrmc(params: SystemParams, *, canonical: bool = True,
-               pool: BasisPool = None) -> LrmcSolve:
+def solve_lrmc(params: SystemParams, *, pool: BasisPool = None) -> LrmcSolve:
     """Solve the long-run model and map back to model coordinates.
 
     Investment splits can be non-unique: capacity built in period 1 but
     idle until period 2 costs exactly what period-2 capacity costs, so the
-    optimal face may contain a segment of investment plans.  With
-    ``canonical=True`` ties are broken toward deferred investment (minimal
-    period-1 build), which is the convention of the closed-form results.
+    optimal face may contain a segment of investment plans.  Ties are
+    broken toward deferred investment (minimal period-1 build), which is
+    the convention of the closed-form results.
     The tie-break objective perturbs only vertex selection and is solved
     over the same phase 1 as the true one; duals are always taken from the
     unperturbed solve.
@@ -436,25 +435,22 @@ def solve_lrmc(params: SystemParams, *, canonical: bool = True,
     ``lp.run_step`` answers it then: from a pooled basis that proves it
     optimal, else pivoted (see ``lp``'s module docstring).
     """
-    return run_step(lrmc_step(params, canonical=canonical), pool)
+    return run_step(lrmc_step(params), pool)
 
 
-def lrmc_step(params: SystemParams, *, canonical: bool = True):
+def lrmc_step(params: SystemParams):
     """:func:`solve_lrmc` as a step that yields its one LP request (see
     :class:`~genmargin.lp.LpRequest`)."""
     prob = build_lrmc_primal(params)
-    objectives = [(prob.sense, prob.c)]
-    if canonical:
-        mu = 1e-9 * (1.0 + float(np.abs(prob.c).max()))
-        c2 = prob.c.copy()
-        c2[0] += mu   # I_r1
-        c2[2] += mu   # I_f1
-        objectives.append(("min", c2))
-    sol, *tie = yield LpRequest(prob, tuple(objectives))
+    mu = 1e-9 * (1.0 + float(np.abs(prob.c).max()))
+    c2 = prob.c.copy()
+    c2[0] += mu   # I_r1
+    c2[2] += mu   # I_f1
+    sol, tie = yield LpRequest(prob, ((prob.sense, prob.c), ("min", c2)))
     if not sol.optimal:
         # With CL > 0 and finite caps the model is always feasible/bounded.
         raise ModelError(f"long-run model unexpectedly {sol.status}")
-    decision_sol = tie[0] if tie and tie[0].optimal else sol
+    decision_sol = tie if tie.optimal else sol
     return LrmcSolve(
         params=params,
         decision=extract_decision(decision_sol),

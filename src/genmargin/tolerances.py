@@ -5,8 +5,12 @@ checked on: capacities and demands up to a few 1e4 and unit costs from
 1e-2 to a few hundred (``tests/test_scaling.py``), money totals up to
 ~1e8.  Past that they are not unit-free: with every quantity scaled by
 1e5 (or 1e6), ``cross_check`` reports a false ``slackness`` failure on 31
-(63) of 300 ``random_params`` draws although the prices are right.
-ROADMAP item 5 (unit-free numerics) is the fix.
+(63) of 300 ``random_params`` draws although the prices are right.  With
+only the costs scaled, every LP stays feasible (the simplex's phase 1
+prices by its own cost row, not the objective's), but over 200 draws of
+seed 7, at ×1e7 / ×1e8 / ×1e10, ``slackness`` still fails on 13 / 103 /
+127 of them and ``lambda-agreement`` on 0 / 3 / 34.  ROADMAP item 5
+(unit-free numerics) is the fix.
 """
 
 from __future__ import annotations

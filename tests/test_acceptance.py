@@ -60,7 +60,7 @@ def sweep():
         t0 = time.perf_counter()
         check = cross_check(params)
         cross_time += time.perf_counter() - t0
-        lr = solve_lrmc(params, canonical=False)
+        lr = solve_lrmc(params)
         analytic = analytic_solution(params, classify(params))
         srmc = compute_srmc(params, lr.decision, lrmc_objective=lr.objective)
         rent = sum(

@@ -213,7 +213,7 @@ class TestRandomizedOracle:
             seen.add(g.gid)
             res = analytic_solution(params, g)
             assert res.decision.is_feasible(params)
-            lr = solve_lrmc(params, canonical=False)
+            lr = solve_lrmc(params)
             cost = res.decision.total_cost(params)
             assert abs(cost - lr.objective) <= 1e-8 * (1 + abs(lr.objective)), \
                 f"group {g.gid}: analytic {cost} vs lp {lr.objective}"
@@ -241,7 +241,7 @@ class TestRandomizedOracle:
             assert g.gid in (8, 16, 23, 41), g.gid
             seen.add(g.gid)
             res = analytic_solution(params, g)
-            lr = solve_lrmc(params, canonical=False)
+            lr = solve_lrmc(params)
             assert abs(res.decision.total_cost(params) - lr.objective) <= \
                 1e-8 * (1 + abs(lr.objective))
             if not g.boundary:

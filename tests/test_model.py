@@ -255,7 +255,7 @@ class TestExtraction:
         rng = np.random.default_rng(3)
         for _ in range(1000):
             params = random_valid_params(rng)
-            lr = solve_lrmc(params, canonical=False)
+            lr = solve_lrmc(params)
             assert lr.decision.is_feasible(params)
             assert lr.duals.max_dual_violation(params) <= 1e-6
 

@@ -167,7 +167,7 @@ class TestRecoveryTheorems:
             res = analytic_solution(params, g)
             rep = cost_recovery(res.lrmc, res.decision, params)
             assert rep.profit >= -1e-6
-            lr = solve_lrmc(params, canonical=False)
+            lr = solve_lrmc(params)
             rent = sum(
                 params.m(gg) * lr.duals.gamma(gg, t)
                 for gg in ("r", "f") for t in (1, 2)

@@ -73,11 +73,11 @@ def test_decision_invariants_roundtrip(seed):
 @settings(max_examples=60, deadline=None)
 def test_lrmc_objective_monotone_in_demand(seed, bump):
     params = params_from_seed(seed)
-    z = solve_lrmc(params, canonical=False).objective
+    z = solve_lrmc(params).objective
     grown = SystemParams.from_values(
         params.ci_r, params.cp_r, params.m_r, params.ci_f, params.cp_f,
         params.m_f, params.cl, params.d1 * (1 + bump), params.d2 * (1 + bump))
-    z2 = solve_lrmc(grown, canonical=False).objective
+    z2 = solve_lrmc(grown).objective
     assert z2 >= z - 1e-7 * (1 + abs(z))
 
 

@@ -5,12 +5,20 @@ money totals reach ~1e8, which is where the absolute tolerances must
 still hold.
 """
 
-import numpy as np
+import dataclasses
 
+import numpy as np
+import pytest
+
+from genmargin import tolerances
 from genmargin.groups import ClassificationError, classify
-from genmargin.model import ModelError, SystemParams, solve_lrmc
+from genmargin.lp import STACK_MIN, LpRequest, solve_lp, solve_objectives, solve_stacked
+from genmargin.model import ModelError, SystemParams, build_srmc_primal, lrmc_step, solve_lrmc
+from genmargin.sampling import random_params
 from genmargin.srmc import compute_srmc, predict_srmc_from_lrmc
 from genmargin.verify import cross_check
+
+COSTS = ("ci_r", "cp_r", "ci_f", "cp_f", "cl")
 
 
 def _extreme_params(rng, margin=1e-4):
@@ -61,3 +69,28 @@ def test_srmc_agreement_at_extreme_scales():
                 res.lrmc[t], cp, params.cl)
             assert abs(want - res.resolved[t]) <= 1e-6 * scale, \
                 (params, t, want, res.resolved[t])
+
+
+@pytest.mark.parametrize("alpha", [1e7, 1e8])
+def test_model_lps_stay_feasible_at_large_cost_scales(alpha):
+    # Scaling every cost by alpha leaves each LP's feasible region as it is
+    # and scales its optimum by alpha: phase 1 must not read the costs.
+    gap = tolerances.current().gap
+    rng = np.random.default_rng(7)
+    requests, want = [], []
+    for _ in range(100):
+        params = random_params(rng)
+        lr = solve_lrmc(params)
+        frozen = build_srmc_primal(params, lr.decision)
+        scaled = dataclasses.replace(params, **{k: alpha * getattr(params, k) for k in COSTS})
+        requests += [next(lrmc_step(scaled)),
+                     LpRequest.own(build_srmc_primal(scaled, lr.decision))]
+        want += [alpha * lr.objective, alpha * solve_lp(frozen).objective]
+    assert len(requests) >= STACK_MIN
+    stacked = solve_stacked(requests)
+    for request, z, outcome in zip(requests, want, stacked):
+        answers = [solve_lp(request.problem),
+                   solve_objectives(request.problem, request.objectives)[0], outcome[0]]
+        for got in answers:
+            assert got.status == "optimal"
+            assert abs(got.objective - z) <= gap * (1.0 + abs(z))

@@ -198,8 +198,8 @@ INFEASIBLE = (LinearProgram(sense="min", c=[1.0, 0.0], A=[[1, 1], [1, 1]],
 HALF_UNBOUNDED = (LinearProgram(sense="min", c=[0.0, 0.0], A=[[1, 1], [1, -1]],
                                 relations=(">=", "="), b=[1.0, 0.0]),
                   [("max", [1.0, 0.0]), ("min", [1.0, 0.0])])
-# Phase 1 prices x at -1e-5: eligible to enter under the first objective's
-# tolerance (2e-9), not under the second's (about 1e-3).
+# Phase 1 prices x at -1e-5: eligible to enter under its own tolerance
+# (2e-9) and under the first objective's, not under the second's (about 1e-3).
 TOLERANCE_SPLIT = (LinearProgram(sense="min", c=[0.0, 0.0], A=[[1e-5, 1.0]],
                                  relations=("=",), b=[1.0]),
                    [("min", [1.0, 1.0]), ("min", [1e6, 1.0])])
@@ -226,11 +226,21 @@ def test_unbounded_and_optimal_objectives_share_phase_one():
         assert_identical(got, want)
 
 
-def test_objectives_that_price_phase_one_differently_are_solved_apart():
+def test_objectives_with_other_tolerances_share_one_phase_one(monkeypatch):
+    # phase 1 prices by its own cost row, not by either objective's
     p, objectives = TOLERANCE_SPLIT
+    rows = []
+    real = lp._Tableau.run
+
+    def run(tab, row, rc_tol):
+        rows.append(row)
+        return real(tab, row, rc_tol)
+
+    monkeypatch.setattr(lp._Tableau, "run", run)
     shared = solve_objectives(p, objectives)
+    assert rows == [1, 2, 3]        # phase 1 (row m = 1) once, then each phase 2
     want = separately(p, objectives)
-    assert want[0].iterations != want[1].iterations     # different phase-1 pivots
+    assert want[0].iterations == want[1].iterations     # the same phase-1 pivots
     for got, w in zip(shared, want):
         assert_identical(got, w)
 
