@@ -28,7 +28,7 @@ for d2 in np.linspace(2000, 14800, 129):
     group = classify(params)
     res = analytic_solution(params, group)
     lr = solve_lrmc(params)
-    srmc = compute_srmc(params, lr.decision, lrmc_objective=lr.objective)
+    srmc = compute_srmc(params, res.decision, lrmc_objective=lr.objective)
     rows.append({
         "d2": float(d2),
         "group": group.gid,

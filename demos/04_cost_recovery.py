@@ -34,7 +34,7 @@ for title, params in SCENARIOS.items():
     group = classify(params)
     res = analytic_solution(params, group)
     lr = solve_lrmc(params)
-    srmc = compute_srmc(params, lr.decision, lrmc_objective=lr.objective)
+    srmc = compute_srmc(params, res.decision, lrmc_objective=lr.objective)
 
     long_run = cost_recovery(res.lrmc, res.decision, params)
     short_run = cost_recovery(srmc.resolved, res.decision, params)

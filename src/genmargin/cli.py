@@ -176,7 +176,7 @@ def scenario_report(params: SystemParams) -> dict:
     check = cross_check(params, lrmc=lr)
     analytic = check.analytic
     group = analytic.group
-    srmc = compute_srmc(params, lr.decision, lrmc_objective=lr.objective,
+    srmc = compute_srmc(params, analytic.decision, lrmc_objective=lr.objective,
                         analytic=analytic)
 
     profile = lrmc_profile_for_group(group.gid)
@@ -366,15 +366,16 @@ def sweep_rows(config: ScenarioConfig):
 def basis_atlas(tol: tolerances.Tolerances) -> BasisPool:
     """The ``lp.BasisPool`` of ``sweep`` and ``selftest`` under ``tol``
     (``tolerances.current()``), made at its first call: the optimal bases
-    of a row's LPs at each group's ``groups.representative_params``, in
-    group order, solved side by side without a pool (``lp.run_lockstep``).
+    of a row's LPs at each group's ``groups.representative_params``, frozen
+    at the closed form's build, in group order, solved side by side
+    without a pool (``lp.run_lockstep``).
     A point that the model rejects under ``tol`` keeps the bases it
     reached before.  It takes about 12-17 ms per process on 2-core x86-64,
     which a one-shot sweep of one fixed-cost grid, or a one-shot selftest
     of a few dozen scenarios or fewer, does not earn back (CHANGES.md)."""
     logs = [[] for _ in GROUPS]
-    steps = [_logged(_row_lps(representative_params(gid)), log)
-             for gid, log in zip(sorted(GROUPS), logs)]
+    steps = [_logged(_row_lps(p, analytic_solution(p, classify(p)).decision), log)
+             for p, log in zip(map(representative_params, sorted(GROUPS)), logs)]
     for result in run_lockstep(steps):
         if isinstance(result, Exception) and not isinstance(
                 result, (LpInputError, ModelError, SrmcError)):
@@ -401,7 +402,7 @@ def _sweep_row(over: dict):
     params = SystemParams.from_values(**over)
     group = classify(params)
     analytic = analytic_solution(params, group)
-    resolved = yield from _row_lps(params)
+    resolved = yield from _row_lps(params, analytic.decision)
     _, sold = sales((analytic.lrmc, resolved), analytic.decision, params)
     (*_, p_l), (*_, p_s) = sold
     return (group.gid, analytic.profile_id, analytic.lrmc[0],
@@ -409,10 +410,11 @@ def _sweep_row(over: dict):
             p_l, p_s, group.boundary)
 
 
-def _row_lps(params: SystemParams):
-    """A sweep row's three LP solves, as a step; returns the resolved prices."""
+def _row_lps(params: SystemParams, build):
+    """A sweep row's three LP solves, as a step, with the short-run ones
+    frozen at ``build``; returns the resolved prices."""
     lr = yield from lrmc_step(params)
-    return (yield from resolved_step(params, lr.decision, lr.objective))
+    return (yield from resolved_step(params, build, lr.objective))
 
 
 def run_sweep(config: ScenarioConfig) -> tuple:
@@ -441,7 +443,8 @@ def run_selftest(seed: int, n: int, out=None) -> int:
     Scenarios are drawn in chunks of :data:`CHUNK`.  Each one's long-run LP
     is solved once, for the cross-check and the short-run pipeline both;
     those two run one scenario at a time, and the closed form the
-    cross-check builds is the one the short-run rules are read against.
+    cross-check builds is the build the short-run pipeline freezes and
+    the one its rules are read against.
     The short-run pipelines of a chunk's passing scenarios then run in
     lockstep, and the rules are checked in scenario order.  Output, and
     the error that escapes when a scenario raises, are those of one
@@ -475,7 +478,7 @@ def run_selftest(seed: int, n: int, out=None) -> int:
             groups_seen.add(rep.gid)
             if rep.passed:
                 passed.append(params)
-                steps.append(srmc_step(params, lr.decision,
+                steps.append(srmc_step(params, rep.analytic.decision,
                                        lrmc_objective=lr.objective,
                                        analytic=rep.analytic))
             else:

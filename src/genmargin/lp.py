@@ -71,21 +71,23 @@ is degenerate, the certified basis may be another optimal one than
 Bland's rule reaches, with other duals; its ``x`` is ``B⁻¹b``, not
 pivoted, and can differ in the last bits.  Measured on the benchmark's
 240 grids for seeds 0-11 (rounds 0-3: 29,040 rows, so 29,040 LPs of each
-kind), against :func:`solve_objectives`:
+kind), against :func:`solve_objectives`, a basis compared as a set of
+columns and duals by value:
 
 * perturbed short-run solves, whose duals the CSV prints: 26,159
   certified, every array and basis byte-equal;
 * frozen short-run solves: 25,886 certified, 442 on another optimal
-  basis, with other flow-balance duals;
+  basis, with other flow-balance duals, 400 of them on rows the CSV
+  marks as region boundaries;
 * long-run solves: 25,178 certified, 8,243 on another optimal basis,
-  whose flow-balance duals differed on 5,033, 5,017 of them on rows the
-  CSV marks as region boundaries.
+  whose flow-balance duals differed on 4,654, all on boundary rows.
 
 No ``x`` or objective differed on these integer-cost grids, and every
-CSV was byte-equal.  Tied long-run optima (zero period-1 demand) differ
-by less than ``rc_tol`` under the tie-break, so no certificate tells
-them apart; there the certified ``x`` is the simplex's to the rounding
-of ``B⁻¹b``.  Calls without a pool keep the bit-for-bit contract above.
+CSV was byte-equal.  Where the long-run optimum is not unique (zero
+period-1 demand, or ``cl`` at a rung of the cost ladder), the certified
+build may be another optimal one than the simplex's; the verbs freeze
+the closed form's build, so their short-run prices do not depend on
+which.  Calls without a pool keep the bit-for-bit contract above.
 
 In ``selftest`` the atlas answers the long-run solve (through
 :func:`run_step`) and the frozen and perturbed short-run solves: across
@@ -102,9 +104,10 @@ the kernel's fixed cost per pivot round then outweighs what it saves.  The
 constant was measured on a 2-core x86-64 machine (Python 3.11, numpy 2.4,
 one BLAS thread) on 64 ``random_params`` scenarios per LP kind, median of
 7 repeats: the stacked time over the one-by-one time at K = 4 / 6 / 8 was
-1.17 / 0.87 / 0.72 for long-run primals with their tie-break, 0.92 / 0.70
-/ 0.61 for dual-range regions (four objectives) and 1.27 / 1.06 / 0.88 for
-short-run primals (one objective); at K = 32 it was 0.31, 0.29 and 0.40.
+1.17 / 0.87 / 0.72 for long-run primals (then solved with a second
+objective), 0.92 / 0.70 / 0.61 for dual-range regions (four objectives)
+and 1.27 / 1.06 / 0.88 for short-run primals (one objective); at K = 32 it
+was 0.31, 0.29 and 0.40.
 
 Fixed costs per solve
 ---------------------
@@ -1027,38 +1030,38 @@ class BasisPool:
     :class:`LpRequest` and what :func:`solve_objectives` returned for it.
     It never changes after, so a certified answer depends on its own
     request alone.  Bases are kept per frame (the object, so LPs built
-    directly share bases only with themselves), layout
-    (:meth:`_Frame.layout`) and objective count, each column set once, in
-    the order the solves first reach it, with ``B⁻¹``; a basis answers
-    only the objective positions whose solves reached it.  A basis that
-    holds an artificial column is never kept.
+    directly share bases only with themselves) and layout
+    (:meth:`_Frame.layout`), each column set once, in the order the solves
+    first reach it, with ``B⁻¹``.  A basis that holds an artificial column
+    is never kept.
 
-    Each objective of a request is answered by the first of its position's
-    bases that passes both halves of the simplex's own optimality test, at
-    its own tolerances; a request is answered when all of its objectives
-    are.  The primal half: ``x_B = B⁻¹b`` is at least ``-_primal_tol(b)``
-    in standard form, one batched product over the bases per request.
-    The dual half: the duals ``np.linalg.solve(B.T, c_B)``, the call
-    :func:`_tableau_optimum` makes, leave every reduced cost of the
-    standard form at least ``-_rc_tol(cost)``.  It runs once per distinct
-    objective of a :func:`solve_stacked` group in one batched LAPACK call,
-    only for bases that pass the primal half for one of the objective's
-    requests: a cost sweep has an objective per row, and solving all bases
-    for each is slower than pivoting."""
+    Each objective of a request is answered by the first basis of its
+    frame and layout that passes both halves of the simplex's own
+    optimality test, at its own tolerances; a request is answered when all
+    of its objectives are.  The primal half: ``x_B = B⁻¹b`` is at least
+    ``-_primal_tol(b)`` in standard form, one batched product over the
+    bases per request.  The dual half: the duals
+    ``np.linalg.solve(B.T, c_B)``, the call :func:`_tableau_optimum`
+    makes, leave every reduced cost of the standard form at least
+    ``-_rc_tol(cost)``.  It runs once per distinct objective of a
+    :func:`solve_stacked` group in one batched LAPACK call, only for bases
+    that pass the primal half for one of the objective's requests: a cost
+    sweep has an objective per row, and solving all bases for each is
+    slower than pivoting."""
 
     def __init__(self, solved):
-        found = {}      # (frame, layout, count) -> {column set: (columns, labels, positions)}
+        found = {}      # (frame, layout) -> {column set: (columns, labels)}
         for (problem, _), solutions in solved:
             layout = problem._frame.layout(_shifted_rhs(problem)[1])
             names = _column_labels(layout, problem.var_labels, problem.row_labels)
             column = {name: j for j, name in enumerate(names)}
-            bases = found.setdefault((problem._frame, layout, len(solutions)), {})
-            for q, solution in enumerate(solutions):
+            bases = found.setdefault((problem._frame, layout), {})
+            for solution in solutions:
                 if not solution.optimal:
                     continue
                 cols = [column[label] for label in solution.basis]
                 if max(cols) < layout.n_total:          # no artificial column
-                    bases.setdefault(frozenset(cols), (cols, solution.basis, set()))[2].add(q)
+                    bases.setdefault(frozenset(cols), (cols, solution.basis))
         self._bases = {key: _Bases(*key, bases.values())
                        for key, bases in found.items() if bases}
 
@@ -1068,7 +1071,7 @@ class BasisPool:
         others, in order."""
         by_bases = {}
         for member in members:
-            bases = self._bases.get((member[1]._frame, layout, len(member[2])))
+            bases = self._bases.get((member[1]._frame, layout))
             if bases is not None:
                 by_bases.setdefault(bases, []).append(member)
         for bases, group in by_bases.items():
@@ -1077,33 +1080,33 @@ class BasisPool:
 
 
 class _Bases:
-    """A :class:`BasisPool`'s bases of one frame, layout and objective count."""
+    """A :class:`BasisPool`'s bases of one frame and layout."""
 
-    def __init__(self, frame, layout, count, bases):
-        cols, self.labels, positions = zip(*bases)
+    def __init__(self, frame, layout, bases):
+        cols, self.labels = zip(*bases)
         self.layout = layout
         self.A = frame.columns[layout][:, : layout.n_total]
         self.cols = np.array(cols)
-        self.allowed = np.array([[q in p for p in positions] for q in range(count)])
         B = self.A[:, self.cols].transpose(1, 0, 2)         # B[n] = A[:, cols[n]]
         self.BT = B.transpose(0, 2, 1)
         self.inverses = np.linalg.inv(B)
 
     def answer(self, group, outcomes):
         """Answer in ``outcomes`` each member of ``group`` (of one
-        :func:`solve_stacked` group) whose every objective a basis proves optimal."""
-        layout, M, Q = self.layout, len(group), len(self.allowed)
+        :func:`solve_stacked` group, so of one objective count) whose every
+        objective a basis proves optimal."""
+        layout, M, Q = self.layout, len(group), len(group[0][2])
         b = np.array([b_work for *_, b_work in group]) * layout.row_sign
         # the primal half: x_B of every basis, one batched product per member
         X = (self.inverses.reshape(-1, b.shape[1]) @ b[:, :, None]).reshape(M, *self.cols.shape)
         held = (X >= -_primal_tol(b)[:, None, None]).all(axis=2)
         # entry h * Q + q is objective q of member h
-        distinct = {}       # (position, objective bytes) -> (its index, the objective)
+        distinct = {}       # (sense, objective bytes) -> (its index, the objective)
         objective = np.array([
-            distinct.setdefault((q, sense, c.tobytes()), (len(distinct), (sense, c)))[0]
-            for member in group for q, (sense, c) in enumerate(member[2])])
+            distinct.setdefault((sense, c.tobytes()), (len(distinct), (sense, c)))[0]
+            for member in group for sense, c in member[2]])
         cost = np.array([layout.cost(*obj)[: layout.n_total] for _, obj in distinct.values()])
-        primal = np.repeat(held, Q, axis=0) & np.tile(self.allowed, (M, 1))
+        primal = np.repeat(held, Q, axis=0)
         # the dual half, per objective for the bases that hold for one of its entries
         live = (objective == np.arange(len(cost))[:, None]) @ primal
         d, n = np.nonzero(live)

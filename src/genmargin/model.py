@@ -422,14 +422,10 @@ class LrmcSolve:
 def solve_lrmc(params: SystemParams, *, pool: BasisPool = None) -> LrmcSolve:
     """Solve the long-run model and map back to model coordinates.
 
-    Investment splits can be non-unique: capacity built in period 1 but
-    idle until period 2 costs exactly what period-2 capacity costs, so the
-    optimal face may contain a segment of investment plans.  Ties are
-    broken toward deferred investment (minimal period-1 build), which is
-    the convention of the closed-form results.
-    The tie-break objective perturbs only vertex selection and is solved
-    over the same phase 1 as the true one; duals are always taken from the
-    unperturbed solve.
+    Where several builds are optimal (at a cost tie, or capacity built in
+    period 1 but idle until period 2), ``decision`` is the optimal vertex
+    the solve ends at; the reports freeze the closed form's build instead
+    (README, "Notes on conventions").
 
     With a ``pool`` (``lp.BasisPool``) the LP is answered as
     ``lp.run_step`` answers it then: from a pooled basis that proves it
@@ -441,19 +437,13 @@ def solve_lrmc(params: SystemParams, *, pool: BasisPool = None) -> LrmcSolve:
 def lrmc_step(params: SystemParams):
     """:func:`solve_lrmc` as a step that yields its one LP request (see
     :class:`~genmargin.lp.LpRequest`)."""
-    prob = build_lrmc_primal(params)
-    mu = 1e-9 * (1.0 + float(np.abs(prob.c).max()))
-    c2 = prob.c.copy()
-    c2[0] += mu   # I_r1
-    c2[2] += mu   # I_f1
-    sol, tie = yield LpRequest(prob, ((prob.sense, prob.c), ("min", c2)))
+    (sol,) = yield LpRequest.own(build_lrmc_primal(params))
     if not sol.optimal:
         # With CL > 0 and finite caps the model is always feasible/bounded.
         raise ModelError(f"long-run model unexpectedly {sol.status}")
-    decision_sol = tie if tie.optimal else sol
     return LrmcSolve(
         params=params,
-        decision=extract_decision(decision_sol),
+        decision=extract_decision(sol),
         duals=extract_duals(sol),
         objective=float(sol.objective),
         lp_solution=sol,

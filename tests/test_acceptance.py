@@ -82,7 +82,7 @@ def test_criterion_1_group_table_reproduction():
             bad.append((gid, "classification"))
             continue
         res = analytic_solution(params, group)
-        lr = solve_lrmc(params)   # canonical tie-break toward deferred build
+        lr = solve_lrmc(params)   # the simplex's vertex: the closed form's build here
         d_err = float(np.max(np.abs(res.decision.as_vector()
                                     - lr.decision.as_vector())))
         l_err = max(abs(res.lrmc[0] - lr.duals.lam_1),

@@ -349,7 +349,7 @@ class TestSweep:
             group = classify(params)
             analytic = analytic_solution(params, group)
             lr = solve_lrmc(params)
-            short = compute_srmc(params, lr.decision, lrmc_objective=lr.objective)
+            short = compute_srmc(params, analytic.decision, lrmc_objective=lr.objective)
             want = (group.gid, analytic.profile_id, *analytic.lrmc, *short.resolved,
                     cost_recovery(analytic.lrmc, analytic.decision, params).profit,
                     cost_recovery(short.resolved, analytic.decision, params).profit,
@@ -680,7 +680,8 @@ class TestSelftest:
             gids.add(rep.gid)
             ok = rep.passed
             if ok:
-                short = compute_srmc(params, lr.decision, lrmc_objective=lr.objective)
+                short = compute_srmc(params, rep.analytic.decision,
+                                     lrmc_objective=lr.objective)
                 want.append(short)
                 for t in (0, 1):
                     cp = short.marginal_cp[t]

@@ -47,9 +47,9 @@ def params_at(point):
 
 
 def requests_at(point):
-    """The request of each model LP kind at ``point``: the long-run primal
-    with its tie-break, the explicit dual, and the short-run primal frozen
-    at the long-run build, unperturbed and perturbed."""
+    """The request of each model LP kind at ``point``: the long-run primal,
+    the explicit dual, and the short-run primal frozen at the long-run
+    build, unperturbed and perturbed."""
     params = params_at(point)
     istar = solve_lrmc(params).decision
     if point == "zero istar":

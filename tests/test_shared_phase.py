@@ -66,7 +66,8 @@ def separately(problem, objectives):
 
 
 def tie_break(problem):
-    """The long-run objective and its deferred-investment tie-break."""
+    """The long-run objective and a second one that costs each period-1
+    build a little more, so two objectives over one phase 1."""
     c2 = problem.c.copy()
     mu = 1e-9 * (1.0 + float(np.abs(problem.c).max()))
     c2[[0, 2]] += mu
@@ -314,9 +315,9 @@ def requests_of(step):
 
 
 def sweep_requests(params):
-    """The LP requests of one sweep row: the long-run primal with its
-    tie-break, the frozen short-run primal, its dual-range region and the
-    perturbed short-run primal."""
+    """The LP requests of one scenario: the long-run primal, the
+    short-run primal frozen at its build, that primal's dual-range region
+    and the perturbed short-run primal."""
     lr = solve_lrmc(params)
     return (requests_of(lrmc_step(params))
             + requests_of(srmc_step(params, lr.decision, lrmc_objective=lr.objective)))
@@ -337,7 +338,7 @@ def assert_batch_matches(requests, seed=0):
 def test_sweep_lps_match_solve_objectives_in_a_batch(stack_min):
     requests = [r for params in scenarios() for r in sweep_requests(params)]
     kinds = [len(r.objectives) for r in requests[:4]]
-    assert kinds == [2, 1, 4, 1]        # long run + tie-break, frozen, region, perturbed
+    assert kinds == [1, 1, 4, 1]        # long run, frozen, region, perturbed
     assert_batch_matches(requests)
 
 
