@@ -524,8 +524,11 @@ def _rules_hold(params, srmc) -> bool:
 
 def _emit(text: str, path: str):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 

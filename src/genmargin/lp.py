@@ -57,14 +57,14 @@ costs only the right-hand side moves from row to row, and an optimal
 basis stays optimal over a whole critical region (Gal & Nedoma,
 "Multiparametric linear programming", Mgmt. Sci. 1972); explicit MPC
 stores such bases offline in the same way (Borrelli, Bemporad & Morari,
-JOTA 2003).  So before the simplex runs, each request is tried against
-the atlas bases of its frame and layout: :func:`run_lockstep` (and so
-:func:`run_step`) passes the pool to every round.  The dual half of that
-certificate (every reduced cost at least ``-_rc_tol(cost)``) runs once per
-distinct objective of a group, the primal half (``x_B = B⁻¹b``, every
-entry at least ``-_primal_tol(b)``) once per request, and the first atlas
-basis that passes both answers.  So a certified answer depends on its
-request alone, not on the rows before it or beside it.  It builds no
+JOTA 2003).  So before the simplex runs, each one-objective request is
+tried against the atlas bases of its frame and layout: :func:`run_lockstep`
+(and so :func:`run_step`) passes the pool to every round.  The dual half
+of that certificate (every reduced cost at least ``-_rc_tol(cost)``) runs
+once per distinct objective of a group, the primal half (``x_B = B⁻¹b``,
+every entry at least ``-_primal_tol(b)``) once per request, and the first
+atlas basis that passes both answers.  So a certified answer depends on
+its request alone, not on the rows before it or beside it.  It builds no
 tableau and reports ``iterations=0``; the rest are pivoted as above.  A
 certified optimum is the simplex's own where that is unique.  Where it
 is degenerate, the certified basis may be another optimal one than
@@ -96,26 +96,34 @@ and 95.9% of them were certified over 3,000 draws of seed 11.  Two kinds
 stay pivoted on purpose.  ``cross_check``'s explicit dual is solved by
 :func:`solve_lp`, so strong duality compares a certified primal with an
 independently pivoted dual, and an unsound certificate shows as a gap.
-The dual-range regions each have a frame of their own
-(:func:`_pinned_region`), so no atlas basis is tried on them.
+The dual-range regions ask four objectives each, and a request of more
+than one objective is always pivoted.
 
 Groups smaller than :data:`STACK_MIN` (8) are solved one by one, because
 the kernel's fixed cost per pivot round then outweighs what it saves.  The
 constant was measured on a 2-core x86-64 machine (Python 3.11, numpy 2.4,
-one BLAS thread) on 64 ``random_params`` scenarios per LP kind, median of
-7 repeats: the stacked time over the one-by-one time at K = 4 / 6 / 8 was
-1.17 / 0.87 / 0.72 for long-run primals (then solved with a second
-objective), 0.92 / 0.70 / 0.61 for dual-range regions (four objectives)
-and 1.27 / 1.06 / 0.88 for short-run primals (one objective); at K = 32 it
-was 0.31, 0.29 and 0.40.
+one BLAS thread).  Per LP kind, the requests of 64 ``random_params``
+scenarios that share one layout were solved in groups of K, by the kernel
+and one by one; the median of 7 repeats of the stacked over the
+one-by-one time at K = 4 / 6 / 8 / 32 was
+
+* 1.36 / 1.12 / 0.83 / 0.36 for long-run primals,
+* 1.47 / 0.95 / 0.82 / 0.32 for frozen short-run primals,
+* 1.35 / 1.11 / 0.88 / 0.38 for perturbed short-run primals (these three
+  one objective each), and
+* 0.81 / 0.65 / 0.54 / 0.29 for dual-range regions (four objectives).
+
+A second draw of scenarios moved no ratio by more than 0.3, and none at
+K = 8 by more than 0.1.  So one-objective groups break even between K = 6
+and 8, and the four-objective regions win at every K measured.
 
 Fixed costs per solve
 ---------------------
 The model's LP kinds each have one frame (:class:`_Frame`), built and
-checked at import: ``A``, relations, lower bounds and labels, the
-lower-bound shift, and per row-sign pattern the standard form's layout
-and columns.  A model LP checks only its ``c`` and ``b``; a solve builds
-only its right-hand side and tableau.  A layout depends only on the
+checked at import: ``A``, relations, lower bounds and labels, and per
+row-sign pattern the standard form's layout and columns.  A model LP
+checks only its ``c`` and ``b``; a solve builds only its right-hand side
+and tableau.  A layout depends only on the
 relations, the free-variable split and the row signs, so frames share it
 through a bounded cache (:func:`_layout`, :data:`_LAYOUTS` entries); it is
 :func:`solve_stacked`'s group key.  Column labels are cached the same way
@@ -129,8 +137,9 @@ Conventions
 -----------
 * ``sense`` is ``"min"`` or ``"max"``.
 * Each row carries a relation from ``{"<=", "=", ">="}``.
-* Variables have individual lower bounds: ``0.0`` (default), any finite
-  value, or ``-inf`` for a free variable.  No upper bounds (use a row).
+* Variables have individual lower bounds: ``0.0`` (default) or ``-inf``
+  for a free variable; :class:`LinearProgram` rejects any other.  No upper
+  bounds (use a row).
 * Dual signs: for a minimization, ``>=`` rows carry nonnegative duals,
   ``<=`` rows nonpositive ones, equality rows are unrestricted.  For a
   maximization the signs flip.  Strong duality then reads
@@ -263,11 +272,10 @@ class LinearProgram:
 class _Frame:
     """What LPs that differ only in ``c``, ``b`` and the offset share:
     ``A`` (a float array is taken as it is), the relations, the lower
-    bounds and the labels, all read-only and checked once, here.  Also what
-    every solve derives from them alone: the lower-bound shift, the rows
-    ``A @ shift`` it takes off ``b`` (``None`` where that leaves ``b`` as
-    it is, bit for bit), the free-variable mask, and per row-sign pattern
-    seen (at most 16 for the model's LPs) a layout and its columns.
+    bounds (each 0 or ``-inf``) and the labels, all read-only and checked
+    once, here.  Also what every solve derives from them alone: the
+    free-variable mask, and per row-sign pattern seen (at most 16 for the
+    model's LPs) a layout and its columns.
     """
 
     def __init__(self, A, relations, lower_bounds=None, var_labels=None, row_labels=None):
@@ -287,6 +295,8 @@ class _Frame:
                 raise LpInputError("lower_bounds length must match column count")
             if not all(v < math.inf for v in lb.tolist()):     # NaN fails too
                 raise LpInputError("lower bounds must be finite or -inf")
+            if any(v != 0.0 and v > -math.inf for v in lb.tolist()):
+                raise LpInputError("finite lower bounds must be 0")
         if not _all_finite(A):
             raise LpInputError("A, b must be finite")
         vl = None if var_labels is None else tuple(var_labels)
@@ -299,12 +309,8 @@ class _Frame:
         self.var_labels, self.row_labels = vl, rl
         self.fields = dict(A=A, relations=rel, lower_bounds=lb, var_labels=vl,
                            row_labels=rl, n_rows=m, n_vars=n)
-        self.shift = np.where(np.isfinite(lb), lb, 0.0)
-        shifted = A @ self.shift
-        for a in (A, lb, self.shift, shifted):
+        for a in (A, lb):
             a.setflags(write=False)
-        # b - (+0.0) is b
-        self.shifted = shifted if shifted.any() or np.signbit(shifted).any() else None
         self.free = np.isinf(lb).tobytes()
         self._layouts = {}          # negative-b mask (bytes) -> layout
         self.columns = {}           # layout -> its standard-form columns, artificial last
@@ -320,10 +326,10 @@ class _Frame:
                        objective_offset=objective_offset)
         return p
 
-    def layout(self, b_work) -> "_Layout":
-        """The layout of the standard form whose shifted right-hand side is
-        ``b_work``, its columns put in :attr:`columns` when first seen."""
-        negative = (b_work < 0).tobytes()
+    def layout(self, b) -> "_Layout":
+        """The layout of the standard form with right-hand side ``b``, its
+        columns put in :attr:`columns` when first seen."""
+        negative = (b < 0).tobytes()
         layout = self._layouts.get(negative)
         if layout is None:
             layout = self._layouts[negative] = _layout(self.relations, self.free, negative)
@@ -432,12 +438,13 @@ class _Layout:
         in ``p``'s names."""
         return _column_labels(self.layout, p.var_labels, p.row_labels)
 
-    def x_rows(self, shift, x_std) -> np.ndarray:
+    def x_rows(self, x_std) -> np.ndarray:
         """The original variables of each row of the standard-form ``x_std``,
-        given each row's ``shift``."""
+        each row contiguous (so ``c @ x`` sums in one order) and each zero
+        +0.0."""
         split = self.col_sign < 0
         x_struct = x_std[:, : self.n_struct]
-        x = shift + x_struct[:, ~split]
+        x = np.add(x_struct[:, ~split], 0.0, order="C")
         x[:, self.col_var[split]] += -x_struct[:, split]
         return x
 
@@ -485,13 +492,6 @@ def _column_labels(layout: _Layout, var_labels, row_labels) -> tuple:
     return tuple(names)
 
 
-def _shifted_rhs(p: LinearProgram):
-    """``(shift, b_work)``: finite lower bounds moved to zero, both arrays
-    read-only (the frame's shift, and ``p.b`` itself where no row moves)."""
-    frame = p._frame
-    return frame.shift, p.b if frame.shifted is None else p.b - frame.shifted
-
-
 class _StandardForm(_Layout):
     """min c.x  s.t.  A x = b, x >= 0, with bookkeeping back to the original.
 
@@ -502,14 +502,13 @@ class _StandardForm(_Layout):
     def __init__(self, p: LinearProgram):
         self.problem = p
 
-        # Shift finite lower bounds to zero; split free variables in two.
-        # Make the right-hand side nonnegative before adding slacks, so the
-        # sign of each slack tells us whether it can start in the basis.
-        self.shift, b_work = _shifted_rhs(p)
-        self.adopt(p._frame.layout(b_work))
+        # Split free variables in two.  Make the right-hand side nonnegative
+        # before adding slacks, so the sign of each slack tells us whether
+        # it can start in the basis.
+        self.adopt(p._frame.layout(p.b))
         # the standard-form columns, then the artificial ones
         self.A = p._frame.columns[self.layout]
-        self.b = b_work * self.row_sign
+        self.b = p.b * self.row_sign
 
 
 def _iteration_limit() -> IterationLimitError:
@@ -689,7 +688,7 @@ def _tableau_optimum(problem, sf, tab, sense, c, cost) -> LpSolution:
     for i in range(m):
         if basis[i] < sf.n_total:
             x_std[basis[i]] = T[i, -1]
-    x = sf.x_rows(sf.shift, x_std[None])[0]
+    x = sf.x_rows(x_std[None])[0]
 
     # Duals of the returned basis: solve B' y = c_B against the pristine
     # standard-form columns (an artificial's being the unit column of its
@@ -793,9 +792,10 @@ def solve_stacked(requests, pool: "BasisPool" = None) -> list:
     tableau, each instance making its own choices; groups smaller than
     :data:`STACK_MIN` are solved one by one.
 
-    With a :class:`BasisPool`, a request that the pool's bases prove
-    optimal (:meth:`BasisPool.certify`) is answered from them, builds no
-    tableau and reports ``iterations=0``; the others are solved as above.
+    With a :class:`BasisPool`, a one-objective request that the pool's
+    bases prove optimal (:meth:`BasisPool.certify`) is answered from them,
+    builds no tableau and reports ``iterations=0``; the others are solved
+    as above.
     A certified answer depends on its request alone.  It is an optimum
     within the simplex's own tolerances, but where the optimum is
     degenerate it need not be the one Bland's rule reaches: its duals
@@ -814,17 +814,16 @@ def solve_stacked(requests, pool: "BasisPool" = None) -> list:
         except ValueError as exc:
             outcomes[k] = exc
             continue
-        shift, b_work = _shifted_rhs(problem)
-        key = (problem._frame.layout(b_work), len(objectives))
-        groups.setdefault(key, []).append((k, problem, objectives, shift, b_work))
-    for (layout, _), members in groups.items():
-        if pool is not None:
+        key = (problem._frame.layout(problem.b), len(objectives))
+        groups.setdefault(key, []).append((k, problem, objectives))
+    for (layout, count), members in groups.items():
+        if pool is not None and count == 1:
             members = pool.certify(layout, members, outcomes)
         if len(members) >= STACK_MIN:
             for (k, *_), out in zip(members, _solve_stack(members, layout)):
                 outcomes[k] = out
         else:
-            for k, problem, objectives, _, _ in members:
+            for k, problem, objectives in members:
                 outcomes[k] = _solve_apart(problem, objectives)
     return outcomes
 
@@ -847,16 +846,15 @@ def _solve_apart(problem, objectives):
 
 class _StackedForm(_Layout):
     """The standard forms of problems that share one layout, stacked:
-    ``A[k]``, ``b[k]`` and ``shift[k]`` are those of ``problems[k]``'s
+    ``A[k]`` and ``b[k]`` are those of ``problems[k]``'s
     :class:`_StandardForm`, whose layout is ``layout``."""
 
-    def __init__(self, problems, shifts, b_works, layout):
+    def __init__(self, problems, layout):
         self.adopt(layout)
         self.problems = problems
-        self.shift = np.array(shifts)
         # each problem's own columns: problems of one layout may have other frames
         self.A = np.array([q._frame.columns[layout] for q in problems])
-        self.b = np.array(b_works) * self.row_sign
+        self.b = np.array([q.b for q in problems]) * self.row_sign
 
     def basis_matrices(self, entry_k, basis):
         """``B.T`` of each entry's basis (columns ``basis[e]`` of instance
@@ -867,8 +865,8 @@ class _StackedForm(_Layout):
 def _solve_stack(members, layout) -> list:
     """:func:`solve_objectives` on every member of the group of ``layout``,
     as one stacked two-phase simplex; outcomes in member order."""
-    _, problems, objectives, shifts, b_works = zip(*members)
-    sf = _StackedForm(problems, shifts, b_works, layout)
+    _, problems, objectives = zip(*members)
+    sf = _StackedForm(problems, layout)
     K, Q, m = len(problems), len(objectives[0]), problems[0].n_rows
     n_total, n_art = sf.n_total, len(sf.art_rows)
     flip = np.array([[sense != "min" for sense, _ in obj] for obj in objectives])
@@ -943,7 +941,7 @@ def _stacked_optima(sf, objectives, cost, T, basis, iters, entry_k, entry_q):
     rows, pos = np.nonzero(basis < n_total)
     x_std = np.zeros((len(basis), n_total))
     x_std[rows, basis[rows, pos]] = T[rows, pos, -1]
-    X = sf.x_rows(sf.shift[entry_k], x_std)
+    X = sf.x_rows(x_std)
 
     # B' y = c_B per entry, in one batched LAPACK call.
     c_B = cost[entry_k[:, None], entry_q[:, None], basis]
@@ -1035,24 +1033,23 @@ class BasisPool:
     first reach it, with ``B⁻¹``.  A basis that holds an artificial column
     is never kept.
 
-    Each objective of a request is answered by the first basis of its
-    frame and layout that passes both halves of the simplex's own
-    optimality test, at its own tolerances; a request is answered when all
-    of its objectives are.  The primal half: ``x_B = B⁻¹b`` is at least
-    ``-_primal_tol(b)`` in standard form, one batched product over the
-    bases per request.  The dual half: the duals
-    ``np.linalg.solve(B.T, c_B)``, the call :func:`_tableau_optimum`
-    makes, leave every reduced cost of the standard form at least
-    ``-_rc_tol(cost)``.  It runs once per distinct objective of a
-    :func:`solve_stacked` group in one batched LAPACK call, only for bases
-    that pass the primal half for one of the objective's requests: a cost
-    sweep has an objective per row, and solving all bases for each is
-    slower than pivoting."""
+    Only requests of one objective are tried (:func:`solve_stacked`).  Each
+    is answered by the first basis of its frame and layout that passes both
+    halves of the simplex's own optimality test, at its own tolerances.
+    The primal half: ``x_B = B⁻¹b`` is at least ``-_primal_tol(b)`` in
+    standard form, one batched product over the bases per request.  The
+    dual half: the duals ``np.linalg.solve(B.T, c_B)``, the call
+    :func:`_tableau_optimum` makes, leave every reduced cost of the
+    standard form at least ``-_rc_tol(cost)``.  It runs once per distinct
+    objective of a :func:`solve_stacked` group in one batched LAPACK call,
+    only for bases that pass the primal half for one of the objective's
+    requests: a cost sweep has an objective per row, and solving all bases
+    for each is slower than pivoting."""
 
     def __init__(self, solved):
         found = {}      # (frame, layout) -> {column set: (columns, labels)}
         for (problem, _), solutions in solved:
-            layout = problem._frame.layout(_shifted_rhs(problem)[1])
+            layout = problem._frame.layout(problem.b)
             names = _column_labels(layout, problem.var_labels, problem.row_labels)
             column = {name: j for j, name in enumerate(names)}
             bases = found.setdefault((problem._frame, layout), {})
@@ -1066,9 +1063,9 @@ class BasisPool:
                        for key, bases in found.items() if bases}
 
     def certify(self, layout, members, outcomes) -> list:
-        """Answer in ``outcomes`` every member of a :func:`solve_stacked`
-        group of ``layout`` that the pool proves optimal; returns the
-        others, in order."""
+        """Answer in ``outcomes`` every member of a one-objective
+        :func:`solve_stacked` group of ``layout`` that the pool proves
+        optimal; returns the others, in order."""
         by_bases = {}
         for member in members:
             bases = self._bases.get((member[1]._frame, layout))
@@ -1092,51 +1089,44 @@ class _Bases:
         self.inverses = np.linalg.inv(B)
 
     def answer(self, group, outcomes):
-        """Answer in ``outcomes`` each member of ``group`` (of one
-        :func:`solve_stacked` group, so of one objective count) whose every
-        objective a basis proves optimal."""
-        layout, M, Q = self.layout, len(group), len(group[0][2])
-        b = np.array([b_work for *_, b_work in group]) * layout.row_sign
+        """Answer in ``outcomes`` each member of ``group`` (one-objective
+        requests of one :func:`solve_stacked` group) whose objective a
+        basis proves optimal."""
+        layout = self.layout
+        b = np.array([problem.b for _, problem, _ in group]) * layout.row_sign
         # the primal half: x_B of every basis, one batched product per member
-        X = (self.inverses.reshape(-1, b.shape[1]) @ b[:, :, None]).reshape(M, *self.cols.shape)
+        X = (self.inverses.reshape(-1, b.shape[1]) @ b[:, :, None]).reshape(
+            len(group), *self.cols.shape)
         held = (X >= -_primal_tol(b)[:, None, None]).all(axis=2)
-        # entry h * Q + q is objective q of member h
         distinct = {}       # (sense, objective bytes) -> (its index, the objective)
         objective = np.array([
             distinct.setdefault((sense, c.tobytes()), (len(distinct), (sense, c)))[0]
-            for member in group for sense, c in member[2]])
+            for _, _, ((sense, c),) in group])
         cost = np.array([layout.cost(*obj)[: layout.n_total] for _, obj in distinct.values()])
-        primal = np.repeat(held, Q, axis=0)
-        # the dual half, per objective for the bases that hold for one of its entries
-        live = (objective == np.arange(len(cost))[:, None]) @ primal
+        # the dual half, per objective for the bases that hold for one of its members
+        live = (objective == np.arange(len(cost))[:, None]) @ held
         d, n = np.nonzero(live)
         Y = np.linalg.solve(self.BT[n], cost[d[:, None], self.cols[n]][..., None])[..., 0]
         dual = np.zeros_like(live)
         dual[d, n] = (cost[d] - (Y[:, None] @ self.A)[:, 0] >= -_rc_tol(cost)[d, None]).all(axis=1)
-        both = primal & dual[objective]
-        rows = np.flatnonzero(both.any(axis=1).reshape(M, Q).all(axis=1))
+        both = held & dual[objective]
+        rows = np.flatnonzero(both.any(axis=1))
         if not rows.size:
             return
-        entries = (rows[:, None] * Q + np.arange(Q)).ravel()
-        pick = both[entries].argmax(axis=1)         # the first basis that passes both
-        x_std = np.zeros((len(entries), layout.n_total))
-        x_std[np.arange(len(entries))[:, None], self.cols[pick]] = X[entries // Q, pick]
-        x = layout.x_rows(np.repeat([group[h][3] for h in rows.tolist()], Q, axis=0), x_std)
+        pick = both[rows].argmax(axis=1)            # the first basis that passes both
+        x_std = np.zeros((len(rows), layout.n_total))
+        x_std[np.arange(len(rows))[:, None], self.cols[pick]] = X[rows, pick]
+        x = layout.x_rows(x_std)
         pair = dict(zip(zip(d.tolist(), n.tolist()), range(len(d))))   # -> its row of Y
-        tags = list(zip(objective[entries].tolist(), pick.tolist()))
-        duals, e = {}, 0
-        for h in rows.tolist():
-            k, problem, objectives, _, _ = group[h]
-            answers = []
-            for sense, c in objectives:
-                if tags[e] not in duals:        # the same for every entry of the tag
-                    duals[tags[e]] = _duals(problem, sense, c, Y[pair[tags[e]]], layout.row_sign)
-                    for a in duals[tags[e]]:
-                        a.setflags(write=False)
-                answers.append(_optimum(problem, c, x[e], duals[tags[e]],
-                                        self.labels[tags[e][1]], 0))
-                e += 1
-            outcomes[k] = tuple(answers)
+        duals = {}
+        for e, (h, tag) in enumerate(zip(rows.tolist(),
+                                         zip(objective[rows].tolist(), pick.tolist()))):
+            k, problem, ((sense, c),) = group[h]
+            if tag not in duals:                # the same for every member of the tag
+                duals[tag] = _duals(problem, sense, c, Y[pair[tag]], layout.row_sign)
+                for a in duals[tag]:
+                    a.setflags(write=False)
+            outcomes[k] = (_optimum(problem, c, x[e], duals[tag], self.labels[tag[1]], 0),)
 
 
 # ---------------------------------------------------------------------------
@@ -1146,22 +1136,21 @@ class _Bases:
 
 def _pinned_region(problem: LinearProgram, z_min: float):
     """``(region, signs)``: the feasible region of the dual of ``problem``'s
-    minimization form (finite lower bounds shifted to 0), pinned to that
-    LP's optimal value ``z_min``, built straight from ``problem``.  Variable
+    minimization form, pinned to that LP's optimal value ``z_min``, built
+    straight from ``problem``.  Variable
     ``i`` is ``signs[i]`` times row ``i``'s dual (negated for a ``<=`` row,
     so each is nonnegative or free); there is one row per primal column
     (``=`` for a free one, ``<=`` otherwise) and a last row that pins the
     dual objective."""
-    shift, b_work = _shifted_rhs(problem)
     c_min = problem.c if problem.sense == "min" else -problem.c
     signs = np.array([-1.0 if rel == LE else 1.0 for rel in problem.relations])
     region = LinearProgram(
         sense="min",
         c=np.zeros(problem.n_rows),
-        A=np.vstack([problem.A.T * signs[None, :], signs * b_work]),
+        A=np.vstack([problem.A.T * signs[None, :], signs * problem.b]),
         relations=tuple(EQ if math.isinf(lb) else LE
                         for lb in problem.lower_bounds.tolist()) + (EQ,),
-        b=np.concatenate([c_min, [z_min - float(c_min @ shift)]]),
+        b=np.concatenate([c_min, [z_min]]),
         lower_bounds=np.array([-np.inf if rel == EQ else 0.0 for rel in problem.relations]),
     )
     return region, signs
@@ -1272,12 +1261,12 @@ def detect_degeneracy(problem: LinearProgram, solution: LpSolution) -> Degenerac
     dual_multiple = tuple(dual_interval_has_width(lo, hi) for lo, hi in
                           dual_value_ranges(problem, range(problem.n_rows),
                                             solution=solution))
-    x, lb = solution.x, problem.lower_bounds
+    x = solution.x
     deg = current().deg
     values = {}
     for j in range(problem.n_vars):
         lbl = problem.var_label(j)
-        values[lbl] = x[j] - lb[j] if np.isfinite(lb[j]) else x[j]
+        values[lbl] = x[j]
         values[lbl + "~"] = -x[j]
     resid = problem.A @ x
     for i, rel in enumerate(problem.relations):

@@ -25,6 +25,7 @@ each other as independent routes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .groups import AnalyticResult, analytic_solution, classify, marginal_cp
@@ -97,11 +98,20 @@ def compute_srmc(params: SystemParams, istar, *, epsilon: float = None,
 
     ``istar`` must be the investment part of an optimal long-run decision;
     this is verified by comparing against the long-run optimum (re-solved
-    here unless the caller passes a known ``lrmc_objective``), and inputs
-    that fail it are rejected.  ``analytic`` may carry the caller's closed
-    form for these ``params`` (``analytic_solution(params, classify(params))``),
-    whose long-run prices the rules are read against; it is classified and
-    evaluated here otherwise.
+    here unless the caller passes a known, finite ``lrmc_objective``), and
+    inputs that fail it are rejected.  ``analytic`` may carry the caller's
+    closed form for these ``params`` (``analytic_solution(params,
+    classify(params))``); it is classified and evaluated here otherwise.
+
+    The rules and ``marginal_cp`` are read against the closed form's build
+    and long-run prices, not against ``istar``.  So pass the closed form's
+    build, ``analytic_solution(params, classify(params)).decision``, as
+    every verb and the README quick start do.  Off cost ties it is the
+    only optimal build.  At an exact tie (``cl`` on a rung of the cost
+    ladder, or zero demand) another optimal vertex, such as
+    ``solve_lrmc(params).decision``, passes the optimality check but may
+    resolve to prices that break the rules: 190 of the 600 ties of
+    ``tests/test_ties.py`` do.
     """
     return run_step(srmc_step(params, istar, epsilon=epsilon,
                               lrmc_objective=lrmc_objective, analytic=analytic))
@@ -111,10 +121,13 @@ def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
               lrmc_objective: float = None, analytic: AnalyticResult = None):
     """:func:`compute_srmc` as a step that yields its LP requests (see
     :class:`~genmargin.lp.LpRequest`): :func:`resolved_step`'s two solves
-    with the dual intervals of the frozen model between them."""
+    with the dual intervals of the frozen model between them.  As there,
+    the rules are read against the closed form's build, so ``istar``
+    should be that build."""
     eps = default_epsilon(params) if epsilon is None else float(epsilon)
-    if eps <= 0:
-        raise SrmcError("epsilon must be positive to resolve degeneracy")
+    if not 0 < eps < math.inf:      # NaN fails too
+        raise SrmcError(f"epsilon must be positive and finite to resolve degeneracy, "
+                        f"got {eps!r}")
 
     if lrmc_objective is None:
         (lr_sol,) = yield LpRequest.own(build_lrmc_primal(params))
@@ -155,7 +168,10 @@ def resolved_step(params: SystemParams, istar, z_star: float):
 
 def _frozen_step(params, istar, z_star):
     """``(frozen LP, its optimum)`` at epsilon 0; rejects an ``istar`` whose
-    short-run cost is not the long-run optimum ``z_star``."""
+    short-run cost is not the long-run optimum ``z_star``, and a ``z_star``
+    that is not finite."""
+    if not math.isfinite(z_star):
+        raise SrmcError(f"long-run optimum must be finite, got {z_star!r}")
     frozen = build_srmc_primal(params, istar, epsilon=0.0)
     (sol0,) = yield LpRequest.own(frozen)
     if not sol0.optimal:

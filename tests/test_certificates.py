@@ -3,11 +3,12 @@ optimal.
 
 ``solve_stacked`` with a ``BasisPool`` first tries the optimal bases of
 the solves the pool was made from, for requests of the same frame and
-layout.  A basis that is not primal feasible at the new right-hand side,
-or not dual feasible for the objectives, must leave the answer to the
-simplex, whose outcome is then ``solve_objectives``' bit for bit.  The
-pool never changes, so an answer does not depend on what it was asked
-before or beside.
+layout, one objective at a time.  A basis that is not primal feasible
+at the new right-hand side, or not dual feasible for the objective, must
+leave the answer to the simplex, whose outcome is then
+``solve_objectives``' bit for bit, as is that of every request of more
+than one objective.  The pool never changes, so an answer does not
+depend on what it was asked before or beside.
 """
 
 import dataclasses
@@ -107,21 +108,17 @@ def test_basis_of_other_costs_is_not_taken(kind, cl, d2):
     pivoted(BasisPool([(target, theirs)]), target)
 
 
-def test_basis_answers_every_objective_it_proves_optimal():
-    # x0 + x1 = 1: the first objective's optimum is x0, the second's x1.
-    # Swapped, each objective is still answered by its own optimal basis,
-    # whichever position of the pooled request reached it.
-    problem = LinearProgram(sense="min", c=[1.0, 2.0], A=[[1.0, 1.0]],
-                            relations=("=",), b=[1.0])
-    first, second = ("min", np.array([1.0, 2.0])), ("min", np.array([2.0, 1.0]))
-    pool = pool_of(LpRequest(problem, (first, second)))
-    swapped = LpRequest(problem, (second, first))
-    (got,) = solve_stacked([swapped], pool=pool)
-    want = solve_objectives(*swapped)
-    assert [g.iterations for g in got] == [0, 0]
-    assert [g.basis for g in got] == [w.basis for w in want] == [("x1",), ("x0",)]
-    for g, w in zip(got, want):
-        assert_identical(dataclasses.replace(g, iterations=w.iterations), w)
+@pytest.mark.parametrize("kind", [long_run, perturbed])
+def test_request_of_two_objectives_is_pivoted(kind):
+    # the atlas certifies the request's own objective alone, but a request
+    # of two objectives, even that one twice, goes to the simplex
+    pool = cli.basis_atlas(tolerances.current())
+    request = kind(d2=8000.0)
+    (alone,) = solve_stacked([request], pool=pool)
+    assert alone[0].iterations == 0
+    own = request.objectives[0]
+    for objectives in ((own, own), (own, ("max", -request.problem.c))):
+        pivoted(pool, LpRequest(request.problem, objectives))
 
 
 def test_basis_with_an_artificial_column_is_not_kept():

@@ -912,3 +912,21 @@ class TestDumpTables:
         assert main(["dump-tables"]) == EXIT_OK
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 42
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("verb", ["run", "sweep", "dump-tables"])
+    def test_unwritable_path_is_a_validation_error(self, tmp_path, capsys, verb):
+        # a path in a missing directory is named, not raised as a traceback
+        out = tmp_path / "missing" / "out.csv"
+        payload = dict(CANONICAL, output={"format": "csv", "path": str(out)},
+                       sweep=[{"param": "d2", "from": 100, "to": 200, "steps": 2}])
+        if verb == "run":
+            del payload["sweep"]
+        args = (["dump-tables", "--path", str(out)] if verb == "dump-tables"
+                else [verb, write_config(tmp_path, payload)])
+        assert main(args) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output: ")
+        assert str(out) in captured.err and captured.out == ""
+        assert not out.parent.exists()

@@ -121,7 +121,7 @@ def test_framed_and_full_lps_of_one_layout_stack_together(stacks):
     framed = [requests_at(point)["long-run primal"] for point in POINTS]
     batch = framed + [full(r) for r in framed]
     batch = (batch * lp.STACK_MIN)[: lp.STACK_MIN]
-    assert len({r.problem._frame.layout(lp._shifted_rhs(r.problem)[1]) for r in batch}) == 1
+    assert len({r.problem._frame.layout(r.problem.b) for r in batch}) == 1
     assert_all_identical(solve_stacked(batch), [solve_objectives(*r) for r in batch])
     assert stacks == [lp.STACK_MIN]
 
@@ -138,7 +138,7 @@ def test_dual_range_regions_with_their_own_matrices_stack_together(stacks):
     problems = [r.problem for r in regions]
     assert len({p.A.tobytes() for p in problems}) == len({id(p._frame) for p in problems}) \
         == len(regions)
-    assert len({p._frame.layout(lp._shifted_rhs(p)[1]) for p in problems}) == 1
+    assert len({p._frame.layout(p.b) for p in problems}) == 1
     assert_all_identical(solve_stacked(regions), [solve_objectives(*r) for r in regions])
     assert stacks == [len(regions)]
 
@@ -179,6 +179,7 @@ def test_framed_instance_is_checked(sense, c, b, message):
     (dict(relations=(">=",)), r"^matrix has 2 rows but \|relations\| = 1$"),
     (dict(relations=(">=", "<")), "^unknown relation '<'$"),
     (dict(lower_bounds=[0.0, math.nan]), "^lower bounds must be finite or -inf$"),
+    (dict(lower_bounds=[-1.0, 0.0]), "^finite lower bounds must be 0$"),
 ])
 def test_malformed_frame_is_rejected_when_built(over, message):
     data = dict(A=[[1.0, 1.0], [1.0, -1.0]], relations=(">=", "<="))

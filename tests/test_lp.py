@@ -108,6 +108,7 @@ class TestBasics:
         (dict(c=[-math.inf, 1.0]), "c must be finite"),
         (dict(A=[[math.nan, 1.0], [1.0, -1.0]]), "A, b must be finite"),
         (dict(b=[math.inf, 0.0]), "A, b must be finite"),
+        (dict(lower_bounds=[0.0, 1.0], var_labels=("a", "a")), "finite lower bounds must be 0"),
     ]
 
     @pytest.mark.parametrize("over, message", MALFORMED)
@@ -128,11 +129,23 @@ class TestBasics:
         assert p.c[0] == 1e308 and np.isneginf(p.lower_bounds).all()
         assert not (p.A.flags.writeable or p.c.flags.writeable)
 
-    def test_shifted_lower_bound(self):
-        # min x s.t. x >= 1 with lb x >= 2 -> x = 2
-        p = lp("min", [1.0], [[1.0]], (">=",), [1.0], lb=[2.0])
-        sol = solve_lp(p)
-        assert_allclose(sol.x, [2.0])
+    @pytest.mark.parametrize("bound", [2.0, -1.5, 5e-324])
+    def test_finite_nonzero_lower_bound_rejected(self, bound):
+        # a finite bound other than 0 is not supported: write it as a row
+        with pytest.raises(LpInputError, match="^finite lower bounds must be 0$"):
+            lp("min", [1.0, 1.0], [[1.0, 1.0]], (">=",), [1.0], lb=[-math.inf, bound])
+        sol = solve_lp(lp("min", [1.0], [[1.0]], (">=",), [1.0], lb=[-0.0]))
+        assert sol.x.tobytes() == np.array([1.0]).tobytes()
+
+    def test_original_variables_read_plus_zero_in_contiguous_rows(self):
+        # x0 >= 0 and x1 free (columns x0, x1, x1~, then a slack): a -0.0
+        # basic value reads +0.0, and each row of x is contiguous, so that
+        # c @ x sums in the same order whichever path made x
+        p = lp("min", [1.0, 1.0], [[1.0, 1.0]], (">=",), [1.0], lb=[0.0, -math.inf])
+        sf = lp_module._StandardForm(p)
+        x = sf.x_rows(np.array([[-0.0, 2.0, 0.0, 0.0], [3.0, -0.0, 0.0, 1.0]]))
+        assert x.tobytes() == np.array([[0.0, 2.0], [3.0, 0.0]]).tobytes()
+        assert x.flags.c_contiguous
 
 
 class TestDegeneracyAndRanges:

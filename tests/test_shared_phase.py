@@ -162,7 +162,7 @@ def test_dual_range_region_is_built_straight_from_the_problem():
         for eps in (0.0, default_epsilon(params)):
             short = build_srmc_primal(params, lr.decision, epsilon=eps)
             cases.append((short, solve_lp(short)))
-    for p, objectives in random_lps() + random_lps(seed=12, shifted=True):
+    for p, objectives in random_lps() + random_lps(seed=12):
         for sense, c in objectives:
             problem = dataclasses.replace(p, sense=sense, c=c)
             solution = solve_lp(problem)
@@ -246,10 +246,9 @@ def test_objectives_with_other_tolerances_share_one_phase_one(monkeypatch):
         assert_identical(got, w)
 
 
-def random_lps(seed=11, count=150, shifted=False):
+def random_lps(seed=11, count=150):
     """Small random LPs with free variables and offsets, three objectives
-    each; some are infeasible and some objectives unbounded.  ``shifted``
-    gives some variables a finite nonzero lower bound."""
+    each; some are infeasible and some objectives unbounded."""
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(count):
@@ -259,8 +258,6 @@ def random_lps(seed=11, count=150, shifted=False):
         b = np.concatenate([np.round(rng.uniform(-2, 3, size=m), 1),
                             rng.uniform(1, 4, size=n)])
         lb = np.where(rng.uniform(size=n) < 0.3, -np.inf, 0.0)
-        if shifted:
-            lb = np.where(rng.uniform(size=n) < 0.4, -1.5, lb)
         p = LinearProgram(sense="min", c=np.zeros(n), A=A, relations=rel, b=b,
                           lower_bounds=lb, objective_offset=2.5)
         objectives = [(str(rng.choice(["min", "max"])), np.round(rng.uniform(-2, 2, size=n), 1))
@@ -351,7 +348,7 @@ def test_zero_capacity_short_run_lps_match_in_a_batch(stack_min):
 
 
 def test_random_lps_match_solve_objectives_in_a_batch(stack_min):
-    cases = random_lps() + random_lps(seed=12, shifted=True) + [
+    cases = random_lps() + random_lps(seed=12) + [
         INFEASIBLE, HALF_UNBOUNDED, TOLERANCE_SPLIT, PHASE_TWO_TOLERANCES] * 3
     p, objectives = PHASE_TWO_TOLERANCES
     assert [s.iterations for s in solve_objectives(p, objectives)] == [1, 0]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -84,6 +86,24 @@ class TestComputeSrmc:
         lr = solve_lrmc(params)
         with pytest.raises(SrmcError):
             compute_srmc(params, lr.decision, epsilon=0.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, eps):
+        params = canonical()
+        lr = solve_lrmc(params)
+        with pytest.raises(SrmcError, match="^epsilon must be positive and finite"):
+            compute_srmc(params, lr.decision, epsilon=eps)
+
+    @pytest.mark.parametrize("z_star", [math.nan, math.inf, -math.inf])
+    def test_non_finite_long_run_optimum_rejected(self, z_star):
+        # a NaN optimum once let a build that serves nothing pass as optimal
+        params = canonical()
+        message = f"^long-run optimum must be finite, got {z_star!r}$"
+        for istar in ((0.0, 0.0, 0.0, 0.0), solve_lrmc(params).decision):
+            with pytest.raises(SrmcError, match=message):
+                compute_srmc(params, istar, lrmc_objective=z_star)
+            with pytest.raises(SrmcError, match=message):
+                run_step(resolved_step(params, istar, z_star))
 
     def test_non_optimal_perturbed_solve_rejected(self, monkeypatch):
         # At a zero feasibility tolerance, rounding in phase 1 leaves this
