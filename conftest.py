@@ -32,3 +32,26 @@ def _fresh_tolerances():
     tolerances.current.cache_clear()
     yield
     tolerances.current.cache_clear()
+
+
+@pytest.fixture
+def tableaux(monkeypatch):
+    """A list that grows by its problem for every LP tableau built: one per
+    ``lp.solve_objectives`` call, and one per member of a group that the
+    stacked kernel (``lp._solve_stack``) solves."""
+    from genmargin import lp
+
+    built = []
+    solve, solve_stack = lp.solve_objectives, lp._solve_stack
+
+    def counted(problem, objectives):
+        built.append(problem)
+        return solve(problem, objectives)
+
+    def counted_stack(members, layout):
+        built.extend(problem for _, problem, _ in members)
+        return solve_stack(members, layout)
+
+    monkeypatch.setattr(lp, "solve_objectives", counted)
+    monkeypatch.setattr(lp, "_solve_stack", counted_stack)
+    return built

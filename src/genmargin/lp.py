@@ -21,8 +21,10 @@ its own cost row: a column enters while its reduced cost is below
 artificial 1 and reads no objective, so it prices at ``2 feas`` and a
 feasibility verdict does not depend on the units of the costs.  A region
 is feasible, and a basis primal feasible, within ``feas (1 + max|b|)``
-(:func:`_primal_tol`).  Duals, reduced costs and the objective are read
-off a basis in one place (:func:`_duals`, :func:`_optimum`).
+(:func:`_primal_tol`).  Every optimum the simplex ends on, scalar or
+stacked, is read by one function (:func:`_stacked_optima`), and duals,
+reduced costs and the objective are read off a basis in one place
+(:func:`_duals`, :func:`_optimum`).
 
 Stacked solves
 --------------
@@ -123,12 +125,18 @@ The model's LP kinds each have one frame (:class:`_Frame`), built and
 checked at import: ``A``, relations, lower bounds and labels, and per
 row-sign pattern the standard form's layout and columns.  A model LP
 checks only its ``c`` and ``b``; a solve builds only its right-hand side
-and tableau.  A layout depends only on the
+and tableau.  A standard form is no object of its own: a solve holds its
+frame's columns, its ``b`` negated by the layout's row signs, and cost rows
+(:meth:`_Layout.cost`), and :meth:`_Layout.tableau` lays them out, one
+instance or a stack of them alike.  A layout depends only on the
 relations, the free-variable split and the row signs, so frames share it
-through a bounded cache (:func:`_layout`, :data:`_LAYOUTS` entries); it is
-:func:`solve_stacked`'s group key.  Column labels are cached the same way
-(:func:`_column_labels`).  The dual-range region (:func:`dual_ranges_step`)
-is written straight from the problem and its optimal value
+through a cache that never evicts (:func:`_layout`): one layout is one
+object per process, and it is :func:`solve_stacked`'s group key.
+``selftest``, ``sweep`` and ``run`` make 9 layouts between them; the cache
+grows by one per new pattern of relations, free variables and row signs.
+Column labels are cached the same way (:func:`_column_labels`).  The
+dual-range region (:func:`dual_ranges_step`) is written straight from the
+problem and its optimal value
 (:func:`_pinned_region`), with the arithmetic of an explicit dual LP (so
 the same bytes); its last row is the problem's ``b``, so each region is a
 full :class:`LinearProgram` with a frame of its own.
@@ -382,8 +390,8 @@ class _Layout:
 
     It depends only on the relations, the free-variable split and the row
     signs, so every problem that shares those shares one layout.  Layouts
-    are built once (:func:`_layout`) and shared, so their arrays are
-    read-only.
+    are built once per process (:func:`_layout`) and shared, so their
+    arrays are read-only.
     """
 
     def __init__(self, relations, free, row_sign):
@@ -426,17 +434,15 @@ class _Layout:
                   self.init_basis, self.A_art):
             a.setflags(write=False)
 
-    def cost(self, sense, c) -> np.ndarray:
-        """Standard-form (minimization) cost row of the objective ``(sense,
-        c)``, artificial columns (cost 0) included."""
-        c_min = c if sense == "min" else -c
-        return np.concatenate([self.col_sign * c_min[self.col_var],
-                               np.zeros(self.n_total - self.n_struct + len(self.art_rows))])
-
-    def labels(self, p) -> tuple:
-        """The label of every column (structural, slack, then artificial)
-        in ``p``'s names."""
-        return _column_labels(self.layout, p.var_labels, p.row_labels)
+    def cost(self, flip, C) -> np.ndarray:
+        """Standard-form (minimization) cost rows of the objectives ``C``
+        (last axis: the original variables), each negated where ``flip`` (a
+        ``"max"``), artificial columns (cost 0) included.  ``flip`` has
+        ``C``'s shape but the last axis, whatever that shape is."""
+        cost = np.zeros((*C.shape[:-1], self.n_total + len(self.art_rows)))
+        cost[..., : self.n_struct] = (
+            self.col_sign * np.where(flip[..., None], -C, C)[..., self.col_var])
+        return cost
 
     def x_rows(self, x_std) -> np.ndarray:
         """The original variables of each row of the standard-form ``x_std``,
@@ -448,34 +454,25 @@ class _Layout:
         x[:, self.col_var[split]] += -x_struct[:, split]
         return x
 
-    def tableau(self, costs):
-        """Phase-1 tableau and start basis of this form: rows ``[A | b]``,
-        the phase-1 row, then the cost rows ``costs`` ``(Q, n_total)``.  In
-        a stacked form every array has a leading instance axis, ``costs``
-        too."""
-        *K, m = self.b.shape
+    def tableau(self, A, b, costs):
+        """Phase-1 tableau and start basis of the standard form with columns
+        ``A`` (artificial last) and right-hand side ``b`` (rows negated by
+        :attr:`row_sign`): rows ``[A | b]``, the phase-1 row, then the cost
+        rows ``costs`` ``(Q, columns)``.  In a stack every array has a
+        leading instance axis, ``costs`` too."""
+        *K, m = b.shape
         n_total = self.n_total
-        T = np.zeros((*K, m + 1 + costs.shape[-2], n_total + len(self.art_rows) + 1))
-        T[..., :m, :-1] = self.A
-        T[..., :m, -1] = self.b
-        T[..., m + 1:, :n_total] = costs
+        T = np.zeros((*K, m + 1 + costs.shape[-2], A.shape[-1] + 1))
+        T[..., :m, :-1] = A
+        T[..., :m, -1] = b
+        T[..., m + 1:, :-1] = costs
         for i in self.art_rows:
             T[..., m, :] -= T[..., i, :]
         T[..., m, n_total:-1] = 0.0
         return T, np.tile(self.init_basis, (*K, 1))
 
-    def adopt(self, layout):
-        """Take on the shared ``layout``: its attributes, not a copy of them."""
-        self.layout = layout
-        vars(self).update(vars(layout))
 
-
-#: Layouts, and column labels per layout and pair of label tuples, kept for
-#: reuse.  ``selftest``, ``sweep`` and ``run`` use 9 of each between them.
-_LAYOUTS = 32
-
-
-@functools.lru_cache(maxsize=_LAYOUTS)
+@functools.cache
 def _layout(relations, free: bytes, negative: bytes) -> _Layout:
     """The layout of ``relations`` with the free-variable mask ``free`` and
     the negative right-hand-side mask ``negative`` (bool arrays as bytes)."""
@@ -483,32 +480,14 @@ def _layout(relations, free: bytes, negative: bytes) -> _Layout:
                    np.where(np.frombuffer(negative, dtype=bool), -1.0, 1.0))
 
 
-@functools.lru_cache(maxsize=_LAYOUTS)
+@functools.cache
 def _column_labels(layout: _Layout, var_labels, row_labels) -> tuple:
-    """:meth:`_Layout.labels` of a problem with these label tuples."""
+    """The label of every column of ``layout`` (structural, slack, then
+    artificial) in the names of a problem with these label tuples."""
     names = [_label(var_labels, j, "x") + ("" if s > 0 else "~") for j, s in layout.cols]
     names += [f"s[{_label(row_labels, i, 'row')}]" for i, _ in layout.slack_cols]
     names += [f"a[{_label(row_labels, i, 'row')}]" for i in layout.art_rows]
     return tuple(names)
-
-
-class _StandardForm(_Layout):
-    """min c.x  s.t.  A x = b, x >= 0, with bookkeeping back to the original.
-
-    Only the feasible region is converted here; :meth:`cost` maps any
-    objective over the original variables onto the same columns.
-    """
-
-    def __init__(self, p: LinearProgram):
-        self.problem = p
-
-        # Split free variables in two.  Make the right-hand side nonnegative
-        # before adding slacks, so the sign of each slack tells us whether
-        # it can start in the basis.
-        self.adopt(p._frame.layout(p.b))
-        # the standard-form columns, then the artificial ones
-        self.A = p._frame.columns[self.layout]
-        self.b = p.b * self.row_sign
 
 
 def _iteration_limit() -> IterationLimitError:
@@ -638,7 +617,7 @@ def solve_objectives(problem: LinearProgram, objectives) -> tuple:
     feasible region; one :class:`LpSolution` per pair, in order.
 
     The problem's own ``sense`` and ``c`` are not used; its rows, bounds,
-    labels and ``objective_offset`` are.  The standard form is built once
+    labels and ``objective_offset`` are.  The tableau is built once
     and phase 1 runs once, at its own tolerance (:func:`_phase1_tol`),
     carrying every objective's reduced-cost row through its pivots; each
     phase 2 then starts from its own copy of the phase-1 tableau.  Each
@@ -646,57 +625,42 @@ def solve_objectives(problem: LinearProgram, objectives) -> tuple:
     pivots), is exactly what :func:`solve_lp` returns for the problem with
     that sense and objective.
     """
-    sf = _StandardForm(problem)
+    layout = problem._frame.layout(problem.b)
+    A, b = problem._frame.columns[layout], problem.b * layout.row_sign
     m = problem.n_rows
     if m == 0:
         raise LpInputError("problem must have at least one row")
     objectives = tuple(_checked_objective(problem, sense, c) for sense, c in objectives)
     if not objectives:
         raise LpInputError("no objectives given")
-    costs = np.array([sf.cost(sense, c) for sense, c in objectives])
+    costs = layout.cost(np.array([sense != "min" for sense, _ in objectives]),
+                        np.array([c for _, c in objectives]))
     rc_tols = _rc_tol(costs).tolist()
 
-    T, basis = sf.tableau(costs[:, : sf.n_total])
-    tab = _Tableau(T, basis, m, sf.n_total)
+    T, basis = layout.tableau(A, b, costs)
+    tab = _Tableau(T, basis, m, layout.n_total)
 
     # ---- phase 1, shared ---------------------------------------------
-    if sf.art_rows:
+    if layout.art_rows:
         if tab.run(m, float(_phase1_tol())) == "unbounded":  # cannot happen: objective >= 0
             raise LpError("phase-1 unbounded; numerical corruption")
-        if -T[m, -1] > _primal_tol(sf.b):
+        if -T[m, -1] > _primal_tol(b):
             return tuple(LpSolution(status="infeasible", iterations=tab.iterations)
                          for _ in objectives)
-        _drive_out(T, basis, m, sf.n_total)
+        _drive_out(T, basis, m, layout.n_total)
 
-    # ---- phase 2, one per objective ------------------------------------
-    solutions = []
-    last = len(costs) - 1
-    for q, ((sense, c), cost) in enumerate(zip(objectives, costs)):
-        own = tab if q == last else tab.copy()
-        if own.run(m + 1 + q, rc_tols[q]) == "unbounded":
-            solutions.append(LpSolution(status="unbounded", iterations=own.iterations))
-        else:
-            solutions.append(_tableau_optimum(problem, sf, own, sense, c, cost))
-    return tuple(solutions)
-
-
-def _tableau_optimum(problem, sf, tab, sense, c, cost) -> LpSolution:
-    """The optimal solution that ``tab``'s basis gives objective ``(sense, c)``."""
-    m = problem.n_rows
-    T, basis = tab.T, tab.basis
-    x_std = np.zeros(sf.n_total)
-    for i in range(m):
-        if basis[i] < sf.n_total:
-            x_std[basis[i]] = T[i, -1]
-    x = sf.x_rows(x_std[None])[0]
-
-    # Duals of the returned basis: solve B' y = c_B against the pristine
-    # standard-form columns (an artificial's being the unit column of its
-    # row).
-    y_std = np.linalg.solve(sf.A[:, basis].T, cost[basis])
-    names = sf.labels(problem)
-    return _optimum(problem, c, x, _duals(problem, sense, c, y_std, sf.row_sign),
-                    tuple(map(names.__getitem__, basis.tolist())), tab.iterations)
+    # ---- phase 2, one per objective, each from its own copy --------------
+    ends = [tab.copy() for _ in objectives[1:]] + [tab]
+    status = [own.run(m + 1 + q, tol) for q, (own, tol) in enumerate(zip(ends, rc_tols))]
+    opt = np.array([q for q, s in enumerate(status) if s == "optimal"], dtype=int)
+    optima = iter(_stacked_optima(
+        layout, A[None], (problem,), (objectives,), costs[None],
+        np.array([ends[q].T[:m, -1] for q in opt]).reshape(len(opt), m),
+        np.array([ends[q].basis for q in opt], dtype=int).reshape(len(opt), m),
+        [ends[q].iterations for q in opt], np.zeros_like(opt), opt))
+    return tuple(next(optima) if s == "optimal"
+                 else LpSolution(status="unbounded", iterations=own.iterations)
+                 for s, own in zip(status, ends))
 
 
 # ---------------------------------------------------------------------------
@@ -844,38 +808,20 @@ def _solve_apart(problem, objectives):
         return exc
 
 
-class _StackedForm(_Layout):
-    """The standard forms of problems that share one layout, stacked:
-    ``A[k]`` and ``b[k]`` are those of ``problems[k]``'s
-    :class:`_StandardForm`, whose layout is ``layout``."""
-
-    def __init__(self, problems, layout):
-        self.adopt(layout)
-        self.problems = problems
-        # each problem's own columns: problems of one layout may have other frames
-        self.A = np.array([q._frame.columns[layout] for q in problems])
-        self.b = np.array([q.b for q in problems]) * self.row_sign
-
-    def basis_matrices(self, entry_k, basis):
-        """``B.T`` of each entry's basis (columns ``basis[e]`` of instance
-        ``entry_k[e]``, an artificial's being the unit column of its row)."""
-        return self.A[entry_k[:, None], :, basis]
-
-
 def _solve_stack(members, layout) -> list:
     """:func:`solve_objectives` on every member of the group of ``layout``,
     as one stacked two-phase simplex; outcomes in member order."""
     _, problems, objectives = zip(*members)
-    sf = _StackedForm(problems, layout)
     K, Q, m = len(problems), len(objectives[0]), problems[0].n_rows
-    n_total, n_art = sf.n_total, len(sf.art_rows)
-    flip = np.array([[sense != "min" for sense, _ in obj] for obj in objectives])
-    C = np.array([[c for _, c in obj] for obj in objectives])
-    cost = np.zeros((K, Q, n_total + n_art))      # artificial columns cost 0
-    cost[:, :, : sf.n_struct] = sf.col_sign * np.where(flip[..., None], -C, C)[..., sf.col_var]
+    n_total, n_art = layout.n_total, len(layout.art_rows)
+    # each problem's own columns: problems of one layout may have other frames
+    A = np.array([q._frame.columns[layout] for q in problems])
+    b = np.array([q.b for q in problems]) * layout.row_sign
+    cost = layout.cost(np.array([[sense != "min" for sense, _ in obj] for obj in objectives]),
+                       np.array([[c for _, c in obj] for obj in objectives]))
     rc_tol = _rc_tol(cost)
 
-    T, basis = sf.tableau(cost[:, :, :n_total])
+    T, basis = layout.tableau(A, b, cost)
     iters = np.zeros(K, dtype=int)
 
     # ---- phase 1, shared by each instance's objectives ------------------
@@ -883,7 +829,7 @@ def _solve_stack(members, layout) -> list:
     feasible = np.arange(K)
     if n_art:
         status = _run_stack(T, basis, iters, m, n_total, np.full(K, _phase1_tol()))
-        infeasible = -T[:, m, -1] > _primal_tol(sf.b)
+        infeasible = -T[:, m, -1] > _primal_tol(b)
         for k in range(K):
             if status[k] == _UNBOUNDED:     # cannot happen: phase-1 objective >= 0
                 outcomes[k] = LpError("phase-1 unbounded; numerical corruption")
@@ -915,8 +861,8 @@ def _solve_stack(members, layout) -> list:
     entry_k, entry_q = np.repeat(feasible, Q), np.tile(np.arange(Q), F)
     opt = np.flatnonzero(status2 == _OPTIMAL)
     try:
-        optima = _stacked_optima(sf, objectives, cost, T2[opt], basis2[opt],
-                                 iters2[opt], entry_k[opt], entry_q[opt])
+        optima = _stacked_optima(layout, A, problems, objectives, cost, T2[opt, :m, -1],
+                                 basis2[opt], iters2[opt], entry_k[opt], entry_q[opt])
     except np.linalg.LinAlgError:       # a singular basis: find whose, one by one
         for k in feasible:
             outcomes[k] = _solve_apart(problems[k], objectives[k])
@@ -934,26 +880,31 @@ def _solve_stack(members, layout) -> list:
     return outcomes
 
 
-def _stacked_optima(sf, objectives, cost, T, basis, iters, entry_k, entry_q):
-    """:func:`_tableau_optimum` of every entry of a finished phase-2 stack:
-    entry ``e`` is objective ``entry_q[e]`` of ``sf.problems[entry_k[e]]``."""
-    n_total = sf.n_total
+def _stacked_optima(layout, A, problems, objectives, cost, rhs, basis, iters,
+                    entry_k, entry_q):
+    """The optimal :class:`LpSolution` of every entry of a finished phase 2:
+    entry ``e`` is objective ``entry_q[e]`` of ``problems[entry_k[e]]``,
+    whose standard form of ``layout`` has the columns ``A[entry_k[e]]`` and
+    the cost rows ``cost[entry_k[e]]``; it ended on ``basis[e]`` with the
+    basic values ``rhs[e]`` after ``iters[e]`` pivots."""
+    n_total = layout.n_total
     rows, pos = np.nonzero(basis < n_total)
     x_std = np.zeros((len(basis), n_total))
-    x_std[rows, basis[rows, pos]] = T[rows, pos, -1]
-    X = sf.x_rows(x_std)
+    x_std[rows, basis[rows, pos]] = rhs[rows, pos]
+    X = layout.x_rows(x_std)
 
-    # B' y = c_B per entry, in one batched LAPACK call.
+    # B' y = c_B per entry, in one batched LAPACK call, against the pristine
+    # standard-form columns (an artificial's being the unit column of its row).
     c_B = cost[entry_k[:, None], entry_q[:, None], basis]
-    Y = np.linalg.solve(sf.basis_matrices(entry_k, basis), c_B[..., None])[..., 0]
+    Y = np.linalg.solve(A[entry_k[:, None], :, basis], c_B[..., None])[..., 0]
 
     solutions = []
     for e, (k, q, b) in enumerate(zip(entry_k.tolist(), entry_q.tolist(), basis.tolist())):
-        problem = sf.problems[k]
+        problem = problems[k]
         sense, c = objectives[k][q]
-        names = sf.labels(problem)
+        names = _column_labels(layout, problem.var_labels, problem.row_labels)
         solutions.append(_optimum(problem, c, X[e],
-                                  _duals(problem, sense, c, Y[e], sf.row_sign),
+                                  _duals(problem, sense, c, Y[e], layout.row_sign),
                                   tuple(map(names.__getitem__, b)), int(iters[e])))
     return solutions
 
@@ -1039,7 +990,7 @@ class BasisPool:
     The primal half: ``x_B = B⁻¹b`` is at least ``-_primal_tol(b)`` in
     standard form, one batched product over the bases per request.  The
     dual half: the duals ``np.linalg.solve(B.T, c_B)``, the call
-    :func:`_tableau_optimum` makes, leave every reduced cost of the
+    :func:`_stacked_optima` makes, leave every reduced cost of the
     standard form at least ``-_rc_tol(cost)``.  It runs once per distinct
     objective of a :func:`solve_stacked` group in one batched LAPACK call,
     only for bases that pass the primal half for one of the objective's
@@ -1102,7 +1053,8 @@ class _Bases:
         objective = np.array([
             distinct.setdefault((sense, c.tobytes()), (len(distinct), (sense, c)))[0]
             for _, _, ((sense, c),) in group])
-        cost = np.array([layout.cost(*obj)[: layout.n_total] for _, obj in distinct.values()])
+        flip, C = zip(*((sense != "min", c) for _, (sense, c) in distinct.values()))
+        cost = layout.cost(np.array(flip), np.array(C))[:, : layout.n_total]
         # the dual half, per objective for the bases that hold for one of its members
         live = (objective == np.arange(len(cost))[:, None]) @ held
         d, n = np.nonzero(live)

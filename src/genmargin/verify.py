@@ -26,16 +26,7 @@ from .tolerances import current
 
 
 @dataclass(frozen=True)
-class SlacknessCondition:
-    label: str
-    slack: float
-    dual: float
-    residual: float     # |slack * dual| normalized termwise
-
-
-@dataclass(frozen=True)
 class SlacknessReport:
-    conditions: tuple
     max_residual: float
     passed: bool
 
@@ -52,45 +43,34 @@ def check_complementary_slackness(decision: PrimalDecision, duals: DualValues,
     d, y, p = decision, duals, params
     pairs = []
 
-    def cond(label, slack, dual):
-        pairs.append((label, float(slack), float(dual)))
+    def cond(slack, dual):
+        pairs.append((float(slack), float(dual)))
 
     # dual-side: variable times its dual constraint's slack
     for g in ("r", "f"):
         for t in (1, 2):
-            cond(f"P_{g}{t}", d.generation(g, t),
-                 y.lam(t) - y.beta(g, t) - p.cp(g))
-    cond("I_r1", d.i_r1, y.beta_r1 + y.beta_r2 - y.gamma_r1 - p.ci_r)
-    cond("I_r2", d.i_r2, y.beta_r2 - y.gamma_r2 - p.ci_r)
-    cond("I_f1", d.i_f1, y.beta_f1 + y.beta_f2 - y.gamma_f1 - p.ci_f)
-    cond("I_f2", d.i_f2, y.beta_f2 - y.gamma_f2 - p.ci_f)
+            cond(d.generation(g, t), y.lam(t) - y.beta(g, t) - p.cp(g))
+    cond(d.i_r1, y.beta_r1 + y.beta_r2 - y.gamma_r1 - p.ci_r)
+    cond(d.i_r2, y.beta_r2 - y.gamma_r2 - p.ci_r)
+    cond(d.i_f1, y.beta_f1 + y.beta_f2 - y.gamma_f1 - p.ci_f)
+    cond(d.i_f2, y.beta_f2 - y.gamma_f2 - p.ci_f)
     for t in (1, 2):
-        cond(f"L_{t}", d.shed(t), y.lam(t) - p.cl)
+        cond(d.shed(t), y.lam(t) - p.cl)
 
     # primal-side: dual variable times its primal constraint's slack
     for t in (1, 2):
         bal = (d.generation("r", t) + d.generation("f", t) + d.shed(t)
                - p.demand[t - 1])
-        cond(f"balance_{t}", bal, y.lam(t))
+        cond(bal, y.lam(t))
     for g in ("r", "f"):
         for t in (1, 2):
-            cond(f"cap_{g}{t}", d.capacity(g, t) - d.generation(g, t),
-                 y.beta(g, t))
+            cond(d.capacity(g, t) - d.generation(g, t), y.beta(g, t))
     for g in ("r", "f"):
         for t in (1, 2):
-            cond(f"invest_{g}{t}", p.m(g) - d.invested(g, t),
-                 y.gamma(g, t))
+            cond(p.m(g) - d.invested(g, t), y.gamma(g, t))
 
-    conditions = tuple(
-        SlacknessCondition(
-            label=lbl, slack=s, dual=v,
-            residual=abs(s * v) / ((1.0 + abs(s)) * (1.0 + abs(v))),
-        )
-        for lbl, s, v in pairs
-    )
-    worst = max(c.residual for c in conditions)
-    return SlacknessReport(conditions=conditions, max_residual=worst,
-                           passed=worst <= current().slackness)
+    worst = max(abs(s * v) / ((1.0 + abs(s)) * (1.0 + abs(v))) for s, v in pairs)
+    return SlacknessReport(max_residual=worst, passed=worst <= current().slackness)
 
 
 @dataclass(frozen=True)
@@ -126,10 +106,10 @@ def cross_check(params: SystemParams, *, lrmc: LrmcSolve = None) -> CrossCheckRe
     is then one point of a set.
 
     ``lrmc`` may carry the caller's long-run solve of the same ``params``
-    (``solve_lrmc(params)``); its unperturbed primal optimum
-    is then checked instead of solving the primal again.  The explicit dual
-    LP is always solved here: strong duality against it is the independent
-    check.
+    (``solve_lrmc(params)``); its unperturbed primal optimum, decision
+    and duals are then checked instead of solving the primal again.  The
+    explicit dual LP is always solved here: strong duality against it is
+    the independent check.
     """
     if lrmc is not None and lrmc.params != params:
         raise ValueError("cross_check was given a long-run solve of other parameters")
@@ -182,8 +162,11 @@ def cross_check(params: SystemParams, *, lrmc: LrmcSolve = None) -> CrossCheckRe
             detail.append(f"t{t}: {analytic.lrmc[t-1]:.6g} in [{lo:.6g}, {hi:.6g}]")
         checks.append(CheckResult("lambda-containment", ok, "; ".join(detail)))
 
-    slackness = check_complementary_slackness(
-        extract_decision(sol), extract_duals(sol), params)
+    if lrmc is None:
+        slackness = check_complementary_slackness(
+            extract_decision(sol), extract_duals(sol), params)
+    else:
+        slackness = check_complementary_slackness(lrmc.decision, lrmc.duals, params)
     checks.append(CheckResult(
         "slackness", slackness.passed, f"max residual {slackness.max_residual:.3g}"))
 

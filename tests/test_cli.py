@@ -44,27 +44,6 @@ def write_config(tmp_path, payload, name="scenario.json"):
     return str(path)
 
 
-@pytest.fixture
-def tableaux(monkeypatch):
-    """A list that grows by its problem for every LP standard form (tableau)
-    built, alone or as one slice of a stacked solve."""
-    built = []
-
-    class Counted(lp._StandardForm):
-        def __init__(self, problem):
-            built.append(problem)
-            super().__init__(problem)
-
-    class CountedStack(lp._StackedForm):
-        def __init__(self, problems, *args):
-            built.extend(problems)
-            super().__init__(problems, *args)
-
-    monkeypatch.setattr(lp, "_StandardForm", Counted)
-    monkeypatch.setattr(lp, "_StackedForm", CountedStack)
-    return built
-
-
 class TestRun:
     def test_canonical_scenario(self, tmp_path, capsys):
         path = write_config(tmp_path, CANONICAL)

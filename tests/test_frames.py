@@ -8,6 +8,7 @@ full build makes must still run somewhere.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -119,9 +120,15 @@ def test_frames_change_no_result(kind, point, stacks):
 
 def test_framed_and_full_lps_of_one_layout_stack_together(stacks):
     framed = [requests_at(point)["long-run primal"] for point in POINTS]
+    (layout,) = {r.problem._frame.layout(r.problem.b) for r in framed}
+    # 64 other layouts, seen before the full copies' frames look theirs up:
+    # a layout is one object however many the process has made
+    frame = lp._Frame(np.eye(6), (">=",) * 6)
+    others = {frame.layout(np.array(signs)) for signs in itertools.product((1.0, -1.0), repeat=6)}
+    assert len(others) == 64 and layout not in others
     batch = framed + [full(r) for r in framed]
     batch = (batch * lp.STACK_MIN)[: lp.STACK_MIN]
-    assert len({r.problem._frame.layout(r.problem.b) for r in batch}) == 1
+    assert {r.problem._frame.layout(r.problem.b) for r in batch} == {layout}
     assert_all_identical(solve_stacked(batch), [solve_objectives(*r) for r in batch])
     assert stacks == [lp.STACK_MIN]
 

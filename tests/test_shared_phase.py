@@ -183,12 +183,14 @@ def test_dual_range_region_is_built_straight_from_the_problem():
 
 
 def test_layouts_are_shared_and_read_only():
-    a, b = (lp._StandardForm(build_lrmc_primal(p)) for p in scenarios()[:2])
+    pa, pb = (build_lrmc_primal(p) for p in scenarios()[:2])
+    a, b = pa._frame.layout(pa.b), pb._frame.layout(pb.b)
     for name in ("col_var", "col_sign", "row_sign", "A_slack", "init_basis", "A_art"):
         assert getattr(a, name) is getattr(b, name), name
         with pytest.raises(ValueError, match="read-only"):
             getattr(a, name)[...] = 0
-    assert a.labels(a.problem) is b.labels(b.problem)
+    assert lp._column_labels(a, pa.var_labels, pa.row_labels) \
+        is lp._column_labels(b, pb.var_labels, pb.row_labels)
 
 
 # x + y = 1 and x + y >= 2 cannot both hold
