@@ -29,13 +29,14 @@ reduced costs and the objective are read off a basis in one place
 Stacked solves
 --------------
 Callers that evaluate many scenarios at once write their LP work as
-*steps*: generators that yield :class:`LpRequest` s.  :func:`run_lockstep`
+*steps*: generators that yield :class:`LpRequest` s (and
+:class:`RangeRequest` s, the dual intervals of an optimum).  :func:`run_lockstep`
 runs many steps side by side and answers each round of requests with one
 :func:`solve_stacked` call; :func:`run_step` is one step run that way.
 :func:`solve_stacked` groups the requests by standard-form layout
 (:meth:`_Frame.layout`) and objective count, and runs the same two-phase
 method on a ``(K, rows, cols)`` tableau per group (each with its own
-frame's columns, so ``selftest``'s dual-range regions stack), after
+frame's columns, so the dual-range regions of one layout stack), after
 Gurung & Ray, "Simultaneous solving of batched linear programs on a GPU"
 (ICPE 2019), in numpy on the CPU.  Every choice stays per instance:
 Bland's entering column, the ratio test and its tie-break, the
@@ -94,12 +95,17 @@ which.  Calls without a pool keep the bit-for-bit contract above.
 In ``selftest`` the atlas answers the long-run solve (through
 :func:`run_step`) and the frozen and perturbed short-run solves: across
 its draws, each with its own costs, the same few bases recur, and 95.0%
-and 95.9% of them were certified over 3,000 draws of seed 11.  Two kinds
-stay pivoted on purpose.  ``cross_check``'s explicit dual is solved by
-:func:`solve_lp`, so strong duality compares a certified primal with an
-independently pivoted dual, and an unsound certificate shows as a gap.
-The dual-range regions ask four objectives each, and a request of more
-than one objective is always pivoted.
+and 95.9% of them were certified over 3,000 draws of seed 11.  It also
+answers the frozen solve's dual intervals from the one-sided slopes of
+its bases (:class:`BasisPool`): 5,485 of the 6,000 range requests of
+3,000 draws each of seeds 11 and 42, within 5.5e-12 relative of the
+pinned region's intervals.  The rest, where a period is empty (its left
+slope is ``-inf``) or no atlas basis gives one end, pivot the region
+whole and get its answer bit for bit.  ``cross_check``'s explicit dual
+stays pivoted on purpose: it is solved by :func:`solve_lp`, so strong
+duality compares a certified primal with an independently pivoted dual,
+and an unsound certificate shows as a gap.  A request of more than one
+objective is always pivoted.
 
 Groups smaller than :data:`STACK_MIN` (8) are solved one by one, because
 the kernel's fixed cost per pivot round then outweighs what it saves.  The
@@ -134,12 +140,15 @@ through a cache that never evicts (:func:`_layout`): one layout is one
 object per process, and it is :func:`solve_stacked`'s group key.
 ``selftest``, ``sweep`` and ``run`` make 9 layouts between them; the cache
 grows by one per new pattern of relations, free variables and row signs.
-Column labels are cached the same way (:func:`_column_labels`).  The
-dual-range region (:func:`dual_ranges_step`) is written straight from the
-problem and its optimal value
+Column labels are cached the same way (:func:`_column_labels`).  A
+dual-range request (:func:`dual_ranges_step`) carries the problem, its
+rows and its optimal value and builds nothing.  Only where it is pivoted
+is its region written, straight from the problem and that value
 (:func:`_pinned_region`), with the arithmetic of an explicit dual LP (so
 the same bytes); its last row is the problem's ``b``, so each region is a
-full :class:`LinearProgram` with a frame of its own.
+full :class:`LinearProgram` with a frame of its own.  Every range request
+without a pool is pivoted so: ``run``, :func:`dual_value_range` and
+:func:`detect_degeneracy` keep the region LP as an independent route.
 
 Conventions
 -----------
@@ -686,6 +695,18 @@ class LpRequest(NamedTuple):
         return cls(problem, ((problem.sense, problem.c),))
 
 
+class RangeRequest(NamedTuple):
+    """The dual intervals :func:`dual_ranges_step` asks for, as data: the
+    value interval of the dual of each row of ``rows`` (indices) over the
+    optimal duals of ``problem``, whose minimization form (offset removed)
+    has the optimal value ``z_min``.  A step is sent one ``(lo, hi)`` per
+    row back (:func:`solve_stacked`)."""
+
+    problem: LinearProgram
+    rows: tuple
+    z_min: float
+
+
 def run_step(step, pool: "BasisPool" = None):
     """Run ``step`` alone, as ``run_lockstep([step], pool)``, and return its
     result; an error it raises, a solver error it does not catch included,
@@ -703,7 +724,8 @@ def run_lockstep(steps, pool: "BasisPool" = None) -> list:
 
     Returns each step's result in order, or the exception it raised, so
     one step's error leaves the others running.  Without a pool every
-    answer is what :func:`solve_objectives` returns for the request, or the
+    answer is what :func:`solve_objectives` returns for the request (for a
+    :class:`RangeRequest`, the intervals of its pivoted region), or the
     error it raises; with one, see :func:`solve_stacked`.
     """
     steps = list(steps)
@@ -746,29 +768,50 @@ _OPTIMAL, _UNBOUNDED, _LIMIT = range(3)
 
 
 def solve_stacked(requests, pool: "BasisPool" = None) -> list:
-    """Solve every :class:`LpRequest`; one outcome per request, in order.
+    """Answer every request, an :class:`LpRequest` or a :class:`RangeRequest`;
+    one outcome per request, in order.
 
-    Without a ``pool``, an outcome is exactly what
+    Without a ``pool``, the outcome of an :class:`LpRequest` is exactly what
     ``solve_objectives(problem, objectives)`` returns (every array bit for
     bit, ``iterations`` included), or the :class:`LpError` it would raise.
     Requests whose standard forms share a layout (:meth:`_Frame.layout`) and
     an objective count are solved together on one ``(K, rows, cols)``
     tableau, each instance making its own choices; groups smaller than
-    :data:`STACK_MIN` are solved one by one.
+    :data:`STACK_MIN` are solved one by one.  A :class:`RangeRequest` is
+    pivoted as its pinned dual region (:func:`_pinned_region`), beside the
+    other requests, and its outcome is one ``(lo, hi)`` per row, or the
+    :class:`LpError` the region raises.
 
     With a :class:`BasisPool`, a one-objective request that the pool's
     bases prove optimal (:meth:`BasisPool.certify`) is answered from them,
-    builds no tableau and reports ``iterations=0``; the others are solved
-    as above.
+    builds no tableau and reports ``iterations=0``, and a range request
+    whose every end the pool's bases give (:meth:`BasisPool.certify_ranges`)
+    is answered from their one-sided slopes; the others are solved as
+    above.
     A certified answer depends on its request alone.  It is an optimum
     within the simplex's own tolerances, but where the optimum is
     degenerate it need not be the one Bland's rule reaches: its duals
     (and ``basis``) may be another optimal basis's, and ``x``, computed as
-    ``B⁻¹b`` rather than by pivots, may differ in its last bits.
+    ``B⁻¹b`` rather than by pivots, may differ in its last bits.  A
+    certified interval equals the region's within rounding.
     """
     outcomes = [None] * len(requests)
+    if pool is not None:
+        pool.certify_ranges([(k, request) for k, request in enumerate(requests)
+                             if isinstance(request, RangeRequest)], outcomes)
+    regions = {}        # k -> its range request, pivoted as a region
     groups = {}
-    for k, (problem, objectives) in enumerate(requests):
+    for k, request in enumerate(requests):
+        if outcomes[k] is not None:
+            continue
+        if isinstance(request, RangeRequest):
+            regions[k] = request
+            try:
+                request = _pinned_region(request)
+            except LpError as exc:
+                outcomes[k] = exc
+                continue
+        problem, objectives = request
         if problem.n_rows == 0 or not objectives:
             outcomes[k] = _solve_apart(problem, objectives)
             continue
@@ -789,6 +832,12 @@ def solve_stacked(requests, pool: "BasisPool" = None) -> list:
         else:
             for k, problem, objectives in members:
                 outcomes[k] = _solve_apart(problem, objectives)
+    for k, request in regions.items():
+        if not isinstance(outcomes[k], Exception):
+            try:
+                outcomes[k] = _region_ends(request, outcomes[k])
+            except LpError as exc:
+                outcomes[k] = exc
     return outcomes
 
 
@@ -984,7 +1033,7 @@ class BasisPool:
     first reach it, with ``B⁻¹``.  A basis that holds an artificial column
     is never kept.
 
-    Only requests of one objective are tried (:func:`solve_stacked`).  Each
+    Requests of one objective are tried (:func:`solve_stacked`).  Each
     is answered by the first basis of its frame and layout that passes both
     halves of the simplex's own optimality test, at its own tolerances.
     The primal half: ``x_B = B⁻¹b`` is at least ``-_primal_tol(b)`` in
@@ -995,7 +1044,26 @@ class BasisPool:
     objective of a :func:`solve_stacked` group in one batched LAPACK call,
     only for bases that pass the primal half for one of the objective's
     requests: a cost sweep has an objective per row, and solving all bases
-    for each is slower than pivoting."""
+    for each is slower than pivoting.
+
+    A :class:`RangeRequest` is tried too (:meth:`certify_ranges`).  Where
+    ``b`` is interior to the right-hand sides that keep its LP feasible,
+    the values a row's dual takes over the optimal duals form the interval
+    between the one-sided slopes ``∂⁻z/∂b_t`` and ``∂⁺z/∂b_t`` of the
+    optimal value (Jansen, de Jong, Roos & Terlaky, "Sensitivity analysis
+    in linear programming: just be careful!", EJOR 1997; Adler &
+    Monteiro, "A geometric view of parametric linear programming",
+    Algorithmica 1992).  The right slope is ``y_t`` of a basis that stays
+    optimal as ``b_t`` rises a little: one that passes both halves and
+    under which every row of ``(B⁻¹b, row_sign_t B⁻¹e_t)`` is
+    lexicographically nonnegative, a row of ``x_B`` within
+    ``_primal_tol(b)`` of zero counting as zero.  The left slope is the
+    same with ``-row_sign_t``.  Each end is read off the first basis that
+    gives it, and the bases must price the LP at the optimal value the
+    request names (within ``feas (1 + |z_min|)``, as :func:`_check_point`
+    checks an objective).  A request with an end that no basis gives,
+    at zero demand for one (``b`` on the edge, the left slope ``-inf``),
+    is left to the simplex whole."""
 
     def __init__(self, solved):
         found = {}      # (frame, layout) -> {column set: (columns, labels)}
@@ -1026,6 +1094,18 @@ class BasisPool:
             bases.answer(group, outcomes)
         return [member for member in members if outcomes[member[0]] is None]
 
+    def certify_ranges(self, members, outcomes):
+        """Answer in ``outcomes`` every ``(k, RangeRequest)`` member whose
+        every interval end the pool's bases give."""
+        by_bases = {}
+        for member in members:
+            problem = member[1].problem
+            bases = self._bases.get((problem._frame, problem._frame.layout(problem.b)))
+            if bases is not None:
+                by_bases.setdefault(bases, []).append(member)
+        for bases, group in by_bases.items():
+            bases.slopes(group, outcomes)
+
 
 class _Bases:
     """A :class:`BasisPool`'s bases of one frame and layout."""
@@ -1038,6 +1118,39 @@ class _Bases:
         B = self.A[:, self.cols].transpose(1, 0, 2)         # B[n] = A[:, cols[n]]
         self.BT = B.transpose(0, 2, 1)
         self.inverses = np.linalg.inv(B)
+        # falls[n, i, t, 0 / 1]: x_B[i] of basis n falls as b_t rises / falls
+        step = self.inverses * layout.row_sign
+        self.falls = np.stack([step < 0, step > 0], axis=-1)
+
+    def _optimal(self, b, objectives):
+        """Both halves of the optimality test, for every basis and request:
+        ``(X, both, objective, Y, pair)``.  Request ``r`` has the
+        standard-form right-hand side ``b[r]`` and the objective
+        ``objectives[r]``, the ``objective[r]``-th distinct one; ``X[r, n]``
+        is ``x_B`` of basis ``n`` at ``b[r]``, ``both[r, n]`` whether that
+        basis passes both halves, and ``Y[pair[d, n]]`` the standard-form
+        duals of basis ``n`` under distinct objective ``d`` (``-1`` where
+        not computed)."""
+        layout = self.layout
+        # the primal half: x_B of every basis, one batched product per request
+        X = (self.inverses.reshape(-1, b.shape[1]) @ b[:, :, None]).reshape(
+            len(b), *self.cols.shape)
+        held = (X >= -_primal_tol(b)[:, None, None]).all(axis=2)
+        distinct = {}       # (sense, objective bytes) -> (its index, the objective)
+        objective = np.array([
+            distinct.setdefault((sense, c.tobytes()), (len(distinct), (sense, c)))[0]
+            for sense, c in objectives])
+        flip, C = zip(*((sense != "min", c) for _, (sense, c) in distinct.values()))
+        cost = layout.cost(np.array(flip), np.array(C))[:, : layout.n_total]
+        # the dual half, per objective for the bases that hold for one of its requests
+        live = (objective == np.arange(len(cost))[:, None]) @ held
+        d, n = np.nonzero(live)
+        Y = np.linalg.solve(self.BT[n], cost[d[:, None], self.cols[n]][..., None])[..., 0]
+        dual = np.zeros_like(live)
+        dual[d, n] = (cost[d] - (Y[:, None] @ self.A)[:, 0] >= -_rc_tol(cost)[d, None]).all(axis=1)
+        pair = np.full(live.shape, -1)
+        pair[d, n] = np.arange(len(d))
+        return X, held & dual[objective], objective, Y, pair
 
     def answer(self, group, outcomes):
         """Answer in ``outcomes`` each member of ``group`` (one-objective
@@ -1045,23 +1158,8 @@ class _Bases:
         basis proves optimal."""
         layout = self.layout
         b = np.array([problem.b for _, problem, _ in group]) * layout.row_sign
-        # the primal half: x_B of every basis, one batched product per member
-        X = (self.inverses.reshape(-1, b.shape[1]) @ b[:, :, None]).reshape(
-            len(group), *self.cols.shape)
-        held = (X >= -_primal_tol(b)[:, None, None]).all(axis=2)
-        distinct = {}       # (sense, objective bytes) -> (its index, the objective)
-        objective = np.array([
-            distinct.setdefault((sense, c.tobytes()), (len(distinct), (sense, c)))[0]
-            for _, _, ((sense, c),) in group])
-        flip, C = zip(*((sense != "min", c) for _, (sense, c) in distinct.values()))
-        cost = layout.cost(np.array(flip), np.array(C))[:, : layout.n_total]
-        # the dual half, per objective for the bases that hold for one of its members
-        live = (objective == np.arange(len(cost))[:, None]) @ held
-        d, n = np.nonzero(live)
-        Y = np.linalg.solve(self.BT[n], cost[d[:, None], self.cols[n]][..., None])[..., 0]
-        dual = np.zeros_like(live)
-        dual[d, n] = (cost[d] - (Y[:, None] @ self.A)[:, 0] >= -_rc_tol(cost)[d, None]).all(axis=1)
-        both = held & dual[objective]
+        X, both, objective, Y, pair = self._optimal(
+            b, [objective for _, _, (objective,) in group])
         rows = np.flatnonzero(both.any(axis=1))
         if not rows.size:
             return
@@ -1069,7 +1167,6 @@ class _Bases:
         x_std = np.zeros((len(rows), layout.n_total))
         x_std[np.arange(len(rows))[:, None], self.cols[pick]] = X[rows, pick]
         x = layout.x_rows(x_std)
-        pair = dict(zip(zip(d.tolist(), n.tolist()), range(len(d))))   # -> its row of Y
         duals = {}
         for e, (h, tag) in enumerate(zip(rows.tolist(),
                                          zip(objective[rows].tolist(), pick.tolist()))):
@@ -1080,20 +1177,53 @@ class _Bases:
                     a.setflags(write=False)
             outcomes[k] = (_optimum(problem, c, x[e], duals[tag], self.labels[tag[1]], 0),)
 
+    def slopes(self, group, outcomes):
+        """Answer in ``outcomes`` each ``(k, RangeRequest)`` member of
+        ``group`` whose every interval end a basis gives (see
+        :class:`BasisPool`)."""
+        row_sign = self.layout.row_sign
+        problems = [request.problem for _, request in group]
+        b = np.array([problem.b for problem in problems]) * row_sign
+        X, both, objective, Y, pair = self._optimal(
+            b, [(problem.sense, problem.c) for problem in problems])
+        if not both.any():
+            return
+        # ends[r, n, t, 0 / 1]: basis n gives request r the right / left slope of row t
+        zero = np.abs(X) <= _primal_tol(b)[:, None, None]
+        ends = both[:, :, None, None] & ~(zero[:, :, :, None, None] & self.falls).any(axis=2)
+        found, pick = ends.any(axis=1), ends.argmax(axis=1)
+        # y_t of each end's basis, in the problem's orientation (as _duals
+        # reads it); where no basis gives an end, its slope is never read
+        flip = np.array([-1.0 if problem.sense == "max" else 1.0 for problem in problems])
+        t = np.arange(b.shape[1])[None, :, None]
+        slope = Y[pair[objective[:, None, None], pick], t] * row_sign[t] * flip[:, None, None]
+        first = both.argmax(axis=1)                 # a basis optimal at b itself
+        value = (Y[pair[objective, first]] * b).sum(axis=1)
+        z_tol = current().feas
+        for (k, (problem, rows, z_min)), ok, at, z in zip(
+                group, found.tolist(), slope.tolist(), value.tolist()):
+            if (rows and all(ok[i][0] and ok[i][1] for i in rows)
+                    and abs(z - z_min) <= z_tol * (1.0 + abs(z_min))):
+                ends_of = [(at[i][1], at[i][0]) for i in rows]      # (left, right)
+                outcomes[k] = tuple(ends_of if problem.sense == "min"
+                                    else [(hi, lo) for lo, hi in ends_of])
+
 
 # ---------------------------------------------------------------------------
 # dual value ranges
 # ---------------------------------------------------------------------------
 
 
-def _pinned_region(problem: LinearProgram, z_min: float):
-    """``(region, signs)``: the feasible region of the dual of ``problem``'s
-    minimization form, pinned to that LP's optimal value ``z_min``, built
-    straight from ``problem``.  Variable
-    ``i`` is ``signs[i]`` times row ``i``'s dual (negated for a ``<=`` row,
-    so each is nonnegative or free); there is one row per primal column
-    (``=`` for a free one, ``<=`` otherwise) and a last row that pins the
-    dual objective."""
+def _pinned_region(request: RangeRequest) -> LpRequest:
+    """The LP request that pivots ``request``: over the feasible region of
+    the dual of its problem's minimization form, pinned to that LP's
+    optimal value ``z_min`` and built straight from the problem, the min
+    and then the max of each row's dual, row by row.  Variable ``i`` is
+    ``signs[i]`` times row ``i``'s dual (negated for a ``<=`` row, so each
+    is nonnegative or free); there is one row per primal column (``=`` for
+    a free one, ``<=`` otherwise) and a last row that pins the dual
+    objective."""
+    problem, rows, z_min = request
     c_min = problem.c if problem.sense == "min" else -problem.c
     signs = np.array([-1.0 if rel == LE else 1.0 for rel in problem.relations])
     region = LinearProgram(
@@ -1105,7 +1235,37 @@ def _pinned_region(problem: LinearProgram, z_min: float):
         b=np.concatenate([c_min, [z_min]]),
         lower_bounds=np.array([-np.inf if rel == EQ else 0.0 for rel in problem.relations]),
     )
-    return region, signs
+    objectives = []
+    for idx in rows:
+        obj = np.zeros(problem.n_rows)
+        obj[idx] = signs[idx]
+        objectives += [("min", obj), ("max", obj)]
+    return LpRequest(region, tuple(objectives))
+
+
+def _region_ends(request: RangeRequest, sols) -> tuple:
+    """Each row's ``(lo, hi)`` from the solutions ``sols`` of
+    :func:`_pinned_region` ``(request)``; raises :class:`LpError` where the
+    pinned region is empty, so ``z_min`` is no optimal value."""
+    ranges = []
+    for k in range(len(request.rows)):
+        lo_hi = []
+        for sense, s in zip(("min", "max"), sols[2 * k: 2 * k + 2]):
+            if s.status == "unbounded":
+                lo_hi.append(-math.inf if sense == "min" else math.inf)
+            elif s.optimal:
+                lo_hi.append(s.objective)
+            else:
+                raise LpError(
+                    "solution is not optimal for problem: no dual solution "
+                    f"attains its optimal value {request.z_min!r} (minimization "
+                    "form, offset removed)"
+                )
+        lo, hi = lo_hi
+        if request.problem.sense == "max":
+            lo, hi = -hi, -lo
+        ranges.append((float(lo), float(hi)))
+    return tuple(ranges)
 
 
 def _check_point(problem: LinearProgram, solution: LpSolution):
@@ -1163,45 +1323,23 @@ def dual_value_ranges(problem: LinearProgram, row_ids, *, solution: LpSolution) 
 
 
 def dual_ranges_step(problem: LinearProgram, row_ids, *, solution: LpSolution):
-    """:func:`dual_value_ranges` as a step (see :class:`LpRequest`)."""
-    idxs = [problem.row_index(row_id) for row_id in row_ids]
-    m = problem.n_rows
+    """:func:`dual_value_ranges` as a step (see :class:`LpRequest`): it
+    checks ``solution`` and yields one :class:`RangeRequest`."""
+    idxs = tuple(problem.row_index(row_id) for row_id in row_ids)
     if not solution.optimal:
         raise LpError(f"dual_value_range needs an optimal primal, got {solution.status}")
     _check_point(problem, solution)
     z_min = solution.objective - problem.objective_offset
     if problem.sense == "max":
         z_min = -z_min
-    region, signs = _pinned_region(problem, z_min)
-    objectives = []
-    for idx in idxs:
-        obj = np.zeros(m)
-        obj[idx] = signs[idx]
-        objectives += [("min", obj), ("max", obj)]
-    sols = yield LpRequest(region, tuple(objectives))
-
-    ranges = []
-    for k in range(len(idxs)):
-        lo_hi = []
-        for sense, s in zip(("min", "max"), sols[2 * k: 2 * k + 2]):
-            if s.status == "unbounded":
-                lo_hi.append(-math.inf if sense == "min" else math.inf)
-            elif s.optimal:
-                lo_hi.append(s.objective)
-            else:
-                raise LpError(
-                    "solution is not optimal for problem: no dual solution "
-                    f"attains its objective {solution.objective!r}"
-                )
-        lo, hi = lo_hi
-        if problem.sense == "max":
-            lo, hi = -hi, -lo
-        ranges.append((float(lo), float(hi)))
-    return tuple(ranges)
+    return (yield RangeRequest(problem, idxs, z_min))
 
 
 def dual_interval_has_width(lo: float, hi: float) -> bool:
-    """Whether a dual value interval holds more than one value."""
+    """Whether a dual value interval holds more than one value; one with an
+    infinite end has width unless both ends are the same."""
+    if math.isinf(lo) or math.isinf(hi):
+        return lo != hi
     return hi - lo > 1e-7 * (1.0 + abs(lo) + abs(hi))
 
 

@@ -9,20 +9,32 @@ leave the answer to the simplex, whose outcome is then
 ``solve_objectives``' bit for bit, as is that of every request of more
 than one objective.  The pool never changes, so an answer does not
 depend on what it was asked before or beside.
+
+A dual-interval request (``lp.RangeRequest``) is answered from the
+one-sided slopes of the pooled bases where every end is found, within
+rounding of the pinned dual region's answer, and is otherwise pivoted as
+that region, whose answer it then is bit for bit.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from genmargin import cli, tolerances
+from genmargin import cli, lp, tolerances
+from genmargin.groups import analytic_solution, classify
 from genmargin.lp import (
     BasisPool,
     LinearProgram,
+    LpError,
     LpInputError,
     LpRequest,
+    LpSolution,
+    dual_interval_has_width,
+    dual_ranges_step,
     run_step,
+    solve_lp,
     solve_objectives,
     solve_stacked,
 )
@@ -234,3 +246,92 @@ def test_pooled_step_raises_what_the_solver_raises():
     for pool in (None, BasisPool([])):
         with pytest.raises(LpInputError, match="sense must be 'min' or 'max'"):
             run_step(step(), pool)
+
+
+# ---------------------------------------------------------------------------
+# dual intervals from one-sided slopes
+# ---------------------------------------------------------------------------
+
+
+def frozen_at(params):
+    """The short-run LP frozen at the closed form's build, as every verb
+    freezes it."""
+    return build_srmc_primal(params, analytic_solution(params, classify(params)).decision)
+
+
+def range_request(params):
+    """The balance rows' range request of the frozen short-run LP."""
+    frozen = frozen_at(params)
+    return next(dual_ranges_step(frozen, ("balance_1", "balance_2"),
+                                 solution=solve_lp(frozen)))
+
+
+def answered_both_ways(requests, monkeypatch):
+    """``(pooled, pool-free, pivoted)``: each request's intervals with the
+    atlas and without it, and whether the pooled answer pivoted the
+    request's dual region."""
+    pool = cli.basis_atlas(tolerances.current())
+    pivoted, real = set(), lp._pinned_region
+
+    def region(request):
+        pivoted.add(id(request))
+        return real(request)
+
+    monkeypatch.setattr(lp, "_pinned_region", region)
+    pooled = solve_stacked(requests, pool=pool)
+    fell = [id(request) in pivoted for request in requests]
+    return pooled, solve_stacked(requests), fell
+
+
+def assert_same_intervals(got, want, pivoted):
+    """A pivoted answer is the pool-free one bit for bit; a certified one
+    within 1e-9 relative."""
+    if pivoted:
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
+        return
+    for g, w in zip(np.ravel(got).tolist(), np.ravel(want).tolist()):
+        assert g == w or abs(g - w) <= 1e-9 * (1.0 + abs(w)), (got, want)
+
+
+@pytest.mark.parametrize("seed", [11, 42])
+def test_certified_intervals_are_the_regions(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    requests = [range_request(random_params(rng)) for _ in range(300)]
+    pooled, plain, pivoted = answered_both_ways(requests, monkeypatch)
+    for got, want, fell in zip(pooled, plain, pivoted):
+        assert_same_intervals(got, want, fell)
+    assert sum(pivoted) <= 0.15 * len(requests)
+    # certified ends that differ come from the lexicographic test
+    assert sum(dual_interval_has_width(*interval) for got, fell in zip(pooled, pivoted)
+               if not fell for interval in got) >= 100
+
+
+@pytest.mark.parametrize("over, want, pivoted", [
+    # an empty period's left slope is -inf: no basis gives it
+    (dict(d1=0.0), ((-math.inf, 1.0), (20.0, 200.0)), True),
+    (dict(d2=0.0), ((1.0, 200.0), (-math.inf, 1.0)), True),
+    (dict(d1=0.0, d2=0.0), ((-math.inf, 200.0), (-math.inf, 200.0)), True),
+    # cl below CI_r / 2 + CP_r: nothing is built and everything is shed
+    (dict(cl=20.0), ((20.0, 20.0), (20.0, 20.0)), False),
+    # group 3: the capacity built for period 2 is used up in both periods
+    (dict(cl=80.0, d2=4000.0), ((1.0, 80.0), (1.0, 80.0)), False),
+])
+def test_edge_intervals_are_the_regions(over, want, pivoted, monkeypatch):
+    request = range_request(SystemParams.from_values(**{**CANONICAL, "d2": 8000.0, **over}))
+    (got,), (plain,), (fell,) = answered_both_ways([request], monkeypatch)
+    assert fell is pivoted
+    assert_same_intervals(got, plain, fell)
+    assert np.allclose(plain, want, rtol=0.0, atol=1e-9)
+
+
+def test_optimal_value_of_another_point_is_not_certified(monkeypatch):
+    # a feasible point that is not optimal: the bases price the LP below
+    # its objective, so the request goes to the region, which is empty
+    frozen = frozen_at(SystemParams.from_values(**dict(CANONICAL, cl=80.0, d2=4000.0)))
+    x = np.array([0.0, 0.0, 0.0, 0.0, 2000.0, 4000.0])     # every unit shed
+    shed = LpSolution(status="optimal", x=x,
+                      objective=float(frozen.c @ x) + frozen.objective_offset)
+    pool = cli.basis_atlas(tolerances.current())
+    for with_pool in (None, pool):
+        with pytest.raises(LpError, match="not optimal for problem"):
+            run_step(dual_ranges_step(frozen, (0, 1), solution=shed), with_pool)

@@ -529,10 +529,12 @@ class TestSelftest:
     def test_at_most_five_tableaux_per_scenario(self, tableaux, monkeypatch):
         # A chunk's short-run LPs are solved side by side after the scalar
         # stage of all its scenarios, so each standard form is charged to
-        # the scenario whose short-run step asked for its problem, or else
-        # to the scenario drawn last before it was built.
-        owner, drawn = {}, []
-        real_draw, real_step = cli.random_params, cli.srmc_step
+        # the scenario whose short-run step asked for its problem (a dual
+        # region pivoted for a range request, to that request's), or else
+        # to the scenario drawn last before it was built.  Every tagged
+        # problem is held, so that no later one takes its id.
+        owner, drawn, held = {}, [], []
+        real_draw, real_step, real_region = cli.random_params, cli.srmc_step, lp._pinned_region
 
         def draw(rng):
             drawn.append(len(tableaux))
@@ -549,12 +551,20 @@ class TestSelftest:
                 except StopIteration as done:
                     return done.value
                 owner[id(request.problem)] = scenario
+                held.append(request.problem)
                 answer = yield request
+
+        def region(request):
+            pivoted = real_region(request)
+            owner[id(pivoted.problem)] = owner[id(request.problem)]
+            held.append(pivoted.problem)
+            return pivoted
 
         cli.basis_atlas(tolerances.current())   # made once; its solves are no scenario's
         del tableaux[:]
         monkeypatch.setattr(cli, "random_params", draw)
         monkeypatch.setattr(cli, "srmc_step", tagged)
+        monkeypatch.setattr(lp, "_pinned_region", region)
         n = cli.CHUNK + 8
         assert run_selftest(seed=9, n=n, out=io.StringIO()) == EXIT_OK
         counts = Counter(owner.get(id(problem), bisect.bisect_right(drawn, i) - 1)
@@ -721,24 +731,35 @@ class TestSelftest:
 
     def test_most_lps_are_certified(self, monkeypatch):
         # the long-run LPs and the frozen and perturbed short-run LPs, by
-        # their frames; the dual-range regions each have a frame of their own
+        # their frames, and the short-run range requests, certified unless
+        # pivoted as a dual region
         cli.basis_atlas(tolerances.current())
-        answered = Counter()
-        real = lp.solve_stacked
+        answered, pivoted = Counter(), []
+        real, real_region = lp.solve_stacked, lp._pinned_region
 
         def stacked(requests, pool=None):
             outcomes = real(requests, pool)
             for request, answer in zip(requests, outcomes):
-                answered[request.problem._frame,
-                         all(s.iterations == 0 for s in answer)] += 1
+                if isinstance(request, lp.RangeRequest):
+                    answered["range"] += 1
+                else:
+                    answered[request.problem._frame,
+                             all(s.iterations == 0 for s in answer)] += 1
             return outcomes
 
+        def region(request):
+            pivoted.append(request)
+            return real_region(request)
+
         monkeypatch.setattr(lp, "solve_stacked", stacked)
+        monkeypatch.setattr(lp, "_pinned_region", region)
         assert run_selftest(seed=42, n=400, out=io.StringIO()) == EXIT_OK
         for frame, per_scenario in ((model._LRMC, 1), (model._SRMC, 2)):
             total = answered[frame, True] + answered[frame, False]
             assert total == per_scenario * 400
             assert answered[frame, True] >= 0.9 * total, (frame, answered)
+        assert answered["range"] == 400
+        assert len(pivoted) <= 0.15 * 400, len(pivoted)
 
     @staticmethod
     def _raising(fn, errors):

@@ -140,8 +140,8 @@ def test_dual_range_regions_with_their_own_matrices_stack_together(stacks):
     for d2 in np.linspace(3000.0, 13000.0, lp.STACK_MIN):
         params = SystemParams.from_values(**CANONICAL, d2=float(d2))
         frozen = build_srmc_primal(params, solve_lrmc(params).decision)
-        regions.append(next(lp.dual_ranges_step(frozen, range(frozen.n_rows),
-                                                solution=solve_lp(frozen))))
+        regions.append(lp._pinned_region(next(lp.dual_ranges_step(
+            frozen, range(frozen.n_rows), solution=solve_lp(frozen)))))
     problems = [r.problem for r in regions]
     assert len({p.A.tobytes() for p in problems}) == len({id(p._frame) for p in problems}) \
         == len(regions)

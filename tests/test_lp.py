@@ -215,6 +215,14 @@ class TestDegeneracyAndRanges:
         with pytest.raises(LpInputError, match="is not c @ x"):
             dual_value_range(p, 0, solution=off)
 
+    @pytest.mark.parametrize("lo, hi, width", [
+        (-math.inf, 23.8, True), (23.8, math.inf, True), (-math.inf, math.inf, True),
+        (-math.inf, -math.inf, False), (math.inf, math.inf, False),
+        (1.0, 80.0, True), (80.0, 80.0 + 1e-6, False),
+    ])
+    def test_interval_width(self, lo, hi, width):
+        assert lp_module.dual_interval_has_width(lo, hi) is width
+
     def test_range_contains_reported_dual(self):
         rng = np.random.default_rng(7)
         for _ in range(25):

@@ -144,6 +144,14 @@ class TestSrmc:
         lo, hi = dual_value_range(prob, "balance_1", solution=sol)
         assert_allclose([lo, hi], [1.0, 80.0], atol=1e-7)
 
+    def test_empty_period_dual_is_an_interval(self):
+        # no demand in period 1: its balance dual is unbounded below
+        params = canonical(d1=0.0, d2=8000.0)
+        prob = build_srmc_primal(params, solve_lrmc(params).decision, epsilon=0.0)
+        sol = solve_lp(prob)
+        assert dual_value_range(prob, "balance_1", solution=sol)[0] == -math.inf
+        assert detect_degeneracy(prob, sol).dual_multiple[0]
+
     def test_group3_interval_against_vertex_enumeration(self):
         # independent route: enumerate the optimal dual vertices outright
         from lp_oracle import brute_force_dual_range

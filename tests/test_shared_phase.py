@@ -174,7 +174,8 @@ def test_dual_range_region_is_built_straight_from_the_problem():
         z_min = solution.objective - problem.objective_offset
         if problem.sense == "max":
             z_min = -z_min
-        request = next(lp.dual_ranges_step(problem, rows, solution=solution))
+        request = lp._pinned_region(next(lp.dual_ranges_step(problem, rows,
+                                                            solution=solution)))
         region, signs = reference_region(problem, z_min)
         assert lp_fields(request.problem) == lp_fields(region)
         for i in rows:
@@ -302,15 +303,21 @@ def stack_min(request, monkeypatch):
 
 
 def requests_of(step):
-    """Every request ``step`` yields, answered by ``solve_objectives``."""
+    """Every LP request ``step`` yields, answered by ``solve_objectives``; a
+    range request is taken as its pinned dual region (``lp._pinned_region``)
+    and answered without a pool."""
     seen, answer = [], None
     while True:
         try:
             request = step.send(answer)
         except StopIteration:
             return seen
+        if isinstance(request, lp.RangeRequest):
+            (answer,) = solve_stacked([request])
+            request = lp._pinned_region(request)
+        else:
+            answer = solve_objectives(request.problem, request.objectives)
         seen.append(request)
-        answer = solve_objectives(request.problem, request.objectives)
 
 
 def sweep_requests(params):

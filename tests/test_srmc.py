@@ -230,6 +230,15 @@ class TestZeroDemandPeriods:
                     predict_srmc_from_lrmc(res.lrmc[t], cp, params.cl)
                 assert abs(predicted - res.resolved[t]) <= 1e-6
 
+    def test_empty_period_interval_has_width(self):
+        # the empty period's dual interval is unbounded below
+        for d1, d2, t in ((0.0, 4000.0, 0), (4000.0, 0.0, 1)):
+            params = SystemParams.from_values(60, 1, 3000, 70, 10, 4000,
+                                              120, d1, d2)
+            res = srmc_for(params)
+            assert res.intervals[t][0] == -math.inf
+            assert res.degenerate[t]
+
     def test_empty_period_with_no_build(self):
         # nothing affordable: the shed period prices at CL; the empty
         # period still resolves to the cheapest technology's slack
