@@ -438,7 +438,8 @@ def run_sweep(config: ScenarioConfig) -> tuple:
 def run_selftest(seed: int, n: int, out=None) -> int:
     """n randomized scenarios through the cross-check and the short-run
     rule/perturbation agreement, each resolved price inside its dual
-    interval.  Deterministic for a fixed seed.
+    interval and each interval the merit order's (:func:`_rules_hold`).
+    Deterministic for a fixed seed.
 
     Scenarios are drawn in chunks of :data:`CHUNK`.  Each one's long-run LP
     is solved once, for the cross-check and the short-run pipeline both;
@@ -453,12 +454,10 @@ def run_selftest(seed: int, n: int, out=None) -> int:
 
     The long-run LP and the frozen and perturbed short-run LPs are tried
     against :func:`basis_atlas` first, and about 95% of them are certified
-    without a pivot.  So are the frozen LP's dual intervals, read off the
-    one-sided slopes of the atlas bases, about 91% of them; the others
-    pivot the pinned dual region.  The cross-check's explicit dual stays
-    pivoted (see ``lp``'s module docstring), so strong duality still sets
-    a certified primal against a pivoted dual.  The output is the same
-    with or without the pool.
+    without a pivot, as are about 91% of the frozen LP's dual intervals
+    (the rest are read off its own basis).  The cross-check's explicit
+    dual stays pivoted (see ``lp``'s module docstring).  The output is the
+    same with or without the pool.
     """
     out = sys.stdout if out is None else out
     if n < 1:
@@ -507,14 +506,18 @@ def run_selftest(seed: int, n: int, out=None) -> int:
 def _rules_hold(params, srmc) -> bool:
     """Whether both periods' resolved short-run prices follow the rules
     from the long-run prices and lie in their frozen-model dual intervals,
-    each within 1e-6."""
+    each within 1e-6, with each interval's ends the merit order's
+    (``srmc.merit``) within ``lam_match`` (an infinite end exactly)."""
     ok = True
     for t in (0, 1):
         cp = srmc.marginal_cp[t]
         want = params.cl if cp is None else predict_srmc_from_lrmc(
             srmc.lrmc[t], cp, params.cl)
         price, (lo, hi) = srmc.resolved[t], srmc.intervals[t]
-        if abs(want - price) > 1e-6 or not lo - 1e-6 <= price <= hi + 1e-6:
+        # equal infinite ends differ by NaN, so they are compared first
+        off_merit = [end != merit and not abs(end - merit) <= tolerances.current().lam_match
+                     for end, merit in zip((lo, hi), srmc.merit[t])]
+        if abs(want - price) > 1e-6 or not lo - 1e-6 <= price <= hi + 1e-6 or any(off_merit):
             ok = False
     return ok
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import io
 import csv
+import math
 from dataclasses import dataclass
 
 from .model import PARAM_FIELDS, PrimalDecision, SystemParams, feasibility_limit
@@ -472,6 +473,25 @@ def marginal_cp(params: SystemParams, decision: PrimalDecision, t: int):
     if params.demand[t - 1] <= tol:
         return params.cp_r
     return None
+
+
+def merit_interval(params: SystemParams, decision: PrimalDecision, t: int) -> tuple:
+    """``(lo, hi)``: the values period t's balance dual takes over the
+    optimal duals of the short-run model frozen at ``decision``, which
+    must dispatch its build at least cost, as ``analytic_solution``'s does:
+    in order of operating cost, each technology up to its live capacity,
+    the rest shed at ``cl``.  The interval is the subdifferential of that
+    cost in ``d_t``: from the cost of the last unit served (the largest
+    ``cp`` generating, or ``cl`` if the period sheds; ``-inf`` if neither;
+    not :func:`marginal_cp`) to that of the next (``cl``, or a smaller
+    ``cp`` with spare live capacity).  An amount counts above
+    ``feasibility_limit``."""
+    tol = feasibility_limit(params)
+    served = [params.cp(g) for g in ("r", "f") if decision.generation(g, t) > tol]
+    shed = [params.cl] if decision.shed(t) > tol else []
+    spare = [params.cp(g) for g in ("r", "f")
+             if decision.capacity(g, t) - decision.generation(g, t) > tol]
+    return max(served + shed, default=-math.inf), min(spare + [params.cl])
 
 
 # ---------------------------------------------------------------------------

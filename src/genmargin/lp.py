@@ -33,10 +33,10 @@ Callers that evaluate many scenarios at once write their LP work as
 :class:`RangeRequest` s, the dual intervals of an optimum).  :func:`run_lockstep`
 runs many steps side by side and answers each round of requests with one
 :func:`solve_stacked` call; :func:`run_step` is one step run that way.
-:func:`solve_stacked` groups the requests by standard-form layout
+:func:`solve_stacked` groups the LP requests by standard-form layout
 (:meth:`_Frame.layout`) and objective count, and runs the same two-phase
 method on a ``(K, rows, cols)`` tableau per group (each with its own
-frame's columns, so the dual-range regions of one layout stack), after
+frame's columns, so LPs of one layout stack whatever their frame), after
 Gurung & Ray, "Simultaneous solving of batched linear programs on a GPU"
 (ICPE 2019), in numpy on the CPU.  Every choice stays per instance:
 Bland's entering column, the ratio test and its tie-break, the
@@ -61,14 +61,10 @@ basis stays optimal over a whole critical region (Gal & Nedoma,
 "Multiparametric linear programming", Mgmt. Sci. 1972); explicit MPC
 stores such bases offline in the same way (Borrelli, Bemporad & Morari,
 JOTA 2003).  So before the simplex runs, each one-objective request is
-tried against the atlas bases of its frame and layout: :func:`run_lockstep`
-(and so :func:`run_step`) passes the pool to every round.  The dual half
-of that certificate (every reduced cost at least ``-_rc_tol(cost)``) runs
-once per distinct objective of a group, the primal half (``x_B = B⁻¹b``,
-every entry at least ``-_primal_tol(b)``) once per request, and the first
-atlas basis that passes both answers.  So a certified answer depends on
-its request alone, not on the rows before it or beside it.  It builds no
-tableau and reports ``iterations=0``; the rest are pivoted as above.  A
+tried against the atlas bases of its frame and layout (:class:`BasisPool`;
+:func:`run_lockstep`, and so :func:`run_step`, passes the pool to every
+round).  A certified answer builds no tableau, reports ``iterations=0``
+and depends on its request alone; the rest are pivoted as above.  A
 certified optimum is the simplex's own where that is unique.  Where it
 is degenerate, the certified basis may be another optimal one than
 Bland's rule reaches, with other duals; its ``x`` is ``B⁻¹b``, not
@@ -95,17 +91,13 @@ which.  Calls without a pool keep the bit-for-bit contract above.
 In ``selftest`` the atlas answers the long-run solve (through
 :func:`run_step`) and the frozen and perturbed short-run solves: across
 its draws, each with its own costs, the same few bases recur, and 95.0%
-and 95.9% of them were certified over 3,000 draws of seed 11.  It also
-answers the frozen solve's dual intervals from the one-sided slopes of
-its bases (:class:`BasisPool`): 5,485 of the 6,000 range requests of
-3,000 draws each of seeds 11 and 42, within 5.5e-12 relative of the
-pinned region's intervals.  The rest, where a period is empty (its left
-slope is ``-inf``) or no atlas basis gives one end, pivot the region
-whole and get its answer bit for bit.  ``cross_check``'s explicit dual
-stays pivoted on purpose: it is solved by :func:`solve_lp`, so strong
-duality compares a certified primal with an independently pivoted dual,
-and an unsound certificate shows as a gap.  A request of more than one
-objective is always pivoted.
+and 95.9% of them were certified over 3,000 draws of seed 11, and so
+were 5,485 of the 6,000 frozen solves' dual intervals of 3,000 draws
+each of seeds 11 and 42 (see *Dual intervals*).
+``cross_check``'s explicit dual stays pivoted on purpose: it is solved
+by :func:`solve_lp`, so strong duality compares a certified primal with
+an independently pivoted dual, and an unsound certificate shows as a
+gap.  A request of more than one objective is always pivoted.
 
 Groups smaller than :data:`STACK_MIN` (8) are solved one by one, because
 the kernel's fixed cost per pivot round then outweighs what it saves.  The
@@ -116,14 +108,11 @@ and one by one; the median of 7 repeats of the stacked over the
 one-by-one time at K = 4 / 6 / 8 / 32 was
 
 * 1.36 / 1.12 / 0.83 / 0.36 for long-run primals,
-* 1.47 / 0.95 / 0.82 / 0.32 for frozen short-run primals,
-* 1.35 / 1.11 / 0.88 / 0.38 for perturbed short-run primals (these three
-  one objective each), and
-* 0.81 / 0.65 / 0.54 / 0.29 for dual-range regions (four objectives).
+* 1.47 / 0.95 / 0.82 / 0.32 for frozen short-run primals, and
+* 1.35 / 1.11 / 0.88 / 0.38 for perturbed short-run primals.
 
 A second draw of scenarios moved no ratio by more than 0.3, and none at
-K = 8 by more than 0.1.  So one-objective groups break even between K = 6
-and 8, and the four-objective regions win at every K measured.
+K = 8 by more than 0.1.  So groups break even between K = 6 and 8.
 
 Fixed costs per solve
 ---------------------
@@ -140,15 +129,25 @@ through a cache that never evicts (:func:`_layout`): one layout is one
 object per process, and it is :func:`solve_stacked`'s group key.
 ``selftest``, ``sweep`` and ``run`` make 9 layouts between them; the cache
 grows by one per new pattern of relations, free variables and row signs.
-Column labels are cached the same way (:func:`_column_labels`).  A
-dual-range request (:func:`dual_ranges_step`) carries the problem, its
-rows and its optimal value and builds nothing.  Only where it is pivoted
-is its region written, straight from the problem and that value
-(:func:`_pinned_region`), with the arithmetic of an explicit dual LP (so
-the same bytes); its last row is the problem's ``b``, so each region is a
-full :class:`LinearProgram` with a frame of its own.  Every range request
-without a pool is pivoted so: ``run``, :func:`dual_value_range` and
-:func:`detect_degeneracy` keep the region LP as an independent route.
+Column labels are cached the same way (:func:`_column_labels`).
+
+Dual intervals
+--------------
+Where ``b`` is interior to the right-hand sides that keep an LP feasible,
+a row's dual ranges over the optimal duals between the one-sided slopes
+``∂⁻z/∂b_t`` and ``∂⁺z/∂b_t`` of the optimal value (Jansen, de Jong,
+Roos & Terlaky, EJOR 1997; Adler & Monteiro, Algorithmica 1992).  The
+right slope is ``y_t`` of an optimal basis under which every row of
+``(B⁻¹b, row_sign_t B⁻¹e_t)`` is lexicographically nonnegative, a row of
+``x_B`` within ``_primal_tol(b)`` of zero counting as zero
+(:func:`_falling`), or ``inf`` where the LP turns infeasible at once; the
+left slope is the same with ``-row_sign_t``.  A :class:`BasisPool` reads
+each end off the first atlas basis that gives it.  The requests it
+leaves, and every request without a pool, are answered from the basis
+the request carries and, for an end that basis does not give, from
+dual-simplex pivots (:func:`_basis_ranges`).  No interval builds an LP.
+The short-run intervals also have a route with no LP, the merit order
+(``groups.merit_interval``), which ``selftest`` checks them against.
 
 Conventions
 -----------
@@ -499,6 +498,12 @@ def _column_labels(layout: _Layout, var_labels, row_labels) -> tuple:
     return tuple(names)
 
 
+@functools.cache
+def _column_index(layout: _Layout, var_labels, row_labels) -> dict:
+    """Each :func:`_column_labels` label's column (shared: read only)."""
+    return {name: j for j, name in enumerate(_column_labels(layout, var_labels, row_labels))}
+
+
 def _iteration_limit() -> IterationLimitError:
     return IterationLimitError(f"simplex exceeded {MAX_ITERATIONS} pivots; this is a bug")
 
@@ -699,12 +704,14 @@ class RangeRequest(NamedTuple):
     """The dual intervals :func:`dual_ranges_step` asks for, as data: the
     value interval of the dual of each row of ``rows`` (indices) over the
     optimal duals of ``problem``, whose minimization form (offset removed)
-    has the optimal value ``z_min``.  A step is sent one ``(lo, hi)`` per
-    row back (:func:`solve_stacked`)."""
+    has the optimal value ``z_min`` at ``basis`` (standard-form columns of
+    the problem's layout).  A step is sent one ``(lo, hi)`` per row back
+    (:func:`solve_stacked`)."""
 
     problem: LinearProgram
     rows: tuple
     z_min: float
+    basis: tuple
 
 
 def run_step(step, pool: "BasisPool" = None):
@@ -725,7 +732,7 @@ def run_lockstep(steps, pool: "BasisPool" = None) -> list:
     Returns each step's result in order, or the exception it raised, so
     one step's error leaves the others running.  Without a pool every
     answer is what :func:`solve_objectives` returns for the request (for a
-    :class:`RangeRequest`, the intervals of its pivoted region), or the
+    :class:`RangeRequest`, the intervals read off its own basis), or the
     error it raises; with one, see :func:`solve_stacked`.
     """
     steps = list(steps)
@@ -778,42 +785,33 @@ def solve_stacked(requests, pool: "BasisPool" = None) -> list:
     an objective count are solved together on one ``(K, rows, cols)``
     tableau, each instance making its own choices; groups smaller than
     :data:`STACK_MIN` are solved one by one.  A :class:`RangeRequest` is
-    pivoted as its pinned dual region (:func:`_pinned_region`), beside the
-    other requests, and its outcome is one ``(lo, hi)`` per row, or the
-    :class:`LpError` the region raises.
+    answered from its own basis (:func:`_basis_ranges`), and its outcome
+    is one ``(lo, hi)`` per row, or the :class:`LpError` that basis
+    raises.
 
     With a :class:`BasisPool`, a one-objective request that the pool's
     bases prove optimal (:meth:`BasisPool.certify`) is answered from them,
     builds no tableau and reports ``iterations=0``, and a range request
     whose every end the pool's bases give (:meth:`BasisPool.certify_ranges`)
-    is answered from their one-sided slopes; the others are solved as
-    above.
-    A certified answer depends on its request alone.  It is an optimum
-    within the simplex's own tolerances, but where the optimum is
-    degenerate it need not be the one Bland's rule reaches: its duals
-    (and ``basis``) may be another optimal basis's, and ``x``, computed as
-    ``B⁻¹b`` rather than by pivots, may differ in its last bits.  A
-    certified interval equals the region's within rounding.
+    is answered from their one-sided slopes; the others are answered as
+    above.  A certified answer depends on its request alone, and may come
+    from another optimal basis than the simplex's (see the module
+    docstring).
     """
     outcomes = [None] * len(requests)
     if pool is not None:
         pool.certify_ranges([(k, request) for k, request in enumerate(requests)
                              if isinstance(request, RangeRequest)], outcomes)
-    regions = {}        # k -> its range request, pivoted as a region
     groups = {}
     for k, request in enumerate(requests):
         if outcomes[k] is not None:
             continue
         if isinstance(request, RangeRequest):
-            regions[k] = request
-            try:
-                request = _pinned_region(request)
-            except LpError as exc:
-                outcomes[k] = exc
-                continue
+            outcomes[k] = _solve_apart(_basis_ranges, request)
+            continue
         problem, objectives = request
         if problem.n_rows == 0 or not objectives:
-            outcomes[k] = _solve_apart(problem, objectives)
+            outcomes[k] = _solve_apart(solve_objectives, problem, objectives)
             continue
         try:
             objectives = tuple(_checked_objective(problem, sense, c)
@@ -831,13 +829,7 @@ def solve_stacked(requests, pool: "BasisPool" = None) -> list:
                 outcomes[k] = out
         else:
             for k, problem, objectives in members:
-                outcomes[k] = _solve_apart(problem, objectives)
-    for k, request in regions.items():
-        if not isinstance(outcomes[k], Exception):
-            try:
-                outcomes[k] = _region_ends(request, outcomes[k])
-            except LpError as exc:
-                outcomes[k] = exc
+                outcomes[k] = _solve_apart(solve_objectives, problem, objectives)
     return outcomes
 
 
@@ -850,9 +842,10 @@ def _checked_objective(problem, sense, c):
     return sense, _objective_vector(sense, c, problem.n_vars)
 
 
-def _solve_apart(problem, objectives):
+def _solve_apart(solve, *args):
+    """``solve(*args)``, or the solver error it raises."""
     try:
-        return solve_objectives(problem, objectives)
+        return solve(*args)
     except _SOLVER_ERRORS as exc:
         return exc
 
@@ -914,7 +907,7 @@ def _solve_stack(members, layout) -> list:
                                  basis2[opt], iters2[opt], entry_k[opt], entry_q[opt])
     except np.linalg.LinAlgError:       # a singular basis: find whose, one by one
         for k in feasible:
-            outcomes[k] = _solve_apart(problems[k], objectives[k])
+            outcomes[k] = _solve_apart(solve_objectives, problems[k], objectives[k])
         return outcomes
     optima = dict(zip(opt.tolist(), optima))
     for n, k in enumerate(feasible):
@@ -1046,31 +1039,15 @@ class BasisPool:
     requests: a cost sweep has an objective per row, and solving all bases
     for each is slower than pivoting.
 
-    A :class:`RangeRequest` is tried too (:meth:`certify_ranges`).  Where
-    ``b`` is interior to the right-hand sides that keep its LP feasible,
-    the values a row's dual takes over the optimal duals form the interval
-    between the one-sided slopes ``∂⁻z/∂b_t`` and ``∂⁺z/∂b_t`` of the
-    optimal value (Jansen, de Jong, Roos & Terlaky, "Sensitivity analysis
-    in linear programming: just be careful!", EJOR 1997; Adler &
-    Monteiro, "A geometric view of parametric linear programming",
-    Algorithmica 1992).  The right slope is ``y_t`` of a basis that stays
-    optimal as ``b_t`` rises a little: one that passes both halves and
-    under which every row of ``(B⁻¹b, row_sign_t B⁻¹e_t)`` is
-    lexicographically nonnegative, a row of ``x_B`` within
-    ``_primal_tol(b)`` of zero counting as zero.  The left slope is the
-    same with ``-row_sign_t``.  Each end is read off the first basis that
-    gives it, and the bases must price the LP at the optimal value the
-    request names (within ``feas (1 + |z_min|)``, as :func:`_check_point`
-    checks an objective).  A request with an end that no basis gives,
-    at zero demand for one (``b`` on the edge, the left slope ``-inf``),
-    is left to the simplex whole."""
+    A :class:`RangeRequest` is tried too (:meth:`certify_ranges`, see the
+    module docstring's *Dual intervals*), by bases that pass both halves
+    and price the LP at its optimal value (:func:`_prices_at`)."""
 
     def __init__(self, solved):
         found = {}      # (frame, layout) -> {column set: (columns, labels)}
         for (problem, _), solutions in solved:
             layout = problem._frame.layout(problem.b)
-            names = _column_labels(layout, problem.var_labels, problem.row_labels)
-            column = {name: j for j, name in enumerate(names)}
+            column = _column_index(layout, problem.var_labels, problem.row_labels)
             bases = found.setdefault((problem._frame, layout), {})
             for solution in solutions:
                 if not solution.optimal:
@@ -1118,9 +1095,9 @@ class _Bases:
         B = self.A[:, self.cols].transpose(1, 0, 2)         # B[n] = A[:, cols[n]]
         self.BT = B.transpose(0, 2, 1)
         self.inverses = np.linalg.inv(B)
-        # falls[n, i, t, 0 / 1]: x_B[i] of basis n falls as b_t rises / falls
+        # steps[n, i, t, 0 / 1]: how x_B[i] of basis n moves as b_t rises / falls
         step = self.inverses * layout.row_sign
-        self.falls = np.stack([step < 0, step > 0], axis=-1)
+        self.steps = np.stack([step, -step], axis=-1)
 
     def _optimal(self, b, objectives):
         """Both halves of the optimality test, for every basis and request:
@@ -1189,8 +1166,9 @@ class _Bases:
         if not both.any():
             return
         # ends[r, n, t, 0 / 1]: basis n gives request r the right / left slope of row t
-        zero = np.abs(X) <= _primal_tol(b)[:, None, None]
-        ends = both[:, :, None, None] & ~(zero[:, :, :, None, None] & self.falls).any(axis=2)
+        falling = _falling(X[..., None, None], _primal_tol(b)[:, None, None, None, None],
+                           self.steps)
+        ends = both[:, :, None, None] & ~falling.any(axis=2)
         found, pick = ends.any(axis=1), ends.argmax(axis=1)
         # y_t of each end's basis, in the problem's orientation (as _duals
         # reads it); where no basis gives an end, its slope is never read
@@ -1199,14 +1177,10 @@ class _Bases:
         slope = Y[pair[objective[:, None, None], pick], t] * row_sign[t] * flip[:, None, None]
         first = both.argmax(axis=1)                 # a basis optimal at b itself
         value = (Y[pair[objective, first]] * b).sum(axis=1)
-        z_tol = current().feas
-        for (k, (problem, rows, z_min)), ok, at, z in zip(
+        for (k, (problem, rows, z_min, _)), ok, at, z in zip(
                 group, found.tolist(), slope.tolist(), value.tolist()):
-            if (rows and all(ok[i][0] and ok[i][1] for i in rows)
-                    and abs(z - z_min) <= z_tol * (1.0 + abs(z_min))):
-                ends_of = [(at[i][1], at[i][0]) for i in rows]      # (left, right)
-                outcomes[k] = tuple(ends_of if problem.sense == "min"
-                                    else [(hi, lo) for lo, hi in ends_of])
+            if rows and all(ok[i][0] and ok[i][1] for i in rows) and _prices_at(z, z_min):
+                outcomes[k] = _intervals(problem.sense, [at[i] for i in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -1214,58 +1188,74 @@ class _Bases:
 # ---------------------------------------------------------------------------
 
 
-def _pinned_region(request: RangeRequest) -> LpRequest:
-    """The LP request that pivots ``request``: over the feasible region of
-    the dual of its problem's minimization form, pinned to that LP's
-    optimal value ``z_min`` and built straight from the problem, the min
-    and then the max of each row's dual, row by row.  Variable ``i`` is
-    ``signs[i]`` times row ``i``'s dual (negated for a ``<=`` row, so each
-    is nonnegative or free); there is one row per primal column (``=`` for
-    a free one, ``<=`` otherwise) and a last row that pins the dual
-    objective."""
-    problem, rows, z_min = request
-    c_min = problem.c if problem.sense == "min" else -problem.c
-    signs = np.array([-1.0 if rel == LE else 1.0 for rel in problem.relations])
-    region = LinearProgram(
-        sense="min",
-        c=np.zeros(problem.n_rows),
-        A=np.vstack([problem.A.T * signs[None, :], signs * problem.b]),
-        relations=tuple(EQ if math.isinf(lb) else LE
-                        for lb in problem.lower_bounds.tolist()) + (EQ,),
-        b=np.concatenate([c_min, [z_min]]),
-        lower_bounds=np.array([-np.inf if rel == EQ else 0.0 for rel in problem.relations]),
-    )
-    objectives = []
-    for idx in rows:
-        obj = np.zeros(problem.n_rows)
-        obj[idx] = signs[idx]
-        objectives += [("min", obj), ("max", obj)]
-    return LpRequest(region, tuple(objectives))
+def _falling(x_B, tol, step, pinned=False):
+    """Which basic values ``x_B`` at zero (within ``tol``) fall along ``step``,
+    a ``pinned`` one (an artificial) either way: the lexicographic test."""
+    return (np.abs(x_B) <= tol) & ((step < 0) | (pinned & (step != 0)))
 
 
-def _region_ends(request: RangeRequest, sols) -> tuple:
-    """Each row's ``(lo, hi)`` from the solutions ``sols`` of
-    :func:`_pinned_region` ``(request)``; raises :class:`LpError` where the
-    pinned region is empty, so ``z_min`` is no optimal value."""
-    ranges = []
-    for k in range(len(request.rows)):
-        lo_hi = []
-        for sense, s in zip(("min", "max"), sols[2 * k: 2 * k + 2]):
-            if s.status == "unbounded":
-                lo_hi.append(-math.inf if sense == "min" else math.inf)
-            elif s.optimal:
-                lo_hi.append(s.objective)
-            else:
-                raise LpError(
-                    "solution is not optimal for problem: no dual solution "
-                    f"attains its optimal value {request.z_min!r} (minimization "
-                    "form, offset removed)"
-                )
-        lo, hi = lo_hi
-        if request.problem.sense == "max":
-            lo, hi = -hi, -lo
-        ranges.append((float(lo), float(hi)))
-    return tuple(ranges)
+def _prices_at(z: float, z_min: float) -> bool:
+    """Whether ``z`` is the optimal value ``z_min``, within ``feas (1 + |z_min|)``."""
+    return abs(z - z_min) <= current().feas * (1.0 + abs(z_min))
+
+
+def _intervals(sense, slopes) -> tuple:
+    """Each row's ``(lo, hi)``, a zero end +0.0, from its ``(right, left)``
+    slopes in the problem's orientation (a maximization's duals negate its
+    minimization form's, so they swap)."""
+    return tuple((left + 0.0, right + 0.0) if sense == "min" else (right + 0.0, left + 0.0)
+                 for right, left in slopes)
+
+
+def _basis_ranges(request: RangeRequest) -> tuple:
+    """Each row's ``(lo, hi)`` of ``request``, from its own basis, which
+    must pass both halves of the optimality test and price the LP at
+    ``z_min``; else :class:`LpError`."""
+    problem, rows, z_min, basis = request
+    layout = problem._frame.layout(problem.b)
+    A, n, m = problem._frame.columns[layout], layout.n_total, problem.n_rows
+    b, cost = problem.b * layout.row_sign, layout.cost(np.array(problem.sense != "min"), problem.c)
+    T = np.zeros((m + 1, n + m + 1))        # rows [B⁻¹A | B⁻¹ | x_B], then [rc | 0 | 0]
+    try:
+        T[:m] = np.linalg.inv(A[:, basis]) @ np.hstack([A[:, :n], np.eye(m), b[:, None]])
+        T[m, :n] = cost[:n] - cost[list(basis)] @ T[:m, :n]
+        T[m, basis] = 0.0       # as in a simplex tableau (an artificial's is in B⁻¹'s zeros)
+        optimal = (T[:m, -1] >= -_primal_tol(b)).all() and (
+            T[m, :n] >= -_rc_tol(cost)).all() and _prices_at(
+            float(cost[list(basis)] @ T[:m, n:-1] @ b), z_min)     # y b, as for the pool
+    except np.linalg.LinAlgError:           # singular, or short of labels the layout has
+        optimal = False
+    if not optimal:
+        raise LpError(f"solution is not optimal for problem: its basis is no optimal "
+                      f"basis at its value {z_min!r} (minimization form, offset removed)")
+    flip, row_sign = -1.0 if problem.sense == "max" else 1.0, layout.row_sign.tolist()
+    return _intervals(problem.sense, [tuple(
+        side * flip * _derivative(T.copy(), list(basis), cost, n, _primal_tol(b), t,
+                                  side * row_sign[t])
+        for side in (1.0, -1.0)) for t in rows])
+
+
+def _derivative(T, basis, cost, n, tol, t, step):
+    """The one-sided derivative of the minimization form's optimal value
+    as its standard-form ``b`` moves along ``step`` (±1) times unit column
+    ``t``, from the optimal ``basis`` and its tableau ``T`` (rows ``[B⁻¹A |
+    B⁻¹ | x_B]`` over the ``n`` columns that may enter, then reduced costs).
+    While a basic value at zero falls, the falling row of the lowest basic
+    column leaves (Bland's rule) and the column of the dual ratio test
+    enters; ``inf`` where none can."""
+    m = len(basis)
+    for _ in range(MAX_ITERATIONS):
+        falling = _falling(T[:m, -1], tol, step * T[:m, n + t], np.array(basis) >= n)
+        if not falling.any():
+            return step * float(cost[basis] @ T[:m, n + t])
+        leave = min(np.flatnonzero(falling).tolist(), key=basis.__getitem__)
+        ratios = [r_j / -a_j if a_j < -_PIVOT_TOL else math.inf
+                  for a_j, r_j in zip(T[leave, :n].tolist(), T[m, :n].tolist())]
+        enter = min(range(n), key=ratios.__getitem__)      # the lowest index on ties
+        if ratios[enter] == math.inf:
+            return math.inf
+        _pivot(T, basis, leave, enter)
+    raise _iteration_limit()
 
 
 def _check_point(problem: LinearProgram, solution: LpSolution):
@@ -1274,7 +1264,7 @@ def _check_point(problem: LinearProgram, solution: LpSolution):
     held within ``current().feas`` times one plus the largest ``|b|`` or
     ``|x|``, and ``objective`` equal to ``c @ x + objective_offset`` within
     ``current().feas`` relative.  One ``A @ x``, no solve; whether the
-    point is optimal shows in the pinned dual region."""
+    point is optimal shows at its basis (:func:`_basis_ranges`)."""
     x = solution.x
     if x is None or x.shape != (problem.n_vars,) or not _all_finite(x):
         raise LpInputError("solution x must be finite and match the problem's shape")
@@ -1295,36 +1285,26 @@ def _check_point(problem: LinearProgram, solution: LpSolution):
 
 
 def dual_value_range(problem: LinearProgram, row_id, *, solution: LpSolution):
-    """Exact interval of values the row's dual takes over all optimal duals.
-
-    Computed by re-optimizing over the dual feasible region pinned to the
-    optimal dual objective, minimizing and then maximizing the chosen dual
-    variable.  Degenerate primal optima show up here as intervals of
-    positive width; a unique dual gives a zero-width interval.
-
-    ``solution`` is ``problem``'s optimum (:func:`solve_lp`), whose value
-    pins the region.  A ``solution`` that is not a point of ``problem``
-    raises :class:`LpInputError`; one that is a point but not an optimum
-    leaves the region empty and raises :class:`LpError`.
-    :func:`dual_value_ranges` does several rows for the price of one.
-    """
+    """Exact interval of values the row's dual takes over all optimal duals,
+    read off the basis of ``solution``, ``problem``'s optimum
+    (:func:`solve_lp`; see the module docstring's *Dual intervals*).  A
+    degenerate primal optimum shows as an interval of positive width.  A
+    ``solution`` that is not a point of ``problem`` raises
+    :class:`LpInputError`; one whose basis is no optimal basis of
+    ``problem`` at its value raises :class:`LpError`."""
     return dual_value_ranges(problem, (row_id,), solution=solution)[0]
 
 
 def dual_value_ranges(problem: LinearProgram, row_ids, *, solution: LpSolution) -> tuple:
-    """:func:`dual_value_range` of each row in ``row_ids``, in order.
-
-    Every row's min and max sub-LP lives on the same pinned dual region, so
-    all of them share one standard form and one phase 1
-    (:func:`solve_objectives`); each interval equals the one-row result
-    exactly.
-    """
+    """:func:`dual_value_range` of each row in ``row_ids``, in order, from
+    one optimality test; each equals the one-row result exactly."""
     return run_step(dual_ranges_step(problem, row_ids, solution=solution))
 
 
 def dual_ranges_step(problem: LinearProgram, row_ids, *, solution: LpSolution):
     """:func:`dual_value_ranges` as a step (see :class:`LpRequest`): it
-    checks ``solution`` and yields one :class:`RangeRequest`."""
+    checks ``solution`` and yields one :class:`RangeRequest` with its basis
+    (less any label the problem's layout lacks)."""
     idxs = tuple(problem.row_index(row_id) for row_id in row_ids)
     if not solution.optimal:
         raise LpError(f"dual_value_range needs an optimal primal, got {solution.status}")
@@ -1332,7 +1312,10 @@ def dual_ranges_step(problem: LinearProgram, row_ids, *, solution: LpSolution):
     z_min = solution.objective - problem.objective_offset
     if problem.sense == "max":
         z_min = -z_min
-    return (yield RangeRequest(problem, idxs, z_min))
+    column = _column_index(problem._frame.layout(problem.b), problem.var_labels,
+                           problem.row_labels)
+    basis = tuple(column[label] for label in solution.basis if label in column)
+    return (yield RangeRequest(problem, idxs, z_min, basis))
 
 
 def dual_interval_has_width(lo: float, hi: float) -> bool:
@@ -1344,29 +1327,19 @@ def dual_interval_has_width(lo: float, hi: float) -> bool:
 
 
 def detect_degeneracy(problem: LinearProgram, solution: LpSolution) -> DegeneracyReport:
-    """Flag basic variables at zero and rows whose dual is not unique."""
+    """Flag basic variables at zero (in ``B⁻¹b``) and rows whose dual is not unique."""
     if not solution.optimal:
         raise LpError("detect_degeneracy requires an optimal solution")
-    # checks that solution is an optimum of problem, its shape included
+    # checks that solution is an optimum of problem, its basis included
     dual_multiple = tuple(dual_interval_has_width(lo, hi) for lo, hi in
                           dual_value_ranges(problem, range(problem.n_rows),
                                             solution=solution))
-    x = solution.x
-    deg = current().deg
-    values = {}
-    for j in range(problem.n_vars):
-        lbl = problem.var_label(j)
-        values[lbl] = x[j]
-        values[lbl + "~"] = -x[j]
-    resid = problem.A @ x
-    for i, rel in enumerate(problem.relations):
-        if rel == LE:
-            values[f"s[{problem.row_label(i)}]"] = problem.b[i] - resid[i]
-        elif rel == GE:
-            values[f"s[{problem.row_label(i)}]"] = resid[i] - problem.b[i]
-        values[f"a[{problem.row_label(i)}]"] = 0.0
-    zero_basic = tuple((lbl, float(values[lbl])) for lbl in solution.basis
-                       if abs(values[lbl]) <= deg)
+    layout = problem._frame.layout(problem.b)
+    column = _column_index(layout, problem.var_labels, problem.row_labels)
+    B = problem._frame.columns[layout][:, [column[lbl] for lbl in solution.basis]]
+    x_B = np.linalg.solve(B, problem.b * layout.row_sign)
+    zero_basic = tuple((lbl, value) for lbl, value in zip(solution.basis, x_B.tolist())
+                       if abs(value) <= current().deg)
     return DegeneracyReport(
         primal_degenerate=bool(zero_basic),
         zero_basic=zero_basic,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groups import AnalyticResult, analytic_solution, classify, marginal_cp
+from .groups import AnalyticResult, analytic_solution, classify, marginal_cp, merit_interval
 from .lp import LpRequest, dual_interval_has_width, dual_ranges_step, run_step
 from .model import SystemParams, build_lrmc_primal, build_srmc_primal
 from .tolerances import current
@@ -65,6 +65,7 @@ class SrmcResult:
     degenerate: tuple       # per-period: interval has positive width
     lrmc: tuple             # the long-run pair the rules were read against
     marginal_cp: tuple      # per-period marginal operating cost (None if all shed)
+    merit: tuple            # per-period merit-order interval (groups.merit_interval)
 
 
 def predict_srmc_from_lrmc(lrmc_t: float, marginal_cp_t: float, cl: float) -> float:
@@ -154,6 +155,7 @@ def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
         degenerate=degenerate,
         lrmc=analytic.lrmc,
         marginal_cp=cps,
+        merit=tuple(merit_interval(params, analytic.decision, t) for t in (1, 2)),
     )
 
 

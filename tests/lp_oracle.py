@@ -5,8 +5,12 @@ logic, just linear solves over all column subsets.  Exponential, so only
 usable on the tiny instances the tests construct, which is the point.
 
 :func:`min_form` and :func:`explicit_dual` write an LP's minimization
-form and a minimization's dual out as ``LinearProgram``s: the reference
-the dual-range region of ``genmargin.lp`` is checked against.
+form and a minimization's dual out as ``LinearProgram``s.
+:func:`pinned_region` writes the dual region pinned to an optimal value
+straight from the LP, and :func:`region_ranges` pivots it: the second
+method the ranging of ``genmargin.lp`` (from the solve's own basis) is
+checked against where basis enumeration is too slow, on the long-run LP
+for one.
 """
 
 import itertools
@@ -14,7 +18,7 @@ import math
 
 import numpy as np
 
-from genmargin.lp import LinearProgram, LpInputError
+from genmargin.lp import LinearProgram, LpError, LpInputError, LpRequest, solve_objectives
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -214,3 +218,81 @@ def explicit_dual(problem: LinearProgram):
         row_labels=tuple(problem.var_label(j) for j in range(n)),
     )
     return dual, signs
+
+
+def pinned_region(problem: LinearProgram, rows, z_min: float) -> LpRequest:
+    """The LP request whose optima are the ends of each row of ``rows``
+    (indices): over the feasible region of the dual of ``problem``'s
+    minimization form, pinned to that LP's optimal value ``z_min`` and
+    built straight from the problem, the min and then the max of each
+    row's dual.  Variable ``i`` is ``signs[i]`` times row ``i``'s dual
+    (negated for a ``<=`` row, so each is nonnegative or free); there is
+    one row per primal column (``=`` for a free one, ``<=`` otherwise) and
+    a last row that pins the dual objective."""
+    c_min = problem.c if problem.sense == "min" else -problem.c
+    signs = np.array([-1.0 if rel == LE else 1.0 for rel in problem.relations])
+    region = LinearProgram(
+        sense="min",
+        c=np.zeros(problem.n_rows),
+        A=np.vstack([problem.A.T * signs[None, :], signs * problem.b]),
+        relations=tuple(EQ if math.isinf(lb) else LE
+                        for lb in problem.lower_bounds.tolist()) + (EQ,),
+        b=np.concatenate([c_min, [z_min]]),
+        lower_bounds=np.array([-np.inf if rel == EQ else 0.0 for rel in problem.relations]),
+    )
+    objectives = []
+    for idx in rows:
+        obj = np.zeros(problem.n_rows)
+        obj[idx] = signs[idx]
+        objectives += [("min", obj), ("max", obj)]
+    return LpRequest(region, tuple(objectives))
+
+
+def region_ends(problem: LinearProgram, sols) -> tuple:
+    """Each row's ``(lo, hi)`` from the solutions ``sols`` of a
+    :func:`pinned_region` of ``problem``; raises :class:`LpError` where the
+    region is empty, so its value is no optimal value."""
+    ranges = []
+    for k in range(0, len(sols), 2):
+        lo_hi = []
+        for sense, s in zip(("min", "max"), sols[k: k + 2]):
+            if s.status == "unbounded":
+                lo_hi.append(-math.inf if sense == "min" else math.inf)
+            elif s.optimal:
+                lo_hi.append(s.objective)
+            else:
+                raise LpError("solution is not optimal for problem: the pinned region is empty")
+        lo, hi = lo_hi
+        if problem.sense == "max":
+            lo, hi = -hi, -lo
+        ranges.append((float(lo), float(hi)))
+    return tuple(ranges)
+
+
+def request_ranges(request) -> tuple:
+    """Each row's dual interval of a ``genmargin.lp.RangeRequest``, by
+    pivoting its :func:`pinned_region`."""
+    problem, rows, z_min, _ = request
+    return region_ends(problem, solve_objectives(*pinned_region(problem, rows, z_min)))
+
+
+def region_ranges(problem: LinearProgram, row_ids, solution) -> tuple:
+    """Each row's dual interval by pivoting its :func:`pinned_region` at
+    the value of the optimum ``solution``."""
+    z_min = solution.objective - problem.objective_offset
+    if problem.sense == "max":
+        z_min = -z_min
+    request = pinned_region(problem, [problem.row_index(r) for r in row_ids], z_min)
+    return region_ends(problem, solve_objectives(*request))
+
+
+def same_ends(got, want, rel=1e-9) -> bool:
+    """Whether the intervals ``got`` and ``want`` agree end by end: an
+    infinite end exactly, a finite one within ``rel`` relative."""
+    for g, w in zip(np.ravel(got).tolist(), np.ravel(want).tolist()):
+        if math.isinf(g) or math.isinf(w):
+            if g != w:
+                return False
+        elif abs(g - w) > rel * max(1.0, abs(w)):
+            return False
+    return np.shape(got) == np.shape(want)

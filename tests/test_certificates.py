@@ -12,8 +12,9 @@ depend on what it was asked before or beside.
 
 A dual-interval request (``lp.RangeRequest``) is answered from the
 one-sided slopes of the pooled bases where every end is found, within
-rounding of the pinned dual region's answer, and is otherwise pivoted as
-that region, whose answer it then is bit for bit.
+rounding of the answer of its own basis, and is otherwise answered from
+its own basis, as without a pool, bit for bit.  Both are checked against
+the pinned dual region (``lp_oracle.request_ranges``).
 """
 
 import dataclasses
@@ -42,6 +43,7 @@ from genmargin.model import SystemParams, build_srmc_primal, lrmc_step, solve_lr
 from genmargin.sampling import random_params
 from genmargin.srmc import default_epsilon
 
+from lp_oracle import request_ranges, same_ends
 from test_shared_phase import assert_identical
 
 CANONICAL = dict(ci_r=60, cp_r=1, m_r=3000, ci_f=82, cp_f=20, m_f=4000, cl=200, d1=2000)
@@ -267,26 +269,26 @@ def range_request(params):
 
 
 def answered_both_ways(requests, monkeypatch):
-    """``(pooled, pool-free, pivoted)``: each request's intervals with the
-    atlas and without it, and whether the pooled answer pivoted the
-    request's dual region."""
+    """``(pooled, pool-free, fell)``: each request's intervals with the
+    atlas and without it, and whether the pooled answer fell to the
+    request's own basis (``lp._basis_ranges``)."""
     pool = cli.basis_atlas(tolerances.current())
-    pivoted, real = set(), lp._pinned_region
+    own, real = set(), lp._basis_ranges
 
-    def region(request):
-        pivoted.add(id(request))
+    def basis_ranges(request):
+        own.add(id(request))
         return real(request)
 
-    monkeypatch.setattr(lp, "_pinned_region", region)
+    monkeypatch.setattr(lp, "_basis_ranges", basis_ranges)
     pooled = solve_stacked(requests, pool=pool)
-    fell = [id(request) in pivoted for request in requests]
+    fell = [id(request) in own for request in requests]
     return pooled, solve_stacked(requests), fell
 
 
-def assert_same_intervals(got, want, pivoted):
-    """A pivoted answer is the pool-free one bit for bit; a certified one
-    within 1e-9 relative."""
-    if pivoted:
+def assert_same_intervals(got, want, fell):
+    """An answer from the request's own basis is the pool-free one bit
+    for bit; a certified one within 1e-9 relative."""
+    if fell:
         assert np.array(got).tobytes() == np.array(want).tobytes(), (got, want)
         return
     for g, w in zip(np.ravel(got).tolist(), np.ravel(want).tolist()):
@@ -297,16 +299,17 @@ def assert_same_intervals(got, want, pivoted):
 def test_certified_intervals_are_the_regions(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     requests = [range_request(random_params(rng)) for _ in range(300)]
-    pooled, plain, pivoted = answered_both_ways(requests, monkeypatch)
-    for got, want, fell in zip(pooled, plain, pivoted):
-        assert_same_intervals(got, want, fell)
-    assert sum(pivoted) <= 0.15 * len(requests)
+    pooled, plain, fell = answered_both_ways(requests, monkeypatch)
+    for request, got, want, own in zip(requests, pooled, plain, fell):
+        assert_same_intervals(got, want, own)
+        assert same_ends(want, request_ranges(request)), request
+    assert sum(fell) <= 0.15 * len(requests)
     # certified ends that differ come from the lexicographic test
-    assert sum(dual_interval_has_width(*interval) for got, fell in zip(pooled, pivoted)
-               if not fell for interval in got) >= 100
+    assert sum(dual_interval_has_width(*interval) for got, own in zip(pooled, fell)
+               if not own for interval in got) >= 100
 
 
-@pytest.mark.parametrize("over, want, pivoted", [
+@pytest.mark.parametrize("over, want, own", [
     # an empty period's left slope is -inf: no basis gives it
     (dict(d1=0.0), ((-math.inf, 1.0), (20.0, 200.0)), True),
     (dict(d2=0.0), ((1.0, 200.0), (-math.inf, 1.0)), True),
@@ -316,17 +319,19 @@ def test_certified_intervals_are_the_regions(seed, monkeypatch):
     # group 3: the capacity built for period 2 is used up in both periods
     (dict(cl=80.0, d2=4000.0), ((1.0, 80.0), (1.0, 80.0)), False),
 ])
-def test_edge_intervals_are_the_regions(over, want, pivoted, monkeypatch):
+def test_edge_intervals_are_the_regions(over, want, own, monkeypatch):
     request = range_request(SystemParams.from_values(**{**CANONICAL, "d2": 8000.0, **over}))
     (got,), (plain,), (fell,) = answered_both_ways([request], monkeypatch)
-    assert fell is pivoted
+    assert fell is own
     assert_same_intervals(got, plain, fell)
     assert np.allclose(plain, want, rtol=0.0, atol=1e-9)
+    assert same_ends(plain, request_ranges(request))
 
 
 def test_optimal_value_of_another_point_is_not_certified(monkeypatch):
     # a feasible point that is not optimal: the bases price the LP below
-    # its objective, so the request goes to the region, which is empty
+    # its objective, so the request falls to its own basis, which a point
+    # made by hand does not name
     frozen = frozen_at(SystemParams.from_values(**dict(CANONICAL, cl=80.0, d2=4000.0)))
     x = np.array([0.0, 0.0, 0.0, 0.0, 2000.0, 4000.0])     # every unit shed
     shed = LpSolution(status="optimal", x=x,

@@ -166,7 +166,7 @@ class TestRun:
         assert rep["recovery"]["lrmc"]["recovered"] is True
         assert rep["recovery"]["srmc"]["recovered"] is False
 
-    @pytest.mark.parametrize("d2, built", [(7000.0, 5), (6000.0, 6)])
+    @pytest.mark.parametrize("d2, built", [(7000.0, 4), (6000.0, 4)])
     def test_report_solves_the_long_run_once(self, monkeypatch, tableaux, d2, built):
         # the one long-run solve runs at the environment's feasibility
         # tolerance, which reaches it with no keyword passed
@@ -526,15 +526,15 @@ class TestSelftest:
         assert run_selftest(seed=42, n=25, out=buf) == EXIT_OK
         assert "pass 25/25" in buf.getvalue()
 
-    def test_at_most_five_tableaux_per_scenario(self, tableaux, monkeypatch):
+    def test_at_most_four_tableaux_per_scenario(self, tableaux, monkeypatch):
         # A chunk's short-run LPs are solved side by side after the scalar
         # stage of all its scenarios, so each standard form is charged to
-        # the scenario whose short-run step asked for its problem (a dual
-        # region pivoted for a range request, to that request's), or else
+        # the scenario whose short-run step asked for its problem, or else
         # to the scenario drawn last before it was built.  Every tagged
-        # problem is held, so that no later one takes its id.
+        # problem is held, so that no later one takes its id.  A range
+        # request builds no tableau.
         owner, drawn, held = {}, [], []
-        real_draw, real_step, real_region = cli.random_params, cli.srmc_step, lp._pinned_region
+        real_draw, real_step = cli.random_params, cli.srmc_step
 
         def draw(rng):
             drawn.append(len(tableaux))
@@ -554,23 +554,16 @@ class TestSelftest:
                 held.append(request.problem)
                 answer = yield request
 
-        def region(request):
-            pivoted = real_region(request)
-            owner[id(pivoted.problem)] = owner[id(request.problem)]
-            held.append(pivoted.problem)
-            return pivoted
-
         cli.basis_atlas(tolerances.current())   # made once; its solves are no scenario's
         del tableaux[:]
         monkeypatch.setattr(cli, "random_params", draw)
         monkeypatch.setattr(cli, "srmc_step", tagged)
-        monkeypatch.setattr(lp, "_pinned_region", region)
         n = cli.CHUNK + 8
         assert run_selftest(seed=9, n=n, out=io.StringIO()) == EXIT_OK
         counts = Counter(owner.get(id(problem), bisect.bisect_right(drawn, i) - 1)
                          for i, problem in enumerate(tableaux))
         assert len(drawn) == len(counts) == n
-        assert max(counts.values()) <= 5, counts
+        assert max(counts.values()) <= 4, counts
 
     @staticmethod
     def count_closed_forms(monkeypatch):
@@ -732,10 +725,10 @@ class TestSelftest:
     def test_most_lps_are_certified(self, monkeypatch):
         # the long-run LPs and the frozen and perturbed short-run LPs, by
         # their frames, and the short-run range requests, certified unless
-        # pivoted as a dual region
+        # they fall to their own basis
         cli.basis_atlas(tolerances.current())
-        answered, pivoted = Counter(), []
-        real, real_region = lp.solve_stacked, lp._pinned_region
+        answered, own = Counter(), []
+        real, real_own = lp.solve_stacked, lp._basis_ranges
 
         def stacked(requests, pool=None):
             outcomes = real(requests, pool)
@@ -747,19 +740,19 @@ class TestSelftest:
                              all(s.iterations == 0 for s in answer)] += 1
             return outcomes
 
-        def region(request):
-            pivoted.append(request)
-            return real_region(request)
+        def basis_ranges(request):
+            own.append(request)
+            return real_own(request)
 
         monkeypatch.setattr(lp, "solve_stacked", stacked)
-        monkeypatch.setattr(lp, "_pinned_region", region)
+        monkeypatch.setattr(lp, "_basis_ranges", basis_ranges)
         assert run_selftest(seed=42, n=400, out=io.StringIO()) == EXIT_OK
         for frame, per_scenario in ((model._LRMC, 1), (model._SRMC, 2)):
             total = answered[frame, True] + answered[frame, False]
             assert total == per_scenario * 400
             assert answered[frame, True] >= 0.9 * total, (frame, answered)
         assert answered["range"] == 400
-        assert len(pivoted) <= 0.15 * 400, len(pivoted)
+        assert len(own) <= 0.15 * 400, len(own)
 
     @staticmethod
     def _raising(fn, errors):
@@ -798,7 +791,28 @@ class TestSelftest:
     def test_price_outside_its_interval_fails(self, monkeypatch, capsys, above, code,
                                               passed):
         # the third short-run result to finish has its period-2 interval
-        # start ``above`` its resolved price; more than 1e-6 out is a failure
+        # start ``above`` its resolved price, its right end kept; more than
+        # 1e-6 out is a failure
+        self.assert_third_moved(monkeypatch, capsys, lambda res: (
+            res.intervals[0], (res.resolved[1] + above, res.intervals[1][1])), code, passed)
+
+    @pytest.mark.parametrize("move, code", [
+        (lambda hi: hi + 2e-6, 2), (lambda hi: hi + 5e-7, EXIT_OK), (lambda hi: math.inf, 2)],
+        ids=["2e-6 off", "5e-7 off", "infinite"])
+    def test_interval_off_the_merit_order_fails(self, monkeypatch, capsys, move, code):
+        # the third short-run result to finish has the right end of its
+        # period-1 interval moved, its price still inside; an end more than
+        # lam_match (1e-6) off the merit order's is a failure, and an
+        # infinite one unless the merit order's is the same
+        self.assert_third_moved(monkeypatch, capsys, lambda res: (
+            (res.intervals[0][0], move(res.intervals[0][1])), res.intervals[1]),
+            code, 5 - (code == 2))
+
+    @staticmethod
+    def assert_third_moved(monkeypatch, capsys, intervals, code, passed):
+        """``selftest --seed 9 --n 5`` with the third short-run result to
+        finish given ``intervals(result)`` exits ``code`` and passes
+        ``passed`` scenarios."""
         real = cli.srmc_step
         done = [0]
 
@@ -806,8 +820,8 @@ class TestSelftest:
             res = yield from real(*args, **kwargs)
             done[0] += 1
             if done[0] == 3:
-                res = dataclasses.replace(res, intervals=(
-                    res.intervals[0], (res.resolved[1] + above, math.inf)))
+                assert res.intervals == res.merit
+                res = dataclasses.replace(res, intervals=intervals(res))
             return res
 
         monkeypatch.setattr(cli, "srmc_step", step)

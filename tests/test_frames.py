@@ -35,6 +35,7 @@ from genmargin.model import (
 )
 from genmargin.srmc import default_epsilon
 
+from lp_oracle import pinned_region
 from test_shared_phase import CANONICAL, assert_identical
 
 #: an interior point of the README costs, a region boundary (d2 = 6000) and
@@ -134,14 +135,15 @@ def test_framed_and_full_lps_of_one_layout_stack_together(stacks):
 
 
 def test_dual_range_regions_with_their_own_matrices_stack_together(stacks):
-    # the frozen short-run LPs of a d2 sweep: each region's last row is its
-    # own b, so every region has its own A and frame, and one layout
+    # the pinned dual regions (lp_oracle) of the frozen short-run LPs of a
+    # d2 sweep: each region's last row is its own b, so every region has
+    # its own A and frame, and one layout
     regions = []
     for d2 in np.linspace(3000.0, 13000.0, lp.STACK_MIN):
         params = SystemParams.from_values(**CANONICAL, d2=float(d2))
         frozen = build_srmc_primal(params, solve_lrmc(params).decision)
-        regions.append(lp._pinned_region(next(lp.dual_ranges_step(
-            frozen, range(frozen.n_rows), solution=solve_lp(frozen)))))
+        regions.append(pinned_region(*next(lp.dual_ranges_step(
+            frozen, range(frozen.n_rows), solution=solve_lp(frozen)))[:3]))
     problems = [r.problem for r in regions]
     assert len({p.A.tobytes() for p in problems}) == len({id(p._frame) for p in problems}) \
         == len(regions)

@@ -15,7 +15,7 @@ from genmargin.lp import (
     solve_lp,
 )
 
-from lp_oracle import brute_force_solve, explicit_dual
+from lp_oracle import brute_force_solve, explicit_dual, region_ranges, same_ends
 
 
 def lp(sense, c, A, rel, b, lb=None, **kw):
@@ -173,10 +173,10 @@ class TestDegeneracyAndRanges:
         del tableaux[:]
         rep = detect_degeneracy(p, sol)
         assert rep.dual_multiple == (True, True)
-        assert len(tableaux) == 1       # the dual-range region only
+        assert not tableaux             # the ranges are read off its basis
 
     def test_solution_is_required(self):
-        # the optimum pins the dual region; no variant solves it again
+        # the ranges are read off the optimum's basis; no variant solves it again
         p = lp("min", [1.0], [[1.0]], (">=",), [3.0])
         for call in (lambda: dual_value_range(p, 0),
                      lambda: lp_module.dual_value_ranges(p, (0,)),
@@ -199,7 +199,8 @@ class TestDegeneracyAndRanges:
 
     def test_solution_of_another_lp_rejected(self):
         # p's row 0 interval is [0, 1]; an optimum of the same rows at
-        # another right-hand side must not pin p's dual region
+        # another right-hand side is a point of p, and its basis is
+        # primal feasible there, but prices p above its optimal value
         p = lp("min", [1.0], [[1.0], [1.0]], (">=", ">="), [1.0, 1.0])
         below = solve_lp(lp("min", [1.0], [[1.0], [1.0]], (">=", ">="), [0.5, 0.5]))
         with pytest.raises(LpInputError, match="not a point of problem"):
@@ -222,6 +223,35 @@ class TestDegeneracyAndRanges:
     ])
     def test_interval_width(self, lo, hi, width):
         assert lp_module.dual_interval_has_width(lo, hi) is width
+
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_redundant_rows_leave_their_duals_free(self, sense):
+        # x + y = 1 twice over: an artificial stays basic at zero in the
+        # second row, and any move of either row's b empties the feasible
+        # set, so both duals are free over the optimal face
+        p = lp(sense, [1.0, 2.0], [[1, 1], [2, 2], [1, 0]], ("=", "=", "<="), [1.0, 2.0, 0.5])
+        sol = solve_lp(p)
+        assert "a[row1]" in sol.basis
+        got = lp_module.dual_value_ranges(p, range(3), solution=sol)
+        assert got[:2] == ((-math.inf, math.inf),) * 2
+        assert same_ends(got, region_ranges(p, range(3), sol))
+
+    def test_end_the_basis_does_not_give_is_pivoted(self):
+        # min x + 2y s.t. x + y >= 1, x <= 1: the optimum's basis holds y
+        # at zero, so it stays optimal as row 0's b rises (y serves it at 2)
+        # but not as it falls, where a dual-simplex pivot swaps y for row
+        # 0's surplus and the slope is x's cost, 1
+        p = lp("min", [1.0, 2.0], [[1, 1], [1, 0]], (">=", "<="), [1.0, 1.0])
+        sol = solve_lp(p)
+        assert sol.basis == ("x1", "x0")
+        assert dual_value_range(p, 0, solution=sol) == (1.0, 2.0)
+        assert dual_value_range(p, 1, solution=sol) == (-1.0, 0.0)
+        # x is held at 1 by both rows: moving either past the other leaves
+        # nothing feasible, where no column can enter, so those ends are
+        # infinite
+        q = lp("min", [1.0], [[1.0], [1.0]], (">=", "<="), [1.0, 1.0])
+        assert lp_module.dual_value_ranges(q, (0, 1), solution=solve_lp(q)) == (
+            (1.0, math.inf), (-math.inf, 0.0))
 
     def test_range_contains_reported_dual(self):
         rng = np.random.default_rng(7)

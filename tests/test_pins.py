@@ -22,8 +22,8 @@ from genmargin.sampling import random_params
 
 PINS = {
     "run-text": "640e4660b9f7e82da1b571f2d4dfa2c6f3eda8c82871c26c37bd6c655310579f",
-    "run-json": "3e5f4aed3bf82c83660bdef15299765eaa97e2a3c0858125e7bffd44fc3cd52d",
-    "run-csv": "4bb950473c7feb26076c4ec3805c05d21c03e3e9e7519e300a2cda65611c6426",
+    "run-json": "06ba401edd419a764a8a9ca8aadd0fc0a1a7673c9e8531a28287bccbcfa908b2",
+    "run-csv": "943036946a7aed0ee52d4ad574abc7aba8520c1945baeb0415ac16d4e618f1f2",
     "dump-tables": "b258e03fadd9eb91f942b81fe9a1ac55689f79d5f3e462ca65127beb3163b594",
     "selftest-7": "daa088a8481bee8415cbc1fbbfe9d23b9669e36bd54e571309be6ba200e8a77e",
     "selftest-9": "af48b212c8386c771bc562873a018ed4157f60bf7b7c79053c45bd7cdf97efe8",

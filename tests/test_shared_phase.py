@@ -1,10 +1,12 @@
 """Shared phase 1 and stacked solves: the same LP results, bit for bit.
 
-Every result of ``solve_objectives`` and ``dual_value_ranges`` must equal
-what separate one-objective solves give, and every outcome of
-``solve_stacked`` what ``solve_objectives`` gives for that request alone,
-down to the last bit of every array (signed zeros included) and the pivot
-count.
+Every result of ``solve_objectives`` must equal what separate
+one-objective solves give, and every outcome of ``solve_stacked`` what
+``solve_objectives`` gives for that request alone, down to the last bit
+of every array (signed zeros included) and the pivot count.  Every
+interval of ``dual_value_ranges`` must equal the one-row result bit for
+bit, and the pinned dual region's (``lp_oracle.region_ranges``, pivoted
+by separate solves) within 1e-9 relative.
 """
 
 import dataclasses
@@ -36,7 +38,7 @@ from genmargin.model import (
 from genmargin.sampling import random_params
 from genmargin.srmc import default_epsilon, srmc_step
 
-from lp_oracle import explicit_dual, min_form
+from lp_oracle import explicit_dual, min_form, pinned_region, region_ranges, same_ends
 
 CANONICAL = dict(ci_r=60, cp_r=1, m_r=3000, ci_f=82, cp_f=20, m_f=4000, cl=200, d1=2000)
 #: the demands at which the canonical d2 sweep sits exactly on a region edge
@@ -75,8 +77,9 @@ def tie_break(problem):
 
 
 def one_row_range(problem, row, solution):
-    """One row's dual interval from two separate ``solve_lp`` calls: the
-    algorithm of ``dual_value_range`` before its sub-LPs shared a phase 1."""
+    """One row's dual interval from two separate ``solve_lp`` calls over
+    the pinned dual region, written out through ``min_form`` and
+    ``explicit_dual``."""
     p_min = min_form(problem)
     z_struct = solution.objective - problem.objective_offset - p_min.objective_offset
     dual, signs = explicit_dual(p_min)
@@ -110,7 +113,7 @@ def test_model_lps_match_separate_solves():
             ranges = dual_value_ranges(problem, rows, solution=solution)
             assert ranges == tuple(dual_value_range(problem, r, solution=solution)
                                    for r in rows), params
-            assert ranges == tuple(one_row_range(problem, r, solution) for r in rows), params
+            assert same_ends(ranges, [one_row_range(problem, r, solution) for r in rows]), params
 
 
 def test_dual_range_region_matches_separate_solves():
@@ -154,33 +157,45 @@ def reference_region(problem, z_min):
 
 def test_dual_range_region_is_built_straight_from_the_problem():
     # the long-run, frozen and perturbed LPs of the scenarios, and every
-    # optimal objective of the random LPs, minimized or maximized
+    # optimal objective of the random LPs, minimized or maximized, each
+    # with how far the region's ends may stray: its pinned row holds the
+    # dual objective only within feas (1 + max|b|), and a perturbed LP's
+    # capacities sit epsilon above their use, so its region's ends spread
+    # by up to 2.1e-8 where the basis gives a point
     cases = []
     for params in scenarios():
         lr = solve_lrmc(params)
-        cases.append((build_lrmc_primal(params), lr.lp_solution))
-        for eps in (0.0, default_epsilon(params)):
+        cases.append((build_lrmc_primal(params), lr.lp_solution, 1e-9))
+        for eps, rel in ((0.0, 1e-9), (default_epsilon(params), 1e-7)):
             short = build_srmc_primal(params, lr.decision, epsilon=eps)
-            cases.append((short, solve_lp(short)))
+            cases.append((short, solve_lp(short), rel))
     for p, objectives in random_lps() + random_lps(seed=12):
         for sense, c in objectives:
             problem = dataclasses.replace(p, sense=sense, c=c)
             solution = solve_lp(problem)
             if solution.optimal:
-                cases.append((problem, solution))
-    assert {p.sense for p, _ in cases} == {"min", "max"}
-    for problem, solution in cases:
+                cases.append((problem, solution, 1e-9))
+    assert {p.sense for p, *_ in cases} == {"min", "max"}
+    for problem, solution, rel in cases:
         rows = range(problem.n_rows)
         z_min = solution.objective - problem.objective_offset
         if problem.sense == "max":
             z_min = -z_min
-        request = lp._pinned_region(next(lp.dual_ranges_step(problem, rows,
-                                                            solution=solution)))
+        # the range request carries the optimum's value and basis columns
+        asked = next(lp.dual_ranges_step(problem, rows, solution=solution))
+        names = lp._column_labels(problem._frame.layout(problem.b), problem.var_labels,
+                                  problem.row_labels)
+        assert asked.z_min == z_min
+        assert tuple(names[j] for j in asked.basis) == solution.basis
+        request = pinned_region(problem, rows, z_min)
         region, signs = reference_region(problem, z_min)
         assert lp_fields(request.problem) == lp_fields(region)
         for i in rows:
             assert [c.tolist() for _, c in request.objectives[2 * i: 2 * i + 2]] == [
                 [signs[i] if k == i else 0.0 for k in rows]] * 2
+        # the intervals read off the basis are the region's
+        assert same_ends(dual_value_ranges(problem, rows, solution=solution),
+                         region_ranges(problem, rows, solution), rel), (problem, solution)
 
 
 def test_layouts_are_shared_and_read_only():
@@ -304,8 +319,8 @@ def stack_min(request, monkeypatch):
 
 def requests_of(step):
     """Every LP request ``step`` yields, answered by ``solve_objectives``; a
-    range request is taken as its pinned dual region (``lp._pinned_region``)
-    and answered without a pool."""
+    range request is answered without a pool and taken as its pinned dual
+    region (``lp_oracle.pinned_region``), an LP of four objectives."""
     seen, answer = [], None
     while True:
         try:
@@ -314,7 +329,7 @@ def requests_of(step):
             return seen
         if isinstance(request, lp.RangeRequest):
             (answer,) = solve_stacked([request])
-            request = lp._pinned_region(request)
+            request = pinned_region(*request[:3])
         else:
             answer = solve_objectives(request.problem, request.objectives)
         seen.append(request)
