@@ -32,9 +32,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .groups import GROUPS, analytic_solution, classify, representative_params, table_csv
-from .lp import BasisPool, LpInputError, run_lockstep
-from .model import PARAM_FIELDS, ModelError, SystemParams, lrmc_step, solve_lrmc
+from .groups import analytic_solution, classify, table_csv
+from .lp import BasisPool, run_lockstep
+from .model import (
+    ATLAS,
+    PARAM_FIELDS,
+    ModelError,
+    SystemParams,
+    feasibility_limit,
+    lrmc_step,
+    solve_lrmc,
+)
 from .pricing import (
     cost_recovery,
     group_orientation,
@@ -44,7 +52,7 @@ from .pricing import (
     srmc_profile,
 )
 from .sampling import random_params
-from .srmc import SrmcError, compute_srmc, predict_srmc_from_lrmc, resolved_step, srmc_step
+from .srmc import compute_srmc, predict_srmc_from_lrmc, resolved_step, srmc_step
 from .verify import cross_check
 
 EXIT_OK = 0
@@ -54,15 +62,14 @@ EXIT_VERIFICATION = 2
 #: Sweep grid points or selftest scenarios evaluated in lockstep: each LP
 #: stage of a chunk is one stacked solve (``lp.run_lockstep``).  A chunk's
 #: items keep their LPs and results alive until it ends, so memory grows
-#: with the chunk.  Every chunk pivots only what the fixed pool
-#: (:func:`basis_atlas`) does not certify: about 5% of selftest's
-#: long-run and short-run LPs, 11% of the benchmark grids'.  With so few
-#: misses left per round, a bigger chunk wins: in ``perfbench/run.py``
-#: (2-core x86-64, 15 s runs, seeds 3-5), sweep read 4,995-5,142 /
-#: 5,430-5,594 / 5,982-6,071 items/s at 32 / 64 / 128 rows, with peak RSS
-#: 39.6 / 40.3 / 41.8 MB; selftest (50 scenarios a round) read 835-851
-#: at 32 and 877-917 at 128.  256 adds nothing on the benchmark's
-#: 121-row grids.
+#: with the chunk.  The atlas (:func:`basis_atlas`) certifies every LP of
+#: the benchmark's grids and of selftest's draws, so a chunk pivots
+#: nothing, and its cost is the certificates, batched per stage.  In
+#: ``perfbench/run.py`` (2-core x86-64, 8 s runs, seed 3, two runs each),
+#: sweep read 6,298-6,550 / 7,152-7,192 / 7,171-7,230 items/s at 32 / 64 /
+#: 128 rows, with peak RSS 39.3-39.5 / 39.5-39.6 / 40.3-40.5 MB.  A bigger
+#: chunk adds nothing on the benchmark's 121-row grids or on selftest's
+#: 50-scenario rounds.
 CHUNK = 128
 
 
@@ -172,6 +179,13 @@ def _number(value, what: str) -> float:
 
 
 def scenario_report(params: SystemParams) -> dict:
+    """The report of one scenario (what ``run`` prints)."""
+    return _scenario(params)[0]
+
+
+def _scenario(params: SystemParams) -> tuple:
+    """The report of one scenario, and whether its short-run prices pass
+    :func:`_rules_hold`."""
     lr = solve_lrmc(params)
     check = cross_check(params, lrmc=lr)
     analytic = check.analytic
@@ -223,7 +237,7 @@ def scenario_report(params: SystemParams) -> dict:
             "failures": [f"{c.name}: {c.detail}" for c in check.failures()],
             "max_slackness_residual": check.slackness.max_residual,
         },
-    }
+    }, _rules_hold(params, srmc)
 
 
 def _recovery_dict(rep):
@@ -300,15 +314,20 @@ def _csv_cell(v):
 
 
 def run_scenario(config: ScenarioConfig) -> tuple:
-    """(exit code, report text) for a single scenario."""
-    rep = scenario_report(config.params)
+    """(exit code, report text) for a single scenario: exit 2 where the
+    cross-check fails (the report says so) or the short-run prices break
+    :func:`_rules_hold` (stderr says so)."""
+    rep, rules_hold = _scenario(config.params)
     if config.output_format == "json":
         text = json.dumps(rep, indent=2) + "\n"
     elif config.output_format == "csv":
         text = _format_csv_single(rep)
     else:
         text = _format_text(rep)
-    code = EXIT_OK if rep["cross_check"]["passed"] else EXIT_VERIFICATION
+    if not rules_hold:
+        sys.stderr.write("FAIL: a short-run price is off its rule or its dual interval, "
+                         "or an interval is off the merit order\n")
+    code = EXIT_OK if rep["cross_check"]["passed"] and rules_hold else EXIT_VERIFICATION
     return code, text
 
 
@@ -332,7 +351,8 @@ def sweep_rows(config: ScenarioConfig):
     escapes, the first in row order, before any of the chunk's rows.
 
     Every chunk tries the same fixed ``lp.BasisPool`` (:func:`basis_atlas`)
-    first: an LP that one of its bases proves optimal is not pivoted.  A
+    first: an LP that one of its bases proves optimal, as every LP of the
+    benchmark's grids is, is not pivoted.  A
     row prints the closed form and the perturbed short-run duals; the CSV
     is the same with or without the pool, and at any chunk size (see
     ``lp``'s module docstring)."""
@@ -343,7 +363,7 @@ def sweep_rows(config: ScenarioConfig):
         points = [(v,) for v in grids[0]]
     else:
         points = [(v1, v2) for v1 in grids[0] for v2 in grids[1]]
-    pool = basis_atlas(tolerances.current())
+    pool = basis_atlas()
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
         steps = []
@@ -363,58 +383,35 @@ def sweep_rows(config: ScenarioConfig):
 
 
 @functools.cache
-def basis_atlas(tol: tolerances.Tolerances) -> BasisPool:
-    """The ``lp.BasisPool`` of ``sweep`` and ``selftest`` under ``tol``
-    (``tolerances.current()``), made at its first call: the optimal bases
-    of a row's LPs at each group's ``groups.representative_params``, frozen
-    at the closed form's build, in group order, solved side by side
-    without a pool (``lp.run_lockstep``).
-    A point that the model rejects under ``tol`` keeps the bases it
-    reached before.  It takes about 12-17 ms per process on 2-core x86-64,
-    which a one-shot sweep of one fixed-cost grid, or a one-shot selftest
-    of a few dozen scenarios or fewer, does not earn back (CHANGES.md)."""
-    logs = [[] for _ in GROUPS]
-    steps = [_logged(_row_lps(p, analytic_solution(p, classify(p)).decision), log)
-             for p, log in zip(map(representative_params, sorted(GROUPS)), logs)]
-    for result in run_lockstep(steps):
-        if isinstance(result, Exception) and not isinstance(
-                result, (LpInputError, ModelError, SrmcError)):
-            raise result
-    return BasisPool([pair for log in logs for pair in log])
-
-
-def _logged(step, log):
-    """``step``, appending each request it makes, with its answer, to ``log``."""
-    answer = None
-    while True:
-        try:
-            request = step.send(answer)
-        except StopIteration as done:
-            return done.value
-        answer = yield request
-        log.append((request, answer))
+def basis_atlas() -> BasisPool:
+    """The ``lp.BasisPool`` of ``sweep`` and ``selftest``, made at its first
+    call from the bases ``model.ATLAS`` lists: per frame and layout, the
+    representative block, then the enumerated block.  Making it solves no
+    LP: it inverts each of the 183 listed bases once, in about 2 ms of CPU
+    time on 2-core x86-64, so a one-shot ``sweep`` no longer pays for the
+    123 solves that once made the atlas (CHANGES.md)."""
+    return BasisPool.from_blocks({
+        (frame, frame.layout(np.array([-1.0 if row == "1" else 0.0 for row in negative]))):
+        tuple([[int(digit, 36) for digit in basis] for basis in block.split()]
+              for block in blocks)
+        for frame, negative, *blocks in ATLAS})
 
 
 def _sweep_row(over: dict):
     """One grid point's CSV row, as a step (see ``lp.LpRequest``): the
-    long-run solve and ``srmc.resolved_step``'s two short-run solves, so
-    no dual interval, which the row would not print."""
+    long-run solve and ``srmc.resolved_step``'s two short-run solves,
+    frozen at the closed form's build, so no dual interval, which the row
+    would not print."""
     params = SystemParams.from_values(**over)
     group = classify(params)
     analytic = analytic_solution(params, group)
-    resolved = yield from _row_lps(params, analytic.decision)
+    lr = yield from lrmc_step(params)
+    resolved = yield from resolved_step(params, analytic.decision, lr.objective)
     _, sold = sales((analytic.lrmc, resolved), analytic.decision, params)
     (*_, p_l), (*_, p_s) = sold
     return (group.gid, analytic.profile_id, analytic.lrmc[0],
             analytic.lrmc[1], resolved[0], resolved[1],
             p_l, p_s, group.boundary)
-
-
-def _row_lps(params: SystemParams, build):
-    """A sweep row's three LP solves, as a step, with the short-run ones
-    frozen at ``build``; returns the resolved prices."""
-    lr = yield from lrmc_step(params)
-    return (yield from resolved_step(params, build, lr.objective))
 
 
 def run_sweep(config: ScenarioConfig) -> tuple:
@@ -452,18 +449,19 @@ def run_selftest(seed: int, n: int, out=None) -> int:
     scenario after another: a raising scenario ends the drawing, and an
     earlier scenario's error wins.
 
-    The long-run LP and the frozen and perturbed short-run LPs are tried
-    against :func:`basis_atlas` first, and about 95% of them are certified
-    without a pivot, as are about 91% of the frozen LP's dual intervals
-    (the rest are read off its own basis).  The cross-check's explicit
-    dual stays pivoted (see ``lp``'s module docstring).  The output is the
-    same with or without the pool.
+    The long-run LP, the frozen and perturbed short-run LPs and the frozen
+    LP's dual intervals are tried against :func:`basis_atlas` first; on
+    3,000 draws each of seeds 11 and 42 every one was certified without a
+    pivot.  An interval with an infinite end is read off the frozen LP's
+    own basis.  The cross-check's explicit dual stays pivoted (see
+    ``lp``'s module docstring).  The output is the same with or without
+    the pool.
     """
     out = sys.stdout if out is None else out
     if n < 1:
         raise ConfigError("selftest needs n >= 1")
     rng = np.random.default_rng(seed)
-    pool = basis_atlas(tolerances.current())
+    pool = basis_atlas()
     failures = 0
     groups_seen = set()
     for start in range(0, n, CHUNK):
@@ -507,12 +505,18 @@ def _rules_hold(params, srmc) -> bool:
     """Whether both periods' resolved short-run prices follow the rules
     from the long-run prices and lie in their frozen-model dual intervals,
     each within 1e-6, with each interval's ends the merit order's
-    (``srmc.merit``) within ``lam_match`` (an infinite end exactly)."""
+    (``srmc.merit``) within ``lam_match`` (an infinite end exactly).  An
+    empty period (demand within ``feasibility_limit`` of 0) follows no
+    rule: the perturbed solve prices its first unit at the cheaper of
+    ``cp_r`` and ``cl``."""
     ok = True
     for t in (0, 1):
         cp = srmc.marginal_cp[t]
-        want = params.cl if cp is None else predict_srmc_from_lrmc(
-            srmc.lrmc[t], cp, params.cl)
+        if params.demand[t] <= feasibility_limit(params):
+            want = min(params.cp_r, params.cl)
+        else:
+            want = params.cl if cp is None else predict_srmc_from_lrmc(
+                srmc.lrmc[t], cp, params.cl)
         price, (lo, hi) = srmc.resolved[t], srmc.intervals[t]
         # equal infinite ends differ by NaN, so they are compared first
         off_merit = [end != merit and not abs(end - merit) <= tolerances.current().lam_match

@@ -53,33 +53,44 @@ solve and the cross-check of a ``selftest`` scenario, and every LP of a
 ``run`` report, are solved one at a time.
 
 ``sweep`` and ``selftest`` also pass one :class:`BasisPool` to their LP
-stages: a fixed atlas, the optimal bases of a grid row's three LPs
-solved without a pool at each group's representative parameters, made
-once per process and set of tolerances (``cli.basis_atlas``).  At fixed
-costs only the right-hand side moves from row to row, and an optimal
-basis stays optimal over a whole critical region (Gal & Nedoma,
-"Multiparametric linear programming", Mgmt. Sci. 1972); explicit MPC
-stores such bases offline in the same way (Borrelli, Bemporad & Morari,
-JOTA 2003).  So before the simplex runs, each one-objective request is
-tried against the atlas bases of its frame and layout (:class:`BasisPool`;
-:func:`run_lockstep`, and so :func:`run_step`, passes the pool to every
-round).  A certified answer builds no tableau, reports ``iterations=0``
-and depends on its request alone; the rest are pivoted as above.  A
-certified optimum is the simplex's own where that is unique.  Where it
-is degenerate, the certified basis may be another optimal one than
-Bland's rule reaches, with other duals; its ``x`` is ``B⁻¹b``, not
-pivoted, and can differ in the last bits.  Measured on the benchmark's
-240 grids for seeds 0-11 (rounds 0-3: 29,040 rows, so 29,040 LPs of each
-kind), against :func:`solve_objectives`, a basis compared as a set of
-columns and duals by value:
+stages: the basis atlas (``cli.basis_atlas``), committed as data
+(``model.ATLAS``).  At fixed costs only the right-hand side moves from
+row to row, and an optimal basis stays optimal over a whole critical
+region (Gal & Nedoma, "Multiparametric linear programming", Mgmt. Sci.
+1972); explicit MPC stores such bases offline in the same way (Borrelli,
+Bemporad & Morari, JOTA 2003).  In the model's LPs the demands and caps
+enter only ``b`` and the costs only ``c``, so a critical region is the
+product of a right-hand-side region and a cost region.  The atlas lists,
+for every frame and layout the two verbs reach, each basis whose two
+regions are both full-dimensional in the model's domain: 119 long-run
+bases, and 64 short-run ones over 9 layouts.  Every input of the domain
+lies in the closure of those regions, so some atlas basis is optimal at
+each.  The atlas is tried in two blocks: first the representative block
+(the 29 long-run and 14 short-run bases that a ``sweep`` row's solves
+reach at the groups' representative points), then the enumerated block
+(the rest) for the requests the first leaves.  A long-run request of
+``random_params`` finds about 5 of the first block's 29 bases primal
+feasible but about 52 of the second's 90, so trying all 119 at once costs
+more than it saves.  Before the simplex runs, each one-objective request
+is tried against the atlas bases of its frame and layout
+(:class:`BasisPool`; :func:`run_lockstep`, and so :func:`run_step`,
+passes the pool to every round).  A certified answer builds no tableau,
+reports ``iterations=0`` and depends on its request alone; the rest are
+pivoted as above.  A certified optimum is the simplex's own where that is
+unique.  Where it is degenerate, the certified basis may be another
+optimal one than Bland's rule reaches, with other duals; its ``x`` is
+``B⁻¹b``, not pivoted, and can differ in the last bits.  Measured on the
+benchmark's 240 grids for seeds 0-11 (rounds 0-3: 29,040 rows, so 29,040
+LPs of each kind), every LP was certified; against
+:func:`solve_objectives`, a basis compared as a set of columns and duals
+by value:
 
-* perturbed short-run solves, whose duals the CSV prints: 26,159
-  certified, every array and basis byte-equal;
-* frozen short-run solves: 25,886 certified, 442 on another optimal
-  basis, with other flow-balance duals, 400 of them on rows the CSV
-  marks as region boundaries;
-* long-run solves: 25,178 certified, 8,243 on another optimal basis,
-  whose flow-balance duals differed on 4,654, all on boundary rows.
+* perturbed short-run solves, whose duals the CSV prints: every array
+  and basis byte-equal;
+* frozen short-run solves: 442 on another optimal basis, with other
+  flow-balance duals;
+* long-run solves: 11,901 on another optimal basis, whose flow-balance
+  duals differed on 6,832.
 
 No ``x`` or objective differed on these integer-cost grids, and every
 CSV was byte-equal.  Where the long-run optimum is not unique (zero
@@ -89,15 +100,16 @@ the closed form's build, so their short-run prices do not depend on
 which.  Calls without a pool keep the bit-for-bit contract above.
 
 In ``selftest`` the atlas answers the long-run solve (through
-:func:`run_step`) and the frozen and perturbed short-run solves: across
-its draws, each with its own costs, the same few bases recur, and 95.0%
-and 95.9% of them were certified over 3,000 draws of seed 11, and so
-were 5,485 of the 6,000 frozen solves' dual intervals of 3,000 draws
-each of seeds 11 and 42 (see *Dual intervals*).
-``cross_check``'s explicit dual stays pivoted on purpose: it is solved
-by :func:`solve_lp`, so strong duality compares a certified primal with
-an independently pivoted dual, and an unsound certificate shows as a
-gap.  A request of more than one objective is always pivoted.
+:func:`run_step`), the frozen and perturbed short-run solves and the
+frozen solves' dual intervals (see *Dual intervals*), although every draw
+has its own costs: over 3,000 draws each of seeds 11 and 42, every one of
+them was certified.  An interval with an infinite end, such as an empty
+period's, is read off the request's own basis, since no basis gives an
+infinite slope.  ``cross_check``'s explicit dual stays pivoted on
+purpose: it is solved by :func:`solve_lp`, so strong duality compares a
+certified primal with an independently pivoted dual, and an unsound
+certificate shows as a gap.  A request of more than one objective is
+always pivoted.
 
 Groups smaller than :data:`STACK_MIN` (8) are solved one by one, because
 the kernel's fixed cost per pivot round then outweighs what it saves.  The
@@ -112,7 +124,10 @@ one-by-one time at K = 4 / 6 / 8 / 32 was
 * 1.35 / 1.11 / 0.88 / 0.38 for perturbed short-run primals.
 
 A second draw of scenarios moved no ratio by more than 0.3, and none at
-K = 8 by more than 0.1.  So groups break even between K = 6 and 8.
+K = 8 by more than 0.1.  So groups break even between K = 6 and 8.  Since
+the atlas certified every LP of the benchmark's ``sweep`` grids and
+``selftest`` draws, the kernel now serves calls without a pool, and any
+request the atlas leaves.
 
 Fixed costs per solve
 ---------------------
@@ -1014,37 +1029,42 @@ def _pivot_stack(T, rows, pi, pj):
 
 
 class BasisPool:
-    """Optimal bases of given solves, tried as optimality certificates
-    before the simplex runs.
+    """Bases tried as optimality certificates before the simplex runs.
 
-    A pool is made once, from ``(request, solutions)`` pairs: an
-    :class:`LpRequest` and what :func:`solve_objectives` returned for it.
-    It never changes after, so a certified answer depends on its own
-    request alone.  Bases are kept per frame (the object, so LPs built
-    directly share bases only with themselves) and layout
-    (:meth:`_Frame.layout`), each column set once, in the order the solves
-    first reach it, with ``B⁻¹``.  A basis that holds an artificial column
-    is never kept.
+    A pool holds, per frame (the object, so LPs built directly share bases
+    only with themselves) and layout (:meth:`_Frame.layout`), one or more
+    *blocks* of column sets with ``B⁻¹``, tried in order.  It never
+    changes, so a certified answer depends on its own request alone.  The
+    atlas of ``sweep`` and ``selftest`` is given as data, in two blocks
+    (:meth:`from_blocks`, ``cli.basis_atlas``).  A pool made from solves,
+    ``(request, solutions)`` pairs of an :class:`LpRequest` and what
+    :func:`solve_objectives` returned for it, has one block: the optimal
+    bases the solves reach, each column set once, in the order first
+    reached.  A basis that holds an artificial column is never kept.
 
     Requests of one objective are tried (:func:`solve_stacked`).  Each
-    is answered by the first basis of its frame and layout that passes both
-    halves of the simplex's own optimality test, at its own tolerances.
-    The primal half: ``x_B = B⁻¹b`` is at least ``-_primal_tol(b)`` in
-    standard form, one batched product over the bases per request.  The
-    dual half: the duals ``np.linalg.solve(B.T, c_B)``, the call
-    :func:`_stacked_optima` makes, leave every reduced cost of the
-    standard form at least ``-_rc_tol(cost)``.  It runs once per distinct
-    objective of a :func:`solve_stacked` group in one batched LAPACK call,
-    only for bases that pass the primal half for one of the objective's
-    requests: a cost sweep has an objective per row, and solving all bases
-    for each is slower than pivoting.
+    is answered by the first basis, in block order, that passes both
+    halves of the simplex's own optimality test, at its own tolerances; a
+    request goes on to the next block only where no basis of a block
+    passes.  The primal half: ``x_B = B⁻¹b`` is at least
+    ``-_primal_tol(b)`` in standard form, one batched product over a
+    block's bases per request.  The dual half: the duals
+    ``np.linalg.solve(B.T, c_B)``, the call :func:`_stacked_optima` makes,
+    leave every reduced cost of the standard form at least
+    ``-_rc_tol(cost)``.  It runs once per distinct objective of a
+    :func:`solve_stacked` group in one batched LAPACK call, only for bases
+    that pass the primal half for one of the objective's requests: a cost
+    sweep has an objective per row, and solving all bases for each is
+    slower than pivoting.
 
     A :class:`RangeRequest` is tried too (:meth:`certify_ranges`, see the
     module docstring's *Dual intervals*), by bases that pass both halves
-    and price the LP at its optimal value (:func:`_prices_at`)."""
+    and price the LP at its optimal value (:func:`_prices_at`): each
+    interval end comes from the first basis, in block order, that gives
+    it."""
 
     def __init__(self, solved):
-        found = {}      # (frame, layout) -> {column set: (columns, labels)}
+        found = {}      # (frame, layout) -> {column set: columns}
         for (problem, _), solutions in solved:
             layout = problem._frame.layout(problem.b)
             column = _column_index(layout, problem.var_labels, problem.row_labels)
@@ -1054,44 +1074,78 @@ class BasisPool:
                     continue
                 cols = [column[label] for label in solution.basis]
                 if max(cols) < layout.n_total:          # no artificial column
-                    bases.setdefault(frozenset(cols), (cols, solution.basis))
-        self._bases = {key: _Bases(*key, bases.values())
-                       for key, bases in found.items() if bases}
+                    bases.setdefault(frozenset(cols), cols)
+        self._blocks = {key: (_Bases(*key, list(bases.values())),)
+                        for key, bases in found.items() if bases}
+
+    @classmethod
+    def from_blocks(cls, blocks) -> "BasisPool":
+        """The pool of ``blocks``: ``{(frame, layout): (block, ...)}``, each
+        block a sequence of column lists (standard-form columns of the
+        layout, one per row, none artificial), tried in that order."""
+        pool = cls(())
+        pool._blocks = {key: tuple(_Bases(*key, block) for block in key_blocks if block)
+                        for key, key_blocks in blocks.items()}
+        return pool
 
     def certify(self, layout, members, outcomes) -> list:
         """Answer in ``outcomes`` every member of a one-objective
         :func:`solve_stacked` group of ``layout`` that the pool proves
         optimal; returns the others, in order."""
-        by_bases = {}
-        for member in members:
-            bases = self._bases.get((member[1]._frame, layout))
-            if bases is not None:
-                by_bases.setdefault(bases, []).append(member)
-        for bases, group in by_bases.items():
-            bases.answer(group, outcomes)
+        for blocks, group in self._grouped(
+                members, [(problem._frame, layout) for _, problem, _ in members]):
+            for bases in blocks:
+                group = bases.answer(group, outcomes)
+                if not group:
+                    break
         return [member for member in members if outcomes[member[0]] is None]
 
     def certify_ranges(self, members, outcomes):
         """Answer in ``outcomes`` every ``(k, RangeRequest)`` member whose
         every interval end the pool's bases give."""
-        by_bases = {}
-        for member in members:
-            problem = member[1].problem
-            bases = self._bases.get((problem._frame, problem._frame.layout(problem.b)))
-            if bases is not None:
-                by_bases.setdefault(bases, []).append(member)
-        for bases, group in by_bases.items():
-            bases.slopes(group, outcomes)
+        for blocks, group in self._grouped(members, [
+                (problem._frame, problem._frame.layout(problem.b))
+                for _, (problem, *_) in members]):
+            value = [None] * len(group)         # y b of the first basis optimal at b
+            ends = [{} for _ in group]          # (row, side) -> slope of the first basis
+            wanted = [2 * len(set(request.rows)) for _, request in group]
+            left = range(len(group))
+            for bases in blocks:
+                found = bases.slopes([group[h][1] for h in left])
+                for h, (z, slopes) in zip(left, found):
+                    if value[h] is None:
+                        value[h] = z
+                    for end, slope in slopes.items():
+                        ends[h].setdefault(end, slope)
+                left = [h for h in left if len(ends[h]) < wanted[h]]
+                if not left:
+                    break
+            for (k, (problem, rows, z_min, _)), z, at, want in zip(group, value, ends, wanted):
+                if rows and len(at) == want and z is not None and _prices_at(z, z_min):
+                    outcomes[k] = _intervals(problem.sense,
+                                             [(at[i, 0], at[i, 1]) for i in rows])
+
+    def _grouped(self, members, keys):
+        """``(blocks, members)`` pairs: ``members`` grouped by the blocks of
+        their ``(frame, layout)`` in ``keys``, in order; members of no
+        block are left out."""
+        by_blocks = {}
+        for member, key in zip(members, keys):
+            blocks = self._blocks.get(key)
+            if blocks:
+                by_blocks.setdefault(blocks, []).append(member)
+        return by_blocks.items()
 
 
 class _Bases:
-    """A :class:`BasisPool`'s bases of one frame and layout."""
+    """A block of a :class:`BasisPool`: column sets of one frame and layout."""
 
-    def __init__(self, frame, layout, bases):
-        cols, self.labels = zip(*bases)
+    def __init__(self, frame, layout, cols):
         self.layout = layout
         self.A = frame.columns[layout][:, : layout.n_total]
         self.cols = np.array(cols)
+        names = _column_labels(layout, frame.var_labels, frame.row_labels)
+        self.labels = [tuple(map(names.__getitem__, c)) for c in self.cols.tolist()]
         B = self.A[:, self.cols].transpose(1, 0, 2)         # B[n] = A[:, cols[n]]
         self.BT = B.transpose(0, 2, 1)
         self.inverses = np.linalg.inv(B)
@@ -1129,17 +1183,18 @@ class _Bases:
         pair[d, n] = np.arange(len(d))
         return X, held & dual[objective], objective, Y, pair
 
-    def answer(self, group, outcomes):
+    def answer(self, group, outcomes) -> list:
         """Answer in ``outcomes`` each member of ``group`` (one-objective
         requests of one :func:`solve_stacked` group) whose objective a
-        basis proves optimal."""
+        basis proves optimal; returns the others, in order."""
         layout = self.layout
         b = np.array([problem.b for _, problem, _ in group]) * layout.row_sign
         X, both, objective, Y, pair = self._optimal(
             b, [objective for _, _, (objective,) in group])
-        rows = np.flatnonzero(both.any(axis=1))
+        passed = both.any(axis=1)
+        rows = np.flatnonzero(passed)
         if not rows.size:
-            return
+            return group
         pick = both[rows].argmax(axis=1)            # the first basis that passes both
         x_std = np.zeros((len(rows), layout.n_total))
         x_std[np.arange(len(rows))[:, None], self.cols[pick]] = X[rows, pick]
@@ -1153,18 +1208,21 @@ class _Bases:
                 for a in duals[tag]:
                     a.setflags(write=False)
             outcomes[k] = (_optimum(problem, c, x[e], duals[tag], self.labels[tag[1]], 0),)
+        return [member for member, done in zip(group, passed.tolist()) if not done]
 
-    def slopes(self, group, outcomes):
-        """Answer in ``outcomes`` each ``(k, RangeRequest)`` member of
-        ``group`` whose every interval end a basis gives (see
+    def slopes(self, requests) -> list:
+        """``(z, ends)`` per :class:`RangeRequest`: ``z`` the value ``y b``
+        of the first basis optimal at its ``b`` (``None`` if none is), and
+        ``ends`` the slope of each ``(row, 0 / 1)`` of its rows whose right
+        / left slope a basis gives, the first such basis's (see
         :class:`BasisPool`)."""
         row_sign = self.layout.row_sign
-        problems = [request.problem for _, request in group]
+        problems = [request.problem for request in requests]
         b = np.array([problem.b for problem in problems]) * row_sign
         X, both, objective, Y, pair = self._optimal(
             b, [(problem.sense, problem.c) for problem in problems])
         if not both.any():
-            return
+            return [(None, {})] * len(requests)
         # ends[r, n, t, 0 / 1]: basis n gives request r the right / left slope of row t
         falling = _falling(X[..., None, None], _primal_tol(b)[:, None, None, None, None],
                            self.steps)
@@ -1177,10 +1235,12 @@ class _Bases:
         slope = Y[pair[objective[:, None, None], pick], t] * row_sign[t] * flip[:, None, None]
         first = both.argmax(axis=1)                 # a basis optimal at b itself
         value = (Y[pair[objective, first]] * b).sum(axis=1)
-        for (k, (problem, rows, z_min, _)), ok, at, z in zip(
-                group, found.tolist(), slope.tolist(), value.tolist()):
-            if rows and all(ok[i][0] and ok[i][1] for i in rows) and _prices_at(z, z_min):
-                outcomes[k] = _intervals(problem.sense, [at[i] for i in rows])
+        return [(z if optimal else None,
+                 {(i, side): at[i][side] for i in request.rows for side in (0, 1)
+                  if ok[i][side]})
+                for request, optimal, z, ok, at in zip(
+                    requests, both.any(axis=1).tolist(), value.tolist(),
+                    found.tolist(), slope.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -150,11 +150,6 @@ class PrimalDecision:
         """Installed capacity available to g in period t (lifetime 2)."""
         return self.invested(g, 1) + (self.invested(g, 2) if t == 2 else 0.0)
 
-    def as_vector(self):
-        return np.array([getattr(self, f.lower()) for f in
-                         ("i_r1", "i_r2", "i_f1", "i_f2", "p_r1", "p_r2",
-                          "p_f1", "p_f2", "l_1", "l_2")])
-
     def investments(self):
         return (self.i_r1, self.i_r2, self.i_f1, self.i_f2)
 
@@ -226,22 +221,6 @@ class DualValues:
     def gamma(self, g, t):
         return getattr(self, _GAMMA[g, t])
 
-    def as_vector(self):
-        return np.array([getattr(self, n) for n in DUAL_VAR_ORDER])
-
-    def max_dual_violation(self, params: SystemParams) -> float:
-        """Largest dual-feasibility violation against the dual row system."""
-        v = [-min(x, 0.0) for x in self.as_vector()[2:]]   # beta, gamma >= 0
-        for t in (1, 2):
-            for g in ("r", "f"):
-                v.append(self.lam(t) - self.beta(g, t) - params.cp(g))
-            v.append(self.lam(t) - params.cl)
-        v.append(self.beta_r1 + self.beta_r2 - self.gamma_r1 - params.ci_r)
-        v.append(self.beta_r2 - self.gamma_r2 - params.ci_r)
-        v.append(self.beta_f1 + self.beta_f2 - self.gamma_f1 - params.ci_f)
-        v.append(self.beta_f2 - self.gamma_f2 - params.ci_f)
-        return max(max(v), 0.0)
-
 
 # ---------------------------------------------------------------------------
 # builders
@@ -310,6 +289,77 @@ _SRMC_DUAL = _Frame([
     [0, 1, 0, 0, 0, 0],
 ], (LE,) * 6, [-np.inf, -np.inf] + [0.0] * 4, var_labels=DUAL_VAR_ORDER[:6],
     row_labels=SRMC_VAR_ORDER)
+
+
+#: The basis atlas of ``sweep`` and ``selftest`` (``cli.basis_atlas``): per
+#: frame and standard-form layout (its rows with ``b < 0`` marked "1"), two
+#: blocks of bases in the order they are tried, each basis the base-36
+#: digits of its standard-form columns, one per row.  The representative
+#: block holds the optimal bases of a ``sweep`` row's three LPs at each
+#: group's representative point, in the order those solves first reach
+#: them (columns in the order of the basis rows).  The enumerated block
+#: holds, in column-index order, every other column set whose right-hand-
+#: side region and cost region are both full-dimensional in the model's
+#: domain, so that some basis of the atlas is optimal wherever ``sweep``
+#: and ``selftest`` solve.  ``tests/atlas_enumeration.py`` derives both
+#: blocks and prints this literal; ``tests/test_atlas.py`` checks it.
+ATLAS = (
+    (_LRMC, "0000001111",
+     "598426efgh 590426efgh 510423efgh 57042ae1gh 570429a1gh "
+     "570423a1gh 5c0423a1g7 590423a1c7 87e4965fgh 8704965fgh "
+     "f7042659gh f7042651gh 79042651gh 73042651gh 7c042651g3 "
+     "79042651c3 87042659fh 87042651fh 890426517h 830426517h "
+     "8904265173 850426efgh b50426efgh 850426bfgh d50426bfgh "
+     "850426bfdh 8704265fgh d704265fgh 8704265fdh",
+     "01234567ch 0123457ach 0123459agh 012345aegh 012345afgh "
+     "012389efgh 0124567cgh 012457acgh 012457afgh 012457efgh "
+     "012459acgh 01245acegh 01245acfgh 01245cefgh 01289cefgh "
+     "01289defgh 013457acgh 013459acgh 01345acegh 01345acfgh "
+     "01345cefgh 01389cefgh 014579acgh 01457acegh 01457acfgh "
+     "01457cefgh 0189cdefgh 023459efgh 02345aefgh 023489efgh "
+     "023589efgh 02389aefgh 02389befgh 0245689fgh 0245789fgh "
+     "024578efgh 024579efgh 02457aefgh 02458bdfgh 02458defgh "
+     "02459cefgh 0245acefgh 0245bdefgh 024689efgh 024789efgh "
+     "02489cefgh 02489defgh 025689efgh 025789efgh 02589cefgh "
+     "02589defgh 0289acefgh 0289adefgh 0289bcefgh 0289bdefgh "
+     "03459cefgh 0345acefgh 03489cefgh 03589cefgh 0389acefgh "
+     "0389bcefgh 045678efgh 045679efgh 04568bdfgh 04568defgh "
+     "0456bdefgh 04579cefgh 0457acefgh 046789efgh 0489cdefgh "
+     "056789efgh 0589cdefgh 089acdefgh 089bcdefgh 12389aefgh "
+     "1289acefgh 1289adefgh 1389acefgh 189acdefgh 234589efgh "
+     "2389abefgh 245789efgh 24589cefgh 24589defgh 289abcefgh "
+     "289abdefgh 34589cefgh 389abcefgh 4589cdefgh 89abcdefgh"),
+    (_SRMC, "000000",
+     "450123",
+     "014589 456789"),
+    (_SRMC, "000001",
+     "",
+     "012345 012349 014589 456789"),
+    (_SRMC, "000011",
+     "",
+     "012345 012349 012358 012389 014589 456789"),
+    (_SRMC, "000100",
+     "",
+     "012345 012479 014589 014789 456789"),
+    (_SRMC, "000101",
+     "",
+     "012345 012349 012479 014589 014789 456789"),
+    (_SRMC, "000111",
+     "",
+     "012345 012349 012358 012389 012479 012789 014589 014789 "
+     "456789"),
+    (_SRMC, "001100",
+     "450123 056183 410729",
+     "014589 014789 015689 016789 456789"),
+    (_SRMC, "001101",
+     "056183",
+     "012345 012349 012479 013689 014589 014789 015689 016789 "
+     "456789"),
+    (_SRMC, "001111",
+     "450123 056183 016789 036189 250183 230189 430129 410729 "
+     "210789",
+     "014589 014789 015689 456789"),
+)
 
 
 def build_lrmc_primal(params: SystemParams) -> LinearProgram:

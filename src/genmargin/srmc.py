@@ -50,8 +50,13 @@ class SrmcError(ValueError):
 def default_epsilon(params: SystemParams) -> float:
     """Capacity slack used to resolve degeneracy.
 
-    Small enough to never change which options serve demand, large enough
-    to clear the degeneracy tolerance by many orders of magnitude.
+    It leaves unchanged which options serve demand only where each demand
+    is more than epsilon from a used-up capacity: ``random_params`` keeps
+    its draws 2e-5 (relative) away, but ``run`` accepts any input, and
+    nearer an edge the perturbed solve may serve the margin from an option
+    the frozen build does not use, resolving to a price outside the dual
+    interval, which ``run`` and ``selftest`` report as a failure.  Large
+    enough to clear the degeneracy tolerance by many orders of magnitude.
     """
     return 1e-6 * max(params.d1, params.d2, 1.0)
 

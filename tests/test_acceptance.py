@@ -29,6 +29,8 @@ from genmargin.sampling import random_params
 from genmargin.srmc import compute_srmc, predict_srmc_from_lrmc
 from genmargin.verify import cross_check
 
+from model_vectors import decision_vector
+
 SEED = 20240817
 N_SCENARIOS = 10_000
 
@@ -83,8 +85,8 @@ def test_criterion_1_group_table_reproduction():
             continue
         res = analytic_solution(params, group)
         lr = solve_lrmc(params)   # the simplex's vertex: the closed form's build here
-        d_err = float(np.max(np.abs(res.decision.as_vector()
-                                    - lr.decision.as_vector())))
+        d_err = float(np.max(np.abs(decision_vector(res.decision)
+                                    - decision_vector(lr.decision))))
         l_err = max(abs(res.lrmc[0] - lr.duals.lam_1),
                     abs(res.lrmc[1] - lr.duals.lam_2))
         if d_err > 1e-6 or l_err > 1e-6:

@@ -126,7 +126,7 @@ def test_basis_of_other_costs_is_not_taken(kind, cl, d2):
 def test_request_of_two_objectives_is_pivoted(kind):
     # the atlas certifies the request's own objective alone, but a request
     # of two objectives, even that one twice, goes to the simplex
-    pool = cli.basis_atlas(tolerances.current())
+    pool = cli.basis_atlas()
     request = kind(d2=8000.0)
     (alone,) = solve_stacked([request], pool=pool)
     assert alone[0].iterations == 0
@@ -179,7 +179,7 @@ def test_certified_answer_does_not_depend_on_its_history(kind):
     # one request answered by the sweep's pool alone, first, last and in
     # the middle of 32, and after a whole grid: every field byte-equal.
     # Demands off the integers make B⁻¹b depend on the order of its sums.
-    pool = cli.basis_atlas(tolerances.current())
+    pool = cli.basis_atlas()
     request = kind(d1=3183.0988618379067, d2=9424.77796076938)
     rng = np.random.default_rng(8)
     others = [kind(d1=d1, d2=d2) for d1, d2 in rng.uniform(0.0, 15000.0, size=(31, 2))]
@@ -204,7 +204,7 @@ def test_tie_points_are_answered_as_the_simplex_answers():
     # costs the same, so the long-run optimum is not unique.  At
     # non-integer costs the sweep's pool must still give the simplex's
     # optimum, to the rounding of B⁻¹b.
-    pool = cli.basis_atlas(tolerances.current())
+    pool = cli.basis_atlas()
     rng = np.random.default_rng(11)
     certified = 0
     for _ in range(60):
@@ -223,7 +223,7 @@ def test_pooled_long_run_solve_matches_the_pivoted_one():
     # selftest's long-run solve answered from the pool, on draws with their
     # own costs: the optimum, the build and the prices of the simplex's solve
     tol = tolerances.current()
-    pool = cli.basis_atlas(tol)
+    pool = cli.basis_atlas()
     rng = np.random.default_rng(3)
     certified = 0
     for _ in range(300):
@@ -272,7 +272,7 @@ def answered_both_ways(requests, monkeypatch):
     """``(pooled, pool-free, fell)``: each request's intervals with the
     atlas and without it, and whether the pooled answer fell to the
     request's own basis (``lp._basis_ranges``)."""
-    pool = cli.basis_atlas(tolerances.current())
+    pool = cli.basis_atlas()
     own, real = set(), lp._basis_ranges
 
     def basis_ranges(request):
@@ -336,7 +336,7 @@ def test_optimal_value_of_another_point_is_not_certified(monkeypatch):
     x = np.array([0.0, 0.0, 0.0, 0.0, 2000.0, 4000.0])     # every unit shed
     shed = LpSolution(status="optimal", x=x,
                       objective=float(frozen.c @ x) + frozen.objective_offset)
-    pool = cli.basis_atlas(tolerances.current())
+    pool = cli.basis_atlas()
     for with_pool in (None, pool):
         with pytest.raises(LpError, match="not optimal for problem"):
             run_step(dual_ranges_step(frozen, (0, 1), solution=shed), with_pool)

@@ -18,6 +18,8 @@ from genmargin.groups import (
 from genmargin.model import SystemParams, solve_lrmc
 from genmargin.tolerances import Tolerances
 
+from model_vectors import decision_vector
+
 
 def canonical(cl=200.0, d1=2000.0, d2=8000.0):
     return SystemParams.from_values(60, 1, 3000, 82, 20, 4000, cl, d1, d2)
@@ -145,7 +147,7 @@ class TestAnalyticSolution:
             params = representative_params(gid)
             res = analytic_solution(params, classify(params))
             lr = solve_lrmc(params)
-            assert_allclose(res.decision.as_vector(), lr.decision.as_vector(),
+            assert_allclose(decision_vector(res.decision), decision_vector(lr.decision),
                             atol=1e-6, err_msg=f"group {gid} decision")
             assert_allclose(res.lrmc, [lr.duals.lam_1, lr.duals.lam_2],
                             atol=1e-6, err_msg=f"group {gid} prices")

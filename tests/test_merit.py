@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from genmargin import cli, groups, tolerances
+from genmargin import cli, groups
 from genmargin.groups import analytic_solution, classify, merit_interval
 from genmargin.lp import dual_interval_has_width, dual_ranges_step, solve_lp, solve_stacked
 from genmargin.model import PARAM_FIELDS, SystemParams, build_srmc_primal
@@ -48,7 +48,7 @@ def test_lp_intervals_are_the_merit_order(seed):
     rng = np.random.default_rng(seed)
     requests, merits = zip(*(frozen_request(p) for _ in range(120)
                              for p in variants(random_params(rng))))
-    pool = cli.basis_atlas(tolerances.current())
+    pool = cli.basis_atlas()
     for pooled, plain, request, merit in zip(solve_stacked(requests, pool=pool),
                                              solve_stacked(requests), requests, merits):
         assert same_ends(plain, merit, 1e-9), (request.problem.b, plain, merit)
@@ -74,7 +74,10 @@ def test_left_end_is_not_marginal_cp():
 
 #: A near-edge input (``d1`` a relative 3e-7 above ``m_r``, group 12)
 #: whose pinned dual region once ended on a singular basis, so that
-#: ``run`` printed ``error: Singular matrix`` and exited 1.
+#: ``run`` printed ``error: Singular matrix`` and exited 1.  Its capacity
+#: slack is larger than its gap to the edge, so the perturbed solve
+#: resolves both periods to ``cp_r``, outside their intervals, and ``run``
+#: exits 2.
 SINGULAR_REGION = dict(ci_r=104.73413462141616, cp_r=0.743614521369631,
                        m_r=3712.8040235140497, ci_f=111.88740800938439,
                        cp_f=1.9819182770549872, m_f=566.4783060072248,
@@ -84,10 +87,32 @@ SINGULAR_REGION = dict(ci_r=104.73413462141616, cp_r=0.743614521369631,
 def test_singular_region_example_runs(tmp_path, capsys):
     config = tmp_path / "edge.json"
     config.write_text(json.dumps(dict(SINGULAR_REGION, output={"format": "json"})))
-    assert cli.main(["run", str(config)]) == cli.EXIT_OK
+    assert cli.main(["run", str(config)]) == cli.EXIT_VERIFICATION
     rep = json.loads(capsys.readouterr().out)
     params = SystemParams.from_values(**{f: SINGULAR_REGION[f] for f in PARAM_FIELDS})
     decision = analytic_solution(params, classify(params)).decision
     assert rep["srmc"]["intervals"] == [list(merit_interval(params, decision, t))
                                         for t in (1, 2)]
     assert rep["srmc"]["intervals"] == [[params.cp_f, params.cl]] * 2
+
+
+#: A near-edge input (``d1 = m_r (1 + 1e-8)``, group 28): the closed form
+#: builds ``I_f1`` = 6.26e-6, but the capacity slack is 6.26e-4, so the
+#: perturbed solve serves period 1 from renewable alone.
+NEAR_EDGE = dict(ci_r=88.16093264009484, cp_r=2.1298129465254902, m_r=625.5131988280517,
+                 ci_f=90.0969067000094, cp_f=7.3163536931735225, m_f=1235.712189689935,
+                 cl=148.26330093659365, d1=625.5132050831837, d2=553.0779397286458)
+
+
+def test_near_edge_price_outside_its_interval_fails_run(tmp_path, capsys):
+    # the report is printed as it is, cross-check pass included, but the
+    # period-1 price lies outside its own interval, so run exits 2
+    config = tmp_path / "edge.json"
+    config.write_text(json.dumps(dict(NEAR_EDGE, output={"format": "json"})))
+    assert cli.main(["run", str(config)]) == cli.EXIT_VERIFICATION
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert rep["group"] == 28 and rep["cross_check"]["passed"]
+    assert rep["srmc"]["intervals"][0] == [NEAR_EDGE["cp_f"], NEAR_EDGE["cl"]]
+    assert rep["srmc"]["resolved"][0] == NEAR_EDGE["cp_r"]
+    assert captured.err.startswith("FAIL: a short-run price is off its rule")

@@ -23,6 +23,8 @@ from genmargin.model import (
 from genmargin.sampling import random_params
 from genmargin.tolerances import current
 
+from model_vectors import decision_vector, max_dual_violation
+
 
 def canonical(cl=200.0, d1=2000.0, d2=8000.0):
     return SystemParams.from_values(
@@ -246,7 +248,7 @@ class TestExtraction:
 
     def test_zero_demand_extraction(self):
         lr = solve_lrmc(canonical(d1=0, d2=0))
-        assert_allclose(lr.decision.as_vector(), np.zeros(10), atol=1e-9)
+        assert_allclose(decision_vector(lr.decision), np.zeros(10), atol=1e-9)
 
     def test_wrong_shape_rejected(self):
         from genmargin.lp import LinearProgram
@@ -265,7 +267,7 @@ class TestExtraction:
             params = random_valid_params(rng)
             lr = solve_lrmc(params)
             assert lr.decision.is_feasible(params)
-            assert lr.duals.max_dual_violation(params) <= 1e-6
+            assert max_dual_violation(lr.duals, params) <= 1e-6
 
     def test_objective_monotone_in_demand(self):
         rng = np.random.default_rng(4)

@@ -15,6 +15,7 @@ from genmargin.model import SystemParams, build_lrmc_dual, build_lrmc_primal, so
 from genmargin.sampling import random_params
 
 from lp_oracle import brute_force_solve
+from model_vectors import max_dual_violation
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -66,7 +67,7 @@ def test_decision_invariants_roundtrip(seed):
     params = params_from_seed(seed)
     lr = solve_lrmc(params)
     assert lr.decision.is_feasible(params)
-    assert lr.duals.max_dual_violation(params) <= 1e-6
+    assert max_dual_violation(lr.duals, params) <= 1e-6
 
 
 @given(seeds, st.floats(min_value=0.01, max_value=0.5))

@@ -17,7 +17,7 @@ import io
 import numpy as np
 import pytest
 
-from genmargin import cli, groups, tolerances
+from genmargin import cli, groups
 from genmargin.sampling import random_params
 
 
@@ -61,7 +61,6 @@ def test_run_prices_follow_the_rules(run_srmc):
 
 def test_selftest_resolves_the_run_prices(monkeypatch, run_srmc):
     # selftest's pooled short-run stage, fed the ties as its draws
-    cli.basis_atlas(tolerances.current())       # made before run_lockstep is wrapped
     draws = iter(TIES)
     monkeypatch.setattr(cli, "random_params", lambda rng: next(draws))
     pooled = []
