@@ -390,7 +390,7 @@ def basis_atlas() -> BasisPool:
     LP: it inverts each of the 183 listed bases once, in about 2 ms of CPU
     time on 2-core x86-64, so a one-shot ``sweep`` no longer pays for the
     123 solves that once made the atlas (CHANGES.md)."""
-    return BasisPool.from_blocks({
+    return BasisPool({
         (frame, frame.layout(np.array([-1.0 if row == "1" else 0.0 for row in negative]))):
         tuple([[int(digit, 36) for digit in basis] for basis in block.split()]
               for block in blocks)
@@ -398,7 +398,7 @@ def basis_atlas() -> BasisPool:
 
 
 def _sweep_row(over: dict):
-    """One grid point's CSV row, as a step (see ``lp.LpRequest``): the
+    """One grid point's CSV row, as a step (see ``lp.run_lockstep``): the
     long-run solve and ``srmc.resolved_step``'s two short-run solves,
     frozen at the closed form's build, so no dual interval, which the row
     would not print."""

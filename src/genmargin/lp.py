@@ -4,9 +4,8 @@ A deliberately small, transparent implementation: two-phase primal simplex
 on a dense tableau with Bland's rule always on, so cycling is impossible
 rather than merely unlikely.  Problem sizes in this package are at most a
 dozen variables by ten rows; there is no sparsity machinery and no scaling.
-Several objectives over one feasible region share a single phase 1
-(:func:`solve_objectives`): each then runs its own phase 2 from a copy of
-the phase-1 tableau and gets exactly what a separate solve would return.
+Every LP has one objective, its own, and a solve runs phase 2 on the
+tableau phase 1 leaves.
 
 A :class:`LinearProgram` is checked once, field by field in a fixed
 order, on Python floats (no numpy warnings), the fields it shares with
@@ -29,28 +28,27 @@ reduced costs and the objective are read off a basis in one place
 Stacked solves
 --------------
 Callers that evaluate many scenarios at once write their LP work as
-*steps*: generators that yield :class:`LpRequest` s (and
-:class:`RangeRequest` s, the dual intervals of an optimum).  :func:`run_lockstep`
-runs many steps side by side and answers each round of requests with one
-:func:`solve_stacked` call; :func:`run_step` is one step run that way.
-:func:`solve_stacked` groups the LP requests by standard-form layout
-(:meth:`_Frame.layout`) and objective count, and runs the same two-phase
-method on a ``(K, rows, cols)`` tableau per group (each with its own
-frame's columns, so LPs of one layout stack whatever their frame), after
-Gurung & Ray, "Simultaneous solving of batched linear programs on a GPU"
-(ICPE 2019), in numpy on the CPU.  Every choice stays per instance:
-Bland's entering column, the ratio test and its tie-break, the
-tolerances, the infeasible and unbounded verdicts, the drive-out of
-artificials and the pivot cap.  Pivots use the scalar path's elementwise
-arithmetic, duals come from one batched LAPACK solve of the same
-matrices, and reduced costs and objectives are computed per instance, so
-every outcome equals :func:`solve_objectives` bit for bit,
-``iterations`` included.  ``sweep`` stacks the three LPs of each grid
-row this way (the long-run solve and ``srmc.resolved_step``'s two
-short-run solves; a row computes no dual interval), ``selftest`` the
-short-run stage (``srmc.srmc_step``) of its scenarios; the long-run
-solve and the cross-check of a ``selftest`` scenario, and every LP of a
-``run`` report, are solved one at a time.
+*steps*: generators that yield :class:`LinearProgram` s, each asking for
+its own optimum, and :class:`RangeRequest` s, the dual intervals of an
+optimum.  :func:`run_lockstep` runs many steps side by side and answers
+each round of requests with one :func:`solve_stacked` call;
+:func:`run_step` is one step run that way.  :func:`solve_stacked` groups
+the LPs by standard-form layout (:meth:`_Frame.layout`) and runs the same
+two-phase method on a ``(K, rows, cols)`` tableau per group (each with its
+own frame's columns, so LPs of one layout stack whatever their frame),
+after Gurung & Ray, "Simultaneous solving of batched linear programs on a
+GPU" (ICPE 2019), in numpy on the CPU.  Every choice stays per instance:
+Bland's entering column, the ratio test and its tie-break, the tolerances,
+the infeasible and unbounded verdicts, the drive-out of artificials and
+the pivot cap.  Pivots use the scalar path's elementwise arithmetic, duals
+come from one batched LAPACK solve of the same matrices, and reduced costs
+and objectives are computed per instance, so every outcome equals
+:func:`solve_lp` bit for bit, ``iterations`` included.  ``sweep`` stacks
+the three LPs of each grid row this way (the long-run solve and
+``srmc.resolved_step``'s two short-run solves; a row computes no dual
+interval), ``selftest`` the short-run stage (``srmc.srmc_step``) of its
+scenarios; the long-run solve and the cross-check of a ``selftest``
+scenario, and every LP of a ``run`` report, are solved one at a time.
 
 ``sweep`` and ``selftest`` also pass one :class:`BasisPool` to their LP
 stages: the basis atlas (``cli.basis_atlas``), committed as data
@@ -71,19 +69,18 @@ reach at the groups' representative points), then the enumerated block
 (the rest) for the requests the first leaves.  A long-run request of
 ``random_params`` finds about 5 of the first block's 29 bases primal
 feasible but about 52 of the second's 90, so trying all 119 at once costs
-more than it saves.  Before the simplex runs, each one-objective request
-is tried against the atlas bases of its frame and layout
-(:class:`BasisPool`; :func:`run_lockstep`, and so :func:`run_step`,
-passes the pool to every round).  A certified answer builds no tableau,
-reports ``iterations=0`` and depends on its request alone; the rest are
-pivoted as above.  A certified optimum is the simplex's own where that is
-unique.  Where it is degenerate, the certified basis may be another
-optimal one than Bland's rule reaches, with other duals; its ``x`` is
-``B⁻¹b``, not pivoted, and can differ in the last bits.  Measured on the
-benchmark's 240 grids for seeds 0-11 (rounds 0-3: 29,040 rows, so 29,040
-LPs of each kind), every LP was certified; against
-:func:`solve_objectives`, a basis compared as a set of columns and duals
-by value:
+more than it saves.  Before the simplex runs, each LP is tried against the
+atlas bases of its frame and layout (:class:`BasisPool`;
+:func:`run_lockstep`, and so :func:`run_step`, passes the pool to every
+round).  A certified answer builds no tableau, reports ``iterations=0``
+and depends on its request alone; the rest are pivoted as above.  A
+certified optimum is the simplex's own where that is unique.  Where it is
+degenerate, the certified basis may be another optimal one than Bland's
+rule reaches, with other duals; its ``x`` is ``B⁻¹b``, not pivoted, and
+can differ in the last bits.  Measured on the benchmark's 240 grids for
+seeds 0-11 (rounds 0-3: 29,040 rows, so 29,040 LPs of each kind), every
+LP was certified; against :func:`solve_lp`, a basis compared as a set of
+columns and duals by value:
 
 * perturbed short-run solves, whose duals the CSV prints: every array
   and basis byte-equal;
@@ -108,8 +105,7 @@ period's, is read off the request's own basis, since no basis gives an
 infinite slope.  ``cross_check``'s explicit dual stays pivoted on
 purpose: it is solved by :func:`solve_lp`, so strong duality compares a
 certified primal with an independently pivoted dual, and an unsound
-certificate shows as a gap.  A request of more than one objective is
-always pivoted.
+certificate shows as a gap.
 
 Groups smaller than :data:`STACK_MIN` (8) are solved one by one, because
 the kernel's fixed cost per pivot round then outweighs what it saves.  The
@@ -136,8 +132,8 @@ checked at import: ``A``, relations, lower bounds and labels, and per
 row-sign pattern the standard form's layout and columns.  A model LP
 checks only its ``c`` and ``b``; a solve builds only its right-hand side
 and tableau.  A standard form is no object of its own: a solve holds its
-frame's columns, its ``b`` negated by the layout's row signs, and cost rows
-(:meth:`_Layout.cost`), and :meth:`_Layout.tableau` lays them out, one
+frame's columns, its ``b`` negated by the layout's row signs, and its cost
+row (:meth:`_Layout.cost`), and :meth:`_Layout.tableau` lays them out, one
 instance or a stack of them alike.  A layout depends only on the
 relations, the free-variable split and the row signs, so frames share it
 through a cache that never evicts (:func:`_layout`): one layout is one
@@ -461,7 +457,8 @@ class _Layout:
         """Standard-form (minimization) cost rows of the objectives ``C``
         (last axis: the original variables), each negated where ``flip`` (a
         ``"max"``), artificial columns (cost 0) included.  ``flip`` has
-        ``C``'s shape but the last axis, whatever that shape is."""
+        ``C``'s shape but the last axis: one objective, or one per instance
+        of a stack."""
         cost = np.zeros((*C.shape[:-1], self.n_total + len(self.art_rows)))
         cost[..., : self.n_struct] = (
             self.col_sign * np.where(flip[..., None], -C, C)[..., self.col_var])
@@ -477,18 +474,18 @@ class _Layout:
         x[:, self.col_var[split]] += -x_struct[:, split]
         return x
 
-    def tableau(self, A, b, costs):
+    def tableau(self, A, b, cost):
         """Phase-1 tableau and start basis of the standard form with columns
         ``A`` (artificial last) and right-hand side ``b`` (rows negated by
         :attr:`row_sign`): rows ``[A | b]``, the phase-1 row, then the cost
-        rows ``costs`` ``(Q, columns)``.  In a stack every array has a
-        leading instance axis, ``costs`` too."""
+        row ``cost``.  In a stack every array has a leading instance axis,
+        ``cost`` too."""
         *K, m = b.shape
         n_total = self.n_total
-        T = np.zeros((*K, m + 1 + costs.shape[-2], A.shape[-1] + 1))
+        T = np.zeros((*K, m + 2, A.shape[-1] + 1))
         T[..., :m, :-1] = A
         T[..., :m, -1] = b
-        T[..., m + 1:, :-1] = costs
+        T[..., m + 1, :-1] = cost
         for i in self.art_rows:
             T[..., m, :] -= T[..., i, :]
         T[..., m, n_total:-1] = 0.0
@@ -551,7 +548,7 @@ def _rc_tol(cost):
 
 def _phase1_tol():
     """Phase 1's tolerance: :func:`_rc_tol` of its own cost row (1 on each
-    artificial column, 0 elsewhere), so ``2 feas`` whatever the objectives."""
+    artificial column, 0 elsewhere), so ``2 feas`` whatever the objective."""
     return _rc_tol(np.ones(1))
 
 
@@ -562,23 +559,22 @@ def _primal_tol(b):
     return current().feas * (1.0 + np.abs(b).max(axis=-1, initial=0.0))
 
 
-def _duals(problem, sense, c, y_std, row_sign):
-    """``(duals, reduced costs)`` of objective ``(sense, c)`` over
-    ``problem``, in its own orientation, from the duals ``y_std`` of the
-    standard form: undo the row negation ``row_sign`` and the sense flip,
-    then ``c - y @ A``."""
+def _duals(problem, y_std, row_sign):
+    """``(duals, reduced costs)`` of ``problem``, in its own orientation,
+    from the duals ``y_std`` of the standard form: undo the row negation
+    ``row_sign`` and the sense flip, then ``c - y @ A``."""
     y = y_std * row_sign
-    if sense != "min":
+    if problem.sense != "min":
         y = -y
-    return y, c - y @ problem.A
+    return y, problem.c - y @ problem.A
 
 
-def _optimum(problem, c, x, duals, basis, iterations) -> LpSolution:
-    """The optimal :class:`LpSolution` of objective ``c`` over ``problem``
-    at ``x``, with ``duals`` from :func:`_duals`."""
+def _optimum(problem, x, duals, basis, iterations) -> LpSolution:
+    """The optimal :class:`LpSolution` of ``problem`` at ``x``, with
+    ``duals`` from :func:`_duals`."""
     y, rc = duals
     return LpSolution(status="optimal", x=x, duals=y, reduced_costs=rc,
-                      objective=float(c @ x) + problem.objective_offset,
+                      objective=float(problem.c @ x) + problem.objective_offset,
                       basis=basis, iterations=iterations)
 
 
@@ -586,8 +582,8 @@ class _Tableau:
     """Dense simplex tableau: ``m`` constraint rows, then reduced-cost rows.
 
     Row ``m`` is the phase-1 objective (minus the sum of the artificial
-    rows); the rows below it are phase-2 objectives.  A pivot updates every
-    row, so each reduced-cost row stays current whichever row chose it.
+    rows), row ``m + 1`` the phase-2 one.  A pivot updates every row, so
+    each reduced-cost row stays current whichever row chose it.
     """
 
     def __init__(self, T, basis, m, n_enter):
@@ -596,11 +592,6 @@ class _Tableau:
         self.m = m
         self.n_enter = n_enter          # artificial columns never enter
         self.iterations = 0
-
-    def copy(self) -> "_Tableau":
-        dup = _Tableau(self.T.copy(), self.basis.copy(), self.m, self.n_enter)
-        dup.iterations = self.iterations
-        return dup
 
     def run(self, row, rc_tol) -> str:
         """Pivot on reduced-cost row ``row`` until no column prices out
@@ -638,81 +629,40 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
     carry different (equally valid) duals.  Use :func:`dual_value_range`
     for the full set.
     """
-    return solve_objectives(problem, ((problem.sense, problem.c),))[0]
+    return _simplex(problem)
 
 
-def solve_objectives(problem: LinearProgram, objectives) -> tuple:
-    """Optimize each ``(sense, c)`` pair in ``objectives`` over ``problem``'s
-    feasible region; one :class:`LpSolution` per pair, in order.
-
-    The problem's own ``sense`` and ``c`` are not used; its rows, bounds,
-    labels and ``objective_offset`` are.  The tableau is built once
-    and phase 1 runs once, at its own tolerance (:func:`_phase1_tol`),
-    carrying every objective's reduced-cost row through its pivots; each
-    phase 2 then starts from its own copy of the phase-1 tableau.  Each
-    result, ``iterations`` included (shared phase-1 plus own phase-2
-    pivots), is exactly what :func:`solve_lp` returns for the problem with
-    that sense and objective.
-    """
+def _simplex(problem: LinearProgram) -> LpSolution:
+    """:func:`solve_lp`'s two-phase simplex: phase 1 at its own tolerance
+    (:func:`_phase1_tol`), then phase 2 on the same tableau.
+    :func:`solve_stacked` runs it on the LPs it does not stack, so a
+    wrapper of :func:`solve_lp` sees only its callers' own solves."""
     layout = problem._frame.layout(problem.b)
     A, b = problem._frame.columns[layout], problem.b * layout.row_sign
     m = problem.n_rows
     if m == 0:
         raise LpInputError("problem must have at least one row")
-    objectives = tuple(_checked_objective(problem, sense, c) for sense, c in objectives)
-    if not objectives:
-        raise LpInputError("no objectives given")
-    costs = layout.cost(np.array([sense != "min" for sense, _ in objectives]),
-                        np.array([c for _, c in objectives]))
-    rc_tols = _rc_tol(costs).tolist()
-
-    T, basis = layout.tableau(A, b, costs)
+    cost = layout.cost(np.array(problem.sense != "min"), problem.c)
+    T, basis = layout.tableau(A, b, cost)
     tab = _Tableau(T, basis, m, layout.n_total)
 
-    # ---- phase 1, shared ---------------------------------------------
     if layout.art_rows:
         if tab.run(m, float(_phase1_tol())) == "unbounded":  # cannot happen: objective >= 0
             raise LpError("phase-1 unbounded; numerical corruption")
         if -T[m, -1] > _primal_tol(b):
-            return tuple(LpSolution(status="infeasible", iterations=tab.iterations)
-                         for _ in objectives)
+            return LpSolution(status="infeasible", iterations=tab.iterations)
         _drive_out(T, basis, m, layout.n_total)
 
-    # ---- phase 2, one per objective, each from its own copy --------------
-    ends = [tab.copy() for _ in objectives[1:]] + [tab]
-    status = [own.run(m + 1 + q, tol) for q, (own, tol) in enumerate(zip(ends, rc_tols))]
-    opt = np.array([q for q, s in enumerate(status) if s == "optimal"], dtype=int)
-    optima = iter(_stacked_optima(
-        layout, A[None], (problem,), (objectives,), costs[None],
-        np.array([ends[q].T[:m, -1] for q in opt]).reshape(len(opt), m),
-        np.array([ends[q].basis for q in opt], dtype=int).reshape(len(opt), m),
-        [ends[q].iterations for q in opt], np.zeros_like(opt), opt))
-    return tuple(next(optima) if s == "optimal"
-                 else LpSolution(status="unbounded", iterations=own.iterations)
-                 for s, own in zip(status, ends))
+    if tab.run(m + 1, float(_rc_tol(cost))) == "unbounded":
+        return LpSolution(status="unbounded", iterations=tab.iterations)
+    (optimum,) = _stacked_optima(layout, A[None], (problem,), cost[None], T[None, :m, -1],
+                                 basis[None], [tab.iterations], np.zeros(1, dtype=int))
+    return optimum
 
 
 # ---------------------------------------------------------------------------
 # requests, steps and the stacked solver
 # ---------------------------------------------------------------------------
-
-
-class LpRequest(NamedTuple):
-    """One :func:`solve_objectives` call, as data.
-
-    A *step* is a generator that yields requests and is sent each one's
-    tuple of :class:`LpSolution` back, or has the solver's error raised at
-    its ``yield``; what it returns is its result.  One step runs alone
-    under :func:`run_step`, or beside others under :func:`run_lockstep`.
-    """
-
-    problem: LinearProgram
-    objectives: tuple
-
-    @classmethod
-    def own(cls, problem: LinearProgram) -> "LpRequest":
-        """The request for ``problem``'s own objective (:func:`solve_lp`)."""
-        return cls(problem, ((problem.sense, problem.c),))
 
 
 class RangeRequest(NamedTuple):
@@ -744,9 +694,14 @@ def run_lockstep(steps, pool: "BasisPool" = None) -> list:
     unfinished step with one :func:`solve_stacked` call, given ``pool``,
     and a request's solver error is raised inside its own step.
 
+    A *step* is a generator that yields requests: a :class:`LinearProgram`,
+    which asks for its own optimum and is sent one :class:`LpSolution`
+    back, or a :class:`RangeRequest`.  A request's solver error is raised
+    at its ``yield``; what the step returns is its result.
+
     Returns each step's result in order, or the exception it raised, so
     one step's error leaves the others running.  Without a pool every
-    answer is what :func:`solve_objectives` returns for the request (for a
+    answer is what :func:`solve_lp` returns for the LP (for a
     :class:`RangeRequest`, the intervals read off its own basis), or the
     error it raises; with one, see :func:`solve_stacked`.
     """
@@ -774,8 +729,8 @@ def run_lockstep(steps, pool: "BasisPool" = None) -> list:
     return results
 
 
-#: Fewest requests of one layout that :func:`solve_stacked` stacks; smaller
-#: groups go to :func:`solve_objectives` one by one.  The stacked kernel
+#: Fewest LPs of one layout that :func:`solve_stacked` stacks; smaller
+#: groups go to :func:`solve_lp`'s simplex one by one.  The stacked kernel
 #: pays a fixed numpy cost per pivot round, which the K instances share,
 #: so it loses below some K; from 8 on it wins on every LP kind the sweep
 #: solves (see the module docstring for the measurement).
@@ -790,28 +745,26 @@ _OPTIMAL, _UNBOUNDED, _LIMIT = range(3)
 
 
 def solve_stacked(requests, pool: "BasisPool" = None) -> list:
-    """Answer every request, an :class:`LpRequest` or a :class:`RangeRequest`;
-    one outcome per request, in order.
+    """Answer every request, a :class:`LinearProgram` or a
+    :class:`RangeRequest`; one outcome per request, in order.
 
-    Without a ``pool``, the outcome of an :class:`LpRequest` is exactly what
-    ``solve_objectives(problem, objectives)`` returns (every array bit for
-    bit, ``iterations`` included), or the :class:`LpError` it would raise.
-    Requests whose standard forms share a layout (:meth:`_Frame.layout`) and
-    an objective count are solved together on one ``(K, rows, cols)``
-    tableau, each instance making its own choices; groups smaller than
-    :data:`STACK_MIN` are solved one by one.  A :class:`RangeRequest` is
-    answered from its own basis (:func:`_basis_ranges`), and its outcome
-    is one ``(lo, hi)`` per row, or the :class:`LpError` that basis
-    raises.
+    Without a ``pool``, the outcome of an LP is exactly what
+    :func:`solve_lp` returns for it (every array bit for bit,
+    ``iterations`` included), or the :class:`LpError` it would raise.  LPs
+    whose standard forms share a layout (:meth:`_Frame.layout`) are solved
+    together on one ``(K, rows, cols)`` tableau, each instance making its
+    own choices; groups smaller than :data:`STACK_MIN` are solved one by
+    one.  A :class:`RangeRequest` is answered from its own basis
+    (:func:`_basis_ranges`), and its outcome is one ``(lo, hi)`` per row,
+    or the :class:`LpError` that basis raises.
 
-    With a :class:`BasisPool`, a one-objective request that the pool's
-    bases prove optimal (:meth:`BasisPool.certify`) is answered from them,
-    builds no tableau and reports ``iterations=0``, and a range request
-    whose every end the pool's bases give (:meth:`BasisPool.certify_ranges`)
-    is answered from their one-sided slopes; the others are answered as
-    above.  A certified answer depends on its request alone, and may come
-    from another optimal basis than the simplex's (see the module
-    docstring).
+    With a :class:`BasisPool`, an LP that the pool's bases prove optimal
+    (:meth:`BasisPool.certify`) is answered from them, builds no tableau
+    and reports ``iterations=0``, and a range request whose every end the
+    pool's bases give (:meth:`BasisPool.certify_ranges`) is answered from
+    their one-sided slopes; the others are answered as above.  A certified
+    answer depends on its request alone, and may come from another optimal
+    basis than the simplex's (see the module docstring).
     """
     outcomes = [None] * len(requests)
     if pool is not None:
@@ -823,38 +776,20 @@ def solve_stacked(requests, pool: "BasisPool" = None) -> list:
             continue
         if isinstance(request, RangeRequest):
             outcomes[k] = _solve_apart(_basis_ranges, request)
-            continue
-        problem, objectives = request
-        if problem.n_rows == 0 or not objectives:
-            outcomes[k] = _solve_apart(solve_objectives, problem, objectives)
-            continue
-        try:
-            objectives = tuple(_checked_objective(problem, sense, c)
-                               for sense, c in objectives)
-        except ValueError as exc:
-            outcomes[k] = exc
-            continue
-        key = (problem._frame.layout(problem.b), len(objectives))
-        groups.setdefault(key, []).append((k, problem, objectives))
-    for (layout, count), members in groups.items():
-        if pool is not None and count == 1:
+        elif request.n_rows == 0:
+            outcomes[k] = _solve_apart(_simplex, request)
+        else:
+            groups.setdefault(request._frame.layout(request.b), []).append((k, request))
+    for layout, members in groups.items():
+        if pool is not None:
             members = pool.certify(layout, members, outcomes)
         if len(members) >= STACK_MIN:
-            for (k, *_), out in zip(members, _solve_stack(members, layout)):
+            for (k, _), out in zip(members, _solve_stack(members, layout)):
                 outcomes[k] = out
         else:
-            for k, problem, objectives in members:
-                outcomes[k] = _solve_apart(solve_objectives, problem, objectives)
+            for k, problem in members:
+                outcomes[k] = _solve_apart(_simplex, problem)
     return outcomes
-
-
-def _checked_objective(problem, sense, c):
-    """``(sense, c)`` with ``c`` as :func:`_objective_vector` checks it;
-    ``problem``'s own objective (:meth:`LpRequest.own`), checked when the
-    problem was built and read-only since, is taken as it is."""
-    if c is problem.c and sense is problem.sense:
-        return sense, c
-    return sense, _objective_vector(sense, c, problem.n_vars)
 
 
 def _solve_apart(solve, *args):
@@ -866,25 +801,24 @@ def _solve_apart(solve, *args):
 
 
 def _solve_stack(members, layout) -> list:
-    """:func:`solve_objectives` on every member of the group of ``layout``,
-    as one stacked two-phase simplex; outcomes in member order."""
-    _, problems, objectives = zip(*members)
-    K, Q, m = len(problems), len(objectives[0]), problems[0].n_rows
-    n_total, n_art = layout.n_total, len(layout.art_rows)
+    """:func:`solve_lp` on every ``(k, problem)`` member of the group of
+    ``layout``, as one stacked two-phase simplex; outcomes in member
+    order."""
+    _, problems = zip(*members)
+    K, m, n_total = len(problems), problems[0].n_rows, layout.n_total
     # each problem's own columns: problems of one layout may have other frames
     A = np.array([q._frame.columns[layout] for q in problems])
     b = np.array([q.b for q in problems]) * layout.row_sign
-    cost = layout.cost(np.array([[sense != "min" for sense, _ in obj] for obj in objectives]),
-                       np.array([[c for _, c in obj] for obj in objectives]))
-    rc_tol = _rc_tol(cost)
+    cost = layout.cost(np.array([q.sense != "min" for q in problems]),
+                       np.array([q.c for q in problems]))
 
     T, basis = layout.tableau(A, b, cost)
     iters = np.zeros(K, dtype=int)
 
-    # ---- phase 1, shared by each instance's objectives ------------------
+    # ---- phase 1 -----------------------------------------------------------
     outcomes = [None] * K
     feasible = np.arange(K)
-    if n_art:
+    if layout.art_rows:
         status = _run_stack(T, basis, iters, m, n_total, np.full(K, _phase1_tol()))
         infeasible = -T[:, m, -1] > _primal_tol(b)
         for k in range(K):
@@ -893,57 +827,45 @@ def _solve_stack(members, layout) -> list:
             elif status[k] == _LIMIT:
                 outcomes[k] = _iteration_limit()
             elif infeasible[k]:
-                outcomes[k] = tuple(LpSolution(status="infeasible", iterations=int(iters[k]))
-                                    for _ in range(Q))
+                outcomes[k] = LpSolution(status="infeasible", iterations=int(iters[k]))
             elif (basis[k] >= n_total).any():
                 _drive_out(T[k], basis[k], m, n_total)
         feasible = np.array([k for k in range(K) if outcomes[k] is None], dtype=int)
     if not feasible.size:
         return outcomes
 
-    # ---- phase 2: one stack entry per (instance, objective) -------------
-    # An entry keeps the constraint rows and its own reduced-cost row; the
-    # rows and artificial columns it drops never feed the ones it keeps.
-    F = len(feasible)
-    rows = np.empty((Q, m + 1), dtype=int)
-    rows[:, :m] = np.arange(m)
-    rows[:, m] = m + 1 + np.arange(Q)
-    cols = np.r_[0:n_total, T.shape[2] - 1]
-    T2 = T[feasible[:, None, None, None], rows[:, :, None], cols].reshape(F * Q, m + 1, -1)
+    # ---- phase 2 -----------------------------------------------------------
+    # Each instance keeps its constraint rows and its cost row; the phase-1
+    # row and the artificial columns it drops never feed the ones it keeps.
+    T2 = T[np.ix_(feasible, np.r_[0:m, m + 1], np.r_[0:n_total, T.shape[2] - 1])]
     del T       # phase 2 runs on T2 alone; free the phase-1 stack meanwhile
-    basis2 = np.repeat(basis[feasible], Q, axis=0)
-    iters2 = np.repeat(iters[feasible], Q)
-    status2 = _run_stack(T2, basis2, iters2, m, n_total, rc_tol[feasible].ravel())
+    basis2, iters2 = basis[feasible], iters[feasible]
+    status2 = _run_stack(T2, basis2, iters2, m, n_total, _rc_tol(cost)[feasible])
 
-    entry_k, entry_q = np.repeat(feasible, Q), np.tile(np.arange(Q), F)
     opt = np.flatnonzero(status2 == _OPTIMAL)
     try:
-        optima = _stacked_optima(layout, A, problems, objectives, cost, T2[opt, :m, -1],
-                                 basis2[opt], iters2[opt], entry_k[opt], entry_q[opt])
+        optima = iter(_stacked_optima(layout, A, problems, cost, T2[opt, :m, -1],
+                                      basis2[opt], iters2[opt], feasible[opt]))
     except np.linalg.LinAlgError:       # a singular basis: find whose, one by one
         for k in feasible:
-            outcomes[k] = _solve_apart(solve_objectives, problems[k], objectives[k])
+            outcomes[k] = _solve_apart(_simplex, problems[k])
         return outcomes
-    optima = dict(zip(opt.tolist(), optima))
-    for n, k in enumerate(feasible):
-        entries = range(n * Q, (n + 1) * Q)
-        if any(status2[e] == _LIMIT for e in entries):
+    for k, s, it in zip(feasible, status2.tolist(), iters2.tolist()):
+        if s == _OPTIMAL:
+            outcomes[k] = next(optima)
+        elif s == _LIMIT:
             outcomes[k] = _iteration_limit()
         else:
-            outcomes[k] = tuple(
-                optima[e] if e in optima
-                else LpSolution(status="unbounded", iterations=int(iters2[e]))
-                for e in entries)
+            outcomes[k] = LpSolution(status="unbounded", iterations=it)
     return outcomes
 
 
-def _stacked_optima(layout, A, problems, objectives, cost, rhs, basis, iters,
-                    entry_k, entry_q):
+def _stacked_optima(layout, A, problems, cost, rhs, basis, iters, entry):
     """The optimal :class:`LpSolution` of every entry of a finished phase 2:
-    entry ``e`` is objective ``entry_q[e]`` of ``problems[entry_k[e]]``,
-    whose standard form of ``layout`` has the columns ``A[entry_k[e]]`` and
-    the cost rows ``cost[entry_k[e]]``; it ended on ``basis[e]`` with the
-    basic values ``rhs[e]`` after ``iters[e]`` pivots."""
+    entry ``e`` is ``problems[entry[e]]``, whose standard form of
+    ``layout`` has the columns ``A[entry[e]]`` and the cost row
+    ``cost[entry[e]]``; it ended on ``basis[e]`` with the basic values
+    ``rhs[e]`` after ``iters[e]`` pivots."""
     n_total = layout.n_total
     rows, pos = np.nonzero(basis < n_total)
     x_std = np.zeros((len(basis), n_total))
@@ -952,16 +874,14 @@ def _stacked_optima(layout, A, problems, objectives, cost, rhs, basis, iters,
 
     # B' y = c_B per entry, in one batched LAPACK call, against the pristine
     # standard-form columns (an artificial's being the unit column of its row).
-    c_B = cost[entry_k[:, None], entry_q[:, None], basis]
-    Y = np.linalg.solve(A[entry_k[:, None], :, basis], c_B[..., None])[..., 0]
+    c_B = cost[entry[:, None], basis]
+    Y = np.linalg.solve(A[entry[:, None], :, basis], c_B[..., None])[..., 0]
 
     solutions = []
-    for e, (k, q, b) in enumerate(zip(entry_k.tolist(), entry_q.tolist(), basis.tolist())):
+    for e, (k, b) in enumerate(zip(entry.tolist(), basis.tolist())):
         problem = problems[k]
-        sense, c = objectives[k][q]
         names = _column_labels(layout, problem.var_labels, problem.row_labels)
-        solutions.append(_optimum(problem, c, X[e],
-                                  _duals(problem, sense, c, Y[e], layout.row_sign),
+        solutions.append(_optimum(problem, X[e], _duals(problem, Y[e], layout.row_sign),
                                   tuple(map(names.__getitem__, b)), int(iters[e])))
     return solutions
 
@@ -1036,24 +956,19 @@ class BasisPool:
     *blocks* of column sets with ``B⁻¹``, tried in order.  It never
     changes, so a certified answer depends on its own request alone.  The
     atlas of ``sweep`` and ``selftest`` is given as data, in two blocks
-    (:meth:`from_blocks`, ``cli.basis_atlas``).  A pool made from solves,
-    ``(request, solutions)`` pairs of an :class:`LpRequest` and what
-    :func:`solve_objectives` returned for it, has one block: the optimal
-    bases the solves reach, each column set once, in the order first
-    reached.  A basis that holds an artificial column is never kept.
+    (``cli.basis_atlas``).
 
-    Requests of one objective are tried (:func:`solve_stacked`).  Each
-    is answered by the first basis, in block order, that passes both
-    halves of the simplex's own optimality test, at its own tolerances; a
-    request goes on to the next block only where no basis of a block
-    passes.  The primal half: ``x_B = B⁻¹b`` is at least
+    LPs are tried (:func:`solve_stacked`).  Each is answered by the first
+    basis, in block order, that passes both halves of the simplex's own
+    optimality test, at its own tolerances; an LP goes on to the next
+    block only where no basis of a block passes.  The primal half: ``x_B = B⁻¹b`` is at least
     ``-_primal_tol(b)`` in standard form, one batched product over a
-    block's bases per request.  The dual half: the duals
+    block's bases per LP.  The dual half: the duals
     ``np.linalg.solve(B.T, c_B)``, the call :func:`_stacked_optima` makes,
     leave every reduced cost of the standard form at least
     ``-_rc_tol(cost)``.  It runs once per distinct objective of a
     :func:`solve_stacked` group in one batched LAPACK call, only for bases
-    that pass the primal half for one of the objective's requests: a cost
+    that pass the primal half for one of the objective's LPs: a cost
     sweep has an objective per row, and solving all bases for each is
     slower than pivoting.
 
@@ -1063,37 +978,19 @@ class BasisPool:
     interval end comes from the first basis, in block order, that gives
     it."""
 
-    def __init__(self, solved):
-        found = {}      # (frame, layout) -> {column set: columns}
-        for (problem, _), solutions in solved:
-            layout = problem._frame.layout(problem.b)
-            column = _column_index(layout, problem.var_labels, problem.row_labels)
-            bases = found.setdefault((problem._frame, layout), {})
-            for solution in solutions:
-                if not solution.optimal:
-                    continue
-                cols = [column[label] for label in solution.basis]
-                if max(cols) < layout.n_total:          # no artificial column
-                    bases.setdefault(frozenset(cols), cols)
-        self._blocks = {key: (_Bases(*key, list(bases.values())),)
-                        for key, bases in found.items() if bases}
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "BasisPool":
+    def __init__(self, blocks):
         """The pool of ``blocks``: ``{(frame, layout): (block, ...)}``, each
         block a sequence of column lists (standard-form columns of the
         layout, one per row, none artificial), tried in that order."""
-        pool = cls(())
-        pool._blocks = {key: tuple(_Bases(*key, block) for block in key_blocks if block)
+        self._blocks = {key: tuple(_Bases(*key, block) for block in key_blocks if block)
                         for key, key_blocks in blocks.items()}
-        return pool
 
     def certify(self, layout, members, outcomes) -> list:
-        """Answer in ``outcomes`` every member of a one-objective
+        """Answer in ``outcomes`` every ``(k, problem)`` member of a
         :func:`solve_stacked` group of ``layout`` that the pool proves
         optimal; returns the others, in order."""
         for blocks, group in self._grouped(
-                members, [(problem._frame, layout) for _, problem, _ in members]):
+                members, [(problem._frame, layout) for _, problem in members]):
             for bases in blocks:
                 group = bases.answer(group, outcomes)
                 if not group:
@@ -1153,27 +1050,27 @@ class _Bases:
         step = self.inverses * layout.row_sign
         self.steps = np.stack([step, -step], axis=-1)
 
-    def _optimal(self, b, objectives):
-        """Both halves of the optimality test, for every basis and request:
-        ``(X, both, objective, Y, pair)``.  Request ``r`` has the
-        standard-form right-hand side ``b[r]`` and the objective
-        ``objectives[r]``, the ``objective[r]``-th distinct one; ``X[r, n]``
-        is ``x_B`` of basis ``n`` at ``b[r]``, ``both[r, n]`` whether that
-        basis passes both halves, and ``Y[pair[d, n]]`` the standard-form
-        duals of basis ``n`` under distinct objective ``d`` (``-1`` where
-        not computed)."""
+    def _optimal(self, problems):
+        """Both halves of the optimality test, for every basis and LP of
+        ``problems``: ``(b, X, both, objective, Y, pair)``.  LP ``r`` has
+        the standard-form right-hand side ``b[r]`` and its own objective,
+        the ``objective[r]``-th distinct one; ``X[r, n]`` is ``x_B`` of
+        basis ``n`` at ``b[r]``, ``both[r, n]`` whether that basis passes
+        both halves, and ``Y[pair[d, n]]`` the standard-form duals of
+        basis ``n`` under distinct objective ``d`` (``-1`` where not
+        computed)."""
         layout = self.layout
-        # the primal half: x_B of every basis, one batched product per request
+        b = np.array([problem.b for problem in problems]) * layout.row_sign
+        # the primal half: x_B of every basis, one batched product per LP
         X = (self.inverses.reshape(-1, b.shape[1]) @ b[:, :, None]).reshape(
             len(b), *self.cols.shape)
         held = (X >= -_primal_tol(b)[:, None, None]).all(axis=2)
-        distinct = {}       # (sense, objective bytes) -> (its index, the objective)
-        objective = np.array([
-            distinct.setdefault((sense, c.tobytes()), (len(distinct), (sense, c)))[0]
-            for sense, c in objectives])
-        flip, C = zip(*((sense != "min", c) for _, (sense, c) in distinct.values()))
+        distinct = {}       # (sense, objective bytes) -> (its index, an LP of it)
+        objective = np.array([distinct.setdefault((p.sense, p.c.tobytes()), (len(distinct), p))[0]
+                              for p in problems])
+        flip, C = zip(*((p.sense != "min", p.c) for _, p in distinct.values()))
         cost = layout.cost(np.array(flip), np.array(C))[:, : layout.n_total]
-        # the dual half, per objective for the bases that hold for one of its requests
+        # the dual half, per objective for the bases that hold for one of its LPs
         live = (objective == np.arange(len(cost))[:, None]) @ held
         d, n = np.nonzero(live)
         Y = np.linalg.solve(self.BT[n], cost[d[:, None], self.cols[n]][..., None])[..., 0]
@@ -1181,16 +1078,14 @@ class _Bases:
         dual[d, n] = (cost[d] - (Y[:, None] @ self.A)[:, 0] >= -_rc_tol(cost)[d, None]).all(axis=1)
         pair = np.full(live.shape, -1)
         pair[d, n] = np.arange(len(d))
-        return X, held & dual[objective], objective, Y, pair
+        return b, X, held & dual[objective], objective, Y, pair
 
     def answer(self, group, outcomes) -> list:
-        """Answer in ``outcomes`` each member of ``group`` (one-objective
-        requests of one :func:`solve_stacked` group) whose objective a
-        basis proves optimal; returns the others, in order."""
+        """Answer in ``outcomes`` each ``(k, problem)`` member of ``group``
+        (LPs of one :func:`solve_stacked` group) that a basis proves
+        optimal; returns the others, in order."""
         layout = self.layout
-        b = np.array([problem.b for _, problem, _ in group]) * layout.row_sign
-        X, both, objective, Y, pair = self._optimal(
-            b, [objective for _, _, (objective,) in group])
+        _, X, both, objective, Y, pair = self._optimal([problem for _, problem in group])
         passed = both.any(axis=1)
         rows = np.flatnonzero(passed)
         if not rows.size:
@@ -1202,12 +1097,12 @@ class _Bases:
         duals = {}
         for e, (h, tag) in enumerate(zip(rows.tolist(),
                                          zip(objective[rows].tolist(), pick.tolist()))):
-            k, problem, ((sense, c),) = group[h]
+            k, problem = group[h]
             if tag not in duals:                # the same for every member of the tag
-                duals[tag] = _duals(problem, sense, c, Y[pair[tag]], layout.row_sign)
+                duals[tag] = _duals(problem, Y[pair[tag]], layout.row_sign)
                 for a in duals[tag]:
                     a.setflags(write=False)
-            outcomes[k] = (_optimum(problem, c, x[e], duals[tag], self.labels[tag[1]], 0),)
+            outcomes[k] = _optimum(problem, x[e], duals[tag], self.labels[tag[1]], 0)
         return [member for member, done in zip(group, passed.tolist()) if not done]
 
     def slopes(self, requests) -> list:
@@ -1218,9 +1113,7 @@ class _Bases:
         :class:`BasisPool`)."""
         row_sign = self.layout.row_sign
         problems = [request.problem for request in requests]
-        b = np.array([problem.b for problem in problems]) * row_sign
-        X, both, objective, Y, pair = self._optimal(
-            b, [(problem.sense, problem.c) for problem in problems])
+        b, X, both, objective, Y, pair = self._optimal(problems)
         if not both.any():
             return [(None, {})] * len(requests)
         # ends[r, n, t, 0 / 1]: basis n gives request r the right / left slope of row t
@@ -1362,7 +1255,7 @@ def dual_value_ranges(problem: LinearProgram, row_ids, *, solution: LpSolution) 
 
 
 def dual_ranges_step(problem: LinearProgram, row_ids, *, solution: LpSolution):
-    """:func:`dual_value_ranges` as a step (see :class:`LpRequest`): it
+    """:func:`dual_value_ranges` as a step (see :func:`run_lockstep`): it
     checks ``solution`` and yields one :class:`RangeRequest` with its basis
     (less any label the problem's layout lacks)."""
     idxs = tuple(problem.row_index(row_id) for row_id in row_ids)

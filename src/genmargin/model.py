@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .lp import EQ, GE, LE, BasisPool, LinearProgram, LpRequest, LpSolution, _Frame, run_step
+from .lp import EQ, GE, LE, BasisPool, LinearProgram, LpSolution, _Frame, run_step
 from .tolerances import current
 
 VAR_ORDER = ("I_r1", "I_r2", "I_f1", "I_f2",
@@ -485,9 +485,9 @@ def solve_lrmc(params: SystemParams, *, pool: BasisPool = None) -> LrmcSolve:
 
 
 def lrmc_step(params: SystemParams):
-    """:func:`solve_lrmc` as a step that yields its one LP request (see
-    :class:`~genmargin.lp.LpRequest`)."""
-    (sol,) = yield LpRequest.own(build_lrmc_primal(params))
+    """:func:`solve_lrmc` as a step that yields its one LP (see
+    :func:`~genmargin.lp.run_lockstep`)."""
+    sol = yield build_lrmc_primal(params)
     if not sol.optimal:
         # With CL > 0 and finite caps the model is always feasible/bounded.
         raise ModelError(f"long-run model unexpectedly {sol.status}")

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .groups import AnalyticResult, analytic_solution, classify, marginal_cp, merit_interval
-from .lp import LpRequest, dual_interval_has_width, dual_ranges_step, run_step
+from .lp import dual_interval_has_width, dual_ranges_step, run_step
 from .model import SystemParams, build_lrmc_primal, build_srmc_primal
 from .tolerances import current
 
@@ -126,7 +126,7 @@ def compute_srmc(params: SystemParams, istar, *, epsilon: float = None,
 def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
               lrmc_objective: float = None, analytic: AnalyticResult = None):
     """:func:`compute_srmc` as a step that yields its LP requests (see
-    :class:`~genmargin.lp.LpRequest`): :func:`resolved_step`'s two solves
+    :func:`~genmargin.lp.run_lockstep`): :func:`resolved_step`'s two solves
     with the dual intervals of the frozen model between them.  As there,
     the rules are read against the closed form's build, so ``istar``
     should be that build."""
@@ -136,7 +136,7 @@ def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
                         f"got {eps!r}")
 
     if lrmc_objective is None:
-        (lr_sol,) = yield LpRequest.own(build_lrmc_primal(params))
+        lr_sol = yield build_lrmc_primal(params)
         z_star = lr_sol.objective
     else:
         z_star = float(lrmc_objective)
@@ -180,7 +180,7 @@ def _frozen_step(params, istar, z_star):
     if not math.isfinite(z_star):
         raise SrmcError(f"long-run optimum must be finite, got {z_star!r}")
     frozen = build_srmc_primal(params, istar, epsilon=0.0)
-    (sol0,) = yield LpRequest.own(frozen)
+    sol0 = yield frozen
     if not sol0.optimal:
         raise SrmcError(f"short-run model {sol0.status}")
     if abs(sol0.objective - z_star) > current().gap * (1.0 + abs(z_star)):
@@ -193,7 +193,7 @@ def _frozen_step(params, istar, z_star):
 
 def _perturbed_step(params, istar, eps):
     """The balance duals of the short-run model, every capacity + ``eps``."""
-    (perturbed,) = yield LpRequest.own(build_srmc_primal(params, istar, epsilon=eps))
+    perturbed = yield build_srmc_primal(params, istar, epsilon=eps)
     if not perturbed.optimal:
         raise SrmcError(f"perturbed short-run model {perturbed.status}")
     return (float(perturbed.duals[0]), float(perturbed.duals[1]))

@@ -35,7 +35,9 @@ import itertools
 import numpy as np
 
 from genmargin import cli, groups, lp, model
-from genmargin.lp import LpRequest, run_lockstep, solve_stacked
+from genmargin.lp import run_lockstep, solve_stacked
+
+from lp_oracle import solved_pool
 
 #: Base-36 digits: column ``j`` of a basis is written ``DIGITS[j]``.
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -116,8 +118,8 @@ def _full_dimensional(cones):
         b[-2:] = 1.0
         c = np.zeros(k + 1)
         c[k] = 1.0
-        requests.append(LpRequest.own(lp.LinearProgram("max", c, A, relations, b)))
-    return [sol.optimal and sol.objective > 1e-7 for (sol,) in solve_stacked(requests)]
+        requests.append(lp.LinearProgram("max", c, A, relations, b))
+    return [sol.optimal and sol.objective > 1e-7 for sol in solve_stacked(requests)]
 
 
 def enumerate_bases(frame, negative, b_map, b_domain, c_map, c_domain):
@@ -142,7 +144,7 @@ def enumerate_bases(frame, negative, b_map, b_domain, c_map, c_domain):
 
 
 def _logged(step, log):
-    """``step``, appending each request it makes, with its answer, to ``log``."""
+    """``step``, appending each LP it yields, with its answer, to ``log``."""
     answer = None
     while True:
         try:
@@ -157,16 +159,17 @@ def representative_bases():
     """``{(frame, layout): [columns, ...]}``: the optimal bases of a
     ``sweep`` row's three LPs (``cli._sweep_row``) at each group's
     representative point, in group order, solved side by side without a
-    pool, as a pool made from those solves keeps them (``lp.BasisPool``):
-    each column set once, in the order first reached, its columns in the
-    order of the basis rows, none with an artificial column."""
+    pool, as a pool made from those solves keeps them
+    (``lp_oracle.solved_pool``): each column set once, in the order first
+    reached, its columns in the order of the basis rows, none with an
+    artificial column."""
     logs = [[] for _ in groups.GROUPS]
     steps = [_logged(cli._sweep_row({f: getattr(p, f) for f in model.PARAM_FIELDS}), log)
              for p, log in zip(map(groups.representative_params, sorted(groups.GROUPS)), logs)]
     for result in run_lockstep(steps):
         if isinstance(result, Exception):
             raise result
-    pool = lp.BasisPool([pair for log in logs for pair in log])
+    pool = solved_pool([pair for log in logs for pair in log])
     return {key: [tuple(cols) for cols in block.cols.tolist()]
             for key, (block,) in pool._blocks.items()}
 

@@ -7,10 +7,11 @@ usable on the tiny instances the tests construct, which is the point.
 :func:`min_form` and :func:`explicit_dual` write an LP's minimization
 form and a minimization's dual out as ``LinearProgram``s.
 :func:`pinned_region` writes the dual region pinned to an optimal value
-straight from the LP, and :func:`region_ranges` pivots it: the second
-method the ranging of ``genmargin.lp`` (from the solve's own basis) is
-checked against where basis enumeration is too slow, on the long-run LP
-for one.
+straight from the LP, one LP per end of each row's interval, and
+:func:`region_ranges` pivots them: the second method the ranging of
+``genmargin.lp`` (from the solve's own basis) is checked against where
+basis enumeration is too slow, on the long-run LP for one.
+:func:`solved_pool` makes a ``BasisPool`` from solves.
 """
 
 import itertools
@@ -18,7 +19,14 @@ import math
 
 import numpy as np
 
-from genmargin.lp import LinearProgram, LpError, LpInputError, LpRequest, solve_objectives
+from genmargin.lp import (
+    BasisPool,
+    LinearProgram,
+    LpError,
+    LpInputError,
+    _column_index,
+    solve_lp,
+)
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -220,15 +228,16 @@ def explicit_dual(problem: LinearProgram):
     return dual, signs
 
 
-def pinned_region(problem: LinearProgram, rows, z_min: float) -> LpRequest:
-    """The LP request whose optima are the ends of each row of ``rows``
+def pinned_region(problem: LinearProgram, rows, z_min: float) -> tuple:
+    """The LPs whose optima are the ends of each row of ``rows``
     (indices): over the feasible region of the dual of ``problem``'s
     minimization form, pinned to that LP's optimal value ``z_min`` and
     built straight from the problem, the min and then the max of each
-    row's dual.  Variable ``i`` is ``signs[i]`` times row ``i``'s dual
-    (negated for a ``<=`` row, so each is nonnegative or free); there is
-    one row per primal column (``=`` for a free one, ``<=`` otherwise) and
-    a last row that pins the dual objective."""
+    row's dual, one LP each over one frame.  Variable ``i`` is
+    ``signs[i]`` times row ``i``'s dual (negated for a ``<=`` row, so each
+    is nonnegative or free); there is one row per primal column (``=`` for
+    a free one, ``<=`` otherwise) and a last row that pins the dual
+    objective."""
     c_min = problem.c if problem.sense == "min" else -problem.c
     signs = np.array([-1.0 if rel == LE else 1.0 for rel in problem.relations])
     region = LinearProgram(
@@ -240,12 +249,12 @@ def pinned_region(problem: LinearProgram, rows, z_min: float) -> LpRequest:
         b=np.concatenate([c_min, [z_min]]),
         lower_bounds=np.array([-np.inf if rel == EQ else 0.0 for rel in problem.relations]),
     )
-    objectives = []
+    ends = []
     for idx in rows:
         obj = np.zeros(problem.n_rows)
         obj[idx] = signs[idx]
-        objectives += [("min", obj), ("max", obj)]
-    return LpRequest(region, tuple(objectives))
+        ends += [region._frame.program(sense, obj, region.b) for sense in ("min", "max")]
+    return tuple(ends)
 
 
 def region_ends(problem: LinearProgram, sols) -> tuple:
@@ -273,7 +282,7 @@ def request_ranges(request) -> tuple:
     """Each row's dual interval of a ``genmargin.lp.RangeRequest``, by
     pivoting its :func:`pinned_region`."""
     problem, rows, z_min, _ = request
-    return region_ends(problem, solve_objectives(*pinned_region(problem, rows, z_min)))
+    return region_ends(problem, [solve_lp(end) for end in pinned_region(problem, rows, z_min)])
 
 
 def region_ranges(problem: LinearProgram, row_ids, solution) -> tuple:
@@ -282,8 +291,8 @@ def region_ranges(problem: LinearProgram, row_ids, solution) -> tuple:
     z_min = solution.objective - problem.objective_offset
     if problem.sense == "max":
         z_min = -z_min
-    request = pinned_region(problem, [problem.row_index(r) for r in row_ids], z_min)
-    return region_ends(problem, solve_objectives(*request))
+    ends = pinned_region(problem, [problem.row_index(r) for r in row_ids], z_min)
+    return region_ends(problem, [solve_lp(end) for end in ends])
 
 
 def same_ends(got, want, rel=1e-9) -> bool:
@@ -296,3 +305,21 @@ def same_ends(got, want, rel=1e-9) -> bool:
         elif abs(g - w) > rel * max(1.0, abs(w)):
             return False
     return np.shape(got) == np.shape(want)
+
+
+def solved_pool(solved) -> BasisPool:
+    """The pool of ``(problem, solution)`` pairs, each ``solution`` what
+    ``solve_lp`` returned for ``problem``: one block per frame and layout,
+    the optimal bases the solves reach, each column set once, in the order
+    first reached.  A basis that holds an artificial column is never
+    kept."""
+    found = {}      # (frame, layout) -> {column set: columns}
+    for problem, solution in solved:
+        layout = problem._frame.layout(problem.b)
+        bases = found.setdefault((problem._frame, layout), {})
+        if solution.optimal:
+            column = _column_index(layout, problem.var_labels, problem.row_labels)
+            cols = [column[label] for label in solution.basis]
+            if max(cols) < layout.n_total:          # no artificial column
+                bases.setdefault(frozenset(cols), cols)
+    return BasisPool({key: (list(bases.values()),) for key, bases in found.items() if bases})

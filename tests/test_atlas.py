@@ -74,8 +74,8 @@ def test_atlas_is_made_without_a_tableau(tableaux):
 
 @pytest.fixture
 def pivoted(monkeypatch, tableaux):
-    """``(built, own)``: of the requests offered to the atlas, the problems
-    a tableau is built for, and the range requests answered from their own
+    """``(built, own)``: of the requests offered to the atlas, the LPs a
+    tableau is built for, and the range requests answered from their own
     basis (``lp._basis_ranges``)."""
     offered, own = [], []       # held, so that no later object takes an id
     real_stacked, real_ranges = lp.solve_stacked, lp._basis_ranges
@@ -90,7 +90,7 @@ def pivoted(monkeypatch, tableaux):
         return real_ranges(request)
 
     def built():
-        problems = {id(request.problem) for request in offered}
+        problems = {id(request) for request in offered}
         return [problem for problem in tableaux if id(problem) in problems]
 
     def fell():

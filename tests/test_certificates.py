@@ -2,13 +2,12 @@
 optimal.
 
 ``solve_stacked`` with a ``BasisPool`` first tries the optimal bases of
-the solves the pool was made from, for requests of the same frame and
-layout, one objective at a time.  A basis that is not primal feasible
-at the new right-hand side, or not dual feasible for the objective, must
-leave the answer to the simplex, whose outcome is then
-``solve_objectives``' bit for bit, as is that of every request of more
-than one objective.  The pool never changes, so an answer does not
-depend on what it was asked before or beside.
+the solves the pool was made from (``lp_oracle.solved_pool``), for LPs of
+the same frame and layout.  A basis that is not primal feasible at the
+new right-hand side, or not dual feasible for the objective, must leave
+the answer to the simplex, whose outcome is then ``solve_lp``'s bit for
+bit.  The pool never changes, so an answer does not depend on what it
+was asked before or beside.
 
 A dual-interval request (``lp.RangeRequest``) is answered from the
 one-sided slopes of the pooled bases where every end is found, within
@@ -27,56 +26,51 @@ from genmargin import cli, lp, tolerances
 from genmargin.groups import analytic_solution, classify
 from genmargin.lp import (
     BasisPool,
+    IterationLimitError,
     LinearProgram,
     LpError,
-    LpInputError,
-    LpRequest,
     LpSolution,
     dual_interval_has_width,
     dual_ranges_step,
     run_step,
     solve_lp,
-    solve_objectives,
     solve_stacked,
 )
 from genmargin.model import SystemParams, build_srmc_primal, lrmc_step, solve_lrmc
 from genmargin.sampling import random_params
 from genmargin.srmc import default_epsilon
 
-from lp_oracle import request_ranges, same_ends
+from lp_oracle import request_ranges, same_ends, solved_pool
 from test_shared_phase import assert_identical
 
 CANONICAL = dict(ci_r=60, cp_r=1, m_r=3000, ci_f=82, cp_f=20, m_f=4000, cl=200, d1=2000)
 
 
 def long_run(**over):
-    """The long-run request of the README costs with ``over`` applied."""
+    """The long-run LP of the README costs with ``over`` applied."""
     return next(lrmc_step(SystemParams.from_values(**dict(CANONICAL, **over))))
 
 
 def perturbed(istar_from=None, **over):
-    """The perturbed short-run request at ``over``, its investments those
+    """The perturbed short-run LP at ``over``, its investments those
     of the long-run optimum at ``istar_from`` (default: ``over``)."""
     params = SystemParams.from_values(**dict(CANONICAL, **over))
     frozen_at = SystemParams.from_values(**dict(CANONICAL, **(istar_from or over)))
     istar = solve_lrmc(frozen_at).decision
-    return LpRequest.own(build_srmc_primal(params, istar, epsilon=default_epsilon(params)))
+    return build_srmc_primal(params, istar, epsilon=default_epsilon(params))
 
 
-def pool_of(*requests):
-    """The pool of the bases the simplex returns for ``requests``."""
-    return BasisPool([(request, solve_objectives(*request)) for request in requests])
+def pool_of(*problems):
+    """The pool of the bases the simplex returns for ``problems``."""
+    return solved_pool([(problem, solve_lp(problem)) for problem in problems])
 
 
-def pivoted(pool, request):
-    """``request`` answered with ``pool``, checked to be the simplex's
+def pivoted(pool, problem):
+    """``problem`` answered with ``pool``, checked to be the simplex's
     answer, bit for bit."""
-    (got,) = solve_stacked([request], pool=pool)
-    want = solve_objectives(*request)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.iterations > 0
-        assert_identical(g, w)
+    (got,) = solve_stacked([problem], pool=pool)
+    assert got.iterations > 0
+    assert_identical(got, solve_lp(problem))
     return got
 
 
@@ -94,9 +88,8 @@ def test_basis_of_another_demand_region_is_not_taken(kind, source, target):
     pool = pool_of(src)
     # the basis is kept, and certifies its own right-hand side ...
     (again,) = solve_stacked([src], pool=pool)
-    want = solve_objectives(*src)
-    assert [s.iterations for s in again] == [0] * len(want)
-    assert [s.basis for s in again] == [s.basis for s in want]
+    assert again.iterations == 0
+    assert again.basis == solve_lp(src).basis
     # ... but is not primal feasible at the target's
     pivoted(pool, kind(d2=target))
 
@@ -115,34 +108,20 @@ def test_basis_of_other_costs_is_not_taken(kind, cl, d2):
         foreign = kind(d2=d2, cl=cl)
     else:                               # same investments, so the same b
         foreign = kind(istar_from=dict(d2=d2), d2=d2, cl=cl)
-    assert foreign.problem.b.tobytes() == target.problem.b.tobytes()
-    theirs = solve_objectives(*foreign)
-    assert [s.basis for s in theirs] != [s.basis for s in solve_objectives(*target)]
+    assert foreign.b.tobytes() == target.b.tobytes()
+    theirs = solve_lp(foreign)
+    assert theirs.basis != solve_lp(target).basis
     # primal feasible here (the same b), but not optimal for these costs
-    pivoted(BasisPool([(target, theirs)]), target)
-
-
-@pytest.mark.parametrize("kind", [long_run, perturbed])
-def test_request_of_two_objectives_is_pivoted(kind):
-    # the atlas certifies the request's own objective alone, but a request
-    # of two objectives, even that one twice, goes to the simplex
-    pool = cli.basis_atlas()
-    request = kind(d2=8000.0)
-    (alone,) = solve_stacked([request], pool=pool)
-    assert alone[0].iterations == 0
-    own = request.objectives[0]
-    for objectives in ((own, own), (own, ("max", -request.problem.c))):
-        pivoted(pool, LpRequest(request.problem, objectives))
+    pivoted(solved_pool([(target, theirs)]), target)
 
 
 def test_basis_with_an_artificial_column_is_not_kept():
     # the second row repeats the first, so its artificial stays basic
     problem = LinearProgram(sense="min", c=[1.0, 2.0], A=[[1.0, 1.0], [1.0, 1.0]],
                             relations=("=", "="), b=[1.0, 1.0])
-    request = LpRequest.own(problem)
-    (first,) = solve_objectives(*request)
+    first = solve_lp(problem)
     assert any(label.startswith("a[") for label in first.basis)
-    pivoted(pool_of(request), request)
+    pivoted(pool_of(problem), problem)
 
 
 def test_certified_answers_are_optima():
@@ -161,16 +140,15 @@ def test_certified_answers_are_optima():
     for start in range(0, len(requests), 32):
         answers += solve_stacked(requests[start:start + 32], pool=pool)
     certified = 0
-    for request, got in zip(requests, answers):
-        want = solve_objectives(*request)
-        for g, w in zip(got, want):
-            certified += g.iterations == 0
-            assert g.status == w.status == "optimal"
-            assert abs(g.objective - w.objective) <= 1e-9 * (1.0 + abs(w.objective))
-            assert np.allclose(g.x, w.x, rtol=0.0, atol=1e-9 * 15000.0)
-            if g.iterations == 0 and not any(abs(v) <= 1e-9 for v in w.x):
-                assert g.basis == w.basis
-                assert g.duals.tobytes() == w.duals.tobytes()
+    for request, g in zip(requests, answers):
+        w = solve_lp(request)
+        certified += g.iterations == 0
+        assert g.status == w.status == "optimal"
+        assert abs(g.objective - w.objective) <= 1e-9 * (1.0 + abs(w.objective))
+        assert np.allclose(g.x, w.x, rtol=0.0, atol=1e-9 * 15000.0)
+        if g.iterations == 0 and not any(abs(v) <= 1e-9 for v in w.x):
+            assert g.basis == w.basis
+            assert g.duals.tobytes() == w.duals.tobytes()
     assert certified >= len(requests) // 2
 
 
@@ -184,7 +162,7 @@ def test_certified_answer_does_not_depend_on_its_history(kind):
     rng = np.random.default_rng(8)
     others = [kind(d1=d1, d2=d2) for d1, d2 in rng.uniform(0.0, 15000.0, size=(31, 2))]
     (alone,) = solve_stacked([request], pool=pool)
-    assert all(s.iterations == 0 for s in alone)
+    assert alone.iterations == 0
     answers = []
     for at in (0, 16, 31):
         batch = others[:at] + [request] + others[at:]
@@ -195,8 +173,7 @@ def test_certified_answer_does_not_depend_on_its_history(kind):
         solve_stacked(requests[start:start + 32], pool=pool)
     answers += solve_stacked([request], pool=pool)
     for answer in answers:
-        for got, want in zip(answer, alone):
-            assert_identical(got, want)
+        assert_identical(answer, alone)
 
 
 def test_tie_points_are_answered_as_the_simplex_answers():
@@ -212,10 +189,9 @@ def test_tie_points_are_answered_as_the_simplex_answers():
         for d2 in (0.0, params.d2, params.m_r + params.d2):
             request = next(lrmc_step(dataclasses.replace(params, d1=0.0, d2=d2)))
             (got,) = solve_stacked([request], pool=pool)
-            want = solve_objectives(*request)
-            for g, w in zip(got, want):
-                certified += g.iterations == 0
-                assert np.abs(g.x - w.x).max() <= 1e-15 * (1.0 + np.abs(w.x).max())
+            want = solve_lp(request)
+            certified += got.iterations == 0
+            assert np.abs(got.x - want.x).max() <= 1e-15 * (1.0 + np.abs(want.x).max())
     assert certified >= 150
 
 
@@ -238,15 +214,17 @@ def test_pooled_long_run_solve_matches_the_pivoted_one():
     assert certified >= 0.9 * 300
 
 
-def test_pooled_step_raises_what_the_solver_raises():
+def test_pooled_step_raises_what_the_solver_raises(monkeypatch):
+    # phase 1 needs a pivot, and the cap allows none
     problem = LinearProgram(sense="min", c=[1.0, 2.0], A=[[1.0, 1.0]],
                             relations=("=",), b=[1.0])
 
     def step():
-        yield LpRequest(problem, (("least", problem.c),))
+        yield problem
 
-    for pool in (None, BasisPool([])):
-        with pytest.raises(LpInputError, match="sense must be 'min' or 'max'"):
+    monkeypatch.setattr(lp, "MAX_ITERATIONS", 0)
+    for pool in (None, BasisPool({})):
+        with pytest.raises(IterationLimitError, match="simplex exceeded 0 pivots"):
             run_step(step(), pool)
 
 

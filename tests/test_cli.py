@@ -293,9 +293,9 @@ class TestSweep:
                     request = step.send(answer)
                 except StopIteration as done:
                     return done.value
-                owner[id(request.problem)] = row
+                owner[id(request)] = row
                 answer = yield request
-                asked.append((request.problem, answer))
+                asked.append((request, answer))
 
         monkeypatch.setattr(cli, "_sweep_row", tagged)
         payload = dict(CANONICAL, sweep=[
@@ -306,7 +306,7 @@ class TestSweep:
         built = {id(problem) for problem in tableaux}
         certified = [(problem, answer) for problem, answer in asked
                      if id(problem) not in built]
-        assert all(s.iterations == 0 for _, answer in certified for s in answer)
+        assert all(answer.iterations == 0 for _, answer in certified)
         counts = (Counter(owner[id(problem)] for problem in tableaux)
                   + Counter(owner[id(problem)] for problem, _ in certified))
         assert len(rows) == len(started) == len(counts) == 64
@@ -460,7 +460,7 @@ class TestSweep:
         _, payload = self.POOL_PINS["clxcp_f"]
         run_sweep(load_config(write_config(tmp_path, payload)))
         assert len(answers) == 3 * 900
-        certified = sum(all(s.iterations == 0 for s in answer) for answer in answers)
+        certified = sum(answer.iterations == 0 for answer in answers)
         assert certified >= 0.9 * len(answers)
 
     #: The benchmark's five sweep grids of seed 1, round 0: integer costs,
@@ -547,8 +547,8 @@ class TestSelftest:
                     request = step.send(answer)
                 except StopIteration as done:
                     return done.value
-                owner[id(request.problem)] = scenario
-                held.append(request.problem)
+                owner[id(request)] = scenario
+                held.append(request)
                 answer = yield request
 
         monkeypatch.setattr(cli, "random_params", draw)
@@ -676,7 +676,7 @@ class TestSelftest:
     def test_chunked_run_matches_scenario_by_scenario(self, monkeypatch):
         # with an empty pool every LP is pivoted, so every result is the
         # scalar one bit for bit
-        monkeypatch.setattr(cli, "basis_atlas", lambda: lp.BasisPool([]))
+        monkeypatch.setattr(cli, "basis_atlas", lambda: lp.BasisPool({}))
         n = 2 * cli.CHUNK + 6           # two full chunks and a partial one
         got, chunks = self.chunked_selftest(monkeypatch, 11, n)
         text, want = self.scenario_by_scenario(11, n)
@@ -709,7 +709,7 @@ class TestSelftest:
     @pytest.mark.parametrize("seed", [7, 9, 42])
     def test_output_does_not_depend_on_the_pool(self, monkeypatch, seed):
         runs = []
-        for atlas in (cli.basis_atlas, lambda: lp.BasisPool([])):
+        for atlas in (cli.basis_atlas, lambda: lp.BasisPool({})):
             monkeypatch.setattr(cli, "basis_atlas", atlas)
             out = io.StringIO()
             runs.append((run_selftest(seed=seed, n=300, out=out), out.getvalue()))
@@ -729,8 +729,7 @@ class TestSelftest:
                 if isinstance(request, lp.RangeRequest):
                     answered["range"] += 1
                 else:
-                    answered[request.problem._frame,
-                             all(s.iterations == 0 for s in answer)] += 1
+                    answered[request._frame, answer.iterations == 0] += 1
             return outcomes
 
         def basis_ranges(request):
@@ -891,7 +890,7 @@ class TestToleranceOverrides:
         assert all(row[0] != "error" for _, row in sweep_rows(config))
         assert cli.basis_atlas.cache_info().misses == 1
         assert len(answers) == 3 * 40
-        assert all(s.iterations == 0 for answer in answers for s in answer)
+        assert all(answer.iterations == 0 for answer in answers)
 
     def test_gap_tolerance_reaches_the_reports_short_run_stage(self, tmp_path, capsys,
                                                                override):

@@ -15,15 +15,7 @@ import numpy as np
 import pytest
 
 from genmargin import lp, model
-from genmargin.lp import (
-    BasisPool,
-    LinearProgram,
-    LpInputError,
-    LpRequest,
-    solve_lp,
-    solve_objectives,
-    solve_stacked,
-)
+from genmargin.lp import LinearProgram, LpInputError, solve_lp, solve_stacked
 from genmargin.model import (
     SystemParams,
     build_lrmc_dual,
@@ -35,7 +27,7 @@ from genmargin.model import (
 )
 from genmargin.srmc import default_epsilon
 
-from lp_oracle import pinned_region
+from lp_oracle import pinned_region, solved_pool
 from test_shared_phase import CANONICAL, assert_identical
 
 #: an interior point of the README costs, a region boundary (d2 = 6000) and
@@ -49,40 +41,35 @@ def params_at(point):
 
 
 def requests_at(point):
-    """The request of each model LP kind at ``point``: the long-run primal,
-    the explicit dual, and the short-run primal frozen at the long-run
-    build, unperturbed and perturbed."""
+    """Each model LP kind at ``point``: the long-run primal, the explicit
+    dual, and the short-run primal frozen at the long-run build,
+    unperturbed and perturbed."""
     params = params_at(point)
     istar = solve_lrmc(params).decision
     if point == "zero istar":
         assert istar.investments() == (0.0, 0.0, 0.0, 0.0)
     return {
         "long-run primal": next(lrmc_step(params)),
-        "explicit dual": LpRequest.own(build_lrmc_dual(params)),
-        "frozen short-run": LpRequest.own(build_srmc_primal(params, istar)),
-        "perturbed short-run": LpRequest.own(
-            build_srmc_primal(params, istar, epsilon=default_epsilon(params))),
+        "explicit dual": build_lrmc_dual(params),
+        "frozen short-run": build_srmc_primal(params, istar),
+        "perturbed short-run": build_srmc_primal(params, istar, epsilon=default_epsilon(params)),
     }
 
 
-def full(request):
-    """``request`` over a full ``LinearProgram`` with the same data: every
+def full(problem):
+    """``problem`` as a full ``LinearProgram`` with the same data: every
     field checked again, and a frame of its own."""
-    problem = dataclasses.replace(request.problem)
-    assert problem._frame is not request.problem._frame
-    assert problem.A is not request.problem.A
-    objectives = tuple((sense, problem.c if c is request.problem.c else c)
-                       for sense, c in request.objectives)
-    return LpRequest(problem, objectives)
+    whole = dataclasses.replace(problem)
+    assert whole._frame is not problem._frame
+    assert whole.A is not problem.A
+    return whole
 
 
 def assert_all_identical(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert not isinstance(g, Exception) and not isinstance(w, Exception)
-        assert len(g) == len(w)
-        for a, b in zip(g, w):
-            assert_identical(a, b)
+        assert_identical(g, w)
 
 
 @pytest.fixture
@@ -104,7 +91,7 @@ def stacks(monkeypatch):
 def test_frames_change_no_result(kind, point, stacks):
     framed = requests_at(point)[kind]
     whole = full(framed)
-    assert_all_identical([solve_objectives(*framed)], [solve_objectives(*whole)])
+    assert_identical(solve_lp(framed), solve_lp(whole))
     # below STACK_MIN the requests are solved one by one, from it on stacked
     for k in (lp.STACK_MIN - 1, lp.STACK_MIN):
         del stacks[:]
@@ -112,16 +99,16 @@ def test_frames_change_no_result(kind, point, stacks):
         assert stacks == ([k, k] if k == lp.STACK_MIN else [])
     # a pool made from a request's solve answers it from that basis
     answers = []
-    for request in (framed, whole):
-        pool = BasisPool([(request, solve_objectives(*request))])
-        answers.append(solve_stacked([request], pool=pool))
+    for problem in (framed, whole):
+        pool = solved_pool([(problem, solve_lp(problem))])
+        answers.append(solve_stacked([problem], pool=pool))
     assert_all_identical(*answers)
-    assert all(s.iterations == 0 for s in answers[0][0])
+    assert answers[0][0].iterations == 0
 
 
 def test_framed_and_full_lps_of_one_layout_stack_together(stacks):
     framed = [requests_at(point)["long-run primal"] for point in POINTS]
-    (layout,) = {r.problem._frame.layout(r.problem.b) for r in framed}
+    (layout,) = {p._frame.layout(p.b) for p in framed}
     # 64 other layouts, seen before the full copies' frames look theirs up:
     # a layout is one object however many the process has made
     frame = lp._Frame(np.eye(6), (">=",) * 6)
@@ -129,8 +116,8 @@ def test_framed_and_full_lps_of_one_layout_stack_together(stacks):
     assert len(others) == 64 and layout not in others
     batch = framed + [full(r) for r in framed]
     batch = (batch * lp.STACK_MIN)[: lp.STACK_MIN]
-    assert {r.problem._frame.layout(r.problem.b) for r in batch} == {layout}
-    assert_all_identical(solve_stacked(batch), [solve_objectives(*r) for r in batch])
+    assert {p._frame.layout(p.b) for p in batch} == {layout}
+    assert_all_identical(solve_stacked(batch), [solve_lp(p) for p in batch])
     assert stacks == [lp.STACK_MIN]
 
 
@@ -144,12 +131,12 @@ def test_dual_range_regions_with_their_own_matrices_stack_together(stacks):
         frozen = build_srmc_primal(params, solve_lrmc(params).decision)
         regions.append(pinned_region(*next(lp.dual_ranges_step(
             frozen, range(frozen.n_rows), solution=solve_lp(frozen)))[:3]))
-    problems = [r.problem for r in regions]
+    problems = [end for ends in regions for end in ends]
     assert len({p.A.tobytes() for p in problems}) == len({id(p._frame) for p in problems}) \
         == len(regions)
     assert len({p._frame.layout(p.b) for p in problems}) == 1
-    assert_all_identical(solve_stacked(regions), [solve_objectives(*r) for r in regions])
-    assert stacks == [len(regions)]
+    assert_all_identical(solve_stacked(problems), [solve_lp(p) for p in problems])
+    assert stacks == [len(problems)]
 
 
 # ---------------------------------------------------------------------------

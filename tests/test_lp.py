@@ -393,22 +393,3 @@ class TestExplicitDual:
             zp = solve_lp(p).objective
             zd = solve_lp(d).objective
             assert_allclose(zp, zd, rtol=1e-8)
-
-
-def test_stacked_solve_checks_only_objectives_it_was_given(monkeypatch):
-    # A problem's own c was checked when it was built and is read-only, so
-    # solve_stacked takes it as it is; any other objective is checked.
-    from genmargin.lp import LpRequest, solve_stacked
-
-    problems = [lp("min", [1.0, 2.0], [[1.0, 1.0]], (">=",), [float(k)])
-                for k in range(1, lp_module.STACK_MIN + 1)]
-    checked = []
-    real = lp_module._objective_vector
-    monkeypatch.setattr(lp_module, "_objective_vector",
-                        lambda *args: checked.append(args) or real(*args))
-    own = solve_stacked([LpRequest.own(p) for p in problems])
-    assert checked == []
-    given = solve_stacked([LpRequest(p, (("min", list(p.c)),)) for p in problems])
-    assert len(checked) == len(problems)
-    for (a,), (b,) in zip(own, given):
-        assert a.x.tobytes() == b.x.tobytes() and a.duals.tobytes() == b.duals.tobytes()

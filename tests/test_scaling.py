@@ -12,7 +12,7 @@ import pytest
 
 from genmargin import tolerances
 from genmargin.groups import ClassificationError, classify
-from genmargin.lp import STACK_MIN, LpRequest, solve_lp, solve_objectives, solve_stacked
+from genmargin.lp import STACK_MIN, solve_lp, solve_stacked
 from genmargin.model import ModelError, SystemParams, build_srmc_primal, lrmc_step, solve_lrmc
 from genmargin.sampling import random_params
 from genmargin.srmc import compute_srmc, predict_srmc_from_lrmc
@@ -84,13 +84,11 @@ def test_model_lps_stay_feasible_at_large_cost_scales(alpha):
         frozen = build_srmc_primal(params, lr.decision)
         scaled = dataclasses.replace(params, **{k: alpha * getattr(params, k) for k in COSTS})
         requests += [next(lrmc_step(scaled)),
-                     LpRequest.own(build_srmc_primal(scaled, lr.decision))]
+                     build_srmc_primal(scaled, lr.decision)]
         want += [alpha * lr.objective, alpha * solve_lp(frozen).objective]
     assert len(requests) >= STACK_MIN
     stacked = solve_stacked(requests)
     for request, z, outcome in zip(requests, want, stacked):
-        answers = [solve_lp(request.problem),
-                   solve_objectives(request.problem, request.objectives)[0], outcome[0]]
-        for got in answers:
+        for got in (solve_lp(request), outcome):
             assert got.status == "optimal"
             assert abs(got.objective - z) <= gap * (1.0 + abs(z))

@@ -1,12 +1,10 @@
-"""Shared phase 1 and stacked solves: the same LP results, bit for bit.
+"""Stacked solves: the same LP results, bit for bit.
 
-Every result of ``solve_objectives`` must equal what separate
-one-objective solves give, and every outcome of ``solve_stacked`` what
-``solve_objectives`` gives for that request alone, down to the last bit
-of every array (signed zeros included) and the pivot count.  Every
-interval of ``dual_value_ranges`` must equal the one-row result bit for
-bit, and the pinned dual region's (``lp_oracle.region_ranges``, pivoted
-by separate solves) within 1e-9 relative.
+Every outcome of ``solve_stacked`` must equal what ``solve_lp`` gives for
+that LP alone, down to the last bit of every array (signed zeros
+included) and the pivot count.  Every interval of ``dual_value_ranges``
+must equal the one-row result bit for bit, and the pinned dual region's
+(``lp_oracle.region_ranges``, one solve per end) within 1e-9 relative.
 """
 
 import dataclasses
@@ -21,11 +19,9 @@ from genmargin.lp import (
     IterationLimitError,
     LinearProgram,
     LpInputError,
-    LpRequest,
     dual_value_range,
     dual_value_ranges,
     solve_lp,
-    solve_objectives,
     solve_stacked,
 )
 from genmargin.model import (
@@ -62,18 +58,9 @@ def assert_identical(got, want):
             a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()), field
 
 
-def separately(problem, objectives):
-    return [solve_lp(dataclasses.replace(problem, sense=sense, c=c))
-            for sense, c in objectives]
-
-
-def tie_break(problem):
-    """The long-run objective and a second one that costs each period-1
-    build a little more, so two objectives over one phase 1."""
-    c2 = problem.c.copy()
-    mu = 1e-9 * (1.0 + float(np.abs(problem.c).max()))
-    c2[[0, 2]] += mu
-    return [("min", problem.c), ("min", c2)]
+def split(problem, objectives):
+    """One LP per ``(sense, c)`` of ``objectives`` over ``problem``'s rows."""
+    return [dataclasses.replace(problem, sense=sense, c=c) for sense, c in objectives]
 
 
 def one_row_range(problem, row, solution):
@@ -100,11 +87,6 @@ def one_row_range(problem, row, solution):
 def test_model_lps_match_separate_solves():
     for params in scenarios():
         primal = build_lrmc_primal(params)
-        objectives = tie_break(primal)
-        shared = solve_objectives(primal, objectives)
-        for got, want in zip(shared, separately(primal, objectives)):
-            assert_identical(got, want)
-
         lr = solve_lrmc(params)
         assert_identical(lr.lp_solution, solve_lp(primal))
         frozen = build_srmc_primal(params, lr.decision)
@@ -116,30 +98,11 @@ def test_model_lps_match_separate_solves():
             assert same_ends(ranges, [one_row_range(problem, r, solution) for r in rows]), params
 
 
-def test_dual_range_region_matches_separate_solves():
-    params = SystemParams.from_values(**CANONICAL, d2=6000.0)      # boundary
-    primal = build_lrmc_primal(params)
-    p_min = min_form(primal)
-    dual, signs = explicit_dual(p_min)
-    z = solve_lp(primal).objective
-    region = LinearProgram(sense="min", c=np.zeros(10), A=np.vstack([dual.A, dual.c]),
-                           relations=dual.relations + (EQ,),
-                           b=np.concatenate([dual.b, [z]]), lower_bounds=dual.lower_bounds)
-    objectives = []
-    for i in range(10):
-        obj = np.zeros(10)
-        obj[i] = signs[i]
-        objectives += [("min", obj), ("max", obj)]
-    shared = solve_objectives(region, objectives)
-    for got, want in zip(shared, separately(region, objectives)):
-        assert_identical(got, want)
-    assert any(s.iterations > shared[0].iterations for s in shared)
-
-
 def lp_fields(p):
-    """Every field of an LP, arrays byte for byte (dtype and shape too)."""
-    return (p.sense, p.relations, p.var_labels, p.row_labels, p.objective_offset,
-            *[(a.dtype, a.shape, a.tobytes()) for a in (p.c, p.A, p.b, p.lower_bounds)])
+    """Every field of an LP but its objective, arrays byte for byte (dtype
+    and shape too)."""
+    return (p.relations, p.var_labels, p.row_labels, p.objective_offset,
+            *[(a.dtype, a.shape, a.tobytes()) for a in (p.A, p.b, p.lower_bounds)])
 
 
 def reference_region(problem, z_min):
@@ -169,12 +132,10 @@ def test_dual_range_region_is_built_straight_from_the_problem():
         for eps, rel in ((0.0, 1e-9), (default_epsilon(params), 1e-7)):
             short = build_srmc_primal(params, lr.decision, epsilon=eps)
             cases.append((short, solve_lp(short), rel))
-    for p, objectives in random_lps() + random_lps(seed=12):
-        for sense, c in objectives:
-            problem = dataclasses.replace(p, sense=sense, c=c)
-            solution = solve_lp(problem)
-            if solution.optimal:
-                cases.append((problem, solution, 1e-9))
+    for problem in random_lps() + random_lps(seed=12):
+        solution = solve_lp(problem)
+        if solution.optimal:
+            cases.append((problem, solution, 1e-9))
     assert {p.sense for p, *_ in cases} == {"min", "max"}
     for problem, solution, rel in cases:
         rows = range(problem.n_rows)
@@ -187,12 +148,12 @@ def test_dual_range_region_is_built_straight_from_the_problem():
                                   problem.row_labels)
         assert asked.z_min == z_min
         assert tuple(names[j] for j in asked.basis) == solution.basis
-        request = pinned_region(problem, rows, z_min)
+        ends = pinned_region(problem, rows, z_min)
         region, signs = reference_region(problem, z_min)
-        assert lp_fields(request.problem) == lp_fields(region)
+        assert all(lp_fields(end) == lp_fields(region) for end in ends)
         for i in rows:
-            assert [c.tolist() for _, c in request.objectives[2 * i: 2 * i + 2]] == [
-                [signs[i] if k == i else 0.0 for k in rows]] * 2
+            assert [(end.sense, end.c.tolist()) for end in ends[2 * i: 2 * i + 2]] == [
+                (sense, [signs[i] if k == i else 0.0 for k in rows]) for sense in ("min", "max")]
         # the intervals read off the basis are the region's
         assert same_ends(dual_value_ranges(problem, rows, solution=solution),
                          region_ranges(problem, rows, solution), rel), (problem, solution)
@@ -210,63 +171,71 @@ def test_layouts_are_shared_and_read_only():
 
 
 # x + y = 1 and x + y >= 2 cannot both hold
-INFEASIBLE = (LinearProgram(sense="min", c=[1.0, 0.0], A=[[1, 1], [1, 1]],
-                            relations=("=", ">="), b=[1.0, 2.0]),
-              [("min", [1.0, 0.0]), ("max", [0.0, 1.0]), ("min", [-1.0, 2.0])])
+INFEASIBLE = split(LinearProgram(sense="min", c=[1.0, 0.0], A=[[1, 1], [1, 1]],
+                                 relations=("=", ">="), b=[1.0, 2.0]),
+                   [("min", [1.0, 0.0]), ("max", [0.0, 1.0]), ("min", [-1.0, 2.0])])
 # x + y >= 1, x - y = 0: maximizing x is unbounded, minimizing is not
-HALF_UNBOUNDED = (LinearProgram(sense="min", c=[0.0, 0.0], A=[[1, 1], [1, -1]],
-                                relations=(">=", "="), b=[1.0, 0.0]),
-                  [("max", [1.0, 0.0]), ("min", [1.0, 0.0])])
+HALF_UNBOUNDED = split(LinearProgram(sense="min", c=[0.0, 0.0], A=[[1, 1], [1, -1]],
+                                     relations=(">=", "="), b=[1.0, 0.0]),
+                       [("max", [1.0, 0.0]), ("min", [1.0, 0.0])])
 # Phase 1 prices x at -1e-5: eligible to enter under its own tolerance
 # (2e-9) and under the first objective's, not under the second's (about 1e-3).
-TOLERANCE_SPLIT = (LinearProgram(sense="min", c=[0.0, 0.0], A=[[1e-5, 1.0]],
-                                 relations=("=",), b=[1.0]),
-                   [("min", [1.0, 1.0]), ("min", [1e6, 1.0])])
+TOLERANCE_SPLIT = split(LinearProgram(sense="min", c=[0.0, 0.0], A=[[1e-5, 1.0]],
+                                      relations=("=",), b=[1.0]),
+                        [("min", [1.0, 1.0]), ("min", [1e6, 1.0])])
 # No phase 1; phase 2 prices x at -1e-5 under both objectives, which enters
 # under the first one's tolerance and not under the second's.
-PHASE_TWO_TOLERANCES = (LinearProgram(sense="min", c=[0.0, 0.0], A=[[1.0, 1.0]],
-                                      relations=("<=",), b=[1.0]),
-                        [("min", [-1e-5, 0.0]), ("min", [-1e-5, 1e6])])
+PHASE_TWO_TOLERANCES = split(LinearProgram(sense="min", c=[0.0, 0.0], A=[[1.0, 1.0]],
+                                           relations=("<=",), b=[1.0]),
+                             [("min", [-1e-5, 0.0]), ("min", [-1e-5, 1e6])])
+
+
+def phase_one_ends(problems, monkeypatch):
+    """Per LP of ``problems``, solved by ``solve_lp``: the tolerance its
+    phase 1 prices at, and its pivots, basis and constraint rows where
+    phase 1 ends."""
+    ends, real = [], lp._Tableau.run
+
+    def run(tab, row, rc_tol):
+        status = real(tab, row, rc_tol)
+        if row == tab.m:
+            ends.append((rc_tol, tab.iterations, tab.basis.tolist(), tab.T[:tab.m].tobytes()))
+        return status
+
+    monkeypatch.setattr(lp._Tableau, "run", run)
+    for p in problems:
+        solve_lp(p)
+    assert len(ends) == len(problems)
+    return ends
 
 
 def test_infeasible_region_fails_every_objective():
-    p, objectives = INFEASIBLE
-    shared = solve_objectives(p, objectives)
-    assert [s.status for s in shared] == ["infeasible"] * 3
-    for got, want in zip(shared, separately(p, objectives)):
-        assert_identical(got, want)
+    # phase 1 reads no objective, so every LP over the region fails alike
+    got = [solve_lp(p) for p in INFEASIBLE]
+    assert [s.status for s in got] == ["infeasible"] * 3
+    assert len({s.iterations for s in got}) == 1
 
 
-def test_unbounded_and_optimal_objectives_share_phase_one():
-    p, objectives = HALF_UNBOUNDED
-    shared = solve_objectives(p, objectives)
-    assert [s.status for s in shared] == ["unbounded", "optimal"]
-    for got, want in zip(shared, separately(p, objectives)):
-        assert_identical(got, want)
+def test_unbounded_and_optimal_objectives_share_phase_one(monkeypatch):
+    first, second = phase_one_ends(HALF_UNBOUNDED, monkeypatch)
+    assert first == second
+    monkeypatch.undo()
+    assert [solve_lp(p).status for p in HALF_UNBOUNDED] == ["unbounded", "optimal"]
 
 
 def test_objectives_with_other_tolerances_share_one_phase_one(monkeypatch):
-    # phase 1 prices by its own cost row, not by either objective's
-    p, objectives = TOLERANCE_SPLIT
-    rows = []
-    real = lp._Tableau.run
-
-    def run(tab, row, rc_tol):
-        rows.append(row)
-        return real(tab, row, rc_tol)
-
-    monkeypatch.setattr(lp._Tableau, "run", run)
-    shared = solve_objectives(p, objectives)
-    assert rows == [1, 2, 3]        # phase 1 (row m = 1) once, then each phase 2
-    want = separately(p, objectives)
-    assert want[0].iterations == want[1].iterations     # the same phase-1 pivots
-    for got, w in zip(shared, want):
-        assert_identical(got, w)
+    # phase 1 prices by its own cost row, not by either objective's, so x
+    # enters in both LPs
+    first, second = phase_one_ends(TOLERANCE_SPLIT, monkeypatch)
+    assert first == second
+    rc_tol, pivots, basis, _ = first
+    assert rc_tol == float(lp._phase1_tol()) and pivots == 1 and basis == [0]
 
 
 def random_lps(seed=11, count=150):
     """Small random LPs with free variables and offsets, three objectives
-    each; some are infeasible and some objectives unbounded."""
+    over each feasible region, one LP per objective; some regions are
+    infeasible and some objectives unbounded."""
     rng = np.random.default_rng(seed)
     cases = []
     for _ in range(count):
@@ -280,27 +249,8 @@ def random_lps(seed=11, count=150):
                           lower_bounds=lb, objective_offset=2.5)
         objectives = [(str(rng.choice(["min", "max"])), np.round(rng.uniform(-2, 2, size=n), 1))
                       for _ in range(3)]
-        cases.append((p, objectives))
+        cases += split(p, objectives)
     return cases
-
-
-def test_random_lps_match_separate_solves():
-    for p, objectives in random_lps():
-        for got, want in zip(solve_objectives(p, objectives), separately(p, objectives)):
-            assert_identical(got, want)
-
-
-@pytest.mark.parametrize("objectives", [
-    [],
-    [("min", [1.0, 1.0]), ("maximize", [1.0, 1.0])],
-    [("min", [1.0])],
-    [("max", [1.0, math.inf])],
-])
-def test_malformed_objectives_rejected(objectives):
-    p = LinearProgram(sense="min", c=[0.0, 0.0], A=[[1.0, 1.0]],
-                      relations=("<=",), b=[1.0])
-    with pytest.raises(LpInputError):
-        solve_objectives(p, objectives)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +268,9 @@ def stack_min(request, monkeypatch):
 
 
 def requests_of(step):
-    """Every LP request ``step`` yields, answered by ``solve_objectives``; a
-    range request is answered without a pool and taken as its pinned dual
-    region (``lp_oracle.pinned_region``), an LP of four objectives."""
+    """Every LP ``step`` yields, answered by ``solve_lp``; a range request
+    is answered without a pool and taken as the LPs of its pinned dual
+    region (``lp_oracle.pinned_region``), one per end of each row."""
     seen, answer = [], None
     while True:
         try:
@@ -329,16 +279,16 @@ def requests_of(step):
             return seen
         if isinstance(request, lp.RangeRequest):
             (answer,) = solve_stacked([request])
-            request = pinned_region(*request[:3])
+            seen += pinned_region(*request[:3])
         else:
-            answer = solve_objectives(request.problem, request.objectives)
-        seen.append(request)
+            answer = solve_lp(request)
+            seen.append(request)
 
 
 def sweep_requests(params):
-    """The LP requests of one scenario: the long-run primal, the
-    short-run primal frozen at its build, that primal's dual-range region
-    and the perturbed short-run primal."""
+    """The LPs of one scenario: the long-run primal, the short-run primal
+    frozen at its build, the ends of that primal's dual-range region and
+    the perturbed short-run primal."""
     lr = solve_lrmc(params)
     return (requests_of(lrmc_step(params))
             + requests_of(srmc_step(params, lr.decision, lrmc_objective=lr.objective)))
@@ -346,20 +296,19 @@ def sweep_requests(params):
 
 def assert_batch_matches(requests, seed=0):
     """``solve_stacked`` on ``requests`` in a shuffled order: each outcome
-    equals what ``solve_objectives`` gives for that request alone."""
+    equals what ``solve_lp`` gives for that LP alone."""
     order = np.random.default_rng(seed).permutation(len(requests))
     batch = [requests[k] for k in order]
     for request, got in zip(batch, solve_stacked(batch)):
-        want = solve_objectives(request.problem, request.objectives)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert_identical(g, w)
+        assert_identical(got, solve_lp(request))
 
 
-def test_sweep_lps_match_solve_objectives_in_a_batch(stack_min):
+def test_sweep_lps_match_solve_lp_in_a_batch(stack_min):
     requests = [r for params in scenarios() for r in sweep_requests(params)]
-    kinds = [len(r.objectives) for r in requests[:4]]
-    assert kinds == [1, 1, 4, 1]        # long run, frozen, region, perturbed
+    # long run, frozen, the balance rows' region ends, perturbed
+    frames = [r._frame for r in requests[:7]]
+    assert frames[1] is frames[6] is not frames[0] and len(set(frames[2:6])) == 1
+    assert [r.sense for r in requests[2:6]] == ["min", "max"] * 2
     assert_batch_matches(requests)
 
 
@@ -371,15 +320,11 @@ def test_zero_capacity_short_run_lps_match_in_a_batch(stack_min):
     assert_batch_matches([r for params in grid for r in sweep_requests(params)], seed=1)
 
 
-def test_random_lps_match_solve_objectives_in_a_batch(stack_min):
-    cases = random_lps() + random_lps(seed=12) + [
-        INFEASIBLE, HALF_UNBOUNDED, TOLERANCE_SPLIT, PHASE_TWO_TOLERANCES] * 3
-    p, objectives = PHASE_TWO_TOLERANCES
-    assert [s.iterations for s in solve_objectives(p, objectives)] == [1, 0]
-    requests = [LpRequest(p, tuple(objectives)) for p, objectives in cases]
-    statuses = {s.status for request in requests
-                for s in solve_objectives(request.problem, request.objectives)}
-    assert statuses == {"optimal", "infeasible", "unbounded"}
+def test_random_lps_match_solve_lp_in_a_batch(stack_min):
+    requests = random_lps() + random_lps(seed=12) + (
+        INFEASIBLE + HALF_UNBOUNDED + TOLERANCE_SPLIT + PHASE_TWO_TOLERANCES) * 3
+    assert [solve_lp(p).iterations for p in PHASE_TWO_TOLERANCES] == [1, 0]
+    assert {solve_lp(p).status for p in requests} == {"optimal", "infeasible", "unbounded"}
     assert_batch_matches(requests, seed=2)
 
 
@@ -388,15 +333,13 @@ def test_mixed_batch_keeps_each_request_apart(stack_min):
     # layouts
     params = scenarios()[:6]
     requests = [r for p in params for r in sweep_requests(p)]
-    requests += [LpRequest(p, tuple(obj)) for p, obj in random_lps(seed=3, count=20)]
-    requests += [LpRequest(*TOLERANCE_SPLIT), LpRequest(*INFEASIBLE)]
+    requests += random_lps(seed=3, count=20) + TOLERANCE_SPLIT + INFEASIBLE
     assert_batch_matches(requests, seed=3)
 
 
 def test_request_over_the_pivot_cap_fails_alone(stack_min, monkeypatch):
-    requests = [r for params in scenarios()[:8] for r in sweep_requests(params)[:1]]
-    need = [max(s.iterations for s in solve_objectives(r.problem, r.objectives))
-            for r in requests]
+    requests = [sweep_requests(params)[0] for params in scenarios()[:8]]
+    need = [solve_lp(r).iterations for r in requests]
     worst = int(np.argmax(need))
     cap = sorted(need)[-2]
     assert need[worst] > cap         # exactly one request needs more pivots
@@ -406,17 +349,15 @@ def test_request_over_the_pivot_cap_fails_alone(stack_min, monkeypatch):
         if k == worst:
             assert isinstance(got, IterationLimitError)
             with pytest.raises(IterationLimitError, match=str(got)):
-                solve_objectives(request.problem, request.objectives)
+                solve_lp(request)
         else:
-            for g, w in zip(got, solve_objectives(request.problem, request.objectives)):
-                assert_identical(g, w)
+            assert_identical(got, solve_lp(request))
 
 
 def test_malformed_request_fails_alone(stack_min):
-    good = [LpRequest.own(build_lrmc_primal(p)) for p in scenarios()[:4]]
-    p, _ = TOLERANCE_SPLIT
-    bad = LpRequest(p, (("maximize", [1.0, 1.0]),))
+    good = [build_lrmc_primal(p) for p in scenarios()[:4]]
+    bad = LinearProgram(sense="min", c=[1.0, 1.0], A=np.zeros((0, 2)), relations=(), b=[])
     outcomes = solve_stacked(good[:2] + [bad] + good[2:])
     assert isinstance(outcomes[2], LpInputError)
     for request, got in zip(good, outcomes[:2] + outcomes[3:]):
-        assert_identical(got[0], solve_lp(request.problem))
+        assert_identical(got, solve_lp(request))
