@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 from genmargin.groups import (
     GROUPS,
     ClassificationError,
+    InstanceGroup,
     analytic_solution,
     classify,
     generating_options,
@@ -141,6 +143,27 @@ class TestAnalyticSolution:
             with pytest.raises(ClassificationError) as got:
                 analytic_solution(bad, classify(representative_params(gid)))
             assert str(got.value) == str(want.value)
+
+    def test_group_checked_whatever_it_carries(self):
+        # a group classify made from other parameters, one with another
+        # gid put in by hand, and one built directly are each checked
+        # against the parameters they come with
+        p = canonical(cl=80.0, d2=4000.0)
+        other = canonical()
+        built = InstanceGroup(gid=6, cluster=1, peak_period=2, boundary=False, margin=0.5)
+        for group, gid in ((classify(other), 6), (dataclasses.replace(classify(p), gid=4), 4),
+                           (built, 6)):
+            match = rf"^group {gid} does not match these parameters \(classify: 3\)$"
+            with pytest.raises(ClassificationError, match=match):
+                analytic_solution(p, group)
+        # the same groups are accepted with the parameters they match
+        assert analytic_solution(other, classify(other)).group.gid == 6
+        assert analytic_solution(other, built).group == built
+        # equal parameters that are another object are checked as well
+        twin = dataclasses.replace(p)
+        assert analytic_solution(twin, classify(p)) == analytic_solution(p, classify(p))
+        with pytest.raises(ClassificationError):
+            analytic_solution(other, classify(p))
 
     def test_all_41_match_lp(self):
         for gid in range(1, 42):

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from genmargin.lp import detect_degeneracy, dual_value_range, solve_lp
 from genmargin.model import (
+    PARAM_FIELDS,
     ModelError,
     PrimalDecision,
     SystemParams,
@@ -71,6 +72,76 @@ class TestParams:
         values[field] = value
         with pytest.raises(ModelError, match=rf"^{field} must be finite, got {value!r}$"):
             SystemParams.from_values(**values)
+
+
+    #: One violation per entry: a field and a value that breaks a check.
+    VIOLATIONS = (
+        [(f, v) for f in PARAM_FIELDS for v in (math.nan, math.inf, -math.inf)]
+        + [("ci_r", -1), ("cp_r", -0.5), ("ci_f", -1e-300), ("cp_f", -2)]   # negative cost
+        + [("m_r", 0), ("m_r", -5.0), ("m_f", 0.0), ("m_f", -1e-300)]      # cap <= 0
+        + [("ci_r", 82), ("ci_r", 90.0), ("ci_f", 60)]                     # CI_r >= CI_f
+        + [("cp_r", 20), ("cp_r", 25.0), ("cp_f", 0.5)]                    # CP_r >= CP_f
+        + [("cl", 0), ("cl", -0.0), ("cl", -1.0)]                          # cl <= 0
+        + [("d1", -1), ("d2", -1e-300)]                                    # negative demand
+        + [("d1", None), ("m_f", "x"), ("cl", 10 ** 400)]                  # no float
+    )
+
+    @staticmethod
+    def reference(values):
+        """The first message of the checks in their documented order: per
+        technology (renewable, then fossil) its three fields converted, each
+        finite, costs nonnegative and the cap positive; then ``cl``, ``d1``,
+        ``d2`` converted and finite; then the cost ordering, ``cl`` and the
+        demands.  A value ``float`` rejects raises ``float``'s error."""
+        def finite(names):
+            got = {name: float(values[name]) for name in names}
+            for name, value in got.items():
+                if not math.isfinite(value):
+                    return f"{name} must be finite, got {value!r}"
+            v.update(got)
+        v = {}
+        try:
+            for g in ("r", "f"):
+                bad = finite((f"ci_{g}", f"cp_{g}", f"m_{g}"))
+                if bad:
+                    return ModelError, bad
+                if v[f"ci_{g}"] < 0 or v[f"cp_{g}"] < 0:
+                    return ModelError, "costs must be nonnegative"
+                if not v[f"m_{g}"] > 0:
+                    return ModelError, "max investable capacity must be positive"
+            bad = finite(("cl", "d1", "d2"))
+        except (TypeError, ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+        if bad:
+            return ModelError, bad
+        for failed, message in (
+                (not v["ci_r"] < v["ci_f"], "requires CI_r < CI_f"),
+                (not v["cp_r"] < v["cp_f"], "requires CP_r < CP_f"),
+                (not v["cl"] > 0, "loadshed cost must be positive"),
+                (v["d1"] < 0 or v["d2"] < 0, "demand must be two nonnegative values")):
+            if failed:
+                return ModelError, message
+        return None
+
+    def test_first_violation_wins(self):
+        base = dict(ci_r=60, cp_r=1, m_r=3000, ci_f=82, cp_f=20, m_f=4000,
+                    cl=200, d1=2000, d2=8000)
+        cases = [[one] for one in self.VIOLATIONS]
+        cases += [[a, b] for a in self.VIOLATIONS for b in self.VIOLATIONS if a[0] != b[0]]
+        for case in cases:
+            values = dict(base, **dict(case))
+            kind, message = self.reference(values)
+            with pytest.raises(kind) as got:
+                SystemParams.from_values(**values)
+            assert type(got.value) is kind and str(got.value) == message, case
+
+    def test_fields_are_stored_as_floats(self):
+        p = SystemParams.from_values(60, np.float64(1.5), 3000, np.int64(82), 20.0,
+                                     np.float32(4000), 200, -0.0, np.float64(-0.0))
+        assert all(type(getattr(p, f)) is float for f in PARAM_FIELDS)
+        assert (p.ci_r, p.cp_r, p.ci_f, p.m_f) == (60.0, 1.5, 82.0, 4000.0)
+        # -0.0 is a nonnegative demand and keeps its sign
+        assert math.copysign(1.0, p.d1) == math.copysign(1.0, p.d2) == -1.0
 
 
 class TestLrmcPrimal:

@@ -3,7 +3,11 @@
 ``run`` (text, json and csv) over 20 ``random_params`` draws of seed 3,
 each interior, with ``d1``, ``d2`` or both at 0, and with ``cl`` at each
 rung of the cost ladder (``t_sr``, ``t_sf``, ``t_r``, ``t_f``);
-``dump-tables``; and ``selftest`` for seeds 7, 9 and 42 at n = 300.  Each
+``dump-tables``; ``selftest`` for seeds 7, 9 and 42 at n = 300; and
+``sweep`` over five 11 x 11 ``d1 x d2`` grids at integer costs, one per
+loadshed band (:func:`band_grids`), and over a ``cl x cp_f`` grid at the
+README costs whose ``error`` rows carry the parameter checks' messages
+(:func:`cost_grid`).  Each
 demo's stdout is pinned in ``tests/test_demos.py``.  A change that is
 meant to move one of these outputs says so and re-pins it with the
 digests that :func:`digests` prints (``python tests/test_pins.py``).
@@ -18,6 +22,7 @@ import pytest
 
 from genmargin import cli, groups
 from genmargin.groups import table_csv
+from genmargin.model import SystemParams
 from genmargin.sampling import random_params
 
 PINS = {
@@ -28,6 +33,8 @@ PINS = {
     "selftest-7": "daa088a8481bee8415cbc1fbbfe9d23b9669e36bd54e571309be6ba200e8a77e",
     "selftest-9": "af48b212c8386c771bc562873a018ed4157f60bf7b7c79053c45bd7cdf97efe8",
     "selftest-42": "54a0208bad3dd972d382aaba93ce9206407b732bee7d90ae5066727215360537",
+    "sweep-bands": "1e32df09443bff2aad961fe0cceb23bc5153af4ff66e6686966b78f5155ac390",
+    "sweep-cost": "e2ea306bbe880055f5a7711b2786ce0c72aa61349a7038a856a6a64428d5fbb2",
 }
 
 
@@ -41,6 +48,49 @@ def run_scenarios(n=20):
                            (dict(d1=0.0), dict(d2=0.0), dict(d1=0.0, d2=0.0))]
         out += [dataclasses.replace(params, cl=rung) for rung in groups._values(params)[9:]]
     return out
+
+
+def band_grids(seed=29):
+    """Five ``sweep`` configs of seed ``seed``, one per loadshed band (below
+    ``t_sr``, between each pair of ladder rungs, above ``t_f``): integer
+    costs on a strict ladder, integer caps, and an 11 x 11 ``d1 x d2`` grid
+    from zero demand to twice the caps, so that most capacity thresholds are
+    grid points."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for band in range(5):
+        while True:
+            ci_r, cp_r = int(rng.integers(10, 101)), int(rng.integers(1, 21))
+            ci_f, cp_f = int(rng.integers(ci_r + 1, 241)), int(rng.integers(cp_r + 1, 51))
+            ladder = (ci_r / 2 + cp_r, ci_f / 2 + cp_f, ci_r + cp_r, ci_f + cp_f)
+            if ladder[0] < ladder[1] < ladder[2] < ladder[3]:
+                break
+        edges = (0.0, *ladder, 1.5 * ladder[-1])
+        cl = round(edges[band] + (edges[band + 1] - edges[band]) * rng.uniform(0.2, 0.8), 3)
+        unit = 60 * int(rng.integers(1, 41))
+        a = int(rng.integers(1, 5))
+        params = SystemParams.from_values(ci_r, cp_r, a * unit, ci_f, cp_f, (5 - a) * unit,
+                                          cl, 0, 0)
+        grid = [cli.SweepBlock(name, 0.0, 10.0 * unit, 11) for name in ("d1", "d2")]
+        out.append(cli.ScenarioConfig(params, tuple(grid), "csv", ""))
+    return out
+
+
+def cost_grid():
+    """The README scenario with ``cl`` over 10-250 and ``cp_f`` over 0-24:
+    rows with ``cp_f <= cp_r`` fail ``SystemParams``' checks and rows with
+    ``cp_f > 20`` the group table's cost ladder, each an ``error`` row."""
+    params = SystemParams.from_values(60, 1, 3000, 82, 20, 4000, 200, 2000, 8000)
+    grid = (cli.SweepBlock("cl", 10.0, 250.0, 13), cli.SweepBlock("cp_f", 0.0, 24.0, 13))
+    return [cli.ScenarioConfig(params, grid, "csv", "")]
+
+
+def _sweep_text(configs) -> str:
+    parts = []
+    for config in configs:
+        code, text = cli.run_sweep(config)
+        parts.append(f"exit {code}\n{text}")
+    return "".join(parts)
 
 
 def _sha(text: str) -> str:
@@ -70,6 +120,8 @@ OUTPUTS = {
     "selftest-7": lambda: _selftest_text(7),
     "selftest-9": lambda: _selftest_text(9),
     "selftest-42": lambda: _selftest_text(42),
+    "sweep-bands": lambda: _sweep_text(band_grids()),
+    "sweep-cost": lambda: _sweep_text(cost_grid()),
 }
 
 
