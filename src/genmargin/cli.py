@@ -306,10 +306,10 @@ def _format_csv_single(rep: dict) -> str:
 
 
 def _csv_cell(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)      # shortest round-trip decimal
+    if isinstance(v, bool):
+        return "true" if v else "false"
     return str(v)
 
 
@@ -421,8 +421,8 @@ def run_sweep(config: ScenarioConfig) -> tuple:
     names = [b.param for b in config.sweeps]
     buf.write(",".join(names + list(SWEEP_COLUMNS)) + "\n")
     for values, row in sweep_rows(config):
-        cells = [_csv_cell(float(v)) for v in values]
-        cells += [_csv_cell(v) for v in row]
+        cells = [repr(float(v)) for v in values]
+        cells += map(_csv_cell, row)
         buf.write(",".join(cells) + "\n")
     return EXIT_OK, buf.getvalue()
 

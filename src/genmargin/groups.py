@@ -34,7 +34,7 @@ from __future__ import annotations
 import io
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import PARAM_FIELDS, PrimalDecision, SystemParams, feasibility_limit
 from .tolerances import current
@@ -93,6 +93,8 @@ class InstanceGroup:
     peak_period: int
     boundary: bool
     margin: float            # smallest relative margin over the defining inequalities
+    # (params, gid): the ladder walk classify made, for analytic_solution
+    _walk: tuple = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -336,6 +338,7 @@ def classify(params: SystemParams, *, tol_bound: float = None) -> InstanceGroup:
         peak_period=peak,
         boundary=margin <= tol_bound,
         margin=margin,
+        _walk=(params, gid),
     )
 
 
@@ -354,16 +357,19 @@ def _dispatch(params: SystemParams, invest):
 def analytic_solution(params: SystemParams, group: InstanceGroup) -> AnalyticResult:
     """Evaluate the group's closed-form decision and price pair.
 
-    ``group`` is checked against ``params`` first: the group ladder is
-    walked again from ``params`` (the walk ``classify`` makes, without its
-    margins), and a ladder violation or a different group raises
+    ``group`` is checked against ``params`` first: against the ladder walk
+    ``classify`` made if ``group`` came from ``classify(params)`` for these
+    very ``params`` (the same object; they are frozen), else against the
+    group ladder walked again from ``params`` (that walk, without its
+    margins).  A ladder violation or a different group raises
     :class:`ClassificationError`.  Generation is reconstructed by
     dispatching the fixed capacities in operating-cost merit order
     (renewable first), which is how the cost minimum operates any given
     build.
     """
     v = _values(params)
-    gid = _locate(params, v)[2]
+    walk = group._walk
+    gid = walk[1] if walk is not None and walk[0] is params else _locate(params, v)[2]
     if gid != group.gid:
         raise ClassificationError(
             f"group {group.gid} does not match these parameters (classify: {gid})"

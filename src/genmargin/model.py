@@ -19,6 +19,7 @@ model; duals are unaffected by constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -62,6 +63,15 @@ class SystemParams:
 
     Standing assumption: the fossil technology is dearer on both cost
     components (CI_r < CI_f and CP_r < CP_f).
+
+    The checks run in a fixed order and the first violation raises
+    :class:`ModelError`: per technology (renewable, then fossil) its three
+    fields converted, each finite, the costs nonnegative and the cap
+    positive; then ``cl``, ``d1`` and ``d2`` converted and finite; then
+    the cost ordering, a positive ``cl`` and nonnegative demands.  Valid
+    parameters take one pass instead: the nine fields converted at once
+    and tested together, the ordered checks run only where that test
+    fails.
     """
 
     ci_r: float
@@ -75,6 +85,20 @@ class SystemParams:
     d2: float
 
     def __post_init__(self):
+        try:
+            ci_r, cp_r, m_r, ci_f, cp_f, m_f, cl, d1, d2 = values = (
+                float(self.ci_r), float(self.cp_r), float(self.m_r), float(self.ci_f),
+                float(self.cp_f), float(self.m_f), float(self.cl), float(self.d1),
+                float(self.d2))
+        except Exception:       # raised again, in order, by the checks below
+            values = ()
+        # every field finite and every assumption met (NaN fails each test)
+        if values and (0.0 <= ci_r < ci_f < math.inf and 0.0 <= cp_r < cp_f < math.inf
+                       and 0.0 < m_r < math.inf and 0.0 < m_f < math.inf and 0.0 < cl < math.inf
+                       and 0.0 <= d1 < math.inf and 0.0 <= d2 < math.inf):
+            for name, value in zip(PARAM_FIELDS, values):
+                object.__setattr__(self, name, value)
+            return
         for g in ("r", "f"):
             _store_finite(self, (f"ci_{g}", f"cp_{g}", f"m_{g}"))
             if self.ci(g) < 0 or self.cp(g) < 0:
@@ -462,11 +486,21 @@ def extract_duals(solution: LpSolution) -> DualValues:
 
 @dataclass(frozen=True)
 class LrmcSolve:
+    """A long-run optimum: ``objective`` and the solve ``lp_solution``, with
+    its ``decision`` and ``duals`` in model coordinates, each extracted
+    from ``lp_solution`` when first read."""
+
     params: SystemParams
-    decision: PrimalDecision
-    duals: DualValues
     objective: float
     lp_solution: LpSolution
+
+    @functools.cached_property
+    def decision(self) -> PrimalDecision:
+        return extract_decision(self.lp_solution)
+
+    @functools.cached_property
+    def duals(self) -> DualValues:
+        return extract_duals(self.lp_solution)
 
 
 def solve_lrmc(params: SystemParams, *, pool: BasisPool = None) -> LrmcSolve:
@@ -491,10 +525,4 @@ def lrmc_step(params: SystemParams):
     if not sol.optimal:
         # With CL > 0 and finite caps the model is always feasible/bounded.
         raise ModelError(f"long-run model unexpectedly {sol.status}")
-    return LrmcSolve(
-        params=params,
-        decision=extract_decision(sol),
-        duals=extract_duals(sol),
-        objective=float(sol.objective),
-        lp_solution=sol,
-    )
+    return LrmcSolve(params=params, objective=float(sol.objective), lp_solution=sol)

@@ -313,6 +313,25 @@ class TestSweep:
         assert max(counts.values()) <= 3, counts
         assert len(certified) > 0
 
+    def test_rows_extract_no_long_run_decision(self, tmp_path, monkeypatch):
+        # a row reads the long-run objective only: neither the decision nor
+        # the duals of its long-run solve are extracted
+        calls = Counter()
+        for name in ("extract_decision", "extract_duals"):
+            def counted(solution, name=name, real=getattr(model, name)):
+                calls[name] += 1
+                return real(solution)
+            monkeypatch.setattr(model, name, counted)
+        payload = dict(CANONICAL, sweep=[
+            {"param": "d1", "from": 0, "to": 14000, "steps": 8},
+            {"param": "d2", "from": 0, "to": 14000, "steps": 8}])
+        code, text = run_sweep(load_config(write_config(tmp_path, payload)))
+        assert code == EXIT_OK and text.count("\n") == 65 and "error" not in text
+        assert calls == {}
+        lr = solve_lrmc(SystemParams.from_values(**CANONICAL))
+        _ = (lr.decision, lr.duals, lr.decision)      # the second read of each is cached
+        assert calls == {"extract_decision": 1, "extract_duals": 1}
+
     def test_chunked_rows_match_row_by_row_evaluation(self, tmp_path):
         # zero demands, region edges and zero-capacity frozen models, over
         # more than one chunk

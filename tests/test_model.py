@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from genmargin.lp import detect_degeneracy, dual_value_range, solve_lp
 from genmargin.model import (
     PARAM_FIELDS,
+    LrmcSolve,
     ModelError,
     PrimalDecision,
     SystemParams,
@@ -320,6 +322,23 @@ class TestExtraction:
     def test_zero_demand_extraction(self):
         lr = solve_lrmc(canonical(d1=0, d2=0))
         assert_allclose(decision_vector(lr.decision), np.zeros(10), atol=1e-9)
+
+    def test_long_run_solve_extracts_when_read(self):
+        # decision and duals are read off lp_solution when first read, bit
+        # for bit what extract_decision and extract_duals give, and kept
+        assert [f.name for f in dataclasses.fields(LrmcSolve)] == [
+            "params", "objective", "lp_solution"]
+        rng = np.random.default_rng(29)
+        cases = [canonical(), canonical(d1=0.0, d2=0.0), canonical(cl=80.0, d2=4000.0)]
+        cases += [random_valid_params(rng) for _ in range(50)]
+        for params in cases:
+            lr = solve_lrmc(params)
+            for got, want in ((lr.decision, extract_decision(lr.lp_solution)),
+                              (lr.duals, extract_duals(lr.lp_solution))):
+                assert type(got) is type(want)
+                assert (np.array(dataclasses.astuple(got)).tobytes()
+                        == np.array(dataclasses.astuple(want)).tobytes())
+            assert lr.decision is lr.decision and lr.duals is lr.duals
 
     def test_wrong_shape_rejected(self):
         from genmargin.lp import LinearProgram
