@@ -7,8 +7,11 @@ rung of the cost ladder (``t_sr``, ``t_sf``, ``t_r``, ``t_f``);
 ``sweep`` over five 11 x 11 ``d1 x d2`` grids at integer costs, one per
 loadshed band (:func:`band_grids`), and over a ``cl x cp_f`` grid at the
 README costs whose ``error`` rows carry the parameter checks' messages
-(:func:`cost_grid`).  Each
-demo's stdout is pinned in ``tests/test_demos.py``.  A change that is
+(:func:`cost_grid`).  Below the verbs, the raw outcome of every LP of a
+fixed set (:func:`pinned_lps`) is pinned as ``solve_lp`` gives it and as
+``solve_stacked`` gives it without a pool and with the basis atlas: a
+last-bit change in the simplex shows there before any printed digit moves.
+Each demo's stdout is pinned in ``tests/test_demos.py``.  A change that is
 meant to move one of these outputs says so and re-pins it with the
 digests that :func:`digests` prints (``python tests/test_pins.py``).
 """
@@ -22,8 +25,12 @@ import pytest
 
 from genmargin import cli, groups
 from genmargin.groups import table_csv
-from genmargin.model import SystemParams
+from genmargin.lp import solve_lp, solve_stacked
+from genmargin.model import SystemParams, build_lrmc_dual, build_srmc_primal, lrmc_step, solve_lrmc
 from genmargin.sampling import random_params
+from genmargin.srmc import default_epsilon
+
+from test_shared_phase import random_lps, scenarios
 
 PINS = {
     "run-text": "640e4660b9f7e82da1b571f2d4dfa2c6f3eda8c82871c26c37bd6c655310579f",
@@ -35,6 +42,9 @@ PINS = {
     "selftest-42": "54a0208bad3dd972d382aaba93ce9206407b732bee7d90ae5066727215360537",
     "sweep-bands": "1e32df09443bff2aad961fe0cceb23bc5153af4ff66e6686966b78f5155ac390",
     "sweep-cost": "e2ea306bbe880055f5a7711b2786ce0c72aa61349a7038a856a6a64428d5fbb2",
+    "lp-solve": "bc8cb7132d39daeafe9a8ea8e9616dd800ecb813f82ba5ac59ee3e82250b051c",
+    "lp-stacked": "bc8cb7132d39daeafe9a8ea8e9616dd800ecb813f82ba5ac59ee3e82250b051c",
+    "lp-atlas": "a3de05203d1219085b04e6e759419c46324b802fe37c656fd96c9d455ec0ede6",
 }
 
 
@@ -85,6 +95,36 @@ def cost_grid():
     return [cli.ScenarioConfig(params, grid, "csv", "")]
 
 
+def pinned_lps():
+    """The four model LP kinds at each of ``test_shared_phase.scenarios()``
+    (the long-run primal, its explicit dual, and the short-run primal
+    frozen at the long-run build, unperturbed and perturbed), then the
+    random LPs of seeds 11 and 12, some infeasible and some unbounded."""
+    out = []
+    for params in scenarios():
+        istar = solve_lrmc(params).decision
+        out += [next(lrmc_step(params)), build_lrmc_dual(params),
+                build_srmc_primal(params, istar),
+                build_srmc_primal(params, istar, epsilon=default_epsilon(params))]
+    return out + random_lps() + random_lps(seed=12)
+
+
+def _lp_text(outcomes) -> str:
+    """Status, pivots, basis and objective of each outcome, with the bytes
+    of its ``x``, duals and reduced costs in hex (an error: its type and
+    message)."""
+    lines = []
+    for s in outcomes:
+        if isinstance(s, Exception):
+            lines.append(f"{type(s).__name__}: {s}")
+            continue
+        arrays = [a.tobytes().hex() if a is not None else "-"
+                  for a in (s.x, s.duals, s.reduced_costs)]
+        lines.append(" ".join([s.status, str(s.iterations), ",".join(s.basis),
+                               repr(s.objective), *arrays]))
+    return "\n".join(lines) + "\n"
+
+
 def _sweep_text(configs) -> str:
     parts = []
     for config in configs:
@@ -122,6 +162,9 @@ OUTPUTS = {
     "selftest-42": lambda: _selftest_text(42),
     "sweep-bands": lambda: _sweep_text(band_grids()),
     "sweep-cost": lambda: _sweep_text(cost_grid()),
+    "lp-solve": lambda: _lp_text(map(solve_lp, pinned_lps())),
+    "lp-stacked": lambda: _lp_text(solve_stacked(pinned_lps())),
+    "lp-atlas": lambda: _lp_text(solve_stacked(pinned_lps(), pool=cli.basis_atlas())),
 }
 
 
