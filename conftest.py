@@ -37,23 +37,17 @@ def _fresh_tolerances():
 @pytest.fixture
 def tableaux(monkeypatch):
     """A list that grows by its problem for every LP tableau built: one per
-    scalar simplex run (``lp._simplex``, which every binding of
-    ``solve_lp`` calls, ``verify``'s included, and which ``solve_stacked``
-    runs on the LPs it does not stack), and one per member of a group that
-    the stacked kernel (``lp._solve_stack``) solves."""
+    simplex run (``lp._simplex``, which every binding of ``solve_lp`` calls,
+    ``verify``'s included, and which ``solve_stacked`` runs on each LP it
+    does not certify)."""
     from genmargin import lp
 
     built = []
-    solve, solve_stack = lp._simplex, lp._solve_stack
+    solve = lp._simplex
 
     def counted(problem):
         built.append(problem)
         return solve(problem)
 
-    def counted_stack(members, layout):
-        built.extend(problem for _, problem in members)
-        return solve_stack(members, layout)
-
     monkeypatch.setattr(lp, "_simplex", counted)
-    monkeypatch.setattr(lp, "_solve_stack", counted_stack)
     return built

@@ -60,7 +60,7 @@ EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 
 #: Sweep grid points or selftest scenarios evaluated in lockstep: each LP
-#: stage of a chunk is one stacked solve (``lp.run_lockstep``).  A chunk's
+#: stage of a chunk is one batched solve (``lp.run_lockstep``).  A chunk's
 #: items keep their LPs and results alive until it ends, so memory grows
 #: with the chunk.  The atlas (:func:`basis_atlas`) certifies every LP of
 #: the benchmark's grids and of selftest's draws, so a chunk pivots

@@ -13,19 +13,17 @@ LPs of its kind once per frame; the first malformed field raises
 :class:`LpInputError`.  Every solve has one pivot cap and reads its
 tolerances from ``tolerances.current()``.
 
-Each optimality test is written once and shared by the scalar simplex,
-the stacked kernel and the basis certificates.  A phase prices columns by
-its own cost row: a column enters while its reduced cost is below
-``-feas (1 + max|cost|)`` (:func:`_rc_tol`).  Phase 1 costs each
-artificial 1 and reads no objective, so it prices at ``2 feas`` and a
-feasibility verdict does not depend on the units of the costs.  A region
-is feasible, and a basis primal feasible, within ``feas (1 + max|b|)``
-(:func:`_primal_tol`).  Every optimum the simplex ends on, scalar or
-stacked, is read by one function (:func:`_stacked_optima`), and duals,
-reduced costs and the objective are read off a basis in one place
+Each optimality test is written once and shared by the simplex and the
+basis certificates.  A phase prices columns by its own cost row: a column
+enters while its reduced cost is below ``-feas (1 + max|cost|)``
+(:func:`_rc_tol`).  Phase 1 costs each artificial 1 and reads no
+objective, so it prices at ``2 feas`` and a feasibility verdict does not
+depend on the units of the costs.  A region is feasible, and a basis
+primal feasible, within ``feas (1 + max|b|)`` (:func:`_primal_tol`).
+Duals, reduced costs and the objective are read off a basis in one place
 (:func:`_duals`, :func:`_optimum`).
 
-Stacked solves
+Batched solves
 --------------
 Callers that evaluate many scenarios at once write their LP work as
 *steps*: generators that yield :class:`LinearProgram` s, each asking for
@@ -33,17 +31,10 @@ its own optimum, and :class:`RangeRequest` s, the dual intervals of an
 optimum.  :func:`run_lockstep` runs many steps side by side and answers
 each round of requests with one :func:`solve_stacked` call;
 :func:`run_step` is one step run that way.  :func:`solve_stacked` groups
-the LPs by standard-form layout (:meth:`_Frame.layout`) and runs the same
-two-phase method on a ``(K, rows, cols)`` tableau per group (each with its
-own frame's columns, so LPs of one layout stack whatever their frame),
-after Gurung & Ray, "Simultaneous solving of batched linear programs on a
-GPU" (ICPE 2019), in numpy on the CPU.  Every choice stays per instance:
-Bland's entering column, the ratio test and its tie-break, the tolerances,
-the infeasible and unbounded verdicts, the drive-out of artificials and
-the pivot cap.  Pivots use the scalar path's elementwise arithmetic, duals
-come from one batched LAPACK solve of the same matrices, and reduced costs
-and objectives are computed per instance, so every outcome equals
-:func:`solve_lp` bit for bit, ``iterations`` included.  ``sweep`` stacks
+the LPs by standard-form layout (:meth:`_Frame.layout`), offers each
+group to a :class:`BasisPool` where it has one, and pivots every LP the
+pool leaves one by one, with :func:`solve_lp`'s own simplex.  Without a
+pool every outcome is therefore :func:`solve_lp`'s.  ``sweep`` batches
 the three LPs of each grid row this way (the long-run solve and
 ``srmc.resolved_step``'s two short-run solves; a row computes no dual
 interval), ``selftest`` the short-run stage (``srmc.srmc_step``) of its
@@ -73,7 +64,7 @@ more than it saves.  Before the simplex runs, each LP is tried against the
 atlas bases of its frame and layout (:class:`BasisPool`;
 :func:`run_lockstep`, and so :func:`run_step`, passes the pool to every
 round).  A certified answer builds no tableau, reports ``iterations=0``
-and depends on its request alone; the rest are pivoted as above.  A
+and depends on its request alone; the rest are pivoted one by one.  A
 certified optimum is the simplex's own where that is unique.  Where it is
 degenerate, the certified basis may be another optimal one than Bland's
 rule reaches, with other duals; its ``x`` is ``B⁻¹b``, not pivoted, and
@@ -94,7 +85,7 @@ CSV was byte-equal.  Where the long-run optimum is not unique (zero
 period-1 demand, or ``cl`` at a rung of the cost ladder), the certified
 build may be another optimal one than the simplex's; the verbs freeze
 the closed form's build, so their short-run prices do not depend on
-which.  Calls without a pool keep the bit-for-bit contract above.
+which.  Calls without a pool get :func:`solve_lp`'s outcomes.
 
 In ``selftest`` the atlas answers the long-run solve (through
 :func:`run_step`), the frozen and perturbed short-run solves and the
@@ -107,24 +98,6 @@ purpose: it is solved by :func:`solve_lp`, so strong duality compares a
 certified primal with an independently pivoted dual, and an unsound
 certificate shows as a gap.
 
-Groups smaller than :data:`STACK_MIN` (8) are solved one by one, because
-the kernel's fixed cost per pivot round then outweighs what it saves.  The
-constant was measured on a 2-core x86-64 machine (Python 3.11, numpy 2.4,
-one BLAS thread).  Per LP kind, the requests of 64 ``random_params``
-scenarios that share one layout were solved in groups of K, by the kernel
-and one by one; the median of 7 repeats of the stacked over the
-one-by-one time at K = 4 / 6 / 8 / 32 was
-
-* 1.36 / 1.12 / 0.83 / 0.36 for long-run primals,
-* 1.47 / 0.95 / 0.82 / 0.32 for frozen short-run primals, and
-* 1.35 / 1.11 / 0.88 / 0.38 for perturbed short-run primals.
-
-A second draw of scenarios moved no ratio by more than 0.3, and none at
-K = 8 by more than 0.1.  So groups break even between K = 6 and 8.  Since
-the atlas certified every LP of the benchmark's ``sweep`` grids and
-``selftest`` draws, the kernel now serves calls without a pool, and any
-request the atlas leaves.
-
 Fixed costs per solve
 ---------------------
 The model's LP kinds each have one frame (:class:`_Frame`), built and
@@ -133,17 +106,16 @@ row-sign pattern the standard form's layout and columns.  A model LP
 checks only its ``c`` and ``b`` (:func:`_vector`, which formats an error
 message only to raise it), so a long-run build takes about 3.7 µs and a
 short-run one about 4.9 µs (best of 7, 2-core x86-64, Python 3.11); a
-solve builds only its right-hand side and tableau.  A standard form is
-no object of its own: a solve holds its frame's columns, its ``b``
-negated by the layout's row signs, and its cost row
-(:meth:`_Layout.cost`), and :meth:`_Layout.tableau` lays them out, one
-instance or a stack of them alike.  A layout depends only on the
+solve builds only its right-hand side and tableau.  A standard form is no
+object of its own: a solve holds its frame's columns, its ``b`` negated
+by the layout's row signs, and its cost row (:meth:`_Layout.cost`), and
+:meth:`_Layout.tableau` lays them out.  A layout depends only on the
 relations, the free-variable split and the row signs, so frames share it
 through a cache that never evicts (:func:`_layout`): one layout is one
 object per process, and it is :func:`solve_stacked`'s group key.
-``selftest``, ``sweep`` and ``run`` make 9 layouts between them; the cache
-grows by one per new pattern of relations, free variables and row signs.
-Column labels are cached the same way (:func:`_column_labels`).
+``selftest``, ``sweep`` and ``run`` make 9 layouts between them; the
+cache grows by one per new pattern of relations, free variables and row
+signs.  Column labels are cached the same way (:func:`_column_labels`).
 
 Dual intervals
 --------------
@@ -462,8 +434,8 @@ class _Layout:
         """Standard-form (minimization) cost rows of the objectives ``C``
         (last axis: the original variables), each negated where ``flip`` (a
         ``"max"``), artificial columns (cost 0) included.  ``flip`` has
-        ``C``'s shape but the last axis: one objective, or one per instance
-        of a stack."""
+        ``C``'s shape but the last axis: one objective, or one per row of a
+        batch."""
         cost = np.zeros((*C.shape[:-1], self.n_total + len(self.art_rows)))
         cost[..., : self.n_struct] = (
             self.col_sign * np.where(flip[..., None], -C, C)[..., self.col_var])
@@ -483,18 +455,16 @@ class _Layout:
         """Phase-1 tableau and start basis of the standard form with columns
         ``A`` (artificial last) and right-hand side ``b`` (rows negated by
         :attr:`row_sign`): rows ``[A | b]``, the phase-1 row, then the cost
-        row ``cost``.  In a stack every array has a leading instance axis,
-        ``cost`` too."""
-        *K, m = b.shape
-        n_total = self.n_total
-        T = np.zeros((*K, m + 2, A.shape[-1] + 1))
-        T[..., :m, :-1] = A
-        T[..., :m, -1] = b
-        T[..., m + 1, :-1] = cost
+        row ``cost``."""
+        m = len(b)
+        T = np.zeros((m + 2, A.shape[1] + 1))
+        T[:m, :-1] = A
+        T[:m, -1] = b
+        T[m + 1, :-1] = cost
         for i in self.art_rows:
-            T[..., m, :] -= T[..., i, :]
-        T[..., m, n_total:-1] = 0.0
-        return T, np.tile(self.init_basis, (*K, 1))
+            T[m] -= T[i]
+        T[m, self.n_total:-1] = 0.0
+        return T, self.init_basis.copy()
 
 
 @functools.cache
@@ -643,7 +613,7 @@ def solve_lp(problem: LinearProgram) -> LpSolution:
 def _simplex(problem: LinearProgram) -> LpSolution:
     """:func:`solve_lp`'s two-phase simplex: phase 1 at its own tolerance
     (:func:`_phase1_tol`), then phase 2 on the same tableau.
-    :func:`solve_stacked` runs it on the LPs it does not stack, so a
+    :func:`solve_stacked` runs it on the LPs it does not certify, so a
     wrapper of :func:`solve_lp` sees only its callers' own solves."""
     layout = problem._frame.layout(problem.b)
     A, b = problem._frame.columns[layout], problem.b * layout.row_sign
@@ -663,13 +633,19 @@ def _simplex(problem: LinearProgram) -> LpSolution:
 
     if tab.run(m + 1, float(_rc_tol(cost))) == "unbounded":
         return LpSolution(status="unbounded", iterations=tab.iterations)
-    (optimum,) = _stacked_optima(layout, A[None], (problem,), cost[None], T[None, :m, -1],
-                                 basis[None], [tab.iterations], np.zeros(1, dtype=int))
-    return optimum
+    basic = basis < layout.n_total        # a redundant row keeps its artificial basic
+    x_std = np.zeros((1, layout.n_total))
+    x_std[0, basis[basic]] = T[:m, -1][basic]
+    # B' y = c_B against the pristine standard-form columns (an artificial's
+    # being the unit column of its row)
+    y = np.linalg.solve(A[:, basis].T, cost[basis])
+    names = _column_labels(layout, problem.var_labels, problem.row_labels)
+    return _optimum(problem, layout.x_rows(x_std)[0], _duals(problem, y, layout.row_sign),
+                    tuple(map(names.__getitem__, basis.tolist())), tab.iterations)
 
 
 # ---------------------------------------------------------------------------
-# requests, steps and the stacked solver
+# requests, steps and the batched solver
 # ---------------------------------------------------------------------------
 
 
@@ -737,42 +713,30 @@ def run_lockstep(steps, pool: "BasisPool" = None) -> list:
     return results
 
 
-#: Fewest LPs of one layout that :func:`solve_stacked` stacks; smaller
-#: groups go to :func:`solve_lp`'s simplex one by one.  The stacked kernel
-#: pays a fixed numpy cost per pivot round, which the K instances share,
-#: so it loses below some K; from 8 on it wins on every LP kind the sweep
-#: solves (see the module docstring for the measurement).
-STACK_MIN = 8
-
-#: Errors the solver raises for one problem; a stacked solve returns them
-#: as that request's outcome.
+#: Errors the solver raises for one problem; :func:`solve_stacked` returns
+#: them as that request's outcome.
 _SOLVER_ERRORS = (LpError, np.linalg.LinAlgError)
-
-# verdicts of a stacked simplex run
-_OPTIMAL, _UNBOUNDED, _LIMIT = range(3)
 
 
 def solve_stacked(requests, pool: "BasisPool" = None) -> list:
     """Answer every request, a :class:`LinearProgram` or a
     :class:`RangeRequest`; one outcome per request, in order.
 
-    Without a ``pool``, the outcome of an LP is exactly what
-    :func:`solve_lp` returns for it (every array bit for bit,
-    ``iterations`` included), or the :class:`LpError` it would raise.  LPs
-    whose standard forms share a layout (:meth:`_Frame.layout`) are solved
-    together on one ``(K, rows, cols)`` tableau, each instance making its
-    own choices; groups smaller than :data:`STACK_MIN` are solved one by
-    one.  A :class:`RangeRequest` is answered from its own basis
-    (:func:`_basis_ranges`), and its outcome is one ``(lo, hi)`` per row,
-    or the :class:`LpError` that basis raises.
+    Without a ``pool``, each LP is pivoted by :func:`solve_lp`'s simplex,
+    and its outcome is what :func:`solve_lp` returns for it, or the
+    :class:`LpError` it raises.  A :class:`RangeRequest` is answered from
+    its own basis (:func:`_basis_ranges`), and its outcome is one ``(lo,
+    hi)`` per row, or the :class:`LpError` that basis raises.
 
     With a :class:`BasisPool`, an LP that the pool's bases prove optimal
     (:meth:`BasisPool.certify`) is answered from them, builds no tableau
     and reports ``iterations=0``, and a range request whose every end the
     pool's bases give (:meth:`BasisPool.certify_ranges`) is answered from
-    their one-sided slopes; the others are answered as above.  A certified
-    answer depends on its request alone, and may come from another optimal
-    basis than the simplex's (see the module docstring).
+    their one-sided slopes; the others are answered as above, one by one.
+    The LPs are offered to the pool in groups of one standard-form layout
+    (:meth:`_Frame.layout`).  A certified answer depends on its request
+    alone, and may come from another optimal basis than the simplex's (see
+    the module docstring).
     """
     outcomes = [None] * len(requests)
     if pool is not None:
@@ -784,19 +748,13 @@ def solve_stacked(requests, pool: "BasisPool" = None) -> list:
             continue
         if isinstance(request, RangeRequest):
             outcomes[k] = _solve_apart(_basis_ranges, request)
-        elif request.n_rows == 0:
-            outcomes[k] = _solve_apart(_simplex, request)
         else:
             groups.setdefault(request._frame.layout(request.b), []).append((k, request))
     for layout, members in groups.items():
         if pool is not None:
             members = pool.certify(layout, members, outcomes)
-        if len(members) >= STACK_MIN:
-            for (k, _), out in zip(members, _solve_stack(members, layout)):
-                outcomes[k] = out
-        else:
-            for k, problem in members:
-                outcomes[k] = _solve_apart(_simplex, problem)
+        for k, problem in members:
+            outcomes[k] = _solve_apart(_simplex, problem)
     return outcomes
 
 
@@ -806,149 +764,6 @@ def _solve_apart(solve, *args):
         return solve(*args)
     except _SOLVER_ERRORS as exc:
         return exc
-
-
-def _solve_stack(members, layout) -> list:
-    """:func:`solve_lp` on every ``(k, problem)`` member of the group of
-    ``layout``, as one stacked two-phase simplex; outcomes in member
-    order."""
-    _, problems = zip(*members)
-    K, m, n_total = len(problems), problems[0].n_rows, layout.n_total
-    # each problem's own columns: problems of one layout may have other frames
-    A = np.array([q._frame.columns[layout] for q in problems])
-    b = np.array([q.b for q in problems]) * layout.row_sign
-    cost = layout.cost(np.array([q.sense != "min" for q in problems]),
-                       np.array([q.c for q in problems]))
-
-    T, basis = layout.tableau(A, b, cost)
-    iters = np.zeros(K, dtype=int)
-
-    # ---- phase 1 -----------------------------------------------------------
-    outcomes = [None] * K
-    feasible = np.arange(K)
-    if layout.art_rows:
-        status = _run_stack(T, basis, iters, m, n_total, np.full(K, _phase1_tol()))
-        infeasible = -T[:, m, -1] > _primal_tol(b)
-        for k in range(K):
-            if status[k] == _UNBOUNDED:     # cannot happen: phase-1 objective >= 0
-                outcomes[k] = LpError("phase-1 unbounded; numerical corruption")
-            elif status[k] == _LIMIT:
-                outcomes[k] = _iteration_limit()
-            elif infeasible[k]:
-                outcomes[k] = LpSolution(status="infeasible", iterations=int(iters[k]))
-            elif (basis[k] >= n_total).any():
-                _drive_out(T[k], basis[k], m, n_total)
-        feasible = np.array([k for k in range(K) if outcomes[k] is None], dtype=int)
-    if not feasible.size:
-        return outcomes
-
-    # ---- phase 2 -----------------------------------------------------------
-    # Each instance keeps its constraint rows and its cost row; the phase-1
-    # row and the artificial columns it drops never feed the ones it keeps.
-    T2 = T[np.ix_(feasible, np.r_[0:m, m + 1], np.r_[0:n_total, T.shape[2] - 1])]
-    del T       # phase 2 runs on T2 alone; free the phase-1 stack meanwhile
-    basis2, iters2 = basis[feasible], iters[feasible]
-    status2 = _run_stack(T2, basis2, iters2, m, n_total, _rc_tol(cost)[feasible])
-
-    opt = np.flatnonzero(status2 == _OPTIMAL)
-    try:
-        optima = iter(_stacked_optima(layout, A, problems, cost, T2[opt, :m, -1],
-                                      basis2[opt], iters2[opt], feasible[opt]))
-    except np.linalg.LinAlgError:       # a singular basis: find whose, one by one
-        for k in feasible:
-            outcomes[k] = _solve_apart(_simplex, problems[k])
-        return outcomes
-    for k, s, it in zip(feasible, status2.tolist(), iters2.tolist()):
-        if s == _OPTIMAL:
-            outcomes[k] = next(optima)
-        elif s == _LIMIT:
-            outcomes[k] = _iteration_limit()
-        else:
-            outcomes[k] = LpSolution(status="unbounded", iterations=it)
-    return outcomes
-
-
-def _stacked_optima(layout, A, problems, cost, rhs, basis, iters, entry):
-    """The optimal :class:`LpSolution` of every entry of a finished phase 2:
-    entry ``e`` is ``problems[entry[e]]``, whose standard form of
-    ``layout`` has the columns ``A[entry[e]]`` and the cost row
-    ``cost[entry[e]]``; it ended on ``basis[e]`` with the basic values
-    ``rhs[e]`` after ``iters[e]`` pivots."""
-    n_total = layout.n_total
-    rows, pos = np.nonzero(basis < n_total)
-    x_std = np.zeros((len(basis), n_total))
-    x_std[rows, basis[rows, pos]] = rhs[rows, pos]
-    X = layout.x_rows(x_std)
-
-    # B' y = c_B per entry, in one batched LAPACK call, against the pristine
-    # standard-form columns (an artificial's being the unit column of its row).
-    c_B = cost[entry[:, None], basis]
-    Y = np.linalg.solve(A[entry[:, None], :, basis], c_B[..., None])[..., 0]
-
-    solutions = []
-    for e, (k, b) in enumerate(zip(entry.tolist(), basis.tolist())):
-        problem = problems[k]
-        names = _column_labels(layout, problem.var_labels, problem.row_labels)
-        solutions.append(_optimum(problem, X[e], _duals(problem, Y[e], layout.row_sign),
-                                  tuple(map(names.__getitem__, b)), int(iters[e])))
-    return solutions
-
-
-def _run_stack(T, basis, iters, m, n_enter, rc_tol):
-    """:meth:`_Tableau.run` on row ``m`` of every tableau of the stack ``T``
-    ``(K, rows, cols)``, instance ``k`` with tolerance ``rc_tol[k]``;
-    ``T``, ``basis`` and ``iters`` are updated in place.
-
-    Returns each instance's verdict: ``_OPTIMAL``, ``_UNBOUNDED``, or
-    ``_LIMIT`` where :meth:`_Tableau.run` raises
-    :class:`IterationLimitError`.  Finished instances leave the working
-    stack, so each round pivots only the live ones.
-    """
-    status = np.full(len(T), -1)
-    live = np.arange(len(T))
-    t, bas, it = T, basis, iters
-    lo = -rc_tol
-    while True:
-        rows = np.arange(len(t))
-        eligible = t[:, m, :n_enter] < lo[:, None]
-        enter = eligible.argmax(axis=1)           # Bland: lowest eligible index
-        verdict = np.where(eligible[rows, enter], -1, _OPTIMAL)
-        a = t[rows, :m, enter]
-        ratios = np.full(a.shape, np.inf)
-        np.divide(t[:, :m, -1], a, out=ratios, where=a > _PIVOT_TOL)
-        theta = ratios.min(axis=1)
-        verdict[(verdict < 0) & (theta == np.inf)] = _UNBOUNDED
-        going = verdict < 0
-        it += going
-        verdict[going & (it > MAX_ITERATIONS)] = _LIMIT
-
-        done = verdict >= 0
-        if done.any():
-            finished = live[done]
-            status[finished] = verdict[done]
-            if t is not T:
-                T[finished], basis[finished], iters[finished] = t[done], bas[done], it[done]
-            going = ~done
-            if not going.any():
-                return status
-            live, t, bas, it = live[going], t[going], bas[going], it[going]
-            lo, enter, ratios, theta = lo[going], enter[going], ratios[going], theta[going]
-            rows = np.arange(len(t))
-        cutoff = theta + 1e-12 * (1.0 + np.abs(theta))
-        key = np.where(ratios <= cutoff[:, None], bas, np.iinfo(bas.dtype).max)
-        leave = key.argmin(axis=1)                # Bland again on ties
-        _pivot_stack(t, rows, leave, enter)
-        bas[rows, leave] = enter
-
-
-def _pivot_stack(T, rows, pi, pj):
-    """:func:`_pivot` on every tableau of the stack ``T``, each at its own
-    ``(pi[k], pj[k])``, with the same arithmetic; ``rows`` is
-    ``arange(len(T))``."""
-    T[rows, pi] /= T[rows, pi, pj][:, None]
-    col = T[rows, :, pj]
-    col[rows, pi] = 0.0
-    T -= col[:, :, None] * T[rows, pi][:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -966,13 +781,14 @@ class BasisPool:
     atlas of ``sweep`` and ``selftest`` is given as data, in two blocks
     (``cli.basis_atlas``).
 
-    LPs are tried (:func:`solve_stacked`).  Each is answered by the first
-    basis, in block order, that passes both halves of the simplex's own
-    optimality test, at its own tolerances; an LP goes on to the next
-    block only where no basis of a block passes.  The primal half: ``x_B = B⁻¹b`` is at least
+    LPs are tried in groups of one layout (:func:`solve_stacked`).  Each
+    is answered by the first basis, in block order, that passes both halves
+    of the simplex's own optimality test, at its own tolerances; an LP goes
+    on to the next block only where no basis of a block passes, and one
+    that no block certifies is pivoted.  The primal half: ``x_B = B⁻¹b`` is at least
     ``-_primal_tol(b)`` in standard form, one batched product over a
     block's bases per LP.  The dual half: the duals
-    ``np.linalg.solve(B.T, c_B)``, the call :func:`_stacked_optima` makes,
+    ``np.linalg.solve(B.T, c_B)``, as the simplex reads them at its optimum,
     leave every reduced cost of the standard form at least
     ``-_rc_tol(cost)``.  It runs once per distinct objective of a
     :func:`solve_stacked` group in one batched LAPACK call, only for bases

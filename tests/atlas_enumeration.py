@@ -105,7 +105,7 @@ def _full_dimensional(cones):
     """Whether each cone ``{p : G p ≥ 0, D p ≥ 0}``, given as ``(G, D)``,
     has an interior point: ``max s`` over ``G_i p ≥ s`` (rows of ``G`` not
     identically zero), ``D p ≥ s``, ``sum p ≤ 1`` and ``s ≤ 1`` is
-    positive.  One stacked solve per shape of LP."""
+    positive.  One ``solve_stacked`` call, which pivots each LP."""
     requests = []
     for G, D in cones:
         G = np.vstack([G[np.abs(G).max(axis=1) > 1e-9], D])

@@ -72,31 +72,15 @@ def assert_all_identical(got, want):
         assert_identical(g, w)
 
 
-@pytest.fixture
-def stacks(monkeypatch):
-    """The member count of every group the stacked kernel solves."""
-    sizes, kernel = [], lp._solve_stack
-
-    def counted(members, layout):
-        sizes.append(len(members))
-        return kernel(members, layout)
-
-    monkeypatch.setattr(lp, "_solve_stack", counted)
-    return sizes
-
-
 @pytest.mark.parametrize("point", POINTS)
 @pytest.mark.parametrize("kind", ["long-run primal", "explicit dual", "frozen short-run",
                                   "perturbed short-run"])
-def test_frames_change_no_result(kind, point, stacks):
+def test_frames_change_no_result(kind, point):
     framed = requests_at(point)[kind]
     whole = full(framed)
     assert_identical(solve_lp(framed), solve_lp(whole))
-    # below STACK_MIN the requests are solved one by one, from it on stacked
-    for k in (lp.STACK_MIN - 1, lp.STACK_MIN):
-        del stacks[:]
+    for k in (7, 8):
         assert_all_identical(solve_stacked([framed] * k), solve_stacked([whole] * k))
-        assert stacks == ([k, k] if k == lp.STACK_MIN else [])
     # a pool made from a request's solve answers it from that basis
     answers = []
     for problem in (framed, whole):
@@ -106,7 +90,7 @@ def test_frames_change_no_result(kind, point, stacks):
     assert answers[0][0].iterations == 0
 
 
-def test_framed_and_full_lps_of_one_layout_stack_together(stacks):
+def test_framed_and_full_lps_of_one_layout_stack_together():
     framed = [requests_at(point)["long-run primal"] for point in POINTS]
     (layout,) = {p._frame.layout(p.b) for p in framed}
     # 64 other layouts, seen before the full copies' frames look theirs up:
@@ -115,18 +99,17 @@ def test_framed_and_full_lps_of_one_layout_stack_together(stacks):
     others = {frame.layout(np.array(signs)) for signs in itertools.product((1.0, -1.0), repeat=6)}
     assert len(others) == 64 and layout not in others
     batch = framed + [full(r) for r in framed]
-    batch = (batch * lp.STACK_MIN)[: lp.STACK_MIN]
+    batch = (batch * 8)[:8]
     assert {p._frame.layout(p.b) for p in batch} == {layout}
     assert_all_identical(solve_stacked(batch), [solve_lp(p) for p in batch])
-    assert stacks == [lp.STACK_MIN]
 
 
-def test_dual_range_regions_with_their_own_matrices_stack_together(stacks):
+def test_dual_range_regions_with_their_own_matrices_stack_together():
     # the pinned dual regions (lp_oracle) of the frozen short-run LPs of a
     # d2 sweep: each region's last row is its own b, so every region has
     # its own A and frame, and one layout
     regions = []
-    for d2 in np.linspace(3000.0, 13000.0, lp.STACK_MIN):
+    for d2 in np.linspace(3000.0, 13000.0, 8):
         params = SystemParams.from_values(**CANONICAL, d2=float(d2))
         frozen = build_srmc_primal(params, solve_lrmc(params).decision)
         regions.append(pinned_region(*next(lp.dual_ranges_step(
@@ -136,7 +119,6 @@ def test_dual_range_regions_with_their_own_matrices_stack_together(stacks):
         == len(regions)
     assert len({p._frame.layout(p.b) for p in problems}) == 1
     assert_all_identical(solve_stacked(problems), [solve_lp(p) for p in problems])
-    assert stacks == [len(problems)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Stacked solves: the same LP results, bit for bit.
+"""Batched solves: the same LP results, bit for bit.
 
 Every outcome of ``solve_stacked`` must equal what ``solve_lp`` gives for
 that LP alone, down to the last bit of every array (signed zeros
@@ -254,17 +254,8 @@ def random_lps(seed=11, count=150):
 
 
 # ---------------------------------------------------------------------------
-# the stacked solver: every request of a mixed batch as if solved alone
+# the batched solver: every request of a mixed batch as if solved alone
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(params=["every group stacked", "small groups apart"])
-def stack_min(request, monkeypatch):
-    """Runs a test with every layout group stacked, down to singletons, and
-    again with the module's break-even size, below which groups are solved
-    one by one."""
-    if request.param == "every group stacked":
-        monkeypatch.setattr(lp, "STACK_MIN", 1)
 
 
 def requests_of(step):
@@ -303,7 +294,7 @@ def assert_batch_matches(requests, seed=0):
         assert_identical(got, solve_lp(request))
 
 
-def test_sweep_lps_match_solve_lp_in_a_batch(stack_min):
+def test_sweep_lps_match_solve_lp_in_a_batch():
     requests = [r for params in scenarios() for r in sweep_requests(params)]
     # long run, frozen, the balance rows' region ends, perturbed
     frames = [r._frame for r in requests[:7]]
@@ -312,7 +303,7 @@ def test_sweep_lps_match_solve_lp_in_a_batch(stack_min):
     assert_batch_matches(requests)
 
 
-def test_zero_capacity_short_run_lps_match_in_a_batch(stack_min):
+def test_zero_capacity_short_run_lps_match_in_a_batch():
     # zero demand freezes zero capacities: b = -0.0 on the cap rows, whose
     # row signs differ from a positive cap's, so the batch splits by layout
     grid = [SystemParams.from_values(**dict(CANONICAL, d1=d1), d2=d2)
@@ -320,7 +311,7 @@ def test_zero_capacity_short_run_lps_match_in_a_batch(stack_min):
     assert_batch_matches([r for params in grid for r in sweep_requests(params)], seed=1)
 
 
-def test_random_lps_match_solve_lp_in_a_batch(stack_min):
+def test_random_lps_match_solve_lp_in_a_batch():
     requests = random_lps() + random_lps(seed=12) + (
         INFEASIBLE + HALF_UNBOUNDED + TOLERANCE_SPLIT + PHASE_TWO_TOLERANCES) * 3
     assert [solve_lp(p).iterations for p in PHASE_TWO_TOLERANCES] == [1, 0]
@@ -328,7 +319,7 @@ def test_random_lps_match_solve_lp_in_a_batch(stack_min):
     assert_batch_matches(requests, seed=2)
 
 
-def test_mixed_batch_keeps_each_request_apart(stack_min):
+def test_mixed_batch_keeps_each_request_apart():
     # models, random LPs and one-row LPs side by side, with singleton
     # layouts
     params = scenarios()[:6]
@@ -337,7 +328,7 @@ def test_mixed_batch_keeps_each_request_apart(stack_min):
     assert_batch_matches(requests, seed=3)
 
 
-def test_request_over_the_pivot_cap_fails_alone(stack_min, monkeypatch):
+def test_request_over_the_pivot_cap_fails_alone(monkeypatch):
     requests = [sweep_requests(params)[0] for params in scenarios()[:8]]
     need = [solve_lp(r).iterations for r in requests]
     worst = int(np.argmax(need))
@@ -354,7 +345,7 @@ def test_request_over_the_pivot_cap_fails_alone(stack_min, monkeypatch):
             assert_identical(got, solve_lp(request))
 
 
-def test_malformed_request_fails_alone(stack_min):
+def test_malformed_request_fails_alone():
     good = [build_lrmc_primal(p) for p in scenarios()[:4]]
     bad = LinearProgram(sense="min", c=[1.0, 1.0], A=np.zeros((0, 2)), relations=(), b=[])
     outcomes = solve_stacked(good[:2] + [bad] + good[2:])
