@@ -11,6 +11,9 @@ README costs whose ``error`` rows carry the parameter checks' messages
 fixed set (:func:`pinned_lps`) is pinned as ``solve_lp`` gives it and as
 ``solve_stacked`` gives it without a pool and with the basis atlas: a
 last-bit change in the simplex shows there before any printed digit moves.
+The closed-form facts of ``compute_srmc`` at each ``run`` scenario (its
+marginal operating costs, merit-order intervals, rule labels and long-run
+prices) are pinned too, since a report prints only some of them.
 Each demo's stdout is pinned in ``tests/test_demos.py``.  A change that is
 meant to move one of these outputs says so and re-pins it with the
 digests that :func:`digests` prints (``python tests/test_pins.py``).
@@ -24,11 +27,11 @@ import numpy as np
 import pytest
 
 from genmargin import cli, groups
-from genmargin.groups import table_csv
+from genmargin.groups import analytic_solution, classify, table_csv
 from genmargin.lp import solve_lp, solve_stacked
 from genmargin.model import SystemParams, build_lrmc_dual, build_srmc_primal, lrmc_step, solve_lrmc
 from genmargin.sampling import random_params
-from genmargin.srmc import default_epsilon
+from genmargin.srmc import compute_srmc, default_epsilon
 
 from test_shared_phase import random_lps, scenarios
 
@@ -45,6 +48,7 @@ PINS = {
     "lp-solve": "bc8cb7132d39daeafe9a8ea8e9616dd800ecb813f82ba5ac59ee3e82250b051c",
     "lp-stacked": "bc8cb7132d39daeafe9a8ea8e9616dd800ecb813f82ba5ac59ee3e82250b051c",
     "lp-atlas": "a3de05203d1219085b04e6e759419c46324b802fe37c656fd96c9d455ec0ede6",
+    "srmc-facts": "f435d0f6bebeada0c2272f5d8e5ad8abbc864887a56fc76a0dfbeb27cc8e6fd5",
 }
 
 
@@ -146,6 +150,17 @@ def _run_text(fmt: str) -> str:
     return "".join(parts)
 
 
+def _srmc_facts_text() -> str:
+    """``marginal_cp``, ``merit``, ``rules`` and ``lrmc`` of ``compute_srmc``
+    at the closed form's build, for each of ``run_scenarios()``."""
+    lines = []
+    for params in run_scenarios():
+        analytic = analytic_solution(params, classify(params))
+        r = compute_srmc(params, analytic.decision, analytic=analytic)
+        lines.append(repr((r.marginal_cp, r.merit, r.rules, r.lrmc)))
+    return "\n".join(lines) + "\n"
+
+
 def _selftest_text(seed: int) -> str:
     out = io.StringIO()
     code = cli.run_selftest(seed, 300, out=out)
@@ -165,6 +180,7 @@ OUTPUTS = {
     "lp-solve": lambda: _lp_text(map(solve_lp, pinned_lps())),
     "lp-stacked": lambda: _lp_text(solve_stacked(pinned_lps())),
     "lp-atlas": lambda: _lp_text(solve_stacked(pinned_lps(), pool=cli.basis_atlas())),
+    "srmc-facts": _srmc_facts_text,
 }
 
 

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from genmargin import tolerances
+from genmargin import srmc, tolerances
 from genmargin.groups import classify
 from genmargin.lp import run_step
 from genmargin.model import SystemParams, solve_lrmc
 from genmargin.sampling import random_params
 from genmargin.srmc import (
+    RULE_TOL,
     SrmcError,
     compute_srmc,
     default_epsilon,
@@ -27,7 +28,38 @@ def srmc_for(params, **kw):
     return compute_srmc(params, lr.decision, **kw)
 
 
+#: ``(lam, cp, cl, rule label, short-run price or SrmcError message)`` at
+#: the edges of the rules.  An all-shed period (``cp`` None) is priced at
+#: ``cl`` by the callers, as ``cli._rules_hold`` does.
+RULE_TABLE = [
+    pytest.param(80.0, None, 80.0, "rule-CL", 80.0, id="all-shed"),
+    pytest.param(50.0, None, 80.0, "rule-interior", 80.0, id="all-shed-below-cl"),
+    pytest.param(80.0, 80.0, 80.0, "rule-CP", 80.0, id="cp-wins-tie-with-cl"),
+    pytest.param(1.0 + RULE_TOL / 2, 1.0, 80.0, "rule-CP", 1.0, id="near-cp"),
+    pytest.param(80.0 - RULE_TOL / 2, 1.0, 80.0, "rule-CL", 80.0, id="near-cl"),
+    pytest.param(1.0 + 2 * RULE_TOL, 1.0, 80.0, "rule-interior", 1.0, id="just-above-cp"),
+    pytest.param(1.0 - 2 * RULE_TOL, 1.0, 80.0, "rule-interior",
+                 "long-run price 0.9999998 outside [1.0, 80.0]: classifier/profile mismatch",
+                 id="below-cp"),
+    pytest.param(80.0 + 2 * RULE_TOL, 80.0 + 2 * RULE_TOL, 80.0, "rule-CP",
+                 "marginal operating cost exceeds the loadshed cost", id="cp-above-cl"),
+    pytest.param(0.5, 90.0, 80.0, "rule-interior",
+                 "marginal operating cost exceeds the loadshed cost",
+                 id="cp-above-cl-checked-first"),
+]
+
+
 class TestPredictRule:
+    @pytest.mark.parametrize("lam, cp, cl, label, price", RULE_TABLE)
+    def test_rule_table(self, lam, cp, cl, label, price):
+        assert srmc._rule_label(lam, cp, cl) == label
+        if isinstance(price, str):
+            with pytest.raises(SrmcError) as err:
+                predict_srmc_from_lrmc(lam, cp, cl)
+            assert str(err.value) == price
+        else:
+            assert (cl if cp is None else predict_srmc_from_lrmc(lam, cp, cl)) == price
+
     def test_interior_maps_to_cp(self):
         assert predict_srmc_from_lrmc(61.0, 1.0, 80.0) == 1.0
 
