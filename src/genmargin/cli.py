@@ -178,11 +178,6 @@ def _number(value, what: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def scenario_report(params: SystemParams) -> dict:
-    """The report of one scenario (what ``run`` prints)."""
-    return _scenario(params)[0]
-
-
 def _scenario(params: SystemParams) -> tuple:
     """The report of one scenario, and whether its short-run prices pass
     :func:`_rules_hold`."""

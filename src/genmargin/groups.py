@@ -458,46 +458,37 @@ def marginal_option(params: SystemParams, decision: PrimalDecision, t: int):
     return max(opts, key=lambda o: (v[_OPTION_COST[o]], OPTIONS.index(o)))
 
 
-def marginal_cp(params: SystemParams, decision: PrimalDecision, t: int):
-    """Operating cost of period t's dispatch-marginal technology.
-
-    The dispatch marginal is the technology that serves one more unit of
-    demand: the most expensive one actually generating in the period,
-    since that is the unit a fixed-capacity model backs off first.  (This
-    can differ from ``marginal_option``: where non-shared renewable is the
-    investment margin but fossil also runs, the short-run margin is
-    fossil.)  An empty period falls back to the cheapest technology --
-    the capacity-slack resolution grants every technology headroom, so
-    that is what serves the first unit.  None when positive demand sheds
-    completely, where an increment can only shed too.
-    """
-    tol = feasibility_limit(params)
-    if decision.generation("f", t) > tol:
-        return params.cp_f
-    if decision.generation("r", t) > tol:
-        return params.cp_r
-    if params.demand[t - 1] <= tol:
-        return params.cp_r
-    return None
-
-
-def merit_interval(params: SystemParams, decision: PrimalDecision, t: int) -> tuple:
-    """``(lo, hi)``: the values period t's balance dual takes over the
-    optimal duals of the short-run model frozen at ``decision``, which
+def merit_order(params: SystemParams, decision: PrimalDecision, t: int) -> tuple:
+    """``(cp, (lo, hi))``: period t's merit order at ``decision``, which
     must dispatch its build at least cost, as ``analytic_solution``'s does:
     in order of operating cost, each technology up to its live capacity,
-    the rest shed at ``cl``.  The interval is the subdifferential of that
-    cost in ``d_t``: from the cost of the last unit served (the largest
-    ``cp`` generating, or ``cl`` if the period sheds; ``-inf`` if neither;
-    not :func:`marginal_cp`) to that of the next (``cl``, or a smaller
-    ``cp`` with spare live capacity).  An amount counts above
-    ``feasibility_limit``."""
+    the rest shed at ``cl``.  An amount counts above ``feasibility_limit``.
+
+    ``cp`` is the operating cost of the dispatch-marginal technology, the
+    one that serves one more unit of demand: the most expensive one
+    actually generating in the period, since that is the unit a
+    fixed-capacity model backs off first.  (This can differ from
+    ``marginal_option``: where non-shared renewable is the investment
+    margin but fossil also runs, the short-run margin is fossil.)  An
+    empty period falls back to the cheapest technology -- the
+    capacity-slack resolution grants every technology headroom, so that is
+    what serves the first unit.  None when positive demand sheds
+    completely, where an increment can only shed too.
+
+    ``(lo, hi)`` are the values period t's balance dual takes over the
+    optimal duals of the short-run model frozen at ``decision``.  The
+    interval is the subdifferential of the period's cost in ``d_t``: from
+    the cost of the last unit served (the largest ``cp`` generating, or
+    ``cl`` if the period sheds; ``-inf`` if neither; not ``cp``) to that of
+    the next (``cl``, or a smaller ``cp`` with spare live capacity).
+    """
     tol = feasibility_limit(params)
     served = [params.cp(g) for g in ("r", "f") if decision.generation(g, t) > tol]
     shed = [params.cl] if decision.shed(t) > tol else []
     spare = [params.cp(g) for g in ("r", "f")
              if decision.capacity(g, t) - decision.generation(g, t) > tol]
-    return max(served + shed, default=-math.inf), min(spare + [params.cl])
+    cp = served[-1] if served else (params.cp_r if params.demand[t - 1] <= tol else None)
+    return cp, (max(served + shed, default=-math.inf), min(spare + [params.cl]))
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ leaves, and every request without a pool, are answered from the basis
 the request carries and, for an end that basis does not give, from
 dual-simplex pivots (:func:`_basis_ranges`).  No interval builds an LP.
 The short-run intervals also have a route with no LP, the merit order
-(``groups.merit_interval``), which ``selftest`` checks them against.
+(``groups.merit_order``), which ``selftest`` checks them against.
 
 Conventions
 -----------

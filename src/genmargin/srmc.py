@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groups import AnalyticResult, analytic_solution, classify, marginal_cp, merit_interval
+from .groups import AnalyticResult, analytic_solution, classify, merit_order
 from .lp import dual_interval_has_width, dual_ranges_step, run_step
 from .model import SystemParams, build_lrmc_primal, build_srmc_primal
 from .tolerances import current
@@ -70,31 +70,32 @@ class SrmcResult:
     degenerate: tuple       # per-period: interval has positive width
     lrmc: tuple             # the long-run pair the rules were read against
     marginal_cp: tuple      # per-period marginal operating cost (None if all shed)
-    merit: tuple            # per-period merit-order interval (groups.merit_interval)
+    merit: tuple            # per-period merit-order interval (groups.merit_order)
 
 
 def predict_srmc_from_lrmc(lrmc_t: float, marginal_cp_t: float, cl: float) -> float:
     """Map one period's long-run price to its short-run price by rule."""
     if marginal_cp_t > cl + RULE_TOL:
         raise SrmcError("marginal operating cost exceeds the loadshed cost")
-    if abs(lrmc_t - marginal_cp_t) <= RULE_TOL:
-        return float(marginal_cp_t)
-    if abs(lrmc_t - cl) <= RULE_TOL:
-        return float(cl)
-    if marginal_cp_t < lrmc_t < cl:
-        return float(marginal_cp_t)
-    raise SrmcError(
-        f"long-run price {lrmc_t} outside [{marginal_cp_t}, {cl}]: "
-        "classifier/profile mismatch"
-    )
+    price = _rule(lrmc_t, marginal_cp_t, cl)[1]
+    if price is None:
+        raise SrmcError(f"long-run price {lrmc_t} outside [{marginal_cp_t}, {cl}]: "
+                        "classifier/profile mismatch")
+    return price
 
 
-def _rule_label(lrmc_t, cp_t, cl):
+def _rule(lrmc_t, cp_t, cl):
+    """``(label, short-run price)`` of the rule that maps ``lrmc_t`` given
+    the marginal operating cost ``cp_t`` (None if the period sheds
+    completely); the price is None where no rule applies, and the label
+    then ``rule-interior``.  A tie of ``cp_t`` and ``cl`` goes to CP."""
     if cp_t is not None and abs(lrmc_t - cp_t) <= RULE_TOL:
-        return RULE_CP
+        return RULE_CP, float(cp_t)
     if abs(lrmc_t - cl) <= RULE_TOL:
-        return RULE_CL
-    return RULE_INTERIOR
+        return RULE_CL, float(cl)
+    if cp_t is not None and cp_t < lrmc_t < cl:
+        return RULE_INTERIOR, float(cp_t)
+    return RULE_INTERIOR, None
 
 
 def compute_srmc(params: SystemParams, istar, *, epsilon: float = None,
@@ -148,10 +149,8 @@ def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
 
     if analytic is None:
         analytic = analytic_solution(params, classify(params))
-    cps = tuple(marginal_cp(params, analytic.decision, t) for t in (1, 2))
-    rules = tuple(
-        _rule_label(analytic.lrmc[t - 1], cps[t - 1], params.cl) for t in (1, 2)
-    )
+    cps, merit = zip(*(merit_order(params, analytic.decision, t) for t in (1, 2)))
+    rules = tuple(_rule(lam, cp, params.cl)[0] for lam, cp in zip(analytic.lrmc, cps))
     return SrmcResult(
         intervals=intervals,
         resolved=resolved,
@@ -160,7 +159,7 @@ def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
         degenerate=degenerate,
         lrmc=analytic.lrmc,
         marginal_cp=cps,
-        merit=tuple(merit_interval(params, analytic.decision, t) for t in (1, 2)),
+        merit=merit,
     )
 
 

@@ -12,7 +12,7 @@ from genmargin.groups import (
     analytic_solution,
     classify,
     generating_options,
-    marginal_cp,
+    merit_order,
     representative_params,
     table_csv,
     used_options,
@@ -209,22 +209,22 @@ class TestAnalyticSolution:
     def test_marginal_cp_group14(self):
         params = representative_params(14)
         res = analytic_solution(params, classify(params))
-        assert marginal_cp(params, res.decision, 1) == params.cp_f
-        assert marginal_cp(params, res.decision, 2) == params.cp_f
+        assert merit_order(params, res.decision, 1)[0] == params.cp_f
+        assert merit_order(params, res.decision, 2)[0] == params.cp_f
 
     def test_marginal_cp_group12_dispatch_margin_is_fossil(self):
         # the investment margin of group 12's peak is non-shared renewable,
         # but fossil also runs there, so the dispatch margin is fossil
         params = representative_params(12)
         res = analytic_solution(params, classify(params))
-        assert marginal_cp(params, res.decision, 2) == params.cp_f
-        assert marginal_cp(params, res.decision, 1) == params.cp_f
+        assert merit_order(params, res.decision, 2)[0] == params.cp_f
+        assert merit_order(params, res.decision, 1)[0] == params.cp_f
 
     def test_marginal_cp_ignores_idle_fossil(self):
         # group 8 period 1: fossil capacity sits idle; renewable runs alone
         params = representative_params(8)
         res = analytic_solution(params, classify(params))
-        assert marginal_cp(params, res.decision, 1) == params.cp_r
+        assert merit_order(params, res.decision, 1)[0] == params.cp_r
 
 
 class TestRandomizedOracle:

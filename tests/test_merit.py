@@ -3,7 +3,7 @@
 At a frozen build the short-run LP splits into one merit-order dispatch
 per period, and the interval of a period's balance dual is the
 subdifferential of that period's cost in its demand
-(``groups.merit_interval``).  It must equal the LP's interval end for end:
+(``groups.merit_order``).  It must equal the LP's interval end for end:
 read off the frozen solve's own basis (``lp.dual_value_ranges``), and off
 the atlas bases where ``selftest`` certifies it.  The draws are those of
 two seeds, with their zero-demand variants and ``cl`` at each rung of the
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from genmargin import cli, groups
-from genmargin.groups import analytic_solution, classify, merit_interval
+from genmargin.groups import analytic_solution, classify, merit_order
 from genmargin.lp import dual_interval_has_width, dual_ranges_step, solve_lp, solve_stacked
 from genmargin.model import PARAM_FIELDS, SystemParams, build_srmc_primal
 from genmargin.sampling import random_params
@@ -40,7 +40,7 @@ def frozen_request(params):
     frozen = build_srmc_primal(params, decision)
     request = next(dual_ranges_step(frozen, ("balance_1", "balance_2"),
                                     solution=solve_lp(frozen)))
-    return request, tuple(merit_interval(params, decision, t) for t in (1, 2))
+    return request, tuple(merit_order(params, decision, t)[1] for t in (1, 2))
 
 
 @pytest.mark.parametrize("seed", [11, 42])
@@ -62,14 +62,14 @@ def test_lp_intervals_are_the_merit_order(seed):
                for _, hi in merit) >= 100
 
 
-def test_left_end_is_not_marginal_cp():
+def test_left_end_is_not_the_dispatch_margin():
     # group 5: period 2 runs the whole renewable build and sheds the rest,
-    # so its last unit costs cl, while marginal_cp names renewable
+    # so its last unit costs cl, while the marginal operating cost is
+    # renewable's
     params = groups.representative_params(5)
     decision = analytic_solution(params, classify(params)).decision
     assert decision.l_2 > 0 and decision.p_r2 > 0
-    assert merit_interval(params, decision, 2) == (params.cl, params.cl)
-    assert groups.marginal_cp(params, decision, 2) == params.cp_r
+    assert merit_order(params, decision, 2) == (params.cp_r, (params.cl, params.cl))
 
 
 #: A near-edge input (``d1`` a relative 3e-7 above ``m_r``, group 12)
@@ -91,7 +91,7 @@ def test_singular_region_example_runs(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     params = SystemParams.from_values(**{f: SINGULAR_REGION[f] for f in PARAM_FIELDS})
     decision = analytic_solution(params, classify(params)).decision
-    assert rep["srmc"]["intervals"] == [list(merit_interval(params, decision, t))
+    assert rep["srmc"]["intervals"] == [list(merit_order(params, decision, t)[1])
                                         for t in (1, 2)]
     assert rep["srmc"]["intervals"] == [[params.cp_f, params.cl]] * 2
 

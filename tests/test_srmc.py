@@ -52,7 +52,7 @@ RULE_TABLE = [
 class TestPredictRule:
     @pytest.mark.parametrize("lam, cp, cl, label, price", RULE_TABLE)
     def test_rule_table(self, lam, cp, cl, label, price):
-        assert srmc._rule_label(lam, cp, cl) == label
+        assert srmc._rule(lam, cp, cl)[0] == label
         if isinstance(price, str):
             with pytest.raises(SrmcError) as err:
                 predict_srmc_from_lrmc(lam, cp, cl)

@@ -54,7 +54,7 @@ def test_exports_are_what_the_demos_and_readme_import():
     assert len(exported) == 17
 
 
-@pytest.mark.parametrize("fn", [srmc.predict_srmc_from_lrmc, srmc._rule_label,
+@pytest.mark.parametrize("fn", [srmc.predict_srmc_from_lrmc, srmc._rule,
                                 model.PrimalDecision.is_feasible, model.feasibility_limit],
                          ids=lambda fn: fn.__qualname__)
 def test_tolerance_comes_from_one_place(fn):

@@ -47,7 +47,7 @@ def run_srmc():
 
         mp.setattr(cli, "compute_srmc", compute_srmc)
         for params in TIES:
-            rep = cli.scenario_report(params)
+            rep = cli._scenario(params)[0]
             assert rep["srmc"]["resolved"] == list(seen[-1].resolved)
     assert len(seen) == len(TIES)
     return seen
