@@ -625,7 +625,7 @@ class TestSelftest:
     def test_one_closed_form_per_report(self, monkeypatch):
         calls, _ = self.count_closed_forms(monkeypatch)
         for d2 in (8000.0, 6000.0):         # the README scenario, its boundary
-            cli._scenario(SystemParams.from_values(**dict(CANONICAL, d2=d2)))[0]
+            cli._scenario(SystemParams.from_values(**dict(CANONICAL, d2=d2)))
         assert calls == {("classify", False): 2, ("analytic_solution", False): 2}
 
     def test_one_classify_per_closed_form_chain(self, monkeypatch):

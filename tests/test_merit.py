@@ -62,10 +62,10 @@ def test_lp_intervals_are_the_merit_order(seed):
                for _, hi in merit) >= 100
 
 
-def test_left_end_is_not_the_dispatch_margin():
+def test_left_end_is_not_marginal_cp():
     # group 5: period 2 runs the whole renewable build and sheds the rest,
-    # so its last unit costs cl, while the marginal operating cost is
-    # renewable's
+    # so its last unit costs cl, while its marginal_cp (merit_order's cp)
+    # names renewable
     params = groups.representative_params(5)
     decision = analytic_solution(params, classify(params)).decision
     assert decision.l_2 > 0 and decision.p_r2 > 0
