@@ -13,7 +13,9 @@ fixed set (:func:`pinned_lps`) is pinned as ``solve_lp`` gives it and as
 last-bit change in the simplex shows there before any printed digit moves.
 The closed-form facts of ``compute_srmc`` at each ``run`` scenario (its
 marginal operating costs, merit-order intervals, rule labels and long-run
-prices) are pinned too, since a report prints only some of them.
+prices) are pinned too, since a report prints only some of them, and so
+is every field of the closed-form route's records (:func:`closed_form_points`)
+and of the long-run extraction and slackness check ``selftest`` makes.
 Each demo's stdout is pinned in ``tests/test_demos.py``.  A change that is
 meant to move one of these outputs says so and re-pins it with the
 digests that :func:`digests` prints (``python tests/test_pins.py``).
@@ -27,11 +29,18 @@ import numpy as np
 import pytest
 
 from genmargin import cli, groups
-from genmargin.groups import analytic_solution, classify, table_csv
+from genmargin.groups import analytic_solution, classify, representative_params, table_csv
 from genmargin.lp import solve_lp, solve_stacked
 from genmargin.model import SystemParams, build_lrmc_dual, build_srmc_primal, lrmc_step, solve_lrmc
+from genmargin.pricing import (
+    cost_recovery,
+    group_orientation,
+    lrmc_profile_for_group,
+    srmc_profile,
+)
 from genmargin.sampling import random_params
 from genmargin.srmc import compute_srmc, default_epsilon
+from genmargin.verify import cross_check
 
 from test_shared_phase import random_lps, scenarios
 
@@ -49,6 +58,8 @@ PINS = {
     "lp-stacked": "bc8cb7132d39daeafe9a8ea8e9616dd800ecb813f82ba5ac59ee3e82250b051c",
     "lp-atlas": "a3de05203d1219085b04e6e759419c46324b802fe37c656fd96c9d455ec0ede6",
     "srmc-facts": "f435d0f6bebeada0c2272f5d8e5ad8abbc864887a56fc76a0dfbeb27cc8e6fd5",
+    "closed-form-facts": "bf7f76df977dfd143f2a5c094673c7ff9e4ea3d72f5019772295d6cae8432025",
+    "verify-facts": "d9f32f89331290c2fb0b55fdf3732cf80fe0743e0da3550a292474cffd5c39bf",
 }
 
 
@@ -161,6 +172,46 @@ def _srmc_facts_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def closed_form_points():
+    """The 41 representative points, :func:`run_scenarios` and 1,000
+    ``random_params`` draws each of seeds 11 and 42."""
+    out = [representative_params(gid) for gid in range(1, 42)] + run_scenarios()
+    for seed in (11, 42):
+        rng = np.random.default_rng(seed)
+        out += [random_params(rng) for _ in range(1000)]
+    return out
+
+
+def _closed_form_text() -> str:
+    """The ``repr`` of every record of the closed-form route at each of
+    :func:`closed_form_points`: ``classify``, ``analytic_solution``,
+    ``cost_recovery`` at the closed-form prices and ``srmc_profile``."""
+    lines = []
+    for params in closed_form_points():
+        group = classify(params)
+        analytic = analytic_solution(params, group)
+        recovery = cost_recovery(analytic.lrmc, analytic.decision, params)
+        profile = srmc_profile(lrmc_profile_for_group(group.gid), params,
+                               group_orientation(group.gid))
+        lines.append(repr((group, analytic, recovery, profile)))
+    return "\n".join(lines) + "\n"
+
+
+def _verify_text() -> str:
+    """The long-run decision and duals ``selftest`` extracts, and the
+    slackness report of its cross-check, for the first 300 draws of
+    seeds 7 and 42."""
+    pool = cli.basis_atlas()
+    lines = []
+    for seed in (7, 42):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            params = random_params(rng)
+            lr = solve_lrmc(params, pool=pool)
+            lines.append(repr((lr.decision, lr.duals, cross_check(params, lrmc=lr).slackness)))
+    return "\n".join(lines) + "\n"
+
+
 def _selftest_text(seed: int) -> str:
     out = io.StringIO()
     code = cli.run_selftest(seed, 300, out=out)
@@ -181,6 +232,8 @@ OUTPUTS = {
     "lp-stacked": lambda: _lp_text(solve_stacked(pinned_lps())),
     "lp-atlas": lambda: _lp_text(solve_stacked(pinned_lps(), pool=cli.basis_atlas())),
     "srmc-facts": _srmc_facts_text,
+    "closed-form-facts": _closed_form_text,
+    "verify-facts": _verify_text,
 }
 
 
