@@ -36,6 +36,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
+from .lp import record
 from .model import PARAM_FIELDS, PrimalDecision, SystemParams, feasibility_limit
 from .tolerances import current
 
@@ -86,18 +87,19 @@ class GroupSpec:
     lrmc: tuple              # formula strings (lam_1, lam_2)
 
 
-@dataclass(frozen=True)
+@record()
 class InstanceGroup:
     gid: int
     cluster: int
     peak_period: int
     boundary: bool
     margin: float            # smallest relative margin over the defining inequalities
-    # (params, gid): the ladder walk classify made, for analytic_solution
+    # (params, gid, _values(params)): what classify read and found, so that
+    # analytic_solution of the same params neither walks nor reads them again
     _walk: tuple = field(default=None, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@record()
 class AnalyticResult:
     group: InstanceGroup
     decision: PrimalDecision
@@ -277,17 +279,13 @@ _RUNGS = {cluster: (_compile(tuple(rhs for (_, rhs), _ in ladder)),
           for cluster, ladder in _LADDERS.items()}
 
 
-def _rel_margin(lhs, rhs):
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-
-
 def _locate(params: SystemParams, v: tuple):
     """``(cluster, peak, gid, tried)``: the decision ``classify`` makes
     from ``params`` and their symbol values ``v`` (``_values(params)``),
     with ``tried`` a new list of the ``(lhs, rhs)`` values of the ladder
     rungs tried, the matching one last."""
     t_sf, t_r = v[10], v[11]
-    if t_sf > t_r and _rel_margin(t_sf, t_r) > 1e-12:
+    if t_sf > t_r and abs(t_sf - t_r) / max(1.0, abs(t_sf), abs(t_r)) > 1e-12:
         raise ClassificationError(
             "group table requires shared fossil cost <= non-shared renewable "
             f"cost (CI_f/2 + CP_f = {t_sf:g} > CI_r + CP_r = {t_r:g})"
@@ -324,22 +322,16 @@ def classify(params: SystemParams, *, tol_bound: float = None) -> InstanceGroup:
     only one valid selection.
     """
     tol_bound = current().bound if tol_bound is None else tol_bound
-    cluster, peak, gid, pairs = _locate(params, _values(params))
+    v = _values(params)
+    cluster, peak, gid, pairs = _locate(params, v)
     d1, d2, m_r, m_f = params.d1, params.d2, params.m_r, params.m_f
     off = d1 if peak == 2 else d2
     # An empty period makes its balance dual set-valued in both models
     # (its objective coefficient is the demand itself), so zero demand is
     # a boundary like any other tie.
     pairs += ((d1, d2), (d1, 0.0), (d2, 0.0), (off, m_r), (off, m_r + m_f))
-    margin = min([_rel_margin(lhs, rhs) for lhs, rhs in pairs])
-    return InstanceGroup(
-        gid=gid,
-        cluster=cluster,
-        peak_period=peak,
-        boundary=margin <= tol_bound,
-        margin=margin,
-        _walk=(params, gid),
-    )
+    margin = min([abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)) for lhs, rhs in pairs])
+    return InstanceGroup(gid, cluster, peak, margin <= tol_bound, margin, (params, gid, v))
 
 
 def _dispatch(params: SystemParams, invest):
@@ -359,17 +351,19 @@ def analytic_solution(params: SystemParams, group: InstanceGroup) -> AnalyticRes
 
     ``group`` is checked against ``params`` first: against the ladder walk
     ``classify`` made if ``group`` came from ``classify(params)`` for these
-    very ``params`` (the same object; they are frozen), else against the
-    group ladder walked again from ``params`` (that walk, without its
-    margins).  A ladder violation or a different group raises
+    very ``params`` (the same object; they are frozen), whose symbol values
+    it then reuses too, else against the group ladder walked again from
+    ``params`` (that walk, without its margins).  A ladder violation or a different group raises
     :class:`ClassificationError`.  Generation is reconstructed by
     dispatching the fixed capacities in operating-cost merit order
     (renewable first), which is how the cost minimum operates any given
     build.
     """
-    v = _values(params)
     walk = group._walk
-    gid = walk[1] if walk is not None and walk[0] is params else _locate(params, v)[2]
+    if walk is None or walk[0] is not params:
+        v = _values(params)
+        walk = (params, _locate(params, v)[2], v)
+    _, gid, v = walk
     if gid != group.gid:
         raise ClassificationError(
             f"group {group.gid} does not match these parameters (classify: {gid})"

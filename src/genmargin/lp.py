@@ -116,6 +116,12 @@ object per process, and it is :func:`solve_stacked`'s group key.
 ``selftest``, ``sweep`` and ``run`` make 9 layouts between them; the
 cache grows by one per new pattern of relations, free variables and row
 signs.  Column labels are cached the same way (:func:`_column_labels`).
+A solve's :class:`LpSolution` is a :func:`record`, set up in one step as
+the model's per-item records are, and a model LP (:meth:`_Frame.program`)
+gets its fields in one step too (:func:`_assign`), past the checks its
+frame has made.  :meth:`_Layout.x_rows` maps a basic solution back
+through index arrays its layout makes once, and subtracts the negative
+half of a free variable only where the layout splits one.
 
 Dual intervals
 --------------
@@ -155,7 +161,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -183,6 +189,36 @@ class LpInputError(LpError, ValueError):
 
 class IterationLimitError(LpError):
     """The pivot cap was hit.  With Bland's rule on, this means a bug."""
+
+
+def _assign(obj, values: dict):
+    """``obj`` with each of ``values`` set as its attribute in one step,
+    through its ``__dict__``: a frozen dataclass's own ``__init__`` sets
+    each field through ``object.__setattr__``, which costs 0.6-1.4 µs a
+    record (2-core x86-64, Python 3.11)."""
+    vars(obj).update(values)
+    return obj
+
+
+def record(**options):
+    """Class decorator: the class as a frozen dataclass (``options`` are
+    passed on to ``dataclass``) built in one step.  Its ``__init__`` keeps
+    the dataclass's signature and defaults but sets every field through
+    :func:`_assign`; equality, hashing, ``repr`` and ``dataclasses.replace``
+    are the dataclass's, and assigning a field still raises
+    ``FrozenInstanceError``.  A record has no ``__post_init__``, no
+    keyword-only field and no default factory."""
+    def build(cls):
+        cls = dataclass(frozen=True, **options)(cls)
+        names = [f.name for f in fields(cls) if f.init]
+        scope = {"_assign": _assign}
+        exec(f"def __init__(self, {', '.join(names)}):\n"      # noqa: S102 - field names
+             f"    _assign(self, {{{', '.join(f'{n!r}: {n}' for n in names)}}})\n", scope)
+        for attr in ("__defaults__", "__annotations__", "__qualname__"):
+            setattr(scope["__init__"], attr, getattr(cls.__init__, attr))
+        cls.__init__ = scope["__init__"]
+        return cls
+    return build
 
 
 def _all_finite(a: np.ndarray) -> bool:
@@ -251,7 +287,7 @@ class LinearProgram:
         c = _objective_vector(self.sense, self.c, n)
         b = _rhs_vector(self.b, m, len(rel))
         frame = _Frame(A, rel, self.lower_bounds, self.var_labels, self.row_labels)
-        vars(self).update(frame.fields, _frame=frame, c=c, b=b)
+        _assign(self, dict(frame.fields, _frame=frame, c=c, b=b))
 
     def row_index(self, row_id) -> int:
         if isinstance(row_id, str):
@@ -325,10 +361,8 @@ class _Frame:
         checked, as :class:`LinearProgram` checks them."""
         m, n = self.A.shape
         c, b = _objective_vector(sense, c, n), _rhs_vector(b, m, m)
-        p = object.__new__(LinearProgram)
-        vars(p).update(self.fields, _frame=self, sense=sense, c=c, b=b,
-                       objective_offset=objective_offset)
-        return p
+        return _assign(object.__new__(LinearProgram), dict(
+            self.fields, _frame=self, sense=sense, c=c, b=b, objective_offset=objective_offset))
 
     def layout(self, b) -> "_Layout":
         """The layout of the standard form with right-hand side ``b``, its
@@ -349,7 +383,7 @@ def _label(labels, k, stem: str) -> str:
     return labels[k] if labels else f"{stem}{k}"
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class LpSolution:
     """Primal and dual optimum (or an infeasible/unbounded verdict)."""
 
@@ -400,6 +434,9 @@ class _Layout:
         self.col_var = np.array([j for j, _ in cols], dtype=int)
         self.col_sign = np.array([s for _, s in cols])
         self.row_sign = row_sign
+        # x_rows' columns: one per variable, and the negative half of each split
+        self.kept, self.split = np.flatnonzero(self.col_sign > 0), np.flatnonzero(self.col_sign < 0)
+        self.split_var = self.col_var[self.split]
 
         slack_cols = []
         for i, rel in enumerate(relations):
@@ -426,8 +463,8 @@ class _Layout:
         # the artificial columns: the unit column of each artificial row
         self.A_art = np.zeros((m, len(self.art_rows)))
         self.A_art[self.art_rows, range(len(self.art_rows))] = 1.0
-        for a in (self.col_var, self.col_sign, self.row_sign, self.A_slack,
-                  self.init_basis, self.A_art):
+        for a in (self.col_var, self.col_sign, self.row_sign, self.kept, self.split,
+                  self.split_var, self.A_slack, self.init_basis, self.A_art):
             a.setflags(write=False)
 
     def cost(self, flip, C) -> np.ndarray:
@@ -445,10 +482,9 @@ class _Layout:
         """The original variables of each row of the standard-form ``x_std``,
         each row contiguous (so ``c @ x`` sums in one order) and each zero
         +0.0."""
-        split = self.col_sign < 0
-        x_struct = x_std[:, : self.n_struct]
-        x = np.add(x_struct[:, ~split], 0.0, order="C")
-        x[:, self.col_var[split]] += -x_struct[:, split]
+        x = np.add(x_std[:, self.kept], 0.0, order="C")
+        if len(self.split):
+            x[:, self.split_var] += -x_std[:, self.split]
         return x
 
     def tableau(self, A, b, cost):
@@ -547,13 +583,8 @@ def _duals(problem, y_std, row_sign):
 def _optimum(problem, x, duals, basis, iterations) -> LpSolution:
     """The optimal :class:`LpSolution` of ``problem`` at ``x``, with
     ``duals`` from :func:`_duals`."""
-    y, rc = duals
-    # every field set at once: the frozen __init__ costs about 1 µs per LP
-    solution = object.__new__(LpSolution)
-    vars(solution).update(status="optimal", x=x, duals=y, reduced_costs=rc,
-                          objective=float(problem.c @ x) + problem.objective_offset,
-                          basis=basis, iterations=iterations)
-    return solution
+    return LpSolution("optimal", x, *duals, float(problem.c @ x) + problem.objective_offset,
+                      basis, iterations)
 
 
 class _Tableau:

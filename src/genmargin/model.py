@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .lp import EQ, GE, LE, BasisPool, LinearProgram, LpSolution, _Frame, run_step
+from .lp import EQ, GE, LE, BasisPool, LinearProgram, LpSolution, _Frame, record, run_step
 from .tolerances import current
 
 VAR_ORDER = ("I_r1", "I_r2", "I_f1", "I_f2",
@@ -146,7 +146,7 @@ def _store_finite(params: SystemParams, names):
         object.__setattr__(params, name, value)
 
 
-@dataclass(frozen=True)
+@record()
 class PrimalDecision:
     """(I, P, L) in model coordinates."""
 
@@ -221,7 +221,7 @@ def feasibility_limit(params: SystemParams) -> float:
     return current().feas * (1.0 + max(params.d1, params.d2, params.m_r, params.m_f))
 
 
-@dataclass(frozen=True)
+@record()
 class DualValues:
     """(lambda, beta, gamma): prices, capacity values, opportunity costs."""
 
@@ -423,14 +423,35 @@ def _check_istar(istar) -> list:
     return [v if v > 0.0 or v != v else 0.0 for v in values]
 
 
-def _short_run(params: SystemParams, istar, epsilon):
-    """``(caps, offset)`` at ``istar``: the live capacity of each
-    technology and period plus ``epsilon``, and the invested cost."""
+def frozen_at(params: SystemParams, istar, epsilon: float = 0.0) -> tuple:
+    """``(investments, offset)`` of the short-run model frozen at ``istar``:
+    its four investments, checked and converted (:func:`_check_istar`), and
+    their invested cost.  The capacity slack ``epsilon`` the caller builds
+    with is checked first.  :func:`srmc_primal` builds from the result at
+    any ``epsilon``, so the frozen and the perturbed model of one ``istar``
+    check it once."""
     if epsilon < 0:
         raise ModelError("epsilon must be nonnegative")
-    i_r1, i_r2, i_f1, i_f2 = _check_istar(istar)
-    caps = (i_r1 + epsilon, i_r1 + i_r2 + epsilon, i_f1 + epsilon, i_f1 + i_f2 + epsilon)
-    return caps, float(params.ci_r * (i_r1 + i_r2) + params.ci_f * (i_f1 + i_f2))
+    i_r1, i_r2, i_f1, i_f2 = invest = _check_istar(istar)
+    return invest, float(params.ci_r * (i_r1 + i_r2) + params.ci_f * (i_f1 + i_f2))
+
+
+def _short_run_rhs(params: SystemParams, invest, epsilon) -> list:
+    """The demands, then each technology's and period's live capacity at
+    ``invest`` plus ``epsilon``, negated: the short-run primal's ``b`` and
+    its dual's objective."""
+    i_r1, i_r2, i_f1, i_f2 = invest
+    return [params.d1, params.d2, -(i_r1 + epsilon), -(i_r1 + i_r2 + epsilon),
+            -(i_f1 + epsilon), -(i_f1 + i_f2 + epsilon)]
+
+
+def srmc_primal(params: SystemParams, frozen: tuple, epsilon: float) -> LinearProgram:
+    """:func:`build_srmc_primal` at ``frozen`` (:func:`frozen_at`), with
+    ``epsilon`` taken as nonnegative."""
+    invest, offset = frozen
+    p = params
+    return _SRMC.program("min", [p.cp_r, p.cp_r, p.cp_f, p.cp_f, p.cl, p.cl],
+                         _short_run_rhs(p, invest, epsilon), offset)
 
 
 def build_srmc_primal(params: SystemParams, istar, epsilon: float = 0.0) -> LinearProgram:
@@ -440,17 +461,14 @@ def build_srmc_primal(params: SystemParams, istar, epsilon: float = 0.0) -> Line
     technologies, both periods).  Strictly positive epsilon removes the
     degenerate ties that make the flow-balance duals non-unique.
     """
-    (c1, c2, c3, c4), offset = _short_run(params, istar, epsilon)
-    p = params
-    return _SRMC.program("min", [p.cp_r, p.cp_r, p.cp_f, p.cp_f, p.cl, p.cl],
-                         [p.d1, p.d2, -c1, -c2, -c3, -c4], offset)
+    return srmc_primal(params, frozen_at(params, istar, epsilon), epsilon)
 
 
 def build_srmc_dual(params: SystemParams, istar, epsilon: float = 0.0) -> LinearProgram:
     """Dual of the short-run model (two free prices, four capacity values)."""
-    (c1, c2, c3, c4), offset = _short_run(params, istar, epsilon)
+    invest, offset = frozen_at(params, istar, epsilon)
     p = params
-    return _SRMC_DUAL.program("max", [p.d1, p.d2, -c1, -c2, -c3, -c4],
+    return _SRMC_DUAL.program("max", _short_run_rhs(p, invest, epsilon),
                               [p.cp_r, p.cp_r, p.cp_f, p.cp_f, p.cl, p.cl], offset)
 
 
@@ -466,7 +484,7 @@ def extract_decision(solution: LpSolution) -> PrimalDecision:
     x = solution.x
     if x.shape != (10,):
         raise ModelError(f"unexpected solution shape {x.shape}")
-    return PrimalDecision(*[float(v) for v in x])
+    return PrimalDecision(*x.tolist())
 
 
 def extract_duals(solution: LpSolution) -> DualValues:
@@ -476,7 +494,7 @@ def extract_duals(solution: LpSolution) -> DualValues:
     y = solution.duals
     if y.shape != (10,):
         raise ModelError(f"expected 10 row duals, got {y.shape}")
-    return DualValues(*[float(v) for v in y])
+    return DualValues(*y.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import GROUPS, _shared_amount, marginal_option
+from .lp import record
 from .model import PrimalDecision, SystemParams, feasibility_limit
 from .tolerances import current
 
@@ -94,7 +95,7 @@ def _orient(pair, profile: LrmcProfile, orientation: int):
     return pair if orientation == 1 else (pair[1], pair[0])
 
 
-@dataclass(frozen=True)
+@record()
 class SrmcPricing:
     prices: tuple       # (period 1, period 2)
     recovered: bool     # whether this profile's short-run prices recover cost
@@ -125,7 +126,7 @@ class InvestmentAllocation:
     rule: str           # "all-to-peak" | "split"
 
 
-@dataclass(frozen=True)
+@record()
 class RecoveryReport:
     revenue: float
     total_cost: float

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import AnalyticResult, analytic_solution, classify
-from .lp import dual_value_ranges, solve_lp
+from .lp import dual_value_ranges, record, solve_lp
 from .model import (
     DualValues,
     LrmcSolve,
@@ -25,7 +25,7 @@ from .model import (
 from .tolerances import current
 
 
-@dataclass(frozen=True)
+@record()
 class SlacknessReport:
     max_residual: float
     passed: bool
@@ -39,37 +39,33 @@ def check_complementary_slackness(decision: PrimalDecision, duals: DualValues,
     pair a dual variable with its primal constraint's slack.  Residuals
     are normalized termwise (money and quantity scales differ) as
     ``|s*y| / ((1+|s|)(1+|y|))``.
+
+    The pairs, in order: each generation ``P_gt`` (r1, r2, f1, f2), each
+    investment ``I_gt`` (the same order) and each shed ``L_t`` against its
+    dual row's slack; then each balance row against ``lam_t``, each
+    capacity row against ``beta_gt`` and each build cap against
+    ``gamma_gt``.
     """
     d, y, p = decision, duals, params
-    pairs = []
-
-    def cond(slack, dual):
-        pairs.append((float(slack), float(dual)))
-
-    # dual-side: variable times its dual constraint's slack
-    for g in ("r", "f"):
-        for t in (1, 2):
-            cond(d.generation(g, t), y.lam(t) - y.beta(g, t) - p.cp(g))
-    cond(d.i_r1, y.beta_r1 + y.beta_r2 - y.gamma_r1 - p.ci_r)
-    cond(d.i_r2, y.beta_r2 - y.gamma_r2 - p.ci_r)
-    cond(d.i_f1, y.beta_f1 + y.beta_f2 - y.gamma_f1 - p.ci_f)
-    cond(d.i_f2, y.beta_f2 - y.gamma_f2 - p.ci_f)
-    for t in (1, 2):
-        cond(d.shed(t), y.lam(t) - p.cl)
-
-    # primal-side: dual variable times its primal constraint's slack
-    for t in (1, 2):
-        bal = (d.generation("r", t) + d.generation("f", t) + d.shed(t)
-               - p.demand[t - 1])
-        cond(bal, y.lam(t))
-    for g in ("r", "f"):
-        for t in (1, 2):
-            cond(d.capacity(g, t) - d.generation(g, t), y.beta(g, t))
-    for g in ("r", "f"):
-        for t in (1, 2):
-            cond(p.m(g) - d.invested(g, t), y.gamma(g, t))
-
-    worst = max(abs(s * v) / ((1.0 + abs(s)) * (1.0 + abs(v))) for s, v in pairs)
+    lam_1, lam_2, beta_r1, beta_r2, beta_f1, beta_f2 = (
+        y.lam_1, y.lam_2, y.beta_r1, y.beta_r2, y.beta_f1, y.beta_f2)
+    i_r1, i_r2, i_f1, i_f2, p_r1, p_r2, p_f1, p_f2 = (
+        d.i_r1, d.i_r2, d.i_f1, d.i_f2, d.p_r1, d.p_r2, d.p_f1, d.p_f2)
+    pairs = (
+        # dual-side: variable times its dual constraint's slack
+        (p_r1, lam_1 - beta_r1 - p.cp_r), (p_r2, lam_2 - beta_r2 - p.cp_r),
+        (p_f1, lam_1 - beta_f1 - p.cp_f), (p_f2, lam_2 - beta_f2 - p.cp_f),
+        (i_r1, beta_r1 + beta_r2 - y.gamma_r1 - p.ci_r), (i_r2, beta_r2 - y.gamma_r2 - p.ci_r),
+        (i_f1, beta_f1 + beta_f2 - y.gamma_f1 - p.ci_f), (i_f2, beta_f2 - y.gamma_f2 - p.ci_f),
+        (d.l_1, lam_1 - p.cl), (d.l_2, lam_2 - p.cl),
+        # primal-side: dual variable times its primal constraint's slack
+        (p_r1 + p_f1 + d.l_1 - p.d1, lam_1), (p_r2 + p_f2 + d.l_2 - p.d2, lam_2),
+        (i_r1 + 0.0 - p_r1, beta_r1), (i_r1 + i_r2 - p_r2, beta_r2),
+        (i_f1 + 0.0 - p_f1, beta_f1), (i_f1 + i_f2 - p_f2, beta_f2),
+        (p.m_r - i_r1, y.gamma_r1), (p.m_r - i_r2, y.gamma_r2),
+        (p.m_f - i_f1, y.gamma_f1), (p.m_f - i_f2, y.gamma_f2),
+    )
+    worst = float(max(abs(s * v) / ((1.0 + abs(s)) * (1.0 + abs(v))) for s, v in pairs))
     return SlacknessReport(max_residual=worst, passed=worst <= current().slackness)
 
 
