@@ -506,12 +506,10 @@ def _rules_hold(params, srmc) -> bool:
     ``cp_r`` and ``cl``."""
     ok = True
     for t in (0, 1):
-        cp = srmc.marginal_cp[t]
         if params.demand[t] <= feasibility_limit(params):
             want = min(params.cp_r, params.cl)
         else:
-            want = params.cl if cp is None else predict_srmc_from_lrmc(
-                srmc.lrmc[t], cp, params.cl)
+            want = predict_srmc_from_lrmc(srmc.lrmc[t], srmc.marginal_cp[t], params.cl)
         price, (lo, hi) = srmc.resolved[t], srmc.intervals[t]
         # equal infinite ends differ by NaN, so they are compared first
         off_merit = [end != merit and not abs(end - merit) <= tolerances.current().lam_match

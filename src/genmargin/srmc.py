@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .groups import AnalyticResult, analytic_solution, classify, merit_order
 from .lp import dual_interval_has_width, dual_ranges_step, run_step
-from .model import SystemParams, build_lrmc_primal, build_srmc_primal
+from .model import SystemParams, build_lrmc_primal, frozen_at, srmc_primal
 from .tolerances import current
 
 RULE_CP = "rule-CP"
@@ -74,7 +74,13 @@ class SrmcResult:
 
 
 def predict_srmc_from_lrmc(lrmc_t: float, marginal_cp_t: float, cl: float) -> float:
-    """Map one period's long-run price to its short-run price by rule."""
+    """Map one period's long-run price to its short-run price by rule.
+
+    ``marginal_cp_t`` None (the period sheds completely, as
+    ``SrmcResult.marginal_cp`` says) gives ``float(cl)``: the next unit of
+    an all-shed period is shed too."""
+    if marginal_cp_t is None:
+        return float(cl)
     if marginal_cp_t > cl + RULE_TOL:
         raise SrmcError("marginal operating cost exceeds the loadshed cost")
     price = _rule(lrmc_t, marginal_cp_t, cl)[1]
@@ -141,11 +147,10 @@ def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
         z_star = lr_sol.objective
     else:
         z_star = float(lrmc_objective)
-    frozen, sol0 = yield from _frozen_step(params, istar, z_star)
-    intervals = yield from dual_ranges_step(frozen, ("balance_1", "balance_2"),
-                                            solution=sol0)
+    frozen, lp0, sol0 = yield from _frozen_step(params, istar, z_star)
+    intervals = yield from dual_ranges_step(lp0, ("balance_1", "balance_2"), solution=sol0)
     degenerate = tuple(dual_interval_has_width(lo, hi) for lo, hi in intervals)
-    resolved = yield from _perturbed_step(params, istar, eps)
+    resolved = yield from _perturbed_step(params, frozen, eps)
 
     if analytic is None:
         analytic = analytic_solution(params, classify(params))
@@ -168,18 +173,22 @@ def resolved_step(params: SystemParams, istar, z_star: float):
     step, without the dual intervals: the frozen solve, its check against
     the long-run optimum ``z_star``, and the perturbed solve."""
     eps = default_epsilon(params)
-    yield from _frozen_step(params, istar, z_star)
-    return (yield from _perturbed_step(params, istar, eps))
+    frozen = (yield from _frozen_step(params, istar, z_star))[0]
+    return (yield from _perturbed_step(params, frozen, eps))
 
 
 def _frozen_step(params, istar, z_star):
-    """``(frozen LP, its optimum)`` at epsilon 0; rejects an ``istar`` whose
-    short-run cost is not the long-run optimum ``z_star``, and a ``z_star``
-    that is not finite."""
+    """``(frozen, frozen LP, its optimum)`` at epsilon 0, with ``frozen``
+    ``model.frozen_at(params, istar)``: ``istar`` checked and its offset
+    computed once, after ``z_star``, for the frozen and the perturbed LP.
+    Rejects a ``z_star`` that is not finite, then an ``istar`` that
+    ``frozen_at`` rejects, then one whose short-run cost is not the
+    long-run optimum ``z_star``."""
     if not math.isfinite(z_star):
         raise SrmcError(f"long-run optimum must be finite, got {z_star!r}")
-    frozen = build_srmc_primal(params, istar, epsilon=0.0)
-    sol0 = yield frozen
+    frozen = frozen_at(params, istar)
+    lp0 = srmc_primal(params, frozen, 0.0)
+    sol0 = yield lp0
     if not sol0.optimal:
         raise SrmcError(f"short-run model {sol0.status}")
     if abs(sol0.objective - z_star) > current().gap * (1.0 + abs(z_star)):
@@ -187,12 +196,13 @@ def _frozen_step(params, istar, z_star):
             f"istar is not an optimal investment plan "
             f"(short-run cost {sol0.objective:g} vs long-run optimum {z_star:g})"
         )
-    return frozen, sol0
+    return frozen, lp0, sol0
 
 
-def _perturbed_step(params, istar, eps):
-    """The balance duals of the short-run model, every capacity + ``eps``."""
-    perturbed = yield build_srmc_primal(params, istar, epsilon=eps)
+def _perturbed_step(params, frozen, eps):
+    """The balance duals of the short-run model at ``frozen``
+    (:func:`_frozen_step`), every capacity + ``eps``."""
+    perturbed = yield srmc_primal(params, frozen, eps)
     if not perturbed.optimal:
         raise SrmcError(f"perturbed short-run model {perturbed.status}")
     return (float(perturbed.duals[0]), float(perturbed.duals[1]))

@@ -143,11 +143,8 @@ def test_criterion_4_srmc_rules(sweep):
     bad = []
     for r in records:
         for t in (0, 1):
-            cp = r.srmc.marginal_cp[t]
-            if cp is None:
-                predicted = r.params.cl
-            else:
-                predicted = predict_srmc_from_lrmc(r.srmc.lrmc[t], cp, r.params.cl)
+            predicted = predict_srmc_from_lrmc(r.srmc.lrmc[t], r.srmc.marginal_cp[t],
+                                               r.params.cl)
             if abs(predicted - r.srmc.resolved[t]) > 1e-6:
                 bad.append((r.gid, t + 1, predicted, r.srmc.resolved[t]))
             if r.srmc.resolved[t] > r.srmc.lrmc[t] + 1e-6:

@@ -680,9 +680,8 @@ class TestSelftest:
                                      lrmc_objective=lr.objective)
                 want.append(short)
                 for t in (0, 1):
-                    cp = short.marginal_cp[t]
-                    rule = params.cl if cp is None else srmc.predict_srmc_from_lrmc(
-                        short.lrmc[t], cp, params.cl)
+                    rule = srmc.predict_srmc_from_lrmc(
+                        short.lrmc[t], short.marginal_cp[t], params.cl)
                     lo, hi = short.intervals[t]
                     if (abs(rule - short.resolved[t]) > 1e-6
                             or not lo - 1e-6 <= short.resolved[t] <= hi + 1e-6):

@@ -219,7 +219,7 @@ class TestDegeneracyAndRanges:
     @pytest.mark.parametrize("lo, hi, width", [
         (-math.inf, 23.8, True), (23.8, math.inf, True), (-math.inf, math.inf, True),
         (-math.inf, -math.inf, False), (math.inf, math.inf, False),
-        (1.0, 80.0, True), (80.0, 80.0 + 1e-6, False),
+        (1.0, 80.0, True), (80.0, 80.0 + 1e-6, False), (80.0, 80.01, True),
     ])
     def test_interval_width(self, lo, hi, width):
         assert lp_module.dual_interval_has_width(lo, hi) is width

@@ -64,9 +64,7 @@ def test_srmc_agreement_at_extreme_scales():
         res = compute_srmc(params, lr.decision, lrmc_objective=lr.objective)
         scale = 1.0 + abs(params.cl)
         for t in (0, 1):
-            cp = res.marginal_cp[t]
-            want = params.cl if cp is None else predict_srmc_from_lrmc(
-                res.lrmc[t], cp, params.cl)
+            want = predict_srmc_from_lrmc(res.lrmc[t], res.marginal_cp[t], params.cl)
             assert abs(want - res.resolved[t]) <= 1e-6 * scale, \
                 (params, t, want, res.resolved[t])
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from genmargin import srmc, tolerances
+from genmargin import model, srmc, tolerances
 from genmargin.groups import classify
 from genmargin.lp import run_step
-from genmargin.model import SystemParams, solve_lrmc
+from genmargin.model import ModelError, SystemParams, solve_lrmc
 from genmargin.sampling import random_params
 from genmargin.srmc import (
     RULE_TOL,
@@ -30,7 +30,7 @@ def srmc_for(params, **kw):
 
 #: ``(lam, cp, cl, rule label, short-run price or SrmcError message)`` at
 #: the edges of the rules.  An all-shed period (``cp`` None) is priced at
-#: ``cl`` by the callers, as ``cli._rules_hold`` does.
+#: ``cl`` whatever its label.
 RULE_TABLE = [
     pytest.param(80.0, None, 80.0, "rule-CL", 80.0, id="all-shed"),
     pytest.param(50.0, None, 80.0, "rule-interior", 80.0, id="all-shed-below-cl"),
@@ -58,7 +58,7 @@ class TestPredictRule:
                 predict_srmc_from_lrmc(lam, cp, cl)
             assert str(err.value) == price
         else:
-            assert (cl if cp is None else predict_srmc_from_lrmc(lam, cp, cl)) == price
+            assert predict_srmc_from_lrmc(lam, cp, cl) == price
 
     def test_interior_maps_to_cp(self):
         assert predict_srmc_from_lrmc(61.0, 1.0, 80.0) == 1.0
@@ -180,6 +180,24 @@ class TestResolvedStep:
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("istar is not an optimal investment plan")
 
+    @pytest.mark.parametrize("make", [
+        lambda params, istar, z_star: resolved_step(params, istar, z_star),
+        lambda params, istar, z_star: srmc.srmc_step(params, istar, lrmc_objective=z_star),
+    ], ids=["resolved_step", "srmc_step"])
+    def test_istar_checked_once_after_the_long_run_optimum(self, make, monkeypatch):
+        params = canonical()
+        lr = solve_lrmc(params)
+        negative = [-1.0, 0.0, 0.0, 0.0]
+        with pytest.raises(SrmcError, match="long-run optimum must be finite"):
+            next(make(params, negative, math.nan))
+        with pytest.raises(ModelError, match="negative invested capacities"):
+            next(make(params, negative, lr.objective))
+        calls = []
+        check = model._check_istar
+        monkeypatch.setattr(model, "_check_istar", lambda istar: calls.append(1) or check(istar))
+        run_step(make(params, lr.decision, lr.objective))
+        assert len(calls) == 1
+
 
 class TestRandomizedAgreement:
     def test_rule_matches_perturbation(self):
@@ -188,11 +206,7 @@ class TestRandomizedAgreement:
             params = random_params(rng)
             res = srmc_for(params)
             for t in (0, 1):
-                if res.marginal_cp[t] is None:
-                    predicted = params.cl
-                else:
-                    predicted = predict_srmc_from_lrmc(
-                        res.lrmc[t], res.marginal_cp[t], params.cl)
+                predicted = predict_srmc_from_lrmc(res.lrmc[t], res.marginal_cp[t], params.cl)
                 assert abs(predicted - res.resolved[t]) <= 1e-6, \
                     f"gid {classify(params).gid} period {t+1}: " \
                     f"{predicted} vs {res.resolved[t]}"
@@ -257,9 +271,7 @@ class TestZeroDemandPeriods:
             res = srmc_for(params)
             assert_allclose(res.resolved, want, atol=1e-9)
             for t in (0, 1):
-                cp = res.marginal_cp[t]
-                predicted = params.cl if cp is None else \
-                    predict_srmc_from_lrmc(res.lrmc[t], cp, params.cl)
+                predicted = predict_srmc_from_lrmc(res.lrmc[t], res.marginal_cp[t], params.cl)
                 assert abs(predicted - res.resolved[t]) <= 1e-6
 
     def test_empty_period_interval_has_width(self):
