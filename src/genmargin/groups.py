@@ -353,11 +353,11 @@ def analytic_solution(params: SystemParams, group: InstanceGroup) -> AnalyticRes
     ``classify`` made if ``group`` came from ``classify(params)`` for these
     very ``params`` (the same object; they are frozen), whose symbol values
     it then reuses too, else against the group ladder walked again from
-    ``params`` (that walk, without its margins).  A ladder violation or a different group raises
-    :class:`ClassificationError`.  Generation is reconstructed by
-    dispatching the fixed capacities in operating-cost merit order
-    (renewable first), which is how the cost minimum operates any given
-    build.
+    ``params`` (that walk, without its margins).  A ladder violation or a
+    different group raises :class:`ClassificationError`.  Generation is
+    reconstructed by dispatching the fixed capacities in operating-cost
+    merit order (renewable first), which is how the cost minimum operates
+    any given build.
     """
     walk = group._walk
     if walk is None or walk[0] is not params:

@@ -60,8 +60,8 @@ def check_complementary_slackness(decision: PrimalDecision, duals: DualValues,
         (d.l_1, lam_1 - p.cl), (d.l_2, lam_2 - p.cl),
         # primal-side: dual variable times its primal constraint's slack
         (p_r1 + p_f1 + d.l_1 - p.d1, lam_1), (p_r2 + p_f2 + d.l_2 - p.d2, lam_2),
-        (i_r1 + 0.0 - p_r1, beta_r1), (i_r1 + i_r2 - p_r2, beta_r2),
-        (i_f1 + 0.0 - p_f1, beta_f1), (i_f1 + i_f2 - p_f2, beta_f2),
+        (i_r1 - p_r1, beta_r1), (i_r1 + i_r2 - p_r2, beta_r2),
+        (i_f1 - p_f1, beta_f1), (i_f1 + i_f2 - p_f2, beta_f2),
         (p.m_r - i_r1, y.gamma_r1), (p.m_r - i_r2, y.gamma_r2),
         (p.m_f - i_f1, y.gamma_f1), (p.m_f - i_f2, y.gamma_f2),
     )
