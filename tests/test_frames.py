@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from genmargin import lp, model
+from genmargin import cli, lp, model
 from genmargin.lp import LinearProgram, LpInputError, solve_lp, solve_stacked
 from genmargin.model import (
     SystemParams,
@@ -102,6 +102,20 @@ def test_framed_and_full_lps_of_one_layout_stack_together():
     batch = (batch * 8)[:8]
     assert {p._frame.layout(p.b) for p in batch} == {layout}
     assert_all_identical(solve_stacked(batch), [solve_lp(p) for p in batch])
+
+
+def test_lps_built_directly_share_bases_only_with_themselves(tableaux):
+    framed = [requests_at(point)["long-run primal"] for point in ("interior", "boundary")]
+    assert framed[0]._frame is framed[1]._frame
+    assert len({p._frame.layout(p.b) for p in framed}) == 1
+    # the atlas certifies the framed LP, not a copy with a frame of its own
+    problem = framed[0]
+    copy = full(problem)
+    tableaux.clear()        # the long-run solves of requests_at
+    got = solve_stacked([problem, copy], pool=cli.basis_atlas())
+    assert got[0].iterations == 0
+    assert tableaux == [copy]
+    assert_identical(got[1], solve_lp(copy))
 
 
 def test_dual_range_regions_with_their_own_matrices_stack_together():
