@@ -380,13 +380,14 @@ def sweep_rows(config: ScenarioConfig):
 @functools.cache
 def basis_atlas() -> BasisPool:
     """The ``lp.BasisPool`` of ``sweep`` and ``selftest``, made at its first
-    call from the bases ``model.ATLAS`` lists: per frame and layout, the
-    representative block, then the enumerated block.  Making it solves no
-    LP: it inverts each of the 183 listed bases once, in about 2 ms of CPU
-    time on 2-core x86-64, so a one-shot ``sweep`` no longer pays for the
-    123 solves that once made the atlas (CHANGES.md)."""
+    call from the bases ``model.ATLAS`` lists: per layout (a frame and a
+    row-sign pattern), the representative block, then the enumerated
+    block.  Making it solves no LP: it inverts each of the 183 listed
+    bases once, in about 2 ms of CPU time on 2-core x86-64, so a one-shot
+    ``sweep`` no longer pays for the 123 solves that once made the atlas
+    (CHANGES.md)."""
     return BasisPool({
-        (frame, frame.layout(np.array([-1.0 if row == "1" else 0.0 for row in negative]))):
+        frame.layout(np.array([-1.0 if row == "1" else 0.0 for row in negative])):
         tuple([[int(digit, 36) for digit in basis] for basis in block.split()]
               for block in blocks)
         for frame, negative, *blocks in ATLAS})

@@ -50,7 +50,7 @@ region (Gal & Nedoma, "Multiparametric linear programming", Mgmt. Sci.
 Bemporad & Morari, JOTA 2003).  In the model's LPs the demands and caps
 enter only ``b`` and the costs only ``c``, so a critical region is the
 product of a right-hand-side region and a cost region.  The atlas lists,
-for every frame and layout the two verbs reach, each basis whose two
+for every layout the two verbs reach, each basis whose two
 regions are both full-dimensional in the model's domain: 119 long-run
 bases, and 64 short-run ones over 9 layouts.  Every input of the domain
 lies in the closure of those regions, so some atlas basis is optimal at
@@ -61,7 +61,7 @@ reach at the groups' representative points), then the enumerated block
 ``random_params`` finds about 5 of the first block's 29 bases primal
 feasible but about 52 of the second's 90, so trying all 119 at once costs
 more than it saves.  Before the simplex runs, each LP is tried against the
-atlas bases of its frame and layout (:class:`BasisPool`;
+atlas bases of its layout (:class:`BasisPool`;
 :func:`run_lockstep`, and so :func:`run_step`, passes the pool to every
 round).  A certified answer builds no tableau, reports ``iterations=0``
 and depends on its request alone; the rest are pivoted one by one.  A
@@ -102,20 +102,19 @@ Fixed costs per solve
 ---------------------
 The model's LP kinds each have one frame (:class:`_Frame`), built and
 checked at import: ``A``, relations, lower bounds and labels, and per
-row-sign pattern the standard form's layout and columns.  A model LP
+row-sign pattern the layout of the standard form.  A model LP
 checks only its ``c`` and ``b`` (:func:`_vector`, which formats an error
 message only to raise it), so a long-run build takes about 3.7 µs and a
 short-run one about 4.9 µs (best of 7, 2-core x86-64, Python 3.11); a
 solve builds only its right-hand side and tableau.  A standard form is no
-object of its own: a solve holds its frame's columns, its ``b`` negated
+object of its own: a solve holds its layout's columns, its ``b`` negated
 by the layout's row signs, and its cost row (:meth:`_Layout.cost`), and
-:meth:`_Layout.tableau` lays them out.  A layout depends only on the
-relations, the free-variable split and the row signs, so frames share it
-through a cache that never evicts (:func:`_layout`): one layout is one
-object per process, and it is :func:`solve_stacked`'s group key.
-``selftest``, ``sweep`` and ``run`` make 9 layouts between them; the
-cache grows by one per new pattern of relations, free variables and row
-signs.  Column labels are cached the same way (:func:`_column_labels`).
+:meth:`_Layout.tableau` lays them out.  A layout is one object per frame
+and row-sign pattern, made when the frame first sees the pattern
+(:meth:`_Frame.layout`), and it holds all that follows from the two: the
+columns, their labels and the index of the labels.  It is
+:func:`solve_stacked`'s group key and a :class:`BasisPool`'s.
+``selftest``, ``sweep`` and ``run`` make 11 layouts between them.
 A solve's :class:`LpSolution` is a :func:`record`, set up in one step as
 the model's per-item records are, and a model LP (:meth:`_Frame.program`)
 gets its fields in one step too (:func:`_assign`), past the checks its
@@ -159,9 +158,9 @@ Conventions
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -313,9 +312,8 @@ class _Frame:
     """What LPs that differ only in ``c``, ``b`` and the offset share:
     ``A`` (a float array is taken as it is), the relations, the lower
     bounds (each 0 or ``-inf``) and the labels, all read-only and checked
-    once, here.  Also what every solve derives from them alone: the
-    free-variable mask, and per row-sign pattern seen (at most 16 for the
-    model's LPs) a layout and its columns.
+    once, here, and per row-sign pattern seen (at most 16 for the model's
+    LPs) the layout of its standard form.
     """
 
     def __init__(self, A, relations, lower_bounds=None, var_labels=None, row_labels=None):
@@ -351,9 +349,7 @@ class _Frame:
                            row_labels=rl, n_rows=m, n_vars=n)
         for a in (A, lb):
             a.setflags(write=False)
-        self.free = np.isinf(lb).tobytes()
         self._layouts = {}          # negative-b mask (bytes) -> layout
-        self.columns = {}           # layout -> its standard-form columns, artificial last
 
     def program(self, sense, c, b, objective_offset=0.0) -> LinearProgram:
         """The LP with objective ``(sense, c)``, right-hand side ``b`` and
@@ -365,16 +361,12 @@ class _Frame:
             self.fields, _frame=self, sense=sense, c=c, b=b, objective_offset=objective_offset))
 
     def layout(self, b) -> "_Layout":
-        """The layout of the standard form with right-hand side ``b``, its
-        columns put in :attr:`columns` when first seen."""
+        """The layout of the standard form with right-hand side ``b``, made
+        when its row-sign pattern is first seen."""
         negative = (b < 0).tobytes()
         layout = self._layouts.get(negative)
         if layout is None:
-            layout = self._layouts[negative] = _layout(self.relations, self.free, negative)
-            A_struct = self.A[:, layout.col_var] * layout.col_sign * layout.row_sign[:, None]
-            columns = np.hstack([A_struct, layout.A_slack, layout.A_art])
-            columns.setflags(write=False)
-            self.columns[layout] = columns
+            layout = self._layouts[negative] = _Layout(self, np.where(b < 0, -1.0, 1.0))
         return layout
 
 
@@ -415,22 +407,21 @@ class DegeneracyReport:
 
 
 class _Layout:
-    """Column layout of a standard form: which columns split a free
-    variable, which rows get a slack, which start on an artificial.
+    """The standard form of a frame under one row-sign pattern: which
+    columns split a free variable, which rows get a slack, which start on
+    an artificial, and the columns, their labels (structural, slack, then
+    artificial) and each label's column (:attr:`index`).
 
-    It depends only on the relations, the free-variable split and the row
-    signs, so every problem that shares those shares one layout.  Layouts
-    are built once per process (:func:`_layout`) and shared, so their
-    arrays are read-only.
+    A frame makes one layout per pattern and shares it between its
+    solves, so everything here is read-only.
     """
 
-    def __init__(self, relations, free, row_sign):
+    def __init__(self, frame, row_sign):
         cols = []          # (original var index, sign)
-        for j, is_free in enumerate(free):
+        for j, is_free in enumerate(np.isinf(frame.lower_bounds).tolist()):
             cols.append((j, +1.0))
             if is_free:
                 cols.append((j, -1.0))
-        self.cols = tuple(cols)
         self.col_var = np.array([j for j, _ in cols], dtype=int)
         self.col_sign = np.array([s for _, s in cols])
         self.row_sign = row_sign
@@ -439,17 +430,16 @@ class _Layout:
         self.split_var = self.col_var[self.split]
 
         slack_cols = []
-        for i, rel in enumerate(relations):
+        for i, rel in enumerate(frame.relations):
             if rel == EQ:
                 continue
             s = 1.0 if rel == LE else -1.0
             s *= row_sign[i]
             slack_cols.append((i, s))
-        m = len(relations)
-        self.A_slack = np.zeros((m, len(slack_cols)))
+        m = len(frame.relations)
+        A_slack = np.zeros((m, len(slack_cols)))
         for k, (i, s) in enumerate(slack_cols):
-            self.A_slack[i, k] = s
-        self.slack_cols = tuple(slack_cols)
+            A_slack[i, k] = s
         self.n_struct = len(cols)
         self.n_total = self.n_struct + len(slack_cols)
 
@@ -461,11 +451,18 @@ class _Layout:
         self.art_rows = tuple(i for i in range(m) if self.init_basis[i] < 0)
         self.init_basis[list(self.art_rows)] = self.n_total + np.arange(len(self.art_rows))
         # the artificial columns: the unit column of each artificial row
-        self.A_art = np.zeros((m, len(self.art_rows)))
-        self.A_art[self.art_rows, range(len(self.art_rows))] = 1.0
+        A_art = np.zeros((m, len(self.art_rows)))
+        A_art[self.art_rows, range(len(self.art_rows))] = 1.0
+        A_struct = frame.A[:, self.col_var] * self.col_sign * row_sign[:, None]
+        self.columns = np.hstack([A_struct, A_slack, A_art])
         for a in (self.col_var, self.col_sign, self.row_sign, self.kept, self.split,
-                  self.split_var, self.A_slack, self.init_basis, self.A_art):
+                  self.split_var, self.init_basis, self.columns):
             a.setflags(write=False)
+        var, row = frame.var_labels, frame.row_labels
+        self.labels = tuple([_label(var, j, "x") + ("" if s > 0 else "~") for j, s in cols]
+                            + [f"s[{_label(row, i, 'row')}]" for i, _ in slack_cols]
+                            + [f"a[{_label(row, i, 'row')}]" for i in self.art_rows])
+        self.index = MappingProxyType({name: j for j, name in enumerate(self.labels)})
 
     def cost(self, flip, C) -> np.ndarray:
         """Standard-form (minimization) cost rows of the objectives ``C``
@@ -487,44 +484,19 @@ class _Layout:
             x[:, self.split_var] += -x_std[:, self.split]
         return x
 
-    def tableau(self, A, b, cost):
-        """Phase-1 tableau and start basis of the standard form with columns
-        ``A`` (artificial last) and right-hand side ``b`` (rows negated by
-        :attr:`row_sign`): rows ``[A | b]``, the phase-1 row, then the cost
-        row ``cost``."""
+    def tableau(self, b, cost):
+        """Phase-1 tableau and start basis of the standard form with
+        right-hand side ``b`` (rows negated by :attr:`row_sign`): rows
+        ``[columns | b]``, the phase-1 row, then the cost row ``cost``."""
         m = len(b)
-        T = np.zeros((m + 2, A.shape[1] + 1))
-        T[:m, :-1] = A
+        T = np.zeros((m + 2, self.columns.shape[1] + 1))
+        T[:m, :-1] = self.columns
         T[:m, -1] = b
         T[m + 1, :-1] = cost
         for i in self.art_rows:
             T[m] -= T[i]
         T[m, self.n_total:-1] = 0.0
         return T, self.init_basis.copy()
-
-
-@functools.cache
-def _layout(relations, free: bytes, negative: bytes) -> _Layout:
-    """The layout of ``relations`` with the free-variable mask ``free`` and
-    the negative right-hand-side mask ``negative`` (bool arrays as bytes)."""
-    return _Layout(relations, np.frombuffer(free, dtype=bool),
-                   np.where(np.frombuffer(negative, dtype=bool), -1.0, 1.0))
-
-
-@functools.cache
-def _column_labels(layout: _Layout, var_labels, row_labels) -> tuple:
-    """The label of every column of ``layout`` (structural, slack, then
-    artificial) in the names of a problem with these label tuples."""
-    names = [_label(var_labels, j, "x") + ("" if s > 0 else "~") for j, s in layout.cols]
-    names += [f"s[{_label(row_labels, i, 'row')}]" for i, _ in layout.slack_cols]
-    names += [f"a[{_label(row_labels, i, 'row')}]" for i in layout.art_rows]
-    return tuple(names)
-
-
-@functools.cache
-def _column_index(layout: _Layout, var_labels, row_labels) -> dict:
-    """Each :func:`_column_labels` label's column (shared: read only)."""
-    return {name: j for j, name in enumerate(_column_labels(layout, var_labels, row_labels))}
 
 
 def _iteration_limit() -> IterationLimitError:
@@ -647,12 +619,12 @@ def _simplex(problem: LinearProgram) -> LpSolution:
     :func:`solve_stacked` runs it on the LPs it does not certify, so a
     wrapper of :func:`solve_lp` sees only its callers' own solves."""
     layout = problem._frame.layout(problem.b)
-    A, b = problem._frame.columns[layout], problem.b * layout.row_sign
+    A, b = layout.columns, problem.b * layout.row_sign
     m = problem.n_rows
     if m == 0:
         raise LpInputError("problem must have at least one row")
     cost = layout.cost(np.array(problem.sense != "min"), problem.c)
-    T, basis = layout.tableau(A, b, cost)
+    T, basis = layout.tableau(b, cost)
     tab = _Tableau(T, basis, m, layout.n_total)
 
     if layout.art_rows:
@@ -670,9 +642,8 @@ def _simplex(problem: LinearProgram) -> LpSolution:
     # B' y = c_B against the pristine standard-form columns (an artificial's
     # being the unit column of its row)
     y = np.linalg.solve(A[:, basis].T, cost[basis])
-    names = _column_labels(layout, problem.var_labels, problem.row_labels)
     return _optimum(problem, layout.x_rows(x_std)[0], _duals(problem, y, layout.row_sign),
-                    tuple(map(names.__getitem__, basis.tolist())), tab.iterations)
+                    tuple(map(layout.labels.__getitem__, basis.tolist())), tab.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -764,27 +735,25 @@ def solve_stacked(requests, pool: "BasisPool" = None) -> list:
     and reports ``iterations=0``, and a range request whose every end the
     pool's bases give (:meth:`BasisPool.certify_ranges`) is answered from
     their one-sided slopes; the others are answered as above, one by one.
-    The LPs are offered to the pool in groups of one standard-form layout
-    (:meth:`_Frame.layout`).  A certified answer depends on its request
-    alone, and may come from another optimal basis than the simplex's (see
-    the module docstring).
+    The requests are offered to the pool in groups of one standard-form
+    layout (:meth:`_Frame.layout`).  A certified answer depends on its
+    request alone, and may come from another optimal basis than the
+    simplex's (see the module docstring).
     """
     outcomes = [None] * len(requests)
-    if pool is not None:
-        pool.certify_ranges([(k, request) for k, request in enumerate(requests)
-                             if isinstance(request, RangeRequest)], outcomes)
-    groups = {}
+    groups = {}         # layout -> (its LPs, its range requests), each as (k, request)
     for k, request in enumerate(requests):
-        if outcomes[k] is not None:
-            continue
-        if isinstance(request, RangeRequest):
-            outcomes[k] = _solve_apart(_basis_ranges, request)
-        else:
-            groups.setdefault(request._frame.layout(request.b), []).append((k, request))
-    for layout, members in groups.items():
+        ranged = isinstance(request, RangeRequest)
+        problem = request.problem if ranged else request
+        groups.setdefault(problem._frame.layout(problem.b), ([], []))[ranged].append((k, request))
+    for layout, (lps, ranges) in groups.items():
         if pool is not None:
-            members = pool.certify(layout, members, outcomes)
-        for k, problem in members:
+            pool.certify_ranges(layout, ranges, outcomes)
+            lps = pool.certify(layout, lps, outcomes)
+        for k, request in ranges:
+            if outcomes[k] is None:
+                outcomes[k] = _solve_apart(_basis_ranges, request)
+        for k, problem in lps:
             outcomes[k] = _solve_apart(_simplex, problem)
     return outcomes
 
@@ -805,9 +774,10 @@ def _solve_apart(solve, *args):
 class BasisPool:
     """Bases tried as optimality certificates before the simplex runs.
 
-    A pool holds, per frame (the object, so LPs built directly share bases
-    only with themselves) and layout (:meth:`_Frame.layout`), one or more
-    *blocks* of column sets with ``B⁻¹``, tried in order.  It never
+    A pool holds, per layout (:meth:`_Frame.layout`, one per frame and
+    row-sign pattern, so LPs built directly share bases only with
+    themselves), one or more *blocks* of column sets with ``B⁻¹``, tried
+    in order.  It never
     changes, so a certified answer depends on its own request alone.  The
     atlas of ``sweep`` and ``selftest`` is given as data, in two blocks
     (``cli.basis_atlas``).
@@ -834,70 +804,53 @@ class BasisPool:
     it."""
 
     def __init__(self, blocks):
-        """The pool of ``blocks``: ``{(frame, layout): (block, ...)}``, each
-        block a sequence of column lists (standard-form columns of the
-        layout, one per row, none artificial), tried in that order."""
-        self._blocks = {key: tuple(_Bases(*key, block) for block in key_blocks if block)
-                        for key, key_blocks in blocks.items()}
+        """The pool of ``blocks``: ``{layout: (block, ...)}``, each block a
+        sequence of column lists (standard-form columns of the layout, one
+        per row, none artificial), tried in that order."""
+        self._blocks = {layout: tuple(_Bases(layout, block) for block in layout_blocks if block)
+                        for layout, layout_blocks in blocks.items()}
 
     def certify(self, layout, members, outcomes) -> list:
         """Answer in ``outcomes`` every ``(k, problem)`` member of a
         :func:`solve_stacked` group of ``layout`` that the pool proves
         optimal; returns the others, in order."""
-        for blocks, group in self._grouped(
-                members, [(problem._frame, layout) for _, problem in members]):
-            for bases in blocks:
-                group = bases.answer(group, outcomes)
-                if not group:
-                    break
-        return [member for member in members if outcomes[member[0]] is None]
+        for bases in self._blocks.get(layout, ()):
+            if not members:
+                break
+            members = bases.answer(members, outcomes)
+        return members
 
-    def certify_ranges(self, members, outcomes):
-        """Answer in ``outcomes`` every ``(k, RangeRequest)`` member whose
-        every interval end the pool's bases give."""
-        for blocks, group in self._grouped(members, [
-                (problem._frame, problem._frame.layout(problem.b))
-                for _, (problem, *_) in members]):
-            value = [None] * len(group)         # y b of the first basis optimal at b
-            ends = [{} for _ in group]          # (row, side) -> slope of the first basis
-            wanted = [2 * len(set(request.rows)) for _, request in group]
-            left = range(len(group))
-            for bases in blocks:
-                found = bases.slopes([group[h][1] for h in left])
-                for h, (z, slopes) in zip(left, found):
-                    if value[h] is None:
-                        value[h] = z
-                    for end, slope in slopes.items():
-                        ends[h].setdefault(end, slope)
-                left = [h for h in left if len(ends[h]) < wanted[h]]
-                if not left:
-                    break
-            for (k, (problem, rows, z_min, _)), z, at, want in zip(group, value, ends, wanted):
-                if rows and len(at) == want and z is not None and _prices_at(z, z_min):
-                    outcomes[k] = _intervals(problem.sense,
-                                             [(at[i, 0], at[i, 1]) for i in rows])
-
-    def _grouped(self, members, keys):
-        """``(blocks, members)`` pairs: ``members`` grouped by the blocks of
-        their ``(frame, layout)`` in ``keys``, in order; members of no
-        block are left out."""
-        by_blocks = {}
-        for member, key in zip(members, keys):
-            blocks = self._blocks.get(key)
-            if blocks:
-                by_blocks.setdefault(blocks, []).append(member)
-        return by_blocks.items()
+    def certify_ranges(self, layout, members, outcomes):
+        """Answer in ``outcomes`` every ``(k, RangeRequest)`` member of a
+        :func:`solve_stacked` group of ``layout`` whose every interval end
+        the pool's bases give."""
+        value = [None] * len(members)       # y b of the first basis optimal at b
+        ends = [{} for _ in members]        # (row, side) -> slope of the first basis
+        wanted = [2 * len(set(request.rows)) for _, request in members]
+        left = range(len(members))
+        for bases in self._blocks.get(layout, ()):
+            if not left:
+                break
+            found = bases.slopes([members[h][1] for h in left])
+            for h, (z, slopes) in zip(left, found):
+                if value[h] is None:
+                    value[h] = z
+                for end, slope in slopes.items():
+                    ends[h].setdefault(end, slope)
+            left = [h for h in left if len(ends[h]) < wanted[h]]
+        for (k, (problem, rows, z_min, _)), z, at, want in zip(members, value, ends, wanted):
+            if rows and len(at) == want and z is not None and _prices_at(z, z_min):
+                outcomes[k] = _intervals(problem.sense, [(at[i, 0], at[i, 1]) for i in rows])
 
 
 class _Bases:
-    """A block of a :class:`BasisPool`: column sets of one frame and layout."""
+    """A block of a :class:`BasisPool`: column sets of one layout."""
 
-    def __init__(self, frame, layout, cols):
+    def __init__(self, layout, cols):
         self.layout = layout
-        self.A = frame.columns[layout][:, : layout.n_total]
+        self.A = layout.columns[:, : layout.n_total]
         self.cols = np.array(cols)
-        names = _column_labels(layout, frame.var_labels, frame.row_labels)
-        self.labels = [tuple(map(names.__getitem__, c)) for c in self.cols.tolist()]
+        self.labels = [tuple(map(layout.labels.__getitem__, c)) for c in self.cols.tolist()]
         B = self.A[:, self.cols].transpose(1, 0, 2)         # B[n] = A[:, cols[n]]
         self.BT = B.transpose(0, 2, 1)
         self.inverses = np.linalg.inv(B)
@@ -1021,7 +974,7 @@ def _basis_ranges(request: RangeRequest) -> tuple:
     ``z_min``; else :class:`LpError`."""
     problem, rows, z_min, basis = request
     layout = problem._frame.layout(problem.b)
-    A, n, m = problem._frame.columns[layout], layout.n_total, problem.n_rows
+    A, n, m = layout.columns, layout.n_total, problem.n_rows
     b, cost = problem.b * layout.row_sign, layout.cost(np.array(problem.sense != "min"), problem.c)
     T = np.zeros((m + 1, n + m + 1))        # rows [B⁻¹A | B⁻¹ | x_B], then [rc | 0 | 0]
     try:
@@ -1120,8 +1073,7 @@ def dual_ranges_step(problem: LinearProgram, row_ids, *, solution: LpSolution):
     z_min = solution.objective - problem.objective_offset
     if problem.sense == "max":
         z_min = -z_min
-    column = _column_index(problem._frame.layout(problem.b), problem.var_labels,
-                           problem.row_labels)
+    column = problem._frame.layout(problem.b).index
     basis = tuple(column[label] for label in solution.basis if label in column)
     return (yield RangeRequest(problem, idxs, z_min, basis))
 
@@ -1143,8 +1095,7 @@ def detect_degeneracy(problem: LinearProgram, solution: LpSolution) -> Degenerac
                           dual_value_ranges(problem, range(problem.n_rows),
                                             solution=solution))
     layout = problem._frame.layout(problem.b)
-    column = _column_index(layout, problem.var_labels, problem.row_labels)
-    B = problem._frame.columns[layout][:, [column[lbl] for lbl in solution.basis]]
+    B = layout.columns[:, [layout.index[lbl] for lbl in solution.basis]]
     x_B = np.linalg.solve(B, problem.b * layout.row_sign)
     zero_basic = tuple((lbl, value) for lbl, value in zip(solution.basis, x_B.tolist())
                        if abs(value) <= current().deg)

@@ -26,10 +26,9 @@ each other as independent routes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .groups import AnalyticResult, analytic_solution, classify, merit_order
-from .lp import dual_interval_has_width, dual_ranges_step, run_step
+from .lp import dual_interval_has_width, dual_ranges_step, record, run_step
 from .model import SystemParams, build_lrmc_primal, frozen_at, srmc_primal
 from .tolerances import current
 
@@ -61,7 +60,7 @@ def default_epsilon(params: SystemParams) -> float:
     return 1e-6 * max(params.d1, params.d2, 1.0)
 
 
-@dataclass(frozen=True)
+@record()
 class SrmcResult:
     intervals: tuple        # per-period (lo, hi) at epsilon = 0
     resolved: tuple         # per-period price from the perturbed solve

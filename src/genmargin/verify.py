@@ -7,8 +7,6 @@ system under test: a 12-variable LP can be checked by enumeration, a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .groups import AnalyticResult, analytic_solution, classify
 from .lp import dual_value_ranges, record, solve_lp
 from .model import (
@@ -18,9 +16,8 @@ from .model import (
     SystemParams,
     build_lrmc_dual,
     build_lrmc_primal,
-    extract_decision,
-    extract_duals,
     feasibility_limit,
+    solve_lrmc,
 )
 from .tolerances import current
 
@@ -69,14 +66,14 @@ def check_complementary_slackness(decision: PrimalDecision, duals: DualValues,
     return SlacknessReport(max_residual=worst, passed=worst <= current().slackness)
 
 
-@dataclass(frozen=True)
+@record()
 class CheckResult:
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@record()
 class CrossCheckReport:
     params: SystemParams
     gid: int
@@ -102,10 +99,10 @@ def cross_check(params: SystemParams, *, lrmc: LrmcSolve = None) -> CrossCheckRe
     is then one point of a set.
 
     ``lrmc`` may carry the caller's long-run solve of the same ``params``
-    (``solve_lrmc(params)``); its unperturbed primal optimum, decision
-    and duals are then checked instead of solving the primal again.  The
-    explicit dual LP is always solved here: strong duality against it is
-    the independent check.
+    (``solve_lrmc(params)``), which is made here otherwise; its primal
+    optimum, decision and duals are checked.  The explicit dual LP is
+    always solved here: strong duality against it is the independent
+    check.
     """
     if lrmc is not None and lrmc.params != params:
         raise ValueError("cross_check was given a long-run solve of other parameters")
@@ -114,9 +111,8 @@ def cross_check(params: SystemParams, *, lrmc: LrmcSolve = None) -> CrossCheckRe
     analytic = analytic_solution(params, group)
 
     if lrmc is None:
-        sol = solve_lp(build_lrmc_primal(params))
-    else:
-        sol = lrmc.lp_solution
+        lrmc = solve_lrmc(params)
+    sol = lrmc.lp_solution
     dual_sol = solve_lp(build_lrmc_dual(params))
 
     checks = []
@@ -158,11 +154,7 @@ def cross_check(params: SystemParams, *, lrmc: LrmcSolve = None) -> CrossCheckRe
             detail.append(f"t{t}: {analytic.lrmc[t-1]:.6g} in [{lo:.6g}, {hi:.6g}]")
         checks.append(CheckResult("lambda-containment", ok, "; ".join(detail)))
 
-    if lrmc is None:
-        slackness = check_complementary_slackness(
-            extract_decision(sol), extract_duals(sol), params)
-    else:
-        slackness = check_complementary_slackness(lrmc.decision, lrmc.duals, params)
+    slackness = check_complementary_slackness(lrmc.decision, lrmc.duals, params)
     checks.append(CheckResult(
         "slackness", slackness.passed, f"max residual {slackness.max_residual:.3g}"))
 

@@ -127,7 +127,7 @@ def enumerate_bases(frame, negative, b_map, b_domain, c_map, c_domain):
     ``negative`` that is nonsingular and whose right-hand-side and cost
     regions are both full-dimensional, in column-index order."""
     layout = layout_of(frame, negative)
-    A = frame.columns[layout][:, : layout.n_total]
+    A = layout.columns[:, : layout.n_total]
     m = A.shape[0]
     sets = np.array(list(itertools.combinations(range(layout.n_total), m)))
     B = A[:, sets].transpose(1, 0, 2)
@@ -156,7 +156,7 @@ def _logged(step, log):
 
 
 def representative_bases():
-    """``{(frame, layout): [columns, ...]}``: the optimal bases of a
+    """``{layout: [columns, ...]}``: the optimal bases of a
     ``sweep`` row's three LPs (``cli._sweep_row``) at each group's
     representative point, in group order, solved side by side without a
     pool, as a pool made from those solves keeps them
@@ -170,8 +170,8 @@ def representative_bases():
         if isinstance(result, Exception):
             raise result
     pool = solved_pool([pair for log in logs for pair in log])
-    return {key: [tuple(cols) for cols in block.cols.tolist()]
-            for key, (block,) in pool._blocks.items()}
+    return {layout: [tuple(cols) for cols in block.cols.tolist()]
+            for layout, (block,) in pool._blocks.items()}
 
 
 def atlas_blocks():
@@ -181,7 +181,7 @@ def atlas_blocks():
     out = []
     for spec in frames():
         frame, negative = spec[:2]
-        first = reached.get((frame, layout_of(frame, negative)), [])
+        first = reached.get(layout_of(frame, negative), [])
         known = {frozenset(cols) for cols in first}
         rest = [cols for cols in enumerate_bases(*spec) if frozenset(cols) not in known]
         out.append((frame, negative, first, rest))

@@ -24,7 +24,6 @@ from genmargin.lp import (
     LinearProgram,
     LpError,
     LpInputError,
-    _column_index,
     solve_lp,
 )
 
@@ -309,17 +308,16 @@ def same_ends(got, want, rel=1e-9) -> bool:
 
 def solved_pool(solved) -> BasisPool:
     """The pool of ``(problem, solution)`` pairs, each ``solution`` what
-    ``solve_lp`` returned for ``problem``: one block per frame and layout,
+    ``solve_lp`` returned for ``problem``: one block per layout,
     the optimal bases the solves reach, each column set once, in the order
     first reached.  A basis that holds an artificial column is never
     kept."""
-    found = {}      # (frame, layout) -> {column set: columns}
+    found = {}      # layout -> {column set: columns}
     for problem, solution in solved:
         layout = problem._frame.layout(problem.b)
-        bases = found.setdefault((problem._frame, layout), {})
+        bases = found.setdefault(layout, {})
         if solution.optimal:
-            column = _column_index(layout, problem.var_labels, problem.row_labels)
-            cols = [column[label] for label in solution.basis]
+            cols = [layout.index[label] for label in solution.basis]
             if max(cols) < layout.n_total:          # no artificial column
                 bases.setdefault(frozenset(cols), cols)
-    return BasisPool({key: (list(bases.values()),) for key, bases in found.items() if bases})
+    return BasisPool({layout: (list(bases.values()),) for layout, bases in found.items() if bases})

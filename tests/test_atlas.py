@@ -66,10 +66,10 @@ def test_atlas_is_made_without_a_tableau(tableaux):
     cli.basis_atlas.cache_clear()
     pool = cli.basis_atlas()
     assert not tableaux
-    want = {(frame, layout_of(frame, negative)): [block for block in (first, rest) if block]
+    want = {layout_of(frame, negative): [block for block in (first, rest) if block]
             for frame, negative, first, rest in committed()}
-    assert {key: [[tuple(cols) for cols in bases.cols.tolist()] for bases in blocks]
-            for key, blocks in pool._blocks.items()} == want
+    assert {layout: [[tuple(cols) for cols in bases.cols.tolist()] for bases in blocks]
+            for layout, blocks in pool._blocks.items()} == want
 
 
 @pytest.fixture

@@ -19,23 +19,27 @@ from genmargin.pricing import (
     lrmc_profile_for_group,
     srmc_profile,
 )
-from genmargin.verify import SlacknessReport, cross_check
+from genmargin.srmc import SrmcResult, compute_srmc
+from genmargin.verify import CheckResult, CrossCheckReport, SlacknessReport, cross_check
 
 RECORDS = (InstanceGroup, PrimalDecision, AnalyticResult, RecoveryReport, SrmcPricing,
-           DualValues, SlacknessReport, LpSolution)
+           DualValues, SlacknessReport, LpSolution, CheckResult, CrossCheckReport, SrmcResult)
 
 
 def samples() -> dict:
-    """One record of each class, from the README scenario's closed form
-    and long-run solve."""
+    """One record of each class, from the README scenario's closed form,
+    long-run solve, cross-check and short-run prices."""
     params = SystemParams.from_values(60, 1, 3000, 82, 20, 4000, 200, 2000, 8000)
     group = classify(params)
     analytic = analytic_solution(params, group)
     lr = solve_lrmc(params)
+    check = cross_check(params, lrmc=lr)
     out = [group, analytic.decision, analytic,
            cost_recovery(analytic.lrmc, analytic.decision, params),
            srmc_profile(lrmc_profile_for_group(group.gid), params, group_orientation(group.gid)),
-           lr.duals, cross_check(params, lrmc=lr).slackness, lr.lp_solution]
+           lr.duals, check.slackness, lr.lp_solution, check.checks[0], check,
+           compute_srmc(params, analytic.decision, lrmc_objective=lr.objective,
+                        analytic=analytic)]
     return {type(r): r for r in out}
 
 
