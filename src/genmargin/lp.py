@@ -50,9 +50,9 @@ region (Gal & Nedoma, "Multiparametric linear programming", Mgmt. Sci.
 Bemporad & Morari, JOTA 2003).  In the model's LPs the demands and caps
 enter only ``b`` and the costs only ``c``, so a critical region is the
 product of a right-hand-side region and a cost region.  The atlas lists,
-for every layout the two verbs reach, each basis whose two
-regions are both full-dimensional in the model's domain: 119 long-run
-bases, and 64 short-run ones over 9 layouts.  Every input of the domain
+for every layout the two verbs reach, each basis whose two regions are
+both full-dimensional in the model's domain: 119 long-run bases, and 64
+short-run ones over 9 layouts.  Every input of the domain
 lies in the closure of those regions, so some atlas basis is optimal at
 each.  The atlas is tried in two blocks: first the representative block
 (the 29 long-run and 14 short-run bases that a ``sweep`` row's solves
@@ -777,10 +777,9 @@ class BasisPool:
     A pool holds, per layout (:meth:`_Frame.layout`, one per frame and
     row-sign pattern, so LPs built directly share bases only with
     themselves), one or more *blocks* of column sets with ``B⁻¹``, tried
-    in order.  It never
-    changes, so a certified answer depends on its own request alone.  The
-    atlas of ``sweep`` and ``selftest`` is given as data, in two blocks
-    (``cli.basis_atlas``).
+    in order.  It never changes, so a certified answer depends on its own
+    request alone.  The atlas of ``sweep`` and ``selftest`` is given as
+    data, in two blocks (``cli.basis_atlas``).
 
     LPs are tried in groups of one layout (:func:`solve_stacked`).  Each
     is answered by the first basis, in block order, that passes both halves
