@@ -313,15 +313,16 @@ def _locate(params: SystemParams, v: tuple):
     return cluster, peak, gid, tried
 
 
-def classify(params: SystemParams, *, tol_bound: float = None) -> InstanceGroup:
+def classify(params: SystemParams) -> InstanceGroup:
     """Locate the instance group whose region contains the parameters.
 
-    Points sitting exactly on a region boundary (within ``tol_bound``
-    relative) land in the lower-numbered group and come back flagged; on
-    boundaries the LP has multiple optima and the closed-form prices are
-    only one valid selection.
+    Points sitting exactly on a region boundary (within
+    ``tolerances.current().bound`` relative) land in the lower-numbered
+    group and come back flagged; on boundaries the LP has multiple optima
+    and the closed-form prices are only one valid selection.  A caller
+    that needs a wider berth compares ``margin`` with its own threshold,
+    as ``random_params`` does.
     """
-    tol_bound = current().bound if tol_bound is None else tol_bound
     v = _values(params)
     cluster, peak, gid, pairs = _locate(params, v)
     d1, d2, m_r, m_f = params.d1, params.d2, params.m_r, params.m_f
@@ -331,7 +332,7 @@ def classify(params: SystemParams, *, tol_bound: float = None) -> InstanceGroup:
     # a boundary like any other tie.
     pairs += ((d1, d2), (d1, 0.0), (d2, 0.0), (off, m_r), (off, m_r + m_f))
     margin = min([abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)) for lhs, rhs in pairs])
-    return InstanceGroup(gid, cluster, peak, margin <= tol_bound, margin, (params, gid, v))
+    return InstanceGroup(gid, cluster, peak, margin <= current().bound, margin, (params, gid, v))
 
 
 def _dispatch(params: SystemParams, invest):

@@ -2,9 +2,10 @@
 
 Costs are drawn log-uniform, demands uniform over [0, 2(M_r + M_f)].
 Draws are rejected until the standing cost orderings hold and the point
-is comfortably interior: classification boundaries are resampled at a
-margin safely above the capacity perturbation used by the short-run
-resolution, so strict-equality assertions stay meaningful.
+is comfortably interior: a draw is kept only where the relative margin
+``classify`` returns exceeds ``INTERIOR_MARGIN``, safely above the
+capacity slack of the short-run resolution (``srmc.default_epsilon``),
+so strict-equality assertions stay meaningful.
 
 Most attempts fail the cost ladder, so the four costs of a block of
 attempts are drawn at once: one ``rng.uniform`` over a ``(block, 4)``
@@ -92,7 +93,7 @@ def random_params(rng) -> SystemParams:
         d2 = float(rng.uniform(0.0, 2.0 * (m_r + m_f)))
         params = SystemParams.from_values(ci_r, cp_r, m_r, ci_f, cp_f, m_f,
                                           cl, d1, d2)
-        if not classify(params, tol_bound=INTERIOR_MARGIN).boundary:
+        if classify(params).margin > INTERIOR_MARGIN:
             return params
     raise RuntimeError("could not sample an interior parameter set")
 

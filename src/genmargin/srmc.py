@@ -47,7 +47,10 @@ class SrmcError(ValueError):
 
 
 def default_epsilon(params: SystemParams) -> float:
-    """Capacity slack used to resolve degeneracy.
+    """The capacity slack of every perturbed short-run solve: the one
+    :func:`compute_srmc`, :func:`srmc_step` and :func:`resolved_step` make,
+    and so the ``epsilon`` of each ``SrmcResult``.  It depends on the
+    scenario alone; no caller passes one.
 
     It leaves unchanged which options serve demand only where each demand
     is more than epsilon from a used-up capacity: ``random_params`` keeps
@@ -103,10 +106,10 @@ def _rule(lrmc_t, cp_t, cl):
     return RULE_INTERIOR, None
 
 
-def compute_srmc(params: SystemParams, istar, *, epsilon: float = None,
-                 lrmc_objective: float = None,
+def compute_srmc(params: SystemParams, istar, *, lrmc_objective: float = None,
                  analytic: AnalyticResult = None) -> SrmcResult:
-    """Solve the short-run model, record dual intervals, resolve by epsilon.
+    """Solve the short-run model, record dual intervals, resolve them with
+    the capacity slack :func:`default_epsilon`.
 
     ``istar`` must be the investment part of an optimal long-run decision;
     this is verified by comparing against the long-run optimum (re-solved
@@ -125,22 +128,18 @@ def compute_srmc(params: SystemParams, istar, *, epsilon: float = None,
     resolve to prices that break the rules: 190 of the 600 ties of
     ``tests/test_ties.py`` do.
     """
-    return run_step(srmc_step(params, istar, epsilon=epsilon,
-                              lrmc_objective=lrmc_objective, analytic=analytic))
+    return run_step(srmc_step(params, istar, lrmc_objective=lrmc_objective,
+                              analytic=analytic))
 
 
-def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
-              lrmc_objective: float = None, analytic: AnalyticResult = None):
+def srmc_step(params: SystemParams, istar, *, lrmc_objective: float = None,
+              analytic: AnalyticResult = None):
     """:func:`compute_srmc` as a step that yields its LP requests (see
     :func:`~genmargin.lp.run_lockstep`): :func:`resolved_step`'s two solves
     with the dual intervals of the frozen model between them.  As there,
     the rules are read against the closed form's build, so ``istar``
     should be that build."""
-    eps = default_epsilon(params) if epsilon is None else float(epsilon)
-    if not 0 < eps < math.inf:      # NaN fails too
-        raise SrmcError(f"epsilon must be positive and finite to resolve degeneracy, "
-                        f"got {eps!r}")
-
+    eps = default_epsilon(params)
     if lrmc_objective is None:
         lr_sol = yield build_lrmc_primal(params)
         z_star = lr_sol.objective
@@ -168,12 +167,11 @@ def srmc_step(params: SystemParams, istar, *, epsilon: float = None,
 
 
 def resolved_step(params: SystemParams, istar, z_star: float):
-    """The resolved pair of :func:`srmc_step` at the default epsilon, as a
-    step, without the dual intervals: the frozen solve, its check against
+    """The resolved pair of :func:`srmc_step` as a step, without the dual
+    intervals: the frozen solve, its check against
     the long-run optimum ``z_star``, and the perturbed solve."""
-    eps = default_epsilon(params)
     frozen = (yield from _frozen_step(params, istar, z_star))[0]
-    return (yield from _perturbed_step(params, frozen, eps))
+    return (yield from _perturbed_step(params, frozen, default_epsilon(params)))
 
 
 def _frozen_step(params, istar, z_star):

@@ -413,19 +413,21 @@ def _edge_points():
 
 def test_compiled_table_matches_the_strings():
     from genmargin import groups
-    from genmargin.sampling import random_params
+    from genmargin.sampling import INTERIOR_MARGIN, random_params
     rng = np.random.default_rng(2718)
     inputs = ([representative_params(gid) for gid in range(1, 42)]
               + [random_params(rng) for _ in range(2000)] + _edge_points())
+    bound = Tolerances().bound
     ties = 0
     for params in inputs:
         env = _ref_env(params)
-        for tol_bound in (None, 2e-5):
-            got = classify(params, tol_bound=tol_bound)
-            want = _ref_classify(params, Tolerances().bound if tol_bound is None else tol_bound)
-            assert (got.gid, got.boundary, repr(got.margin)) == \
-                (want[0], want[1], repr(want[2])), params
         g = classify(params)
+        # the boundary flag at the built-in bound, the sampler's test at its own
+        for threshold in (bound, INTERIOR_MARGIN):
+            want = _ref_classify(params, threshold)
+            assert (g.gid, g.margin <= threshold, repr(g.margin)) == \
+                (want[0], want[1], repr(want[2])), params
+        assert g.boundary == (g.margin <= bound)
         ties += g.margin == 0.0
         spec = groups.GROUPS[g.gid]
         want = [_ref_eval(s, env) for s in spec.invest + spec.shed + spec.lrmc]

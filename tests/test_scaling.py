@@ -40,12 +40,11 @@ def _extreme_params(rng, margin=1e-4):
         try:
             params = SystemParams.from_values(ci_r, cp_r, m_r, ci_f, cp_f,
                                               m_f, cl, d1, d2)
-            group = classify(params, tol_bound=margin)
+            group = classify(params)
         except (ModelError, ClassificationError):
             continue
-        if group.boundary:
-            continue
-        return params
+        if group.margin > margin:
+            return params
 
 
 def test_cross_check_at_extreme_scales():

@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from genmargin import model, srmc, tolerances
 from genmargin.groups import classify
-from genmargin.lp import run_step
-from genmargin.model import ModelError, SystemParams, solve_lrmc
+from genmargin.lp import run_step, solve_lp
+from genmargin.model import ModelError, SystemParams, build_srmc_primal, solve_lrmc
 from genmargin.sampling import random_params
 from genmargin.srmc import (
     RULE_TOL,
@@ -112,19 +112,6 @@ class TestComputeSrmc:
         params = canonical()
         with pytest.raises(SrmcError):
             compute_srmc(params, (0.0, 0.0, 0.0, 0.0))
-
-    def test_nonpositive_epsilon_rejected(self):
-        params = canonical()
-        lr = solve_lrmc(params)
-        with pytest.raises(SrmcError):
-            compute_srmc(params, lr.decision, epsilon=0.0)
-
-    @pytest.mark.parametrize("eps", [math.nan, math.inf])
-    def test_non_finite_epsilon_rejected(self, eps):
-        params = canonical()
-        lr = solve_lrmc(params)
-        with pytest.raises(SrmcError, match="^epsilon must be positive and finite"):
-            compute_srmc(params, lr.decision, epsilon=eps)
 
     @pytest.mark.parametrize("z_star", [math.nan, math.inf, -math.inf])
     def test_non_finite_long_run_optimum_rejected(self, z_star):
@@ -243,9 +230,11 @@ class TestRandomizedAgreement:
             params = random_params(rng)
             lr = solve_lrmc(params)
             eps = default_epsilon(params)
-            a = compute_srmc(params, lr.decision, epsilon=eps)
-            b = compute_srmc(params, lr.decision, epsilon=eps / 10.0)
-            assert_allclose(a.resolved, b.resolved, atol=1e-6)
+            a = compute_srmc(params, lr.decision)
+            assert a.epsilon == eps
+            sol = solve_lp(build_srmc_primal(params, lr.decision, epsilon=eps / 10.0))
+            assert sol.optimal
+            assert_allclose(a.resolved, sol.duals[:2], atol=1e-6)
 
 
 class TestZeroDemandPeriods:
