@@ -6,15 +6,17 @@ other name is imported from its module.
 """
 
 import ast
+import importlib
 import inspect
 import pathlib
+import pkgutil
 import re
 import types
 
 import pytest
 
 import genmargin
-from genmargin import model, srmc
+from genmargin import srmc
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -54,9 +56,49 @@ def test_exports_are_what_the_demos_and_readme_import():
     assert len(exported) == 17
 
 
-@pytest.mark.parametrize("fn", [srmc.predict_srmc_from_lrmc, srmc._rule,
-                                model.PrimalDecision.is_feasible, model.feasibility_limit],
-                         ids=lambda fn: fn.__qualname__)
+def test_readme_quickstart_runs_as_written(capsys):
+    block = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)[0]
+    stated = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    assert stated == ["(1.0, 102.0)", "((1.0, 1.0), (20.0, 200.0))", "(1.0, 20.0)"]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)      # noqa: S102 - the README's own code
+    assert scope["group"].gid == 6
+    assert capsys.readouterr().out.splitlines() == stated
+
+
+def public_functions():
+    """Each public function, and each public method of a public class,
+    that a ``genmargin`` module defines."""
+    for info in pkgutil.iter_modules(genmargin.__path__):
+        module = importlib.import_module(f"genmargin.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(inspect.unwrap(value)):
+                yield value
+            elif inspect.isclass(value):
+                methods = (getattr(value, m) for m in vars(value) if not m.startswith("_"))
+                yield from (m for m in methods if inspect.isfunction(m) or inspect.ismethod(m))
+
+
+PUBLIC = list(public_functions())
+
+
+def test_public_functions_are_found():
+    names = {fn.__qualname__ for fn in PUBLIC}
+    assert {"classify", "compute_srmc", "srmc_step", "resolved_step",
+            "PrimalDecision.is_feasible", "main"} <= names
+
+
+@pytest.mark.parametrize("fn", PUBLIC + [srmc._rule], ids=lambda fn: fn.__qualname__)
 def test_tolerance_comes_from_one_place(fn):
     # each reads its tolerance itself (srmc.RULE_TOL, tolerances.current())
-    assert "tol" not in inspect.signature(fn).parameters
+    assert not [p for p in inspect.signature(fn).parameters if p.startswith("tol")]
+
+
+@pytest.mark.parametrize("fn", [srmc.compute_srmc, srmc.srmc_step, srmc.resolved_step],
+                         ids=lambda fn: fn.__qualname__)
+def test_short_run_slack_is_not_an_argument(fn):
+    # the perturbed solve's slack is srmc.default_epsilon(params); the model
+    # builders keep their epsilon, which is part of the LP they build
+    assert "epsilon" not in inspect.signature(fn).parameters
