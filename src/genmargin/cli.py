@@ -65,11 +65,11 @@ EXIT_VERIFICATION = 2
 #: with the chunk.  The atlas (:func:`basis_atlas`) certifies every LP of
 #: the benchmark's grids and of selftest's draws, so a chunk pivots
 #: nothing, and its cost is the certificates, batched per stage.  In
-#: ``perfbench/run.py`` (2-core x86-64, 8 s runs, seed 3, two runs each),
-#: sweep read 6,298-6,550 / 7,152-7,192 / 7,171-7,230 items/s at 32 / 64 /
-#: 128 rows, with peak RSS 39.3-39.5 / 39.5-39.6 / 40.3-40.5 MB.  A bigger
-#: chunk adds nothing on the benchmark's 121-row grids or on selftest's
-#: 50-scenario rounds.
+#: ``perfbench/run.py`` at ``18142e6`` (2-core x86-64, 8 s runs, seed 3,
+#: two runs each), sweep read 9,213-9,836 / 10,331-10,644 /
+#: 11,300-11,412 items/s at 32 / 64 / 128 rows, with peak RSS 39.1 /
+#: 39.5-39.6 / 40.2-40.3 MB.  A bigger chunk adds nothing on the
+#: benchmark's 121-row grids or on selftest's 50-scenario rounds.
 CHUNK = 128
 
 
