@@ -168,8 +168,8 @@ def srmc_step(params: SystemParams, istar, *, lrmc_objective: float = None,
 
 def resolved_step(params: SystemParams, istar, z_star: float):
     """The resolved pair of :func:`srmc_step` as a step, without the dual
-    intervals: the frozen solve, its check against
-    the long-run optimum ``z_star``, and the perturbed solve."""
+    intervals: the frozen solve, its check against the long-run optimum
+    ``z_star``, and the perturbed solve."""
     frozen = (yield from _frozen_step(params, istar, z_star))[0]
     return (yield from _perturbed_step(params, frozen, default_epsilon(params)))
 

@@ -57,7 +57,7 @@ def test_exports_are_what_the_demos_and_readme_import():
 
 
 def test_readme_quickstart_runs_as_written(capsys):
-    block = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)[0]
+    block = dict(caller_sources())["README block 0"]
     stated = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
     assert stated == ["(1.0, 102.0)", "((1.0, 1.0), (20.0, 200.0))", "(1.0, 20.0)"]
     scope = {}
